@@ -8,7 +8,7 @@ BENCH_PKGS = ./internal/sim ./internal/slab ./internal/pagecache \
 	./internal/core ./internal/harness ./internal/hotcache \
 	./internal/mvcc ./internal/txn
 
-.PHONY: all build vet fmt-check lint test race check bench alloc-budget crash-sweep trace absorb tier cluster
+.PHONY: all build vet fmt-check lint test race check bench alloc-budget e2e-smoke crash-sweep trace absorb tier cluster
 
 # Crash sweep knobs: SEED picks the deterministic schedule (a CI failure
 # prints the seed to rerun here), K is points per engine, ENGINE narrows to
@@ -57,25 +57,32 @@ race:
 alloc-budget:
 	$(GO) test -run AllocBudget ./...
 
+# cmd/kvell-e2e (the BENCHMARK.json driver) is a module of its own, so the
+# root ./... patterns never compile it; this keeps a harness signature change
+# from breaking the benchmark unseen.
+e2e-smoke:
+	$(GO) vet -C cmd/kvell-e2e ./...
+	$(GO) test -C cmd/kvell-e2e ./...
+
 # Crash–recover–verify sweep (see DESIGN.md §9): kills each engine at K
 # seeded points under load, reboots on the power-loss disk images, verifies
 # no acknowledged write was lost and no torn value surfaced. Deterministic
 # per SEED; a failing point prints its exact repro flags.
 crash-sweep:
-	$(GO) run ./cmd/kvell-crash -engine $(ENGINE) -k $(K) -seed $(SEED)
+	$(GO) run ./cmd/kvell-bench crash -engine $(ENGINE) -k $(K) -seed $(SEED)
 
 # Write-absorption sweep (see DESIGN.md §11): open-loop update-only Zipfian
 # workloads across SKEW x RATE x commit interval; reports device-write
 # reduction, goodput and tail latency per cell. Deterministic per SEED.
 absorb:
-	$(GO) run ./cmd/kvell-absorb -quick -parallel 0 -seed $(SEED) -rate $(RATE) -skew $(SKEW)
+	$(GO) run ./cmd/kvell-bench absorb -quick -parallel 0 -seed $(SEED) -rate $(RATE) -skew $(SKEW)
 
 # Hot/cold tiering sweep (see DESIGN.md §12): open-loop read-mostly Zipfian
 # workloads on the slow cold-SSD profile across THETA x CACHEMB; reports
 # goodput, tail latency and the memory-hit-rate regimes per cell.
 # Deterministic per SEED.
 tier:
-	$(GO) run ./cmd/kvell-tier -quick -parallel 0 -seed $(SEED) -theta $(THETA) -cachemb $(CACHEMB)
+	$(GO) run ./cmd/kvell-bench tier -quick -parallel 0 -seed $(SEED) -theta $(THETA) -cachemb $(CACHEMB)
 
 # Cluster sweep knobs (`make cluster`): comma-separated machine counts and
 # the replication factor for the failover run.
@@ -88,17 +95,17 @@ KILLRF ?= 2
 # acknowledged write is lost. Deterministic per SEED; digests printed per
 # run. `make cluster MACHINES=1,2,4 SEED=7` reproduces any CI row exactly.
 cluster:
-	$(GO) run ./cmd/kvell-cluster -machines $(MACHINES) -seed $(SEED) -failover-rf $(KILLRF)
+	$(GO) run ./cmd/kvell-bench cluster -machines $(MACHINES) -seed $(SEED) -failover-rf $(KILLRF)
 
 # Traced runs (see DESIGN.md §10): writes Chrome trace JSON (Perfetto) and
 # per-component latency breakdown tables for an LSM and a KVell run into
 # results/trace/. Deterministic per SEED.
 trace:
 	mkdir -p results/trace
-	$(GO) run ./cmd/kvell-trace -engine rocksdb,kvell -seed $(SEED) -o results/trace
+	$(GO) run ./cmd/kvell-bench trace -engine rocksdb,kvell -seed $(SEED) -o results/trace
 
 # Everything CI runs, in the same order.
-check: build vet fmt-check lint alloc-budget crash-sweep race
+check: build vet fmt-check lint alloc-budget e2e-smoke crash-sweep race
 
 # Runs the kernel/allocator/page-cache microbenchmarks and writes
 # BENCH_sim.json at the repo root: per-benchmark ns/op, allocs/op and ops/sec,

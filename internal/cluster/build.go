@@ -1,0 +1,197 @@
+package cluster
+
+import (
+	"math/rand"
+
+	"kvell/internal/core"
+	"kvell/internal/device"
+	"kvell/internal/env"
+	"kvell/internal/fault"
+	"kvell/internal/kv"
+	"kvell/internal/net"
+	"kvell/internal/sim"
+)
+
+// Spec describes the cluster Build assembles: Machines server machines, each
+// one sharded KVell store on NDisks Amazon-NVMe disks, plus one client
+// machine (index Machines), all on a 10GbE fabric. Every field is required.
+type Spec struct {
+	Machines int
+	RF       int
+	Seed     int64
+	Slots    int // placement hash slots
+	Cores    int // CPU cores per server machine
+	NDisks   int // disks per server machine
+
+	// Tweak finishes every store's config (workers, cache, MVCC). Disks,
+	// NoInPlaceUpdates and OnIndexUpdate are already set and must stay.
+	Tweak func(cfg *core.Config)
+
+	// Records keys kv.Key(0..Records-1) are bulk-loaded, each into its
+	// slot's leader, with Value(i) as key i's initial value.
+	Records int64
+	Value   func(i int64) []byte
+
+	// Kill arms a power loss of machine KillMachine at KillAt that also
+	// halts its event domain.
+	Kill        bool
+	KillMachine int
+	KillAt      env.Time
+}
+
+// Build assembles and starts the whole cluster: sim, fabric, placement,
+// machine envs, fault- and replication-wrapped disks, bulk-loaded stores,
+// follower replicas seeded from the leaders' post-load images, serving
+// nodes, and the armed injector. The order in which it creates disks, stores
+// and procs is part of the reproducible schedule (DESIGN.md "Testbeds"):
+// every cluster golden digest pins it.
+func Build(spec Spec) *Cluster {
+	M := spec.Machines
+	s := sim.New(spec.Seed + 1)
+	nw := net.New(s, M+1, net.TenGbE())
+	place := NewPlacement(spec.Slots, M, spec.RF)
+	cl := &Cluster{
+		S: s, Net: nw, Place: place,
+		Envs:     make([]*sim.Env, M+1),
+		Stores:   make([]*core.Store, M),
+		Repls:    make([]*Replicator, M),
+		Replicas: make([][]*Replica, M),
+		nodes:    make([]*Node, M),
+		cfgs:     make([]core.Config, M),
+		seed:     spec.Seed,
+	}
+	for m := 0; m < M; m++ {
+		cl.Envs[m] = sim.NewMachineEnv(s, m, spec.Cores)
+	}
+	cl.Envs[M] = sim.NewMachineEnv(s, M, max(2, M))
+
+	// Servers: disks (fault-wrapped on the kill target, replication-wrapped
+	// under RF>1), then the store.
+	prof := device.AmazonNVMe()
+	images := make([][]*device.MemStore, M)
+	for m := 0; m < M; m++ {
+		var rp *Replicator
+		if spec.RF > 1 {
+			rp = NewReplicator(cl, m)
+			cl.Repls[m] = rp
+		}
+		disks := make([]device.Disk, spec.NDisks)
+		for i := range disks {
+			ms := device.NewMemStore()
+			images[m] = append(images[m], ms)
+			sd := device.NewSimDisk(s, prof, ms)
+			sd.Machine = m
+			sd.ID = m*spec.NDisks + i
+			var d device.Disk = sd
+			if spec.Kill && m == spec.KillMachine {
+				if cl.Inj == nil {
+					cl.Inj = fault.NewInjector(s, fault.Config{
+						Seed:        spec.Seed*1_000_003 + int64(m+1),
+						AtTime:      spec.KillAt,
+						HaltMachine: true,
+						Machine:     m,
+					})
+				}
+				d = cl.Inj.Wrap(sd)
+			}
+			if rp != nil {
+				d = rp.WrapDisk(i, d)
+			}
+			disks[i] = d
+		}
+		cfg := core.DefaultConfig(disks...)
+		// A replicated leader never overwrites a live page in place: every
+		// update goes to a fresh slot (§5.6 variant), so replicated page
+		// records never race an in-place rewrite of the same replica page
+		// and recovery's newest-timestamp arbitration resolves duplicates.
+		cfg.NoInPlaceUpdates = spec.RF > 1
+		if rp != nil {
+			cfg.OnIndexUpdate = rp.OnIndexUpdate
+		}
+		spec.Tweak(&cfg)
+		st, err := core.Open(cl.Envs[m], cfg)
+		if err != nil {
+			panic(err)
+		}
+		cl.Stores[m], cl.cfgs[m] = st, cfg
+	}
+
+	// Bulk load: each store gets exactly its slots' keys (generated in key
+	// order, so each per-machine subset stays sorted).
+	perMachine := make([][]kv.Item, M)
+	keyBuf := make([]byte, kv.KeyLen)
+	for i := int64(0); i < spec.Records; i++ {
+		kv.FillKey(keyBuf, i)
+		m := place.Leader(place.SlotOf(keyBuf))
+		perMachine[m] = append(perMachine[m], kv.Item{Key: kv.Key(i), Value: spec.Value(i)})
+	}
+	for m, st := range cl.Stores {
+		if err := st.BulkLoad(perMachine[m]); err != nil {
+			panic(err)
+		}
+	}
+
+	// Followers: replica disks seeded from the leader's post-bulk-load
+	// images (bulk load bypasses the request path, so it is replicated by
+	// snapshot, not by shipping).
+	if spec.RF > 1 {
+		for m := 0; m < M; m++ {
+			for _, f := range place.Followers(m) {
+				rdisks := make([]*device.SimDisk, spec.NDisks)
+				for i, ms := range images[m] {
+					rd := device.NewSimDisk(s, prof, ms.Snapshot())
+					rd.Machine = f
+					rd.ID = 1000 + m*spec.NDisks + i
+					rdisks[i] = rd
+				}
+				rep := NewReplica(cl, cl.Envs[f], m, rdisks)
+				cl.Repls[m].AddFollower(rep)
+				cl.Replicas[m] = append(cl.Replicas[m], rep)
+				rep.Start()
+			}
+			cl.Repls[m].Activate()
+		}
+	}
+
+	for m, st := range cl.Stores {
+		cl.serve(m, m, st, cl.Repls[m])
+		st.Start()
+	}
+	if cl.Inj != nil {
+		cl.Inj.Arm()
+	}
+	return cl
+}
+
+// serve starts a node on machine host serving store identity home.
+func (cl *Cluster) serve(home, host int, st *core.Store, repl *Replicator) {
+	n := NewNode(cl, cl.Envs[host], home, st, repl)
+	cl.nodes[home] = n
+	n.Start()
+}
+
+// Follower returns the replica Promote(dead) promotes: a seeded pick among
+// the dead machine's followers, part of the reproducible schedule.
+func (cl *Cluster) Follower(dead int) *Replica {
+	prng := rand.New(rand.NewSource(cl.seed*104_729 + int64(dead+1)))
+	reps := cl.Replicas[dead]
+	return reps[prng.Intn(len(reps))]
+}
+
+// Promote fails machine dead over to Follower(dead): routing is re-pointed,
+// the replica becomes a store through full-scan recovery under the dead
+// store's own config, and a node on the follower's machine starts serving
+// it. c must be a proc on that machine. The caller sweeps its clients'
+// operations stuck at the dead machine.
+func (cl *Cluster) Promote(c env.Ctx, dead int) (*core.Store, error) {
+	rep := cl.Follower(dead)
+	cl.FailMachine(dead)
+	st, err := rep.Promote(c, cl.cfgs[dead])
+	if err != nil {
+		return nil, err
+	}
+	st.Start()
+	cl.serve(dead, rep.host, st, nil)
+	cl.Stores[dead] = st
+	return st, nil
+}

@@ -3,37 +3,38 @@ package cluster
 import (
 	"kvell/internal/core"
 	"kvell/internal/env"
+	"kvell/internal/fault"
 	"kvell/internal/kv"
 	"kvell/internal/net"
 	"kvell/internal/sim"
 	"kvell/internal/trace"
 )
 
-// Cluster is the assembled topology: the placement plus a registry mapping
-// each store identity (its initial leader machine, the "home") to the Node
-// currently serving it. Failover swaps a registry entry to the promoted
-// follower's node; clients always route through the registry, so re-routing
-// is one pointer swap.
+// Cluster is the assembled testbed (see Build): the sim, fabric and placement,
+// every machine's env, store, replicator and replicas, the armed injector,
+// and a registry mapping each store identity (its initial leader machine,
+// the "home") to the Node currently serving it. Failover swaps a registry
+// entry to the promoted follower's node; clients always route through the
+// registry, so re-routing is one pointer swap.
 type Cluster struct {
 	S     *sim.Sim
 	Net   *net.Network
 	Place *Placement
 
-	nodes []*Node // indexed by home machine
+	// Envs holds one env per server machine and, last, the client machine's.
+	Envs []*sim.Env
+	// Stores, Repls (nil entries at RF=1) and Replicas are indexed by home.
+	// Promote replaces the dead machine's store with the promoted one.
+	Stores   []*core.Store
+	Repls    []*Replicator
+	Replicas [][]*Replica
+	// Inj is the armed machine-kill injector (nil unless Spec.Kill).
+	Inj *fault.Injector
+
+	nodes []*Node       // indexed by home machine
+	cfgs  []core.Config // each store's config, for promotion
+	seed  int64
 }
-
-// New returns an empty cluster over s, nw and place; register nodes with
-// SetNode.
-func New(s *sim.Sim, nw *net.Network, place *Placement) *Cluster {
-	return &Cluster{S: s, Net: nw, Place: place, nodes: make([]*Node, place.Servers)}
-}
-
-// SetNode installs n as the server for store identity home (initial
-// placement and failover re-pointing alike).
-func (cl *Cluster) SetNode(home int, n *Node) { cl.nodes[home] = n }
-
-// Node returns the node currently serving store identity home.
-func (cl *Cluster) Node(home int) *Node { return cl.nodes[home] }
 
 // NodeFor returns the node currently serving key's slot.
 func (cl *Cluster) NodeFor(key []byte) *Node {
@@ -43,7 +44,7 @@ func (cl *Cluster) NodeFor(key []byte) *Node {
 // FailMachine records machine m's death cluster-wide: bump the routing
 // epoch, stop m's node, and drop m as a follower from every surviving
 // leader's replicator so their barriers stop waiting for its acks. The
-// caller separately promotes a replica of m's store and SetNodes it in.
+// rest of Promote brings up a replica of m's store in its place.
 func (cl *Cluster) FailMachine(m int) {
 	cl.Place.Fail(m)
 	for _, n := range cl.nodes {
@@ -157,12 +158,6 @@ func NewNode(cl *Cluster, e *sim.Env, home int, st *core.Store, repl *Replicator
 
 // Host returns the machine the node runs on.
 func (n *Node) Host() int { return n.host }
-
-// Home returns the store identity the node serves.
-func (n *Node) Home() int { return n.home }
-
-// Store returns the served store.
-func (n *Node) Store() *core.Store { return n.st }
 
 // Start launches the serve thread.
 func (n *Node) Start() {

@@ -96,17 +96,6 @@ func (p *Placement) Followers(m int) []int {
 // Epoch returns the routing epoch, bumped by every Fail.
 func (p *Placement) Epoch() int { return p.epoch }
 
-// SlotsOf returns the slots machine m leads (in slot order).
-func (p *Placement) SlotsOf(m int) []int {
-	var out []int
-	for s, l := range p.leader {
-		if l == m {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Fail records machine m's death. Routing is unchanged (slot identity stays
 // with the dead machine's store, which the failover re-hosts); the epoch bump
 // tells clients to re-examine in-flight requests.

@@ -101,15 +101,6 @@ func (rp *Replicator) AddFollower(rep *Replica) {
 // are not shipped.
 func (rp *Replicator) Activate() { rp.active = true }
 
-// Followers returns the follower machine ids, dead ones included.
-func (rp *Replicator) Followers() []int {
-	out := make([]int, len(rp.followers))
-	for i, f := range rp.followers {
-		out[i] = f.machine
-	}
-	return out
-}
-
 // OnIndexUpdate is the core.Config hook: ship the index change to followers.
 // Runs on the leader's worker thread.
 func (rp *Replicator) OnIndexUpdate(worker int, key []byte, loc uint64, del bool) {

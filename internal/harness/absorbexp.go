@@ -39,18 +39,10 @@ func (ao *AbsorbOpts) defaults(o Options) {
 	if len(ao.Intervals) == 0 {
 		ao.Intervals = []env.Time{0, 200 * env.Microsecond, 800 * env.Microsecond}
 	}
-	if ao.Records == 0 {
-		ao.Records = 20_000
-	}
-	if ao.ItemSize == 0 {
-		ao.ItemSize = 1024
-	}
-	if ao.Duration == 0 {
-		ao.Duration = o.dur(env.Second)
-	}
-	if ao.MaxPerShard == 0 {
-		ao.MaxPerShard = 1024
-	}
+	def(&ao.Records, 20_000)
+	def(&ao.ItemSize, 1024)
+	def(&ao.Duration, o.dur(env.Second))
+	def(&ao.MaxPerShard, 1024)
 }
 
 // AbsorbPoint is one cell of the sweep with its headline measurements.
@@ -151,7 +143,7 @@ func absorbExp(o Options, w io.Writer) {
 }
 
 // AbsorbReport runs the sweep described by ao (zero fields take defaults)
-// and prints the table and headline summary — the entry point kvell-absorb
+// and prints the table and headline summary — the entry point `kvell-bench absorb`
 // uses for flag-selected rates and skews.
 func AbsorbReport(o Options, ao AbsorbOpts, w io.Writer) {
 	ao.defaults(o)

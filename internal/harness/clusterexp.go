@@ -1,20 +1,16 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/rand"
 
 	"kvell/internal/cluster"
 	"kvell/internal/core"
-	"kvell/internal/device"
 	"kvell/internal/env"
 	"kvell/internal/fault"
 	"kvell/internal/kv"
 	"kvell/internal/net"
-	"kvell/internal/sim"
 	"kvell/internal/stats"
 	"kvell/internal/trace"
 )
@@ -53,46 +49,27 @@ type ClusterSpec struct {
 	DetectDelay env.Time
 }
 
+// Defaults both cluster harnesses share.
+const (
+	clusterSlots       = 4096
+	clusterCores       = 5
+	clusterDetectDelay = 200 * env.Microsecond
+)
+
 func (cs *ClusterSpec) defaults() {
-	if cs.Machines == 0 {
-		cs.Machines = 2
-	}
-	if cs.RF == 0 {
-		cs.RF = 1
-	}
-	if cs.RecordsPerMachine == 0 {
-		cs.RecordsPerMachine = 20_000
-	}
-	if cs.ItemSize == 0 {
-		cs.ItemSize = 256
-	}
-	if cs.ClientsPerMachine == 0 {
-		cs.ClientsPerMachine = 8
-	}
-	if cs.Window == 0 {
-		cs.Window = 8
-	}
-	if cs.Cores == 0 {
-		cs.Cores = 5
-	}
-	if cs.Workers == 0 {
-		cs.Workers = 4
-	}
-	if cs.NDisks == 0 {
-		cs.NDisks = 1
-	}
-	if cs.Slots == 0 {
-		cs.Slots = 4096
-	}
-	if cs.Duration == 0 {
-		cs.Duration = env.Second
-	}
-	if cs.KillAt == 0 {
-		cs.KillAt = cs.Duration / 3
-	}
-	if cs.DetectDelay == 0 {
-		cs.DetectDelay = 200 * env.Microsecond
-	}
+	def(&cs.Machines, 2)
+	def(&cs.RF, 1)
+	def(&cs.RecordsPerMachine, 20_000)
+	def(&cs.ItemSize, 256)
+	def(&cs.ClientsPerMachine, 8)
+	def(&cs.Window, 8)
+	def(&cs.Cores, clusterCores)
+	def(&cs.Workers, 4)
+	def(&cs.NDisks, 1)
+	def(&cs.Slots, clusterSlots)
+	def(&cs.Duration, env.Second)
+	def(&cs.KillAt, cs.Duration/3)
+	def(&cs.DetectDelay, clusterDetectDelay)
 }
 
 // ClusterResult is one run's outcome. Digest fingerprints the whole
@@ -163,160 +140,44 @@ type clientState struct {
 func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 	spec.defaults()
 	M := spec.Machines
-	clientM := M
 	total := int64(M) * spec.RecordsPerMachine
-	prof := device.AmazonNVMe()
 	res := ClusterResult{Machines: M, RF: spec.RF, Promoted: -1}
 
-	s := sim.New(spec.Seed + 1)
-	nw := net.New(s, M+1, net.TenGbE())
-	place := cluster.NewPlacement(spec.Slots, M, spec.RF)
-	cl := cluster.New(s, nw, place)
+	// Shadow model (crash-harness discipline): after a failover the durable
+	// version of every key must be one its client could have been told about.
+	sh := newShadow(total, func(k int64, v uint64) []byte { return kv.Value(k, v, spec.ItemSize) })
+	cl := cluster.Build(cluster.Spec{
+		Machines: M, RF: spec.RF, Seed: spec.Seed, Slots: spec.Slots,
+		Cores: spec.Cores, NDisks: spec.NDisks,
+		Tweak: func(cfg *core.Config) {
+			cfg.Workers = spec.Workers
+			cfg.PageCachePages = max(256, int(spec.RecordsPerMachine/16/3))
+		},
+		Records: total,
+		Value:   func(i int64) []byte { return sh.val(i, 1) },
+		Kill:    spec.Failover, KillMachine: spec.KillMachine, KillAt: spec.KillAt,
+	})
+	s, clientM, clientEnv := cl.S, M, cl.Envs[M]
 	tracer := trace.NewTracer(0)
-
-	envs := make([]*sim.Env, M+1)
-	for m := 0; m < M; m++ {
-		envs[m] = sim.NewMachineEnv(s, m, spec.Cores)
-	}
-	envs[clientM] = sim.NewMachineEnv(s, clientM, max(2, M))
-
-	// Servers: disks (fault-wrapped on the kill target, replication-wrapped
-	// under RF>1), store, replicas, node. Creation order is fixed — it is
-	// part of the reproducible schedule.
-	var inj *fault.Injector
-	baseStores := make([][]*device.MemStore, M)
-	stores := make([]*core.Store, M)
-	cfgs := make([]core.Config, M)
-	rps := make([]*cluster.Replicator, M)
-	repsByHome := make([][]*cluster.Replica, M)
-	for m := 0; m < M; m++ {
-		var rp *cluster.Replicator
-		if spec.RF > 1 {
-			rp = cluster.NewReplicator(cl, m)
-			rps[m] = rp
-		}
-		disks := make([]device.Disk, spec.NDisks)
-		for i := 0; i < spec.NDisks; i++ {
-			ms := device.NewMemStore()
-			baseStores[m] = append(baseStores[m], ms)
-			sd := device.NewSimDisk(s, prof, ms)
-			sd.Machine = m
-			sd.ID = m*spec.NDisks + i
-			var d device.Disk = sd
-			if spec.Failover && m == spec.KillMachine {
-				if inj == nil {
-					inj = fault.NewInjector(s, fault.Config{
-						Seed:        spec.Seed*1_000_003 + int64(m+1),
-						AtTime:      spec.KillAt,
-						HaltMachine: true,
-						Machine:     m,
-					})
-				}
-				d = inj.Wrap(sd)
-			}
-			if rp != nil {
-				d = rp.WrapDisk(i, d)
-			}
-			disks[i] = d
-		}
-		cfg := core.DefaultConfig(disks...)
-		cfg.Workers = spec.Workers
-		pages := int(spec.RecordsPerMachine / 16 / 3)
-		if pages < 256 {
-			pages = 256
-		}
-		cfg.PageCachePages = pages
-		// A replicated leader never overwrites a live page in place: every
-		// update goes to a fresh slot (§5.6 variant), so replicated page
-		// records never race an in-place rewrite of the same replica page
-		// and recovery's newest-timestamp arbitration resolves duplicates.
-		cfg.NoInPlaceUpdates = spec.RF > 1
-		if rp != nil {
-			cfg.OnIndexUpdate = rp.OnIndexUpdate
-		}
-		st, err := core.Open(envs[m], cfg)
-		if err != nil {
-			panic(err)
-		}
-		stores[m] = st
-		cfgs[m] = cfg
-	}
-
-	// Bulk load: each store gets exactly its slots' keys (generated in key
-	// order, so each per-machine subset stays sorted).
-	perMachine := make([][]kv.Item, M)
-	keyBuf := make([]byte, kv.KeyLen)
-	for i := int64(0); i < total; i++ {
-		kv.FillKey(keyBuf, i)
-		m := place.Leader(place.SlotOf(keyBuf))
-		perMachine[m] = append(perMachine[m], kv.Item{Key: kv.Key(i), Value: kv.Value(i, 1, spec.ItemSize)})
-	}
-	for m := 0; m < M; m++ {
-		if err := stores[m].BulkLoad(perMachine[m]); err != nil {
-			panic(err)
-		}
-	}
-
-	// Followers: replica disks seeded from the leader's post-bulk-load
-	// images (bulk load bypasses the request path, so it is replicated by
-	// snapshot, not by shipping).
-	if spec.RF > 1 {
-		for m := 0; m < M; m++ {
-			for _, f := range place.Followers(m) {
-				rdisks := make([]*device.SimDisk, spec.NDisks)
-				for i, ms := range baseStores[m] {
-					rd := device.NewSimDisk(s, prof, ms.Snapshot())
-					rd.Machine = f
-					rd.ID = 1000 + m*spec.NDisks + i
-					rdisks[i] = rd
-				}
-				rep := cluster.NewReplica(cl, envs[f], m, rdisks)
-				rps[m].AddFollower(rep)
-				repsByHome[m] = append(repsByHome[m], rep)
-				rep.Start()
-			}
-			rps[m].Activate()
-		}
-	}
-
-	for m := 0; m < M; m++ {
-		n := cluster.NewNode(cl, envs[m], m, stores[m], rps[m])
-		cl.SetNode(m, n)
-		n.Start()
-		stores[m].Start()
-	}
-	if inj != nil {
-		inj.Arm()
-	}
-
-	// Shadow model (crash-harness discipline): versions per key, bulk load
-	// is version 1, at most one update per key in flight. After a failover
-	// the durable version of key k must lie in [acked[k], issued[k]].
-	issued := make([]uint64, total)
-	acked := make([]uint64, total)
-	inflight := make([]bool, total)
-	for i := range issued {
-		issued[i], acked[i] = 1, 1
-	}
 
 	lat := stats.NewHist()
 	nClients := spec.ClientsPerMachine * M
 	states := make([]*clientState, nClients)
-	dmu := envs[clientM].NewMutex()
-	dcond := envs[clientM].NewCond(dmu)
+	dmu := clientEnv.NewMutex()
+	dcond := clientEnv.NewCond(dmu)
 	clientsLeft := nClients
 
 	for ci := 0; ci < nClients; ci++ {
 		ci := ci
 		cs := &clientState{slots: make([]clientSlot, spec.Window)}
-		cs.mu = envs[clientM].NewMutex()
-		cs.cond = envs[clientM].NewCond(cs.mu)
+		cs.mu = clientEnv.NewMutex()
+		cs.cond = clientEnv.NewCond(cs.mu)
 		for si := range cs.slots {
 			cs.slots[si].m = cluster.NewReqMsg(cl)
 			cs.free = append(cs.free, si)
 		}
 		states[ci] = cs
-		envs[clientM].Go(fmt.Sprintf("cluster-client-%d", ci), func(c env.Ctx) {
+		clientEnv.Go(fmt.Sprintf("cluster-client-%d", ci), func(c env.Ctx) {
 			// Seeded from the spec: the client schedule is part of the
 			// reproducible cluster schedule.
 			rng := rand.New(rand.NewSource(spec.Seed*7919 + int64(ci)))
@@ -333,7 +194,7 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 				sl := &cs.slots[si]
 				k := lo + rng.Int63n(hi-lo)
 				sl.key = k
-				sl.update = rng.Intn(2) == 0 && !inflight[k]
+				sl.update = rng.Intn(2) == 0 && !sh.inflight[k]
 				sl.start = c.Now()
 				sl.active = true
 				sl.seq++
@@ -341,12 +202,10 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 				m := sl.m
 				res.Issued++
 				if sl.update {
-					inflight[k] = true
-					sl.ver = issued[k] + 1
-					issued[k] = sl.ver
+					sl.ver = sh.issue(k)
 					m.Op = kv.OpUpdate
 					m.Key = kv.Key(k)
-					m.Value = kv.Value(k, sl.ver, spec.ItemSize)
+					m.Value = sh.val(k, sl.ver)
 				} else {
 					m.Op = kv.OpGet
 					m.Key = kv.Key(k)
@@ -364,8 +223,7 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 					}
 					sl.active = false
 					if sl.update {
-						acked[sl.key] = sl.ver
-						inflight[sl.key] = false
+						sh.ack(sl.key, sl.ver)
 						res.Updates++
 					}
 					res.Completed++
@@ -391,33 +249,23 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 		})
 	}
 
-	// Failover driver: runs on the promoted machine (chosen by seeded RNG
-	// among the dead machine's followers), waits out the detection delay,
-	// re-points routing, promotes the replica through full-scan recovery,
-	// validates the replicated index, and sweeps clients' stuck slots (the
-	// client-side timeout: ops sent to the dead machine fail, un-acked).
 	var verifyErr error
+	var recVer []uint64
 	if spec.Failover {
+		// Failover driver: runs on the machine of the follower to promote,
+		// waits out the detection delay, promotes, validates the replicated
+		// index, and sweeps clients' stuck slots (the client-side timeout: ops
+		// sent to the dead machine fail, un-acked).
 		dead := spec.KillMachine
-		followers := place.Followers(dead)
-		// Seeded promotion choice — part of the reproducible schedule.
-		prng := rand.New(rand.NewSource(spec.Seed*104_729 + int64(dead+1)))
-		pick := followers[prng.Intn(len(followers))]
-		var rep *cluster.Replica
-		for _, r := range repsByHome[dead] {
-			if r.Host() == pick {
-				rep = r
-			}
-		}
-		res.Promoted = pick
-		envs[pick].Go("failover-driver", func(c env.Ctx) {
+		rep := cl.Follower(dead)
+		res.Promoted = rep.Host()
+		cl.Envs[rep.Host()].Go("failover-driver", func(c env.Ctx) {
 			c.Sleep(spec.KillAt + spec.DetectDelay - c.Now())
-			if !inj.Tripped() {
+			if !cl.Inj.Tripped() {
 				verifyErr = fmt.Errorf("cluster: machine %d never died", dead)
 				return
 			}
-			cl.FailMachine(dead)
-			st2, err := rep.Promote(c, cfgs[dead])
+			st2, err := cl.Promote(c, dead)
 			if err != nil {
 				verifyErr = fmt.Errorf("cluster: promotion failed: %v", err)
 				return
@@ -427,12 +275,8 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 			// past the applied frontier; everything else must match exactly.
 			res.Checked, res.Mismatches = rep.ValidateIndex(st2, func(key string) bool {
 				n := kv.KeyNum([]byte(key))
-				return n < 0 || inflight[n]
+				return n < 0 || sh.inflight[n]
 			})
-			st2.Start()
-			n2 := cluster.NewNode(cl, envs[pick], dead, st2, nil)
-			n2.Start()
-			cl.SetNode(dead, n2)
 			for _, cs := range states {
 				cs.mu.Lock(c)
 				for si := range cs.slots {
@@ -441,7 +285,7 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 						sl.active = false
 						sl.seq++ // a late reply must not complete the next op
 						if sl.update {
-							inflight[sl.key] = false
+							sh.inflight[sl.key] = false
 						}
 						res.FailedOps++
 						cs.free = append(cs.free, si)
@@ -451,23 +295,20 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 				cs.cond.Broadcast(c)
 			}
 		})
-	}
 
-	// Post-workload verification (failover runs): read every key of the dead
-	// store back through the cluster — now served by the promoted follower —
-	// and check it against the shadow model.
-	var recVer []uint64
-	if spec.Failover {
-		dead := spec.KillMachine
+		// Post-workload verification: read every key of the dead store back
+		// through the cluster — now served by the promoted follower — and
+		// check it against the shadow model.
 		var deadKeys []int64
+		keyBuf := make([]byte, kv.KeyLen)
 		for i := int64(0); i < total; i++ {
 			kv.FillKey(keyBuf, i)
-			if place.Leader(place.SlotOf(keyBuf)) == dead {
+			if cl.Place.Leader(cl.Place.SlotOf(keyBuf)) == dead {
 				deadKeys = append(deadKeys, i)
 			}
 		}
 		recVer = make([]uint64, len(deadKeys))
-		envs[clientM].Go("cluster-verify", func(c env.Ctx) {
+		clientEnv.Go("cluster-verify", func(c env.Ctx) {
 			dmu.Lock(c)
 			for clientsLeft > 0 {
 				dcond.Wait(c)
@@ -476,62 +317,38 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 			if verifyErr != nil {
 				return
 			}
-			vmu := envs[clientM].NewMutex()
-			vcond := envs[clientM].NewCond(vmu)
-			outstanding := 0
+			win := newWindow(clientEnv, verifyWindow)
 			for i, k := range deadKeys {
-				vmu.Lock(c)
-				for outstanding >= 64 {
-					vcond.Wait(c)
-				}
-				outstanding++
-				vmu.Unlock(c)
+				win.acquire(c)
 				i, k := i, k
 				m := cluster.NewReqMsg(cl)
 				m.Op = kv.OpGet
 				m.Key = kv.Key(k)
 				m.Done = func(out kv.Result) {
 					res.Verified++
-					ok := false
-					if out.Found {
-						for v := issued[k]; v >= acked[k] && !ok; v-- {
-							if bytes.Equal(out.Value, kv.Value(k, v, spec.ItemSize)) {
-								recVer[i] = v
-								ok = true
-							}
-						}
-					}
-					if !ok {
+					recVer[i] = sh.match(k, out)
+					if recVer[i] == 0 {
 						res.Lost++
 						if verifyErr == nil {
 							verifyErr = fmt.Errorf("cluster: key %d lost after failover (found=%v, acked=%d, issued=%d)",
-								k, out.Found, acked[k], issued[k])
+								k, out.Found, sh.acked[k], sh.issued[k])
 						}
 					}
-					vmu.Lock(nil)
-					outstanding--
-					vmu.Unlock(nil)
-					vcond.Signal(nil)
+					win.release()
 				}
 				cl.Send(c, clientM, m)
 			}
-			vmu.Lock(c)
-			for outstanding > 0 {
-				vcond.Wait(c)
-			}
-			vmu.Unlock(c)
+			win.drain(c)
 		})
 	}
 
-	if err := s.Run(spec.Duration + 2*env.Second); err != nil {
-		panic(err)
+	must(s.Run(spec.Duration + 2*env.Second))
+	if cl.Inj != nil && cl.Inj.Tripped() {
+		res.CrashTime = cl.Inj.CrashTime()
+		res.Fault = cl.Inj.Stats()
 	}
-	if inj != nil && inj.Tripped() {
-		res.CrashTime = inj.CrashTime()
-		res.Fault = inj.Stats()
-	}
-	res.Net = nw.Counters()
-	for _, rp := range rps {
+	res.Net = cl.Net.Counters()
+	for _, rp := range cl.Repls {
 		if rp == nil {
 			continue
 		}
@@ -544,45 +361,36 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 	res.P99 = lat.Percentile(0.99)
 	res.NetTime = env.Time(tracer.Breakdown().Sum(trace.CompNet))
 	res.ReplTime = env.Time(tracer.Breakdown().Sum(trace.CompReplicate))
-	if err := s.Close(); err != nil {
-		panic(err)
-	}
+	must(s.Close())
 
-	h := fnv.New64a()
-	var b [8]byte
-	word := func(v uint64) {
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	word(uint64(M))
-	word(uint64(spec.RF))
-	word(uint64(res.Issued))
-	word(uint64(res.Completed))
-	word(uint64(res.Updates))
-	word(uint64(res.FailedOps))
-	word(uint64(res.MeanLat))
-	word(uint64(res.P99))
-	word(uint64(res.Net.Msgs))
-	word(uint64(res.Net.Bytes))
-	word(uint64(res.Net.Dropped))
-	word(uint64(res.PagesShipped))
-	word(uint64(res.EntriesShipped))
-	word(uint64(res.BytesShipped))
-	word(uint64(res.NetTime))
-	word(uint64(res.ReplTime))
-	word(uint64(res.Promoted + 1))
-	word(uint64(res.CrashTime))
-	word(res.Frontier)
-	word(uint64(res.Checked))
-	word(uint64(res.Mismatches))
-	word(uint64(res.Verified))
-	word(uint64(res.Lost))
+	h := stats.NewFNV()
+	h.Word(uint64(M))
+	h.Word(uint64(spec.RF))
+	h.Word(uint64(res.Issued))
+	h.Word(uint64(res.Completed))
+	h.Word(uint64(res.Updates))
+	h.Word(uint64(res.FailedOps))
+	h.Word(uint64(res.MeanLat))
+	h.Word(uint64(res.P99))
+	h.Word(uint64(res.Net.Msgs))
+	h.Word(uint64(res.Net.Bytes))
+	h.Word(uint64(res.Net.Dropped))
+	h.Word(uint64(res.PagesShipped))
+	h.Word(uint64(res.EntriesShipped))
+	h.Word(uint64(res.BytesShipped))
+	h.Word(uint64(res.NetTime))
+	h.Word(uint64(res.ReplTime))
+	h.Word(uint64(res.Promoted + 1))
+	h.Word(uint64(res.CrashTime))
+	h.Word(res.Frontier)
+	h.Word(uint64(res.Checked))
+	h.Word(uint64(res.Mismatches))
+	h.Word(uint64(res.Verified))
+	h.Word(uint64(res.Lost))
 	for _, v := range recVer {
-		word(v)
+		h.Word(v)
 	}
-	res.Digest = h.Sum64()
+	res.Digest = uint64(h)
 
 	if verifyErr != nil {
 		return res, verifyErr

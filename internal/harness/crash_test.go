@@ -115,3 +115,40 @@ func TestCrashRecoverVerifyAllEngines(t *testing.T) {
 		})
 	}
 }
+
+// TestParseEngineFlag: one parser accepts every spelling any subcommand ever
+// took, so a repro line copied from one tool's output works in another.
+func TestParseEngineFlag(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want EngineKind
+		ok   bool
+	}{
+		{"kvell", KVell, true},
+		{"rocks", RocksLike, true},
+		{"rocksdb", RocksLike, true},
+		{"lsm", RocksLike, true},
+		{"pebbles", PebblesLike, true},
+		{"pebblesdb", PebblesLike, true},
+		{"wt", WiredTigerLike, true},
+		{"wiredtiger", WiredTigerLike, true},
+		{"wtree", WiredTigerLike, true},
+		{"toku", TokuLike, true},
+		{"tokumx", TokuLike, true},
+		{"betree", TokuLike, true},
+		{" RocksDB ", RocksLike, true},
+		{"all", 0, false},
+		{"", 0, false},
+		{"leveldb", 0, false},
+	} {
+		got, ok := ParseEngineFlag(tc.name)
+		if ok != tc.ok || (ok && got != tc.want) {
+			t.Errorf("ParseEngineFlag(%q) = %v, %v; want %v, %v", tc.name, got, ok, tc.want, tc.ok)
+		}
+	}
+	for _, k := range AllEngines {
+		if got, ok := ParseEngineFlag(engineNames[k][0]); !ok || got != k {
+			t.Errorf("%v: repro spelling %q does not parse back", k, engineNames[k][0])
+		}
+	}
+}

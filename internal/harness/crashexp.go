@@ -1,21 +1,18 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/rand"
+	"strings"
 
 	"kvell/internal/core"
-	"kvell/internal/device"
 	"kvell/internal/engine/betree"
 	"kvell/internal/engine/lsm"
 	"kvell/internal/engine/wtree"
 	"kvell/internal/env"
 	"kvell/internal/fault"
 	"kvell/internal/kv"
-	"kvell/internal/sim"
 	"kvell/internal/stats"
 )
 
@@ -48,27 +45,13 @@ type CrashSpec struct {
 }
 
 func (cs *CrashSpec) defaults() {
-	if cs.Records == 0 {
-		cs.Records = 8_000
-	}
-	if cs.ItemSize == 0 {
-		cs.ItemSize = 256
-	}
-	if cs.AtWrite == 0 {
-		cs.AtWrite = 1_000
-	}
-	if cs.Clients == 0 {
-		cs.Clients = 4
-	}
-	if cs.Window == 0 {
-		cs.Window = 4
-	}
-	if cs.NDisks == 0 {
-		cs.NDisks = 2
-	}
-	if cs.Cores == 0 {
-		cs.Cores = 4
-	}
+	def(&cs.Records, 8_000)
+	def(&cs.ItemSize, 256)
+	def(&cs.AtWrite, 1_000)
+	def(&cs.Clients, 4)
+	def(&cs.Window, 4)
+	def(&cs.NDisks, 2)
+	def(&cs.Cores, 4)
 }
 
 // valSize is the deterministic value size for version v of record k. Sizes
@@ -116,46 +99,21 @@ type CrashResult struct {
 func RunCrash(spec CrashSpec) (CrashResult, error) {
 	spec.defaults()
 	res := CrashResult{Engine: spec.Engine.String(), Seed: spec.Seed, AtWrite: spec.AtWrite}
-	prof := device.AmazonNVMe()
-
-	// Shadow model. Versions are per key: bulk load is version 1; each
-	// update increments. At most one update per key is in flight (clients
-	// redraw busy keys), so after the crash the durable version of key k
-	// must lie in {acked[k], issued[k]}.
-	issued := make([]uint64, spec.Records)
-	acked := make([]uint64, spec.Records)
-	inflight := make([]bool, spec.Records)
-	for i := range issued {
-		issued[i] = 1
-		acked[i] = 1
-	}
-
-	// Phase 1: run the workload on fault-wrapped disks until the machine
-	// dies at the AtWrite-th write.
-	s1 := sim.New(spec.Seed + 1)
-	e1 := sim.NewEnv(s1, spec.Cores)
-	inj := fault.NewInjector(s1, fault.Config{
-		Seed:    spec.Seed*1_000_003 + spec.AtWrite,
-		AtWrite: spec.AtWrite,
+	sh := newShadow(spec.Records, func(k int64, v uint64) []byte {
+		return kv.Value(k, v, spec.valSize(k, v))
 	})
-	disks := make([]device.Disk, spec.NDisks)
-	for i := range disks {
-		disks[i] = inj.Wrap(device.NewSimDisk(s1, prof, device.NewMemStore()))
-	}
-	hs := crashHarnessSpec(&spec)
-	eng := buildEngine(e1, hs, disks)
 
+	// First life: run the workload until the machine dies.
+	tb := NewTestbed(spec.Seed, spec.AtWrite, spec.Cores, spec.NDisks)
+	hs := crashHarnessSpec(&spec)
+	eng := buildEngine(tb.Env, hs, tb.Disks)
 	items := make([]kv.Item, spec.Records)
 	for i := int64(0); i < spec.Records; i++ {
-		items[i] = kv.Item{Key: kv.Key(i), Value: kv.Value(i, 1, spec.valSize(i, 1))}
+		items[i] = kv.Item{Key: kv.Key(i), Value: sh.val(i, 1)}
 	}
-	if err := eng.BulkLoad(items); err != nil {
-		panic(err)
-	}
-	eng.Start()
-	inj.Arm()
+	tb.Load(eng, items)
 
-	const horizon = 20 * env.Second
+	e1 := tb.Env
 	for ci := 0; ci < spec.Clients; ci++ {
 		ci := ci
 		e1.Go(fmt.Sprintf("crash-client-%d", ci), func(c env.Ctx) {
@@ -164,104 +122,59 @@ func RunCrash(spec CrashSpec) (CrashResult, error) {
 			rng := rand.New(rand.NewSource(spec.Seed*7919 + int64(ci)))
 			lo := int64(ci) * spec.Records / int64(spec.Clients)
 			hi := (int64(ci) + 1) * spec.Records / int64(spec.Clients)
-			mu := e1.NewMutex()
-			cond := e1.NewCond(mu)
-			outstanding := 0
-			release := func(kv.Result) {
-				mu.Lock(nil)
-				outstanding--
-				mu.Unlock(nil)
-				cond.Signal(nil)
-			}
-			for c.Now() < horizon {
-				mu.Lock(c)
-				for outstanding >= spec.Window {
-					cond.Wait(c)
-				}
-				outstanding++
-				mu.Unlock(c)
+			win := newWindow(e1, spec.Window)
+			release := func(kv.Result) { win.release() }
+			for c.Now() < crashHorizon {
+				win.acquire(c)
 				k := lo + rng.Int63n(hi-lo)
-				if rng.Intn(2) == 0 && !inflight[k] {
-					inflight[k] = true
-					v := issued[k] + 1
-					issued[k] = v
+				if rng.Intn(2) == 0 && !sh.inflight[k] {
+					v := sh.issue(k)
 					res.IssuedUpdates++
-					r := &kv.Request{
-						Op:    kv.OpUpdate,
-						Key:   kv.Key(k),
-						Value: kv.Value(k, v, spec.valSize(k, v)),
-					}
+					r := &kv.Request{Op: kv.OpUpdate, Key: kv.Key(k), Value: sh.val(k, v)}
 					r.Done = func(kv.Result) {
-						acked[k] = v
-						inflight[k] = false
+						sh.ack(k, v)
 						res.AckedUpdates++
-						release(kv.Result{})
+						win.release()
 					}
 					eng.Submit(c, r)
 				} else {
-					r := &kv.Request{Op: kv.OpGet, Key: kv.Key(k), Done: release}
-					eng.Submit(c, r)
+					eng.Submit(c, &kv.Request{Op: kv.OpGet, Key: kv.Key(k), Done: release})
 				}
 			}
-			mu.Lock(c)
-			for outstanding > 0 {
-				cond.Wait(c)
-			}
-			mu.Unlock(c)
+			win.drain(c)
 		})
 	}
-	if err := s1.Run(horizon + env.Second); err != nil {
-		panic(err)
+	if err := tb.Crash(); err != nil {
+		return res, fmt.Errorf("%s: %v", res.Engine, err)
 	}
-	if !inj.Tripped() {
-		s1.Close()
-		return res, fmt.Errorf("%s: crash point %d never reached (only %d writes submitted)",
-			res.Engine, spec.AtWrite, inj.Stats().Writes)
-	}
-	res.CrashTime = inj.CrashTime()
-	res.Fault = inj.Stats()
+	res.CrashTime, res.Fault = tb.Inj.CrashTime(), tb.Inj.Stats()
 	if st, ok := eng.(*core.Store); ok {
 		res.HotHits = st.Stats().HotHits
 	}
-	snaps := inj.Snapshots()
-	if err := s1.Close(); err != nil {
-		panic(err)
-	}
 
-	// Phase 2: reboot on the snapshot images, run the engine's recovery
-	// path, and read back every key through the engine.
-	s2 := sim.New(spec.Seed + 2)
-	e2 := sim.NewEnv(s2, spec.Cores)
-	disks2 := make([]device.Disk, len(snaps))
-	for i, ms := range snaps {
-		disks2[i] = device.NewSimDisk(s2, prof, ms)
-	}
-	eng2 := buildEngine(e2, hs, disks2)
-
+	// Second life: run the engine's recovery path on the power-loss images
+	// and read back every key through the engine.
+	tb.Reboot()
+	eng2 := buildEngine(tb.Env, hs, tb.Disks)
 	recVer := make([]uint64, spec.Records)
-	var failures []string
-	fail := func(format string, args ...any) {
-		if len(failures) < 8 {
-			failures = append(failures, fmt.Sprintf(format, args...))
-		}
-	}
-	e2.Go("crash-recover", func(c env.Ctx) {
+	var vd verdict
+	tb.Recover("crash-recover", func(c env.Ctx) {
 		t0 := c.Now()
 		switch spec.Engine {
 		case KVell:
 			st := eng2.(*core.Store)
 			if err := st.Recover(c); err != nil {
-				fail("recover: %v", err)
+				vd.failf("recover: %v", err)
 				return
 			}
 			res.Replayed = st.Stats().Items
 			if err := st.CheckConsistency(); err != nil {
-				fail("post-recovery consistency: %v", err)
+				vd.failf("post-recovery consistency: %v", err)
 			}
 		case RocksLike, PebblesLike:
 			n, err := eng2.(*lsm.DB).ReplayWAL(c)
 			if err != nil {
-				fail("replay: %v", err)
+				vd.failf("replay: %v", err)
 				return
 			}
 			res.Replayed = int64(n)
@@ -273,82 +186,48 @@ func RunCrash(spec CrashSpec) (CrashResult, error) {
 		res.RecoverTime = c.Now() - t0
 
 		eng2.Start()
-		mu := e2.NewMutex()
-		cond := e2.NewCond(mu)
-		outstanding := 0
+		win := newWindow(tb.Env, verifyWindow)
 		for k := int64(0); k < spec.Records; k++ {
-			mu.Lock(c)
-			for outstanding >= 64 {
-				cond.Wait(c)
-			}
-			outstanding++
-			mu.Unlock(c)
+			win.acquire(c)
 			k := k
 			r := &kv.Request{Op: kv.OpGet, Key: kv.Key(k)}
 			r.Done = func(out kv.Result) {
+				recVer[k] = sh.match(k, out)
 				if !out.Found {
-					fail("key %d lost: acked version %d (issued %d)", k, acked[k], issued[k])
-				} else {
-					ok := false
-					for v := issued[k]; v >= acked[k] && !ok; v-- {
-						if bytes.Equal(out.Value, kv.Value(k, v, spec.valSize(k, v))) {
-							recVer[k] = v
-							ok = true
-						}
-					}
-					if !ok {
-						fail("key %d recovered to an impossible value (%dB; acked %d, issued %d)",
-							k, len(out.Value), acked[k], issued[k])
-					}
+					vd.failf("key %d lost: acked version %d (issued %d)", k, sh.acked[k], sh.issued[k])
+				} else if recVer[k] == 0 {
+					vd.failf("key %d recovered to an impossible value (%dB; acked %d, issued %d)",
+						k, len(out.Value), sh.acked[k], sh.issued[k])
 				}
-				mu.Lock(nil)
-				outstanding--
-				mu.Unlock(nil)
-				cond.Signal(nil)
+				win.release()
 			}
 			eng2.Submit(c, r)
 		}
-		mu.Lock(c)
-		for outstanding > 0 {
-			cond.Wait(c)
-		}
-		mu.Unlock(c)
+		win.drain(c)
 		eng2.Stop(c)
 	})
-	if err := s2.Run(-1); err != nil {
-		panic(err)
-	}
-	if err := s2.Close(); err != nil {
-		panic(err)
-	}
+	tb.Close()
 
-	h := fnv.New64a()
-	var b [8]byte
-	word := func(v uint64) {
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	word(uint64(res.CrashTime))
-	word(uint64(res.Fault.Writes))
-	word(uint64(res.Fault.InFlight))
-	word(uint64(res.Fault.Completed))
-	word(uint64(res.Fault.Dropped))
-	word(uint64(res.Fault.Torn))
-	word(uint64(res.Fault.LostPost))
-	word(uint64(res.AckedUpdates))
-	word(uint64(res.IssuedUpdates))
-	word(uint64(res.Replayed))
-	word(uint64(res.RecoverTime))
+	h := stats.NewFNV()
+	h.Word(uint64(res.CrashTime))
+	h.Word(uint64(res.Fault.Writes))
+	h.Word(uint64(res.Fault.InFlight))
+	h.Word(uint64(res.Fault.Completed))
+	h.Word(uint64(res.Fault.Dropped))
+	h.Word(uint64(res.Fault.Torn))
+	h.Word(uint64(res.Fault.LostPost))
+	h.Word(uint64(res.AckedUpdates))
+	h.Word(uint64(res.IssuedUpdates))
+	h.Word(uint64(res.Replayed))
+	h.Word(uint64(res.RecoverTime))
 	for _, v := range recVer {
-		word(v)
+		h.Word(v)
 	}
-	res.Digest = h.Sum64()
+	res.Digest = uint64(h)
 
-	if len(failures) > 0 {
+	if vd.failed() {
 		return res, fmt.Errorf("%s seed=%d atwrite=%d: %d verification failures, first: %s",
-			res.Engine, spec.Seed, spec.AtWrite, len(failures), failures[0])
+			res.Engine, spec.Seed, spec.AtWrite, len(vd.failures), vd.failures[0])
 	}
 	return res, nil
 }
@@ -392,7 +271,7 @@ type SweepOpts struct {
 	Seed    int64
 	Records int64
 	// Point, if > 0, runs only the Point-th point (1-based) — the repro
-	// knob the failure message prints.
+	// knob the failure message prints (see CrashRepro).
 	Point   int
 	Verbose bool
 	// AbsorbInterval runs every point with KVell's write-absorption front
@@ -418,19 +297,41 @@ func SweepPoint(seed int64, i int) (pointSeed, atWrite int64) {
 	return pointSeed, atWrite
 }
 
-// CrashSweep crashes one engine at Points seeded write indices and verifies
-// recovery after each. It returns the number of failing points; every
-// failure prints the exact flags that reproduce it.
-func CrashSweep(kind EngineKind, o SweepOpts, w io.Writer) int {
-	if o.Points == 0 {
-		o.Points = 25
-	}
+// sweep visits o's crash points: run executes one and returns the detail its
+// ok line prints under Verbose; a failing point prints its error and repro
+// line instead. It returns the number of failing points.
+func (o SweepOpts) sweep(w io.Writer, label string, repro func(i int) string, run func(pointSeed, atWrite int64) (string, error)) int {
+	def(&o.Points, 25)
 	failures := 0
 	for i := 1; i <= o.Points; i++ {
 		if o.Point > 0 && i != o.Point {
 			continue
 		}
-		pointSeed, atWrite := SweepPoint(o.Seed, i)
+		detail, err := run(SweepPoint(o.Seed, i))
+		if err != nil {
+			failures++
+			fmt.Fprintf(w, "FAIL %s point %2d/%d: %v\n", label, i, o.Points, err)
+			fmt.Fprintf(w, "     repro: %s\n", repro(i))
+		} else if o.Verbose {
+			fmt.Fprintf(w, "ok   %s point %2d/%d: %s\n", label, i, o.Points, detail)
+		}
+	}
+	return failures
+}
+
+// CrashSweep crashes one engine at Points seeded write indices and verifies
+// recovery after each. It returns the number of failing points; every
+// failure prints the exact command that reproduces it.
+func CrashSweep(kind EngineKind, o SweepOpts, w io.Writer) int {
+	label := kind.String()
+	if o.AbsorbInterval > 0 {
+		label += "+absorb"
+	}
+	if o.TieredHotBytes > 0 {
+		label += "+hotcache"
+	}
+	repro := func(i int) string { return CrashRepro(kind, o, i) }
+	return o.sweep(w, fmt.Sprintf("%-16s", label), repro, func(pointSeed, atWrite int64) (string, error) {
 		res, err := RunCrash(CrashSpec{
 			Engine:         kind,
 			Seed:           pointSeed,
@@ -439,61 +340,49 @@ func CrashSweep(kind EngineKind, o SweepOpts, w io.Writer) int {
 			AbsorbInterval: o.AbsorbInterval,
 			TieredHotBytes: o.TieredHotBytes,
 		})
-		label := kind.String()
-		if o.AbsorbInterval > 0 {
-			label += "+absorb"
-		}
-		if o.TieredHotBytes > 0 {
-			label += "+hotcache"
-		}
-		if err != nil {
-			failures++
-			extra := ""
-			if o.AbsorbInterval > 0 {
-				extra += fmt.Sprintf(" -absorb-us=%d", int64(o.AbsorbInterval/env.Microsecond))
-			}
-			if o.TieredHotBytes > 0 {
-				extra += fmt.Sprintf(" -hot-mb=%d", o.TieredHotBytes>>20)
-			}
-			fmt.Fprintf(w, "FAIL %-16s point %2d/%d: %v\n", label, i, o.Points, err)
-			fmt.Fprintf(w, "     repro: go run ./cmd/kvell-crash -engine=%s -seed=%d -point=%d%s\n",
-				engineFlag(kind), o.Seed, i, extra)
-			continue
-		}
-		if o.Verbose {
-			fmt.Fprintf(w, "ok   %-16s point %2d/%d: crash@%s write=%d inflight=%d (kept %d, dropped %d, torn %d) acked=%d replayed=%d recover=%s digest=%016x\n",
-				label, i, o.Points, stats.FmtDur(res.CrashTime), res.AtWrite, res.Fault.InFlight,
-				res.Fault.Completed, res.Fault.Dropped, res.Fault.Torn,
-				res.AckedUpdates, res.Replayed, stats.FmtDur(res.RecoverTime), res.Digest)
-		}
-	}
-	return failures
+		return fmt.Sprintf("crash@%s write=%d inflight=%d (kept %d, dropped %d, torn %d) acked=%d replayed=%d recover=%s digest=%016x",
+			stats.FmtDur(res.CrashTime), res.AtWrite, res.Fault.InFlight,
+			res.Fault.Completed, res.Fault.Dropped, res.Fault.Torn,
+			res.AckedUpdates, res.Replayed, stats.FmtDur(res.RecoverTime), res.Digest), err
+	})
 }
 
-// engineFlag is the -engine spelling kvell-crash accepts for a kind.
-func engineFlag(kind EngineKind) string {
-	switch kind {
-	case KVell:
-		return "kvell"
-	case RocksLike:
-		return "rocks"
-	case PebblesLike:
-		return "pebbles"
-	case WiredTigerLike:
-		return "wt"
-	case TokuLike:
-		return "toku"
-	default:
-		return "?"
+// CrashRepro is the command line that reruns point i of the sweep o on kind —
+// what CrashSweep prints under a failing point.
+func CrashRepro(kind EngineKind, o SweepOpts, i int) string {
+	line := fmt.Sprintf("go run ./cmd/kvell-bench crash -engine=%s -seed=%d -point=%d",
+		engineNames[kind][0], o.Seed, i)
+	if o.Records > 0 {
+		line += fmt.Sprintf(" -records=%d", o.Records)
 	}
+	if o.AbsorbInterval > 0 {
+		line += fmt.Sprintf(" -absorb-us=%d", int64(o.AbsorbInterval/env.Microsecond))
+	}
+	if o.TieredHotBytes > 0 {
+		line += fmt.Sprintf(" -hot-mb=%d", o.TieredHotBytes>>20)
+	}
+	return line
 }
 
-// ParseEngineFlag inverts engineFlag (for the CLI); ok is false on an
-// unknown name.
+// engineNames are the -engine spellings every subcommand accepts, by kind;
+// the first is the one repro lines print.
+var engineNames = map[EngineKind][]string{
+	KVell:          {"kvell"},
+	RocksLike:      {"rocks", "rocksdb", "lsm"},
+	PebblesLike:    {"pebbles", "pebblesdb"},
+	WiredTigerLike: {"wt", "wiredtiger", "wtree"},
+	TokuLike:       {"toku", "tokumx", "betree"},
+}
+
+// ParseEngineFlag maps an -engine spelling (case and surrounding space
+// ignored) to its kind; ok is false on an unknown name.
 func ParseEngineFlag(name string) (EngineKind, bool) {
+	name = strings.ToLower(strings.TrimSpace(name))
 	for _, k := range AllEngines {
-		if engineFlag(k) == name {
-			return k, true
+		for _, n := range engineNames[k] {
+			if n == name {
+				return k, true
+			}
 		}
 	}
 	return 0, false

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"sync"
 	"testing"
 
 	"kvell/internal/core"
@@ -45,10 +46,26 @@ func determinismSpec(k EngineKind, seed int64) Spec {
 	}
 }
 
+// goldenFingerprint returns the untraced determinismSpec(k, 1234) run that
+// TestGoldenDigests pins to the fixture and that TestTraceDeterminism and the
+// seed tests compare against; each engine runs once, for whichever test asks
+// first.
+func goldenFingerprint(k EngineKind) fingerprint {
+	r := &goldenRuns[k]
+	r.once.Do(func() { r.fp = runFingerprint(determinismSpec(k, 1234)) })
+	return r.fp
+}
+
+var goldenRuns [TokuLike + 1]struct {
+	once sync.Once
+	fp   fingerprint
+}
+
 func TestSameSeedIdenticalRun(t *testing.T) {
+	t.Parallel()
 	for _, k := range []EngineKind{KVell, RocksLike} {
-		a := runFingerprint(determinismSpec(k, 42))
-		b := runFingerprint(determinismSpec(k, 42))
+		a := goldenFingerprint(k)
+		b := runFingerprint(determinismSpec(k, 1234))
 		if a.ops == 0 {
 			t.Errorf("%v: no operations completed", k)
 			continue
@@ -60,7 +77,8 @@ func TestSameSeedIdenticalRun(t *testing.T) {
 }
 
 func TestDifferentSeedDifferentRun(t *testing.T) {
-	a := runFingerprint(determinismSpec(KVell, 1))
+	t.Parallel()
+	a := goldenFingerprint(KVell)
 	b := runFingerprint(determinismSpec(KVell, 2))
 	if a.lat == b.lat && a.timeline == b.timeline && a.ops == b.ops {
 		t.Errorf("different seeds produced identical runs — the seed is not reaching the workload: %+v", a)

@@ -39,12 +39,8 @@ type driveResult struct {
 // drive runs a closed-loop generator at fixed queue depth against one
 // simulated device.
 func drive(ds driveSpec) driveResult {
-	if ds.reqPages == 0 {
-		ds.reqPages = 1
-	}
-	if ds.duration == 0 {
-		ds.duration = env.Second / 2
-	}
+	def(&ds.reqPages, 1)
+	def(&ds.duration, env.Second/2)
 	s := sim.New(ds.seed + 7)
 	prof := ds.prof
 	if ds.noSpikes {
@@ -94,9 +90,7 @@ func drive(ds driveSpec) driveResult {
 			submit()
 		}
 	})
-	if err := s.Run(ds.duration); err != nil {
-		panic(err)
-	}
+	must(s.Run(ds.duration))
 	s.Close()
 	secs := float64(ds.duration) / float64(env.Second)
 	res.iops = float64(res.ops) / secs
@@ -175,9 +169,7 @@ func table3(o Options, w io.Writer) {
 		d := device.NewSimDisk(sm, prof, device.NullStore{})
 		var count int64
 		run(sm, e, d, func() { count++ })
-		if err := sm.Run(dur); err != nil {
-			panic(err)
-		}
+		must(sm.Run(dur))
 		sm.Close()
 		return float64(count) / (float64(dur) / float64(env.Second))
 	}

@@ -395,9 +395,7 @@ func table6(o Options, w io.Writer) {
 					}
 				})
 			}
-			if err := s.Run(dur); err != nil {
-				panic(err)
-			}
+			must(s.Run(dur))
 			s.Close()
 			row[dist] = float64(ops) / (float64(dur) / float64(env.Second))
 		}
@@ -426,13 +424,9 @@ func recoveryExp(o Options, w io.Writer) {
 	cfg.Workers = 16
 	cfg.PageCachePages = int(records / 3)
 	st, err := core.Open(e1, cfg)
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	gen := ycsb.NewGenerator(ycsb.Core('A'), ycsb.Uniform, records, 1024, o.Seed)
-	if err := st.BulkLoad(gen.InitialItems()); err != nil {
-		panic(err)
-	}
+	must(st.BulkLoad(gen.InitialItems()))
 	st.Start()
 	e1.Go("writer", func(c env.Ctx) {
 		for i := 0; i < 5000; i++ {
@@ -443,9 +437,7 @@ func recoveryExp(o Options, w io.Writer) {
 		}
 		// Crash: abandon the store with no shutdown.
 	})
-	if err := s1.Run(-1); err != nil {
-		panic(err)
-	}
+	must(s1.Run(-1))
 	s1.Close()
 
 	// Phase 2: recover a fresh store over the surviving bytes; virtual
@@ -459,22 +451,16 @@ func recoveryExp(o Options, w io.Writer) {
 	cfg2 := cfg
 	cfg2.Disks = disks2
 	st2, err := core.Open(e2, cfg2)
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	var kvellTime env.Time
 	var kvellItems int64
 	e2.Go("recover", func(c env.Ctx) {
 		t0 := c.Now()
-		if err := st2.Recover(c); err != nil {
-			panic(err)
-		}
+		must(st2.Recover(c))
 		kvellTime = c.Now() - t0
 		kvellItems = st2.Stats().Items
 	})
-	if err := s2.Run(-1); err != nil {
-		panic(err)
-	}
+	must(s2.Run(-1))
 	s2.Close()
 
 	dataset := float64(records) * 1024
@@ -502,9 +488,7 @@ func recoveryExp(o Options, w io.Writer) {
 		lcfg.MemtableBytes = int64(records) * 1024 / 32
 		ldb := lsm.New(e3, lcfg)
 		gen3 := ycsb.NewGenerator(ycsb.Core('A'), ycsb.Uniform, records, 1024, o.Seed)
-		if err := ldb.BulkLoad(gen3.InitialItems()); err != nil {
-			panic(err)
-		}
+		must(ldb.BulkLoad(gen3.InitialItems()))
 		ldb.Start()
 		e3.Go("writer", func(c env.Ctx) {
 			for i := 0; i < 5000; i++ {
@@ -515,9 +499,7 @@ func recoveryExp(o Options, w io.Writer) {
 			}
 			ldb.Stop(c)
 		})
-		if err := s3.Run(-1); err != nil {
-			panic(err)
-		}
+		must(s3.Run(-1))
 		s3.Close()
 
 		s4 := sim.New(o.Seed + 3)
@@ -529,15 +511,11 @@ func recoveryExp(o Options, w io.Writer) {
 		e4.Go("recover", func(c env.Ctx) {
 			t0 := c.Now()
 			n, err := ldb2.ReplayWAL(c)
-			if err != nil {
-				panic(err)
-			}
+			must(err)
 			rocksRecs = n
 			rocksT = c.Now() - t0
 		})
-		if err := s4.Run(-1); err != nil {
-			panic(err)
-		}
+		must(s4.Run(-1))
 		s4.Close()
 	}
 	// The paper measures whole-database recovery; our phase 1 logs only a
@@ -569,9 +547,7 @@ func recoveryExp(o Options, w io.Writer) {
 			c.CPU(env.Time(recs) * 12 * env.Microsecond)
 			took = c.Now() - t0
 		})
-		if err := s.Run(-1); err != nil {
-			panic(err)
-		}
+		must(s.Run(-1))
 		s.Close()
 		const wtLogAssumed = 1.5e9 // outstanding log at crash on the 100GB run (60s checkpoints)
 		proj := float64(took) / float64(env.Second) * (wtLogAssumed / float64(logBytes))

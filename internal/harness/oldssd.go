@@ -66,33 +66,20 @@ func cpuPerIO(o Options, w io.Writer) {
 			e.Go("gen", func(c env.Ctx) {
 				r := rand.New(rand.NewSource(o.Seed + int64(di)*10))
 				buf := make([]byte, device.PageSize)
-				const depth = 64
-				inflight := 0
-				mu := e.NewMutex()
-				cond := e.NewCond(mu)
+				win := newWindow(e, 64)
 				for c.Now() < dur {
-					mu.Lock(c)
-					for inflight >= depth {
-						cond.Wait(c)
-					}
-					inflight++
-					mu.Unlock(c)
+					win.acquire(c)
 					if cpu > 0 {
 						c.CPU(cpu)
 					}
 					disks[di].Submit(&device.Request{Op: device.Read, Page: r.Int63n(1 << 31), Buf: buf, Done: func() {
 						ops++
-						mu.Lock(nil)
-						inflight--
-						mu.Unlock(nil)
-						cond.Signal(nil)
+						win.release()
 					}})
 				}
 			})
 		}
-		if err := s.Run(dur); err != nil {
-			panic(err)
-		}
+		must(s.Run(dur))
 		s.Close()
 		iops := float64(ops) / (float64(dur) / float64(env.Second))
 		if cpu == 0 {

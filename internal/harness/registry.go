@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"fmt"
 	"io"
-	"sort"
 
 	"kvell/internal/env"
 )
@@ -109,23 +107,4 @@ func Find(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs returns all experiment ids sorted.
-func IDs() []string {
-	var ids []string
-	for _, e := range All() {
-		ids = append(ids, e.ID)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// header prints a standard experiment banner.
-func header(w io.Writer, id, title string, o Options) {
-	mode := "full"
-	if o.Quick {
-		mode = "quick"
-	}
-	fmt.Fprintf(w, "==== %s: %s (%s mode) ====\n", id, title, mode)
 }

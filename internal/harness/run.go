@@ -178,25 +178,31 @@ func fillEngineStats(res *Result) {
 	}
 }
 
-func (s *Spec) defaults() {
-	if s.Cores == 0 {
-		s.Cores = 8
+// must panics on err: a failing simulator or engine call is a harness bug,
+// never a measurement.
+func must(err error) {
+	if err != nil {
+		panic(err)
 	}
+}
+
+// def sets a zero-valued spec field to its default.
+func def[T comparable](field *T, value T) {
+	var zero T
+	if *field == zero {
+		*field = value
+	}
+}
+
+func (s *Spec) defaults() {
+	def(&s.Cores, 8)
 	if s.Profile.Name == "" {
 		s.Profile = device.Optane()
 	}
-	if s.NDisks == 0 {
-		s.NDisks = 1
-	}
-	if s.Records == 0 {
-		s.Records = 100_000
-	}
-	if s.ItemSize == 0 {
-		s.ItemSize = 1024
-	}
-	if s.CacheFrac == 0 {
-		s.CacheFrac = 1.0 / 3
-	}
+	def(&s.NDisks, 1)
+	def(&s.Records, 100_000)
+	def(&s.ItemSize, 1024)
+	def(&s.CacheFrac, 1.0/3)
 	if s.Clients == 0 {
 		if s.Engine == KVell {
 			s.Clients = 8
@@ -211,15 +217,9 @@ func (s *Spec) defaults() {
 			s.Window = 1
 		}
 	}
-	if s.Duration == 0 {
-		s.Duration = 2 * env.Second
-	}
-	if s.Warmup == 0 {
-		s.Warmup = s.Duration / 4
-	}
-	if s.Bucket == 0 {
-		s.Bucket = env.Second
-	}
+	def(&s.Duration, 2*env.Second)
+	def(&s.Warmup, s.Duration/4)
+	def(&s.Bucket, env.Second)
 }
 
 // buildEngine constructs the engine with a cache of CacheFrac × dataset.
@@ -238,9 +238,7 @@ func buildEngine(e *sim.Env, s *Spec, disks []device.Disk) kv.Engine {
 			s.TweakKVell(&cfg)
 		}
 		st, err := core.Open(e, cfg)
-		if err != nil {
-			panic(err)
-		}
+		must(err)
 		return st
 	case RocksLike, PebblesLike:
 		cfg := lsm.DefaultConfig(disks...)
@@ -330,98 +328,77 @@ func Run(spec Spec) Result {
 	res.EngineName = eng.Name()
 
 	gen := spec.Gen(spec.Seed)
-	if err := eng.BulkLoad(gen.InitialItems()); err != nil {
-		panic(err)
-	}
+	must(eng.BulkLoad(gen.InitialItems()))
 	eng.Start()
 
 	end := spec.Warmup + spec.Duration
 	if spec.Arrival != nil {
 		runOpenLoop(e, s, &spec, &res, eng, gen, end)
-		if err := s.Run(end + 2*env.Second); err != nil {
-			panic(err)
-		}
-		if err := s.Close(); err != nil {
-			panic(err)
-		}
-		res.Throughput = float64(res.Ops) / (float64(spec.Duration) / float64(env.Second))
-		fillEngineStats(&res)
-		return res
+	} else {
+		runClosedLoop(e, s, &spec, &res, eng, gen, end)
 	}
+	must(s.Run(end + 2*env.Second))
+	must(s.Close())
+	res.Throughput = float64(res.Ops) / (float64(spec.Duration) / float64(env.Second))
+	fillEngineStats(&res)
+	return res
+}
+
+// runClosedLoop starts spec.Clients client procs, each keeping spec.Window
+// requests outstanding until end; the last one out stops the engine.
+func runClosedLoop(e *sim.Env, s *sim.Sim, spec *Spec, res *Result, eng kv.Engine, gen Generator, end env.Time) {
+	tr := spec.Tracer
 	active := spec.Clients
 	filler, _ := gen.(Filler)
 	cfiller, _ := gen.(ClockedFiller)
 	for ci := 0; ci < spec.Clients; ci++ {
 		e.Go(fmt.Sprintf("client-%d", ci), func(c env.Ctx) {
-			outstanding := 0
-			mu := e.NewMutex()
-			cond := e.NewCond(mu)
+			win := newWindow(e, spec.Window)
 			// With a Filler generator, each client owns a pool of Window
 			// requests whose Done callbacks are wired once; completed
 			// requests return to the pool and are refilled in place, so the
 			// steady-state issue path allocates nothing. The window gate
-			// guarantees a free request whenever outstanding < Window.
+			// guarantees a free request whenever it admits an operation.
 			var free []*kv.Request
+			done := func(r *kv.Request) {
+				t := s.Now()
+				if r.Trace != nil {
+					tr.Finish(r.Trace, t)
+					r.Trace = nil
+				}
+				res.OpsTotal++
+				if t >= spec.Warmup && t < end {
+					res.Ops++
+					res.Lat.Add(t - r.Start)
+					res.Timeline.Add(t, 1)
+				}
+				if filler != nil {
+					free = append(free, r)
+				}
+				win.release()
+			}
 			if filler != nil {
 				free = make([]*kv.Request, spec.Window)
 				for i := range free {
 					r := &kv.Request{}
-					r.Done = func(kv.Result) {
-						t := s.Now()
-						if r.Trace != nil {
-							tr.Finish(r.Trace, t)
-							r.Trace = nil
-						}
-						res.OpsTotal++
-						if t >= spec.Warmup && t < end {
-							res.Ops++
-							res.Lat.Add(t - r.Start)
-							res.Timeline.Add(t, 1)
-						}
-						mu.Lock(nil)
-						free = append(free, r)
-						outstanding--
-						mu.Unlock(nil)
-						cond.Signal(nil)
-					}
+					r.Done = func(kv.Result) { done(r) }
 					free[i] = r
 				}
 			}
 			for c.Now() < end {
-				mu.Lock(c)
-				for outstanding >= spec.Window {
-					cond.Wait(c)
-				}
-				outstanding++
+				win.acquire(c)
 				var r *kv.Request
 				if filler != nil {
 					r = free[len(free)-1]
 					free = free[:len(free)-1]
 				}
-				mu.Unlock(c)
 				if cfiller != nil {
 					cfiller.FillNextAt(r, c.Now())
 				} else if filler != nil {
 					filler.FillNext(r)
 				} else {
 					r = gen.Next()
-					r.Done = func(kv.Result) {
-						t := s.Now()
-						if r.Trace != nil {
-							tr.Finish(r.Trace, t)
-							r.Trace = nil
-						}
-						res.OpsTotal++
-						if t >= spec.Warmup && t < end {
-							res.Ops++
-							res.Lat.Add(t - r.Start)
-							res.Timeline.Add(t, 1)
-						}
-						mu.Lock(nil)
-						outstanding--
-						mu.Unlock(nil)
-						cond.Signal(nil)
-					}
+					r.Done = func(kv.Result) { done(r) }
 				}
 				r.Start = c.Now()
 				if tr != nil {
@@ -436,26 +413,13 @@ func Run(spec Spec) Result {
 					eng.Submit(c, r)
 				}
 			}
-			mu.Lock(c)
-			for outstanding > 0 {
-				cond.Wait(c)
-			}
-			mu.Unlock(c)
+			win.drain(c)
 			active--
 			if active == 0 {
 				eng.Stop(c)
 			}
 		})
 	}
-	if err := s.Run(end + 2*env.Second); err != nil {
-		panic(err)
-	}
-	if err := s.Close(); err != nil {
-		panic(err)
-	}
-	res.Throughput = float64(res.Ops) / (float64(spec.Duration) / float64(env.Second))
-	fillEngineStats(&res)
-	return res
 }
 
 // RunAll executes independent specs and returns their results in spec order.

@@ -34,20 +34,31 @@ func TestSmokeKVellYCSBA(t *testing.T) {
 	}
 }
 
+// TestSmokeBaselinesYCSBA: every engine completes operations on the
+// write-heavy (A), read-only (C) and scan-heavy (E) core workloads. KVell on
+// A is TestSmokeKVellYCSBA's, at a larger scale.
 func TestSmokeBaselinesYCSBA(t *testing.T) {
-	t.Parallel()
-	for _, k := range []EngineKind{RocksLike, PebblesLike, WiredTigerLike, TokuLike} {
-		r := Run(Spec{
-			Name:     "smoke",
-			Engine:   k,
-			Records:  10_000,
-			Gen:      ycsbGen('A', ycsb.Uniform, 10_000, 1024),
-			Warmup:   100 * env.Millisecond,
-			Duration: 300 * env.Millisecond,
+	for _, wl := range []byte{'A', 'C', 'E'} {
+		wl := wl
+		t.Run(string(wl), func(t *testing.T) {
+			t.Parallel()
+			for _, k := range AllEngines {
+				if wl == 'A' && k == KVell {
+					continue
+				}
+				r := Run(Spec{
+					Name:     "smoke",
+					Engine:   k,
+					Records:  10_000,
+					Gen:      ycsbGen(wl, ycsb.Uniform, 10_000, 1024),
+					Warmup:   100 * env.Millisecond,
+					Duration: 300 * env.Millisecond,
+				})
+				if r.Ops == 0 {
+					t.Fatalf("%v: no operations completed", k)
+				}
+				t.Logf("%v: %.0f ops/s", k, r.Throughput)
+			}
 		})
-		if r.Ops == 0 {
-			t.Fatalf("%v: no operations completed", k)
-		}
-		t.Logf("%v: %.0f ops/s", k, r.Throughput)
 	}
 }

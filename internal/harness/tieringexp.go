@@ -57,29 +57,17 @@ func (to *TierOpts) defaults(o Options) {
 	if len(to.CacheMB) == 0 {
 		to.CacheMB = []float64{0, 1.5, 4, 24}
 	}
-	if to.Records == 0 {
-		to.Records = 20_000
-	}
-	if to.ItemSize == 0 {
-		to.ItemSize = 1024
-	}
+	def(&to.Records, 20_000)
+	def(&to.ItemSize, 1024)
 	if to.Duration == 0 {
 		// Long enough that the one-time cold-read promotion misses (one
 		// per record at PromoteAfter=1) amortize out of the hit rate.
 		to.Duration = o.dur(6 * env.Second)
 	}
-	if to.Rate == 0 {
-		to.Rate = 300_000
-	}
-	if to.MaxPerShard == 0 {
-		to.MaxPerShard = 256
-	}
-	if to.PromoteAfter == 0 {
-		to.PromoteAfter = 1
-	}
-	if to.HotShiftEvery == 0 {
-		to.HotShiftEvery = 250 * env.Millisecond
-	}
+	def(&to.Rate, 300_000)
+	def(&to.MaxPerShard, 256)
+	def(&to.PromoteAfter, 1)
+	def(&to.HotShiftEvery, 250*env.Millisecond)
 	if to.Profile.Name == "" {
 		to.Profile = device.ColdSSD()
 	}
@@ -215,7 +203,7 @@ func tieringExp(o Options, w io.Writer) {
 }
 
 // TierReport runs the sweep described by to (zero fields take defaults) and
-// prints the table plus the headline verdicts — the entry point kvell-tier
+// prints the table plus the headline verdicts — the entry point `kvell-bench tier`
 // uses for flag-selected skews and cache sizes.
 func TierReport(o Options, to TierOpts, w io.Writer) {
 	to.defaults(o)

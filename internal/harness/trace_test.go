@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"kvell/internal/trace"
@@ -15,6 +16,24 @@ func tracedSpec(k EngineKind, seed int64, tr *trace.Tracer) Spec {
 	return s
 }
 
+// tracedGolden is goldenFingerprint's traced twin: determinismSpec(k, 1234)
+// with a 1-in-4 sampling tracer attached, run once per engine and shared by
+// the trace tests (a finished tracer is read-only).
+func tracedGolden(k EngineKind) (fingerprint, *trace.Tracer) {
+	r := &tracedRuns[k]
+	r.once.Do(func() {
+		r.tr = trace.NewTracer(4)
+		r.fp = runFingerprint(tracedSpec(k, 1234, r.tr))
+	})
+	return r.fp, r.tr
+}
+
+var tracedRuns [TokuLike + 1]struct {
+	once sync.Once
+	fp   fingerprint
+	tr   *trace.Tracer
+}
+
 // TestTraceDeterminism is the tracing analogue of TestGoldenDigests: tracing
 // must be purely observational (the traced run's schedule fingerprint is
 // byte-identical to the untraced one, which TestGoldenDigests pins to the
@@ -23,9 +42,8 @@ func tracedSpec(k EngineKind, seed int64, tr *trace.Tracer) Spec {
 func TestTraceDeterminism(t *testing.T) {
 	t.Parallel()
 	for _, k := range AllEngines {
-		base := runFingerprint(determinismSpec(k, 1234))
-		tr1 := trace.NewTracer(4)
-		a := runFingerprint(tracedSpec(k, 1234, tr1))
+		base := goldenFingerprint(k)
+		a, tr1 := tracedGolden(k)
 		tr2 := trace.NewTracer(4)
 		runFingerprint(tracedSpec(k, 1234, tr2))
 		if a != base {
@@ -46,8 +64,7 @@ func TestTraceDeterminism(t *testing.T) {
 func TestTraceCoverage(t *testing.T) {
 	t.Parallel()
 	for _, k := range []EngineKind{KVell, RocksLike, WiredTigerLike, TokuLike} {
-		tr := trace.NewTracer(4)
-		runFingerprint(tracedSpec(k, 1234, tr))
+		_, tr := tracedGolden(k)
 		covMin, covMean := tr.Coverage()
 		if covMean < 0.95 {
 			t.Errorf("%v: mean span coverage %.1f%% < 95%%", k, covMean*100)
@@ -92,8 +109,7 @@ func TestTraceFigure2Story(t *testing.T) {
 // output must be well-formed JSON with the expected track structure.
 func TestTraceChromeExport(t *testing.T) {
 	t.Parallel()
-	tr := trace.NewTracer(4)
-	Run(tracedSpec(RocksLike, 1234, tr))
+	_, tr := tracedGolden(RocksLike)
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"kvell/internal/env"
 	"kvell/internal/stats"
@@ -10,7 +11,7 @@ import (
 	"kvell/internal/ycsb"
 )
 
-// TraceSpec builds the spec the traceattr experiment (and cmd/kvell-trace)
+// TraceSpec builds the spec the traceattr experiment (and tests)
 // runs for one engine, with the given tracer attached.
 func TraceSpec(o Options, k EngineKind, tr *trace.Tracer) Spec {
 	records := o.records(100_000)
@@ -35,14 +36,7 @@ func TraceSampleEvery(o Options) int {
 func uniqueInOrder(in []string) []string {
 	var out []string
 	for _, s := range in {
-		dup := false
-		for _, o := range out {
-			if o == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(out, s) {
 			out = append(out, s)
 		}
 	}

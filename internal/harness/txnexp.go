@@ -2,10 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/rand"
+	"slices"
 
 	"kvell/internal/cluster"
 	"kvell/internal/core"
@@ -36,31 +37,19 @@ const balSize = 16
 
 func encBal(v int64, tag uint64) []byte {
 	b := make([]byte, balSize)
-	u := uint64(v)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(u >> (8 * i))
-		b[8+i] = byte(tag >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(b, uint64(v))
+	binary.LittleEndian.PutUint64(b[8:], tag)
 	return b
 }
 
-func decBal(b []byte) int64 {
-	var u uint64
-	for i := 0; i < 8; i++ {
-		u |= uint64(b[i]) << (8 * i)
-	}
-	return int64(u)
-}
+func decBal(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }
 
 // pickTxnKeys draws n distinct account numbers. theta is the conflict knob:
 // the probability a draw comes from the hot set of max(2, accounts/64)
 // accounts. theta=0 is uniform (near-zero conflict); theta=1 serializes
 // everything through the hot set.
 func pickTxnKeys(rng *rand.Rand, accounts int64, n int, theta float64) []int64 {
-	hot := accounts / 64
-	if hot < 2 {
-		hot = 2
-	}
+	hot := max(2, accounts/64)
 	out := make([]int64, 0, n)
 	for len(out) < n {
 		var a int64
@@ -69,18 +58,81 @@ func pickTxnKeys(rng *rand.Rand, accounts int64, n int, theta float64) []int64 {
 		} else {
 			a = rng.Int63n(accounts)
 		}
-		dup := false
-		for _, b := range out {
-			if b == a {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(out, a) {
 			out = append(out, a)
 		}
 	}
 	return out
+}
+
+// transfer is one drawn bank transfer: the first account pays amt to each of
+// the others. vals are the exact bytes the committing attempt wrote.
+type transfer struct {
+	accs   []int64
+	keys   [][]byte
+	deltas []int64
+	vals   [][]byte
+}
+
+// mover is one mover proc's transfer stream. Its account draws, amounts and
+// per-transfer backoff seeds are all functions of (seed, ci, transfer index),
+// so the transfer schedule is part of the reproducible transactional schedule.
+type mover struct {
+	mgr      *txn.Manager
+	rng      *rand.Rand
+	seed     int64 // per-transfer manager seed base
+	n        int   // transfers drawn so far
+	accounts int64
+	size     int
+	theta    float64
+	bals     []int64
+}
+
+func newMover(cl txn.Client, seed int64, ci int, accounts int64, size int, theta float64) *mover {
+	return &mover{
+		mgr:      &txn.Manager{Cl: cl, MaxAttempts: 64},
+		rng:      rand.New(rand.NewSource(seed*7919 + int64(ci))),
+		seed:     seed*104_729 + int64(ci)*1_000_003,
+		accounts: accounts,
+		size:     size,
+		theta:    theta,
+		bals:     make([]int64, size),
+	}
+}
+
+// next draws the next transfer and runs it through the percolator client,
+// returning its commit timestamp or the manager's error.
+func (mv *mover) next(c env.Ctx) (transfer, uint64, error) {
+	tr := transfer{accs: pickTxnKeys(mv.rng, mv.accounts, mv.size, mv.theta)}
+	n := len(tr.accs)
+	tr.keys, tr.deltas, tr.vals = make([][]byte, n), make([]int64, n), make([][]byte, n)
+	for i, a := range tr.accs {
+		tr.keys[i] = kv.Key(a)
+	}
+	amt := 1 + mv.rng.Int63n(7)
+	cts, err := mv.mgr.Run(c, mv.seed+int64(mv.n), func(c env.Ctx, tx *txn.Txn) error {
+		for i, k := range tr.keys {
+			v, ok, err := tx.Get(c, k)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				return fmt.Errorf("txnbank: account %d missing", tr.accs[i])
+			}
+			mv.bals[i] = decBal(v)
+		}
+		for i, k := range tr.keys {
+			tr.deltas[i] = amt
+			if i == 0 {
+				tr.deltas[i] = -amt * int64(n-1)
+			}
+			tr.vals[i] = encBal(mv.bals[i]+tr.deltas[i], tx.StartTS())
+			tx.Put(k, tr.vals[i])
+		}
+		return nil
+	})
+	mv.n++
+	return tr, cts, err
 }
 
 // tracedSnapshotGet is the auditor's read: txn.GetAt's resolve loop, but with
@@ -120,14 +172,21 @@ func tracedSnapshotGet(c env.Ctx, st *core.Store, tracer *trace.Tracer, key []by
 	return nil, false, fmt.Errorf("txnbank: audit read of %q exhausted its resolve budget", key)
 }
 
-// TxnBankSpec describes one single-node bank run: Movers procs each commit
-// Transfers multi-account transfers through the percolator client while an
-// auditor proc repeatedly sums every balance at a fresh snapshot.
+// The bank's fixed shape. Every run starts each account at bankInitial and
+// drives bankMovers mover procs against bankWorkers-worker stores; what varies
+// per run is the seed, the skew, and the size and number of transfers.
+const (
+	bankInitial = 1_000
+	bankMovers  = 4
+	bankWorkers = 4
+)
+
+// TxnBankSpec describes one single-node bank run: bankMovers procs each
+// commit Transfers multi-account transfers over bankAccounts accounts through
+// the percolator client, while an auditor proc sums every balance at a fresh
+// snapshot bankAudits times mid-run and once more after the movers drain.
 type TxnBankSpec struct {
-	Seed     int64
-	Accounts int64
-	Initial  int64
-	Movers   int
+	Seed int64
 	// Transfers is the closed-loop transfer count per mover.
 	Transfers int
 	// TxnSize is the number of accounts per transfer (>= 2); the first
@@ -135,49 +194,19 @@ type TxnBankSpec struct {
 	TxnSize int
 	// Theta is the hot-set draw probability (see pickTxnKeys).
 	Theta float64
-	// Audits is how many mid-run snapshot audits the auditor performs (a
-	// final audit after the movers drain always runs).
-	Audits   int
-	AuditGap env.Time
-	Workers  int
-	NDisks   int
-	Cores    int
-	// SkipGC disables the post-drain GC pass (crash-style runs keep every
-	// version as evidence).
-	SkipGC bool
 }
 
+const (
+	bankAccounts = 256
+	bankAudits   = 4
+	bankAuditGap = 2 * env.Millisecond
+	bankNDisks   = 2 // also the crash run's
+	bankCores    = 4 // also the crash run's
+)
+
 func (ts *TxnBankSpec) defaults() {
-	if ts.Accounts == 0 {
-		ts.Accounts = 256
-	}
-	if ts.Initial == 0 {
-		ts.Initial = 1_000
-	}
-	if ts.Movers == 0 {
-		ts.Movers = 4
-	}
-	if ts.Transfers == 0 {
-		ts.Transfers = 50
-	}
-	if ts.TxnSize == 0 {
-		ts.TxnSize = 2
-	}
-	if ts.Audits == 0 {
-		ts.Audits = 4
-	}
-	if ts.AuditGap == 0 {
-		ts.AuditGap = 2 * env.Millisecond
-	}
-	if ts.Workers == 0 {
-		ts.Workers = 4
-	}
-	if ts.NDisks == 0 {
-		ts.NDisks = 2
-	}
-	if ts.Cores == 0 {
-		ts.Cores = 4
-	}
+	def(&ts.Transfers, 50)
+	def(&ts.TxnSize, 2)
 }
 
 // TxnBankResult is one bank run's outcome. Digest fingerprints the whole
@@ -202,99 +231,49 @@ type TxnBankResult struct {
 // leak, reader lock-wait); harness problems panic.
 func RunTxnBank(spec TxnBankSpec) (TxnBankResult, error) {
 	spec.defaults()
-	res := TxnBankResult{Accounts: spec.Accounts}
-	total := spec.Accounts * spec.Initial
+	res := TxnBankResult{Accounts: bankAccounts}
+	const total = bankAccounts * bankInitial
 
 	s := sim.New(spec.Seed + 1)
-	e := sim.NewEnv(s, spec.Cores)
-	prof := device.AmazonNVMe()
-	disks := make([]device.Disk, spec.NDisks)
+	e := sim.NewEnv(s, bankCores)
+	disks := make([]device.Disk, bankNDisks)
 	for i := range disks {
-		disks[i] = device.NewSimDisk(s, prof, device.NewMemStore())
+		disks[i] = device.NewSimDisk(s, device.AmazonNVMe(), device.NewMemStore())
 	}
-	cfg := core.DefaultConfig(disks...)
-	cfg.Workers = spec.Workers
-	cfg.MVCC = true
-	st, err := core.Open(e, cfg)
-	if err != nil {
-		panic(err)
-	}
-	items := make([]kv.Item, spec.Accounts)
-	for i := int64(0); i < spec.Accounts; i++ {
-		items[i] = kv.Item{Key: kv.Key(i), Value: encBal(spec.Initial, 0)}
-	}
-	if err := st.BulkLoad(items); err != nil {
-		panic(err)
-	}
+	st := openBank(e, disks)
+	must(st.BulkLoad(bankItems(bankAccounts)))
 	st.Start()
 
 	tracer := trace.NewTracer(0)
-	ledger := make([]int64, spec.Accounts) // committed deltas, by account
-	finals := make([]int64, spec.Accounts)
+	ledger := make([]int64, bankAccounts) // committed deltas, by account
+	finals := make([]int64, bankAccounts)
 	var audits []uint64 // (ts, sum) pairs, in audit order
-	var failures []string
-	fail := func(format string, args ...any) {
-		if len(failures) < 8 {
-			failures = append(failures, fmt.Sprintf(format, args...))
-		}
-	}
+	var vd verdict
 
 	mu := e.NewMutex()
 	cond := e.NewCond(mu)
 	finished := 0
 
-	for ci := 0; ci < spec.Movers; ci++ {
+	for ci := 0; ci < bankMovers; ci++ {
 		ci := ci
 		e.Go(fmt.Sprintf("txn-mover-%d", ci), func(c env.Ctx) {
-			// Seeded from the spec: the transfer schedule is part of the
-			// reproducible transactional schedule.
-			rng := rand.New(rand.NewSource(spec.Seed*7919 + int64(ci)))
-			mgr := &txn.Manager{Cl: &txn.LocalClient{St: st}, MaxAttempts: 64}
-			deltas := make([]int64, spec.TxnSize)
-			bals := make([]int64, spec.TxnSize)
+			mv := newMover(&txn.LocalClient{St: st}, spec.Seed, ci, bankAccounts, spec.TxnSize, spec.Theta)
 			for t := 0; t < spec.Transfers; t++ {
-				accs := pickTxnKeys(rng, spec.Accounts, spec.TxnSize, spec.Theta)
-				keys := make([][]byte, len(accs))
-				for i, a := range accs {
-					keys[i] = kv.Key(a)
+				tr, _, err := mv.next(c)
+				if err == txn.ErrConflict {
+					continue // retry budget exhausted; counted in mgr.Aborts
 				}
-				amt := 1 + rng.Int63n(7)
-				fn := func(c env.Ctx, tx *txn.Txn) error {
-					for i := range accs {
-						v, ok, err := tx.Get(c, keys[i])
-						if err != nil {
-							return err
-						}
-						if !ok {
-							return fmt.Errorf("txnbank: account %d missing", accs[i])
-						}
-						bals[i] = decBal(v)
-					}
-					for i := range accs {
-						if i == 0 {
-							deltas[i] = -amt * int64(len(accs)-1)
-						} else {
-							deltas[i] = amt
-						}
-						tx.Put(keys[i], encBal(bals[i]+deltas[i], tx.StartTS()))
-					}
-					return nil
-				}
-				seed := spec.Seed*104_729 + int64(ci)*1_000_003 + int64(t)
-				if _, err := mgr.Run(c, seed, fn); err != nil {
-					if err == txn.ErrConflict {
-						continue // retry budget exhausted; counted in mgr.Aborts
-					}
-					fail("mover %d transfer %d: %v", ci, t, err)
+				if err != nil {
+					vd.failf("mover %d transfer %d: %v", ci, t, err)
 					continue
 				}
 				res.Committed++
-				for i, a := range accs {
-					ledger[a] += deltas[i]
+				for i, a := range tr.accs {
+					ledger[a] += tr.deltas[i]
 				}
 			}
-			res.Conflicts += mgr.Conflicts
-			res.Aborts += mgr.Aborts
+			res.Conflicts += mv.mgr.Conflicts
+			res.Aborts += mv.mgr.Aborts
 			mu.Lock(c)
 			finished++
 			mu.Unlock(c)
@@ -306,14 +285,14 @@ func RunTxnBank(spec TxnBankSpec) (TxnBankResult, error) {
 		ts := st.SnapshotTS()
 		bo := mvcc.NewBackoff(spec.Seed^int64(ts), 2*env.Microsecond, 256*env.Microsecond)
 		var sum int64
-		for a := int64(0); a < spec.Accounts; a++ {
+		for a := int64(0); a < bankAccounts; a++ {
 			v, ok, err := tracedSnapshotGet(c, st, tracer, kv.Key(a), ts, bo)
 			if err != nil {
-				fail("%v", err)
+				vd.failf("%v", err)
 				return
 			}
 			if !ok {
-				fail("audit@%d: account %d missing", ts, a)
+				vd.failf("audit@%d: account %d missing", ts, a)
 				return
 			}
 			bal := decBal(v)
@@ -323,83 +302,89 @@ func RunTxnBank(spec TxnBankSpec) (TxnBankResult, error) {
 			sum += bal
 		}
 		if sum != total {
-			fail("audit@%d: conservation violated: sum=%d want %d", ts, sum, total)
+			vd.failf("audit@%d: conservation violated: sum=%d want %d", ts, sum, total)
 		}
 		audits = append(audits, ts, uint64(sum))
 		res.Audits++
 	}
 
 	e.Go("txn-auditor", func(c env.Ctx) {
-		for i := 0; i < spec.Audits; i++ {
-			c.Sleep(spec.AuditGap)
+		for i := 0; i < bankAudits; i++ {
+			c.Sleep(bankAuditGap)
 			audit(c, false)
 		}
 		mu.Lock(c)
-		for finished < spec.Movers {
+		for finished < bankMovers {
 			cond.Wait(c)
 		}
 		mu.Unlock(c)
-		if !spec.SkipGC {
-			res.GCFreed = int64(st.GC(c, st.SnapshotTS()))
-		}
+		res.GCFreed = int64(st.GC(c, st.SnapshotTS()))
 		audit(c, true)
-		for a := int64(0); a < spec.Accounts; a++ {
-			if want := spec.Initial + ledger[a]; finals[a] != want {
-				fail("account %d: final balance %d, committed ledger says %d", a, finals[a], want)
+		for a := int64(0); a < bankAccounts; a++ {
+			if want := bankInitial + ledger[a]; finals[a] != want {
+				vd.failf("account %d: final balance %d, committed ledger says %d", a, finals[a], want)
 			}
 		}
 		res.PendingAfter = st.PendingLocks()
 		if res.PendingAfter != 0 {
-			fail("%d locks still pending after all movers drained", res.PendingAfter)
+			vd.failf("%d locks still pending after all movers drained", res.PendingAfter)
 		}
 		st.Stop(c)
 	})
 
-	if err := s.Run(-1); err != nil {
-		panic(err)
-	}
+	must(s.Run(-1))
 	res.ReadLockWait = env.Time(tracer.Breakdown().Sum(trace.CompLock))
 	if res.ReadLockWait != 0 {
-		fail("snapshot reads waited %s on locks; SI readers must never block", stats.FmtDur(res.ReadLockWait))
+		vd.failf("snapshot reads waited %s on locks; SI readers must never block", stats.FmtDur(res.ReadLockWait))
 	}
 	if err := st.CheckMVCC(); err != nil {
-		fail("post-run MVCC audit: %v", err)
+		vd.failf("post-run MVCC audit: %v", err)
 	}
 	if err := st.CheckConsistency(); err != nil {
-		fail("post-run consistency: %v", err)
+		vd.failf("post-run consistency: %v", err)
 	}
-	if err := s.Close(); err != nil {
-		panic(err)
-	}
+	must(s.Close())
 
-	h := fnv.New64a()
-	var b [8]byte
-	word := func(v uint64) {
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	word(uint64(spec.Accounts))
-	word(uint64(res.Committed))
-	word(uint64(res.Conflicts))
-	word(uint64(res.Aborts))
-	word(uint64(res.Audits))
-	word(uint64(res.GCFreed))
-	word(uint64(res.ReadLockWait))
+	h := stats.NewFNV()
+	h.Word(uint64(bankAccounts))
+	h.Word(uint64(res.Committed))
+	h.Word(uint64(res.Conflicts))
+	h.Word(uint64(res.Aborts))
+	h.Word(uint64(res.Audits))
+	h.Word(uint64(res.GCFreed))
+	h.Word(uint64(res.ReadLockWait))
 	for _, v := range audits {
-		word(v)
+		h.Word(v)
 	}
 	for _, v := range finals {
-		word(uint64(v))
+		h.Word(uint64(v))
 	}
-	res.Digest = h.Sum64()
+	res.Digest = uint64(h)
 
-	if len(failures) > 0 {
+	if vd.failed() {
 		return res, fmt.Errorf("txnbank seed=%d theta=%.2f size=%d: %d failures, first: %s",
-			spec.Seed, spec.Theta, spec.TxnSize, len(failures), failures[0])
+			spec.Seed, spec.Theta, spec.TxnSize, len(vd.failures), vd.failures[0])
 	}
 	return res, nil
+}
+
+// openBank opens an MVCC store for the single-node bank runs.
+func openBank(e *sim.Env, disks []device.Disk) *core.Store {
+	cfg := core.DefaultConfig(disks...)
+	cfg.Workers = bankWorkers
+	cfg.MVCC = true
+	st, err := core.Open(e, cfg)
+	must(err)
+	return st
+}
+
+// bankItems is the bank's bulk load: every account at its initial balance.
+func bankItems(accounts int64) []kv.Item {
+	items := make([]kv.Item, accounts)
+	for i := range items {
+		items[i] = kv.Item{Key: kv.Key(int64(i)), Value: encBal(bankInitial, 0)}
+	}
+	return items
 }
 
 // ackedTxn is one acknowledged transfer: its commit timestamp, the accounts
@@ -412,51 +397,12 @@ type ackedTxn struct {
 	vals [][]byte
 }
 
-// TxnCrashSpec describes one transactional crash–recover–verify run: movers
-// run open-ended transfers on fault-wrapped disks until the machine dies at
-// the AtWrite-th device write, then the store is recovered from the
-// power-loss images, crash settlement resolves leftover intents, and
-// conservation plus every acked transaction's visibility are checked.
-type TxnCrashSpec struct {
-	Seed     int64
-	Accounts int64
-	Initial  int64
-	Movers   int
-	TxnSize  int
-	Theta    float64
-	// AtWrite kills the machine when the Nth timed device write is submitted.
-	AtWrite int64
-	Workers int
-	NDisks  int
-	Cores   int
-}
-
-func (ts *TxnCrashSpec) defaults() {
-	if ts.Accounts == 0 {
-		ts.Accounts = 128
-	}
-	if ts.Initial == 0 {
-		ts.Initial = 1_000
-	}
-	if ts.Movers == 0 {
-		ts.Movers = 4
-	}
-	if ts.TxnSize == 0 {
-		ts.TxnSize = 3
-	}
-	if ts.AtWrite == 0 {
-		ts.AtWrite = 1_000
-	}
-	if ts.Workers == 0 {
-		ts.Workers = 4
-	}
-	if ts.NDisks == 0 {
-		ts.NDisks = 2
-	}
-	if ts.Cores == 0 {
-		ts.Cores = 4
-	}
-}
+// The transactional crash run's shape: bankMovers movers run open-ended
+// uniform-draw transfers of crashTxnSize accounts over crashAccounts accounts.
+const (
+	crashAccounts = 128
+	crashTxnSize  = 3
+)
 
 // TxnCrashResult is one transactional crash run's outcome.
 type TxnCrashResult struct {
@@ -477,161 +423,77 @@ type TxnCrashResult struct {
 	Digest      uint64
 }
 
-// RunTxnCrash executes one transactional crash cycle. The returned error is
-// a verification failure: conservation violated after recovery, an acked
+// RunTxnCrash executes one transactional crash–recover–verify cycle: movers
+// transfer on fault-wrapped disks until the machine dies at the atWrite-th
+// device write, then the store is recovered from the power-loss images and
+// crash settlement resolves leftover intents. The returned error is a
+// verification failure: conservation violated after recovery, an acked
 // transaction half-applied, or a lock surviving settlement.
-func RunTxnCrash(spec TxnCrashSpec) (TxnCrashResult, error) {
-	spec.defaults()
-	res := TxnCrashResult{Seed: spec.Seed, AtWrite: spec.AtWrite}
-	total := spec.Accounts * spec.Initial
-	prof := device.AmazonNVMe()
+func RunTxnCrash(seed, atWrite int64) (TxnCrashResult, error) {
+	res := TxnCrashResult{Seed: seed, AtWrite: atWrite}
+	const total = crashAccounts * bankInitial
 
-	// Phase 1: transfers on fault-wrapped disks until the power cut. The
-	// simulation freezes at the crash instant, so the recorded acked set is
-	// exactly the pre-crash acknowledgements.
-	s1 := sim.New(spec.Seed + 1)
-	e1 := sim.NewEnv(s1, spec.Cores)
-	inj := fault.NewInjector(s1, fault.Config{
-		Seed:    spec.Seed*1_000_003 + spec.AtWrite,
-		AtWrite: spec.AtWrite,
-	})
-	disks := make([]device.Disk, spec.NDisks)
-	for i := range disks {
-		disks[i] = inj.Wrap(device.NewSimDisk(s1, prof, device.NewMemStore()))
-	}
-	cfg := core.DefaultConfig(disks...)
-	cfg.Workers = spec.Workers
-	cfg.MVCC = true
-	st, err := core.Open(e1, cfg)
-	if err != nil {
-		panic(err)
-	}
-	items := make([]kv.Item, spec.Accounts)
-	for i := int64(0); i < spec.Accounts; i++ {
-		items[i] = kv.Item{Key: kv.Key(i), Value: encBal(spec.Initial, 0)}
-	}
-	if err := st.BulkLoad(items); err != nil {
-		panic(err)
-	}
-	st.Start()
-	inj.Arm()
+	// First life: transfers until the power cut.
+	tb := NewTestbed(seed, atWrite, bankCores, bankNDisks)
+	st := openBank(tb.Env, tb.Disks)
+	tb.Load(st, bankItems(crashAccounts))
 
-	acked := make([][]ackedTxn, spec.Movers)
-	mgrs := make([]*txn.Manager, spec.Movers)
-	const horizon = 20 * env.Second
-	for ci := 0; ci < spec.Movers; ci++ {
+	acked := make([][]ackedTxn, bankMovers)
+	movers := make([]*mover, bankMovers)
+	for ci := 0; ci < bankMovers; ci++ {
 		ci := ci
-		mgrs[ci] = &txn.Manager{Cl: &txn.LocalClient{St: st}, MaxAttempts: 64}
-		e1.Go(fmt.Sprintf("txn-crash-mover-%d", ci), func(c env.Ctx) {
-			rng := rand.New(rand.NewSource(spec.Seed*7919 + int64(ci)))
-			mgr := mgrs[ci]
-			bals := make([]int64, spec.TxnSize)
-			for t := 0; c.Now() < horizon; t++ {
-				accs := pickTxnKeys(rng, spec.Accounts, spec.TxnSize, spec.Theta)
-				keys := make([][]byte, len(accs))
-				for i, a := range accs {
-					keys[i] = kv.Key(a)
-				}
-				amt := 1 + rng.Int63n(7)
-				vals := make([][]byte, len(accs))
-				fn := func(c env.Ctx, tx *txn.Txn) error {
-					for i := range accs {
-						v, ok, err := tx.Get(c, keys[i])
-						if err != nil {
-							return err
-						}
-						if !ok {
-							return fmt.Errorf("txnbank: account %d missing", accs[i])
-						}
-						bals[i] = decBal(v)
-					}
-					for i := range accs {
-						nb := bals[i] + amt
-						if i == 0 {
-							nb = bals[i] - amt*int64(len(accs)-1)
-						}
-						vals[i] = encBal(nb, tx.StartTS())
-						tx.Put(keys[i], vals[i])
-					}
-					return nil
-				}
+		movers[ci] = newMover(&txn.LocalClient{St: st}, seed, ci, crashAccounts, crashTxnSize, 0)
+		tb.Env.Go(fmt.Sprintf("txn-crash-mover-%d", ci), func(c env.Ctx) {
+			for c.Now() < crashHorizon {
 				res.IssuedTxns++
-				seed := spec.Seed*104_729 + int64(ci)*1_000_003 + int64(t)
-				cts, err := mgr.Run(c, seed, fn)
+				tr, cts, err := movers[ci].next(c)
 				if err != nil {
 					continue // conflict exhaustion; the crash freeze also lands here
 				}
 				res.AckedTxns++
-				acked[ci] = append(acked[ci], ackedTxn{cts: cts, keys: keys, vals: vals})
+				acked[ci] = append(acked[ci], ackedTxn{cts: cts, keys: tr.keys, vals: tr.vals})
 			}
 		})
 	}
-	if err := s1.Run(horizon + env.Second); err != nil {
-		panic(err)
+	if err := tb.Crash(); err != nil {
+		return res, fmt.Errorf("txnbank: %v", err)
 	}
-	for _, m := range mgrs {
-		res.Conflicts += m.Conflicts
+	for _, mv := range movers {
+		res.Conflicts += mv.mgr.Conflicts
 	}
-	if !inj.Tripped() {
-		s1.Close()
-		return res, fmt.Errorf("txnbank: crash point %d never reached (only %d writes submitted)",
-			spec.AtWrite, inj.Stats().Writes)
-	}
-	res.CrashTime = inj.CrashTime()
-	res.Fault = inj.Stats()
-	snaps := inj.Snapshots()
-	if err := s1.Close(); err != nil {
-		panic(err)
-	}
+	res.CrashTime, res.Fault = tb.Inj.CrashTime(), tb.Inj.Stats()
 
-	// Phase 2: reboot on the snapshot images, recover, settle leftover
-	// intents, and verify. No GC runs, so every acked transaction's versions
-	// are still on disk as evidence.
-	s2 := sim.New(spec.Seed + 2)
-	e2 := sim.NewEnv(s2, spec.Cores)
-	disks2 := make([]device.Disk, len(snaps))
-	for i, ms := range snaps {
-		disks2[i] = device.NewSimDisk(s2, prof, ms)
-	}
-	cfg2 := core.DefaultConfig(disks2...)
-	cfg2.Workers = spec.Workers
-	cfg2.MVCC = true
-	st2, err := core.Open(e2, cfg2)
-	if err != nil {
-		panic(err)
-	}
-	finals := make([]int64, spec.Accounts)
-	var failures []string
-	fail := func(format string, args ...any) {
-		if len(failures) < 8 {
-			failures = append(failures, fmt.Sprintf(format, args...))
-		}
-	}
-	e2.Go("txn-crash-recover", func(c env.Ctx) {
+	// Second life: recover, settle leftover intents, and verify. No GC runs,
+	// so every acked transaction's versions are still on disk as evidence.
+	tb.Reboot()
+	st2 := openBank(tb.Env, tb.Disks)
+	finals := make([]int64, crashAccounts)
+	var vd verdict
+	tb.Recover("txn-crash-recover", func(c env.Ctx) {
 		t0 := c.Now()
 		if err := st2.Recover(c); err != nil {
-			fail("recover: %v", err)
+			vd.failf("recover: %v", err)
 			return
 		}
 		st2.Start()
 		res.Resolved = st2.ResolveIntents(c)
 		res.RecoverTime = c.Now() - t0
 		if n := st2.PendingLocks(); n != 0 {
-			fail("%d locks survived crash settlement", n)
+			vd.failf("%d locks survived crash settlement", n)
 		}
 		ts := st2.SnapshotTS()
 		var sum int64
-		for a := int64(0); a < spec.Accounts; a++ {
+		for a := int64(0); a < crashAccounts; a++ {
 			v, ok := st2.GetAt(c, kv.Key(a), ts)
 			if !ok {
-				fail("account %d lost in crash", a)
+				vd.failf("account %d lost in crash", a)
 				continue
 			}
 			finals[a] = decBal(v)
 			sum += finals[a]
 		}
 		if sum != total {
-			fail("conservation violated after crash: sum=%d want %d (crash@%s)",
+			vd.failf("conservation violated after crash: sum=%d want %d (crash@%s)",
 				sum, total, stats.FmtDur(res.CrashTime))
 		}
 		// Every acknowledged transaction must be fully visible at its commit
@@ -643,57 +505,45 @@ func RunTxnCrash(spec TxnCrashSpec) (TxnCrashResult, error) {
 				for i, k := range at.keys {
 					v, ok := st2.GetAt(c, k, at.cts)
 					if !ok || !bytes.Equal(v, at.vals[i]) {
-						fail("acked txn half-applied: mover %d txn %d cts=%d key %q (found=%v)",
+						vd.failf("acked txn half-applied: mover %d txn %d cts=%d key %q (found=%v)",
 							ci, ti, at.cts, k, ok)
 					}
 				}
 			}
 		}
 		if err := st2.CheckConsistency(); err != nil {
-			fail("post-recovery consistency: %v", err)
+			vd.failf("post-recovery consistency: %v", err)
 		}
 		st2.Stop(c)
 	})
-	if err := s2.Run(-1); err != nil {
-		panic(err)
-	}
 	if err := st2.CheckMVCC(); err != nil {
-		fail("post-recovery MVCC audit: %v", err)
+		vd.failf("post-recovery MVCC audit: %v", err)
 	}
-	if err := s2.Close(); err != nil {
-		panic(err)
-	}
+	tb.Close()
 
-	h := fnv.New64a()
-	var b [8]byte
-	word := func(v uint64) {
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	word(uint64(res.CrashTime))
-	word(uint64(res.Fault.Writes))
-	word(uint64(res.Fault.InFlight))
-	word(uint64(res.Fault.Dropped))
-	word(uint64(res.Fault.Torn))
-	word(uint64(res.IssuedTxns))
-	word(uint64(res.AckedTxns))
-	word(uint64(res.Resolved))
-	word(uint64(res.RecoverTime))
+	h := stats.NewFNV()
+	h.Word(uint64(res.CrashTime))
+	h.Word(uint64(res.Fault.Writes))
+	h.Word(uint64(res.Fault.InFlight))
+	h.Word(uint64(res.Fault.Dropped))
+	h.Word(uint64(res.Fault.Torn))
+	h.Word(uint64(res.IssuedTxns))
+	h.Word(uint64(res.AckedTxns))
+	h.Word(uint64(res.Resolved))
+	h.Word(uint64(res.RecoverTime))
 	for ci := range acked {
 		for _, at := range acked[ci] {
-			word(at.cts)
+			h.Word(at.cts)
 		}
 	}
 	for _, v := range finals {
-		word(uint64(v))
+		h.Word(uint64(v))
 	}
-	res.Digest = h.Sum64()
+	res.Digest = uint64(h)
 
-	if len(failures) > 0 {
+	if vd.failed() {
 		return res, fmt.Errorf("txnbank crash seed=%d atwrite=%d: %d failures, first: %s",
-			spec.Seed, spec.AtWrite, len(failures), failures[0])
+			seed, atWrite, len(vd.failures), vd.failures[0])
 	}
 	return res, nil
 }
@@ -703,104 +553,50 @@ func RunTxnCrash(spec TxnCrashSpec) (TxnCrashResult, error) {
 // acked-transaction visibility after each. Returns the number of failing
 // points; every failure prints the flags that reproduce it.
 func TxnCrashSweep(o SweepOpts, w io.Writer) int {
-	if o.Points == 0 {
-		o.Points = 25
-	}
-	failures := 0
-	for i := 1; i <= o.Points; i++ {
-		if o.Point > 0 && i != o.Point {
-			continue
-		}
-		pointSeed, atWrite := SweepPoint(o.Seed, i)
-		res, err := RunTxnCrash(TxnCrashSpec{Seed: pointSeed, AtWrite: atWrite})
-		if err != nil {
-			failures++
-			fmt.Fprintf(w, "FAIL txnbank point %2d/%d: %v\n", i, o.Points, err)
-			fmt.Fprintf(w, "     repro: go run ./cmd/kvell-txn -crash -seed=%d -point=%d\n", o.Seed, i)
-			continue
-		}
-		if o.Verbose {
-			fmt.Fprintf(w, "ok   txnbank point %2d/%d: crash@%s write=%d acked=%d resolved=%d digest=%016x\n",
-				i, o.Points, stats.FmtDur(res.CrashTime), res.AtWrite, res.AckedTxns, res.Resolved, res.Digest)
-		}
-	}
-	return failures
+	repro := func(i int) string { return TxnCrashRepro(o, i) }
+	return o.sweep(w, "txnbank", repro, func(pointSeed, atWrite int64) (string, error) {
+		res, err := RunTxnCrash(pointSeed, atWrite)
+		return fmt.Sprintf("crash@%s write=%d acked=%d resolved=%d digest=%016x",
+			stats.FmtDur(res.CrashTime), res.AtWrite, res.AckedTxns, res.Resolved, res.Digest), err
+	})
+}
+
+// TxnCrashRepro is the command line that reruns point i of the transactional
+// crash sweep o — what TxnCrashSweep prints under a failing point.
+func TxnCrashRepro(o SweepOpts, i int) string {
+	return fmt.Sprintf("go run ./cmd/kvell-bench txn -crash -seed=%d -point=%d", o.Seed, i)
 }
 
 // TxnClusterSpec describes one multi-machine transactional run: Machines
 // server machines (store shards with MVCC on) plus one client machine whose
-// mover procs run percolator transactions across shards, timestamps served
-// by the oracle on machine cluster.OracleHome. With Failover set, machine
-// KillMachine (never the oracle's) dies at KillAt and a follower is promoted
-// through full-scan recovery; conservation and every acked transaction must
-// survive.
+// bankMovers mover procs each run txnClusterTransfers two-account percolator
+// transfers across shards, timestamps served by the oracle on machine
+// cluster.OracleHome. With Failover set, machine KillMachine (never the
+// oracle's) dies at txnClusterKillAt and a follower is promoted through
+// full-scan recovery; conservation and every acked transaction must survive.
 type TxnClusterSpec struct {
 	Machines int
 	RF       int
 	Seed     int64
-	// AccountsPerMachine fixes the per-shard dataset size; accounts hash
-	// across shards, so transactions routinely span machines.
-	AccountsPerMachine int64
-	Initial            int64
-	Movers             int
-	Transfers          int
-	TxnSize            int
-	Theta              float64
-	Workers            int
-	NDisks             int
-	Cores              int
-	Slots              int
+	Theta    float64
 
 	Failover    bool
 	KillMachine int
-	KillAt      env.Time
-	DetectDelay env.Time
 }
 
+const (
+	// txnClusterAccounts is the per-shard dataset size; accounts hash across
+	// shards, so transactions routinely span machines.
+	txnClusterAccounts  = 64
+	txnClusterTransfers = 25
+	txnClusterKillAt    = 3 * env.Millisecond
+)
+
 func (ts *TxnClusterSpec) defaults() {
-	if ts.Machines == 0 {
-		ts.Machines = 4
-	}
-	if ts.RF == 0 {
-		ts.RF = 1
-	}
-	if ts.AccountsPerMachine == 0 {
-		ts.AccountsPerMachine = 64
-	}
-	if ts.Initial == 0 {
-		ts.Initial = 1_000
-	}
-	if ts.Movers == 0 {
-		ts.Movers = 4
-	}
-	if ts.Transfers == 0 {
-		ts.Transfers = 25
-	}
-	if ts.TxnSize == 0 {
-		ts.TxnSize = 2
-	}
-	if ts.Workers == 0 {
-		ts.Workers = 4
-	}
-	if ts.NDisks == 0 {
-		ts.NDisks = 1
-	}
-	if ts.Cores == 0 {
-		ts.Cores = 5
-	}
-	if ts.Slots == 0 {
-		ts.Slots = 4096
-	}
-	if ts.KillMachine == 0 {
-		// Never the oracle's machine: timestamp service is pinned there.
-		ts.KillMachine = 1
-	}
-	if ts.KillAt == 0 {
-		ts.KillAt = 3 * env.Millisecond
-	}
-	if ts.DetectDelay == 0 {
-		ts.DetectDelay = 200 * env.Microsecond
-	}
+	def(&ts.Machines, 4)
+	def(&ts.RF, 1)
+	// Never the oracle's machine: timestamp service is pinned there.
+	def(&ts.KillMachine, 1)
 }
 
 // TxnClusterResult is one cluster transaction run's outcome.
@@ -828,193 +624,64 @@ type TxnClusterResult struct {
 func RunTxnCluster(spec TxnClusterSpec) (TxnClusterResult, error) {
 	spec.defaults()
 	M := spec.Machines
-	clientM := M
-	total := int64(M) * spec.AccountsPerMachine
-	grand := total * spec.Initial
-	prof := device.AmazonNVMe()
+	total := int64(M) * txnClusterAccounts
+	grand := total * bankInitial
 	res := TxnClusterResult{Machines: M, RF: spec.RF, Promoted: -1}
 	if spec.Failover && spec.KillMachine == cluster.OracleHome {
 		panic("txnbank: cannot kill the oracle's machine")
 	}
 
-	s := sim.New(spec.Seed + 1)
-	nw := net.New(s, M+1, net.TenGbE())
-	place := cluster.NewPlacement(spec.Slots, M, spec.RF)
-	cl := cluster.New(s, nw, place)
-
-	envs := make([]*sim.Env, M+1)
-	for m := 0; m < M; m++ {
-		envs[m] = sim.NewMachineEnv(s, m, spec.Cores)
-	}
-	envs[clientM] = sim.NewMachineEnv(s, clientM, max(2, M))
-
-	var inj *fault.Injector
-	baseStores := make([][]*device.MemStore, M)
-	stores := make([]*core.Store, M)
-	cfgs := make([]core.Config, M)
-	rps := make([]*cluster.Replicator, M)
-	repsByHome := make([][]*cluster.Replica, M)
-	for m := 0; m < M; m++ {
-		var rp *cluster.Replicator
-		if spec.RF > 1 {
-			rp = cluster.NewReplicator(cl, m)
-			rps[m] = rp
-		}
-		disks := make([]device.Disk, spec.NDisks)
-		for i := 0; i < spec.NDisks; i++ {
-			ms := device.NewMemStore()
-			baseStores[m] = append(baseStores[m], ms)
-			sd := device.NewSimDisk(s, prof, ms)
-			sd.Machine = m
-			sd.ID = m*spec.NDisks + i
-			var d device.Disk = sd
-			if spec.Failover && m == spec.KillMachine {
-				if inj == nil {
-					inj = fault.NewInjector(s, fault.Config{
-						Seed:        spec.Seed*1_000_003 + int64(m+1),
-						AtTime:      spec.KillAt,
-						HaltMachine: true,
-						Machine:     m,
-					})
-				}
-				d = inj.Wrap(sd)
-			}
-			if rp != nil {
-				d = rp.WrapDisk(i, d)
-			}
-			disks[i] = d
-		}
-		cfg := core.DefaultConfig(disks...)
-		cfg.Workers = spec.Workers
-		cfg.MVCC = true
-		cfg.NoInPlaceUpdates = spec.RF > 1
-		if rp != nil {
-			cfg.OnIndexUpdate = rp.OnIndexUpdate
-		}
-		st, err := core.Open(envs[m], cfg)
-		if err != nil {
-			panic(err)
-		}
-		stores[m] = st
-		cfgs[m] = cfg
-	}
-
-	perMachine := make([][]kv.Item, M)
-	keyBuf := make([]byte, kv.KeyLen)
-	for i := int64(0); i < total; i++ {
-		kv.FillKey(keyBuf, i)
-		m := place.Leader(place.SlotOf(keyBuf))
-		perMachine[m] = append(perMachine[m], kv.Item{Key: kv.Key(i), Value: encBal(spec.Initial, 0)})
-	}
-	for m := 0; m < M; m++ {
-		if err := stores[m].BulkLoad(perMachine[m]); err != nil {
-			panic(err)
-		}
-	}
-	if spec.RF > 1 {
-		for m := 0; m < M; m++ {
-			for _, f := range place.Followers(m) {
-				rdisks := make([]*device.SimDisk, spec.NDisks)
-				for i, ms := range baseStores[m] {
-					rd := device.NewSimDisk(s, prof, ms.Snapshot())
-					rd.Machine = f
-					rd.ID = 1000 + m*spec.NDisks + i
-					rdisks[i] = rd
-				}
-				rep := cluster.NewReplica(cl, envs[f], m, rdisks)
-				rps[m].AddFollower(rep)
-				repsByHome[m] = append(repsByHome[m], rep)
-				rep.Start()
-			}
-			rps[m].Activate()
-		}
-	}
-	for m := 0; m < M; m++ {
-		n := cluster.NewNode(cl, envs[m], m, stores[m], rps[m])
-		cl.SetNode(m, n)
-		n.Start()
-		stores[m].Start()
-	}
-	if inj != nil {
-		inj.Arm()
-	}
+	cl := cluster.Build(cluster.Spec{
+		Machines: M, RF: spec.RF, Seed: spec.Seed, Slots: clusterSlots,
+		Cores: clusterCores, NDisks: 1,
+		Tweak: func(cfg *core.Config) {
+			cfg.Workers = bankWorkers
+			cfg.MVCC = true
+		},
+		Records: total,
+		Value:   func(int64) []byte { return encBal(bankInitial, 0) },
+		Kill:    spec.Failover, KillMachine: spec.KillMachine, KillAt: txnClusterKillAt,
+	})
+	clientM, clientEnv := M, cl.Envs[M]
 
 	ledger := make([]int64, total)
-	acked := make([][]ackedTxn, spec.Movers)
-	tcs := make([]*cluster.TxnClient, spec.Movers)
+	acked := make([][]ackedTxn, bankMovers)
+	tcs := make([]*cluster.TxnClient, bankMovers)
 	for ci := range tcs {
-		tcs[ci] = cluster.NewTxnClient(cl, envs[clientM], clientM)
+		tcs[ci] = cluster.NewTxnClient(cl, clientEnv, clientM)
 	}
-	var failures []string
-	fail := func(format string, args ...any) {
-		if len(failures) < 8 {
-			failures = append(failures, fmt.Sprintf(format, args...))
-		}
-	}
-	mu := envs[clientM].NewMutex()
-	cond := envs[clientM].NewCond(mu)
+	var vd verdict
+	mu := clientEnv.NewMutex()
+	cond := clientEnv.NewCond(mu)
 	finished := 0
 
-	for ci := 0; ci < spec.Movers; ci++ {
+	for ci := 0; ci < bankMovers; ci++ {
 		ci := ci
-		envs[clientM].Go(fmt.Sprintf("txn-cluster-mover-%d", ci), func(c env.Ctx) {
-			rng := rand.New(rand.NewSource(spec.Seed*7919 + int64(ci)))
-			mgr := &txn.Manager{Cl: tcs[ci], MaxAttempts: 64}
-			bals := make([]int64, spec.TxnSize)
-			deltas := make([]int64, spec.TxnSize)
-			for t := 0; t < spec.Transfers; t++ {
-				accs := pickTxnKeys(rng, total, spec.TxnSize, spec.Theta)
-				keys := make([][]byte, len(accs))
-				for i, a := range accs {
-					keys[i] = kv.Key(a)
+		clientEnv.Go(fmt.Sprintf("txn-cluster-mover-%d", ci), func(c env.Ctx) {
+			mv := newMover(tcs[ci], spec.Seed, ci, total, 2, spec.Theta)
+			for t := 0; t < txnClusterTransfers; t++ {
+				tr, cts, err := mv.next(c)
+				if err == txn.ErrAborted && spec.Failover {
+					// The kill swept this transfer mid-commit; its primary
+					// never became durable, so it rolled back cleanly.
+					res.FailedTxns++
+					continue
 				}
-				amt := 1 + rng.Int63n(7)
-				vals := make([][]byte, len(accs))
-				fn := func(c env.Ctx, tx *txn.Txn) error {
-					for i := range accs {
-						v, ok, err := tx.Get(c, keys[i])
-						if err != nil {
-							return err
-						}
-						if !ok {
-							return fmt.Errorf("txnbank: account %d missing", accs[i])
-						}
-						bals[i] = decBal(v)
-					}
-					for i := range accs {
-						if i == 0 {
-							deltas[i] = -amt * int64(len(accs)-1)
-						} else {
-							deltas[i] = amt
-						}
-						vals[i] = encBal(bals[i]+deltas[i], tx.StartTS())
-						tx.Put(keys[i], vals[i])
-					}
-					return nil
+				if err == txn.ErrConflict {
+					continue // retry budget exhausted; counted in mgr.Aborts
 				}
-				seed := spec.Seed*104_729 + int64(ci)*1_000_003 + int64(t)
-				cts, err := mgr.Run(c, seed, fn)
 				if err != nil {
-					if err == txn.ErrAborted && spec.Failover {
-						// The kill swept this transfer mid-commit; its primary
-						// never became durable, so it rolled back cleanly.
-						res.FailedTxns++
-						continue
-					}
-					if err == txn.ErrConflict {
-						continue // retry budget exhausted; counted in mgr.Aborts
-					}
-					fail("mover %d transfer %d: %v", ci, t, err)
+					vd.failf("mover %d transfer %d: %v", ci, t, err)
 					continue
 				}
 				res.Committed++
-				for i, a := range accs {
-					ledger[a] += deltas[i]
+				for i, a := range tr.accs {
+					ledger[a] += tr.deltas[i]
 				}
-				acked[ci] = append(acked[ci], ackedTxn{cts: cts, keys: keys, vals: vals})
+				acked[ci] = append(acked[ci], ackedTxn{cts: cts, keys: tr.keys, vals: tr.vals})
 			}
-			res.Conflicts += mgr.Conflicts
-			res.Aborts += mgr.Aborts
+			res.Conflicts += mv.mgr.Conflicts
+			res.Aborts += mv.mgr.Aborts
 			mu.Lock(c)
 			finished++
 			mu.Unlock(c)
@@ -1022,40 +689,23 @@ func RunTxnCluster(spec TxnClusterSpec) (TxnClusterResult, error) {
 		})
 	}
 
-	// Failover driver: wait out detection, re-point routing, promote the
-	// replica with the dead store's own (MVCC) config so the promoted store
-	// rebuilds version chains and locks, then sweep every mover's in-flight
-	// call to the dead machine (they complete with TxnRetry and re-send under
-	// the new epoch).
+	// Failover driver: wait out detection, promote the replica with the dead
+	// store's own (MVCC) config so the promoted store rebuilds version chains
+	// and locks, then sweep every mover's in-flight call to the dead machine
+	// (they complete with TxnRetry and re-send under the new epoch).
 	if spec.Failover {
 		dead := spec.KillMachine
-		followers := place.Followers(dead)
-		prng := rand.New(rand.NewSource(spec.Seed*104_729 + int64(dead+1)))
-		pick := followers[prng.Intn(len(followers))]
-		var rep *cluster.Replica
-		for _, r := range repsByHome[dead] {
-			if r.Host() == pick {
-				rep = r
-			}
-		}
-		res.Promoted = pick
-		envs[pick].Go("txn-failover-driver", func(c env.Ctx) {
-			c.Sleep(spec.KillAt + spec.DetectDelay - c.Now())
-			if !inj.Tripped() {
-				fail("machine %d never died", dead)
+		res.Promoted = cl.Follower(dead).Host()
+		cl.Envs[res.Promoted].Go("txn-failover-driver", func(c env.Ctx) {
+			c.Sleep(txnClusterKillAt + clusterDetectDelay - c.Now())
+			if !cl.Inj.Tripped() {
+				vd.failf("machine %d never died", dead)
 				return
 			}
-			cl.FailMachine(dead)
-			st2, err := rep.Promote(c, cfgs[dead])
-			if err != nil {
-				fail("promotion failed: %v", err)
+			if _, err := cl.Promote(c, dead); err != nil {
+				vd.failf("promotion failed: %v", err)
 				return
 			}
-			st2.Start()
-			n2 := cluster.NewNode(cl, envs[pick], dead, st2, nil)
-			n2.Start()
-			cl.SetNode(dead, n2)
-			stores[dead] = st2
 			for _, tc := range tcs {
 				tc.SweepIf(c, dead)
 			}
@@ -1066,38 +716,38 @@ func RunTxnCluster(spec TxnClusterSpec) (TxnClusterResult, error) {
 	// at a fresh snapshot and re-read every key of every acked transaction at
 	// its commit timestamp through the (possibly re-routed) cluster.
 	allDone := false
-	envs[clientM].Go("txn-cluster-verify", func(c env.Ctx) {
+	clientEnv.Go("txn-cluster-verify", func(c env.Ctx) {
 		mu.Lock(c)
-		for finished < spec.Movers {
+		for finished < bankMovers {
 			cond.Wait(c)
 		}
 		mu.Unlock(c)
-		vtc := cluster.NewTxnClient(cl, envs[clientM], clientM)
+		vtc := cluster.NewTxnClient(cl, clientEnv, clientM)
 		ts := vtc.SnapshotTS(c)
 		var sum int64
 		finals := make([]int64, total)
 		for a := int64(0); a < total; a++ {
 			v, ok, err := txn.GetAt(c, vtc, kv.Key(a), ts, spec.Seed)
 			if err != nil {
-				fail("verify read of account %d: %v", a, err)
+				vd.failf("verify read of account %d: %v", a, err)
 				continue
 			}
 			if !ok {
-				fail("account %d lost", a)
+				vd.failf("account %d lost", a)
 				continue
 			}
 			finals[a] = decBal(v)
 			sum += finals[a]
 		}
 		if sum != grand {
-			fail("conservation violated across cluster: sum=%d want %d", sum, grand)
+			vd.failf("conservation violated across cluster: sum=%d want %d", sum, grand)
 		}
 		if !spec.Failover {
 			// Without a kill every commit was acknowledged, so the committed
 			// ledger predicts every balance exactly.
 			for a := int64(0); a < total; a++ {
-				if want := spec.Initial + ledger[a]; finals[a] != want {
-					fail("account %d: balance %d, committed ledger says %d", a, finals[a], want)
+				if want := bankInitial + ledger[a]; finals[a] != want {
+					vd.failf("account %d: balance %d, committed ledger says %d", a, finals[a], want)
 				}
 			}
 		}
@@ -1106,7 +756,7 @@ func RunTxnCluster(spec TxnClusterSpec) (TxnClusterResult, error) {
 				for i, k := range at.keys {
 					v, ok, err := txn.GetAt(c, vtc, k, at.cts, spec.Seed+int64(ti))
 					if err != nil || !ok || !bytes.Equal(v, at.vals[i]) {
-						fail("acked txn half-applied after failover: mover %d txn %d cts=%d key %q",
+						vd.failf("acked txn half-applied after failover: mover %d txn %d cts=%d key %q",
 							ci, ti, at.cts, k)
 					} else {
 						res.AckedVerified++
@@ -1117,17 +767,15 @@ func RunTxnCluster(spec TxnClusterSpec) (TxnClusterResult, error) {
 		allDone = true
 	})
 
-	if err := s.Run(60 * env.Second); err != nil {
-		panic(err)
-	}
-	if !allDone && len(failures) == 0 {
+	must(cl.S.Run(60 * env.Second))
+	if !allDone && !vd.failed() {
 		panic("txnbank cluster: run did not complete within the time bound")
 	}
-	if inj != nil && inj.Tripped() {
-		res.CrashTime = inj.CrashTime()
+	if cl.Inj != nil && cl.Inj.Tripped() {
+		res.CrashTime = cl.Inj.CrashTime()
 	}
-	res.Net = nw.Counters()
-	for _, rp := range rps {
+	res.Net = cl.Net.Counters()
+	for _, rp := range cl.Repls {
 		if rp != nil {
 			res.PagesShipped += rp.PagesShipped
 		}
@@ -1135,57 +783,41 @@ func RunTxnCluster(spec TxnClusterSpec) (TxnClusterResult, error) {
 	for _, tc := range tcs {
 		res.Swept += tc.Swept
 	}
-	for m := 0; m < M; m++ {
-		if spec.Failover && m == spec.KillMachine {
-			continue // frozen at the crash instant; the promoted store replaced it
-		}
-		if err := stores[m].CheckMVCC(); err != nil {
-			fail("machine %d MVCC audit: %v", m, err)
+	// After a failover the killed machine's entry is its promoted store.
+	for m, st := range cl.Stores {
+		if err := st.CheckMVCC(); err != nil {
+			vd.failf("machine %d MVCC audit: %v", m, err)
 		}
 	}
-	if spec.Failover && res.Promoted >= 0 {
-		if err := stores[spec.KillMachine].CheckMVCC(); err != nil {
-			fail("promoted store MVCC audit: %v", err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		panic(err)
-	}
+	must(cl.S.Close())
 
-	h := fnv.New64a()
-	var b [8]byte
-	word := func(v uint64) {
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	word(uint64(M))
-	word(uint64(spec.RF))
-	word(uint64(res.Committed))
-	word(uint64(res.Conflicts))
-	word(uint64(res.Aborts))
-	word(uint64(res.FailedTxns))
-	word(uint64(res.Swept))
-	word(uint64(res.AckedVerified))
-	word(uint64(res.Promoted + 1))
-	word(uint64(res.CrashTime))
-	word(uint64(res.Net.Msgs))
-	word(uint64(res.Net.Bytes))
-	word(uint64(res.PagesShipped))
+	h := stats.NewFNV()
+	h.Word(uint64(M))
+	h.Word(uint64(spec.RF))
+	h.Word(uint64(res.Committed))
+	h.Word(uint64(res.Conflicts))
+	h.Word(uint64(res.Aborts))
+	h.Word(uint64(res.FailedTxns))
+	h.Word(uint64(res.Swept))
+	h.Word(uint64(res.AckedVerified))
+	h.Word(uint64(res.Promoted + 1))
+	h.Word(uint64(res.CrashTime))
+	h.Word(uint64(res.Net.Msgs))
+	h.Word(uint64(res.Net.Bytes))
+	h.Word(uint64(res.PagesShipped))
 	for ci := range acked {
 		for _, at := range acked[ci] {
-			word(at.cts)
+			h.Word(at.cts)
 		}
 	}
 	for _, v := range ledger {
-		word(uint64(v))
+		h.Word(uint64(v))
 	}
-	res.Digest = h.Sum64()
+	res.Digest = uint64(h)
 
-	if len(failures) > 0 {
+	if vd.failed() {
 		return res, fmt.Errorf("txnbank cluster seed=%d machines=%d rf=%d failover=%v: %d failures, first: %s",
-			spec.Seed, M, spec.RF, spec.Failover, len(failures), failures[0])
+			spec.Seed, M, spec.RF, spec.Failover, len(vd.failures), vd.failures[0])
 	}
 	return res, nil
 }

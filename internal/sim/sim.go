@@ -413,6 +413,17 @@ func (s *Sim) trackProc(p *Proc) {
 	s.procs = append(s.procs, p)
 }
 
+// ProcNames lists the tracked procs as "machine/name" in creation order (the
+// order Close unwinds them in). Before the simulation first runs that is
+// every proc created so far, so tests use it to pin a testbed's assembly order.
+func (s *Sim) ProcNames() []string {
+	names := make([]string, len(s.procs))
+	for i, p := range s.procs {
+		names[i] = fmt.Sprintf("%d/%s", p.machine, p.name)
+	}
+	return names
+}
+
 // resumeProc hands control to p and waits until it parks or finishes.
 func (s *Sim) resumeProc(p *Proc) {
 	p.parked = false
