@@ -8,7 +8,7 @@ BENCH_PKGS = ./internal/sim ./internal/slab ./internal/pagecache \
 	./internal/core ./internal/harness ./internal/hotcache \
 	./internal/mvcc ./internal/txn
 
-.PHONY: all build vet fmt-check lint test race check bench alloc-budget e2e-smoke crash-sweep trace absorb tier cluster
+.PHONY: all build vet fmt-check lint test race check bench alloc-budget feature-matrix e2e-smoke crash-sweep trace absorb tier cluster
 
 # Crash sweep knobs: SEED picks the deterministic schedule (a CI failure
 # prints the seed to rerun here), K is points per engine, ENGINE narrows to
@@ -56,6 +56,12 @@ race:
 # tests named TestAllocBudget*); a regression here fails the build.
 alloc-budget:
 	$(GO) test -run AllocBudget ./...
+
+# Every legal combination of the request-path features (absorb, tiering,
+# MVCC, no-in-place) against a map model through a stop/reopen/recover cycle
+# (DESIGN.md §16); MVCC x tiering is asserted rejected.
+feature-matrix:
+	$(GO) test -run TestFeatureMatrix -count=1 ./internal/core
 
 # cmd/kvell-e2e (the BENCHMARK.json driver) is a module of its own, so the
 # root ./... patterns never compile it; this keeps a harness signature change
@@ -105,7 +111,7 @@ trace:
 	$(GO) run ./cmd/kvell-bench trace -engine rocksdb,kvell -seed $(SEED) -o results/trace
 
 # Everything CI runs, in the same order.
-check: build vet fmt-check lint alloc-budget e2e-smoke crash-sweep race
+check: build vet fmt-check lint alloc-budget feature-matrix e2e-smoke crash-sweep race
 
 # Runs the kernel/allocator/page-cache microbenchmarks and writes
 # BENCH_sim.json at the repo root: per-benchmark ns/op, allocs/op and ops/sec,

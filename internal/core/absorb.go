@@ -155,21 +155,8 @@ func (w *worker) absorbStart(c env.Ctx, r *kv.Request, out *[]*aio.IO) bool {
 			w.ab.reads++
 			return w.absorb(c, r, out)
 		}
-		// Read the current value from the store, then absorb the write.
-		l, ok := w.lookup(c, r.Key)
-		if !ok {
-			w.respond(c, r, kv.Result{})
-			return true
-		}
-		w.doGet(c, l, func(c env.Ctx, val []byte, out *[]*aio.IO) {
-			if w.absorb(c, r, out) {
-				return
-			}
-			w.writeBack(c, r.Key, r.Value, func(c env.Ctx, out *[]*aio.IO) {
-				w.respond(c, r, kv.Result{Found: true})
-			}, out)
-		}, &r.ValueBuf, out)
-		return true
+		// Not buffered: the direct path reads the current value from the
+		// store and offers the write back to the buffer (finishRead).
 	}
 	return false
 }
@@ -213,17 +200,8 @@ func (w *worker) absorbGet(c env.Ctx, r *kv.Request) bool {
 		w.respond(c, r, kv.Result{})
 		return true
 	}
-	n := len(last.Value)
-	c.CPU(costs.MemBytes(n))
-	var val []byte
-	if r.ValueBuf != nil && cap(r.ValueBuf) >= n {
-		val = r.ValueBuf[:n]
-	} else {
-		val = make([]byte, n)
-		r.ValueBuf = val
-	}
-	copy(val, last.Value)
-	w.respond(c, r, kv.Result{Found: true, Value: val})
+	c.CPU(costs.MemBytes(len(last.Value)))
+	w.respond(c, r, kv.Result{Found: true, Value: valueInto(&r.ValueBuf, last.Value)})
 	return true
 }
 
@@ -259,12 +237,12 @@ func (w *worker) flushAbsorb(c env.Ctx, out *[]*aio.IO) {
 		}
 		if last.Op == kv.OpDelete {
 			e.found = true
-			if !w.deleteBack(c, last.Key, e.ackFn, out) {
+			if !w.remove(c, last.Key, e.ackFn, out) {
 				e.found = false
 				e.ackFn(c, out)
 			}
 		} else {
-			w.writeBack(c, last.Key, last.Value, e.ackFn, out)
+			w.update(c, last.Key, last.Value, e.ackFn, out)
 		}
 	}
 	c.SetTrace(nil)

@@ -106,13 +106,18 @@ type Config struct {
 
 	// MVCC enables the versioned record format and the transaction
 	// operations (OpTxn*): every slot value is wrapped in an mvcc.Envelope,
-	// updates never overwrite a committed version in place, and each worker
-	// keeps an in-memory version/lock table for its multi-version keys.
-	// Single-version reads stay on the zero-allocation path (the table
-	// probe misses and the read proceeds exactly as before, minus the
-	// envelope header strip). Plain OpUpdate/OpDelete remain available as
-	// non-transactional autocommits; snapshot guarantees cover keys written
-	// through the transaction operations. Incompatible with
+	// transactional writes never overwrite a committed version in place (a
+	// prewrite takes a new slot chained to its predecessor; commit flips the
+	// intent's kind byte), and each worker keeps an in-memory version/lock
+	// table for its multi-version keys. Plain OpUpdate/OpDelete remain
+	// available as non-transactional autocommits: on a single-version key
+	// (no table entry) they deliberately take the ordinary path, in-place
+	// overwrite included, because no snapshot can name the old version
+	// through a retained chain; on a multi-version key they chain a new
+	// slot. Snapshot guarantees therefore cover keys written through the
+	// transaction operations. Single-version reads stay on the
+	// zero-allocation path (the table probe misses and the read proceeds
+	// exactly as before, plus the envelope header strip). Incompatible with
 	// SharedEverything (per-worker state), TieredHotBytes (the hot cache
 	// would serve raw envelopes) and WithCommitLog (the ablation predates
 	// the envelope format). Write absorption composes: absorbed plain

@@ -30,7 +30,6 @@ import (
 	"kvell/internal/costs"
 	"kvell/internal/device"
 	"kvell/internal/env"
-	"kvell/internal/freelist"
 	"kvell/internal/kv"
 	"kvell/internal/mvcc"
 	"kvell/internal/slab"
@@ -41,190 +40,97 @@ import (
 const maxChainWalk = 32
 
 // ---------------------------------------------------------------------------
-// Envelope encode/decode plumbing
+// Envelope wrap/unwrap: what the versioned request path adds to the plain one
 
-// envScratch returns a pooled envelope-encode buffer. Buffers are released at
-// the point slab.EncodeItem consumes them (synchronously on cache hits and
-// fresh appends, inside the page-read continuation on misses), so concurrent
-// writes each hold a distinct buffer and the steady state allocates nothing.
-func (w *worker) envScratch() []byte {
+// encodeEnvelope encodes e into a pooled buffer. The buffer is released
+// (releaseEnv) by the write's durability continuation — the slab layer may
+// read its payload until then — so concurrent writes each hold a distinct
+// buffer and the steady state allocates nothing.
+func (w *worker) encodeEnvelope(e *mvcc.Envelope) []byte {
+	var b []byte
 	if n := len(w.envFree); n > 0 {
-		b := w.envFree[n-1]
+		b = w.envFree[n-1]
 		w.envFree = w.envFree[:n-1]
-		return b
+	} else {
+		b = make([]byte, 0, 256)
 	}
-	return make([]byte, 0, 256)
+	return mvcc.AppendEncode(b, e)
 }
 
 func (w *worker) releaseEnv(b []byte) {
 	w.envFree = append(w.envFree, b[:0])
 }
 
-// decodeEnv decodes the slot at data[off:] as a live envelope record. ok is
-// false when the slot is not live, holds a different key than expect (freed
-// and reused since the caller's lookup), or does not decode as an envelope.
-// The returned views alias data.
-func (w *worker) decodeEnv(c env.Ctx, sl *slab.Slab, off int, expect, data []byte) (mvcc.Envelope, bool) {
-	view := data
-	if !sl.MultiPage() {
-		view = data[off : off+sl.Stride]
+// newestCommitted is the version-resolution stage of a plain operation. For
+// a key in the version table (ks is non-nil) the operation acts on the
+// newest committed version, whatever the index names — under a lock that is
+// the intent slot; ok is false when there is none or it is a delete. Every
+// other key has exactly one version, the one the index points at.
+func (w *worker) newestCommitted(key []byte) (ks *mvcc.KeyState, l location, ok bool) {
+	if w.mv == nil {
+		return nil, 0, false
 	}
-	d, err := sl.DecodeSlotView(view)
-	if err != nil || d.Kind != slab.Live || (expect != nil && !bytes.Equal(d.Item.Key, expect)) {
-		return mvcc.Envelope{}, false
+	ks = w.mv.Get(key)
+	if ks == nil || len(ks.Versions) == 0 || ks.Versions[0].Del {
+		return ks, 0, false
 	}
-	c.CPU(costs.MemBytes(len(d.Item.Value)))
-	return mvcc.Decode(d.Item.Value)
+	return ks, location(ks.Versions[0].Loc), true
 }
 
-// readEnv reads the slot at l and delivers its decoded envelope to fn. The
-// envelope's views are valid only for the duration of fn.
-func (w *worker) readEnv(c env.Ctx, expect []byte, l location, fn func(c env.Ctx, e mvcc.Envelope, ok bool, out *[]*aio.IO), out *[]*aio.IO) {
-	sl := w.slabs[l.class()]
-	slot := l.slot()
-	if sl.MultiPage() {
-		buf := make([]byte, sl.PagesPerSlot()*device.PageSize)
-		io := w.getIO(c)
-		io.Op = device.Read
-		io.Page = sl.SlotPage(slot)
-		io.Buf = buf
-		io.Tag = ioCont(func(c env.Ctx, io *aio.IO, out *[]*aio.IO) {
-			e, ok := w.decodeEnv(c, sl, 0, expect, io.Buf)
-			fn(c, e, ok, out)
-		})
-		*out = append(*out, io)
-		return
+// committedValue unwraps a slot payload for a latest-semantics read: the
+// payload itself without MVCC, the envelope's user value with it — intents
+// and committed deletes read as absent.
+func (w *worker) committedValue(c env.Ctx, payload []byte) ([]byte, bool) {
+	if w.mv == nil {
+		return payload, payload != nil
 	}
-	page, off := sl.SlotPage(slot), sl.SlotOffset(slot)
-	c.CPU(w.cache.LookupCost())
-	if data := w.cache.Get(page); data != nil {
-		e, ok := w.decodeEnv(c, sl, off, expect, data)
-		fn(c, e, ok, out)
-		return
+	e, ok := mvcc.Decode(payload)
+	if !ok || e.Intent() || e.Delete() {
+		return nil, false
 	}
-	w.readPage(c, page, func(c env.Ctx, data []byte, out *[]*aio.IO) {
-		e, ok := w.decodeEnv(c, sl, off, expect, data)
-		fn(c, e, ok, out)
-	}, out)
+	c.CPU(costs.MemBytes(len(e.Value)))
+	return e.Value, true
 }
 
 // respondEnvValue copies e.Value into r's scratch buffer and answers r.
 func (w *worker) respondEnvValue(c env.Ctx, r *kv.Request, e *mvcc.Envelope, status uint8) {
-	n := len(e.Value)
-	c.CPU(costs.MemBytes(n))
-	var val []byte
-	if r.ValueBuf != nil && cap(r.ValueBuf) >= n {
-		val = r.ValueBuf[:n]
-	} else {
-		val = make([]byte, n)
-		r.ValueBuf = val
-	}
-	copy(val, e.Value)
-	w.respond(c, r, kv.Result{Found: true, Value: val, Txn: status})
+	c.CPU(costs.MemBytes(len(e.Value)))
+	w.respond(c, r, kv.Result{Found: true, Value: valueInto(&r.ValueBuf, e.Value), Txn: status})
 }
 
-// ---------------------------------------------------------------------------
-// Envelope write path
-
-// writeEnvelope stores e as key's value in a fresh (or free-list) slot and
-// returns its location; done runs once the slot is durable. Unlike doUpdate
-// it never overwrites in place and never tombstones a previous location —
-// superseded versions stay live for snapshot readers until GC. The caller
-// owns the index update.
-func (w *worker) writeEnvelope(c env.Ctx, key []byte, e *mvcc.Envelope, done func(env.Ctx, *[]*aio.IO), out *[]*aio.IO) location {
-	b := w.envScratch()
-	b = mvcc.AppendEncode(b, e)
-	cls := slab.ClassFor(w.st.cfg.Classes, len(key), len(b))
-	if cls < 0 {
-		panic("core: mvcc envelope exceeds largest configured size class")
-	}
-	sl := w.slabs[cls]
-	slot, reused := sl.Alloc()
-	sl.Live++
+// placeVersion stores the encoded envelope b as a new version slot of key
+// and returns its location. Unlike update it never overwrites in place and
+// never tombstones a previous location — superseded versions stay live for
+// snapshot readers until GC — and the caller owns the index update.
+func (w *worker) placeVersion(c env.Ctx, key, b []byte, done func(env.Ctx, *[]*aio.IO), out *[]*aio.IO) location {
 	ts := w.nextTS()
 	c.CPU(costs.MemBytes(len(key) + len(b)))
+	return w.placeItem(c, w.classFor(key, b), key, b, ts, false, done, out)
+}
 
-	if sl.MultiPage() {
-		big := make([]byte, sl.PagesPerSlot()*device.PageSize)
-		if err := sl.EncodeItem(big, ts, key, b); err != nil {
-			panic(err)
-		}
+// chainCommit is the autocommit of a plain put (or delete) on a
+// multi-version key: a new committed slot chained onto the newest version. A
+// pending intent is left untouched: the autocommit chains beneath it as the
+// newest committed version (the transaction, if it commits, wins with its
+// larger commit timestamp — plain writes make no first-committer-wins
+// promise), and under the lock the index keeps naming the intent slot.
+func (w *worker) chainCommit(c env.Ctx, key []byte, ks *mvcc.KeyState, cts uint64, del bool, value []byte, done func(env.Ctx, *[]*aio.IO), out *[]*aio.IO) {
+	e := mvcc.Envelope{Kind: mvcc.KindCommitPut, StartTS: cts, CommitTS: cts, PrevLoc: mvcc.NoLoc, Value: value}
+	if del {
+		e.Kind = mvcc.KindCommitDelete
+	}
+	if len(ks.Versions) > 0 {
+		e.PrevLoc = ks.Versions[0].Loc
+	}
+	b := w.encodeEnvelope(&e)
+	nl := w.placeVersion(c, key, b, func(c env.Ctx, out *[]*aio.IO) {
 		w.releaseEnv(b)
-		writeSlot := func(c env.Ctx, out *[]*aio.IO) {
-			w.writePage(c, sl.SlotPage(slot), big, done, out)
-		}
-		if reused {
-			w.readPage(c, sl.SlotPage(slot), func(c env.Ctx, data []byte, out *[]*aio.IO) {
-				w.recoverChain(sl, data[:slab.HeaderSize+8])
-				w.cacheRemove(sl.SlotPage(slot)) // page belongs to a multi-page slot
-				writeSlot(c, out)
-			}, out)
-			return loc(cls, slot)
-		}
-		writeSlot(c, out)
-		return loc(cls, slot)
+		done(c, out)
+	}, out)
+	ks.Insert(mvcc.Version{CommitTS: cts, StartTS: cts, Loc: uint64(nl), Del: del})
+	if ks.Lock == nil {
+		w.indexPut(c, key, nl)
 	}
-
-	page, off := sl.SlotPage(slot), sl.SlotOffset(slot)
-	apply := func(c env.Ctx, data []byte) {
-		if reused {
-			w.recoverChain(sl, data[off:off+sl.Stride])
-		}
-		if err := sl.EncodeItem(data[off:off+sl.Stride], ts, key, b); err != nil {
-			panic(err)
-		}
-		w.releaseEnv(b) // consumed by the page image
-	}
-	if !reused && sl.AppendPageFresh(slot) {
-		data := w.zeroPageBuf()
-		apply(c, data)
-		w.cacheInsert(c, page, data)
-		if prev, ok := w.tailPage[cls]; ok {
-			w.cache.Unpin(prev)
-		}
-		w.cache.Pin(page)
-		w.tailPage[cls] = page
-		w.writePage(c, page, data, done, out)
-		return loc(cls, slot)
-	}
-	w.applyToPage(c, page, apply, done, out)
-	return loc(cls, slot)
-}
-
-// freeSlot tombstones the slot at l (free-list push included) and calls done
-// (which may be nil) once the tombstone is durable.
-func (w *worker) freeSlot(c env.Ctx, l location, done func(env.Ctx, *[]*aio.IO), out *[]*aio.IO) {
-	sl := w.slabs[l.class()]
-	slot := l.slot()
-	chainTo, chained := sl.Free.Push(slot)
-	if !chained {
-		chainTo = freelist.NoSlot
-	}
-	sl.Live--
-	ts := w.nextTS()
-	if sl.MultiPage() {
-		data := w.zeroPageBuf()
-		sl.EncodeTombstone(data, ts, chainTo)
-		w.cacheRemove(sl.SlotPage(slot))
-		w.writePage(c, sl.SlotPage(slot), data, done, out)
-		w.retireBuf(data)
-		return
-	}
-	page, off := sl.SlotPage(slot), sl.SlotOffset(slot)
-	w.applyToPage(c, page, func(c env.Ctx, data []byte) {
-		sl.EncodeTombstone(data[off:off+sl.Stride], ts, chainTo)
-	}, done, out)
-}
-
-// patchEnvelope flips the envelope at the head of a slot's value region
-// (which starts right after the slab header and key) from intent to
-// committed: only the kind byte and commit-timestamp field change, so the
-// slab header — including the per-page timestamps a multi-page tear check
-// validates — is untouched.
-func patchEnvelope(slotBuf []byte, klen int, kind byte, cts uint64) {
-	p := slab.HeaderSize + klen
-	slotBuf[p] = kind
-	binary.LittleEndian.PutUint64(slotBuf[p+9:p+17], cts)
 }
 
 // flipIntent commits the intent at lk.IntentLoc in place with one atomic
@@ -232,176 +138,24 @@ func patchEnvelope(slotBuf []byte, klen int, kind byte, cts uint64) {
 // point when key is the primary.
 func (w *worker) flipIntent(c env.Ctx, key []byte, lk *mvcc.Lock, cts uint64, done func(env.Ctx, *[]*aio.IO), out *[]*aio.IO) {
 	l := location(lk.IntentLoc)
-	sl := w.slabs[l.class()]
-	slot := l.slot()
 	kind := byte(mvcc.KindCommitPut)
 	if lk.Del {
 		kind = mvcc.KindCommitDelete
 	}
-	if !sl.MultiPage() {
-		page, off := sl.SlotPage(slot), sl.SlotOffset(slot)
-		w.applyToPage(c, page, func(c env.Ctx, data []byte) {
-			patchEnvelope(data[off:off+sl.Stride], len(key), kind, cts)
-		}, done, out)
-		return
-	}
-	// Multi-page slot: the envelope header sits in page 0's payload right
-	// after the key, so the flip is still one single-page atomic write.
-	if slab.HeaderSize+len(key)+mvcc.HeaderSize > device.PageSize {
+	// In a multi-page slot the envelope header must sit in page 0's payload
+	// right after the key, so the flip is still one single-page write.
+	if w.slabs[l.class()].MultiPage() && slab.HeaderSize+len(key)+mvcc.HeaderSize > device.PageSize {
 		panic("core: mvcc flip: key too large to patch within the slot's first page")
 	}
-	pg := sl.SlotPage(slot)
-	io := w.getIO(c)
-	io.Op = device.Read
-	io.Page = pg
-	io.Buf = w.pageBuf()
-	io.Tag = ioCont(func(c env.Ctx, io *aio.IO, out *[]*aio.IO) {
-		buf := io.Buf
-		patchEnvelope(buf, len(key), kind, cts)
-		w.writePage(c, pg, buf, func(c env.Ctx, out *[]*aio.IO) {
-			w.retireBuf(buf)
-			done(c, out)
-		}, out)
-	})
-	*out = append(*out, io)
-}
-
-// ---------------------------------------------------------------------------
-// Plain operations under MVCC (non-transactional autocommits)
-
-// writeBack funnels a plain durable write: the MVCC autocommit path when
-// versioning is on, the ordinary slab update otherwise. The absorb flush
-// uses it so group-committed writes are envelope-wrapped too.
-func (w *worker) writeBack(c env.Ctx, key, value []byte, done func(env.Ctx, *[]*aio.IO), out *[]*aio.IO) {
-	if w.mv != nil {
-		w.mvccUpdate(c, key, value, done, out)
-		return
-	}
-	w.doUpdate(c, key, value, done, out)
-}
-
-// deleteBack is writeBack's counterpart for deletes.
-func (w *worker) deleteBack(c env.Ctx, key []byte, done func(env.Ctx, *[]*aio.IO), out *[]*aio.IO) bool {
-	if w.mv != nil {
-		return w.mvccDeleteKey(c, key, done, out)
-	}
-	return w.deleteKey(c, key, done, out)
-}
-
-// mvccUpdate is the plain-update path in MVCC mode: an autocommit at a fresh
-// oracle timestamp. Single-version keys (no table entry) take the ordinary
-// doUpdate machinery — in-place overwrite, class migration, old-slot
-// tombstone — because no snapshot can name their old version through a
-// retained chain; multi-version keys get a chained new slot instead, and the
-// superseded version stays live for snapshot readers until GC. A pending
-// intent is left untouched: the autocommit chains beneath it as the newest
-// committed version (the transaction, if it commits, wins with its larger
-// commit timestamp — plain writes make no first-committer-wins promise).
-func (w *worker) mvccUpdate(c env.Ctx, key, value []byte, done func(env.Ctx, *[]*aio.IO), out *[]*aio.IO) {
-	cts := w.st.oracle.Next(c.Now())
-	ks := w.mv.Get(key)
-	if ks == nil {
-		e := mvcc.Envelope{Kind: mvcc.KindCommitPut, StartTS: cts, CommitTS: cts, PrevLoc: mvcc.NoLoc, Value: value}
-		b := w.envScratch()
-		b = mvcc.AppendEncode(b, &e)
-		w.doUpdate(c, key, b, func(c env.Ctx, out *[]*aio.IO) {
-			w.releaseEnv(b)
-			done(c, out)
-		}, out)
-		return
-	}
-	prev := uint64(mvcc.NoLoc)
-	if len(ks.Versions) > 0 {
-		prev = ks.Versions[0].Loc
-	}
-	e := mvcc.Envelope{Kind: mvcc.KindCommitPut, StartTS: cts, CommitTS: cts, PrevLoc: prev, Value: value}
-	nl := w.writeEnvelope(c, key, &e, done, out)
-	ks.Insert(mvcc.Version{CommitTS: cts, StartTS: cts, Loc: uint64(nl)})
-	if ks.Lock == nil {
-		// Under a lock the index keeps naming the intent slot.
-		w.indexPut(c, key, nl)
-	}
-}
-
-// mvccDelete answers a plain OpDelete in MVCC mode.
-func (w *worker) mvccDelete(c env.Ctx, r *kv.Request, out *[]*aio.IO) {
-	if !w.mvccDeleteKey(c, r.Key, func(c env.Ctx, out *[]*aio.IO) {
-		w.respond(c, r, kv.Result{Found: true})
-	}, out) {
-		w.respond(c, r, kv.Result{})
-	}
-}
-
-// mvccDeleteKey is the plain-delete path in MVCC mode: single-version keys
-// are removed outright (index delete + tombstone, as without MVCC);
-// multi-version keys get a chained committed-delete envelope so older
-// snapshots keep reading the prior version until GC purges the key.
-func (w *worker) mvccDeleteKey(c env.Ctx, key []byte, done func(env.Ctx, *[]*aio.IO), out *[]*aio.IO) bool {
-	ks := w.mv.Get(key)
-	if ks == nil {
-		return w.deleteKey(c, key, done, out)
-	}
-	exists := len(ks.Versions) > 0 && !ks.Versions[0].Del
-	if !exists {
-		return false
-	}
-	cts := w.st.oracle.Next(c.Now())
-	e := mvcc.Envelope{Kind: mvcc.KindCommitDelete, StartTS: cts, CommitTS: cts, PrevLoc: ks.Versions[0].Loc}
-	nl := w.writeEnvelope(c, key, &e, done, out)
-	ks.Insert(mvcc.Version{CommitTS: cts, StartTS: cts, Loc: uint64(nl), Del: true})
-	if ks.Lock == nil {
-		w.indexPut(c, key, nl)
-	}
-	return true
-}
-
-// respondPlainEnv finishes a latest-semantics read: intents and committed
-// deletes read as absent.
-func (w *worker) respondPlainEnv(c env.Ctx, r *kv.Request, e *mvcc.Envelope, ok bool) {
-	if !ok || e.Intent() || e.Delete() {
-		w.respond(c, r, kv.Result{})
-		return
-	}
-	w.respondEnvValue(c, r, e, kv.TxnOK)
-}
-
-// mvccPlainGet answers a plain OpGet in MVCC mode: the newest committed
-// version, silently reading past any pending intent. The common case — no
-// table entry — is a map miss followed by the pre-MVCC read path with an
-// envelope strip, and stays allocation-free on a warm cache.
-func (w *worker) mvccPlainGet(c env.Ctx, r *kv.Request, out *[]*aio.IO) {
-	if ks := w.mv.Get(r.Key); ks != nil && ks.Lock != nil {
-		if len(ks.Versions) == 0 || ks.Versions[0].Del {
-			w.respond(c, r, kv.Result{})
-			return
-		}
-		w.readVersion(c, r, ks.Versions[0], kv.TxnOK, out)
-		return
-	}
-	l, ok := w.lookup(c, r.Key)
-	if !ok {
-		w.respond(c, r, kv.Result{})
-		return
-	}
-	sl := w.slabs[l.class()]
-	if !sl.MultiPage() {
-		slot := l.slot()
-		page, off := sl.SlotPage(slot), sl.SlotOffset(slot)
-		c.CPU(w.cache.LookupCost())
-		if data := w.cache.Get(page); data != nil {
-			e, ok := w.decodeEnv(c, sl, off, nil, data)
-			w.respondPlainEnv(c, r, &e, ok)
-			return
-		}
-		w.readPage(c, page, func(c env.Ctx, data []byte, out *[]*aio.IO) {
-			e, ok := w.decodeEnv(c, sl, off, nil, data)
-			w.respondPlainEnv(c, r, &e, ok)
-		}, out)
-		return
-	}
-	w.readEnv(c, nil, l, func(c env.Ctx, e mvcc.Envelope, ok bool, out *[]*aio.IO) {
-		w.respondPlainEnv(c, r, &e, ok)
-	}, out)
+	w.patchSlot(c, l, func(c env.Ctx, slot []byte) {
+		// The envelope heads the slot's value region, right after the slab
+		// header and key. Only its kind byte and commit-timestamp field
+		// change, so the slab header — including the per-page timestamps a
+		// multi-page tear check validates — is untouched.
+		p := slab.HeaderSize + len(key)
+		slot[p] = kind
+		binary.LittleEndian.PutUint64(slot[p+9:p+17], cts)
+	}, done, out)
 }
 
 // readVersion delivers the version v of r.Key, trusting the table: the slot's
@@ -414,7 +168,8 @@ func (w *worker) readVersion(c env.Ctx, r *kv.Request, v mvcc.Version, status ui
 		w.respond(c, r, kv.Result{Txn: status})
 		return
 	}
-	w.readEnv(c, r.Key, location(v.Loc), func(c env.Ctx, e mvcc.Envelope, ok bool, out *[]*aio.IO) {
+	w.readSlot(c, location(v.Loc), r.Key, func(c env.Ctx, payload []byte, out *[]*aio.IO) {
+		e, ok := mvcc.Decode(payload)
 		if !ok {
 			w.respond(c, r, kv.Result{Txn: status})
 			return
@@ -423,59 +178,8 @@ func (w *worker) readVersion(c env.Ctx, r *kv.Request, v mvcc.Version, status ui
 	}, out)
 }
 
-// mvccRMW is the YCSB-F read-modify-write under MVCC: read the newest
-// committed version (discarded), then autocommit the new value.
-func (w *worker) mvccRMW(c env.Ctx, r *kv.Request, out *[]*aio.IO) {
-	write := func(c env.Ctx, out *[]*aio.IO) {
-		w.mvccUpdate(c, r.Key, r.Value, func(c env.Ctx, out *[]*aio.IO) {
-			w.respond(c, r, kv.Result{Found: true})
-		}, out)
-	}
-	if ks := w.mv.Get(r.Key); ks != nil {
-		if len(ks.Versions) == 0 || ks.Versions[0].Del {
-			w.respond(c, r, kv.Result{})
-			return
-		}
-		w.readEnv(c, r.Key, location(ks.Versions[0].Loc), func(c env.Ctx, e mvcc.Envelope, ok bool, out *[]*aio.IO) {
-			write(c, out)
-		}, out)
-		return
-	}
-	l, ok := w.lookup(c, r.Key)
-	if !ok {
-		w.respond(c, r, kv.Result{})
-		return
-	}
-	w.readEnv(c, r.Key, l, func(c env.Ctx, e mvcc.Envelope, ok bool, out *[]*aio.IO) {
-		if !ok || e.Intent() || e.Delete() {
-			w.respond(c, r, kv.Result{})
-			return
-		}
-		write(c, out)
-	}, out)
-}
-
 // ---------------------------------------------------------------------------
 // Transaction operations
-
-// startMVCC dispatches a request in MVCC mode: plain operations take their
-// autocommit variants, transaction operations their handlers.
-func (w *worker) startMVCC(c env.Ctx, r *kv.Request, out *[]*aio.IO) {
-	switch r.Op {
-	case kv.OpGet:
-		w.mvccPlainGet(c, r, out)
-	case kv.OpUpdate:
-		w.mvccUpdate(c, r.Key, r.Value, func(c env.Ctx, out *[]*aio.IO) {
-			w.respond(c, r, kv.Result{Found: true})
-		}, out)
-	case kv.OpDelete:
-		w.mvccDelete(c, r, out)
-	case kv.OpRMW:
-		w.mvccRMW(c, r, out)
-	default:
-		w.startTxn(c, r, out)
-	}
-}
 
 // startTxn dispatches an OpTxn* request (empty result when MVCC is off).
 func (w *worker) startTxn(c env.Ctx, r *kv.Request, out *[]*aio.IO) {
@@ -562,7 +266,8 @@ func (w *worker) txnGet(c env.Ctx, r *kv.Request, out *[]*aio.IO) {
 // slot), so a too-new head simply reads as absent at old snapshots — the
 // snapshot guarantee covers transactionally written keys.
 func (w *worker) snapshotWalk(c env.Ctx, r *kv.Request, l location, depth int, out *[]*aio.IO) {
-	w.readEnv(c, r.Key, l, func(c env.Ctx, e mvcc.Envelope, ok bool, out *[]*aio.IO) {
+	w.readSlot(c, l, r.Key, func(c env.Ctx, payload []byte, out *[]*aio.IO) {
+		e, ok := mvcc.Decode(payload)
 		if !ok {
 			w.respond(c, r, kv.Result{})
 			return
@@ -597,11 +302,11 @@ func (w *worker) txnPrewrite(c env.Ctx, r *kv.Request, out *[]*aio.IO) {
 	if ks == nil {
 		l, ok := w.lookup(c, r.Key)
 		if ok {
-			w.readEnv(c, r.Key, l, func(c env.Ctx, e mvcc.Envelope, ok bool, out *[]*aio.IO) {
+			w.readSlot(c, l, r.Key, func(c env.Ctx, payload []byte, out *[]*aio.IO) {
 				ks := w.mv.Get(r.Key)
 				if ks == nil {
 					ks = w.mv.Ensure(r.Key)
-					if ok && e.Committed() {
+					if e, ok := mvcc.Decode(payload); ok && e.Committed() {
 						ks.Versions = append(ks.Versions, mvcc.Version{
 							CommitTS: e.CommitTS, StartTS: e.StartTS, Loc: uint64(l), Del: e.Delete()})
 					}
@@ -642,8 +347,9 @@ func (w *worker) prewriteLocked(c env.Ctx, r *kv.Request, ks *mvcc.KeyState, out
 	if r.Del {
 		kind = mvcc.KindIntentDelete
 	}
-	e := mvcc.Envelope{Kind: kind, StartTS: r.TS, PrevLoc: prev, Primary: r.Aux, Value: r.Value}
-	nl := w.writeEnvelope(c, r.Key, &e, func(c env.Ctx, out *[]*aio.IO) {
+	b := w.encodeEnvelope(&mvcc.Envelope{Kind: kind, StartTS: r.TS, PrevLoc: prev, Primary: r.Aux, Value: r.Value})
+	nl := w.placeVersion(c, r.Key, b, func(c env.Ctx, out *[]*aio.IO) {
+		w.releaseEnv(b)
 		w.respond(c, r, kv.Result{Found: true, Txn: kv.TxnOK})
 	}, out)
 	w.indexPut(c, r.Key, nl)
@@ -666,27 +372,7 @@ func (w *worker) txnCommit(c env.Ctx, r *kv.Request, out *[]*aio.IO) {
 	if ks == nil || ks.Lock == nil || ks.Lock.StartTS != r.TS {
 		// No matching intent: already committed (duplicate or roll-forward
 		// retry) or rolled back.
-		if ks != nil {
-			if v, ok := ks.VersionAt(r.TS); ok {
-				w.respond(c, r, kv.Result{Found: true, Txn: kv.TxnOK, TxnTS: v.CommitTS})
-				return
-			}
-			w.respond(c, r, kv.Result{Txn: kv.TxnAborted})
-			return
-		}
-		// Table entry gone (GC after commit): consult the indexed envelope.
-		l, ok := w.lookup(c, r.Key)
-		if !ok {
-			w.respond(c, r, kv.Result{Txn: kv.TxnAborted})
-			return
-		}
-		w.readEnv(c, r.Key, l, func(c env.Ctx, e mvcc.Envelope, ok bool, out *[]*aio.IO) {
-			if ok && e.Committed() && e.StartTS == r.TS {
-				w.respond(c, r, kv.Result{Found: true, Txn: kv.TxnOK, TxnTS: e.CommitTS})
-				return
-			}
-			w.respond(c, r, kv.Result{Txn: kv.TxnAborted})
-		}, out)
+		w.txnOutcome(c, r, ks, kv.Result{Found: true, Txn: kv.TxnOK}, out)
 		return
 	}
 	lk := ks.Lock
@@ -734,12 +420,21 @@ func (w *worker) txnResolve(c env.Ctx, r *kv.Request, out *[]*aio.IO) {
 		w.respond(c, r, kv.Result{Txn: kv.TxnPending, TxnTS: lk.StartTS})
 		return
 	}
+	w.txnOutcome(c, r, ks, kv.Result{Txn: kv.TxnCommitted}, out)
+}
+
+// txnOutcome answers r when r.Key holds no intent of the transaction that
+// started at r.TS: with won, carrying the commit timestamp, when the
+// transaction's version is retained in the table or is the indexed envelope
+// (table entry gone: GC after commit); with TxnAborted otherwise.
+func (w *worker) txnOutcome(c env.Ctx, r *kv.Request, ks *mvcc.KeyState, won kv.Result, out *[]*aio.IO) {
 	if ks != nil {
+		res := kv.Result{Txn: kv.TxnAborted}
 		if v, ok := ks.VersionAt(r.TS); ok {
-			w.respond(c, r, kv.Result{Txn: kv.TxnCommitted, TxnTS: v.CommitTS})
-			return
+			res = won
+			res.TxnTS = v.CommitTS
 		}
-		w.respond(c, r, kv.Result{Txn: kv.TxnAborted})
+		w.respond(c, r, res)
 		return
 	}
 	l, ok := w.lookup(c, r.Key)
@@ -747,12 +442,13 @@ func (w *worker) txnResolve(c env.Ctx, r *kv.Request, out *[]*aio.IO) {
 		w.respond(c, r, kv.Result{Txn: kv.TxnAborted})
 		return
 	}
-	w.readEnv(c, r.Key, l, func(c env.Ctx, e mvcc.Envelope, ok bool, out *[]*aio.IO) {
-		if ok && e.Committed() && e.StartTS == r.TS {
-			w.respond(c, r, kv.Result{Txn: kv.TxnCommitted, TxnTS: e.CommitTS})
-			return
+	w.readSlot(c, l, r.Key, func(c env.Ctx, payload []byte, out *[]*aio.IO) {
+		res := kv.Result{Txn: kv.TxnAborted}
+		if e, ok := mvcc.Decode(payload); ok && e.Committed() && e.StartTS == r.TS {
+			res = won
+			res.TxnTS = e.CommitTS
 		}
-		w.respond(c, r, kv.Result{Txn: kv.TxnAborted})
+		w.respond(c, r, res)
 	}, out)
 }
 
@@ -913,11 +609,11 @@ func (s *Store) ScanAtN(c env.Ctx, start []byte, count int, ts uint64) []kv.Item
 func (s *Store) mvccRemapCands(cands []candidate) []candidate {
 	out := cands[:0]
 	for _, cd := range cands {
-		if ks := cd.w.mv.Get(cd.key); ks != nil {
-			if len(ks.Versions) == 0 || ks.Versions[0].Del {
+		if ks, l, ok := cd.w.newestCommitted(cd.key); ks != nil {
+			if !ok {
 				continue
 			}
-			cd.l = location(ks.Versions[0].Loc)
+			cd.l = l
 		}
 		out = append(out, cd)
 	}
@@ -940,23 +636,33 @@ func (s *Store) GC(c env.Ctx, watermark uint64) int {
 	return freed
 }
 
-// PendingLocks returns how many keys currently hold a pending intent. Pure
+// pendingLock names one key holding a pending intent.
+type pendingLock struct {
+	key     string
+	primary string
+	startTS uint64
+}
+
+// pendingLocks lists the keys currently holding a pending intent. Pure
 // in-memory inspection for tests and settlement; safe whenever no worker is
 // mutating (the simulation is cooperative).
-func (s *Store) PendingLocks() int {
-	n := 0
+func (s *Store) pendingLocks() []pendingLock {
+	var pends []pendingLock
 	for _, w := range s.workers {
 		if w.mv == nil {
 			continue
 		}
 		for _, k := range w.mv.Keys(nil) {
 			if ks := w.mv.Get([]byte(k)); ks != nil && ks.Lock != nil {
-				n++
+				pends = append(pends, pendingLock{key: k, primary: string(ks.Lock.Primary), startTS: ks.Lock.StartTS})
 			}
 		}
 	}
-	return n
+	return pends
 }
+
+// PendingLocks returns how many keys currently hold a pending intent.
+func (s *Store) PendingLocks() int { return len(s.pendingLocks()) }
 
 // ResolveIntents settles every intent left pending by a crash: each is
 // resolved through its primary — rolled forward when the primary committed
@@ -964,22 +670,7 @@ func (s *Store) PendingLocks() int {
 // after Recover and Start, before admitting new traffic. It returns the
 // number of intents settled.
 func (s *Store) ResolveIntents(c env.Ctx) int {
-	type pend struct {
-		key     string
-		primary string
-		startTS uint64
-	}
-	var pends []pend
-	for _, w := range s.workers {
-		if w.mv == nil {
-			continue
-		}
-		for _, k := range w.mv.Keys(nil) {
-			if ks := w.mv.Get([]byte(k)); ks != nil && ks.Lock != nil {
-				pends = append(pends, pend{key: k, primary: string(ks.Lock.Primary), startTS: ks.Lock.StartTS})
-			}
-		}
-	}
+	pends := s.pendingLocks()
 	sort.Slice(pends, func(i, j int) bool {
 		if pends[i].key != pends[j].key {
 			return pends[i].key < pends[j].key
@@ -1161,30 +852,14 @@ func (s *Store) CheckMVCC() error {
 
 func (w *worker) checkMVCC() error {
 	st := storeOf(w.dev)
-	readSlot := func(l location) (mvcc.Envelope, []byte, bool, error) {
-		sl := w.slabs[l.class()]
-		slot := l.slot()
-		buf := make([]byte, sl.PagesPerSlot()*device.PageSize)
-		if sl.MultiPage() {
-			if err := st.ReadPages(sl.SlotPage(slot), buf); err != nil {
-				return mvcc.Envelope{}, nil, false, err
-			}
-		} else {
-			if err := st.ReadPages(sl.SlotPage(slot), buf); err != nil {
-				return mvcc.Envelope{}, nil, false, err
-			}
-			off := sl.SlotOffset(slot)
-			buf = buf[off : off+sl.Stride]
+	// envelopeAt reads the slot at l; live reports a live envelope of key.
+	envelopeAt := func(l location, key []byte) (e mvcc.Envelope, live bool, err error) {
+		d, err := hostSlot(st, w.slabs[l.class()], l.slot())
+		if err != nil || d.Kind != slab.Live || !bytes.Equal(d.Item.Key, key) {
+			return mvcc.Envelope{}, false, err
 		}
-		d, err := sl.DecodeSlot(buf)
-		if err != nil || d.Kind != slab.Live {
-			return mvcc.Envelope{}, nil, false, nil
-		}
-		e, ok := mvcc.Decode(d.Item.Value)
-		if !ok {
-			return mvcc.Envelope{}, nil, false, nil
-		}
-		return e, d.Item.Key, true, nil
+		e, live = mvcc.Decode(d.Item.Value)
+		return e, live, nil
 	}
 
 	// Chain ownership: walk every indexed key's PrevLoc chain; a slot
@@ -1195,12 +870,12 @@ func (w *worker) checkMVCC() error {
 	w.idx.AscendFrom(nil, func(key []byte, v uint64) bool {
 		l := location(v)
 		for hop := 0; hop < maxChainWalk; hop++ {
-			e, slotKey, live, err := readSlot(l)
+			e, live, err := envelopeAt(l, key)
 			if err != nil {
 				verr = fmt.Errorf("key %q: read chain slot %d/%d: %w", key, l.class(), l.slot(), err)
 				return false
 			}
-			if !live || !bytes.Equal(slotKey, key) {
+			if !live {
 				break // chain ends at a freed/reused slot (below the watermark)
 			}
 			if prev, dup := owner[l]; dup {
@@ -1234,11 +909,11 @@ func (w *worker) checkMVCC() error {
 		kb := []byte(k)
 		ks := w.mv.Get(kb)
 		if lk := ks.Lock; lk != nil {
-			e, slotKey, live, err := readSlot(location(lk.IntentLoc))
+			e, live, err := envelopeAt(location(lk.IntentLoc), kb)
 			if err != nil {
 				return err
 			}
-			if !live || !bytes.Equal(slotKey, kb) {
+			if !live {
 				return fmt.Errorf("key %q: lock intent slot %d/%d not live for the key",
 					k, location(lk.IntentLoc).class(), location(lk.IntentLoc).slot())
 			}
@@ -1252,11 +927,11 @@ func (w *worker) checkMVCC() error {
 				return fmt.Errorf("key %q: versions not newest-first at index %d", k, i)
 			}
 			last = v.CommitTS
-			_, slotKey, live, err := readSlot(location(v.Loc))
+			_, live, err := envelopeAt(location(v.Loc), kb)
 			if err != nil {
 				return err
 			}
-			if !live || !bytes.Equal(slotKey, kb) {
+			if !live {
 				return fmt.Errorf("key %q: version slot %d/%d (commit ts %d) not live for the key",
 					k, location(v.Loc).class(), location(v.Loc).slot(), v.CommitTS)
 			}

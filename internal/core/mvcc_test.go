@@ -49,60 +49,6 @@ func txnWrite(t *testing.T, c env.Ctx, st *Store, key, value []byte, del bool) u
 	}
 }
 
-func TestMVCCPlainOpsStillWork(t *testing.T) {
-	st, _ := simHarness(t, mvccCfg, func(c env.Ctx, st *Store) {
-		for i := int64(0); i < 200; i++ {
-			st.Put(c, kv.Key(i), kv.Value(i, 1, 500))
-		}
-		for i := int64(0); i < 200; i++ {
-			v, ok := st.Get(c, kv.Key(i))
-			if !ok || !bytes.Equal(v, kv.Value(i, 1, 500)) {
-				t.Fatalf("Get(%d): ok=%v", i, ok)
-			}
-		}
-		// Overwrites keep latest semantics.
-		st.Put(c, kv.Key(3), kv.Value(3, 2, 500))
-		if v, _ := st.Get(c, kv.Key(3)); !bytes.Equal(v, kv.Value(3, 2, 500)) {
-			t.Fatal("overwrite lost")
-		}
-		// Deletes.
-		if !st.Delete(c, kv.Key(7)) {
-			t.Fatal("delete existing returned false")
-		}
-		if _, ok := st.Get(c, kv.Key(7)); ok {
-			t.Fatal("deleted key still readable")
-		}
-		if st.Delete(c, kv.Key(7)) {
-			t.Fatal("double delete returned true")
-		}
-		// RMW.
-		res := st.Do(c, &kv.Request{Op: kv.OpRMW, Key: kv.Key(5), Value: kv.Value(5, 9, 300)})
-		if !res.Found {
-			t.Fatal("RMW on existing key not found")
-		}
-		if v, _ := st.Get(c, kv.Key(5)); !bytes.Equal(v, kv.Value(5, 9, 300)) {
-			t.Fatal("RMW result lost")
-		}
-		// Scans unwrap envelopes.
-		items := st.ScanN(c, kv.Key(100), 20)
-		if len(items) != 20 {
-			t.Fatalf("scan returned %d items", len(items))
-		}
-		for j, it := range items {
-			if !bytes.Equal(it.Value, kv.Value(100+int64(j), 1, 500)) {
-				t.Fatalf("scan[%d] wrong value", j)
-			}
-		}
-	})
-	// Plain single-version traffic must leave no multi-version state behind.
-	if got := st.Stats().MVCCKeys; got != 0 {
-		t.Fatalf("MVCCKeys = %d after plain ops, want 0", got)
-	}
-	if err := st.CheckMVCC(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMVCCBulkLoadWrapsEnvelopes(t *testing.T) {
 	s := sim.New(1)
 	e := sim.NewEnv(s, 8)
@@ -559,26 +505,51 @@ func TestMVCCVersionChainStress(t *testing.T) {
 	}
 }
 
-func TestMVCCAbsorbComposition(t *testing.T) {
-	// Write absorption + MVCC: absorbed plain writes are wrapped at flush,
-	// transaction operations bypass the buffer.
+// TestMVCCAbsorbRMWOnDeletedKey: with the absorb front end on, an RMW that
+// misses the buffer must read the key's newest committed version like the
+// direct path does. A key whose newest committed version is a delete (the
+// index names the delete envelope's slot, which is live) or that holds only
+// a pending intent is absent: the RMW answers not-found and writes nothing.
+func TestMVCCAbsorbRMWOnDeletedKey(t *testing.T) {
 	st, _ := simHarness(t, func(c *Config) {
 		c.MVCC = true
 		c.AbsorbInterval = 20 * env.Microsecond
 	}, func(c env.Ctx, st *Store) {
-		for i := int64(0); i < 50; i++ {
-			st.Put(c, kv.Key(i), kv.Value(i, 1, 300))
+		deleted, locked := kv.Key(5), kv.Key(6)
+		st.Put(c, deleted, kv.Value(5, 1, 300))
+		txnDelete(t, c, st, deleted)
+		start := st.NextTS(c)
+		if res := st.Do(c, &kv.Request{Op: kv.OpTxnPrewrite, Key: locked, Value: kv.Value(6, 1, 300), TS: start, Aux: locked}); res.Txn != kv.TxnOK {
+			t.Fatalf("prewrite: txn status %d", res.Txn)
 		}
-		for i := int64(0); i < 50; i++ {
-			if v, ok := st.Get(c, kv.Key(i)); !ok || !bytes.Equal(v, kv.Value(i, 1, 300)) {
-				t.Fatalf("Get(%d) failed under absorb+mvcc", i)
+		// Keep each key's worker busy with writes to other keys of its shard,
+		// so the RMW is offered to the absorb buffer rather than run directly.
+		var reqs []*kv.Request
+		for _, key := range [][]byte{deleted, locked} {
+			for i, n := int64(100), 0; n < 4; i++ {
+				if st.workerFor(kv.Key(i)) == st.workerFor(key) {
+					reqs = append(reqs, &kv.Request{Op: kv.OpUpdate, Key: kv.Key(i), Value: kv.Value(i, 1, 300)})
+					n++
+				}
 			}
 		}
-		txnPut(t, c, st, kv.Key(5), kv.Value(5, 9, 300))
-		if v, ok := st.Get(c, kv.Key(5)); !ok || !bytes.Equal(v, kv.Value(5, 9, 300)) {
-			t.Fatal("txn write lost under absorb")
+		reqs = append(reqs,
+			&kv.Request{Op: kv.OpRMW, Key: deleted, Value: kv.Value(5, 2, 300)},
+			&kv.Request{Op: kv.OpRMW, Key: locked, Value: kv.Value(6, 2, 300)})
+		res := burst(c, st, reqs)
+		for i, key := range [][]byte{deleted, locked} {
+			if res[len(res)-2+i].Found {
+				t.Errorf("RMW(%q) reported Found on a key with no committed value", key)
+			}
+			if _, ok := st.Get(c, key); ok {
+				t.Errorf("Get(%q) finds a value after the RMW: it wrote one", key)
+			}
 		}
+		st.Do(c, &kv.Request{Op: kv.OpTxnRollback, Key: locked, TS: start})
 	})
+	if st.Stats().AbsorbFlushes == 0 {
+		t.Fatal("absorb front end never engaged")
+	}
 	if err := st.CheckMVCC(); err != nil {
 		t.Fatal(err)
 	}
@@ -621,7 +592,7 @@ func TestAllocBudgetMVCCRead(t *testing.T) {
 		r := &kv.Request{Op: kv.OpGet, Key: key, Done: func(kv.Result) {}}
 		var out []*aio.IO
 		run := func() {
-			w.mvccPlainGet(c, r, &out)
+			w.start(c, r, &out)
 			if len(out) != 0 {
 				errCh <- fmt.Errorf("read path issued I/O (page cache miss)")
 			}

@@ -1,0 +1,250 @@
+package core
+
+// The slab I/O layer: the only code that turns a location into slot bytes,
+// through the page cache or the device. It knows slots, pages, free lists
+// and the index — never what a payload means — so the plain and the
+// versioned request paths, the absorb flush and the transaction handlers all
+// sit on the same four primitives:
+//
+//	readSlot   read a slot's payload (cachedSlot is its no-I/O arm)
+//	placeItem  store an item in a newly allocated slot
+//	freeSlot   tombstone a slot and push it on its free list
+//	patchSlot  modify a slot's bytes in place
+//
+// The simulator is deterministic, so the order in which these functions
+// charge CPU, draw timestamps, touch the free lists and emit I/Os is part of
+// their contract (DESIGN.md §16): reordering any of it moves every golden
+// digest.
+
+import (
+	"bytes"
+
+	"kvell/internal/aio"
+	"kvell/internal/costs"
+	"kvell/internal/device"
+	"kvell/internal/env"
+	"kvell/internal/freelist"
+	"kvell/internal/slab"
+)
+
+// slotFn receives a slot's payload: nil when the slot holds no live item, or
+// one whose key differs from the reader's expected key (freed and reused
+// since the caller learned the location); non-nil, even when empty,
+// otherwise. The payload aliases a cached page or an I/O buffer: it is valid
+// only for the duration of the call.
+type slotFn func(c env.Ctx, payload []byte, out *[]*aio.IO)
+
+// slotPayload decodes one slot image (a stride, or a multi-page slot's whole
+// buffer), charging the copy-out of its payload.
+func (w *worker) slotPayload(c env.Ctx, sl *slab.Slab, expect, buf []byte) []byte {
+	d, err := sl.DecodeSlotView(buf)
+	if err != nil || d.Kind != slab.Live || (expect != nil && !bytes.Equal(d.Item.Key, expect)) {
+		return nil
+	}
+	c.CPU(costs.MemBytes(len(d.Item.Value)))
+	return d.Item.Value
+}
+
+// cachedSlot is readSlot's no-I/O arm, split out so a page-cache hit
+// completes without materializing a continuation closure (the Get fast
+// path). hit is false when the slot needs a device read — the caller then
+// continues with fetchSlot, which does not charge the cache lookup again.
+func (w *worker) cachedSlot(c env.Ctx, l location, expect []byte) (payload []byte, hit bool) {
+	sl := w.slabs[l.class()]
+	if sl.MultiPage() {
+		return nil, false
+	}
+	c.CPU(w.cache.LookupCost())
+	data := w.cache.Get(sl.SlotPage(l.slot()))
+	if data == nil {
+		return nil, false
+	}
+	off := sl.SlotOffset(l.slot())
+	return w.slotPayload(c, sl, expect, data[off:off+sl.Stride]), true
+}
+
+// fetchSlot is readSlot's device arm.
+func (w *worker) fetchSlot(c env.Ctx, l location, expect []byte, fn slotFn, out *[]*aio.IO) {
+	sl := w.slabs[l.class()]
+	slot := l.slot()
+	if sl.MultiPage() {
+		// Multi-page items bypass the page cache (they would monopolize it)
+		// and are read in one large request into an unpooled buffer.
+		buf := make([]byte, sl.PagesPerSlot()*device.PageSize)
+		w.emitIO(c, device.Read, sl.SlotPage(slot), buf, func(c env.Ctx, io *aio.IO, out *[]*aio.IO) {
+			fn(c, w.slotPayload(c, sl, expect, io.Buf), out)
+		}, out)
+		return
+	}
+	w.joinRead(c, sl.SlotPage(slot), prJoiner{slot: fn, l: l, expect: expect}, out)
+}
+
+// readSlot delivers the payload of the slot at l to fn: synchronously on a
+// page-cache hit, from the read's completion otherwise.
+func (w *worker) readSlot(c env.Ctx, l location, expect []byte, fn slotFn, out *[]*aio.IO) {
+	if payload, hit := w.cachedSlot(c, l, expect); hit {
+		fn(c, payload, out)
+		return
+	}
+	w.fetchSlot(c, l, expect, fn, out)
+}
+
+// valueInto copies src into dst's storage (growing it as needed), or into a
+// fresh buffer when dst is nil. The result is never nil, so a
+// present-but-empty value stays distinguishable from "not found".
+func valueInto(dst *[]byte, src []byte) []byte {
+	n := len(src)
+	var val []byte
+	if dst != nil && *dst != nil && cap(*dst) >= n {
+		val = (*dst)[:n]
+	} else {
+		val = make([]byte, n)
+		if dst != nil {
+			*dst = val
+		}
+	}
+	copy(val, src)
+	return val
+}
+
+// patchSlot applies fn to the slot at l in place and writes the page back;
+// done (optional) runs once the write is durable. This is the
+// read-modify-write at the heart of in-place slab updates: cached pages cost
+// 1 I/O, uncached 2 (§6.3.1's accounting). fn sees the slot's stride; for a
+// multi-page slot it sees the first page only, read and rewritten privately
+// (such slots never enter the page cache), so the patch is still one atomic
+// single-page write.
+func (w *worker) patchSlot(c env.Ctx, l location, fn func(c env.Ctx, slot []byte), done func(c env.Ctx, out *[]*aio.IO), out *[]*aio.IO) {
+	sl := w.slabs[l.class()]
+	page := sl.SlotPage(l.slot())
+	if sl.MultiPage() {
+		w.emitIO(c, device.Read, page, w.pageBuf(), func(c env.Ctx, io *aio.IO, out *[]*aio.IO) {
+			buf := io.Buf
+			fn(c, buf)
+			w.writePage(c, page, buf, func(c env.Ctx, out *[]*aio.IO) {
+				w.retireBuf(buf)
+				if done != nil {
+					done(c, out)
+				}
+			}, out)
+		}, out)
+		return
+	}
+	off := sl.SlotOffset(l.slot())
+	c.CPU(w.cache.LookupCost())
+	if data := w.cache.Get(page); data != nil {
+		fn(c, data[off:off+sl.Stride])
+		w.writePage(c, page, data, done, out)
+		return
+	}
+	w.joinRead(c, page, prJoiner{fn: func(c env.Ctx, data []byte, out *[]*aio.IO) {
+		fn(c, data[off:off+sl.Stride])
+		w.writePage(c, page, data, done, out)
+	}}, out)
+}
+
+// placeItem stores (key, payload), stamped ts, in a newly allocated slot of
+// class cls and returns its location; done runs once the item is durable
+// there. It covers the allocating §5.2 cases: fresh append (no read: every
+// byte of the page is new), free-slot reuse (with free-list chain recovery)
+// and multi-page slots. With index set the new location is installed in the
+// index before the write is issued; callers that pass false own the index
+// update. payload must stay valid until done.
+func (w *worker) placeItem(c env.Ctx, cls int, key, payload []byte, ts uint64, index bool, done func(c env.Ctx, out *[]*aio.IO), out *[]*aio.IO) location {
+	sl := w.slabs[cls]
+	slot, reused := sl.Alloc()
+	sl.Live++
+	l := loc(cls, slot)
+	if index {
+		w.indexPut(c, key, l)
+	}
+	page := sl.SlotPage(slot)
+	if sl.MultiPage() {
+		buf := make([]byte, sl.PagesPerSlot()*device.PageSize)
+		if err := sl.EncodeItem(buf, ts, key, payload); err != nil {
+			panic(err)
+		}
+		if !reused {
+			w.writePage(c, page, buf, done, out)
+			return l
+		}
+		// Recover the free-list chain from the old tombstone before
+		// overwriting it.
+		w.joinRead(c, page, prJoiner{fn: func(c env.Ctx, data []byte, out *[]*aio.IO) {
+			w.recoverChain(sl, data[:slab.HeaderSize+8])
+			w.cacheRemove(page) // the page belongs to a multi-page slot
+			w.writePage(c, page, buf, done, out)
+		}}, out)
+		return l
+	}
+	if !reused && sl.AppendPageFresh(slot) {
+		data := w.zeroPageBuf()
+		off := sl.SlotOffset(slot)
+		if err := sl.EncodeItem(data[off:off+sl.Stride], ts, key, payload); err != nil {
+			panic(err)
+		}
+		w.cacheInsert(c, page, data)
+		// Pin the new tail page so subsequent appends hit the cache; unpin
+		// the previous tail.
+		if prev, ok := w.tailPage[cls]; ok {
+			w.cache.Unpin(prev)
+		}
+		w.cache.Pin(page)
+		w.tailPage[cls] = page
+		w.writePage(c, page, data, done, out)
+		return l
+	}
+	w.patchSlot(c, l, func(c env.Ctx, buf []byte) {
+		if reused {
+			w.recoverChain(sl, buf)
+		}
+		if err := sl.EncodeItem(buf, ts, key, payload); err != nil {
+			panic(err)
+		}
+	}, done, out)
+	return l
+}
+
+// recoverChain reads a displaced free-list chain pointer out of a slot's
+// tombstone and reinstates it as an in-memory head. Sub-page callers pass
+// exactly one stride; multi-page callers only have the head of the first
+// page, which suffices for a tombstone once padded to what DecodeSlot accepts.
+func (w *worker) recoverChain(sl *slab.Slab, slotBuf []byte) {
+	if len(slotBuf) != sl.Stride {
+		padded := make([]byte, sl.Stride)
+		copy(padded, slotBuf)
+		slotBuf = padded
+	}
+	d, err := sl.DecodeSlot(slotBuf)
+	if err == nil && d.Kind == slab.Tombstone && d.ChainTo != freelist.NoSlot {
+		sl.Free.PushHead(d.ChainTo)
+	}
+}
+
+// freeSlot marks the slot at l deleted on disk and pushes it onto its slab's
+// free list, chaining per §5.3 when the in-memory heads are full; done
+// (optional) runs once the tombstone is durable.
+func (w *worker) freeSlot(c env.Ctx, l location, done func(c env.Ctx, out *[]*aio.IO), out *[]*aio.IO) {
+	sl := w.slabs[l.class()]
+	chainTo, chained := sl.Free.Push(l.slot())
+	if !chained {
+		chainTo = freelist.NoSlot
+	}
+	sl.Live--
+	ts := w.nextTS()
+	if sl.MultiPage() {
+		// The slot owns whole pages; writing the first page alone is enough
+		// (decode stops at the tombstone flag). The page image is one-shot:
+		// once the batch submits it can be recycled.
+		page := sl.SlotPage(l.slot())
+		data := w.zeroPageBuf()
+		sl.EncodeTombstone(data, ts, chainTo)
+		w.cacheRemove(page)
+		w.writePage(c, page, data, done, out)
+		w.retireBuf(data)
+		return
+	}
+	w.patchSlot(c, l, func(c env.Ctx, buf []byte) {
+		sl.EncodeTombstone(buf, ts, chainTo)
+	}, done, out)
+}

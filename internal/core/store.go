@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"kvell/internal/aio"
 	"kvell/internal/btree"
 	"kvell/internal/costs"
 	"kvell/internal/device"
@@ -53,6 +54,7 @@ func Open(e env.Env, cfg Config) (*Store, error) {
 			id:           i,
 			q:            e.NewQueue(),
 			dev:          disk,
+			aio:          aio.New(e, disk),
 			idx:          btree.New(),
 			idxMu:        e.NewMutex(),
 			cache:        pagecache.New(cachePer, cfg.CacheIndex),
@@ -70,7 +72,6 @@ func Open(e env.Env, cfg Config) (*Store, error) {
 		if cfg.MVCC {
 			w.mv = mvcc.NewTable()
 		}
-		w.initAIO()
 		if cfg.AbsorbInterval > 0 {
 			w.ab = newAbsorber()
 			w.tick = &flushTick{}
@@ -244,7 +245,7 @@ func (s *Store) fetch(c env.Ctx, cands []candidate) []kv.Item {
 	if s.cfg.MVCC {
 		// Redirect multi-version keys to their newest committed version and
 		// drop keys whose newest committed version is a delete; the reads
-		// below then unwrap envelopes (locReq.env).
+		// below then unwrap envelopes (startLoc).
 		cands = s.mvccRemapCands(cands)
 	}
 	if len(cands) == 0 {
@@ -255,7 +256,7 @@ func (s *Store) fetch(c env.Ctx, cands []candidate) []kv.Item {
 	for i, cd := range cands {
 		i, cd := i, cd
 		j.items[i].Key = cd.key
-		cd.w.q.Push(c, &locReq{key: cd.key, l: cd.l, join: j, idx: i, env: s.cfg.MVCC})
+		cd.w.q.Push(c, &locReq{key: cd.key, l: cd.l, join: j, idx: i})
 	}
 	t0 := c.Now()
 	j.mu.Lock(c)

@@ -16,7 +16,7 @@ import (
 //
 // A key with a buffered write is always served from the absorb buffer, so
 // the hot cache can never be asked for a value that is fresher in memory;
-// every durable write passes through doUpdate or deleteKey, where the cached
+// every durable write passes through update or remove, where the cached
 // copy is refreshed or dropped before the slab I/O is issued. The cache is a
 // pure read accelerator — the disk stays authoritative, so crash recovery is
 // byte-for-byte the untiered scan. Everything below is gated on w.hot,
@@ -76,7 +76,7 @@ func (w *worker) hotInvalidate(c env.Ctx, key []byte) {
 // hotAbsorb mirrors a just-buffered write into the hot tier at absorb-add
 // time. The absorb buffer already shields reads of this key, but keeping the
 // cached copy current means the entry's eventual flush (which passes through
-// doUpdate/deleteKey and writes through again) can never expose a stale
+// update/remove and writes through again) can never expose a stale
 // value, and a demotion between add and flush loses nothing.
 func (w *worker) hotAbsorb(c env.Ctx, r *kv.Request) {
 	if r.Op == kv.OpDelete {

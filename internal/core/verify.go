@@ -31,6 +31,20 @@ func (s *Store) CheckConsistency() error {
 	return nil
 }
 
+// hostSlot reads and decodes one slot straight from the device store — the
+// host-side (no simulation, no page cache) reader both audits use.
+func hostSlot(st device.Store, sl *slab.Slab, slot uint64) (slab.Decoded, error) {
+	buf := make([]byte, sl.PagesPerSlot()*device.PageSize)
+	if err := st.ReadPages(sl.SlotPage(slot), buf); err != nil {
+		return slab.Decoded{}, fmt.Errorf("read: %w", err)
+	}
+	if !sl.MultiPage() {
+		off := sl.SlotOffset(slot)
+		buf = buf[off : off+sl.Stride]
+	}
+	return sl.DecodeSlot(buf)
+}
+
 func (w *worker) checkConsistency() error {
 	st := storeOf(w.dev)
 	// Per-class set of slots the index claims are live.
@@ -39,7 +53,6 @@ func (w *worker) checkConsistency() error {
 		indexed[i] = make(map[uint64]bool)
 	}
 	var verr error
-	page := make([]byte, device.PageSize)
 	w.idx.AscendFrom(nil, func(key []byte, v uint64) bool {
 		l := location(v)
 		if l.class() >= len(w.slabs) {
@@ -54,24 +67,9 @@ func (w *worker) checkConsistency() error {
 			return false
 		}
 		indexed[l.class()][slot] = true
-		var buf []byte
-		if sl.MultiPage() {
-			buf = make([]byte, sl.PagesPerSlot()*device.PageSize)
-			if err := st.ReadPages(sl.SlotPage(slot), buf); err != nil {
-				verr = fmt.Errorf("key %q: read slot %d: %w", key, slot, err)
-				return false
-			}
-		} else {
-			if err := st.ReadPages(sl.SlotPage(slot), page); err != nil {
-				verr = fmt.Errorf("key %q: read slot %d: %w", key, slot, err)
-				return false
-			}
-			off := sl.SlotOffset(slot)
-			buf = page[off : off+sl.Stride]
-		}
-		d, err := sl.DecodeSlot(buf)
+		d, err := hostSlot(st, sl, slot)
 		if err != nil {
-			verr = fmt.Errorf("key %q: decode slot %d (class %d): %w", key, slot, l.class(), err)
+			verr = fmt.Errorf("key %q: slot %d (class %d): %w", key, slot, l.class(), err)
 			return false
 		}
 		if d.Kind != slab.Live {

@@ -1,14 +1,11 @@
 package core
 
 import (
-	"bytes"
-
 	"kvell/internal/aio"
 	"kvell/internal/btree"
 	"kvell/internal/costs"
 	"kvell/internal/device"
 	"kvell/internal/env"
-	"kvell/internal/freelist"
 	"kvell/internal/hotcache"
 	"kvell/internal/kv"
 	"kvell/internal/mvcc"
@@ -30,19 +27,22 @@ type locReq struct {
 	l    location
 	join *scanJoin
 	idx  int
-	// env marks an MVCC-mode read: the slot holds an envelope whose user
-	// value must be unwrapped; an intent at the head of the chain is read
-	// through to its newest committed predecessor (hops bounds the walk).
-	env  bool
+	// hops bounds the MVCC-mode walk from an intent at the head of the chain
+	// to its newest committed predecessor.
 	hops int
 }
 
 // prJoiner is one operation waiting on a pending page read, with the trace
 // context it should run under (each joiner belongs to a different request)
 // and the time it joined, so late joiners can book the shared read's
-// remaining latency as device-queue wait.
+// remaining latency as device-queue wait. A joiner wants either the page
+// (fn) or the payload of the slot at l (slot, expect) — the second form lets
+// a slot read wait without wrapping its continuation in a closure.
 type prJoiner struct {
 	fn     func(c env.Ctx, data []byte, out *[]*aio.IO)
+	slot   slotFn
+	l      location
+	expect []byte
 	tc     *trace.Ctx
 	joinAt env.Time
 }
@@ -79,7 +79,13 @@ func (pr *pendingRead) complete(c env.Ctx, io *aio.IO, out *[]*aio.IO) {
 		} else {
 			c.SetTrace(nil)
 		}
-		j.fn(c, io.Buf, out)
+		if j.slot != nil {
+			sl := w.slabs[j.l.class()]
+			off := sl.SlotOffset(j.l.slot())
+			j.slot(c, w.slotPayload(c, sl, j.expect, io.Buf[off:off+sl.Stride]), out)
+		} else {
+			j.fn(c, io.Buf, out)
+		}
 	}
 	c.SetTrace(nil)
 	pr.joiners = pr.joiners[:0]
@@ -151,8 +157,6 @@ type worker struct {
 	reqs int64
 }
 
-func (w *worker) initAIO() { w.aio = aio.New(w.st.env, w.dev) }
-
 // pageBuf returns a page-sized buffer destined for a disk read, which
 // overwrites every byte — recycled buffers need no clearing.
 func (w *worker) pageBuf() []byte {
@@ -167,13 +171,9 @@ func (w *worker) pageBuf() []byte {
 // zeroPageBuf returns a zeroed page-sized buffer (for freshly appended page
 // images, whose unused slots must decode as Empty).
 func (w *worker) zeroPageBuf() []byte {
-	if n := len(w.bufFree); n > 0 {
-		b := w.bufFree[n-1]
-		w.bufFree = w.bufFree[:n-1]
-		clear(b)
-		return b
-	}
-	return make([]byte, device.PageSize)
+	b := w.pageBuf()
+	clear(b)
+	return b
 }
 
 // recycleBufs moves buffers whose last referencing write has been submitted
@@ -205,9 +205,10 @@ func (w *worker) getPR(page int64) *pendingRead {
 	return pr
 }
 
-// getIO returns a pooled I/O, stamped with the calling request's trace
+// emitIO queues one device request on the batch; tag runs at its completion.
+// The I/O struct is pooled, and stamped with the calling request's trace
 // context (and creation time, so batch wait counts as device-queue time).
-func (w *worker) getIO(c env.Ctx) *aio.IO {
+func (w *worker) emitIO(c env.Ctx, op device.Op, page int64, buf []byte, tag ioCont, out *[]*aio.IO) {
 	var io *aio.IO
 	if n := len(w.ioFree); n > 0 {
 		io = w.ioFree[n-1]
@@ -219,7 +220,8 @@ func (w *worker) getIO(c env.Ctx) *aio.IO {
 		io.Trace = tc
 		io.Created = c.Now()
 	}
-	return io
+	io.Op, io.Page, io.Buf, io.Tag = op, page, buf, tag
+	*out = append(*out, io)
 }
 
 func (w *worker) putIO(io *aio.IO) {
@@ -350,108 +352,134 @@ func (w *worker) lookup(c env.Ctx, key []byte) (location, bool) {
 	return location(v), ok
 }
 
-func (w *worker) indexPut(c env.Ctx, key []byte, l location) {
+// indexSet is the one index write: it installs l as key's location (or, with
+// del, removes key), charging the descent, and reports the change to the
+// replication hook.
+func (w *worker) indexSet(c env.Ctx, key []byte, l location, del bool) {
 	c.CPU(env.Time(w.idx.Depth()) * costs.BTreeNode)
 	w.idxMu.Lock(c)
-	w.idx.Put(key, uint64(l))
+	if del {
+		w.idx.Delete(key)
+	} else {
+		w.idx.Put(key, uint64(l))
+	}
 	w.idxMu.Unlock(c)
 	if fn := w.st.cfg.OnIndexUpdate; fn != nil {
-		fn(w.id, key, uint64(l), false)
+		fn(w.id, key, uint64(l), del)
 	}
 }
 
-func (w *worker) indexDelete(c env.Ctx, key []byte) {
-	c.CPU(env.Time(w.idx.Depth()) * costs.BTreeNode)
-	w.idxMu.Lock(c)
-	w.idx.Delete(key)
-	w.idxMu.Unlock(c)
-	if fn := w.st.cfg.OnIndexUpdate; fn != nil {
-		fn(w.id, key, 0, true)
-	}
-}
+func (w *worker) indexPut(c env.Ctx, key []byte, l location) { w.indexSet(c, key, l, false) }
+func (w *worker) indexDelete(c env.Ctx, key []byte)          { w.indexSet(c, key, 0, true) }
 
+// start is the one request dispatch. The stages run in statement order —
+// absorb buffer, version table, hot cache, index, slab layer (DESIGN.md §16)
+// — and every stage above the last is a filter that may answer the request,
+// never a second path to the slots.
 func (w *worker) start(c env.Ctx, r *kv.Request, out *[]*aio.IO) {
 	if w.ab != nil && w.absorbStart(c, r, out) {
 		return
 	}
-	if w.mv != nil {
-		w.startMVCC(c, r, out)
+	switch r.Op {
+	case kv.OpGet, kv.OpRMW:
+		// Both read the key's current value; an RMW then writes (YCSB F).
+		ks, l, ok := w.newestCommitted(r.Key)
+		if ks == nil {
+			// The hot tier is probed after the absorb buffer (whose copy is
+			// fresher for buffered keys) and before the index.
+			if r.Op == kv.OpGet && w.hot != nil && w.hotGet(c, r) {
+				return
+			}
+			l, ok = w.lookup(c, r.Key)
+		}
+		if !ok {
+			w.respond(c, r, kv.Result{})
+			return
+		}
+		if payload, hit := w.cachedSlot(c, l, r.Key); hit {
+			w.finishRead(c, r, l, payload, out)
+			return
+		}
+		w.fetchSlot(c, l, r.Key, func(c env.Ctx, payload []byte, out *[]*aio.IO) {
+			w.finishRead(c, r, l, payload, out)
+		}, out)
+	case kv.OpUpdate:
+		w.update(c, r.Key, r.Value, w.ackFound(r), out)
+	case kv.OpDelete:
+		if !w.remove(c, r.Key, w.ackFound(r), out) {
+			w.respond(c, r, kv.Result{})
+		}
+	default:
+		w.startTxn(c, r, out)
+	}
+}
+
+// finishRead completes the read stage of a Get or RMW with the payload of
+// the key's current slot.
+func (w *worker) finishRead(c env.Ctx, r *kv.Request, l location, payload []byte, out *[]*aio.IO) {
+	val, ok := w.committedValue(c, payload)
+	if !ok {
+		w.respond(c, r, kv.Result{})
 		return
 	}
-	switch r.Op {
-	case kv.OpGet:
-		// The hot tier is probed after the absorb buffer (whose copy is
-		// fresher for buffered keys) and before the index.
-		if w.hot != nil && w.hotGet(c, r) {
-			return
+	val = valueInto(&r.ValueBuf, val)
+	if r.Op == kv.OpGet {
+		// Multi-page items bypass the hot tier like they bypass the page cache.
+		if w.hot != nil && !w.slabs[l.class()].MultiPage() {
+			w.hotAdmit(c, r.Key, val)
 		}
-		l, ok := w.lookup(c, r.Key)
-		if !ok {
-			w.respond(c, r, kv.Result{})
-			return
-		}
-		w.doGetReq(c, r, l, out)
-	case kv.OpUpdate:
-		w.doUpdate(c, r.Key, r.Value, func(c env.Ctx, out *[]*aio.IO) {
-			w.respond(c, r, kv.Result{Found: true})
-		}, out)
-	case kv.OpDelete:
-		w.doDelete(c, r, out)
-	case kv.OpRMW:
-		// Read the current value, then write the new one (YCSB F).
-		l, ok := w.lookup(c, r.Key)
-		if !ok {
-			w.respond(c, r, kv.Result{})
-			return
-		}
-		w.doGet(c, l, func(c env.Ctx, val []byte, out *[]*aio.IO) {
-			w.doUpdate(c, r.Key, r.Value, func(c env.Ctx, out *[]*aio.IO) {
-				w.respond(c, r, kv.Result{Found: true})
-			}, out)
-		}, &r.ValueBuf, out)
-	default:
-		w.respond(c, r, kv.Result{})
+		w.respond(c, r, kv.Result{Found: true, Value: val})
+		return
+	}
+	if w.ab != nil && w.absorb(c, r, out) {
+		return
+	}
+	w.update(c, r.Key, r.Value, w.ackFound(r), out)
+}
+
+// ackFound returns the continuation that acknowledges a durable write.
+func (w *worker) ackFound(r *kv.Request) func(c env.Ctx, out *[]*aio.IO) {
+	return func(c env.Ctx, out *[]*aio.IO) {
+		w.respond(c, r, kv.Result{Found: true})
+	}
+}
+
+// deliver hands a scan read's value (nil: the item vanished) to its join.
+func (lr *locReq) deliver(c env.Ctx, val []byte) {
+	j := lr.join
+	j.mu.Lock(c)
+	j.items[lr.idx].Value = val
+	j.remaining--
+	done := j.remaining == 0
+	j.mu.Unlock(c)
+	if done {
+		j.cond.Broadcast(c)
 	}
 }
 
 func (w *worker) startLoc(c env.Ctx, lr *locReq, out *[]*aio.IO) {
-	deliver := func(c env.Ctx, val []byte) {
-		j := lr.join
-		j.mu.Lock(c)
-		j.items[lr.idx].Value = val
-		j.remaining--
-		done := j.remaining == 0
-		j.mu.Unlock(c)
-		if done {
-			j.cond.Broadcast(c)
-		}
-	}
-	if lr.env {
-		// MVCC mode: unwrap the envelope; a candidate whose slot turned into
-		// a prewrite intent since the index snapshot reads through to its
-		// newest committed predecessor (latest-semantics scan, §5.5's
-		// "approximately correct" contract).
-		w.readEnv(c, lr.key, lr.l, func(c env.Ctx, e mvcc.Envelope, ok bool, out *[]*aio.IO) {
-			if ok && e.Intent() && e.PrevLoc != mvcc.NoLoc && lr.hops < maxChainWalk {
+	w.readSlot(c, lr.l, lr.key, func(c env.Ctx, payload []byte, out *[]*aio.IO) {
+		if w.mv != nil {
+			// A candidate whose slot turned into a prewrite intent since the
+			// index snapshot reads through to its newest committed
+			// predecessor (latest-semantics scan, §5.5's "approximately
+			// correct" contract).
+			if e, ok := mvcc.Decode(payload); ok && e.Intent() && e.PrevLoc != mvcc.NoLoc && lr.hops < maxChainWalk {
 				lr.l = location(e.PrevLoc)
 				lr.hops++
 				w.startLoc(c, lr, out)
 				return
 			}
-			if !ok || e.Intent() || e.Delete() {
-				deliver(c, nil)
-				return
-			}
-			c.CPU(costs.MemBytes(len(e.Value)))
-			deliver(c, append([]byte(nil), e.Value...))
-		}, out)
-		return
-	}
-	// Scan values are retained past delivery (they land in the join's item
-	// slice), so no scratch buffer: each read allocates its value.
-	w.doGetKey(c, lr.key, lr.l, func(c env.Ctx, val []byte, out *[]*aio.IO) {
-		deliver(c, val)
-	}, nil, out)
+		}
+		val, ok := w.committedValue(c, payload)
+		if !ok {
+			lr.deliver(c, nil)
+			return
+		}
+		// Scan values are retained past delivery (they land in the join's
+		// item slice), so no scratch buffer: each read allocates its value.
+		lr.deliver(c, valueInto(nil, val))
+	}, out)
 }
 
 func (w *worker) respond(c env.Ctx, r *kv.Request, res kv.Result) {
@@ -461,22 +489,20 @@ func (w *worker) respond(c env.Ctx, r *kv.Request, res kv.Result) {
 	}
 }
 
-// readPage reads page through the pending-read table, delivering the data
-// (which is also inserted into the page cache) to fn.
-func (w *worker) readPage(c env.Ctx, page int64, fn func(c env.Ctx, data []byte, out *[]*aio.IO), out *[]*aio.IO) {
+// joinRead reads page through the pending-read table: j joins the read in
+// flight, or issues one. The data is inserted into the page cache before the
+// joiners run.
+func (w *worker) joinRead(c env.Ctx, page int64, j prJoiner, out *[]*aio.IO) {
+	j.tc = trace.FromCtx(c)
 	if pr, ok := w.pendingReads[page]; ok {
-		pr.joiners = append(pr.joiners, prJoiner{fn: fn, tc: trace.FromCtx(c), joinAt: c.Now()})
+		j.joinAt = c.Now()
+		pr.joiners = append(pr.joiners, j)
 		return
 	}
 	pr := w.getPR(page)
-	pr.joiners = append(pr.joiners, prJoiner{fn: fn, tc: trace.FromCtx(c)})
+	pr.joiners = append(pr.joiners, j)
 	w.pendingReads[page] = pr
-	io := w.getIO(c)
-	io.Op = device.Read
-	io.Page = page
-	io.Buf = w.pageBuf()
-	io.Tag = pr.cont
-	*out = append(*out, io)
+	w.emitIO(c, device.Read, page, w.pageBuf(), pr.cont, out)
 }
 
 func (w *worker) cacheInsert(c env.Ctx, page int64, data []byte) {
@@ -495,334 +521,111 @@ func (w *worker) cacheRemove(page int64) {
 
 // writePage submits a page write; done (optional) runs when durable.
 func (w *worker) writePage(c env.Ctx, page int64, data []byte, done func(c env.Ctx, out *[]*aio.IO), out *[]*aio.IO) {
-	io := w.getIO(c)
-	io.Op = device.Write
-	io.Page = page
-	io.Buf = data
-	if done == nil {
-		io.Tag = ioContNop
-	} else {
-		io.Tag = ioCont(func(c env.Ctx, io *aio.IO, out *[]*aio.IO) {
-			done(c, out)
-		})
+	tag := ioContNop
+	if done != nil {
+		tag = func(c env.Ctx, io *aio.IO, out *[]*aio.IO) { done(c, out) }
 	}
-	*out = append(*out, io)
+	w.emitIO(c, device.Write, page, data, tag, out)
 }
 
 // ioContNop is the shared no-op completion for fire-and-forget writes.
 var ioContNop = ioCont(func(env.Ctx, *aio.IO, *[]*aio.IO) {})
 
-// applyToPage obtains the page (cache hit or read), applies fn in place,
-// writes it back, and calls done once the write is durable. This is the
-// read-modify-write at the heart of in-place slab updates: cached pages
-// cost 1 I/O, uncached 2 (§6.3.1's accounting).
-func (w *worker) applyToPage(c env.Ctx, page int64, apply func(c env.Ctx, data []byte), done func(c env.Ctx, out *[]*aio.IO), out *[]*aio.IO) {
-	c.CPU(w.cache.LookupCost())
-	if data := w.cache.Get(page); data != nil {
-		apply(c, data)
-		w.writePage(c, page, data, done, out)
-		return
-	}
-	w.readPage(c, page, func(c env.Ctx, data []byte, out *[]*aio.IO) {
-		apply(c, data)
-		w.writePage(c, page, data, done, out)
-	}, out)
-}
-
-// doGet fetches the value at location l and passes it to fn (nil if the
-// slot no longer holds a live item). vdst, when non-nil, is caller-owned
-// scratch that backs the delivered value; fn must then not retain the value.
-func (w *worker) doGet(c env.Ctx, l location, fn func(c env.Ctx, val []byte, out *[]*aio.IO), vdst *[]byte, out *[]*aio.IO) {
-	w.doGetKey(c, nil, l, fn, vdst, out)
-}
-
-// doGetReq is the Get fast path: it answers r directly so a page-cache hit
-// completes without materializing any continuation closure.
-func (w *worker) doGetReq(c env.Ctx, r *kv.Request, l location, out *[]*aio.IO) {
-	sl := w.slabs[l.class()]
-	if !sl.MultiPage() {
-		slot := l.slot()
-		page, off := sl.SlotPage(slot), sl.SlotOffset(slot)
-		c.CPU(w.cache.LookupCost())
-		if data := w.cache.Get(page); data != nil {
-			val := w.slotValue(c, sl, off, nil, data, &r.ValueBuf)
-			if w.hot != nil && val != nil {
-				w.hotAdmit(c, r.Key, val)
-			}
-			w.respond(c, r, kv.Result{Found: val != nil, Value: val})
-			return
-		}
-		w.readPage(c, page, func(c env.Ctx, data []byte, out *[]*aio.IO) {
-			val := w.slotValue(c, sl, off, nil, data, &r.ValueBuf)
-			if w.hot != nil && val != nil {
-				w.hotAdmit(c, r.Key, val)
-			}
-			w.respond(c, r, kv.Result{Found: val != nil, Value: val})
-		}, out)
-		return
-	}
-	w.doGetKey(c, nil, l, func(c env.Ctx, val []byte, out *[]*aio.IO) {
-		w.respond(c, r, kv.Result{Found: val != nil, Value: val})
-	}, &r.ValueBuf, out)
-}
-
-// slotValue decodes the slot at data[off:] and copies its live value into
-// vdst's storage (growing it as needed) or a fresh buffer when vdst is nil.
-// It returns nil — and callers use nil to mean "not found" — when the slot
-// is not live or its key differs from expect (freed and reused since the
-// caller's lookup); a present-but-empty value therefore stays non-nil.
-func (w *worker) slotValue(c env.Ctx, sl *slab.Slab, off int, expect, data []byte, vdst *[]byte) []byte {
-	d, err := sl.DecodeSlotView(data[off : off+sl.Stride])
-	if err != nil || d.Kind != slab.Live || (expect != nil && !bytes.Equal(d.Item.Key, expect)) {
-		return nil
-	}
-	n := len(d.Item.Value)
-	c.CPU(costs.MemBytes(n))
-	var val []byte
-	if vdst != nil && *vdst != nil && cap(*vdst) >= n {
-		val = (*vdst)[:n]
-	} else {
-		val = make([]byte, n)
-		if vdst != nil {
-			*vdst = val
-		}
-	}
-	copy(val, d.Item.Value)
-	return val
-}
-
-// doGetKey is doGet with an optional expected key: when non-nil, a slot
-// whose live item carries a different key (freed and reused since the
-// caller looked it up) reads as absent.
-func (w *worker) doGetKey(c env.Ctx, expect []byte, l location, fn func(c env.Ctx, val []byte, out *[]*aio.IO), vdst *[]byte, out *[]*aio.IO) {
-	sl := w.slabs[l.class()]
-	slot := l.slot()
-	if sl.MultiPage() {
-		// Multi-page items bypass the page cache (they would monopolize
-		// it) and are read in one large request. The buffer is not pooled,
-		// so the delivered value may alias it.
-		buf := make([]byte, sl.PagesPerSlot()*device.PageSize)
-		io := w.getIO(c)
-		io.Op = device.Read
-		io.Page = sl.SlotPage(slot)
-		io.Buf = buf
-		io.Tag = ioCont(func(c env.Ctx, io *aio.IO, out *[]*aio.IO) {
-			d, err := sl.DecodeSlotView(io.Buf)
-			if err != nil || d.Kind != slab.Live || (expect != nil && !bytes.Equal(d.Item.Key, expect)) {
-				fn(c, nil, out)
-				return
-			}
-			c.CPU(costs.MemBytes(len(d.Item.Value)))
-			fn(c, d.Item.Value, out)
-		})
-		*out = append(*out, io)
-		return
-	}
-	page, off := sl.SlotPage(slot), sl.SlotOffset(slot)
-	c.CPU(w.cache.LookupCost())
-	if data := w.cache.Get(page); data != nil {
-		fn(c, w.slotValue(c, sl, off, expect, data, vdst), out)
-		return
-	}
-	w.readPage(c, page, func(c env.Ctx, data []byte, out *[]*aio.IO) {
-		fn(c, w.slotValue(c, sl, off, expect, data, vdst), out)
-	}, out)
-}
-
-// doUpdate writes (key, value) and calls done once it is durable at its
-// final location. It covers all §5.2 cases: in-place update, fresh append,
-// free-slot reuse (with free-list chain recovery), size-class migration and
-// multi-page append+tombstone.
-func (w *worker) doUpdate(c env.Ctx, key, value []byte, done func(c env.Ctx, out *[]*aio.IO), out *[]*aio.IO) {
+// update writes (key, value) and calls done once it is durable at its final
+// location — the one entry point of every durable put: direct, RMW and
+// absorb flush. It covers all §5.2 cases: in-place update here, the
+// allocating ones (append, reuse, size-class migration, multi-page) through
+// placeItem, followed by the old slot's tombstone.
+//
+// Under MVCC the write is an autocommit at a fresh oracle timestamp, and the
+// stored payload is its envelope. Single-version keys (no table entry) still
+// take the ordinary machinery, in-place overwrite included, because no
+// snapshot can name their old version through a retained chain; a
+// multi-version key gets a chained new slot instead (chainCommit).
+func (w *worker) update(c env.Ctx, key, value []byte, done func(c env.Ctx, out *[]*aio.IO), out *[]*aio.IO) {
 	if w.hot != nil {
-		// Write-through before the slab I/O: every durable-write path
-		// (direct, RMW, absorb flush) funnels through here, so a cached
-		// record can never lag the store.
+		// Write-through before the slab I/O: every durable put funnels
+		// through here, so a cached record can never lag the store.
 		w.hotWrite(c, key, value)
 	}
-	cls := slab.ClassFor(w.st.cfg.Classes, len(key), len(value))
-	if cls < 0 {
-		panic("core: item exceeds largest configured size class")
+	payload := value
+	if w.mv != nil {
+		cts := w.st.oracle.Next(c.Now())
+		if ks := w.mv.Get(key); ks != nil {
+			w.chainCommit(c, key, ks, cts, false, value, done, out)
+			return
+		}
+		b := w.encodeEnvelope(&mvcc.Envelope{Kind: mvcc.KindCommitPut, StartTS: cts, CommitTS: cts, PrevLoc: mvcc.NoLoc, Value: value})
+		acked := done
+		payload, done = b, func(c env.Ctx, out *[]*aio.IO) {
+			w.releaseEnv(b)
+			acked(c, out)
+		}
 	}
+	cls := w.classFor(key, payload)
 	old, exists := w.lookup(c, key)
 	ts := w.nextTS()
-	newSl := w.slabs[cls]
-	c.CPU(costs.MemBytes(len(key) + len(value))) // marshal into page image
-
+	c.CPU(costs.MemBytes(len(key) + len(payload))) // marshal into page image
 	if w.st.cfg.WithCommitLog {
-		done = w.withCommitLog(c, len(key)+len(value), done, out)
+		done = w.withCommitLog(c, len(key)+len(payload), done, out)
 	}
-
-	// Case 1: in-place update (same class, sub-page item). Skipped in the
-	// NoInPlaceUpdates variant (§5.6): drives that cannot write a 4KB
-	// page atomically must never overwrite the only durable copy.
-	if exists && old.class() == cls && !newSl.MultiPage() && !w.st.cfg.NoInPlaceUpdates {
-		slot := old.slot()
-		page, off := newSl.SlotPage(slot), newSl.SlotOffset(slot)
-		w.applyToPage(c, page, func(c env.Ctx, data []byte) {
-			if err := newSl.EncodeItem(data[off:off+newSl.Stride], ts, key, value); err != nil {
+	sl := w.slabs[cls]
+	// In-place update (same class, sub-page item). Skipped in the
+	// NoInPlaceUpdates variant (§5.6): drives that cannot write a 4KB page
+	// atomically must never overwrite the only durable copy.
+	if exists && old.class() == cls && !sl.MultiPage() && !w.st.cfg.NoInPlaceUpdates {
+		w.patchSlot(c, old, func(c env.Ctx, slot []byte) {
+			if err := sl.EncodeItem(slot, ts, key, payload); err != nil {
 				panic(err)
 			}
 		}, done, out)
 		return
 	}
-
-	// Allocate a slot in the target class and install the new location.
-	slot, reused := newSl.Alloc()
-	w.indexPut(c, key, loc(cls, slot))
-	if !exists {
-		newSl.Live++
-	}
-
-	// After the new value is durable: tombstone the old location — the
-	// item always moved if it existed and we are here (§5.2: "first
-	// writes the updated item in its new slab and then deletes it from
-	// the old one"; same ordering protects the §5.6 no-in-place variant).
-	finish := func(c env.Ctx, out *[]*aio.IO) {
-		if exists {
-			w.writeTombstone(c, old, w.nextTS(), out)
-		}
-		done(c, out)
-	}
-
-	if newSl.MultiPage() {
-		buf := make([]byte, newSl.PagesPerSlot()*device.PageSize)
-		if err := newSl.EncodeItem(buf, ts, key, value); err != nil {
-			panic(err)
-		}
-		writeSlot := func(c env.Ctx, out *[]*aio.IO) {
-			w.writePage(c, newSl.SlotPage(slot), buf, finish, out)
-		}
-		if reused {
-			// Recover the free-list chain from the old tombstone before
-			// overwriting it.
-			w.readPage(c, newSl.SlotPage(slot), func(c env.Ctx, data []byte, out *[]*aio.IO) {
-				w.recoverChain(newSl, data[:slab.HeaderSize+8])
-				w.cacheRemove(newSl.SlotPage(slot)) // page belongs to a multi-page slot
-				writeSlot(c, out)
-			}, out)
-			return
-		}
-		writeSlot(c, out)
-		return
-	}
-
-	// Sub-page slot: fresh append to a brand-new page avoids any read.
-	page, off := newSl.SlotPage(slot), newSl.SlotOffset(slot)
-	apply := func(c env.Ctx, data []byte) {
-		if reused {
-			w.recoverChain(newSl, data[off:off+newSl.Stride])
-		}
-		if err := newSl.EncodeItem(data[off:off+newSl.Stride], ts, key, value); err != nil {
-			panic(err)
+	// The item moves. After the new value is durable, tombstone the old
+	// location (§5.2: "first writes the updated item in its new slab and
+	// then deletes it from the old one"; the same ordering protects the §5.6
+	// no-in-place variant).
+	placed := done
+	if exists {
+		placed = func(c env.Ctx, out *[]*aio.IO) {
+			w.freeSlot(c, old, nil, out)
+			done(c, out)
 		}
 	}
-	if !reused && newSl.AppendPageFresh(slot) {
-		data := w.zeroPageBuf()
-		apply(c, data)
-		w.cacheInsert(c, page, data)
-		// Pin the new tail page so subsequent appends hit the cache;
-		// unpin the previous tail.
-		if prev, ok := w.tailPage[cls]; ok {
-			w.cache.Unpin(prev)
-		}
-		w.cache.Pin(page)
-		w.tailPage[cls] = page
-		w.writePage(c, page, data, finish, out)
-		return
-	}
-	w.applyToPage(c, page, apply, finish, out)
+	w.placeItem(c, cls, key, payload, ts, true, placed, out)
 }
 
-// recoverChain reads a displaced free-list chain pointer out of a slot's
-// tombstone and reinstates it as an in-memory head.
-func (w *worker) recoverChain(sl *slab.Slab, slotBuf []byte) {
-	d, err := sl.DecodeSlot(padToStride(sl, slotBuf))
-	if err == nil && d.Kind == slab.Tombstone && d.ChainTo != freelist.NoSlot {
-		sl.Free.PushHead(d.ChainTo)
+// classFor returns the size class that fits (key, payload).
+func (w *worker) classFor(key, payload []byte) int {
+	cls := slab.ClassFor(w.st.cfg.Classes, len(key), len(payload))
+	if cls < 0 {
+		panic("core: item exceeds largest configured size class")
 	}
+	return cls
 }
 
-// padToStride returns a buffer DecodeSlot accepts for chain recovery: for
-// sub-page slabs the caller already passes exactly one stride; multi-page
-// slabs only have the first page available, which suffices for tombstones.
-func padToStride(sl *slab.Slab, b []byte) []byte {
-	want := sl.Stride
-	if len(b) == want {
-		return b
-	}
-	out := make([]byte, want)
-	copy(out, b)
-	return out
-}
-
-// writeTombstone marks location l deleted on disk, pushing the slot onto
-// its slab's free list and chaining per §5.3 when the in-memory heads are
-// full.
-func (w *worker) writeTombstone(c env.Ctx, l location, ts uint64, out *[]*aio.IO) {
-	sl := w.slabs[l.class()]
-	slot := l.slot()
-	chainTo, chained := sl.Free.Push(slot)
-	if !chained {
-		chainTo = freelist.NoSlot
-	}
-	sl.Live--
-	if sl.MultiPage() {
-		// The slot owns whole pages; writing the first page alone is
-		// enough (decode stops at the tombstone flag). The page image is
-		// one-shot: once the batch submits it can be recycled.
-		data := w.zeroPageBuf()
-		sl.EncodeTombstone(data, ts, chainTo)
-		w.cacheRemove(sl.SlotPage(slot))
-		w.writePage(c, sl.SlotPage(slot), data, nil, out)
-		w.retireBuf(data)
-		return
-	}
-	page, off := sl.SlotPage(slot), sl.SlotOffset(slot)
-	w.applyToPage(c, page, func(c env.Ctx, data []byte) {
-		sl.EncodeTombstone(data[off:off+sl.Stride], ts, chainTo)
-	}, nil, out)
-}
-
-func (w *worker) doDelete(c env.Ctx, r *kv.Request, out *[]*aio.IO) {
-	if !w.deleteKey(c, r.Key, func(c env.Ctx, out *[]*aio.IO) {
-		w.respond(c, r, kv.Result{Found: true})
-	}, out) {
-		w.respond(c, r, kv.Result{})
-	}
-}
-
-// deleteKey removes key, invoking done once its tombstone is durable. It
-// returns false — without calling done — when the key does not exist.
-func (w *worker) deleteKey(c env.Ctx, key []byte, done func(c env.Ctx, out *[]*aio.IO), out *[]*aio.IO) bool {
+// remove deletes key, invoking done once the delete is durable — the one
+// entry point of every durable delete. It returns false, without calling
+// done, when the key does not exist. Under MVCC a multi-version key gets a
+// chained committed-delete envelope, so older snapshots keep reading the
+// prior version until GC purges the key; a single-version key is removed
+// outright, as without MVCC.
+func (w *worker) remove(c env.Ctx, key []byte, done func(c env.Ctx, out *[]*aio.IO), out *[]*aio.IO) bool {
 	if w.hot != nil {
 		w.hotInvalidate(c, key)
+	}
+	if ks, _, ok := w.newestCommitted(key); ks != nil {
+		if ok {
+			w.chainCommit(c, key, ks, w.st.oracle.Next(c.Now()), true, nil, done, out)
+		}
+		return ok
 	}
 	l, ok := w.lookup(c, key)
 	if !ok {
 		return false
 	}
 	w.indexDelete(c, key)
-	sl := w.slabs[l.class()]
-	slot := l.slot()
-	chainTo, chained := sl.Free.Push(slot)
-	if !chained {
-		chainTo = freelist.NoSlot
-	}
-	sl.Live--
-	ts := w.nextTS()
-	if sl.MultiPage() {
-		data := w.zeroPageBuf()
-		sl.EncodeTombstone(data, ts, chainTo)
-		w.cacheRemove(sl.SlotPage(slot))
-		w.writePage(c, sl.SlotPage(slot), data, done, out)
-		w.retireBuf(data)
-		return true
-	}
-	page, off := sl.SlotPage(slot), sl.SlotOffset(slot)
-	w.applyToPage(c, page, func(c env.Ctx, data []byte) {
-		sl.EncodeTombstone(data[off:off+sl.Stride], ts, chainTo)
-	}, done, out)
+	w.freeSlot(c, l, done, out)
 	return true
 }
 

@@ -63,7 +63,7 @@ func TestAsyncPipelinedSubmissions(t *testing.T) {
 
 func TestPendingReadDeduplication(t *testing.T) {
 	// Concurrent GETs to the same uncached page must issue one device
-	// read (the pending-read join in worker.readPage).
+	// read (the pending-read join in worker.joinRead).
 	st, _ := simHarness(t, func(cfg *Config) {
 		cfg.Workers = 1
 		cfg.PageCachePages = 2 // effectively no cache
