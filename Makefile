@@ -8,7 +8,7 @@ BENCH_PKGS = ./internal/sim ./internal/slab ./internal/pagecache \
 	./internal/core ./internal/harness ./internal/hotcache \
 	./internal/mvcc ./internal/txn
 
-.PHONY: all build vet fmt-check lint test race check bench alloc-budget feature-matrix e2e-smoke crash-sweep trace absorb tier cluster
+.PHONY: all build vet fmt-check lint test race race-sim check bench alloc-budget feature-matrix e2e-smoke crash-sweep trace absorb tier cluster
 
 # Crash sweep knobs: SEED picks the deterministic schedule (a CI failure
 # prints the seed to rerun here), K is points per engine, ENGINE narrows to
@@ -51,6 +51,11 @@ test:
 # than go test's default 10m package timeout.
 race:
 	$(GO) test -race -timeout 45m ./...
+
+# The sim kernel alone under the race detector, repeated: about a second per
+# run, so a kernel race is reported before the full race suite gets to it.
+race-sim:
+	$(GO) test -race -count=5 ./internal/sim
 
 # Zero-allocation budgets for the data-plane hot paths (testing.AllocsPerRun
 # tests named TestAllocBudget*); a regression here fails the build.
@@ -111,7 +116,7 @@ trace:
 	$(GO) run ./cmd/kvell-bench trace -engine rocksdb,kvell -seed $(SEED) -o results/trace
 
 # Everything CI runs, in the same order.
-check: build vet fmt-check lint alloc-budget feature-matrix e2e-smoke crash-sweep race
+check: build vet fmt-check lint race-sim alloc-budget feature-matrix e2e-smoke crash-sweep race
 
 # Runs the kernel/allocator/page-cache microbenchmarks and writes
 # BENCH_sim.json at the repo root: per-benchmark ns/op, allocs/op and ops/sec,

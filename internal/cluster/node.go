@@ -173,8 +173,9 @@ func (n *Node) enqueue(m *ReqMsg) {
 }
 
 func (n *Node) serve(c env.Ctx) {
+	buf := make([]any, 64)
 	for {
-		batch := n.inbox.PopWait(c, 64)
+		batch := n.inbox.PopWait(c, buf)
 		if batch == nil {
 			return
 		}

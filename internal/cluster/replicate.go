@@ -332,8 +332,9 @@ func (rep *Replica) enqueue(rec any) {
 }
 
 func (rep *Replica) run(c env.Ctx) {
+	buf := make([]any, 64)
 	for {
-		batch := rep.q.PopWait(c, 64)
+		batch := rep.q.PopWait(c, buf)
 		if batch == nil {
 			rep.mu.Lock(c)
 			rep.exited = true

@@ -583,41 +583,32 @@ func (s *Store) ResolveLock(c env.Ctx, primary []byte, startTS, rts uint64) kv.R
 }
 
 // ScanAtN returns up to count items with key >= start as they stood at
-// snapshot ts. Candidates come from one pass over the worker indexes; each is
+// snapshot ts. Candidates come from the worker indexes (firstKept); each is
 // then read through the full snapshot machinery (lock resolution included),
 // so the result never exposes a torn multi-key state. The scan runs on the
 // calling thread and never blocks a worker.
 func (s *Store) ScanAtN(c env.Ctx, start []byte, count int, ts uint64) []kv.Item {
-	cands := s.collect(c, func(w *worker) ([][]byte, []uint64) {
-		return w.idx.FirstN(start, count)
-	})
-	if len(cands) > count {
-		cands = cands[:count]
-	}
 	var items []kv.Item
-	for _, cd := range cands {
-		if v, ok := s.GetAt(c, cd.key, ts); ok {
+	s.firstKept(c, start, count, func(cd candidate) (location, bool) {
+		v, ok := s.GetAt(c, cd.key, ts)
+		if ok {
 			items = append(items, kv.Item{Key: cd.key, Value: v})
 		}
-	}
+		return cd.l, ok
+	})
 	return items
 }
 
-// mvccRemapCands redirects latest-semantics scan candidates for keys in the
-// version table: reads go to the newest committed version (never an intent),
-// and keys whose newest committed version is a delete drop out.
-func (s *Store) mvccRemapCands(cands []candidate) []candidate {
-	out := cands[:0]
-	for _, cd := range cands {
-		if ks, l, ok := cd.w.newestCommitted(cd.key); ks != nil {
-			if !ok {
-				continue
-			}
-			cd.l = l
-		}
-		out = append(out, cd)
+// latest says where a latest-semantics scan reads cd's key: for a key in the
+// version table that is the newest committed version (never an intent), and
+// ok is false when that version is a delete or missing; every other key is
+// read where the index points.
+func (s *Store) latest(cd candidate) (l location, ok bool) {
+	ks, l, ok := cd.w.newestCommitted(cd.key)
+	if ks == nil {
+		return cd.l, true
 	}
-	return out
+	return l, ok
 }
 
 // GC trims, on every worker, versions no snapshot at or above watermark can

@@ -123,6 +123,56 @@ func TestMVCCSnapshotIsolation(t *testing.T) {
 	})
 }
 
+// Keys a scan cannot show — a retained delete, a bare intent, a version newer
+// than the snapshot — must not count against its length: the candidates are
+// filtered first and cut to count after, across as many index passes as that
+// takes, and the result stays a gap-free prefix of the visible keys.
+func TestMVCCScanSkipsInvisibleKeysWithoutShortening(t *testing.T) {
+	simHarness(t, mvccCfg, func(c env.Ctx, st *Store) {
+		val := func(k int64) []byte { return kv.Value(k, 1, 200) }
+		for k := int64(0); k < 40; k++ {
+			txnPut(t, c, st, kv.Key(k), val(k))
+		}
+		before := st.SnapshotTS()
+		// Keys 2..9 deleted (their tombstones are retained in the version
+		// table), key 50 first written after the old snapshot, key 45 a bare
+		// intent with nothing committed beneath it.
+		for k := int64(2); k < 10; k++ {
+			txnDelete(t, c, st, kv.Key(k))
+		}
+		txnPut(t, c, st, kv.Key(50), val(50))
+		start := st.NextTS(c)
+		if res := st.Do(c, &kv.Request{Op: kv.OpTxnPrewrite, Key: kv.Key(45), Value: val(45), TS: start, Aux: kv.Key(45)}); res.Txn != kv.TxnOK {
+			t.Fatalf("prewrite: txn status %d", res.Txn)
+		}
+		now := st.SnapshotTS()
+
+		check := func(what string, got []kv.Item, want []int64) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Errorf("%s returned %d items, want %d", what, len(got), len(want))
+				return
+			}
+			for i, it := range got {
+				if !bytes.Equal(it.Key, kv.Key(want[i])) || !bytes.Equal(it.Value, val(want[i])) {
+					t.Errorf("%s[%d] = key %q, want key %d with its value", what, i, it.Key, want[i])
+				}
+			}
+		}
+		check("ScanN(0, 6)", st.ScanN(c, kv.Key(0), 6), []int64{0, 1, 10, 11, 12, 13})
+		check("ScanAtN(0, 6, now)", st.ScanAtN(c, kv.Key(0), 6, now), []int64{0, 1, 10, 11, 12, 13})
+		check("ScanAtN(0, 3, now)", st.ScanAtN(c, kv.Key(0), 3, now), []int64{0, 1, 10})
+		// The old snapshot still sees the deleted keys.
+		check("ScanAtN(8, 5, before)", st.ScanAtN(c, kv.Key(8), 5, before), []int64{8, 9, 10, 11, 12})
+		// Running off the end of the key space: the intent on 45 never shows,
+		// key 50 only from its commit on.
+		check("ScanN(36, 10)", st.ScanN(c, kv.Key(36), 10), []int64{36, 37, 38, 39, 50})
+		check("ScanAtN(36, 10, now)", st.ScanAtN(c, kv.Key(36), 10, now), []int64{36, 37, 38, 39, 50})
+		check("ScanAtN(36, 10, before)", st.ScanAtN(c, kv.Key(36), 10, before), []int64{36, 37, 38, 39})
+		st.Do(c, &kv.Request{Op: kv.OpTxnRollback, Key: kv.Key(45), TS: start})
+	})
+}
+
 func TestMVCCSnapshotWalkAfterGCSettled(t *testing.T) {
 	// After GC settles a key to one version (no table entry), snapshot reads
 	// must still work through the cold on-disk path.

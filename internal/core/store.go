@@ -198,13 +198,51 @@ type scanJoin struct {
 // each worker's index in turn, merges the candidate keys, and then issues
 // location-direct reads that bypass the index lookup.
 func (s *Store) ScanN(c env.Ctx, start []byte, count int) []kv.Item {
-	cands := s.collect(c, func(w *worker) ([][]byte, []uint64) {
-		return w.idx.FirstN(start, count)
-	})
-	if len(cands) > count {
-		cands = cands[:count]
+	return s.fetch(c, s.firstKept(c, start, count, s.latest))
+}
+
+// firstKept walks the keys >= start in key order across all workers, offering
+// each to keep, and returns the first count it accepts, each at the location
+// keep says to read (fewer only if the indexes run out). Keys that keep
+// refuses (under MVCC: a retained delete, a bare intent, a version the
+// snapshot does not see) do not count, so a scan is never short while more
+// keys follow. Every worker contributes its first n keys per pass, and the
+// merge of those is complete only up to the smallest last key of a worker that
+// had more — the horizon; a further pass starts just past it. Without refusals
+// the first pass always yields count keys at or below the horizon.
+func (s *Store) firstKept(c env.Ctx, start []byte, count int, keep func(cd candidate) (location, bool)) []candidate {
+	var out []candidate
+	for len(out) < count {
+		n := count - len(out)
+		var horizon []byte
+		cands := s.collect(c, func(w *worker) ([][]byte, []uint64) {
+			ks, vs := w.idx.FirstN(start, n)
+			if len(ks) == n && (horizon == nil || bytes.Compare(ks[n-1], horizon) < 0) {
+				horizon = ks[n-1]
+			}
+			return ks, vs
+		})
+		kept := cands[:0]
+		for _, cd := range cands {
+			if len(kept) == n || (horizon != nil && bytes.Compare(cd.key, horizon) > 0) {
+				break
+			}
+			if l, ok := keep(cd); ok {
+				cd.l = l
+				kept = append(kept, cd)
+			}
+		}
+		if out == nil {
+			out = kept // the usual single pass: no copy
+		} else {
+			out = append(out, kept...)
+		}
+		if horizon == nil {
+			break
+		}
+		start = append(horizon[:len(horizon):len(horizon)], 0) // the next key after horizon
 	}
-	return s.fetch(c, cands)
+	return out
 }
 
 // ScanRange returns all items with start <= key < end in key order.
@@ -219,7 +257,14 @@ func (s *Store) ScanRange(c env.Ctx, start, end []byte) []kv.Item {
 		})
 		return ks, vs
 	})
-	return s.fetch(c, cands)
+	kept := cands[:0]
+	for _, cd := range cands {
+		if l, ok := s.latest(cd); ok {
+			cd.l = l
+			kept = append(kept, cd)
+		}
+	}
+	return s.fetch(c, kept)
 }
 
 func (s *Store) collect(c env.Ctx, gather func(w *worker) ([][]byte, []uint64)) []candidate {
@@ -240,14 +285,9 @@ func (s *Store) collect(c env.Ctx, gather func(w *worker) ([][]byte, []uint64)) 
 }
 
 // fetch reads the values for cands via location-direct worker requests and
-// blocks until all arrive.
+// blocks until all arrive. Under MVCC the candidates have been through latest
+// and the reads unwrap envelopes (startLoc).
 func (s *Store) fetch(c env.Ctx, cands []candidate) []kv.Item {
-	if s.cfg.MVCC {
-		// Redirect multi-version keys to their newest committed version and
-		// drop keys whose newest committed version is a delete; the reads
-		// below then unwrap envelopes (startLoc).
-		cands = s.mvccRemapCands(cands)
-	}
 	if len(cands) == 0 {
 		return nil
 	}

@@ -242,7 +242,9 @@ func (w *worker) nextTS() uint64 {
 // client requests, turn them into I/Os, submit the batch with one syscall,
 // then collect and process completions (which may emit follow-up I/Os).
 func (w *worker) run(c env.Ctx) {
-	batch := w.st.cfg.BatchSize
+	// The request batch buffer is this proc's own: SharedEverything workers
+	// pop one shared queue and park (lockShared, CPU) while holding a batch.
+	batch := make([]any, w.st.cfg.BatchSize)
 	state := w.state
 	var out []*aio.IO
 	for {

@@ -84,13 +84,15 @@ type Cond interface {
 	Broadcast(c Ctx)
 }
 
-// Queue is an unbounded multi-producer FIFO. Pop operations return up to max
-// items; PopWait blocks until at least one item is available or the queue is
+// Queue is an unbounded multi-producer FIFO. Pop operations move up to
+// len(buf) items into the consumer's buffer and return the filled prefix, so
+// a pop allocates nothing and a consumer may block while it still holds a
+// batch; PopWait blocks until at least one item is available or the queue is
 // closed (in which case it returns nil once drained).
 type Queue interface {
 	Push(c Ctx, v any)
-	PopWait(c Ctx, max int) []any
-	TryPop(c Ctx, max int) []any
+	PopWait(c Ctx, buf []any) []any
+	TryPop(c Ctx, buf []any) []any
 	Close(c Ctx)
 	Len() int
 }

@@ -90,33 +90,28 @@ func (q *realQueue) Push(c Ctx, v any) {
 	q.cond.Signal()
 }
 
-func (q *realQueue) take(max int) []any {
-	n := max
-	if n > len(q.items) {
-		n = len(q.items)
-	}
-	if n <= 0 {
-		return nil
-	}
-	out := make([]any, n)
-	copy(out, q.items[:n])
+func (q *realQueue) take(buf []any) []any {
+	n := copy(buf, q.items)
 	q.items = append(q.items[:0], q.items[n:]...)
-	return out
+	return buf[:n]
 }
 
-func (q *realQueue) PopWait(c Ctx, max int) []any {
+func (q *realQueue) PopWait(c Ctx, buf []any) []any {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.items) == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	return q.take(max)
+	if len(q.items) == 0 {
+		return nil
+	}
+	return q.take(buf)
 }
 
-func (q *realQueue) TryPop(c Ctx, max int) []any {
+func (q *realQueue) TryPop(c Ctx, buf []any) []any {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.take(max)
+	return q.take(buf)
 }
 
 func (q *realQueue) Close(c Ctx) {

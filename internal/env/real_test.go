@@ -16,16 +16,16 @@ func TestRealQueueFIFOAndClose(t *testing.T) {
 	if q.Len() != 5 {
 		t.Fatalf("len = %d", q.Len())
 	}
-	b := q.TryPop(c, 3)
+	b := q.TryPop(c, make([]any, 3))
 	if len(b) != 3 || b[0].(int) != 0 || b[2].(int) != 2 {
 		t.Fatalf("TryPop = %v", b)
 	}
-	b = q.PopWait(c, 10)
+	b = q.PopWait(c, make([]any, 10))
 	if len(b) != 2 {
 		t.Fatalf("PopWait = %v", b)
 	}
 	q.Close(c)
-	if b := q.PopWait(c, 1); b != nil {
+	if b := q.PopWait(c, make([]any, 1)); b != nil {
 		t.Fatalf("PopWait after close = %v", b)
 	}
 }
@@ -35,7 +35,7 @@ func TestRealQueueBlocksUntilPush(t *testing.T) {
 	q := e.NewQueue()
 	c := &fakeCtx{}
 	got := make(chan []any, 1)
-	go func() { got <- q.PopWait(c, 1) }()
+	go func() { got <- q.PopWait(c, make([]any, 1)) }()
 	time.Sleep(10 * time.Millisecond)
 	q.Push(c, "x")
 	select {

@@ -257,8 +257,9 @@ func runOpenLoop(e *sim.Env, s *sim.Sim, spec *Spec, res *Result, eng kv.Engine,
 	active := procs
 	for ci := 0; ci < procs; ci++ {
 		e.Go(fmt.Sprintf("openloop-serve-%d", ci), func(c env.Ctx) {
+			buf := make([]any, 1)
 			for {
-				batch := admitQ.PopWait(c, 1)
+				batch := admitQ.PopWait(c, buf)
 				if batch == nil {
 					break
 				}

@@ -50,11 +50,13 @@ func BenchmarkQueuePushPop(b *testing.B) {
 	for i := 0; i < 1024; i++ {
 		q.Push(i)
 	}
+	var item any = q      // a pointer, like the requests a worker queue carries
+	buf := make([]any, 1) // the consumer's batch buffer, as in worker.run
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Push(i)
-		q.TryPop(1)
+		q.Push(item)
+		q.TryPop(buf)
 	}
 }
 
@@ -74,6 +76,58 @@ func BenchmarkMutexHandoff(b *testing.B) {
 			}
 		})
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(-1); err != nil {
+		b.Fatal(err)
+	}
+	s.Close()
+}
+
+// BenchmarkCompletionWake measures the aio-completion pattern: a proc parks
+// on a condition variable and an At function (scheduler context) wakes it.
+// The parked proc dispatches the completion itself and finds its own wake-up
+// next, so an iteration costs two events and no goroutine switch.
+func BenchmarkCompletionWake(b *testing.B) {
+	s := New(1)
+	c := NewCond(s)
+	complete := c.Signal
+	n := 0
+	s.Go("waiter", func(p *Proc) {
+		for n < b.N {
+			n++
+			s.At(s.Now()+1, complete)
+			c.Wait(p, nil)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(-1); err != nil {
+		b.Fatal(err)
+	}
+	s.Close()
+}
+
+// BenchmarkSelfResume measures a sleep that must park — a timer fires inside
+// every sleep, so the lone-sleeper shortcut (canFastResume) does not apply —
+// but whose own wake-up is the next proc event: the sleeper runs the timer
+// from park and resumes itself.
+func BenchmarkSelfResume(b *testing.B) {
+	s := New(1)
+	n := 0
+	var timer func()
+	timer = func() {
+		if n < b.N {
+			s.At(s.Now()+2, timer)
+		}
+	}
+	s.At(1, timer)
+	s.Go("sleeper", func(p *Proc) {
+		for n < b.N {
+			n++
+			p.Sleep(2)
+		}
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := s.Run(-1); err != nil {

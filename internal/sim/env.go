@@ -122,8 +122,8 @@ func (c *simCond) Broadcast(env.Ctx) { c.c.Broadcast() }
 
 type simQueue struct{ q *Queue }
 
-func (q *simQueue) Push(c env.Ctx, v any)            { q.q.Push(v) }
-func (q *simQueue) PopWait(c env.Ctx, max int) []any { return q.q.PopWait(proc(c), max) }
-func (q *simQueue) TryPop(c env.Ctx, max int) []any  { return q.q.TryPop(max) }
-func (q *simQueue) Close(c env.Ctx)                  { q.q.Close() }
-func (q *simQueue) Len() int                         { return q.q.Len() }
+func (q *simQueue) Push(c env.Ctx, v any)              { q.q.Push(v) }
+func (q *simQueue) PopWait(c env.Ctx, buf []any) []any { return q.q.PopWait(proc(c), buf) }
+func (q *simQueue) TryPop(c env.Ctx, buf []any) []any  { return q.q.TryPop(buf) }
+func (q *simQueue) Close(c env.Ctx)                    { q.q.Close() }
+func (q *simQueue) Len() int                           { return q.q.Len() }

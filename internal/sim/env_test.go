@@ -34,7 +34,7 @@ func TestEnvAdapterBasics(t *testing.T) {
 			cond.Wait(c)
 		}
 		mu.Unlock(c)
-		got := q.PopWait(c, 4)
+		got := q.PopWait(c, make([]any, 4))
 		if len(got) != 1 || got[0].(string) != "item" {
 			t.Errorf("queue got %v", got)
 		}
@@ -65,14 +65,14 @@ func TestEnvQueueCloseAndTryPop(t *testing.T) {
 		if q.Len() != 2 {
 			t.Errorf("len = %d", q.Len())
 		}
-		if got := q.TryPop(c, 1); len(got) != 1 || got[0].(int) != 1 {
+		if got := q.TryPop(c, make([]any, 1)); len(got) != 1 || got[0].(int) != 1 {
 			t.Errorf("TryPop = %v", got)
 		}
 		q.Close(c)
-		if got := q.PopWait(c, 5); len(got) != 1 {
+		if got := q.PopWait(c, make([]any, 5)); len(got) != 1 {
 			t.Errorf("drain after close = %v", got)
 		}
-		if got := q.PopWait(c, 5); got != nil {
+		if got := q.PopWait(c, make([]any, 5)); got != nil {
 			t.Errorf("closed empty queue returned %v", got)
 		}
 	})

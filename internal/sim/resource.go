@@ -426,30 +426,25 @@ func (q *Queue) Close() {
 	q.waiters = q.waiters[:0]
 }
 
-// TryPop removes and returns up to max items without blocking.
-func (q *Queue) TryPop(max int) []any {
-	if q.n == 0 || max <= 0 {
-		return nil
-	}
-	k := max
-	if k > q.n {
-		k = q.n
-	}
-	out := make([]any, k)
+// TryPop moves up to len(buf) items into buf without blocking and returns
+// the filled prefix. The buffer is the consumer's: several procs may pop one
+// queue and park while they still hold a batch, so the queue keeps none.
+func (q *Queue) TryPop(buf []any) []any {
+	k := min(len(buf), q.n)
 	mask := len(q.buf) - 1
 	for i := 0; i < k; i++ {
 		j := (q.head + i) & mask
-		out[i] = q.buf[j]
+		buf[i] = q.buf[j]
 		q.buf[j] = nil
 	}
 	q.head = (q.head + k) & mask
 	q.n -= k
-	return out
+	return buf[:k]
 }
 
-// PopWait removes and returns up to max items, blocking the proc until at
-// least one is available. It returns nil if the queue is closed and empty.
-func (q *Queue) PopWait(p *Proc, max int) []any {
+// PopWait is TryPop that first blocks the proc until at least one item is
+// available. It returns nil if the queue is closed and empty.
+func (q *Queue) PopWait(p *Proc, buf []any) []any {
 	for q.n == 0 {
 		if q.closed {
 			return nil
@@ -457,5 +452,5 @@ func (q *Queue) PopWait(p *Proc, max int) []any {
 		q.waiters = append(q.waiters, p)
 		p.park()
 	}
-	return q.TryPop(max)
+	return q.TryPop(buf)
 }

@@ -1,13 +1,35 @@
 // Package sim is a deterministic discrete-event simulation kernel.
 //
 // A Sim owns a virtual clock and an event queue. Simulated threads ("procs")
-// are real goroutines, but exactly one of them runs at any moment: control is
-// handed between the scheduler and procs over unbuffered channels, so the
-// simulation is sequentially consistent and deterministic, and passes the
-// race detector by construction.
+// are real goroutines, but exactly one goroutine touches the simulation at any
+// moment, and control moves between them only by channel operations — so the
+// simulation is sequentially consistent and deterministic, and passes the race
+// detector by construction.
 //
-// Two kinds of events exist: proc wake-ups, and plain functions that run on
-// the scheduler itself (used for I/O completions; they must not block).
+// Two kinds of events exist: proc wake-ups, and plain functions ("scheduled
+// functions": I/O completions, network deliveries, timers; they must not
+// block). Scheduled functions run in scheduler context: no proc holds control
+// and Running() is nil.
+//
+// # Control transfer
+//
+// There is no scheduler goroutine. The event loop (dispatch) runs on whichever
+// goroutine holds control: on Run's caller until the first proc event, then on
+// each proc goroutine as it parks or finishes. A parking proc pops events in
+// (at, seq) order and runs scheduled functions itself; when it reaches a proc
+// event it either just returns from park — the wake-up is its own, no
+// goroutine switch at all — or sends on that proc's resume channel and blocks
+// on its own: one switch per hand-off. A proc that returns does the same from
+// its exiting goroutine. Whichever goroutine finds the run over (queue
+// drained, Run's boundary, Stop, a proc failure) sends on the yield channel,
+// which is all Run waits for. Close unwinds the same way, resuming unfinished
+// procs one at a time in creation order.
+//
+// A scheduled function therefore executes on some proc's goroutine, but never
+// in its name: Running() is nil for its duration, and if it panics the panic
+// is recovered in dispatch and re-raised by Run on Run's caller — it is not
+// recorded as that proc's failure, and the proc stays parked. A panic in a
+// proc's own code is returned by Run as an error.
 //
 // The package also provides the synchronization and queueing primitives the
 // engines are built from: FCFS multi-server stations (CPU cores, device
@@ -17,7 +39,7 @@
 // # Machine domains
 //
 // One Sim can model several machines sharing the virtual clock: every proc
-// and scheduler function belongs to a machine domain (0 by default; GoOn and
+// and scheduled function belongs to a machine domain (0 by default; GoOn and
 // AtOn choose one). Halt(m) kills machine m — its queued events are
 // discarded at dispatch and its procs never resume — while the rest of the
 // simulation keeps running, which is the cluster failure model
@@ -31,6 +53,8 @@
 // scheduling path is engineered for throughput (see DESIGN.md "Kernel
 // performance model"):
 //
+//   - control passes directly from proc to proc (above): at most one
+//     goroutine switch per hand-off and none when a proc's own wake-up is next;
 //   - event structs come from a free list, so steady-state scheduling does
 //     not allocate;
 //   - future events live in a concrete 4-ary min-heap ordered on (at, seq) —
@@ -38,12 +62,13 @@
 //   - events scheduled at exactly the current time (wake-ups, same-instant
 //     handoffs, I/O completion fan-out) bypass the heap through a FIFO ring
 //     lane, which is ordered by construction;
-//   - a proc sleeping past every pending event skips the park/resume channel
-//     rendezvous entirely and just advances the clock ("fast resume").
+//   - a proc sleeping past every pending event skips even the event queue
+//     and just advances the clock ("fast resume").
 //
 // Every shortcut is gated on a precondition under which it is provably
 // unobservable, so optimized and unoptimized kernels produce bit-identical
-// schedules (locked by the golden digests in internal/harness/testdata).
+// schedules (locked by the golden digests in internal/harness/testdata and
+// TestScheduleEquivalenceStress here).
 package sim
 
 import (
@@ -60,7 +85,7 @@ type event struct {
 	seq     uint64 // tie-breaker: FIFO among simultaneous events
 	machine int32  // machine domain for fn events (proc events use proc.machine)
 	proc    *Proc  // resume this proc ...
-	fn      func() // ... or run this function on the scheduler
+	fn      func() // ... or run this function in scheduler context
 }
 
 // eventLess orders events by (at, seq); seq is unique, so the order is total.
@@ -96,20 +121,23 @@ type Sim struct {
 	// free is the event free list; steady-state scheduling never allocates.
 	free []*event
 
-	until   Time          // boundary of the Run in progress (< 0: none)
-	yield   chan struct{} // procs hand control back to the scheduler here
+	until Time // boundary of the Run in progress (< 0: none)
+	// yield returns control to the goroutine blocked in Run or Close: whichever
+	// goroutine finds the run over (dispatch returned nil) sends on it.
+	yield   chan struct{}
 	closed  bool
 	stopped bool // Stop() was called: Run dispatches no further events
 	// halted marks dead machine domains (see Halt). nil until the first
 	// Halt, so single-machine simulations pay one nil check per dispatch.
 	halted  []bool
 	failed  error
+	fnPanic error // a scheduled function panicked; Run re-raises it on its caller
 	rng     *rand.Rand
 	live    int     // procs started and not yet finished
 	procSeq uint64  // creation order; teardown resumes parked procs in this order
 	procs   []*Proc // all tracked procs in creation order (compacted lazily)
 	done    int     // finished procs still present in procs
-	running *Proc   // the proc currently holding control, nil in scheduler context
+	running *Proc   // the proc currently holding control, nil while dispatching
 }
 
 // New returns an empty simulation whose random source is seeded with seed.
@@ -290,8 +318,8 @@ func (s *Sim) noEventBefore(t Time) bool {
 // the clock instead of parking: its wake-up would be the very next event
 // dispatched (no pending event at or before t — a pending event AT t was
 // scheduled earlier and wins the seq tie-break), and Run's boundary does not
-// cut the sleep short. Under this precondition the park/resume rendezvous is
-// unobservable: nothing else runs between park and wake.
+// cut the sleep short. Under this precondition the park is unobservable:
+// dispatch would pop the proc's own wake-up first and return to it.
 func (s *Sim) canFastResume(t Time) bool {
 	if s.closed || s.stopped {
 		// Teardown or a frozen (crashed) sim: a sleeping proc must park —
@@ -307,8 +335,10 @@ func (s *Sim) canFastResume(t Time) bool {
 	return len(s.heap) == 0 || s.heap[0].at > t
 }
 
-// At schedules fn to run on the scheduler at time at (clamped to now). fn
+// At schedules fn to run in scheduler context at time at (clamped to now). fn
 // must not block or park; it may wake procs and schedule further events.
+// It runs on whichever goroutine is dispatching, so it must not end that
+// goroutine either (runtime.Goexit, hence t.FailNow; use t.Error).
 // The event belongs to machine 0 (see AtOn).
 func (s *Sim) At(at Time, fn func()) { s.schedule(at, nil, fn) }
 
@@ -385,7 +415,9 @@ func (s *Sim) GoOn(machine int, name string, fn func(p *Proc)) *Proc {
 					s.failed = fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
 				}
 			}
-			s.yield <- struct{}{}
+			// Finish-then-dispatch: the exiting goroutine carries the event
+			// loop forward until it can pass control on.
+			s.relinquish(p)
 		}()
 		if !s.closed {
 			fn(p)
@@ -424,33 +456,27 @@ func (s *Sim) ProcNames() []string {
 	return names
 }
 
-// resumeProc hands control to p and waits until it parks or finishes.
-func (s *Sim) resumeProc(p *Proc) {
-	p.parked = false
-	s.running = p
-	p.resume <- struct{}{}
-	<-s.yield
+// dispatch is the event loop. It runs on whichever goroutine holds control —
+// Run's caller at the start of a run, afterwards the proc goroutine that just
+// parked or finished — popping events in (at, seq) order and running
+// scheduled functions inline with Running() == nil, until it pops a proc's
+// wake-up, which it returns, or finds the run over (queue drained, boundary
+// reached, Stop, a proc failure, Close), when it returns nil.
+//
+// Scheduled functions are the only foreign code dispatch calls, so a panic
+// reaching its recover is theirs: it ends the run and is re-raised by Run on
+// Run's caller, whichever goroutine happened to be dispatching.
+func (s *Sim) dispatch() (next *Proc) {
 	s.running = nil
-}
-
-// Running returns the proc currently holding control, or nil when the
-// scheduler (an I/O completion callback) is running. Observability hooks use
-// it to attribute resource usage to the thread that incurred it; it has no
-// effect on scheduling.
-func (s *Sim) Running() *Proc { return s.running }
-
-// wake schedules p to resume at the current time. It is the primitive used
-// by resources and completion callbacks.
-func (s *Sim) wake(p *Proc) { s.schedule(s.now, p, nil) }
-
-// Run processes events until the queue is empty or virtual time would pass
-// until (use until < 0 for no limit). It returns the first proc panic, if
-// any. Run may be called repeatedly to advance a simulation in stages.
-func (s *Sim) Run(until Time) error {
-	s.until = until
-	for s.pending() > 0 && s.failed == nil && !s.stopped {
-		if until >= 0 && s.peek().at > until {
-			s.now = until
+	defer func() {
+		if r := recover(); r != nil {
+			s.fnPanic = fmt.Errorf("sim: scheduled function panicked: %v\n%s", r, debug.Stack())
+			next = nil
+		}
+	}()
+	for s.pending() > 0 && s.failed == nil && !s.stopped && !s.closed {
+		if s.until >= 0 && s.peek().at > s.until {
+			s.now = s.until
 			break
 		}
 		e := s.pop()
@@ -465,12 +491,70 @@ func (s *Sim) Run(until Time) error {
 		}
 		fn, p := e.fn, e.proc
 		s.putEvent(e)
-		switch {
-		case fn != nil:
-			fn()
-		case p != nil:
-			s.resumeProc(p)
+		if p != nil {
+			return p
 		}
+		fn()
+	}
+	return nil
+}
+
+// relinquish gives up the control p's goroutine holds because p is parking or
+// has finished: the goroutine dispatches events itself, then hands control
+// straight to the next proc's goroutine, or to Run/Close when the run is
+// over. It reports whether the next proc is p itself (self-resume: p's own
+// wake-up came first, no goroutine switch at all); otherwise a parking p must
+// block on its resume channel. Every transfer is a channel operation, so
+// exactly one goroutine touches the simulation at a time.
+func (s *Sim) relinquish(p *Proc) (self bool) {
+	next := s.dispatch()
+	if next == nil {
+		s.yield <- struct{}{}
+		return false
+	}
+	s.running = next
+	if next == p {
+		return true
+	}
+	next.resume <- struct{}{}
+	return false
+}
+
+// resumeProc starts a chain of hand-offs at p and waits until some goroutine
+// finds the run over.
+func (s *Sim) resumeProc(p *Proc) {
+	s.running = p
+	p.resume <- struct{}{}
+	<-s.yield
+}
+
+// Running returns the proc currently holding control, or nil in scheduler
+// context (a scheduled function such as an I/O completion callback is running,
+// on whichever goroutine is dispatching) and outside Run. Observability hooks
+// use it to attribute resource usage to the thread that incurred it; it has no
+// effect on scheduling.
+func (s *Sim) Running() *Proc { return s.running }
+
+// wake schedules p to resume at the current time. It is the primitive used
+// by resources and completion callbacks.
+func (s *Sim) wake(p *Proc) { s.schedule(s.now, p, nil) }
+
+// Run processes events until the queue is empty or virtual time would pass
+// until (use until < 0 for no limit). It returns the first proc panic, if
+// any, and re-raises a scheduled function's panic on its caller. Run may be
+// called repeatedly to advance a simulation in stages.
+//
+// Run itself dispatches only until the first proc event; from there the procs
+// pass control among themselves (see relinquish) and Run waits for whichever
+// goroutine finds the run over.
+func (s *Sim) Run(until Time) error {
+	s.until = until
+	if p := s.dispatch(); p != nil {
+		s.resumeProc(p)
+	}
+	if err := s.fnPanic; err != nil {
+		s.fnPanic = nil
+		panic(err)
 	}
 	if until >= 0 && s.now < until && s.failed == nil && !s.stopped {
 		s.now = until
@@ -494,11 +578,13 @@ func (s *Sim) Close() error {
 	}
 	// Resume survivors in creation order (s.procs is append-ordered by id):
 	// which proc panic is recorded first in s.failed must not depend on
-	// anything but creation order.
+	// anything but creation order. With no run in progress every unfinished
+	// proc is blocked on its resume channel — parked, or never started
+	// because its machine was halted first.
 	for {
 		var next *Proc
 		for _, p := range s.procs {
-			if p.parked && !p.done {
+			if !p.done {
 				next = p
 				break
 			}
@@ -518,7 +604,6 @@ type Proc struct {
 	id      uint64 // creation order, for deterministic teardown
 	machine int32  // machine domain (0 unless started with GoOn)
 	resume  chan struct{}
-	parked  bool
 	done    bool
 	trace   any // observability context (a *trace.Ctx), never read by the kernel
 }
@@ -545,9 +630,9 @@ func (p *Proc) Trace() any { return p.trace }
 // arranged a wake-up (a scheduled event or registration with a resource).
 func (p *Proc) park() {
 	s := p.sim
-	p.parked = true
-	s.yield <- struct{}{}
-	<-p.resume
+	if !s.relinquish(p) {
+		<-p.resume
+	}
 	if s.closed {
 		panic(errShutdown)
 	}

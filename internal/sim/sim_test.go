@@ -66,7 +66,7 @@ func TestCloseUnwindsParkedProcs(t *testing.T) {
 	s := New(1)
 	q := NewQueue(s)
 	for i := 0; i < 4; i++ {
-		s.Go("blocked", func(p *Proc) { q.PopWait(p, 1) })
+		s.Go("blocked", func(p *Proc) { q.PopWait(p, make([]any, 1)) })
 	}
 	if err := s.Run(-1); err != nil {
 		t.Fatal(err)
@@ -320,7 +320,7 @@ func TestQueueFIFOAndBatchedPop(t *testing.T) {
 	var batches [][]any
 	s.Go("consumer", func(p *Proc) {
 		for {
-			b := q.PopWait(p, 3)
+			b := q.PopWait(p, make([]any, 3))
 			if b == nil {
 				return
 			}
@@ -365,7 +365,7 @@ func TestDeterminism(t *testing.T) {
 		for w := 0; w < 3; w++ {
 			s.Go("worker", func(p *Proc) {
 				for {
-					b := q.PopWait(p, 2)
+					b := q.PopWait(p, make([]any, 2))
 					if b == nil {
 						return
 					}
