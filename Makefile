@@ -8,7 +8,7 @@ BENCH_PKGS = ./internal/sim ./internal/slab ./internal/pagecache \
 	./internal/core ./internal/harness ./internal/hotcache \
 	./internal/mvcc ./internal/txn
 
-.PHONY: all build vet fmt-check lint test race race-sim check bench alloc-budget feature-matrix e2e-smoke crash-sweep trace absorb tier cluster
+.PHONY: all build vet fmt-check lint test race race-sim check bench alloc-budget feature-matrix e2e-smoke crash-sweep trace absorb tier cluster loc
 
 # Crash sweep knobs: SEED picks the deterministic schedule (a CI failure
 # prints the seed to rerun here), K is points per engine, ENGINE narrows to
@@ -114,6 +114,21 @@ cluster:
 trace:
 	mkdir -p results/trace
 	$(GO) run ./cmd/kvell-bench trace -engine rocksdb,kvell -seed $(SEED) -o results/trace
+
+# Go line counts, non-test and test, per package directory — counted the way
+# ROADMAP's "Largest non-test packages" list and the issues count them: every
+# .go file under the directory (sub-packages and analyzer fixtures included),
+# comments and blanks too. `root module` is everything the root go.mod builds
+# (cmd/kvell-e2e is a module of its own); `whole tree` adds it back.
+loc:
+	@row() { name="$$1"; shift; printf '%-22s %9d %9d\n' "$$name" \
+		"$$(find "$$@" -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" \
+		"$$(find "$$@" -name '*.go' -name '*_test.go' | xargs cat | wc -l)"; }; \
+	printf '%-22s %9s %9s\n' package non-test test; \
+	for p in internal/* cmd/* examples; do row "$$p" "$$p"; done; \
+	row '. (package kvell)' . -maxdepth 1; \
+	row 'root module' . -not -path './cmd/kvell-e2e/*'; \
+	row 'whole tree' .
 
 # Everything CI runs, in the same order.
 check: build vet fmt-check lint race-sim alloc-budget feature-matrix e2e-smoke crash-sweep race

@@ -226,8 +226,8 @@ func (rp *Replicator) WrapDisk(idx int, inner device.Disk) device.Disk {
 }
 
 // replDisk is the replication wrapper. Besides device.Disk it forwards the
-// optional interfaces the engine layers probe for: Store (core bulk load /
-// storeAccessor) and Dead (aio's dead-device check under fault injection).
+// optional interfaces the engine layers probe for: Store (device.StoreOf,
+// for bulk load) and Dead (aio's dead-device check under fault injection).
 type replDisk struct {
 	rp    *Replicator
 	idx   int
@@ -243,10 +243,8 @@ func (d *replDisk) Submit(r *device.Request) {
 
 func (d *replDisk) Counters() device.Counters { return d.inner.Counters() }
 
-// Store implements core's storeAccessor by delegation.
-func (d *replDisk) Store() device.Store {
-	return d.inner.(interface{ Store() device.Store }).Store()
-}
+// Store makes the wrapper loadable by device.StoreOf, by delegation.
+func (d *replDisk) Store() device.Store { return device.StoreOf(d.inner) }
 
 // Dead implements aio.DeadDevice by delegation (false when the inner disk is
 // not fault-wrapped).

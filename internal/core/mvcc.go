@@ -842,7 +842,7 @@ func (s *Store) CheckMVCC() error {
 }
 
 func (w *worker) checkMVCC() error {
-	st := storeOf(w.dev)
+	st := device.StoreOf(w.dev)
 	// envelopeAt reads the slot at l; live reports a live envelope of key.
 	envelopeAt := func(l location, key []byte) (e mvcc.Envelope, live bool, err error) {
 		d, err := hostSlot(st, w.slabs[l.class()], l.slot())

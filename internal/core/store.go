@@ -370,7 +370,7 @@ func (s *Store) BulkLoad(items []kv.Item) error {
 			if err := sl.EncodeItem(buf, ts, it.Key, val); err != nil {
 				return err
 			}
-			if err := storeOf(w.dev).WritePages(sl.SlotPage(slot), buf); err != nil {
+			if err := device.StoreOf(w.dev).WritePages(sl.SlotPage(slot), buf); err != nil {
 				return err
 			}
 		} else {
@@ -395,18 +395,11 @@ func (s *Store) BulkLoad(items []kv.Item) error {
 	for _, k := range keys {
 		pb := pages[k]
 		page := k / int64(len(s.cfg.Disks))
-		if err := storeOf(pb.disk).WritePages(page, pb.data); err != nil {
+		if err := device.StoreOf(pb.disk).WritePages(page, pb.data); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// storeAccessor is implemented by both SimDisk and RealDisk.
-type storeAccessor interface{ Store() device.Store }
-
-func storeOf(d device.Disk) device.Store {
-	return d.(storeAccessor).Store()
 }
 
 // Stats is an aggregate snapshot across workers.

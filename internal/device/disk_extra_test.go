@@ -1,6 +1,7 @@
 package device
 
 import (
+	"bytes"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -162,5 +163,72 @@ func TestMultiPageRequestCountsAllBytes(t *testing.T) {
 	}
 	if c := d.Counters(); c.WriteBytes != 8*PageSize || c.WriteOps != 1 {
 		t.Fatalf("counters = %+v", c)
+	}
+}
+
+// TestSyncIOBlocksUntilCompletion: Do is a blocking system call — the data is
+// there and device time has passed when it returns — on the simulated disk
+// from several procs sharing one pool, and on the real disk.
+func TestSyncIOBlocksUntilCompletion(t *testing.T) {
+	s := sim.New(1)
+	e := sim.NewEnv(s, 2)
+	d := NewSimDisk(s, Optane(), nil)
+	sio := NewSyncIO(e)
+	for i := int64(0); i < 3; i++ {
+		e.Go("io", func(c env.Ctx) {
+			want := bytes.Repeat([]byte{byte(i + 1)}, 2*PageSize)
+			got := make([]byte, len(want))
+			for round := 0; round < 4; round++ {
+				t0 := c.Now()
+				sio.Do(c, d, Write, 10*i, want)
+				sio.Do(c, d, Read, 10*i, got)
+				if !bytes.Equal(got, want) {
+					t.Errorf("proc %d round %d: read back something else", i, round)
+				}
+				if c.Now() == t0 {
+					t.Errorf("proc %d round %d: two I/Os took no virtual time", i, round)
+				}
+				clear(got)
+			}
+		})
+	}
+	if err := s.Run(-1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c := d.Counters(); c.ReadOps != 12 || c.WriteOps != 12 || c.WriteBytes != 24*PageSize {
+		t.Fatalf("counters = %+v", c)
+	}
+	if n := len(sio.free); n == 0 || n > 3 {
+		t.Fatalf("%d pooled waiters after 24 requests from 3 procs, want 1..3", n)
+	}
+
+	rd := NewRealDisk(NewMemStore(), 2, false)
+	defer rd.Close()
+	re := env.NewReal()
+	re.Go("io", func(c env.Ctx) {
+		rio := NewSyncIO(re) // one pool per real thread
+		want := bytes.Repeat([]byte{7}, PageSize)
+		got := make([]byte, PageSize)
+		rio.Do(c, rd, Write, 5, want)
+		rio.Do(c, rd, Read, 5, got)
+		if !bytes.Equal(got, want) {
+			t.Error("real disk: read back something else")
+		}
+	})
+	re.Wait()
+}
+
+func TestStoreOf(t *testing.T) {
+	ms := NewMemStore()
+	if StoreOf(NewSimDisk(sim.New(1), Optane(), ms)) != Store(ms) {
+		t.Fatal("SimDisk: StoreOf is not the backing store")
+	}
+	rd := NewRealDisk(ms, 1, false)
+	defer rd.Close()
+	if StoreOf(rd) != Store(ms) {
+		t.Fatal("RealDisk: StoreOf is not the backing store")
 	}
 }

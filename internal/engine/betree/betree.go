@@ -11,16 +11,24 @@
 // leaves), matching the shallow fan-out of real Bε trees at the harness's
 // dataset scales; groups split as the leaf count grows. The simplification
 // is recorded in DESIGN.md.
+//
+// The leaf format, the leaf table, residency accounting and page I/O are
+// internal/engine/leaf, shared with wtree, and the durable log is walog.Log;
+// what this package keeps is the policy §3.1 profiles: message buffers and
+// their cascades, the tree lock held through flush-down leaf reads (dropped
+// only on the Get path), a buffered 1MB group-commit log, and checkpoints
+// that collect every dirty leaf first and write them afterwards.
 package betree
 
 import (
 	"bytes"
 	"sort"
 
-	"kvell/internal/costs"
 	"kvell/internal/device"
+	"kvell/internal/engine/leaf"
 	"kvell/internal/env"
 	"kvell/internal/trace"
+	"kvell/internal/walog"
 )
 
 // Config describes a betree engine.
@@ -95,24 +103,6 @@ type msg struct {
 
 func msgBytes(m *msg) int { return 16 + len(m.key) + len(m.value) }
 
-// entry is a leaf record.
-type entry struct {
-	key   []byte
-	value []byte
-}
-
-func entryBytes(klen, vlen int) int { return 6 + klen + vlen }
-
-type leaf struct {
-	firstKey []byte
-	page     int64
-	pages    int64
-	ents     []entry
-	bytes    int
-	dirty    bool
-	lruIdx   int
-}
-
 // group is a second-level buffer covering the key range
 // [firstKey, next group's firstKey).
 type group struct {
@@ -140,29 +130,19 @@ type DB struct {
 	rootMsgs  []msg
 	rootBytes int
 	groups    []*group
-	leaves    []*leaf
-	lru       []*leaf
-	cachedB   int64
-	dirtyB    int64
+	t         *leaf.Tree // guarded by treeMu
 	seq       uint64
 	closing   bool
 
+	// Commit log, timing-only buffered model (see logAppend).
 	logMu      env.Mutex
 	logBuf     int64
 	logPage    int64
-	logWriting bool   // durable mode: one log write in flight at a time
-	logScratch []byte // durable mode: leader-owned chunk buffer
-	logPayload []byte // durable mode: record payload scratch
+	logScratch []byte // zeroed group image, never written to
+	// Commit log, durable mode: nil unless cfg.Durable.
+	log *walog.Log
 
-	leafBufs [][]byte // recycled leaf read buffers (guarded by treeMu)
-
-	// Recycled synchronous-I/O waiters (host-only state: procs are
-	// cooperatively scheduled and pop/push contain no yield points, so the
-	// unlocked accesses cannot interleave).
-	waiterFree []*waiter
-
-	alloc *device.Allocator
-	disk  device.Disk
+	io *leaf.IO
 
 	stats Stats
 }
@@ -172,16 +152,16 @@ func New(e env.Env, cfg Config) *DB {
 	if len(cfg.Disks) == 0 {
 		panic("betree: no disks")
 	}
-	d := &DB{env: e, cfg: cfg, name: "TokuMX-like", disk: cfg.Disks[0]}
+	d := &DB{env: e, cfg: cfg, name: "TokuMX-like", io: leaf.NewIO(e, cfg.Disks[0])}
 	d.treeMu = e.NewMutex()
 	d.stallMu = e.NewMutex()
 	d.stallCond = e.NewCond(d.stallMu)
 	d.logMu = e.NewMutex()
-	d.alloc = device.NewAllocator(logRegionPages) // first pages reserved for the log
-	l := &leaf{ents: []entry{}, lruIdx: -1, pages: 1}
-	l.page = d.alloc.Alloc(1)
-	d.leaves = []*leaf{l}
-	d.touch(l)
+	if cfg.Durable {
+		d.log = walog.NewLog(e, d.io, logRegionPages)
+	}
+	// The first pages are reserved for the log.
+	d.t = leaf.NewTree(device.NewAllocator(logRegionPages), cfg.CacheBytes, cfg.LeafBytes)
 	d.groups = []*group{{}}
 	return d
 }
@@ -206,64 +186,6 @@ func (d *DB) Stop(c env.Ctx) {
 	d.stallCond.Broadcast(c)
 }
 
-// ---- LRU / residency (treeMu held) ----
-
-func (d *DB) touch(l *leaf) {
-	if l.lruIdx >= 0 {
-		copy(d.lru[l.lruIdx:], d.lru[l.lruIdx+1:])
-		d.lru = d.lru[:len(d.lru)-1]
-		for i := l.lruIdx; i < len(d.lru); i++ {
-			d.lru[i].lruIdx = i
-		}
-	}
-	l.lruIdx = len(d.lru)
-	d.lru = append(d.lru, l)
-}
-
-func (d *DB) dropFromLRU(l *leaf) {
-	if l.lruIdx < 0 {
-		return
-	}
-	copy(d.lru[l.lruIdx:], d.lru[l.lruIdx+1:])
-	d.lru = d.lru[:len(d.lru)-1]
-	for i := l.lruIdx; i < len(d.lru); i++ {
-		d.lru[i].lruIdx = i
-	}
-	l.lruIdx = -1
-}
-
-func (d *DB) adjustLeafBytes(l *leaf, delta int) {
-	l.bytes += delta
-	if l.ents != nil {
-		d.cachedB += int64(delta)
-	}
-	if l.dirty {
-		d.dirtyB += int64(delta)
-	}
-}
-
-func (d *DB) markDirty(l *leaf) {
-	if !l.dirty {
-		l.dirty = true
-		d.dirtyB += int64(l.bytes)
-	}
-}
-
-func (d *DB) findLeaf(c env.Ctx, key []byte) int {
-	depth := 1
-	for n := len(d.leaves); n > 1; n /= 16 {
-		depth++
-	}
-	c.CPU(env.Time(depth) * costs.BTreeNode)
-	i := sort.Search(len(d.leaves), func(i int) bool {
-		return bytes.Compare(d.leaves[i].firstKey, key) > 0
-	})
-	if i == 0 {
-		return 0
-	}
-	return i - 1
-}
-
 func (d *DB) findGroup(key []byte) int {
 	i := sort.Search(len(d.groups), func(i int) bool {
 		return bytes.Compare(d.groups[i].firstKey, key) > 0
@@ -277,208 +199,17 @@ func (d *DB) findGroup(key []byte) int {
 // loadLeafLocked makes l resident while HOLDING the tree lock across the
 // read I/O (TokuMX-style page latching: concurrent operations burn CPU on
 // the spin lock meanwhile).
-func (d *DB) loadLeafLocked(c env.Ctx, l *leaf) {
-	if l.ents != nil {
+func (d *DB) loadLeafLocked(c env.Ctx, l *leaf.Leaf) {
+	if l.Resident() {
 		d.stats.CacheHits++
-		d.touch(l)
+		d.t.Touch(l)
 		return
 	}
 	d.stats.CacheMisses++
-	buf := d.popLeafBuf(int(l.pages) * device.PageSize)
-	d.readSync(c, l.page, buf) // the read overwrites the whole buffer
-	ents, total := deserializeLeaf(buf)
-	d.leafBufs = append(d.leafBufs, buf) // deserializeLeaf copied out
-	c.CPU(costs.MemBytes(total))
-	l.ents = ents
-	l.bytes = total
-	d.cachedB += int64(total)
-	d.touch(l)
-	d.evictCleanOverBudget(l)
-}
-
-// popLeafBuf takes a recycled read buffer of at least need bytes from the
-// pool (treeMu held); too-small buffers are dropped, so the pool converges
-// on the largest leaf size.
-func (d *DB) popLeafBuf(need int) []byte {
-	if n := len(d.leafBufs); n > 0 {
-		b := d.leafBufs[n-1]
-		d.leafBufs = d.leafBufs[:n-1]
-		if cap(b) >= need {
-			return b[:need]
-		}
-	}
-	return make([]byte, need)
-}
-
-func (d *DB) evictCleanOverBudget(keep *leaf) {
-	for d.cachedB > d.cfg.CacheBytes {
-		evicted := false
-		for _, v := range d.lru {
-			if v == keep || v.dirty || v.ents == nil {
-				continue
-			}
-			d.cachedB -= int64(v.bytes)
-			v.ents = nil
-			d.dropFromLRU(v)
-			evicted = true
-			break
-		}
-		if !evicted {
-			return
-		}
-	}
-}
-
-// ---- I/O ----
-
-func (d *DB) readSync(c env.Ctx, page int64, buf []byte) {
-	// Buffered pread path (§6.3.1): syscall plus per-byte copy/checksum.
-	c.CPU(costs.Syscall + costs.PreadBytes(len(buf)))
-	w := d.getWaiter()
-	w.req = device.Request{Op: device.Read, Page: page, Buf: buf, Done: w.doneFn,
-		Trace: trace.FromCtx(c)}
-	d.disk.Submit(&w.req)
-	w.wait(c)
-	d.putWaiter(w)
-}
-
-func (d *DB) writeSync(c env.Ctx, page int64, buf []byte) {
-	c.CPU(costs.Syscall + costs.PwriteBytes(len(buf)))
-	w := d.getWaiter()
-	w.req = device.Request{Op: device.Write, Page: page, Buf: buf, Done: w.doneFn,
-		Trace: trace.FromCtx(c)}
-	d.disk.Submit(&w.req)
-	w.wait(c)
-	d.putWaiter(w)
-}
-
-type waiter struct {
-	mu     env.Mutex
-	cond   env.Cond
-	ok     bool
-	req    device.Request
-	doneFn func()
-}
-
-// getWaiter pops a recycled waiter — mutex, cond, bound done callback and
-// request record included — or builds one. The device copies the request's
-// fields at submission, so the record is free for reuse once wait returns.
-func (d *DB) getWaiter() *waiter {
-	if n := len(d.waiterFree); n > 0 {
-		w := d.waiterFree[n-1]
-		d.waiterFree = d.waiterFree[:n-1]
-		w.ok = false
-		return w
-	}
-	w := &waiter{mu: d.env.NewMutex()}
-	w.cond = d.env.NewCond(w.mu)
-	w.doneFn = w.done
-	return w
-}
-
-func (d *DB) putWaiter(w *waiter) {
-	w.req.Buf = nil
-	d.waiterFree = append(d.waiterFree, w)
-}
-
-func (w *waiter) done() {
-	w.mu.Lock(nil)
-	w.ok = true
-	w.mu.Unlock(nil)
-	w.cond.Broadcast(nil)
-}
-
-func (w *waiter) wait(c env.Ctx) {
-	w.mu.Lock(c)
-	for !w.ok {
-		w.cond.Wait(c)
-	}
-	w.mu.Unlock(c)
-}
-
-// ---- leaf codec (same layout as wtree's) ----
-
-// leafImagePages is the page count of l's serialized form.
-func leafImagePages(l *leaf) int {
-	pages := (l.bytes + 4 + device.PageSize - 1) / device.PageSize
-	if pages < 1 {
-		pages = 1
-	}
-	return pages
-}
-
-func serializeLeaf(l *leaf) []byte { return serializeLeafInto(l, nil) }
-
-// serializeLeafInto reconciles l into a page-aligned image, reusing dst
-// when it has the capacity (callers pass a per-thread scratch buffer or an
-// arena allocation). The image is dead once its write completes.
-func serializeLeafInto(l *leaf, dst []byte) []byte {
-	need := leafImagePages(l) * device.PageSize
-	var buf []byte
-	if cap(dst) >= need {
-		buf = dst[:need]
-	} else {
-		buf = make([]byte, need)
-	}
-	putU32(buf, uint32(len(l.ents)))
-	off := 4
-	for _, e := range l.ents {
-		putU16(buf[off:], uint16(len(e.key)))
-		putU32(buf[off+2:], uint32(len(e.value)))
-		copy(buf[off+6:], e.key)
-		copy(buf[off+6+len(e.key):], e.value)
-		off += entryBytes(len(e.key), len(e.value))
-	}
-	clear(buf[off:]) // reused scratch: keep the on-disk tail deterministic
-	return buf
-}
-
-func deserializeLeaf(buf []byte) ([]entry, int) {
-	n := int(getU32(buf))
-	ents := make([]entry, 0, n)
-	off, total := 4, 0
-	// Size pass: one backing blob for every key and value turns 2n copies
-	// into 2 allocations per leaf (mutation replaces whole slices, so the
-	// shared backing is never written through).
-	blobLen := 0
-	o := off
-	for i := 0; i < n; i++ {
-		klen := int(getU16(buf[o:]))
-		vlen := int(getU32(buf[o+2:]))
-		blobLen += klen + vlen
-		o += entryBytes(klen, vlen)
-	}
-	blob := make([]byte, blobLen)
-	bo := 0
-	for i := 0; i < n; i++ {
-		klen := int(getU16(buf[off:]))
-		vlen := int(getU32(buf[off+2:]))
-		k := blob[bo : bo+klen : bo+klen]
-		copy(k, buf[off+6:])
-		v := blob[bo+klen : bo+klen+vlen : bo+klen+vlen]
-		copy(v, buf[off+6+klen:off+6+klen+vlen])
-		bo += klen + vlen
-		ents = append(ents, entry{key: k, value: v})
-		off += entryBytes(klen, vlen)
-		total += entryBytes(klen, vlen)
-	}
-	return ents, total
-}
-
-func putU16(b []byte, v uint16) { b[0] = byte(v); b[1] = byte(v >> 8) }
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-func getU16(b []byte) uint16 { return uint16(b[0]) | uint16(b[1])<<8 }
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func storeOf(dd device.Disk) device.Store {
-	return dd.(interface{ Store() device.Store }).Store()
+	buf := d.t.GetBuf(l.Pages)
+	ents, total := d.io.Fetch(c, l.Page, buf)
+	d.t.PutBuf(buf)
+	d.t.Install(l, ents, total)
 }
 
 // upsertMsg inserts m into a sorted message slice, replacing an existing

@@ -169,7 +169,7 @@ func TestBulkLoadAndEviction(t *testing.T) {
 }
 
 func TestOracleRandomized(t *testing.T) {
-	harness(t, func(cfg *Config) { cfg.CacheBytes = 96 << 10 }, func(c env.Ctx, d *DB) {
+	d := harness(t, func(cfg *Config) { cfg.CacheBytes = 96 << 10 }, func(c env.Ctx, d *DB) {
 		r := rand.New(rand.NewSource(21))
 		oracle := map[int64]uint64{}
 		var ver uint64
@@ -198,6 +198,9 @@ func TestOracleRandomized(t *testing.T) {
 			}
 		}
 	})
+	if err := d.t.Check(); err != nil {
+		t.Fatalf("leaf accounting after the run: %v", err)
+	}
 }
 
 func TestSpinLockContentionAccounted(t *testing.T) {

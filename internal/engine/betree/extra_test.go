@@ -49,21 +49,3 @@ func TestScanTrailingBufferedKeys(t *testing.T) {
 		}
 	})
 }
-
-func TestSubmitInterface(t *testing.T) {
-	harness(t, nil, func(c env.Ctx, d *DB) {
-		done := 0
-		d.Submit(c, &kv.Request{Op: kv.OpUpdate, Key: kv.Key(1), Value: kv.Value(1, 1, 200), Done: func(kv.Result) { done++ }})
-		d.Submit(c, &kv.Request{Op: kv.OpGet, Key: kv.Key(1), Done: func(r kv.Result) {
-			done++
-			if !r.Found {
-				t.Error("buffered write invisible via Submit")
-			}
-		}})
-		d.Submit(c, &kv.Request{Op: kv.OpDelete, Key: kv.Key(1), Done: func(kv.Result) { done++ }})
-		d.Submit(c, &kv.Request{Op: kv.OpScan, Key: kv.Key(0), ScanCount: 5, Done: func(r kv.Result) { done++ }})
-		if done != 4 {
-			t.Fatalf("callbacks fired %d/4", done)
-		}
-	})
-}

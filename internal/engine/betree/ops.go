@@ -2,10 +2,12 @@ package betree
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 
 	"kvell/internal/costs"
 	"kvell/internal/device"
+	"kvell/internal/engine/leaf"
 	"kvell/internal/env"
 	"kvell/internal/kv"
 	"kvell/internal/slab"
@@ -14,73 +16,27 @@ import (
 )
 
 // Submit implements kv.Engine (library model).
-func (d *DB) Submit(c env.Ctx, r *kv.Request) {
-	switch r.Op {
-	case kv.OpGet:
-		v, ok := d.getInto(c, r.Key, &r.ValueBuf)
-		r.Done(kv.Result{Found: ok, Value: v})
-	case kv.OpUpdate:
-		d.Put(c, r.Key, r.Value)
-		r.Done(kv.Result{Found: true})
-	case kv.OpDelete:
-		d.Delete(c, r.Key)
-		r.Done(kv.Result{Found: true})
-	case kv.OpRMW:
-		_, _ = d.getInto(c, r.Key, &r.ValueBuf)
-		d.Put(c, r.Key, r.Value)
-		r.Done(kv.Result{Found: true})
-	case kv.OpScan:
-		items := d.scanInto(c, r.Key, r.ScanCount, r.ScanBuf[:0])
-		r.ScanBuf = items
-		r.Done(kv.Result{Found: len(items) > 0, ScanN: len(items)})
-	}
-}
+func (d *DB) Submit(c env.Ctx, r *kv.Request) { kv.SubmitLibrary(c, d, r) }
 
 // logRecord routes a mutation through the commit log: the timing-only
 // buffered model by default, a real flushed WAL record in durable mode.
 func (d *DB) logRecord(c env.Ctx, op byte, key, value []byte) {
 	t0 := c.Now()
+	recBytes := leaf.EntryBytes(len(key), len(value))
+	c.CPU(costs.WALBytes(recBytes))
 	if d.cfg.Durable {
-		d.logAppendDurable(c, op, key, value)
+		d.log.Append(c, op, key, value)
 	} else {
-		d.logAppend(c, entryBytes(len(key), len(value)))
+		d.logAppend(c, recBytes)
 	}
 	trace.FromCtx(c).Span("wal", t0, c.Now())
 }
 
-// logAppendDurable writes one checksummed walog chunk carrying the record
-// and waits for its completion before returning. The logWriting flag keeps
-// at most one log write in flight and serializes logPage advances (the
-// non-durable path mutates logPage outside logMu, which is fine for a
-// timing-only log but would break the log's valid-prefix property here).
-func (d *DB) logAppendDurable(c env.Ctx, op byte, key, value []byte) {
-	c.CPU(costs.WALBytes(entryBytes(len(key), len(value))))
-	d.logMu.Lock(c)
-	for d.logWriting {
-		d.logMu.Unlock(c)
-		c.CPU(costs.LogSlotSpin)
-		d.logMu.Lock(c)
-	}
-	d.logWriting = true
-	// The leader owns logPayload/logScratch while logWriting is set.
-	d.logPayload = walog.AppendRecord(d.logPayload[:0], op, key, value)
-	d.logScratch = walog.EncodeChunk(d.logScratch, d.logPayload, 1)
-	page := d.logPage
-	d.logPage += walog.ChunkPages(len(d.logPayload))
-	if d.logPage > logRegionPages {
-		panic("betree: durable log region overflow")
-	}
-	d.logMu.Unlock(c)
-	d.writeSync(c, page, d.logScratch)
-	d.logMu.Lock(c)
-	d.logWriting = false
-	d.logMu.Unlock(c)
-}
-
 // logAppend is a buffered group commit (1MB buffer, like the configured
-// baselines; TokuMX's bottleneck is elsewhere).
+// baselines; TokuMX's bottleneck is elsewhere). Nothing serializes the group
+// writes, which is fine for a timing-only log: its content is never read
+// back, so every write shares one zeroed image.
 func (d *DB) logAppend(c env.Ctx, recBytes int) {
-	c.CPU(costs.WALBytes(recBytes))
 	d.logMu.Lock(c)
 	d.logBuf += int64(recBytes)
 	var pages int64
@@ -90,10 +46,11 @@ func (d *DB) logAppend(c env.Ctx, recBytes int) {
 	}
 	d.logMu.Unlock(c)
 	if pages > 0 {
-		buf := make([]byte, pages*device.PageSize)
-		page := d.logPage % (1 << 20)
+		need := int(pages) * device.PageSize
+		d.logScratch = slices.Grow(d.logScratch[:0], need)[:need]
+		page := d.logPage % logRegionPages
 		d.logPage += pages
-		d.writeSync(c, page, buf)
+		d.io.Write(c, page, d.logScratch)
 	}
 }
 
@@ -138,10 +95,10 @@ func (d *DB) write(c env.Ctx, key, value []byte, del bool) {
 func (d *DB) maybeStall(c env.Ctx) {
 	limit := int64(float64(d.cfg.CacheBytes) * d.cfg.DirtyStallFrac)
 	d.stallMu.Lock(c)
-	if d.dirtyB > limit/2 {
+	if d.t.DirtyBytes() > limit/2 {
 		d.stallCond.Broadcast(c) // wake the eviction thread early
 	}
-	for d.dirtyB > limit && !d.closing {
+	for d.t.DirtyBytes() > limit && !d.closing {
 		d.stats.WriteStalls++
 		t0 := c.Now()
 		d.stallCond.Wait(c)
@@ -159,7 +116,7 @@ func (d *DB) evictLoop(c env.Ctx) {
 	var scratch []byte // this thread's reconcile buffer (dead once written)
 	for {
 		d.stallMu.Lock(c)
-		for d.dirtyB <= trigger && !d.closing {
+		for d.t.DirtyBytes() <= trigger && !d.closing {
 			d.stallCond.Wait(c)
 		}
 		closing := d.closing
@@ -168,13 +125,7 @@ func (d *DB) evictLoop(c env.Ctx) {
 			return
 		}
 		d.treeMu.Lock(c)
-		var victim *leaf
-		for _, l := range d.lru {
-			if l.dirty && l.ents != nil {
-				victim = l
-				break
-			}
-		}
+		victim := d.t.OldestDirty()
 		if victim == nil {
 			d.treeMu.Unlock(c)
 			continue
@@ -182,13 +133,10 @@ func (d *DB) evictLoop(c env.Ctx) {
 		bc := d.cfg.Tracer.BeginBg("evict", c.Now())
 		c.SetTrace(bc)
 		c.CPU(costs.PageReconcile)
-		scratch = serializeLeafInto(victim, scratch)
-		buf := scratch
-		page := victim.page
-		victim.dirty = false
-		d.dirtyB -= int64(victim.bytes)
+		scratch = d.t.Reconcile(victim, scratch)
+		page := victim.Page
 		d.treeMu.Unlock(c)
-		d.writeSync(c, page, buf)
+		d.io.Write(c, page, scratch)
 		c.SetTrace(nil)
 		d.cfg.Tracer.FinishBg(bc, c.Now())
 		d.stats.EvictedLeaves++
@@ -234,14 +182,14 @@ func (d *DB) flushGroup(c env.Ctx, g *group) {
 	var minLeaf, maxLeaf int = 1 << 30, -1
 	for _, m := range g.msgs {
 		moved += msgBytes(&m)
-		li := d.findLeaf(c, m.key)
+		li := d.t.Find(c, m.key)
 		if li < minLeaf {
 			minLeaf = li
 		}
 		if li > maxLeaf {
 			maxLeaf = li
 		}
-		l := d.leaves[li]
+		l := d.t.Leaves[li]
 		d.loadLeafLocked(c, l)
 		d.applyToLeaf(c, l, &m)
 	}
@@ -267,23 +215,24 @@ func (d *DB) splitGroup(g *group) {
 		return
 	}
 	// Find the middle leaf within g's range.
+	leaves := d.t.Leaves
 	lo := 0
 	if g.firstKey != nil {
-		lo = sort.Search(len(d.leaves), func(i int) bool {
-			return bytes.Compare(d.leaves[i].firstKey, g.firstKey) >= 0
+		lo = sort.Search(len(leaves), func(i int) bool {
+			return bytes.Compare(leaves[i].FirstKey, g.firstKey) >= 0
 		})
 	}
-	hi := len(d.leaves)
+	hi := len(leaves)
 	if gi+1 < len(d.groups) {
-		hi = sort.Search(len(d.leaves), func(i int) bool {
-			return bytes.Compare(d.leaves[i].firstKey, d.groups[gi+1].firstKey) >= 0
+		hi = sort.Search(len(leaves), func(i int) bool {
+			return bytes.Compare(leaves[i].FirstKey, d.groups[gi+1].firstKey) >= 0
 		})
 	}
 	mid := (lo + hi) / 2
-	if mid <= lo || mid >= hi || d.leaves[mid].firstKey == nil {
+	if mid <= lo || mid >= hi || leaves[mid].FirstKey == nil {
 		return
 	}
-	ng := &group{firstKey: append([]byte(nil), d.leaves[mid].firstKey...)}
+	ng := &group{firstKey: bytes.Clone(leaves[mid].FirstKey)}
 	// Move messages >= boundary (none right after a flush, but be safe).
 	split := sort.Search(len(g.msgs), func(i int) bool {
 		return bytes.Compare(g.msgs[i].key, ng.firstKey) >= 0
@@ -299,170 +248,84 @@ func (d *DB) splitGroup(g *group) {
 	d.groups[gi+1] = ng
 }
 
-// applyToLeaf installs one message into a resident leaf (treeMu held).
-func (d *DB) applyToLeaf(c env.Ctx, l *leaf, m *msg) {
-	i := sort.Search(len(l.ents), func(i int) bool {
-		return bytes.Compare(l.ents[i].key, m.key) >= 0
-	})
-	exists := i < len(l.ents) && bytes.Equal(l.ents[i].key, m.key)
-	d.markDirty(l)
-	switch {
-	case m.del && exists:
-		d.adjustLeafBytes(l, -entryBytes(len(l.ents[i].key), len(l.ents[i].value)))
-		l.ents = append(l.ents[:i], l.ents[i+1:]...)
-	case m.del:
-		// delete of absent key: nothing
-	case exists:
-		d.adjustLeafBytes(l, len(m.value)-len(l.ents[i].value))
-		l.ents[i].value = m.value
-	default:
-		l.ents = append(l.ents, entry{})
-		copy(l.ents[i+1:], l.ents[i:])
-		l.ents[i] = entry{key: m.key, value: m.value}
-		d.adjustLeafBytes(l, entryBytes(len(m.key), len(m.value)))
+// applyToLeaf installs one message into a resident leaf (treeMu held). The
+// leaf is dirtied even by a delete that finds nothing: the flush touched it.
+func (d *DB) applyToLeaf(c env.Ctx, l *leaf.Leaf, m *msg) {
+	d.t.MarkDirty(l)
+	if m.del {
+		d.t.Remove(l, m.key)
+	} else {
+		d.t.Upsert(l, m.key, m.value)
 	}
-	c.CPU(costs.MemBytes(entryBytes(len(m.key), len(m.value))))
-	if l.bytes+4 > d.cfg.LeafBytes && len(l.ents) > 1 {
-		d.splitLeaf(l)
-	}
-	d.resizeLeafPages(l)
-}
-
-func (d *DB) splitLeaf(l *leaf) {
-	mid := len(l.ents) / 2
-	right := &leaf{
-		firstKey: append([]byte(nil), l.ents[mid].key...),
-		ents:     append([]entry(nil), l.ents[mid:]...),
-		dirty:    true,
-		lruIdx:   -1,
-	}
-	for _, e := range right.ents {
-		right.bytes += entryBytes(len(e.key), len(e.value))
-	}
-	l.ents = l.ents[:mid:mid]
-	l.bytes -= right.bytes
-	right.pages = (int64(right.bytes) + 4 + device.PageSize - 1) / device.PageSize
-	right.page = d.alloc.Alloc(right.pages)
-	i := sort.Search(len(d.leaves), func(i int) bool {
-		return bytes.Compare(d.leaves[i].firstKey, right.firstKey) > 0
-	})
-	d.leaves = append(d.leaves, nil)
-	copy(d.leaves[i+1:], d.leaves[i:])
-	d.leaves[i] = right
-	d.touch(right)
-}
-
-func (d *DB) resizeLeafPages(l *leaf) {
-	need := (int64(l.bytes) + 4 + device.PageSize - 1) / device.PageSize
-	if need <= l.pages {
-		return
-	}
-	d.alloc.Free(l.page, l.pages)
-	l.pages = need
-	l.page = d.alloc.Alloc(need)
+	c.CPU(costs.MemBytes(leaf.EntryBytes(len(m.key), len(m.value))))
+	d.t.Fit(l)
 }
 
 // Get consults the buffers along the "path" (root, then group), then the
 // leaf; an ancestor message is always newer than anything below it.
 func (d *DB) Get(c env.Ctx, key []byte) ([]byte, bool) {
-	return d.getInto(c, key, nil)
+	return d.GetInto(c, key, nil)
 }
 
-// getInto is Get with optional caller-owned value scratch: when vdst is
+// GetInto is Get with optional caller-owned value scratch: when vdst is
 // non-nil the returned value is backed by *vdst (grown as needed) and only
 // valid until the caller reuses the scratch.
-func (d *DB) getInto(c env.Ctx, key []byte, vdst *[]byte) ([]byte, bool) {
+func (d *DB) GetInto(c env.Ctx, key []byte, vdst *[]byte) ([]byte, bool) {
 	c.CPU(costs.LockUncontended)
 	d.treeMu.Lock(c)
 	d.stats.Gets++
 	c.CPU(costs.BTreeNode * 3)
-	if m, ok := findMsg(d.rootMsgs, key); ok {
-		d.treeMu.Unlock(c)
-		return msgValueInto(m, vdst)
+	m, ok := findMsg(d.rootMsgs, key)
+	if !ok {
+		m, ok = findMsg(d.groups[d.findGroup(key)].msgs, key)
 	}
-	g := d.groups[d.findGroup(key)]
-	if m, ok := findMsg(g.msgs, key); ok {
+	if ok {
 		d.treeMu.Unlock(c)
-		return msgValueInto(m, vdst)
+		if m.del {
+			return nil, false
+		}
+		return kv.CopyValue(m.value, vdst), true
 	}
-	var l *leaf
+	var l *leaf.Leaf
 	for {
-		l = d.leaves[d.findLeaf(c, key)]
-		if l.ents != nil {
+		l = d.t.Leaves[d.t.Find(c, key)]
+		if l.Resident() {
 			d.stats.CacheHits++
-			d.touch(l)
+			d.t.Touch(l)
 			break
 		}
 		// Release the lock for read I/O on the Get path (TokuMX reads do
 		// not hold the flush locks), then re-descend.
 		d.stats.CacheMisses++
-		page, pages := l.page, l.pages
-		buf := d.popLeafBuf(int(pages) * device.PageSize)
+		page := l.Page
+		buf := d.t.GetBuf(l.Pages)
 		d.treeMu.Unlock(c)
-		d.readSync(c, page, buf) // the read overwrites the whole buffer
-		ents, total := deserializeLeaf(buf)
-		c.CPU(costs.MemBytes(total))
+		ents, total := d.io.Fetch(c, page, buf)
 		d.treeMu.Lock(c)
-		d.leafBufs = append(d.leafBufs, buf) // deserializeLeaf copied out
-		if l.ents == nil && l.page == page {
-			l.ents = ents
-			l.bytes = total
-			d.cachedB += int64(total)
-			d.touch(l)
-			d.evictCleanOverBudget(l)
+		d.t.PutBuf(buf)
+		if !l.Resident() && l.Page == page {
+			d.t.Install(l, ents, total)
 		}
 	}
-	i := sort.Search(len(l.ents), func(i int) bool {
-		return bytes.Compare(l.ents[i].key, key) >= 0
-	})
 	var val []byte
-	found := false
-	if i < len(l.ents) && bytes.Equal(l.ents[i].key, key) {
-		val = copyInto(l.ents[i].value, vdst)
-		found = true
+	i, found := l.Search(key)
+	if found {
+		val = kv.CopyValue(l.Ents[i].Value, vdst)
 		c.CPU(costs.MemBytes(len(val)))
 	}
 	d.treeMu.Unlock(c)
 	return val, found
 }
 
-func msgValue(m msg) ([]byte, bool) {
-	return msgValueInto(m, nil)
-}
-
-func msgValueInto(m msg, vdst *[]byte) ([]byte, bool) {
-	if m.del {
-		return nil, false
-	}
-	return copyInto(m.value, vdst), true
-}
-
-// copyInto copies src into the caller's scratch when it has capacity,
-// growing the scratch otherwise.
-func copyInto(src []byte, vdst *[]byte) []byte {
-	n := len(src)
-	var val []byte
-	if vdst != nil && *vdst != nil && cap(*vdst) >= n {
-		val = (*vdst)[:n]
-	} else {
-		val = make([]byte, n)
-		if vdst != nil {
-			*vdst = val
-		}
-	}
-	copy(val, src)
-	return val
-}
-
 // Scan merges buffered messages with leaf entries for the range.
 func (d *DB) Scan(c env.Ctx, start []byte, count int) []kv.Item {
-	return d.scanInto(c, start, count, nil)
+	return d.ScanInto(c, start, count, nil)
 }
 
-// scanInto is Scan with a caller-owned destination: dst's slots (and their
+// ScanInto is Scan with a caller-owned destination: dst's slots (and their
 // Key/Value capacity) are reused via kv.AppendItem, so hot-path callers
 // that only count the results recycle one buffer across scans.
-func (d *DB) scanInto(c env.Ctx, start []byte, count int, dst []kv.Item) []kv.Item {
+func (d *DB) ScanInto(c env.Ctx, start []byte, count int, dst []kv.Item) []kv.Item {
 	c.CPU(costs.LockUncontended)
 	d.treeMu.Lock(c)
 	d.stats.Scans++
@@ -499,20 +362,20 @@ func (d *DB) scanInto(c env.Ctx, start []byte, count int, dst []kv.Item) []kv.It
 	sort.Strings(pkeys)
 	pi := 0
 
-	li := d.findLeaf(c, start)
+	li := d.t.Find(c, start)
 	var lastKey []byte
-	for li < len(d.leaves) && len(out) < count {
-		l := d.leaves[li]
+	for li < len(d.t.Leaves) && len(out) < count {
+		l := d.t.Leaves[li]
 		d.loadLeafLocked(c, l)
-		for _, e := range l.ents {
-			if bytes.Compare(e.key, start) < 0 {
+		for _, e := range l.Ents {
+			if bytes.Compare(e.Key, start) < 0 {
 				continue
 			}
-			if lastKey != nil && bytes.Compare(e.key, lastKey) <= 0 {
+			if lastKey != nil && bytes.Compare(e.Key, lastKey) <= 0 {
 				continue
 			}
 			// Emit pending message keys that sort before this entry.
-			for pi < len(pkeys) && pkeys[pi] < string(e.key) && len(out) < count {
+			for pi < len(pkeys) && pkeys[pi] < string(e.Key) && len(out) < count {
 				m := pending[pkeys[pi]]
 				pi++
 				if !m.del {
@@ -523,16 +386,16 @@ func (d *DB) scanInto(c env.Ctx, start []byte, count int, dst []kv.Item) []kv.It
 				break
 			}
 			c.CPU(costs.IterStep)
-			if pi < len(pkeys) && pkeys[pi] == string(e.key) {
+			if pi < len(pkeys) && pkeys[pi] == string(e.Key) {
 				m := pending[pkeys[pi]]
 				pi++
 				if !m.del {
 					emit(m.key, m.value)
 				}
 			} else {
-				emit(e.key, e.value)
+				emit(e.Key, e.Value)
 			}
-			lastKey = append(lastKey[:0], e.key...)
+			lastKey = append(lastKey[:0], e.Key...)
 			if len(out) >= count {
 				break
 			}
@@ -560,40 +423,10 @@ func (d *DB) scanInto(c env.Ctx, start []byte, count int, dst []kv.Item) []kv.It
 // replay reconstructs the loaded data without trusting any leaf page.
 func (d *DB) BulkLoad(items []kv.Item) error {
 	if d.cfg.Durable {
-		d.logItems(items)
+		d.log.AppendBulk(device.StoreOf(d.cfg.Disks[0]), items)
 	}
 	d.buildLeaves(items)
 	return nil
-}
-
-// logItems appends items as checksummed log chunks via direct store writes.
-func (d *DB) logItems(items []kv.Item) {
-	st := storeOf(d.disk)
-	var payload, enc []byte
-	count := 0
-	flush := func() {
-		if count == 0 {
-			return
-		}
-		enc = walog.EncodeChunk(enc, payload, count)
-		if err := st.WritePages(d.logPage, enc); err != nil {
-			panic(err)
-		}
-		d.logPage += walog.ChunkPages(len(payload))
-		if d.logPage > logRegionPages {
-			panic("betree: durable log region overflow during bulk load")
-		}
-		payload = payload[:0]
-		count = 0
-	}
-	for _, it := range items {
-		payload = walog.AppendRecord(payload, walog.OpPut, it.Key, it.Value)
-		count++
-		if len(payload) >= 256<<10 {
-			flush()
-		}
-	}
-	flush()
 }
 
 // ReplayLog rebuilds a freshly-opened durable DB from the valid prefix of
@@ -605,88 +438,22 @@ func (d *DB) ReplayLog(c env.Ctx) int {
 	if !d.cfg.Durable {
 		panic("betree: ReplayLog on a non-durable DB")
 	}
-	m := make(map[string][]byte)
-	used := walog.Scan(timedReader{d, c}, 0, logRegionPages, func(op byte, k, v []byte) {
-		if op == walog.OpDelete {
-			delete(m, string(k))
-			return
-		}
-		m[string(k)] = append([]byte(nil), v...)
-	})
-	d.logPage = used
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	items := make([]kv.Item, 0, len(keys))
-	for _, k := range keys {
-		items = append(items, kv.Item{Key: []byte(k), Value: m[k]})
-	}
+	items := d.log.Replay(c)
 	d.buildLeaves(items)
 	return len(items)
 }
 
-type timedReader struct {
-	d *DB
-	c env.Ctx
-}
-
-func (t timedReader) ReadPages(page int64, buf []byte) error {
-	t.d.readSync(t.c, page, buf)
-	return nil
-}
-
-// buildLeaves constructs the on-disk leaf set and group table for items
-// (sorted by key) via direct store writes, replacing any existing tree.
+// buildLeaves replaces the tree with bulk-built leaves for items (sorted by
+// key) and sizes the group table to them: one group per SplitSpan/2 leaves.
 func (d *DB) buildLeaves(items []kv.Item) {
-	budget := d.cfg.LeafBytes * 9 / 10
-	var leaves []*leaf
-	cur := &leaf{ents: []entry{}, lruIdx: -1}
-	flush := func() {
-		if len(cur.ents) == 0 {
-			return
-		}
-		cur.pages = (int64(cur.bytes) + 4 + device.PageSize - 1) / device.PageSize
-		cur.page = d.alloc.Alloc(cur.pages)
-		if err := storeOf(d.disk).WritePages(cur.page, serializeLeaf(cur)); err != nil {
-			panic(err)
-		}
-		cur.ents = nil
-		leaves = append(leaves, cur)
-		cur = &leaf{ents: []entry{}, lruIdx: -1}
-	}
-	for _, it := range items {
-		n := entryBytes(len(it.Key), len(it.Value))
-		if cur.bytes+n+4 > budget && len(cur.ents) > 0 {
-			flush()
-		}
-		if len(cur.ents) == 0 {
-			cur.firstKey = append([]byte(nil), it.Key...)
-		}
-		cur.ents = append(cur.ents, entry{key: it.Key, value: it.Value})
-		cur.bytes += n
-	}
-	flush()
-	if len(leaves) == 0 {
+	if !d.t.Build(device.StoreOf(d.cfg.Disks[0]), items) {
 		return
 	}
-	leaves[0].firstKey = nil
-	d.leaves = leaves
-	d.lru = nil
-	d.cachedB, d.dirtyB = 0, 0
-	// Groups: one per SplitSpan/2 leaves.
 	d.groups = d.groups[:0]
-	step := d.cfg.SplitSpan / 2
-	if step < 1 {
-		step = 1
-	}
-	for i := 0; i < len(leaves); i += step {
-		g := &group{}
-		if i > 0 {
-			g.firstKey = append([]byte(nil), leaves[i].firstKey...)
-		}
-		d.groups = append(d.groups, g)
+	step := max(d.cfg.SplitSpan/2, 1)
+	for i := 0; i < len(d.t.Leaves); i += step {
+		// Leaves[0].FirstKey is nil: the first group owns -inf too.
+		d.groups = append(d.groups, &group{firstKey: bytes.Clone(d.t.Leaves[i].FirstKey)})
 	}
 }
 
@@ -697,11 +464,11 @@ func (d *DB) checkpointLoop(c env.Ctx) {
 	// from a per-checkpoint arena rather than a single scratch buffer.
 	arena := slab.NewArena(1 << 20)
 	type job struct {
-		l    *leaf
 		page int64
 		buf  []byte
 	}
 	var jobs []job
+	var dirty []*leaf.Leaf
 	for {
 		c.Sleep(d.cfg.CheckpointEvery)
 		bc := d.cfg.Tracer.BeginBg("checkpoint", c.Now())
@@ -715,23 +482,19 @@ func (d *DB) checkpointLoop(c env.Ctx) {
 		}
 		// Collect dirty leaves, then write them without the tree lock.
 		jobs = jobs[:0]
-		for _, l := range d.lru {
-			if l.dirty && l.ents != nil {
-				c.CPU(costs.PageReconcile)
-				img := serializeLeafInto(l, arena.Alloc(leafImagePages(l)*device.PageSize))
-				jobs = append(jobs, job{l: l, page: l.page, buf: img})
-				l.dirty = false
-				d.dirtyB -= int64(l.bytes)
-			}
+		dirty = d.t.DirtyLeaves(dirty[:0])
+		for _, l := range dirty {
+			c.CPU(costs.PageReconcile)
+			img := d.t.Reconcile(l, arena.Alloc(int(leaf.RunPages(l.Bytes))*device.PageSize))
+			jobs = append(jobs, job{page: l.Page, buf: img})
 		}
+		clear(dirty) // drop leaf references
 		d.treeMu.Unlock(c)
 		for _, j := range jobs {
-			d.writeSync(c, j.page, j.buf)
+			d.io.Write(c, j.page, j.buf)
 			d.stats.EvictedLeaves++
 		}
-		for i := range jobs {
-			jobs[i] = job{} // drop leaf/image references
-		}
+		clear(jobs)   // drop image references
 		arena.Reset() // every image has been written out
 		c.SetTrace(nil)
 		d.cfg.Tracer.FinishBg(bc, c.Now())

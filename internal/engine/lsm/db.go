@@ -96,6 +96,7 @@ type DB struct {
 	imm       *memtable // immutable memtable being flushed (nil when none)
 	seq       uint64
 	walRecs   []byte // buffered framed log records (see wal.go)
+	walBuf    []byte // chunk image scratch (see walChunk)
 	walPage   int64
 
 	// Version state.
@@ -114,10 +115,7 @@ type DB struct {
 	allocs   []*device.Allocator
 	diskNext int
 
-	// Recycled synchronous-I/O waiters (host-only state: procs are
-	// cooperatively scheduled and pop/push contain no yield points, so the
-	// unlocked accesses cannot interleave).
-	ioFree []*ioWaiter
+	io *device.SyncIO
 
 	stats Stats
 }
@@ -132,7 +130,7 @@ func New(e env.Env, cfg Config) *DB {
 	if cfg.Levels < 2 {
 		cfg.Levels = 5
 	}
-	d := &DB{env: e, cfg: cfg, mem: newMemtable(), seq: 1, busy: map[int64]bool{}}
+	d := &DB{env: e, cfg: cfg, mem: newMemtable(), seq: 1, busy: map[int64]bool{}, io: device.NewSyncIO(e)}
 	d.name = "RocksDB-like"
 	if cfg.Fragmented {
 		d.name = "PebblesDB-like"
@@ -203,7 +201,7 @@ func (d *DB) free(c env.Ctx, t *sstable) {
 			d.allocs[i].Free(t.basePage, t.pages)
 		}
 	}
-	if ms, ok := storeOf(t.disk).(*device.MemStore); ok {
+	if ms, ok := device.StoreOf(t.disk).(*device.MemStore); ok {
 		ms.Free(t.basePage, t.pages)
 	}
 }
@@ -217,66 +215,16 @@ func (d *DB) nextDisk() device.Disk {
 
 // ---- synchronous device I/O (read/write syscalls, one per call) ----
 
-type ioWaiter struct {
-	mu     env.Mutex
-	cond   env.Cond
-	done   bool
-	req    device.Request
-	doneFn func()
-}
-
-func (w *ioWaiter) complete() {
-	w.mu.Lock(nil)
-	w.done = true
-	w.mu.Unlock(nil)
-	w.cond.Broadcast(nil)
-}
-
-// getIOWaiter pops a recycled waiter — mutex, cond, bound completion
-// callback and request record included — or builds one. The device copies
-// the request's fields at submission, so the record is free for reuse once
-// the wait returns.
-func (d *DB) getIOWaiter() *ioWaiter {
-	if n := len(d.ioFree); n > 0 {
-		w := d.ioFree[n-1]
-		d.ioFree = d.ioFree[:n-1]
-		w.done = false
-		return w
-	}
-	w := &ioWaiter{mu: d.env.NewMutex()}
-	w.cond = d.env.NewCond(w.mu)
-	w.doneFn = w.complete
-	return w
-}
-
 func (d *DB) readPagesSync(c env.Ctx, disk device.Disk, page int64, buf []byte) {
 	// pread: the per-block buffered-read path §6.3.1 profiles (syscall +
 	// copy + checksum per byte).
 	c.CPU(costs.Syscall + costs.PreadBytes(len(buf)))
-	w := d.getIOWaiter()
-	w.req = device.Request{Op: device.Read, Page: page, Buf: buf, Done: w.doneFn, Trace: trace.FromCtx(c)}
-	disk.Submit(&w.req)
-	w.mu.Lock(c)
-	for !w.done {
-		w.cond.Wait(c)
-	}
-	w.mu.Unlock(c)
-	w.req.Buf = nil
-	d.ioFree = append(d.ioFree, w)
+	d.io.Do(c, disk, device.Read, page, buf)
 }
 
 func (d *DB) writePagesTimed(c env.Ctx, disk device.Disk, page int64, data []byte) {
 	c.CPU(costs.Syscall + costs.PwriteBytes(len(data)))
-	w := d.getIOWaiter()
-	w.req = device.Request{Op: device.Write, Page: page, Buf: data, Done: w.doneFn, Trace: trace.FromCtx(c)}
-	disk.Submit(&w.req)
-	w.mu.Lock(c)
-	for !w.done {
-		w.cond.Wait(c)
-	}
-	w.mu.Unlock(c)
-	w.req.Buf = nil
-	d.ioFree = append(d.ioFree, w)
+	d.io.Do(c, disk, device.Write, page, data)
 }
 
 // ---- engine lifecycle ----
@@ -343,27 +291,7 @@ func (d *DB) BulkLoad(items []kv.Item) error {
 
 // Submit implements kv.Engine: operations run on the calling thread
 // (library model, as with RocksDB under YCSB).
-func (d *DB) Submit(c env.Ctx, r *kv.Request) {
-	switch r.Op {
-	case kv.OpGet:
-		v, ok := d.getInto(c, r.Key, &r.ValueBuf)
-		r.Done(kv.Result{Found: ok, Value: v})
-	case kv.OpUpdate:
-		d.Put(c, r.Key, r.Value)
-		r.Done(kv.Result{Found: true})
-	case kv.OpDelete:
-		d.Delete(c, r.Key)
-		r.Done(kv.Result{Found: true})
-	case kv.OpRMW:
-		_, _ = d.getInto(c, r.Key, &r.ValueBuf)
-		d.Put(c, r.Key, r.Value)
-		r.Done(kv.Result{Found: true})
-	case kv.OpScan:
-		items := d.scanInto(c, r.Key, r.ScanCount, r.ScanBuf[:0])
-		r.ScanBuf = items
-		r.Done(kv.Result{Found: len(items) > 0, ScanN: len(items)})
-	}
-}
+func (d *DB) Submit(c env.Ctx, r *kv.Request) { kv.SubmitLibrary(c, d, r) }
 
 // ---- write path ----
 
@@ -446,13 +374,13 @@ func (d *DB) l0Count() int {
 
 // Get returns the newest value for key.
 func (d *DB) Get(c env.Ctx, key []byte) ([]byte, bool) {
-	return d.getInto(c, key, nil)
+	return d.GetInto(c, key, nil)
 }
 
-// getInto is Get with optional caller-owned value scratch: when vdst is
+// GetInto is Get with optional caller-owned value scratch: when vdst is
 // non-nil the returned value is backed by *vdst (grown as needed) and is
 // only valid until the caller reuses the scratch.
-func (d *DB) getInto(c env.Ctx, key []byte, vdst *[]byte) ([]byte, bool) {
+func (d *DB) GetInto(c env.Ctx, key []byte, vdst *[]byte) ([]byte, bool) {
 	d.stats.Gets++
 	// Memtables.
 	c.CPU(costs.LockUncontended)
@@ -503,17 +431,7 @@ func copyValInto(e entry, vdst *[]byte) ([]byte, bool) {
 	if e.tombstone {
 		return nil, false
 	}
-	n := len(e.value)
-	if vdst != nil && *vdst != nil && cap(*vdst) >= n {
-		v := (*vdst)[:n]
-		copy(v, e.value)
-		return v, true
-	}
-	v := append([]byte(nil), e.value...)
-	if vdst != nil && v != nil {
-		*vdst = v
-	}
-	return v, true
+	return kv.CopyValue(e.value, vdst), true
 }
 
 // snapshotCandidates collects, under the version lock, the tables that may
@@ -626,13 +544,13 @@ func (d *DB) blockData(c env.Ctx, t *sstable, bi int) []byte {
 // Scan returns up to count live items with key >= start in key order,
 // merging the memtables and every overlapping table.
 func (d *DB) Scan(c env.Ctx, start []byte, count int) []kv.Item {
-	return d.scanInto(c, start, count, nil)
+	return d.ScanInto(c, start, count, nil)
 }
 
-// scanInto is Scan with a caller-owned destination: dst's slots (and their
+// ScanInto is Scan with a caller-owned destination: dst's slots (and their
 // Key/Value capacity) are reused via kv.AppendItem, so hot-path callers
 // that only count the results recycle one buffer across scans.
-func (d *DB) scanInto(c env.Ctx, start []byte, count int, dst []kv.Item) []kv.Item {
+func (d *DB) ScanInto(c env.Ctx, start []byte, count int, dst []kv.Item) []kv.Item {
 	d.stats.Scans++
 	var sources []*scanSource
 	c.CPU(costs.LockUncontended)

@@ -259,17 +259,13 @@ func (b *tableBuilder) finish(c env.Ctx) *sstable {
 		if c != nil {
 			b.db.writePagesTimed(c, b.disk, page, pd)
 		} else {
-			if err := storeOf(b.disk).WritePages(page, pd); err != nil {
+			if err := device.StoreOf(b.disk).WritePages(page, pd); err != nil {
 				panic(err)
 			}
 		}
 		page += int64(len(pd) / device.PageSize)
 	}
 	return t
-}
-
-func storeOf(d device.Disk) device.Store {
-	return d.(interface{ Store() device.Store }).Store()
 }
 
 // findBlock returns the index of the block that may contain key.

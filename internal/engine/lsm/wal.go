@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"kvell/internal/costs"
 	"kvell/internal/device"
@@ -68,24 +69,8 @@ func (d *DB) walFlush(c env.Ctx) {
 	if len(d.walRecs) == 0 {
 		return
 	}
-	payload := d.walRecs
-	hdr := walChunkHdr
-	if d.cfg.Durable {
-		hdr = walChunkHdrDur
-	}
-	pages := (int64(hdr+len(payload)) + device.PageSize - 1) / device.PageSize
-	buf := make([]byte, pages*device.PageSize)
-	if d.cfg.Durable {
-		binary.LittleEndian.PutUint32(buf[0:4], walMagicDur)
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(len(payload)))
-		h := fnv.New64a()
-		h.Write(payload)
-		binary.LittleEndian.PutUint64(buf[8:16], h.Sum64())
-	} else {
-		binary.LittleEndian.PutUint32(buf[0:4], walMagic)
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(len(payload)))
-	}
-	copy(buf[hdr:], payload)
+	buf := d.walChunk(d.walRecs)
+	pages := int64(len(buf) / device.PageSize)
 	page := walRegionPage + d.walPage%walRegionSize
 	if d.cfg.Durable {
 		if d.walPage+pages > walRegionSize {
@@ -98,28 +83,49 @@ func (d *DB) walFlush(c env.Ctx) {
 	d.writePagesTimed(c, d.cfg.Disks[0], page, buf)
 }
 
+// walChunk frames payload as one page-aligned chunk in the configured format
+// (see the top of this file). The image lives in d.walBuf, one buffer for
+// every chunk: the device consumes a write's buffer at submission, and the
+// writers are serialized — writeMu is held through a flush, and bulk load
+// runs before anything else — so a chunk is dead before the next is framed.
+func (d *DB) walChunk(payload []byte) []byte {
+	hdr := walChunkHdr
+	if d.cfg.Durable {
+		hdr = walChunkHdrDur
+	}
+	need := (hdr + len(payload) + device.PageSize - 1) / device.PageSize * device.PageSize
+	buf := slices.Grow(d.walBuf[:0], need)[:need]
+	d.walBuf = buf
+	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(payload)))
+	if d.cfg.Durable {
+		binary.LittleEndian.PutUint32(buf[0:4], walMagicDur)
+		h := fnv.New64a()
+		h.Write(payload)
+		binary.LittleEndian.PutUint64(buf[8:16], h.Sum64())
+	} else {
+		binary.LittleEndian.PutUint32(buf[0:4], walMagic)
+	}
+	n := copy(buf[hdr:], payload)
+	clear(buf[hdr+n:]) // recycled image: stale bytes must not reach the device
+	return buf
+}
+
 // logBulkItems appends items as durable WAL chunks via direct (untimed)
 // store writes — bulk load precedes the measured run — so ReplayWAL on a
 // fresh DB reconstructs the loaded data without trusting any table page.
+// Durable mode only.
 func (d *DB) logBulkItems(items []kv.Item) {
-	st := storeOf(d.cfg.Disks[0])
+	st := device.StoreOf(d.cfg.Disks[0])
 	var payload []byte
 	flush := func() {
 		if len(payload) == 0 {
 			return
 		}
-		pages := (int64(walChunkHdrDur+len(payload)) + device.PageSize - 1) / device.PageSize
-		buf := make([]byte, pages*device.PageSize)
-		binary.LittleEndian.PutUint32(buf[0:4], walMagicDur)
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(len(payload)))
-		h := fnv.New64a()
-		h.Write(payload)
-		binary.LittleEndian.PutUint64(buf[8:16], h.Sum64())
-		copy(buf[walChunkHdrDur:], payload)
+		buf := d.walChunk(payload)
 		if err := st.WritePages(walRegionPage+d.walPage, buf); err != nil {
 			panic(err)
 		}
-		d.walPage += pages
+		d.walPage += int64(len(buf) / device.PageSize)
 		if d.walPage > walRegionSize {
 			panic("lsm: durable WAL region overflow during bulk load")
 		}

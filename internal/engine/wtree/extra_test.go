@@ -1,7 +1,6 @@
 package wtree
 
 import (
-	"bytes"
 	"testing"
 
 	"kvell/internal/env"
@@ -23,37 +22,9 @@ func TestCheckpointWritesAllDirty(t *testing.T) {
 	if d.stats.CheckpointLeaves == 0 {
 		t.Fatal("checkpoint never wrote a leaf")
 	}
-	if d.dirtyB != 0 {
-		t.Fatalf("dirty bytes %d after checkpoint quiesce", d.dirtyB)
+	if n := d.t.DirtyBytes(); n != 0 {
+		t.Fatalf("dirty bytes %d after checkpoint quiesce", n)
 	}
-}
-
-func TestSubmitInterface(t *testing.T) {
-	harness(t, nil, func(c env.Ctx, d *DB) {
-		done := 0
-		cb := func(kv.Result) { done++ }
-		d.Submit(c, &kv.Request{Op: kv.OpUpdate, Key: kv.Key(1), Value: kv.Value(1, 1, 300), Done: cb})
-		d.Submit(c, &kv.Request{Op: kv.OpGet, Key: kv.Key(1), Done: func(r kv.Result) {
-			done++
-			if !r.Found || !bytes.Equal(r.Value, kv.Value(1, 1, 300)) {
-				t.Error("Submit Get wrong result")
-			}
-		}})
-		d.Submit(c, &kv.Request{Op: kv.OpRMW, Key: kv.Key(1), Value: kv.Value(1, 2, 300), Done: cb})
-		d.Submit(c, &kv.Request{Op: kv.OpScan, Key: kv.Key(0), ScanCount: 1, Done: func(r kv.Result) {
-			done++
-			if r.ScanN != 1 {
-				t.Errorf("scan returned %d", r.ScanN)
-			}
-		}})
-		d.Submit(c, &kv.Request{Op: kv.OpDelete, Key: kv.Key(1), Done: cb})
-		if done != 5 {
-			t.Fatalf("callbacks fired %d/5", done)
-		}
-		if _, ok := d.Get(c, kv.Key(1)); ok {
-			t.Fatal("delete via Submit did not take effect")
-		}
-	})
 }
 
 func TestDeleteMissingKey(t *testing.T) {

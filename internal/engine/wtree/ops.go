@@ -2,10 +2,11 @@ package wtree
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 
 	"kvell/internal/costs"
 	"kvell/internal/device"
+	"kvell/internal/engine/leaf"
 	"kvell/internal/env"
 	"kvell/internal/kv"
 	"kvell/internal/trace"
@@ -14,69 +15,28 @@ import (
 
 // Submit implements kv.Engine (library model: operations run on the
 // calling thread).
-func (d *DB) Submit(c env.Ctx, r *kv.Request) {
-	switch r.Op {
-	case kv.OpGet:
-		v, ok := d.getInto(c, r.Key, &r.ValueBuf)
-		r.Done(kv.Result{Found: ok, Value: v})
-	case kv.OpUpdate:
-		d.Put(c, r.Key, r.Value)
-		r.Done(kv.Result{Found: true})
-	case kv.OpDelete:
-		d.Delete(c, r.Key)
-		r.Done(kv.Result{Found: true})
-	case kv.OpRMW:
-		_, _ = d.getInto(c, r.Key, &r.ValueBuf)
-		d.Put(c, r.Key, r.Value)
-		r.Done(kv.Result{Found: true})
-	case kv.OpScan:
-		items := d.scanInto(c, r.Key, r.ScanCount, r.ScanBuf[:0])
-		r.ScanBuf = items
-		r.Done(kv.Result{Found: len(items) > 0, ScanN: len(items)})
-	}
-}
+func (d *DB) Submit(c env.Ctx, r *kv.Request) { kv.SubmitLibrary(c, library{d}, r) }
+
+// library is DB as a kv.Library, whose Delete reports nothing.
+type library struct{ *DB }
+
+func (l library) Delete(c env.Ctx, key []byte) { l.DB.Delete(c, key) }
 
 // logRecord routes a mutation through the commit log: the timing-only slot
-// model by default, a real flushed WAL record in durable mode.
+// model by default, a real flushed WAL record in durable mode — one chunk
+// per record, later writers busy-waiting exactly as in the slot model.
 func (d *DB) logRecord(c env.Ctx, op byte, key, value []byte) {
 	t0 := c.Now()
+	recBytes := leaf.EntryBytes(len(key), len(value))
 	if d.cfg.Durable {
-		d.logAppendDurable(c, op, key, value)
+		c.CPU(costs.LogSlotJoin + costs.WALBytes(recBytes))
+		spins := d.log.Append(c, op, key, value)
+		d.stats.LogSpinTime += env.Time(spins) * costs.LogSlotSpin
+		d.stats.LogSlotWrites++
 	} else {
-		d.logAppend(c, entryBytes(len(key), len(value)))
+		d.logAppend(c, recBytes)
 	}
 	trace.FromCtx(c).Span("wal", t0, c.Now())
-}
-
-// logAppendDurable writes one checksummed walog chunk carrying the record
-// and waits for its completion before returning, so an acknowledged
-// operation is always in the log's valid prefix. The logWriting flag keeps
-// at most one log write in flight (the property torn-tail detection relies
-// on); later writers busy-wait exactly as in the slot model.
-func (d *DB) logAppendDurable(c env.Ctx, op byte, key, value []byte) {
-	c.CPU(costs.LogSlotJoin + costs.WALBytes(entryBytes(len(key), len(value))))
-	d.logMu.Lock(c)
-	for d.logWriting {
-		d.logMu.Unlock(c)
-		c.CPU(costs.LogSlotSpin)
-		d.stats.LogSpinTime += costs.LogSlotSpin
-		d.logMu.Lock(c)
-	}
-	d.logWriting = true
-	// The leader owns logPayload/logScratch while logWriting is set.
-	d.logPayload = walog.AppendRecord(d.logPayload[:0], op, key, value)
-	d.logScratch = walog.EncodeChunk(d.logScratch, d.logPayload, 1)
-	page := d.logPage
-	d.logPage += walog.ChunkPages(len(d.logPayload))
-	if d.logPage > logRegionPages {
-		panic("wtree: durable log region overflow")
-	}
-	d.logMu.Unlock(c)
-	d.writeSync(c, page, d.logScratch)
-	d.stats.LogSlotWrites++
-	d.logMu.Lock(c)
-	d.logWriting = false
-	d.logMu.Unlock(c)
 }
 
 // logAppend models the slot-based group commit: the record joins the
@@ -107,16 +67,10 @@ func (d *DB) logAppend(c env.Ctx, recBytes int) {
 		// ordered by logMu); the slot content is never read back, so one
 		// zeroed buffer serves every slot write.
 		need := int(pages) * device.PageSize
-		buf := d.logScratch
-		if cap(buf) >= need {
-			buf = buf[:need]
-		} else {
-			buf = make([]byte, need)
-			d.logScratch = buf
-		}
-		page := d.logPage % (1 << 20)
+		d.logScratch = slices.Grow(d.logScratch[:0], need)[:need]
+		page := d.logPage % logRegionPages
 		d.logPage += pages
-		d.writeSync(c, page, buf)
+		d.io.Write(c, page, d.logScratch)
 		d.stats.LogSlotWrites++
 		d.logMu.Lock(c)
 		d.logWriting = false
@@ -131,44 +85,16 @@ func (d *DB) Put(c env.Ctx, key, value []byte) {
 	c.CPU(costs.LockUncontended)
 	d.mu.Lock(c)
 	d.stats.Puts++
-	var l *leaf
-	for {
-		l = d.leaves[d.findLeaf(c, key)]
-		if !d.loadLeaf(c, l) {
-			break // resident and lock still held
-		}
-		// The lock was dropped during I/O; the leaf may have split.
-	}
-
-	// Insert into the sorted entry slice.
-	i := sort.Search(len(l.ents), func(i int) bool {
-		return bytes.Compare(l.ents[i].key, key) >= 0
-	})
+	l := d.residentLeaf(c, key)
 	c.CPU(costs.MemBytes(len(key) + len(value)))
-	d.markDirty(l)
-	if i < len(l.ents) && bytes.Equal(l.ents[i].key, key) {
-		d.adjustLeafBytes(l, len(value)-len(l.ents[i].value))
-		l.ents[i].value = append([]byte(nil), value...)
-	} else {
-		e := entry{key: append([]byte(nil), key...), value: append([]byte(nil), value...)}
-		l.ents = append(l.ents, entry{})
-		copy(l.ents[i+1:], l.ents[i:])
-		l.ents[i] = e
-		d.adjustLeafBytes(l, entryBytes(len(key), len(value)))
-	}
-
-	// Split when the serialized leaf exceeds its page budget.
-	if l.bytes+4 > d.cfg.LeafBytes && len(l.ents) > 1 {
-		d.splitLeaf(l)
-	}
-	// Large single records get page runs sized to fit.
-	d.resizeLeafPages(l)
+	d.t.Upsert(l, key, bytes.Clone(value))
+	d.t.Fit(l)
 
 	dirtyStall := int64(float64(d.cfg.CacheBytes) * d.cfg.DirtyStallFrac)
-	if d.dirtyB > int64(float64(d.cfg.CacheBytes)*d.cfg.DirtyTriggerFrac) {
+	if d.t.DirtyBytes() > int64(float64(d.cfg.CacheBytes)*d.cfg.DirtyTriggerFrac) {
 		d.cond.Broadcast(c) // wake the eviction thread
 	}
-	for d.dirtyB > dirtyStall && !d.closing {
+	for d.t.DirtyBytes() > dirtyStall && !d.closing {
 		// §3.2: user writes stall when eviction cannot keep up.
 		d.stats.WriteStalls++
 		t0 := c.Now()
@@ -179,85 +105,39 @@ func (d *DB) Put(c env.Ctx, key, value []byte) {
 	d.mu.Unlock(c)
 }
 
-// splitLeaf divides l (dirty, resident) in half, allocating a page run for
-// the new right leaf (mu held). Byte accounting: l's bytes were already
-// counted in cachedB/dirtyB; the halves together hold the same bytes, so
-// only the attribution moves.
-func (d *DB) splitLeaf(l *leaf) {
-	mid := len(l.ents) / 2
-	right := &leaf{
-		firstKey: append([]byte(nil), l.ents[mid].key...),
-		ents:     append([]entry(nil), l.ents[mid:]...),
-		dirty:    true,
-		lruIdx:   -1,
+// residentLeaf returns the leaf owning key with its records in memory (mu
+// held on entry and on return). A miss drops the lock for the read, during
+// which the leaf may have split, so the descent repeats until it lands on a
+// resident leaf. Callers unlock explicitly, never by defer: a thread parked
+// in that read does not hold mu, and closing the simulation unwinds parked
+// threads through their deferred calls.
+func (d *DB) residentLeaf(c env.Ctx, key []byte) *leaf.Leaf {
+	for {
+		l := d.t.Leaves[d.t.Find(c, key)]
+		if !d.loadLeaf(c, l) {
+			return l
+		}
 	}
-	for _, e := range right.ents {
-		right.bytes += entryBytes(len(e.key), len(e.value))
-	}
-	l.ents = l.ents[:mid:mid]
-	l.bytes -= right.bytes
-	right.pages = (int64(right.bytes) + 4 + device.PageSize - 1) / device.PageSize
-	right.page = d.alloc.Alloc(right.pages)
-
-	// Insert into the sorted leaf table.
-	i := sort.Search(len(d.leaves), func(i int) bool {
-		return bytes.Compare(d.leaves[i].firstKey, right.firstKey) > 0
-	})
-	d.leaves = append(d.leaves, nil)
-	copy(d.leaves[i+1:], d.leaves[i:])
-	d.leaves[i] = right
-	d.touch(right)
-}
-
-// resizeLeafPages reallocates the leaf's page run if its serialized size
-// outgrew it (large values).
-func (d *DB) resizeLeafPages(l *leaf) {
-	need := (int64(l.bytes) + 4 + device.PageSize - 1) / device.PageSize
-	if need <= l.pages {
-		return
-	}
-	d.alloc.Free(l.page, l.pages)
-	l.pages = need
-	l.page = d.alloc.Alloc(need)
 }
 
 // Get returns the value for key.
 func (d *DB) Get(c env.Ctx, key []byte) ([]byte, bool) {
-	return d.getInto(c, key, nil)
+	return d.GetInto(c, key, nil)
 }
 
-// getInto is Get with optional caller-owned value scratch: when vdst is
+// GetInto is Get with optional caller-owned value scratch: when vdst is
 // non-nil the returned value is backed by *vdst (grown as needed) and only
 // valid until the caller reuses the scratch.
-func (d *DB) getInto(c env.Ctx, key []byte, vdst *[]byte) ([]byte, bool) {
+func (d *DB) GetInto(c env.Ctx, key []byte, vdst *[]byte) ([]byte, bool) {
 	c.CPU(costs.LockUncontended)
 	d.mu.Lock(c)
 	d.stats.Gets++
-	var l *leaf
-	for {
-		l = d.leaves[d.findLeaf(c, key)]
-		if !d.loadLeaf(c, l) {
-			break
-		}
-	}
-	i := sort.Search(len(l.ents), func(i int) bool {
-		return bytes.Compare(l.ents[i].key, key) >= 0
-	})
+	l := d.residentLeaf(c, key)
 	var val []byte
-	found := false
-	if i < len(l.ents) && bytes.Equal(l.ents[i].key, key) {
-		n := len(l.ents[i].value)
-		if vdst != nil && *vdst != nil && cap(*vdst) >= n {
-			val = (*vdst)[:n]
-		} else {
-			val = make([]byte, n)
-			if vdst != nil {
-				*vdst = val
-			}
-		}
-		copy(val, l.ents[i].value)
-		found = true
-		c.CPU(costs.MemBytes(n))
+	i, found := l.Search(key)
+	if found {
+		val = kv.CopyValue(l.Ents[i].Value, vdst)
+		c.CPU(costs.MemBytes(len(val)))
 	}
 	d.mu.Unlock(c)
 	return val, found
@@ -268,44 +148,29 @@ func (d *DB) Delete(c env.Ctx, key []byte) bool {
 	d.logRecord(c, walog.OpDelete, key, nil)
 	c.CPU(costs.LockUncontended)
 	d.mu.Lock(c)
-	defer d.mu.Unlock(c)
-	var l *leaf
-	for {
-		l = d.leaves[d.findLeaf(c, key)]
-		if !d.loadLeaf(c, l) {
-			break
-		}
-	}
-	i := sort.Search(len(l.ents), func(i int) bool {
-		return bytes.Compare(l.ents[i].key, key) >= 0
-	})
-	if i >= len(l.ents) || !bytes.Equal(l.ents[i].key, key) {
-		return false
-	}
-	d.markDirty(l)
-	d.adjustLeafBytes(l, -entryBytes(len(l.ents[i].key), len(l.ents[i].value)))
-	l.ents = append(l.ents[:i], l.ents[i+1:]...)
-	return true
+	found := d.t.Remove(d.residentLeaf(c, key), key)
+	d.mu.Unlock(c)
+	return found
 }
 
 // Scan returns up to count items with key >= start: leaves are chained in
 // key order, so sorted data yields several items per 4KB leaf read — the
 // design advantage for scans that Figure 10 quantifies.
 func (d *DB) Scan(c env.Ctx, start []byte, count int) []kv.Item {
-	return d.scanInto(c, start, count, nil)
+	return d.ScanInto(c, start, count, nil)
 }
 
-// scanInto is Scan with a caller-owned destination: dst's slots (and their
+// ScanInto is Scan with a caller-owned destination: dst's slots (and their
 // Key/Value capacity) are reused via kv.AppendItem, so hot-path callers
 // that only count the results recycle one buffer across scans.
-func (d *DB) scanInto(c env.Ctx, start []byte, count int, dst []kv.Item) []kv.Item {
+func (d *DB) ScanInto(c env.Ctx, start []byte, count int, dst []kv.Item) []kv.Item {
 	c.CPU(costs.LockUncontended)
 	d.mu.Lock(c)
 	d.stats.Scans++
 	out := dst
-	li := d.findLeaf(c, start)
-	for li < len(d.leaves) && len(out) < count {
-		l := d.leaves[li]
+	li := d.t.Find(c, start)
+	for li < len(d.t.Leaves) && len(out) < count {
+		l := d.t.Leaves[li]
 		if d.loadLeaf(c, l) {
 			// Lock was dropped; re-find the position by the last key we
 			// emitted (or start).
@@ -313,18 +178,18 @@ func (d *DB) scanInto(c env.Ctx, start []byte, count int, dst []kv.Item) []kv.It
 			if len(out) > 0 {
 				key = out[len(out)-1].Key
 			}
-			li = d.findLeaf(c, key)
+			li = d.t.Find(c, key)
 			continue
 		}
-		for _, e := range l.ents {
-			if bytes.Compare(e.key, start) < 0 {
+		for _, e := range l.Ents {
+			if bytes.Compare(e.Key, start) < 0 {
 				continue
 			}
-			if len(out) > 0 && bytes.Compare(e.key, out[len(out)-1].Key) <= 0 {
+			if len(out) > 0 && bytes.Compare(e.Key, out[len(out)-1].Key) <= 0 {
 				continue
 			}
 			c.CPU(costs.IterStep)
-			out = kv.AppendItem(out, e.key, e.value)
+			out = kv.AppendItem(out, e.Key, e.Value)
 			if len(out) >= count {
 				break
 			}
@@ -340,41 +205,12 @@ func (d *DB) scanInto(c env.Ctx, start []byte, count int, dst []kv.Item) []kv.It
 // store writes — bulk load precedes the measured run), so post-crash replay
 // reconstructs the loaded data without trusting any leaf page.
 func (d *DB) BulkLoad(items []kv.Item) error {
+	st := device.StoreOf(d.cfg.Disks[0])
 	if d.cfg.Durable {
-		d.logItems(items)
+		d.log.AppendBulk(st, items)
 	}
-	d.buildLeaves(items)
+	d.t.Build(st, items)
 	return nil
-}
-
-// logItems appends items as checksummed log chunks via direct store writes.
-func (d *DB) logItems(items []kv.Item) {
-	st := storeOf(d.disk)
-	var payload, enc []byte
-	count := 0
-	flush := func() {
-		if count == 0 {
-			return
-		}
-		enc = walog.EncodeChunk(enc, payload, count)
-		if err := st.WritePages(d.logPage, enc); err != nil {
-			panic(err)
-		}
-		d.logPage += walog.ChunkPages(len(payload))
-		if d.logPage > logRegionPages {
-			panic("wtree: durable log region overflow during bulk load")
-		}
-		payload = payload[:0]
-		count = 0
-	}
-	for _, it := range items {
-		payload = walog.AppendRecord(payload, walog.OpPut, it.Key, it.Value)
-		count++
-		if len(payload) >= 256<<10 {
-			flush()
-		}
-	}
-	flush()
 }
 
 // ReplayLog rebuilds a freshly-opened durable DB from the valid prefix of
@@ -386,81 +222,9 @@ func (d *DB) ReplayLog(c env.Ctx) int {
 	if !d.cfg.Durable {
 		panic("wtree: ReplayLog on a non-durable DB")
 	}
-	m := make(map[string][]byte)
-	used := walog.Scan(timedReader{d, c}, 0, logRegionPages, func(op byte, k, v []byte) {
-		if op == walog.OpDelete {
-			delete(m, string(k))
-			return
-		}
-		m[string(k)] = append([]byte(nil), v...)
-	})
-	d.logPage = used
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	items := make([]kv.Item, 0, len(keys))
-	for _, k := range keys {
-		items = append(items, kv.Item{Key: []byte(k), Value: m[k]})
-	}
-	d.buildLeaves(items)
+	items := d.log.Replay(c)
+	d.t.Build(device.StoreOf(d.cfg.Disks[0]), items)
 	return len(items)
-}
-
-type timedReader struct {
-	d *DB
-	c env.Ctx
-}
-
-func (t timedReader) ReadPages(page int64, buf []byte) error {
-	t.d.readSync(t.c, page, buf)
-	return nil
-}
-
-// buildLeaves constructs the on-disk leaf set for items (sorted by key)
-// via direct store writes, replacing any existing tree.
-func (d *DB) buildLeaves(items []kv.Item) {
-	budget := d.cfg.LeafBytes * 9 / 10
-	var leaves []*leaf
-	cur := &leaf{ents: []entry{}, lruIdx: -1}
-	flush := func() {
-		if len(cur.ents) == 0 {
-			return
-		}
-		cur.pages = (int64(cur.bytes) + 4 + device.PageSize - 1) / device.PageSize
-		cur.page = d.alloc.Alloc(cur.pages)
-		buf := serializeLeaf(cur)
-		if err := storeOf(d.disk).WritePages(cur.page, buf); err != nil {
-			panic(err)
-		}
-		cur.ents = nil // not resident
-		leaves = append(leaves, cur)
-		cur = &leaf{ents: []entry{}, lruIdx: -1}
-	}
-	for _, it := range items {
-		n := entryBytes(len(it.Key), len(it.Value))
-		if cur.bytes+n+4 > budget && len(cur.ents) > 0 {
-			flush()
-		}
-		if len(cur.ents) == 0 {
-			cur.firstKey = append([]byte(nil), it.Key...)
-		}
-		cur.ents = append(cur.ents, entry{key: it.Key, value: it.Value})
-		cur.bytes += n
-	}
-	flush()
-	if len(leaves) > 0 {
-		leaves[0].firstKey = nil // leftmost leaf owns -inf
-		d.leaves = leaves
-		d.lru = nil
-		d.cachedB = 0
-		d.dirtyB = 0
-	}
-}
-
-func storeOf(dd device.Disk) device.Store {
-	return dd.(interface{ Store() device.Store }).Store()
 }
 
 // ---- background threads ----
@@ -472,21 +236,14 @@ func (d *DB) evictLoop(c env.Ctx) {
 	for {
 		d.mu.Lock(c)
 		trigger := int64(float64(d.cfg.CacheBytes) * d.cfg.DirtyTriggerFrac)
-		for d.dirtyB <= trigger && !d.closing {
+		for d.t.DirtyBytes() <= trigger && !d.closing {
 			d.cond.Wait(c)
 		}
 		if d.closing {
 			d.mu.Unlock(c)
 			return
 		}
-		// Evict the oldest dirty leaf.
-		var victim *leaf
-		for _, l := range d.lru {
-			if l.dirty && l.ents != nil {
-				victim = l
-				break
-			}
-		}
+		victim := d.t.OldestDirty()
 		if victim == nil {
 			d.mu.Unlock(c)
 			continue
@@ -505,20 +262,16 @@ func (d *DB) evictLoop(c env.Ctx) {
 // the I/O). drop releases the leaf's memory after writing. scratch is the
 // calling thread's serialization buffer — eviction and checkpoint can
 // overlap (mu is dropped around the write), so each keeps its own.
-func (d *DB) writeLeaf(c env.Ctx, l *leaf, drop bool, scratch *[]byte) {
-	c.CPU(costs.PageReconcile + costs.MemBytes(l.bytes))
-	buf := serializeLeafInto(l, scratch)
-	page, bytes := l.page, l.bytes
-	l.dirty = false
-	d.dirtyB -= int64(bytes)
+func (d *DB) writeLeaf(c env.Ctx, l *leaf.Leaf, drop bool, scratch *[]byte) {
+	c.CPU(costs.PageReconcile + costs.MemBytes(l.Bytes))
+	*scratch = d.t.Reconcile(l, *scratch)
+	page := l.Page
 	d.mu.Unlock(c)
-	d.writeSync(c, page, buf)
+	d.io.Write(c, page, *scratch)
 	d.mu.Lock(c)
 	d.stats.EvictedLeaves++
-	if drop && !l.dirty && l.ents != nil {
-		l.ents = nil
-		d.cachedB -= int64(l.bytes)
-		d.dropFromLRU(l)
+	if drop && !l.Dirty && l.Resident() {
+		d.t.Drop(l)
 	}
 }
 
@@ -536,13 +289,7 @@ func (d *DB) checkpointLoop(c env.Ctx) {
 		bc := d.cfg.Tracer.BeginBg("checkpoint", c.Now())
 		c.SetTrace(bc)
 		for {
-			var victim *leaf
-			for _, l := range d.lru {
-				if l.dirty && l.ents != nil {
-					victim = l
-					break
-				}
-			}
+			victim := d.t.OldestDirty()
 			if victim == nil {
 				break
 			}

@@ -7,17 +7,21 @@
 //
 // It is a baseline for the evaluation: its losses come from log-slot
 // contention, shared-cache locking, and eviction/checkpoint stalls.
+//
+// The leaf format, the leaf table, residency accounting and page I/O are
+// internal/engine/leaf, shared with betree, and the durable log is
+// walog.Log; what this package keeps is the policy §3.1 profiles: the tree
+// lock is dropped across every leaf read (callers re-find their leaf), the
+// commit log is a slot whose followers busy-wait, and dirty leaves are
+// written back one at a time with the lock released.
 package wtree
 
 import (
-	"bytes"
-	"encoding/binary"
-	"sort"
-
-	"kvell/internal/costs"
 	"kvell/internal/device"
+	"kvell/internal/engine/leaf"
 	"kvell/internal/env"
 	"kvell/internal/trace"
+	"kvell/internal/walog"
 )
 
 // Config describes a wtree engine.
@@ -79,26 +83,6 @@ type Stats struct {
 	LogSpinTime       env.Time
 }
 
-// entry is one record in a leaf.
-type entry struct {
-	key   []byte
-	value []byte
-}
-
-func entryBytes(klen, vlen int) int { return 6 + klen + vlen }
-
-// leaf is one on-disk page (or page run, for large values) of sorted
-// records, plus its cached in-memory form.
-type leaf struct {
-	firstKey []byte
-	page     int64
-	pages    int64
-	ents     []entry // nil when not cached
-	bytes    int     // serialized size
-	dirty    bool
-	lruIdx   int // index in the clock/LRU list, -1 when absent
-}
-
 // DB is the wtree engine.
 type DB struct {
 	env  env.Env
@@ -106,32 +90,22 @@ type DB struct {
 	name string
 
 	// The shared cache/tree lock: every operation takes it (briefly), the
-	// shared-structure cost §3.1 attributes to B-tree designs.
+	// shared-structure cost §3.1 attributes to B-tree designs. It guards t.
 	mu      env.Mutex
 	cond    env.Cond // eviction progress / checkpoint wakeups / stalls
-	leaves  []*leaf  // sorted by firstKey
-	lru     []*leaf  // cached leaves, oldest first (approximate LRU)
-	cachedB int64    // resident bytes
-	dirtyB  int64    // dirty resident bytes
+	t       *leaf.Tree
 	closing bool
 
-	// Commit log.
+	// Commit log, timing-only slot model (see logAppend).
 	logMu      env.Mutex
 	logBuf     int64
 	logWriting bool
 	logPage    int64
 	logScratch []byte // leader-owned slot buffer (exclusive while logWriting)
-	logPayload []byte // durable mode: record payload scratch (same ownership)
+	// Commit log, durable mode: nil unless cfg.Durable.
+	log *walog.Log
 
-	leafBufs [][]byte // recycled leaf read buffers (guarded by mu)
-
-	// Recycled synchronous-I/O waiters (host-only state: procs are
-	// cooperatively scheduled and pop/push contain no yield points, so the
-	// unlocked accesses cannot interleave).
-	waiterFree []*waiter
-
-	alloc *device.Allocator
-	disk  device.Disk
+	io *leaf.IO
 
 	stats Stats
 }
@@ -144,17 +118,15 @@ func New(e env.Env, cfg Config) *DB {
 	if cfg.LeafBytes == 0 {
 		cfg.LeafBytes = device.PageSize
 	}
-	d := &DB{env: e, cfg: cfg, name: "WiredTiger-like", disk: cfg.Disks[0]}
+	d := &DB{env: e, cfg: cfg, name: "WiredTiger-like", io: leaf.NewIO(e, cfg.Disks[0])}
 	d.mu = e.NewMutex()
 	d.cond = e.NewCond(d.mu)
 	d.logMu = e.NewMutex()
-	d.alloc = device.NewAllocator(logRegionPages) // first pages reserved for the log
-	// Start with one empty leaf so the tree is never empty.
-	l := &leaf{firstKey: nil, ents: []entry{}, lruIdx: -1}
-	l.pages = 1
-	l.page = d.alloc.Alloc(1)
-	d.leaves = append(d.leaves, l)
-	d.touch(l)
+	if cfg.Durable {
+		d.log = walog.NewLog(e, d.io, logRegionPages)
+	}
+	// The first pages are reserved for the log.
+	d.t = leaf.NewTree(device.NewAllocator(logRegionPages), cfg.CacheBytes, cfg.LeafBytes)
 	return d
 }
 
@@ -178,262 +150,25 @@ func (d *DB) Stop(c env.Ctx) {
 	d.cond.Broadcast(c)
 }
 
-// ---- leaf (de)serialization ----
-
-func serializeLeaf(l *leaf) []byte { return serializeLeafInto(l, nil) }
-
-// serializeLeafInto reconciles l into a page-aligned image. When scratch is
-// non-nil the image reuses *scratch (grown as needed), so a background
-// thread reconciling leaf after leaf allocates only when a leaf outgrows
-// every earlier one. The image is dead once the write completes.
-func serializeLeafInto(l *leaf, scratch *[]byte) []byte {
-	pages := (l.bytes + 4 + device.PageSize - 1) / device.PageSize
-	if pages < 1 {
-		pages = 1
-	}
-	need := pages * device.PageSize
-	var buf []byte
-	if scratch != nil && cap(*scratch) >= need {
-		buf = (*scratch)[:need]
-	} else {
-		buf = make([]byte, need)
-		if scratch != nil {
-			*scratch = buf
-		}
-	}
-	binary.LittleEndian.PutUint32(buf, uint32(len(l.ents)))
-	off := 4
-	for _, e := range l.ents {
-		binary.LittleEndian.PutUint16(buf[off:], uint16(len(e.key)))
-		binary.LittleEndian.PutUint32(buf[off+2:], uint32(len(e.value)))
-		copy(buf[off+6:], e.key)
-		copy(buf[off+6+len(e.key):], e.value)
-		off += entryBytes(len(e.key), len(e.value))
-	}
-	clear(buf[off:]) // reused scratch: keep the on-disk tail deterministic
-	return buf
-}
-
-func deserializeLeaf(buf []byte) ([]entry, int) {
-	n := int(binary.LittleEndian.Uint32(buf))
-	ents := make([]entry, 0, n)
-	off := 4
-	total := 0
-	// Size pass: one backing blob for every key and value turns 2n copies
-	// into 2 allocations per leaf. Mutation replaces whole slices and
-	// eviction drops ents, so per-entry backing buys nothing.
-	blobLen := 0
-	o := off
-	for i := 0; i < n; i++ {
-		klen := int(binary.LittleEndian.Uint16(buf[o:]))
-		vlen := int(binary.LittleEndian.Uint32(buf[o+2:]))
-		blobLen += klen + vlen
-		o += entryBytes(klen, vlen)
-	}
-	blob := make([]byte, blobLen)
-	bo := 0
-	for i := 0; i < n; i++ {
-		klen := int(binary.LittleEndian.Uint16(buf[off:]))
-		vlen := int(binary.LittleEndian.Uint32(buf[off+2:]))
-		k := blob[bo : bo+klen : bo+klen]
-		copy(k, buf[off+6:])
-		v := blob[bo+klen : bo+klen+vlen : bo+klen+vlen]
-		copy(v, buf[off+6+klen:off+6+klen+vlen])
-		bo += klen + vlen
-		ents = append(ents, entry{key: k, value: v})
-		off += entryBytes(klen, vlen)
-		total += entryBytes(klen, vlen)
-	}
-	return ents, total
-}
-
-// ---- cache management (mu held unless noted) ----
-
-func (d *DB) touch(l *leaf) {
-	if l.lruIdx >= 0 {
-		// Move to the back (most recent).
-		copy(d.lru[l.lruIdx:], d.lru[l.lruIdx+1:])
-		d.lru = d.lru[:len(d.lru)-1]
-		for i := l.lruIdx; i < len(d.lru); i++ {
-			d.lru[i].lruIdx = i
-		}
-	}
-	l.lruIdx = len(d.lru)
-	d.lru = append(d.lru, l)
-}
-
-func (d *DB) dropFromLRU(l *leaf) {
-	if l.lruIdx < 0 {
-		return
-	}
-	copy(d.lru[l.lruIdx:], d.lru[l.lruIdx+1:])
-	d.lru = d.lru[:len(d.lru)-1]
-	for i := l.lruIdx; i < len(d.lru); i++ {
-		d.lru[i].lruIdx = i
-	}
-	l.lruIdx = -1
-}
-
-func (d *DB) markCached(l *leaf) {
-	d.cachedB += int64(l.bytes)
-	d.touch(l)
-	// Evict clean leaves synchronously if far over budget (dirty leaves
-	// are the eviction thread's job).
-	for d.cachedB > d.cfg.CacheBytes && len(d.lru) > 1 {
-		evicted := false
-		for _, v := range d.lru {
-			if v == l || v.dirty || v.ents == nil {
-				continue
-			}
-			d.cachedB -= int64(v.bytes)
-			v.ents = nil
-			d.dropFromLRU(v)
-			evicted = true
-			break
-		}
-		if !evicted {
-			break
-		}
-	}
-}
-
-// adjustLeafBytes applies a size change to a resident leaf, keeping the
-// cache and dirty accounting consistent (mu held).
-func (d *DB) adjustLeafBytes(l *leaf, delta int) {
-	l.bytes += delta
-	if l.ents != nil {
-		d.cachedB += int64(delta)
-	}
-	if l.dirty {
-		d.dirtyB += int64(delta)
-	}
-}
-
-// markDirty flags a resident leaf dirty, accounting its bytes (mu held).
-func (d *DB) markDirty(l *leaf) {
-	if !l.dirty {
-		l.dirty = true
-		d.dirtyB += int64(l.bytes)
-	}
-}
-
-// findLeaf returns the index of the leaf owning key (mu held). The
-// in-memory descent is charged like a B-tree walk.
-func (d *DB) findLeaf(c env.Ctx, key []byte) int {
-	depth := 1
-	for n := len(d.leaves); n > 1; n /= 16 {
-		depth++
-	}
-	c.CPU(env.Time(depth) * costs.BTreeNode)
-	i := sort.Search(len(d.leaves), func(i int) bool {
-		return bytes.Compare(d.leaves[i].firstKey, key) > 0
-	})
-	if i == 0 {
-		return 0
-	}
-	return i - 1
-}
-
 // loadLeaf ensures l's entries are resident, releasing the lock around the
 // disk read (one pread system call per miss, §3.1). Because the lock is
 // dropped, callers must re-find their leaf afterwards; loadLeaf reports
 // whether it had to do I/O.
-func (d *DB) loadLeaf(c env.Ctx, l *leaf) bool {
-	if l.ents != nil {
+func (d *DB) loadLeaf(c env.Ctx, l *leaf.Leaf) bool {
+	if l.Resident() {
 		d.stats.CacheHits++
-		d.touch(l)
+		d.t.Touch(l)
 		return false
 	}
 	d.stats.CacheMisses++
-	pages := l.pages
-	page := l.page
-	need := int(pages) * device.PageSize
-	// Pop a recycled read buffer while the lock is still held; too-small
-	// buffers are dropped, so the pool converges on the largest leaf size.
-	var buf []byte
-	if n := len(d.leafBufs); n > 0 {
-		b := d.leafBufs[n-1]
-		d.leafBufs = d.leafBufs[:n-1]
-		if cap(b) >= need {
-			buf = b[:need]
-		}
-	}
+	page := l.Page
+	buf := d.t.GetBuf(l.Pages) // popped while the lock is still held
 	d.mu.Unlock(c)
-	if buf == nil {
-		buf = make([]byte, need)
-	}
-	d.readSync(c, page, buf) // the read overwrites the whole buffer
-	ents, total := deserializeLeaf(buf)
-	c.CPU(costs.MemBytes(total))
+	ents, total := d.io.Fetch(c, page, buf)
 	d.mu.Lock(c)
-	d.leafBufs = append(d.leafBufs, buf) // deserializeLeaf copied out
-	if l.ents == nil {
-		l.ents = ents
-		l.bytes = total
-		d.markCached(l)
+	d.t.PutBuf(buf)
+	if !l.Resident() {
+		d.t.Install(l, ents, total)
 	}
 	return true
-}
-
-func (d *DB) readSync(c env.Ctx, page int64, buf []byte) {
-	// Buffered pread path (§6.3.1): syscall plus per-byte copy/checksum.
-	c.CPU(costs.Syscall + costs.PreadBytes(len(buf)))
-	w := d.getWaiter()
-	w.req = device.Request{Op: device.Read, Page: page, Buf: buf, Done: w.doneFn, Trace: trace.FromCtx(c)}
-	d.disk.Submit(&w.req)
-	w.wait(c)
-	d.putWaiter(w)
-}
-
-func (d *DB) writeSync(c env.Ctx, page int64, buf []byte) {
-	c.CPU(costs.Syscall + costs.PwriteBytes(len(buf)))
-	w := d.getWaiter()
-	w.req = device.Request{Op: device.Write, Page: page, Buf: buf, Done: w.doneFn, Trace: trace.FromCtx(c)}
-	d.disk.Submit(&w.req)
-	w.wait(c)
-	d.putWaiter(w)
-}
-
-type waiter struct {
-	mu     env.Mutex
-	cond   env.Cond
-	ok     bool
-	req    device.Request
-	doneFn func()
-}
-
-// getWaiter pops a recycled waiter — mutex, cond, bound done callback and
-// request record included — or builds one. The device copies the request's
-// fields at submission, so the record is free for reuse once wait returns.
-func (d *DB) getWaiter() *waiter {
-	if n := len(d.waiterFree); n > 0 {
-		w := d.waiterFree[n-1]
-		d.waiterFree = d.waiterFree[:n-1]
-		w.ok = false
-		return w
-	}
-	w := &waiter{mu: d.env.NewMutex()}
-	w.cond = d.env.NewCond(w.mu)
-	w.doneFn = w.done
-	return w
-}
-
-func (d *DB) putWaiter(w *waiter) {
-	w.req.Buf = nil
-	d.waiterFree = append(d.waiterFree, w)
-}
-
-func (w *waiter) done() {
-	w.mu.Lock(nil)
-	w.ok = true
-	w.mu.Unlock(nil)
-	w.cond.Broadcast(nil)
-}
-
-func (w *waiter) wait(c env.Ctx) {
-	w.mu.Lock(c)
-	for !w.ok {
-		w.cond.Wait(c)
-	}
-	w.mu.Unlock(c)
 }

@@ -75,17 +75,12 @@ func TestLeafSplitsKeepOrder(t *testing.T) {
 			}
 		}
 	})
-	if len(d.leaves) < 100 {
-		t.Fatalf("only %d leaves after 2000 ~400B inserts; splits broken", len(d.leaves))
+	if n := len(d.t.Leaves); n < 100 {
+		t.Fatalf("only %d leaves after 2000 ~400B inserts; splits broken", n)
 	}
 	// Leaf table must be sorted with the leftmost leaf owning -inf.
-	if d.leaves[0].firstKey != nil {
-		t.Fatal("leftmost leaf does not own -inf")
-	}
-	for i := 2; i < len(d.leaves); i++ {
-		if bytes.Compare(d.leaves[i-1].firstKey, d.leaves[i].firstKey) >= 0 {
-			t.Fatal("leaf table out of order")
-		}
+	if err := d.t.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -108,8 +103,8 @@ func TestEvictionAndReload(t *testing.T) {
 	if d.stats.EvictedLeaves == 0 {
 		t.Fatal("eviction thread never ran")
 	}
-	if d.cachedB > d.cfg.CacheBytes*2 {
-		t.Fatalf("resident bytes %d far above budget %d", d.cachedB, d.cfg.CacheBytes)
+	if d.t.CachedBytes() > d.cfg.CacheBytes*2 {
+		t.Fatalf("resident bytes %d far above budget %d", d.t.CachedBytes(), d.cfg.CacheBytes)
 	}
 }
 
@@ -211,28 +206,6 @@ func TestBulkLoadReadbackAndScan(t *testing.T) {
 	})
 }
 
-func TestLeafCodecRoundtrip(t *testing.T) {
-	l := &leaf{}
-	for i := int64(0); i < 5; i++ {
-		e := entry{key: kv.Key(i), value: kv.Value(i, 0, 300)}
-		l.ents = append(l.ents, e)
-		l.bytes += entryBytes(len(e.key), len(e.value))
-	}
-	buf := serializeLeaf(l)
-	if len(buf)%device.PageSize != 0 {
-		t.Fatal("leaf image not page aligned")
-	}
-	ents, total := deserializeLeaf(buf)
-	if len(ents) != 5 || total != l.bytes {
-		t.Fatalf("roundtrip: %d ents, %d bytes (want %d)", len(ents), total, l.bytes)
-	}
-	for i, e := range ents {
-		if !bytes.Equal(e.key, kv.Key(int64(i))) || !bytes.Equal(e.value, kv.Value(int64(i), 0, 300)) {
-			t.Fatalf("entry %d corrupted", i)
-		}
-	}
-}
-
 func TestLargeValues(t *testing.T) {
 	harness(t, nil, func(c env.Ctx, d *DB) {
 		big := kv.Value(1, 1, 20_000)
@@ -248,7 +221,7 @@ func TestLargeValues(t *testing.T) {
 }
 
 func TestOracleRandomized(t *testing.T) {
-	harness(t, func(cfg *Config) { cfg.CacheBytes = 48 << 10 }, func(c env.Ctx, d *DB) {
+	d := harness(t, func(cfg *Config) { cfg.CacheBytes = 48 << 10 }, func(c env.Ctx, d *DB) {
 		r := rand.New(rand.NewSource(11))
 		oracle := map[int64]uint64{}
 		var ver uint64
@@ -271,4 +244,7 @@ func TestOracleRandomized(t *testing.T) {
 			}
 		}
 	})
+	if err := d.t.Check(); err != nil {
+		t.Fatalf("leaf accounting after the run: %v", err)
+	}
 }

@@ -226,7 +226,7 @@ func (t *track) run() {
 // Dead implements aio.DeadDevice.
 func (d *Disk) Dead() bool { return d.dead }
 
-// Store returns the live backing store (storeAccessor, used by engine
+// Store returns the live backing store (device.StoreOf, used by engine
 // bulk-load fast paths and cache bookkeeping).
 func (d *Disk) Store() device.Store { return d.store }
 

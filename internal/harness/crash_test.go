@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"testing"
 
@@ -149,6 +151,71 @@ func TestParseEngineFlag(t *testing.T) {
 	for _, k := range AllEngines {
 		if got, ok := ParseEngineFlag(engineNames[k][0]); !ok || got != k {
 			t.Errorf("%v: repro spelling %q does not parse back", k, engineNames[k][0])
+		}
+	}
+}
+
+// Golden fixture for the Durable-mode schedules, same discipline as
+// TestGoldenDigests (re-record with -update-golden only for changes meant to
+// alter schedules): RunCrash builds every engine with Durable set, so this
+// pins what TestGoldenDigests cannot — the baselines' real WAL writes, the
+// power-loss images and the replay path. CrashTime and RecoverTime are
+// virtual clocks, Replayed the recovery path's own count.
+const crashGoldenPath = "testdata/crash_golden.json"
+
+type crashGoldenEntry struct {
+	Digest      string   `json:"digest"`
+	CrashTime   env.Time `json:"crash_time_ns"`
+	RecoverTime env.Time `json:"recover_time_ns"`
+	Replayed    int64    `json:"replayed"`
+}
+
+func TestCrashGoldenDigests(t *testing.T) {
+	t.Parallel()
+	got := make(map[string]crashGoldenEntry)
+	for _, kind := range AllEngines {
+		for i := 1; i <= 3; i++ {
+			pointSeed, atWrite := SweepPoint(1, i)
+			res, err := RunCrash(CrashSpec{Engine: kind, Seed: pointSeed, Records: 4_000, AtWrite: atWrite})
+			if err != nil {
+				t.Fatalf("%v point %d: %v", kind, i, err)
+			}
+			got[fmt.Sprintf("%v/point-%d", kind, i)] = crashGoldenEntry{
+				Digest:      fmt.Sprintf("%016x", res.Digest),
+				CrashTime:   res.CrashTime,
+				RecoverTime: res.RecoverTime,
+				Replayed:    res.Replayed,
+			}
+		}
+	}
+
+	if *updateGolden {
+		buf, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(crashGoldenPath, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", crashGoldenPath)
+		return
+	}
+	buf, err := os.ReadFile(crashGoldenPath)
+	if err != nil {
+		t.Fatalf("missing golden fixture (run with -update-golden to record): %v", err)
+	}
+	var want map[string]crashGoldenEntry
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatalf("corrupt golden fixture: %v", err)
+	}
+	for name, w := range want {
+		if g, ok := got[name]; !ok || g != w {
+			t.Errorf("%s: crash schedule diverged from golden fixture\n got %+v\nwant %+v", name, g, w)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s: point missing from fixture (run with -update-golden)", name)
 		}
 	}
 }

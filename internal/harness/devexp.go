@@ -179,6 +179,7 @@ func table3(o Options, w io.Writer) {
 	mmap := func(threads int) float64 {
 		return s(func(sm *sim.Sim, e *sim.Env, d *device.SimDisk, done func()) {
 			kernel := e.NewMutex()
+			sio := device.NewSyncIO(e)
 			for i := 0; i < threads; i++ {
 				e.Go("mmap", func(c env.Ctx) {
 					r := rand.New(rand.NewSource(o.Seed + int64(threads)*100 + int64(i)))
@@ -188,9 +189,7 @@ func table3(o Options, w io.Writer) {
 						c.CPU(16 * env.Microsecond) // LRU lock + TLB IPIs
 						kernel.Unlock(c)
 						c.CPU(costs.MmapFault - 16*env.Microsecond)
-						wt := newIOWaiter(e)
-						d.Submit(&device.Request{Op: device.Write, Page: r.Int63n(1 << 31), Buf: buf, Done: wt.done})
-						wt.wait(c)
+						sio.Do(c, d, device.Write, r.Int63n(1<<31), buf)
 						done()
 					}
 				})
@@ -202,11 +201,10 @@ func table3(o Options, w io.Writer) {
 		e.Go("direct", func(c env.Ctx) {
 			r := rand.New(rand.NewSource(o.Seed + 5))
 			buf := make([]byte, device.PageSize)
+			sio := device.NewSyncIO(e)
 			for c.Now() < dur {
 				c.CPU(costs.Syscall)
-				wt := newIOWaiter(e)
-				d.Submit(&device.Request{Op: device.Write, Page: r.Int63n(1 << 31), Buf: buf, Done: wt.done})
-				wt.wait(c)
+				sio.Do(c, d, device.Write, r.Int63n(1<<31), buf)
 				done()
 			}
 		})
@@ -252,34 +250,6 @@ func table3(o Options, w io.Writer) {
 	fmt.Fprintf(w, "%-42s %10s %12s\n", "read/write direct I/O (1 thread)", stats.FmtRate(direct), "88K")
 	fmt.Fprintf(w, "%-42s %10s %12s\n", "async I/O (1 thread, queue depth 1)", stats.FmtRate(aioQD(1)), "91K")
 	fmt.Fprintf(w, "%-42s %10s %12s\n", "async I/O (1 thread, queue depth 64)", stats.FmtRate(aioQD(64)), "376K")
-}
-
-type ioWaiter struct {
-	mu   env.Mutex
-	cond env.Cond
-	ok   bool
-}
-
-func newIOWaiter(e env.Env) *ioWaiter {
-	w := &ioWaiter{mu: e.NewMutex()}
-	w.cond = e.NewCond(w.mu)
-	return w
-}
-
-func (w *ioWaiter) done() {
-	w.mu.Lock(nil)
-	w.ok = true
-	w.mu.Unlock(nil)
-	w.cond.Broadcast(nil)
-}
-
-func (w *ioWaiter) wait(c env.Ctx) {
-	w.mu.Lock(c)
-	for !w.ok {
-		w.cond.Wait(c)
-	}
-	w.mu.Unlock(c)
-	w.ok = false
 }
 
 // fig1 reproduces Figure 1: IOPS over time per device; the old SSD's burst

@@ -374,6 +374,7 @@ func table6(o Options, w io.Writer) {
 			}
 			var ops int64
 			workers := 32
+			sio := device.NewSyncIO(e)
 			for i := 0; i < workers; i++ {
 				i := i
 				e.Go("lookup", func(c env.Ctx) {
@@ -386,9 +387,7 @@ func table6(o Options, w io.Writer) {
 						for lvl := 0; lvl < depth-2; lvl++ {
 							if r.Float64() < (1-resident)*skew {
 								c.CPU(costs.MmapFault)
-								wt := newIOWaiter(e)
-								d.Submit(&device.Request{Op: device.Read, Page: r.Int63n(1 << 31), Buf: buf, Done: wt.done})
-								wt.wait(c)
+								sio.Do(c, d, device.Read, r.Int63n(1<<31), buf)
 							}
 						}
 						ops++
@@ -539,10 +538,9 @@ func recoveryExp(o Options, w io.Writer) {
 		e.Go("replay", func(c env.Ctx) {
 			t0 := c.Now()
 			buf := make([]byte, 256*device.PageSize)
+			sio := device.NewSyncIO(e)
 			for off := int64(0); off < logBytes; off += int64(len(buf)) {
-				wt := newIOWaiter(e)
-				d.Submit(&device.Request{Op: device.Read, Page: off / device.PageSize, Buf: buf, Done: wt.done})
-				wt.wait(c)
+				sio.Do(c, d, device.Read, off/device.PageSize, buf)
 			}
 			c.CPU(env.Time(recs) * 12 * env.Microsecond)
 			took = c.Now() - t0

@@ -1,0 +1,137 @@
+package walog
+
+import (
+	"sort"
+
+	"kvell/internal/costs"
+	"kvell/internal/device"
+	"kvell/internal/env"
+	"kvell/internal/kv"
+)
+
+// PageIO is the owning engine's timed, blocking page I/O: the log's writes
+// and replay reads pay whatever a system call costs that engine.
+type PageIO interface {
+	Read(c env.Ctx, page int64, buf []byte)
+	Write(c env.Ctx, page int64, buf []byte)
+}
+
+// Log is a durable record log over the first Pages pages of a disk, with
+// the writer discipline the format's recovery argument needs: one chunk
+// write in flight at a time, a record acknowledged only after its chunk
+// completed, and pages handed out densely in claim order.
+type Log struct {
+	io    PageIO
+	pages int64 // region size
+
+	mu      env.Mutex
+	writing bool  // a chunk write is in flight
+	next    int64 // first unwritten page of the region
+	// Chunk scratch, owned by the writer that set writing.
+	payload, chunk []byte
+}
+
+// NewLog returns an empty log over pages [0, pages) behind io.
+func NewLog(e env.Env, io PageIO, pages int64) *Log {
+	return &Log{io: io, pages: pages, mu: e.NewMutex()}
+}
+
+// Append writes one record as a chunk of its own and returns once the write
+// has completed, so an acknowledged operation is always in the log's valid
+// prefix. A writer that finds a chunk in flight busy-waits for it, a
+// costs.LogSlotSpin quantum at a time; the number of quanta burnt is
+// returned for the engine's own statistics. Formatting CPU is the caller's
+// to charge, before the call.
+func (l *Log) Append(c env.Ctx, op byte, key, value []byte) (spins int) {
+	l.mu.Lock(c)
+	for l.writing {
+		l.mu.Unlock(c)
+		c.CPU(costs.LogSlotSpin)
+		spins++
+		l.mu.Lock(c)
+	}
+	l.writing = true
+	l.payload = AppendRecord(l.payload[:0], op, key, value)
+	l.chunk = EncodeChunk(l.chunk, l.payload, 1)
+	page := l.claim(len(l.payload))
+	l.mu.Unlock(c)
+	l.io.Write(c, page, l.chunk)
+	l.mu.Lock(c)
+	l.writing = false
+	l.mu.Unlock(c)
+	return spins
+}
+
+// claim reserves the pages of a chunk carrying payloadLen bytes. The region
+// never wraps: the log is the recovery source.
+func (l *Log) claim(payloadLen int) int64 {
+	page := l.next
+	l.next += ChunkPages(payloadLen)
+	if l.next > l.pages {
+		panic("walog: log region overflow")
+	}
+	return page
+}
+
+// AppendBulk appends items as put records, in chunks of about 256 KB, by
+// direct untimed store writes — bulk load precedes the measured run — so a
+// replay reconstructs the loaded data without trusting any other page.
+func (l *Log) AppendBulk(st device.Store, items []kv.Item) {
+	count := 0
+	flush := func() {
+		if count == 0 {
+			return
+		}
+		l.chunk = EncodeChunk(l.chunk, l.payload, count)
+		if err := st.WritePages(l.claim(len(l.payload)), l.chunk); err != nil {
+			panic(err)
+		}
+		l.payload, count = l.payload[:0], 0
+	}
+	l.payload = l.payload[:0]
+	for _, it := range items {
+		l.payload = AppendRecord(l.payload, OpPut, it.Key, it.Value)
+		count++
+		if len(l.payload) >= 256<<10 {
+			flush()
+		}
+	}
+	flush()
+}
+
+// Replay reads the log's valid prefix through the timed read path, so
+// recovery cost lands on virtual time, and returns what it leaves behind:
+// last writer wins per key, deletes honoured, sorted by key — ready for a
+// bulk build. The log resumes after the prefix. Call on a freshly opened
+// log, before any Append.
+func (l *Log) Replay(c env.Ctx) []kv.Item {
+	m := make(map[string][]byte)
+	l.next = Scan(timedReader{l.io, c}, 0, l.pages, func(op byte, k, v []byte) {
+		if op == OpDelete {
+			delete(m, string(k))
+			return
+		}
+		m[string(k)] = append([]byte(nil), v...)
+	})
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	items := make([]kv.Item, 0, len(keys))
+	for _, k := range keys {
+		items = append(items, kv.Item{Key: []byte(k), Value: m[k]})
+	}
+	return items
+}
+
+// timedReader adapts a PageIO and the replaying thread to Scan's Reader.
+type timedReader struct {
+	io PageIO
+	c  env.Ctx
+}
+
+func (t timedReader) ReadPages(page int64, buf []byte) error {
+	t.io.Read(t.c, page, buf)
+	return nil
+}

@@ -1,7 +1,8 @@
-// Package walog is a page-aligned, checksummed write-ahead log format
-// shared by the competitor engines' durable modes (wtree, betree). A log is
-// a dense sequence of chunks starting at a fixed base page; each chunk is
-// one flushed batch of records, padded to a page boundary:
+// Package walog is the page-aligned, checksummed write-ahead log of the two
+// tree baselines' durable modes (wtree, betree): the on-disk format and its
+// scanner here, the writer and replayer (Log) in log.go. A log is a dense
+// sequence of chunks starting at a fixed base page; each chunk is one
+// flushed batch of records, padded to a page boundary:
 //
 //	magic(8) | payloadLen(4) | count(4) | fnv64a(payload)(8) | payload | pad
 //
@@ -11,8 +12,8 @@
 //
 // The checksum is what makes crash recovery sound under the ≤1-page
 // atomicity model: a torn chunk (some of its pages persisted, some not)
-// fails verification and Scan stops there. Writers keep at most one chunk
-// write in flight and acknowledge only after its completion, so the log's
+// fails verification and Scan stops there. Log keeps at most one chunk
+// write in flight and acknowledges only after its completion, so the log's
 // valid prefix always contains every acknowledged record.
 package walog
 
@@ -24,8 +25,8 @@ import (
 )
 
 // Reader is the page source Scan replays from. device.Store satisfies it
-// directly (untimed, host-side replay); engines pass an adapter over their
-// synchronous-read path to charge recovery I/O to virtual time.
+// directly (untimed, host-side replay); Log.Replay passes an adapter over
+// its engine's timed read path to charge recovery I/O to virtual time.
 type Reader interface {
 	ReadPages(page int64, buf []byte) error
 }
