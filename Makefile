@@ -8,7 +8,7 @@ BENCH_PKGS = ./internal/sim ./internal/slab ./internal/pagecache \
 	./internal/core ./internal/harness ./internal/hotcache \
 	./internal/mvcc ./internal/txn
 
-.PHONY: all build vet fmt-check lint test race race-sim check bench alloc-budget feature-matrix e2e-smoke crash-sweep trace absorb tier cluster loc
+.PHONY: all build vet fmt-check lint test race race-sim check bench exp-golden alloc-budget feature-matrix e2e-smoke crash-sweep trace absorb tier cluster loc
 
 # Crash sweep knobs: SEED picks the deterministic schedule (a CI failure
 # prints the seed to rerun here), K is points per engine, ENGINE narrows to
@@ -133,19 +133,32 @@ loc:
 # Everything CI runs, in the same order.
 check: build vet fmt-check lint race-sim alloc-budget feature-matrix e2e-smoke crash-sweep race
 
-# Runs the kernel/allocator/page-cache microbenchmarks and writes
-# BENCH_sim.json at the repo root: per-benchmark ns/op, allocs/op and ops/sec,
-# with before/after/speedup against the checked-in pre-optimization baseline
-# (results/bench_baseline.json). Non-blocking in CI; the artifact seeds the
-# perf trajectory across PRs. The benchmark output lands in a temp file
-# rather than a tee pipe so a go test failure propagates (with `tee`, the
-# pipeline's exit status was tee's, and a broken benchmark exited 0).
+# Runs the kernel/allocator/page-cache microbenchmarks and prints plain
+# `go test -bench -benchmem` output, which benchstat reads: save one run per
+# commit and compare the files. Raw nanoseconds from different days or VMs
+# are not comparable; the before/after flow with bounds, seeds and reference
+# adjustment is `kvell-e2e compare`, and the allocation gate is alloc-budget.
 bench:
-	@tmp="$$(mktemp)"; \
-	if ! $(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS) > "$$tmp" 2>&1; then \
-		cat "$$tmp"; rm -f "$$tmp"; echo "bench failed"; exit 1; fi; \
-	cat "$$tmp"; \
-	$(GO) run ./cmd/kvell-benchjson -baseline results/bench_baseline.json \
-		-wall results/wallclock.json -o BENCH_sim.json < "$$tmp"; \
-	rm -f "$$tmp"; \
-	echo "wrote BENCH_sim.json"
+	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS)
+
+# The full experiment oracle (about ten minutes): reruns every registered
+# experiment in quick mode at the CLI's default seed (42), replaces each
+# wall-clock footer by a fixed token so the output is a pure function of the
+# code, and compares it with the recorded results/quick.txt; on a mismatch it
+# names the first differing section and shows the diff. The nine cheapest
+# sections are also compared in tier-1 (TestCheapExperimentsProduceOutput).
+# After a change that is meant to move an experiment's numbers, copy
+# results/nightly/experiments.txt over results/quick.txt and update
+# EXPERIMENTS.md.
+exp-golden:
+	@mkdir -p results/nightly
+	$(GO) run ./cmd/kvell-bench -exp all -quick -parallel 0 \
+		| sed -E 's/^---- \(.* wall\) ----$$/---- (wall) ----/' > results/nightly/experiments.txt
+	@out=results/nightly/experiments.txt; \
+	if cmp -s results/quick.txt $$out; then \
+		echo "exp-golden: all $$(grep -c '^==== ' $$out) sections identical to results/quick.txt"; \
+	else \
+		echo "exp-golden: first difference in section:"; \
+		awk 'NR==FNR {want[FNR]=$$0; next} /^==== / {sec=$$0} want[FNR]!=$$0 {exit} END {print sec}' \
+			results/quick.txt $$out; \
+		diff results/quick.txt $$out | head -n 40; exit 1; fi

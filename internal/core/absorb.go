@@ -250,30 +250,22 @@ func (w *worker) flushAbsorb(c env.Ctx, out *[]*aio.IO) {
 }
 
 // absorbTick handles one commit-interval tick: flush, then adapt the
-// interval to the device queue depth — shrink toward the minimum when the
-// device sits idle (latency mode), grow toward the maximum when a backlog
-// has formed (bandwidth mode). The tick proc reads the interval under
-// absorbMu.
+// interval to the device queue depth — shrink toward the floor, a quarter of
+// the configured interval, when the device sits idle (latency mode), grow
+// toward the ceiling, four times it, when a backlog has formed (bandwidth
+// mode). The tick proc reads the interval under absorbMu.
 func (w *worker) absorbTick(c env.Ctx, out *[]*aio.IO) {
 	depth := w.aio.Inflight()
 	w.flushAbsorb(c, out)
 	cfg := &w.st.cfg
+	floor := max(cfg.AbsorbInterval/4, 1)
+	ceiling := 4 * cfg.AbsorbInterval
 	w.absorbMu.Lock(c)
 	switch {
 	case depth == 0:
-		if w.absorbInterval > cfg.AbsorbMinInterval {
-			w.absorbInterval /= 2
-			if w.absorbInterval < cfg.AbsorbMinInterval {
-				w.absorbInterval = cfg.AbsorbMinInterval
-			}
-		}
+		w.absorbInterval = max(w.absorbInterval/2, floor)
 	case depth > cfg.BatchSize:
-		if w.absorbInterval < cfg.AbsorbMaxInterval {
-			w.absorbInterval *= 2
-			if w.absorbInterval > cfg.AbsorbMaxInterval {
-				w.absorbInterval = cfg.AbsorbMaxInterval
-			}
-		}
+		w.absorbInterval = min(w.absorbInterval*2, ceiling)
 	}
 	w.absorbMu.Unlock(c)
 }

@@ -33,14 +33,10 @@ type Config struct {
 	// FreelistHeads is N, the per-slab bound on in-memory free-list heads
 	// (§5.3; paper: 64).
 	FreelistHeads int
-	// Classes are the slab size-class strides (§5.2).
-	Classes []int
 	// CacheIndex selects the page-cache index structure (B-tree in
 	// production; the hash variant reproduces the paper's tail-latency
 	// anecdote as an ablation).
 	CacheIndex pagecache.IndexKind
-	// ExtentPages is the growth increment of each slab, in pages.
-	ExtentPages int64
 	// WorkerRegionPages is the disk space reserved per worker (per-class
 	// sub-regions are carved from it deterministically, which is what
 	// makes manifest-free recovery possible).
@@ -69,15 +65,10 @@ type Config struct {
 	// once per interval (plus immediately whenever its device goes idle,
 	// so an uncontended write pays no extra latency). All requests a key
 	// absorbed are acknowledged together when the surviving write is
-	// durable. The interval adapts between AbsorbMinInterval and
-	// AbsorbMaxInterval with device queue depth; AbsorbInterval is the
-	// starting point. Incompatible with SharedEverything (the buffer is
-	// per-worker state).
+	// durable. The interval adapts to device queue depth within a factor of
+	// four either side of AbsorbInterval, its starting point (absorbTick).
+	// Incompatible with SharedEverything (the buffer is per-worker state).
 	AbsorbInterval env.Time
-	// AbsorbMinInterval is the adaptive floor (default AbsorbInterval/4).
-	AbsorbMinInterval env.Time
-	// AbsorbMaxInterval is the adaptive ceiling (default 4×AbsorbInterval).
-	AbsorbMaxInterval env.Time
 	// AbsorbMaxHeld bounds buffered (un-acked) requests per worker; the
 	// buffer is force-flushed at the bound (default 4×BatchSize).
 	AbsorbMaxHeld int
@@ -95,9 +86,6 @@ type Config struct {
 	// TieredSlotBytes is the arena slot size; records whose key+value exceed
 	// it are never cached (default 1024).
 	TieredSlotBytes int
-	// TieredHalfLife is the virtual-time half-life of the decayed access
-	// counters driving promotion and eviction (default 100ms).
-	TieredHalfLife env.Time
 	// TieredPromoteAfter is the decayed access count a cold key must reach
 	// before a read promotes it (default 2; 1 promotes on first touch).
 	TieredPromoteAfter int
@@ -143,9 +131,7 @@ func DefaultConfig(disks ...device.Disk) Config {
 		PageCachePages:    8192,
 		BatchSize:         64,
 		FreelistHeads:     64,
-		Classes:           slab.DefaultClasses,
 		CacheIndex:        pagecache.IndexBTree,
-		ExtentPages:       1024,
 		WorkerRegionPages: 1 << 24, // 64GB of page numbers per worker
 	}
 }
@@ -163,35 +149,20 @@ func (c *Config) validate() error {
 	if c.FreelistHeads < 1 {
 		c.FreelistHeads = 64
 	}
-	if len(c.Classes) == 0 {
-		c.Classes = slab.DefaultClasses
-	}
-	if c.ExtentPages < 1 {
-		c.ExtentPages = 1024
-	}
 	if c.PageCachePages < c.Workers {
 		c.PageCachePages = c.Workers
 	}
 	if c.WorkerRegionPages == 0 {
 		c.WorkerRegionPages = 1 << 24
 	}
-	perClass := c.WorkerRegionPages / int64(len(c.Classes)+1)
-	if perClass < 4*c.ExtentPages {
+	perClass := c.WorkerRegionPages / int64(len(slab.DefaultClasses)+1)
+	if perClass < 4*extentPages {
 		return fmt.Errorf("core: worker region %d pages too small for %d classes of %d-page extents",
-			c.WorkerRegionPages, len(c.Classes), c.ExtentPages)
+			c.WorkerRegionPages, len(slab.DefaultClasses), extentPages)
 	}
 	if c.AbsorbInterval > 0 {
 		if c.SharedEverything {
 			return fmt.Errorf("core: write absorption requires shared-nothing workers")
-		}
-		if c.AbsorbMinInterval <= 0 {
-			c.AbsorbMinInterval = max(c.AbsorbInterval/4, 1)
-		}
-		if c.AbsorbMaxInterval <= 0 {
-			c.AbsorbMaxInterval = 4 * c.AbsorbInterval
-		}
-		if c.AbsorbMinInterval > c.AbsorbInterval || c.AbsorbInterval > c.AbsorbMaxInterval {
-			return fmt.Errorf("core: absorb intervals must satisfy min <= start <= max")
 		}
 		if c.AbsorbMaxHeld <= 0 {
 			c.AbsorbMaxHeld = 4 * c.BatchSize
@@ -214,9 +185,6 @@ func (c *Config) validate() error {
 		}
 		if c.TieredSlotBytes <= 0 {
 			c.TieredSlotBytes = 1024
-		}
-		if c.TieredHalfLife <= 0 {
-			c.TieredHalfLife = 100 * env.Millisecond
 		}
 		if c.TieredPromoteAfter <= 0 {
 			c.TieredPromoteAfter = 2

@@ -91,7 +91,7 @@ func plantLive(t *testing.T, ms *device.MemStore, sl *slab.Slab, slot uint64, ts
 
 func classOf(t *testing.T, st *Store, valLen int) int {
 	t.Helper()
-	cls := slab.ClassFor(st.cfg.Classes, kv.KeyLen, valLen)
+	cls := slab.ClassFor(slab.DefaultClasses, kv.KeyLen, valLen)
 	if cls < 0 {
 		t.Fatalf("no class for %dB values", valLen)
 	}

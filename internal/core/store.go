@@ -31,6 +31,14 @@ type Store struct {
 	oracle *mvcc.Oracle
 }
 
+const (
+	// extentPages is the growth increment of each slab, in pages.
+	extentPages = 1024
+	// tieredHalfLife is the virtual-time half-life of the hot tier's decayed
+	// access counters, which drive promotion and eviction.
+	tieredHalfLife = 100 * env.Millisecond
+)
+
 // Open constructs a store (no I/O happens yet). If the disks contain data
 // from a previous run, call Recover before Start; otherwise call Start
 // directly.
@@ -43,7 +51,7 @@ func Open(e env.Env, cfg Config) (*Store, error) {
 		s.oracle = &mvcc.Oracle{}
 	}
 	d := len(cfg.Disks)
-	perClass := cfg.WorkerRegionPages / int64(len(cfg.Classes)+1)
+	perClass := cfg.WorkerRegionPages / int64(len(slab.DefaultClasses)+1)
 	cachePer := cfg.PageCachePages / cfg.Workers
 	for i := 0; i < cfg.Workers; i++ {
 		disk := cfg.Disks[i%d]
@@ -62,11 +70,11 @@ func Open(e env.Env, cfg Config) (*Store, error) {
 			tailPage:     make(map[int]int64),
 			ts:           1,
 		}
-		for ci, stride := range cfg.Classes {
+		for ci, stride := range slab.DefaultClasses {
 			alloc := device.NewAllocator(base + int64(ci)*perClass)
-			w.slabs = append(w.slabs, slab.New(ci, stride, alloc, cfg.ExtentPages, cfg.FreelistHeads))
+			w.slabs = append(w.slabs, slab.New(ci, stride, alloc, extentPages, cfg.FreelistHeads))
 		}
-		w.logBase = base + int64(len(cfg.Classes))*perClass
+		w.logBase = base + int64(len(slab.DefaultClasses))*perClass
 		w.logPages = perClass
 		w.state = w
 		if cfg.MVCC {
@@ -82,7 +90,7 @@ func Open(e env.Env, cfg Config) (*Store, error) {
 			w.hot = hotcache.New(hotcache.Config{
 				CapBytes:     cfg.TieredHotBytes / int64(cfg.Workers),
 				SlotBytes:    cfg.TieredSlotBytes,
-				HalfLife:     cfg.TieredHalfLife,
+				HalfLife:     tieredHalfLife,
 				PromoteAfter: uint32(cfg.TieredPromoteAfter),
 				Seed:         cfg.TieredSeed + int64(i),
 			})
@@ -358,7 +366,7 @@ func (s *Store) BulkLoad(items []kv.Item) error {
 			envBuf = mvcc.AppendEncode(envBuf[:0], &e)
 			val = envBuf
 		}
-		cls := slab.ClassFor(s.cfg.Classes, len(it.Key), len(val))
+		cls := slab.ClassFor(slab.DefaultClasses, len(it.Key), len(val))
 		if cls < 0 {
 			return fmt.Errorf("core: item with key %q too large for configured classes", it.Key)
 		}

@@ -599,7 +599,7 @@ func (w *worker) update(c env.Ctx, key, value []byte, done func(c env.Ctx, out *
 
 // classFor returns the size class that fits (key, payload).
 func (w *worker) classFor(key, payload []byte) int {
-	cls := slab.ClassFor(w.st.cfg.Classes, len(key), len(payload))
+	cls := slab.ClassFor(slab.DefaultClasses, len(key), len(payload))
 	if cls < 0 {
 		panic("core: item exceeds largest configured size class")
 	}

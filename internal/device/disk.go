@@ -63,9 +63,6 @@ type Counters struct {
 // TotalOps returns reads plus writes.
 func (c Counters) TotalOps() int64 { return c.ReadOps + c.WriteOps }
 
-// TotalBytes returns bytes read plus written.
-func (c Counters) TotalBytes() int64 { return c.ReadBytes + c.WriteBytes }
-
 // Sub returns c minus prev (for interval measurements).
 func (c Counters) Sub(prev Counters) Counters {
 	return Counters{
@@ -446,6 +443,3 @@ func (a *Allocator) Alloc(n int64) int64 {
 func (a *Allocator) Free(page, n int64) {
 	a.free[n] = append(a.free[n], page)
 }
-
-// HighWater returns the page just past the furthest allocation.
-func (a *Allocator) HighWater() int64 { return a.next }

@@ -11,25 +11,24 @@ import (
 )
 
 // AbsorbOpts parameterizes the write-absorption sweep: skew × arrival rate ×
-// commit interval, per engine. Interval 0 is the absorption-off baseline
-// (only meaningful for KVell; other engines always run at 0).
+// commit interval, on KVell and the RocksDB-like engine. Interval 0 is the
+// absorption-off baseline (only meaningful for KVell; the other engine always
+// runs at 0).
 type AbsorbOpts struct {
-	Engines   []EngineKind
 	Thetas    []float64
 	Rates     []float64 // arrivals per virtual second
 	Intervals []env.Time
-	Records   int64
-	ItemSize  int
-	Duration  env.Time
-	// MaxPerShard is the admission valve bound (see Arrival).
-	MaxPerShard int
-	Policy      ValvePolicy
 }
 
-func (ao *AbsorbOpts) defaults(o Options) {
-	if len(ao.Engines) == 0 {
-		ao.Engines = []EngineKind{KVell, RocksLike}
-	}
+// The sweep's fixed shape: dataset, and the admission valve bound (see
+// Arrival; arrivals over it are shed).
+const (
+	absorbRecords     = 20_000
+	absorbItemSize    = 1024
+	absorbMaxPerShard = 1024
+)
+
+func (ao *AbsorbOpts) defaults() {
 	if len(ao.Thetas) == 0 {
 		ao.Thetas = []float64{0.6, 0.99}
 	}
@@ -39,10 +38,6 @@ func (ao *AbsorbOpts) defaults(o Options) {
 	if len(ao.Intervals) == 0 {
 		ao.Intervals = []env.Time{0, 200 * env.Microsecond, 800 * env.Microsecond}
 	}
-	def(&ao.Records, 20_000)
-	def(&ao.ItemSize, 1024)
-	def(&ao.Duration, o.dur(env.Second))
-	def(&ao.MaxPerShard, 1024)
 }
 
 // AbsorbPoint is one cell of the sweep with its headline measurements.
@@ -66,26 +61,22 @@ func updateOnlyGen(records int64, itemSize int, theta float64) func(int64) Gener
 }
 
 // absorbSpec builds one sweep cell's Spec.
-func absorbSpec(o Options, ao *AbsorbOpts, eng EngineKind, theta, rate float64, interval env.Time) Spec {
+func absorbSpec(o Options, eng EngineKind, theta, rate float64, interval env.Time) Spec {
 	return Spec{
 		Name:     "absorb",
 		Seed:     o.Seed,
 		Engine:   eng,
-		Records:  ao.Records,
-		ItemSize: ao.ItemSize,
-		Gen:      updateOnlyGen(ao.Records, ao.ItemSize, theta),
-		Duration: ao.Duration,
-		Arrival: &Arrival{
-			Rate:        rate,
-			MaxPerShard: ao.MaxPerShard,
-			Policy:      ao.Policy,
-		},
+		Records:  absorbRecords,
+		ItemSize: absorbItemSize,
+		Gen:      updateOnlyGen(absorbRecords, absorbItemSize, theta),
+		Duration: o.dur(env.Second),
+		Arrival:  &Arrival{Rate: rate, MaxPerShard: absorbMaxPerShard},
 		TweakKVell: func(c *core.Config) {
 			c.AbsorbInterval = interval
 			if interval > 0 {
 				// Let the buffer hold as much as the valve admits per worker;
 				// the default (4x batch) forces premature overflow flushes.
-				c.AbsorbMaxHeld = ao.MaxPerShard
+				c.AbsorbMaxHeld = absorbMaxPerShard
 			}
 		},
 	}
@@ -93,10 +84,10 @@ func absorbSpec(o Options, ao *AbsorbOpts, eng EngineKind, theta, rate float64, 
 
 // AbsorbSweep runs the grid and computes per-point device-write cost.
 func AbsorbSweep(o Options, ao AbsorbOpts) []AbsorbPoint {
-	ao.defaults(o)
+	ao.defaults()
 	var pts []AbsorbPoint
 	var specs []Spec
-	for _, eng := range ao.Engines {
+	for _, eng := range []EngineKind{KVell, RocksLike} {
 		intervals := ao.Intervals
 		if eng != KVell {
 			intervals = intervals[:1] // baseline only: absorption is a KVell front end
@@ -105,7 +96,7 @@ func AbsorbSweep(o Options, ao AbsorbOpts) []AbsorbPoint {
 			for _, rate := range ao.Rates {
 				for _, iv := range intervals {
 					pts = append(pts, AbsorbPoint{Engine: eng, Theta: theta, Rate: rate, Interval: iv})
-					specs = append(specs, absorbSpec(o, &ao, eng, theta, rate, iv))
+					specs = append(specs, absorbSpec(o, eng, theta, rate, iv))
 				}
 			}
 		}
@@ -142,15 +133,20 @@ func absorbExp(o Options, w io.Writer) {
 	AbsorbReport(o, AbsorbOpts{}, w)
 }
 
+// absorbHeader announces the sweep's fixed shape and names the columns.
+func absorbHeader(w io.Writer) {
+	fmt.Fprintf(w, "Write absorption: open-loop update-only Zipfian sweep (%d records, valve bound %d/shard)\n\n",
+		absorbRecords, absorbMaxPerShard)
+	fmt.Fprintf(w, "%-14s %-6s %10s %10s %12s %10s %10s %10s %8s\n",
+		"engine", "theta", "rate/s", "interval", "goodput", "p50", "p99", "writes/op", "shed")
+}
+
 // AbsorbReport runs the sweep described by ao (zero fields take defaults)
 // and prints the table and headline summary — the entry point `kvell-bench absorb`
 // uses for flag-selected rates and skews.
 func AbsorbReport(o Options, ao AbsorbOpts, w io.Writer) {
-	ao.defaults(o)
-	fmt.Fprintf(w, "Write absorption: open-loop update-only Zipfian sweep (%d records, valve bound %d/shard)\n\n",
-		ao.Records, ao.MaxPerShard)
-	fmt.Fprintf(w, "%-14s %-6s %10s %10s %12s %10s %10s %10s %8s\n",
-		"engine", "theta", "rate/s", "interval", "goodput", "p50", "p99", "writes/op", "shed")
+	ao.defaults()
+	absorbHeader(w)
 	pts := AbsorbSweep(o, ao)
 	for i := range pts {
 		p := &pts[i]

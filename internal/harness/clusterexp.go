@@ -16,14 +16,16 @@ import (
 )
 
 // ClusterSpec describes one multi-machine cluster run: Machines server
-// machines plus one client machine, joined by a 10GbE network model, serving
+// machines (clusterCores cores, clusterWorkers KVell workers and one disk
+// each) plus one client machine, joined by a 10GbE network model, serving
 // a closed-loop YCSB-A (50/50 uniform get/update) workload routed by
 // consistent-hash placement. With RF > 1 every leader ships index entries
 // and slab pages to its RF-1 followers and acknowledges writes only after
 // all live followers have them durable. With Failover set, machine
-// KillMachine dies at KillAt (power loss + halted event domain) and a
-// seeded-RNG-chosen follower is promoted via the ordinary full-scan
-// recovery path; acknowledged writes must all survive on the promoted store.
+// KillMachine dies a third of the way into the workload (power loss + halted
+// event domain) and a seeded-RNG-chosen follower is promoted via the
+// ordinary full-scan recovery path; acknowledged writes must all survive on
+// the promoted store.
 type ClusterSpec struct {
 	Machines int
 	RF       int
@@ -35,24 +37,21 @@ type ClusterSpec struct {
 	// machine, each with a Window-deep closed loop.
 	ClientsPerMachine int
 	Window            int
-	Cores             int // CPU cores per server machine
-	Workers           int // KVell workers per server machine
-	NDisks            int // disks per server machine
-	Slots             int // placement hash slots
 	Duration          env.Time
 
 	// Failover enables the kill-one-machine run.
 	Failover    bool
 	KillMachine int
-	KillAt      env.Time
-	// DetectDelay is the failure-detection delay before promotion starts.
-	DetectDelay env.Time
 }
 
-// Defaults both cluster harnesses share.
+// The server machines of a cluster run; RunTxnCluster builds the same ones,
+// with bankWorkers workers each.
 const (
-	clusterSlots       = 4096
-	clusterCores       = 5
+	clusterSlots   = 4096 // placement hash slots
+	clusterCores   = 5    // CPU cores per server machine
+	clusterWorkers = 4    // KVell workers per server machine
+	// clusterDetectDelay is the failure-detection delay before promotion
+	// starts.
 	clusterDetectDelay = 200 * env.Microsecond
 )
 
@@ -63,13 +62,7 @@ func (cs *ClusterSpec) defaults() {
 	def(&cs.ItemSize, 256)
 	def(&cs.ClientsPerMachine, 8)
 	def(&cs.Window, 8)
-	def(&cs.Cores, clusterCores)
-	def(&cs.Workers, 4)
-	def(&cs.NDisks, 1)
-	def(&cs.Slots, clusterSlots)
 	def(&cs.Duration, env.Second)
-	def(&cs.KillAt, cs.Duration/3)
-	def(&cs.DetectDelay, clusterDetectDelay)
 }
 
 // ClusterResult is one run's outcome. Digest fingerprints the whole
@@ -146,16 +139,17 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 	// Shadow model (crash-harness discipline): after a failover the durable
 	// version of every key must be one its client could have been told about.
 	sh := newShadow(total, func(k int64, v uint64) []byte { return kv.Value(k, v, spec.ItemSize) })
+	killAt := spec.Duration / 3
 	cl := cluster.Build(cluster.Spec{
-		Machines: M, RF: spec.RF, Seed: spec.Seed, Slots: spec.Slots,
-		Cores: spec.Cores, NDisks: spec.NDisks,
+		Machines: M, RF: spec.RF, Seed: spec.Seed, Slots: clusterSlots,
+		Cores: clusterCores, NDisks: 1,
 		Tweak: func(cfg *core.Config) {
-			cfg.Workers = spec.Workers
+			cfg.Workers = clusterWorkers
 			cfg.PageCachePages = max(256, int(spec.RecordsPerMachine/16/3))
 		},
 		Records: total,
 		Value:   func(i int64) []byte { return sh.val(i, 1) },
-		Kill:    spec.Failover, KillMachine: spec.KillMachine, KillAt: spec.KillAt,
+		Kill:    spec.Failover, KillMachine: spec.KillMachine, KillAt: killAt,
 	})
 	s, clientM, clientEnv := cl.S, M, cl.Envs[M]
 	tracer := trace.NewTracer(0)
@@ -260,7 +254,7 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 		rep := cl.Follower(dead)
 		res.Promoted = rep.Host()
 		cl.Envs[rep.Host()].Go("failover-driver", func(c env.Ctx) {
-			c.Sleep(spec.KillAt + spec.DetectDelay - c.Now())
+			c.Sleep(killAt + clusterDetectDelay - c.Now())
 			if !cl.Inj.Tripped() {
 				verifyErr = fmt.Errorf("cluster: machine %d never died", dead)
 				return

@@ -21,17 +21,12 @@ import (
 // reopened against the power-loss disk images, and every key is read back
 // and checked against a shadow model of acknowledged versions.
 type CrashSpec struct {
-	Engine   EngineKind
-	Seed     int64
-	Records  int64
-	ItemSize int
+	Engine  EngineKind
+	Seed    int64
+	Records int64
 	// AtWrite kills the machine when the Nth timed device write is
 	// submitted (1-based, counted across all disks).
 	AtWrite int64
-	Clients int
-	Window  int
-	NDisks  int
-	Cores   int
 	// AbsorbInterval enables KVell's write-absorption front end (0 = off).
 	// Absorbed writes are acknowledged only when their group commit settles,
 	// so the same verification applies: no acked version may be lost, even
@@ -44,28 +39,34 @@ type CrashSpec struct {
 	TieredHotBytes int64
 }
 
+// The crash machine and its workload: crashClients closed-loop clients, each
+// crashWindow requests deep, on a crashCores-core machine with crashNDisks
+// disks, over values of crashItemSize bytes and up (see crashValSize).
+const (
+	crashItemSize = 256
+	crashClients  = 4
+	crashWindow   = 4
+	crashNDisks   = 2
+	crashCores    = 4
+)
+
 func (cs *CrashSpec) defaults() {
 	def(&cs.Records, 8_000)
-	def(&cs.ItemSize, 256)
 	def(&cs.AtWrite, 1_000)
-	def(&cs.Clients, 4)
-	def(&cs.Window, 4)
-	def(&cs.NDisks, 2)
-	def(&cs.Cores, 4)
 }
 
-// valSize is the deterministic value size for version v of record k. Sizes
-// hop between two sub-page size classes (so KVell exercises both in-place
-// updates and append+tombstone migration) and every 89th key is multi-page
-// (so a crash can tear it across its pages).
-func (cs *CrashSpec) valSize(k int64, v uint64) int {
+// crashValSize is the deterministic value size for version v of record k.
+// Sizes hop between two sub-page size classes (so KVell exercises both
+// in-place updates and append+tombstone migration) and every 89th key is
+// multi-page (so a crash can tear it across its pages).
+func crashValSize(k int64, v uint64) int {
 	if k%89 == 0 {
-		return cs.ItemSize + 5_000
+		return crashItemSize + 5_000
 	}
 	if (uint64(k)+v)%4 >= 2 {
-		return cs.ItemSize * 2
+		return crashItemSize * 2
 	}
-	return cs.ItemSize
+	return crashItemSize
 }
 
 // CrashResult is one run's outcome. Digest is an FNV-1a fingerprint of the
@@ -100,11 +101,11 @@ func RunCrash(spec CrashSpec) (CrashResult, error) {
 	spec.defaults()
 	res := CrashResult{Engine: spec.Engine.String(), Seed: spec.Seed, AtWrite: spec.AtWrite}
 	sh := newShadow(spec.Records, func(k int64, v uint64) []byte {
-		return kv.Value(k, v, spec.valSize(k, v))
+		return kv.Value(k, v, crashValSize(k, v))
 	})
 
 	// First life: run the workload until the machine dies.
-	tb := NewTestbed(spec.Seed, spec.AtWrite, spec.Cores, spec.NDisks)
+	tb := NewTestbed(spec.Seed, spec.AtWrite, crashCores, crashNDisks)
 	hs := crashHarnessSpec(&spec)
 	eng := buildEngine(tb.Env, hs, tb.Disks)
 	items := make([]kv.Item, spec.Records)
@@ -114,15 +115,15 @@ func RunCrash(spec CrashSpec) (CrashResult, error) {
 	tb.Load(eng, items)
 
 	e1 := tb.Env
-	for ci := 0; ci < spec.Clients; ci++ {
+	for ci := 0; ci < crashClients; ci++ {
 		ci := ci
 		e1.Go(fmt.Sprintf("crash-client-%d", ci), func(c env.Ctx) {
 			// Seeded from the crash spec: the client schedule is part of
 			// the reproducible crash schedule.
 			rng := rand.New(rand.NewSource(spec.Seed*7919 + int64(ci)))
-			lo := int64(ci) * spec.Records / int64(spec.Clients)
-			hi := (int64(ci) + 1) * spec.Records / int64(spec.Clients)
-			win := newWindow(e1, spec.Window)
+			lo := int64(ci) * spec.Records / crashClients
+			hi := (int64(ci) + 1) * spec.Records / crashClients
+			win := newWindow(e1, crashWindow)
 			release := func(kv.Result) { win.release() }
 			for c.Now() < crashHorizon {
 				win.acquire(c)
@@ -240,9 +241,9 @@ func crashHarnessSpec(cs *CrashSpec) *Spec {
 	hs := &Spec{
 		Engine:    cs.Engine,
 		Seed:      cs.Seed,
-		Cores:     cs.Cores,
+		Cores:     crashCores,
 		Records:   cs.Records,
-		ItemSize:  cs.ItemSize,
+		ItemSize:  crashItemSize,
 		CacheFrac: 1.0 / 3,
 		TweakLSM:  func(c *lsm.Config) { c.Durable = true },
 		TweakWT:   func(c *wtree.Config) { c.Durable = true },

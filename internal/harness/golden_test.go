@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"kvell/internal/device"
 	"kvell/internal/env"
 )
 
@@ -49,6 +50,14 @@ func TestGoldenDigests(t *testing.T) {
 	got := make(map[string]goldenEntry)
 	for _, k := range AllEngines {
 		got[k.String()] = toGolden(goldenFingerprint(k))
+		// The same workload on fig8's machine: the single-disk rows cannot
+		// see a change in how an engine spreads work over disks, such as the
+		// LSM block cache keying blocks by page instead of (disk, page).
+		s := determinismSpec(k, 1234)
+		s.Profile = device.AmazonNVMe()
+		s.NDisks = 8
+		s.Cores = 32
+		got[k.String()+"/8-disk"] = toGolden(runFingerprint(s))
 	}
 
 	if *updateGolden {
@@ -77,7 +86,7 @@ func TestGoldenDigests(t *testing.T) {
 	for name, w := range want {
 		g, ok := got[name]
 		if !ok {
-			t.Errorf("%s: engine in fixture but not in AllEngines", name)
+			t.Errorf("%s: row in fixture but not produced by the test", name)
 			continue
 		}
 		if g != w {
@@ -86,7 +95,7 @@ func TestGoldenDigests(t *testing.T) {
 	}
 	for name := range got {
 		if _, ok := want[name]; !ok {
-			t.Errorf("%s: engine missing from fixture (run with -update-golden)", name)
+			t.Errorf("%s: row missing from fixture (run with -update-golden)", name)
 		}
 	}
 }

@@ -135,10 +135,9 @@ func shardsOf(eng kv.Engine) int {
 // admitted requests to a pool of service procs that submit them — blocking
 // engines occupy a service proc for the duration of the op, KVell returns
 // immediately and completes via Done.
-func runOpenLoop(e *sim.Env, s *sim.Sim, spec *Spec, res *Result, eng kv.Engine, gen Generator, end env.Time) {
+func runOpenLoop(e *sim.Env, spec *Spec, res *Result, eng kv.Engine, gen Generator, end env.Time) {
 	a := spec.Arrival
 	ag := NewArrivalGen(a, spec.Seed+0x6F70656E) // "open"
-	tr := spec.Tracer
 	shards := shardsOf(eng)
 	perShard := a.maxPerShard()
 	if shards == 1 {
@@ -152,8 +151,7 @@ func runOpenLoop(e *sim.Env, s *sim.Sim, spec *Spec, res *Result, eng kv.Engine,
 	drained := e.NewCond(mu)
 
 	admitQ := e.NewQueue()
-	filler, _ := gen.(Filler)
-	cfiller, _ := gen.(ClockedFiller)
+	fill := fillFunc(gen)
 	var free []*kv.Request
 
 	shardFor := func(key []byte) int {
@@ -168,17 +166,7 @@ func runOpenLoop(e *sim.Env, s *sim.Sim, spec *Spec, res *Result, eng kv.Engine,
 	// pooled request's Done is wired to it once, so steady-state dispatch
 	// allocates nothing.
 	finishOne := func(r *kv.Request) {
-		t := s.Now()
-		if r.Trace != nil {
-			tr.Finish(r.Trace, t)
-			r.Trace = nil
-		}
-		res.OpsTotal++
-		if t >= spec.Warmup && t < end {
-			res.Ops++
-			res.Lat.Add(t - r.Start)
-			res.Timeline.Add(t, 1)
-		}
+		res.complete(r)
 		mu.Lock(nil)
 		outstanding[shardFor(r.Key)]--
 		total--
@@ -205,25 +193,12 @@ func runOpenLoop(e *sim.Env, s *sim.Sim, spec *Spec, res *Result, eng kv.Engine,
 				free = free[:n-1]
 			}
 			mu.Unlock(c)
-			if filler != nil {
-				if r == nil {
-					nr := &kv.Request{}
-					nr.Done = func(kv.Result) { finishOne(nr) }
-					r = nr
-				}
-				if cfiller != nil {
-					cfiller.FillNextAt(r, arrived)
-				} else {
-					filler.FillNext(r)
-				}
-			} else {
-				nr := gen.Next()
-				if r != nil {
-					nr.ValueBuf, nr.ScanBuf = r.ValueBuf, r.ScanBuf
-				}
+			if r == nil {
+				nr := &kv.Request{}
 				nr.Done = func(kv.Result) { finishOne(nr) }
 				r = nr
 			}
+			fill(r, arrived)
 			shard := shardFor(r.Key)
 			mu.Lock(c)
 			if outstanding[shard] >= perShard {
@@ -263,15 +238,7 @@ func runOpenLoop(e *sim.Env, s *sim.Sim, spec *Spec, res *Result, eng kv.Engine,
 				if batch == nil {
 					break
 				}
-				r := batch[0].(*kv.Request)
-				if tr != nil {
-					r.Trace = tr.Begin(int(r.Op), r.Start)
-					c.SetTrace(r.Trace)
-					eng.Submit(c, r)
-					c.SetTrace(nil)
-				} else {
-					eng.Submit(c, r)
-				}
+				submit(c, eng, spec.Tracer, batch[0].(*kv.Request))
 			}
 			active--
 			if active > 0 {

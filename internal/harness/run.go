@@ -55,18 +55,15 @@ func (k EngineKind) String() string {
 }
 
 // Generator is the workload interface both the YCSB and the Nutanix
-// generators satisfy.
+// generators satisfy: the bulk-load image, then a stream of operations.
 type Generator interface {
-	Next() *kv.Request
+	Filler
 	InitialItems() []kv.Item
 }
 
-// Filler is the allocation-free fast path both built-in generators also
-// satisfy: FillNext writes the next operation into a recycled request using
-// the same RNG draw order as Next, so the harness can pool Window requests
-// per client instead of allocating one (plus key, value and Done closure)
-// per operation. Custom generators that only implement Generator still work
-// through the allocating path.
+// Filler is how the harness draws operations: FillNext writes the next one
+// into a recycled request, so the harness pools Window requests per client
+// instead of allocating one (plus key, value and Done closure) per operation.
 type Filler interface {
 	FillNext(*kv.Request)
 }
@@ -78,6 +75,17 @@ type Filler interface {
 type ClockedFiller interface {
 	Filler
 	FillNextAt(*kv.Request, env.Time)
+}
+
+// fillFunc resolves, once per run, how gen's next operation is drawn at
+// virtual time now.
+func fillFunc(gen Generator) func(r *kv.Request, now env.Time) {
+	switch g := gen.(type) {
+	case ClockedFiller:
+		return g.FillNextAt
+	default:
+		return func(r *kv.Request, _ env.Time) { g.FillNext(r) }
+	}
 }
 
 // Spec describes one benchmark run.
@@ -333,9 +341,9 @@ func Run(spec Spec) Result {
 
 	end := spec.Warmup + spec.Duration
 	if spec.Arrival != nil {
-		runOpenLoop(e, s, &spec, &res, eng, gen, end)
+		runOpenLoop(e, &spec, &res, eng, gen, end)
 	} else {
-		runClosedLoop(e, s, &spec, &res, eng, gen, end)
+		runClosedLoop(e, &spec, &res, eng, gen, end)
 	}
 	must(s.Run(end + 2*env.Second))
 	must(s.Close())
@@ -344,74 +352,68 @@ func Run(spec Spec) Result {
 	return res
 }
 
+// complete books a request that finished now: it closes the request's trace
+// and counts the operation, towards Ops, the latency histogram and the
+// timeline only inside the measurement window [Warmup, Warmup+Duration).
+func (res *Result) complete(r *kv.Request) {
+	t := res.Sim.Now()
+	if r.Trace != nil {
+		res.Spec.Tracer.Finish(r.Trace, t)
+		r.Trace = nil
+	}
+	res.OpsTotal++
+	if t >= res.Spec.Warmup && t < res.Spec.Warmup+res.Spec.Duration {
+		res.Ops++
+		res.Lat.Add(t - r.Start)
+		res.Timeline.Add(t, 1)
+	}
+}
+
+// submit hands r to the engine on proc c, under a trace context when the run
+// is traced. Library engines run the whole op inside Submit on this proc;
+// async engines (KVell) carry r.Trace across the worker handoff and only the
+// routing CPU lands here.
+func submit(c env.Ctx, eng kv.Engine, tr *trace.Tracer, r *kv.Request) {
+	if tr == nil {
+		eng.Submit(c, r)
+		return
+	}
+	r.Trace = tr.Begin(int(r.Op), r.Start)
+	c.SetTrace(r.Trace)
+	eng.Submit(c, r)
+	c.SetTrace(nil)
+}
+
 // runClosedLoop starts spec.Clients client procs, each keeping spec.Window
 // requests outstanding until end; the last one out stops the engine.
-func runClosedLoop(e *sim.Env, s *sim.Sim, spec *Spec, res *Result, eng kv.Engine, gen Generator, end env.Time) {
-	tr := spec.Tracer
+func runClosedLoop(e *sim.Env, spec *Spec, res *Result, eng kv.Engine, gen Generator, end env.Time) {
 	active := spec.Clients
-	filler, _ := gen.(Filler)
-	cfiller, _ := gen.(ClockedFiller)
+	fill := fillFunc(gen)
 	for ci := 0; ci < spec.Clients; ci++ {
 		e.Go(fmt.Sprintf("client-%d", ci), func(c env.Ctx) {
 			win := newWindow(e, spec.Window)
-			// With a Filler generator, each client owns a pool of Window
-			// requests whose Done callbacks are wired once; completed
-			// requests return to the pool and are refilled in place, so the
-			// steady-state issue path allocates nothing. The window gate
-			// guarantees a free request whenever it admits an operation.
-			var free []*kv.Request
-			done := func(r *kv.Request) {
-				t := s.Now()
-				if r.Trace != nil {
-					tr.Finish(r.Trace, t)
-					r.Trace = nil
-				}
-				res.OpsTotal++
-				if t >= spec.Warmup && t < end {
-					res.Ops++
-					res.Lat.Add(t - r.Start)
-					res.Timeline.Add(t, 1)
-				}
-				if filler != nil {
+			// Each client owns a pool of Window requests whose Done callbacks
+			// are wired once; completed requests return to the pool and are
+			// refilled in place, so the steady-state issue path allocates
+			// nothing. The window gate guarantees a free request whenever it
+			// admits an operation.
+			free := make([]*kv.Request, spec.Window)
+			for i := range free {
+				r := &kv.Request{}
+				r.Done = func(kv.Result) {
+					res.complete(r)
 					free = append(free, r)
+					win.release()
 				}
-				win.release()
-			}
-			if filler != nil {
-				free = make([]*kv.Request, spec.Window)
-				for i := range free {
-					r := &kv.Request{}
-					r.Done = func(kv.Result) { done(r) }
-					free[i] = r
-				}
+				free[i] = r
 			}
 			for c.Now() < end {
 				win.acquire(c)
-				var r *kv.Request
-				if filler != nil {
-					r = free[len(free)-1]
-					free = free[:len(free)-1]
-				}
-				if cfiller != nil {
-					cfiller.FillNextAt(r, c.Now())
-				} else if filler != nil {
-					filler.FillNext(r)
-				} else {
-					r = gen.Next()
-					r.Done = func(kv.Result) { done(r) }
-				}
+				r := free[len(free)-1]
+				free = free[:len(free)-1]
+				fill(r, c.Now())
 				r.Start = c.Now()
-				if tr != nil {
-					// Library engines run the whole op inside Submit on this
-					// proc; async engines (KVell) carry r.Trace across the
-					// worker handoff and only the routing CPU lands here.
-					r.Trace = tr.Begin(int(r.Op), r.Start)
-					c.SetTrace(r.Trace)
-					eng.Submit(c, r)
-					c.SetTrace(nil)
-				} else {
-					eng.Submit(c, r)
-				}
+				submit(c, eng, spec.Tracer, r)
 			}
 			win.drain(c)
 			active--

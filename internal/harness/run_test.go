@@ -1,10 +1,20 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 
 	"kvell/internal/env"
+	"kvell/internal/nutanix"
 	"kvell/internal/ycsb"
+)
+
+// The built-in generators must satisfy the harness's workload interface,
+// YCSB also the clocked one its hot-set shift needs.
+var (
+	_ Generator     = (*ycsb.Generator)(nil)
+	_ ClockedFiller = (*ycsb.Generator)(nil)
+	_ Generator     = (*nutanix.Generator)(nil)
 )
 
 func ycsbGen(w byte, dist ycsb.Distribution, records int64, item int) func(int64) Generator {
@@ -60,5 +70,53 @@ func TestSmokeBaselinesYCSBA(t *testing.T) {
 				t.Logf("%v: %.0f ops/s", k, r.Throughput)
 			}
 		})
+	}
+}
+
+// closedLoopAllocBudget is the marginal heap allocations per completed
+// operation TestAllocBudgetClosedLoop allows: 0.4141, the largest of three
+// measurements (0.4140, 0.4141, 0.4140) on the parent of the commit that
+// introduced the test, plus 5%. Measured with go1.24.0 on linux/amd64; what
+// escapes to the heap is the compiler's decision, so a toolchain bump may
+// move the count and the budget is then re-recorded the same way.
+const closedLoopAllocBudget = 0.4141 * 1.05
+
+// TestAllocBudgetClosedLoop bounds what harness.Run allocates per completed
+// operation on the closed-loop issue path — pooled requests, generator fill,
+// KVell's read path, completion accounting — on the shape of the benchmark's
+// ycsb_c_zipf workload, so tier-1 fails where host_allocs_per_op would move.
+// Two runs of one spec that differ only in duration are compared, so set-up
+// (bulk load, index, caches, pools) cancels. Not parallel: Mallocs counts the
+// whole process, and a serial test runs while every parallel one is parked.
+func TestAllocBudgetClosedLoop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	run := func(dur env.Time) (mallocs uint64, ops int64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := Run(Spec{
+			Name:     "alloc-budget",
+			Engine:   KVell,
+			Seed:     1,
+			Cores:    2, // two workers: a quarter of the operations, the same path
+			Clients:  2,
+			Records:  20_000,
+			Gen:      ycsbGen('C', ycsb.Zipfian, 20_000, 1024),
+			Warmup:   50 * env.Millisecond,
+			Duration: dur,
+		})
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, r.OpsTotal
+	}
+	m1, o1 := run(200 * env.Millisecond)
+	m2, o2 := run(400 * env.Millisecond)
+	if o2 <= o1 {
+		t.Fatalf("longer run completed no more operations: %d then %d", o1, o2)
+	}
+	perOp := (float64(m2) - float64(m1)) / float64(o2-o1)
+	t.Logf("%.4f allocations per operation (%d over %d operations)", perOp, int64(m2)-int64(m1), o2-o1)
+	if perOp > closedLoopAllocBudget {
+		t.Errorf("closed loop allocates %.4f per operation, budget %.4f", perOp, float64(closedLoopAllocBudget))
 	}
 }

@@ -12,34 +12,19 @@ import (
 )
 
 // TierOpts parameterizes the hot/cold tiering sweep: zipfian skew × hot-tier
-// size, all engines at hot size 0 as baselines, on a slow cold-SSD profile.
-// The page cache is deliberately small (TierCacheFrac of the dataset): the
-// paper's Nutanix traces split into a ~21% and a ~99% page-cache-hit regime,
-// and this sweep reproduces both as measured memory-hit-rate points — the
-// low one from a skew the small caches cannot absorb, the high one from a
-// hot tier sized to the working set.
+// size, all engines at hot size 0 as baselines, on the slow device.ColdSSD
+// profile. The page cache is deliberately small (TierCacheFrac of the
+// dataset): the paper's Nutanix traces split into a ~21% and a ~99%
+// page-cache-hit regime, and this sweep reproduces both as measured
+// memory-hit-rate points — the low one from a skew the small caches cannot
+// absorb, the high one from a hot tier sized to the working set. One extra
+// KVell point at the highest theta and a mid-size cache (under capacity
+// pressure) rotates the YCSB hot head every tierHotShiftEvery, exercising
+// demotion and re-promotion under workload churn.
 type TierOpts struct {
-	Engines  []EngineKind
-	Thetas   []float64 // zipfian skew grid
-	CacheMB  []float64 // hot-tier size grid in MB; 0 = tiering off
-	Records  int64
-	ItemSize int
-	Duration env.Time
-	Rate     float64 // open-loop arrival rate per virtual second
-	// MaxPerShard is the admission valve bound (Shed policy: overload is
-	// rejected, so goodput and tail latency stay measurable).
-	MaxPerShard int
-	// PromoteAfter is the decayed access count that promotes (default 1:
-	// promote on first cold read — the ghost table still shields the cache
-	// from single-touch scans at PromoteAfter >= 2).
-	PromoteAfter int
-	// HotShiftEvery, when > 0, adds one extra KVell point at the highest
-	// theta and a mid-size cache (under capacity pressure) with the YCSB
-	// hot head rotating at this period, exercising demotion and
-	// re-promotion under workload churn.
-	HotShiftEvery env.Time
-	// Profile is the cold device (default device.ColdSSD()).
-	Profile device.Profile
+	Thetas  []float64 // zipfian skew grid
+	CacheMB []float64 // hot-tier size grid in MB; 0 = tiering off
+	Rate    float64   // open-loop arrival rate per virtual second
 }
 
 // TierCacheFrac sizes the page cache relative to the dataset in this sweep:
@@ -47,30 +32,28 @@ type TierOpts struct {
 // regime where a hot tier matters.
 const TierCacheFrac = 0.05
 
-func (to *TierOpts) defaults(o Options) {
-	if len(to.Engines) == 0 {
-		to.Engines = AllEngines
-	}
+// The sweep's fixed shape.
+const (
+	tierRecords  = 20_000
+	tierItemSize = 1024
+	// tierMaxPerShard is the admission valve bound (Shed policy: overload is
+	// rejected, so goodput and tail latency stay measurable).
+	tierMaxPerShard = 256
+	// tierPromoteAfter is the decayed access count that promotes: on the
+	// first cold read (the ghost table still shields the cache from
+	// single-touch scans at 2 and above).
+	tierPromoteAfter  = 1
+	tierHotShiftEvery = 250 * env.Millisecond
+)
+
+func (to *TierOpts) defaults() {
 	if len(to.Thetas) == 0 {
 		to.Thetas = []float64{0.6, 0.99}
 	}
 	if len(to.CacheMB) == 0 {
 		to.CacheMB = []float64{0, 1.5, 4, 24}
 	}
-	def(&to.Records, 20_000)
-	def(&to.ItemSize, 1024)
-	if to.Duration == 0 {
-		// Long enough that the one-time cold-read promotion misses (one
-		// per record at PromoteAfter=1) amortize out of the hit rate.
-		to.Duration = o.dur(6 * env.Second)
-	}
 	def(&to.Rate, 300_000)
-	def(&to.MaxPerShard, 256)
-	def(&to.PromoteAfter, 1)
-	def(&to.HotShiftEvery, 250*env.Millisecond)
-	if to.Profile.Name == "" {
-		to.Profile = device.ColdSSD()
-	}
 }
 
 // TierPoint is one cell of the sweep with derived hit-rate measurements.
@@ -117,27 +100,25 @@ func readMostlyGen(records int64, itemSize int, theta float64, shiftEvery env.Ti
 
 // tierSpec builds one sweep cell's Spec. cacheMB is the hot-tier size; zero
 // leaves the engine untiered.
-func tierSpec(o Options, to *TierOpts, eng EngineKind, theta, cacheMB float64, shift env.Time) Spec {
+func tierSpec(o Options, rate float64, eng EngineKind, theta, cacheMB float64, shift env.Time) Spec {
 	return Spec{
 		Name:      "tiering",
 		Seed:      o.Seed,
 		Engine:    eng,
-		Profile:   to.Profile,
-		Records:   to.Records,
-		ItemSize:  to.ItemSize,
+		Profile:   device.ColdSSD(),
+		Records:   tierRecords,
+		ItemSize:  tierItemSize,
 		CacheFrac: TierCacheFrac,
-		Gen:       readMostlyGen(to.Records, to.ItemSize, theta, shift),
-		Duration:  to.Duration,
-		Arrival: &Arrival{
-			Rate:        to.Rate,
-			MaxPerShard: to.MaxPerShard,
-			Policy:      Shed,
-		},
+		Gen:       readMostlyGen(tierRecords, tierItemSize, theta, shift),
+		// Long enough that the one-time cold-read promotion misses (one per
+		// record at tierPromoteAfter = 1) amortize out of the hit rate.
+		Duration: o.dur(6 * env.Second),
+		Arrival:  &Arrival{Rate: rate, MaxPerShard: tierMaxPerShard},
 		TweakKVell: func(c *core.Config) {
 			if cacheMB > 0 {
 				c.TieredHotBytes = int64(cacheMB * (1 << 20))
-				c.TieredSlotBytes = to.ItemSize
-				c.TieredPromoteAfter = to.PromoteAfter
+				c.TieredSlotBytes = tierItemSize
+				c.TieredPromoteAfter = tierPromoteAfter
 				c.TieredSeed = o.Seed
 			}
 		},
@@ -147,10 +128,10 @@ func tierSpec(o Options, to *TierOpts, eng EngineKind, theta, cacheMB float64, s
 // TierSweep runs the grid: every engine untiered as a baseline, KVell
 // additionally at each hot-tier size, plus one hot-set-shift point.
 func TierSweep(o Options, to TierOpts) []TierPoint {
-	to.defaults(o)
+	to.defaults()
 	var pts []TierPoint
 	var specs []Spec
-	for _, eng := range to.Engines {
+	for _, eng := range AllEngines {
 		sizes := to.CacheMB[:1] // baseline only: the hot tier is a KVell front end
 		if eng == KVell {
 			sizes = to.CacheMB
@@ -158,16 +139,14 @@ func TierSweep(o Options, to TierOpts) []TierPoint {
 		for _, theta := range to.Thetas {
 			for _, mb := range sizes {
 				pts = append(pts, TierPoint{Engine: eng, Theta: theta, CacheMB: mb})
-				specs = append(specs, tierSpec(o, &to, eng, theta, mb, 0))
+				specs = append(specs, tierSpec(o, to.Rate, eng, theta, mb, 0))
 			}
 		}
 	}
-	if to.HotShiftEvery > 0 {
-		theta := to.Thetas[len(to.Thetas)-1]
-		mb := shiftMB(&to)
-		pts = append(pts, TierPoint{Engine: KVell, Theta: theta, CacheMB: mb, Shift: true})
-		specs = append(specs, tierSpec(o, &to, KVell, theta, mb, to.HotShiftEvery))
-	}
+	theta := to.Thetas[len(to.Thetas)-1]
+	mb := shiftMB(&to)
+	pts = append(pts, TierPoint{Engine: KVell, Theta: theta, CacheMB: mb, Shift: true})
+	specs = append(specs, tierSpec(o, to.Rate, KVell, theta, mb, tierHotShiftEvery))
 	results := o.runAll(specs...)
 	for i := range pts {
 		pts[i].Res = results[i]
@@ -202,16 +181,22 @@ func tieringExp(o Options, w io.Writer) {
 	TierReport(o, TierOpts{}, w)
 }
 
+// tierHeader announces the sweep's fixed shape and the offered load, and
+// names the columns.
+func tierHeader(w io.Writer, rate float64) {
+	fmt.Fprintf(w, "Hot/cold tiering: open-loop read-mostly Zipfian sweep on %s\n", device.ColdSSD().Name)
+	fmt.Fprintf(w, "(%d records x %dB, page cache %.0f%% of dataset, offered load %s/s, valve bound %d/shard)\n\n",
+		tierRecords, tierItemSize, 100*TierCacheFrac, stats.FmtRate(rate), tierMaxPerShard)
+	fmt.Fprintf(w, "%-16s %-6s %8s %12s %10s %10s %8s %8s %9s %9s %8s\n",
+		"engine", "theta", "hot-MB", "goodput", "p50", "p99", "memhit%", "hothit%", "promos", "demos", "shed")
+}
+
 // TierReport runs the sweep described by to (zero fields take defaults) and
 // prints the table plus the headline verdicts — the entry point `kvell-bench tier`
 // uses for flag-selected skews and cache sizes.
 func TierReport(o Options, to TierOpts, w io.Writer) {
-	to.defaults(o)
-	fmt.Fprintf(w, "Hot/cold tiering: open-loop read-mostly Zipfian sweep on %s\n", to.Profile.Name)
-	fmt.Fprintf(w, "(%d records x %dB, page cache %.0f%% of dataset, offered load %s/s, valve bound %d/shard)\n\n",
-		to.Records, to.ItemSize, 100*TierCacheFrac, stats.FmtRate(to.Rate), to.MaxPerShard)
-	fmt.Fprintf(w, "%-16s %-6s %8s %12s %10s %10s %8s %8s %9s %9s %8s\n",
-		"engine", "theta", "hot-MB", "goodput", "p50", "p99", "memhit%", "hothit%", "promos", "demos", "shed")
+	to.defaults()
+	tierHeader(w, to.Rate)
 	pts := TierSweep(o, to)
 	for i := range pts {
 		p := &pts[i]
@@ -248,7 +233,7 @@ func TierReport(o Options, to TierOpts, w io.Writer) {
 			verdict = "ok"
 		}
 		fmt.Fprintf(w, "KVell theta=%.2f on %s: goodput %s -> %s with a %.1fMB hot tier (%.2fx, >=2x: %s)\n",
-			maxTheta, to.Profile.Name,
+			maxTheta, device.ColdSSD().Name,
 			stats.FmtRate(base.Res.Throughput), stats.FmtRate(best.Res.Throughput),
 			best.CacheMB, gain, verdict)
 	}
@@ -291,7 +276,7 @@ func TierReport(o Options, to TierOpts, w io.Writer) {
 			extra = fmt.Sprintf(", %d vs %d static promotions", sp.Res.HotPromotions, st.Res.HotPromotions)
 		}
 		fmt.Fprintf(w, "hot-set shift every %s: %d demotions under churn (>0: %s%s)\n",
-			stats.FmtDur(to.HotShiftEvery), sp.Res.HotDemotions, verdict, extra)
+			stats.FmtDur(tierHotShiftEvery), sp.Res.HotDemotions, verdict, extra)
 	}
 	fmt.Fprintf(w, "\nA hot tier sized to the Zipfian head turns the cold-SSD read bottleneck into a memory\nworkload: cold reads promote after repeated touches, writes go through or invalidate in\nplace, and the frequency-ordered ring demotes the coldest resident record when the arena\nis full — all in virtual time, so tiered schedules are as replayable as untiered ones.\n")
 }

@@ -135,41 +135,20 @@ func (mv *mover) next(c env.Ctx) (transfer, uint64, error) {
 	return tr, cts, err
 }
 
-// tracedSnapshotGet is the auditor's read: txn.GetAt's resolve loop, but with
-// every store round trip traced so the run can prove snapshot reads never
-// wait on a lock (the summed CompLock component must stay zero — readers
-// resolve through the primary or read past, they do not block).
-func tracedSnapshotGet(c env.Ctx, st *core.Store, tracer *trace.Tracer, key []byte, ts uint64, bo *mvcc.Backoff) ([]byte, bool, error) {
-	var skip uint64
-	for attempt := 0; attempt < 64; attempt++ {
-		tc := tracer.Begin(int(kv.OpTxnGet), c.Now())
-		res := st.Do(c, &kv.Request{Op: kv.OpTxnGet, Key: key, TS: ts, TS2: skip, Trace: tc})
-		tracer.Finish(tc, c.Now())
-		switch res.Txn {
-		case kv.TxnLocked:
-			primary := append([]byte(nil), res.Value...)
-			lockTS := res.TxnTS
-			stt := st.Do(c, &kv.Request{Op: kv.OpTxnResolve, Key: primary, TS: lockTS, TS2: ts})
-			switch stt.Txn {
-			case kv.TxnPending:
-				skip = lockTS
-			case kv.TxnCommitted:
-				st.Do(c, &kv.Request{Op: kv.OpTxnCommit, Key: key, TS: lockTS, TS2: stt.TxnTS})
-				skip = 0
-			case kv.TxnAborted:
-				st.Do(c, &kv.Request{Op: kv.OpTxnRollback, Key: key, TS: lockTS})
-				skip = 0
-			default:
-				c.Sleep(bo.Next())
-				skip = 0
-			}
-		case kv.TxnRetry:
-			c.Sleep(bo.Next())
-		default:
-			return res.Value, res.Found, nil
-		}
-	}
-	return nil, false, fmt.Errorf("txnbank: audit read of %q exhausted its resolve budget", key)
+// tracedClient is the auditor's transport: a LocalClient whose snapshot-read
+// round trips are traced, so the run can prove snapshot reads never wait on a
+// lock (the summed CompLock component must stay zero — readers resolve
+// through the primary or read past, they do not block).
+type tracedClient struct {
+	txn.LocalClient
+	tracer *trace.Tracer
+}
+
+func (tc *tracedClient) TxnGet(c env.Ctx, key []byte, ts, skip uint64) kv.Result {
+	t := tc.tracer.Begin(int(kv.OpTxnGet), c.Now())
+	res := tc.St.Do(c, &kv.Request{Op: kv.OpTxnGet, Key: key, TS: ts, TS2: skip, Trace: t})
+	tc.tracer.Finish(t, c.Now())
+	return res
 }
 
 // The bank's fixed shape. Every run starts each account at bankInitial and
@@ -281,14 +260,15 @@ func RunTxnBank(spec TxnBankSpec) (TxnBankResult, error) {
 		})
 	}
 
+	auditCl := &tracedClient{LocalClient: txn.LocalClient{St: st}, tracer: tracer}
 	audit := func(c env.Ctx, final bool) {
 		ts := st.SnapshotTS()
 		bo := mvcc.NewBackoff(spec.Seed^int64(ts), 2*env.Microsecond, 256*env.Microsecond)
 		var sum int64
 		for a := int64(0); a < bankAccounts; a++ {
-			v, ok, err := tracedSnapshotGet(c, st, tracer, kv.Key(a), ts, bo)
+			v, ok, err := txn.SnapshotGet(c, auditCl, kv.Key(a), ts, bo)
 			if err != nil {
-				vd.failf("%v", err)
+				vd.failf("audit@%d: read of account %d: %v", ts, a, err)
 				return
 			}
 			if !ok {

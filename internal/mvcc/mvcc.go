@@ -109,10 +109,6 @@ func (e *Envelope) Delete() bool {
 	return e.Kind == KindIntentDelete || e.Kind == KindCommitDelete
 }
 
-// EncodedSize returns the encoded length of an envelope with the given
-// primary-key and value lengths.
-func EncodedSize(plen, vlen int) int { return HeaderSize + plen + vlen }
-
 // AppendEncode appends e's encoding to dst and returns the extended slice
 // (the usual append contract; pass a recycled buffer to avoid allocation).
 func AppendEncode(dst []byte, e *Envelope) []byte {
@@ -206,13 +202,6 @@ func (ks *KeyState) VersionAt(startTS uint64) (Version, bool) {
 		}
 	}
 	return Version{}, false
-}
-
-// Prepend inserts v as the newest version.
-func (ks *KeyState) Prepend(v Version) {
-	ks.Versions = append(ks.Versions, Version{})
-	copy(ks.Versions[1:], ks.Versions)
-	ks.Versions[0] = v
 }
 
 // Insert adds v keeping Versions ordered newest-first. Commit timestamps can

@@ -17,8 +17,8 @@ func TestEnvelopeRoundtrip(t *testing.T) {
 	}
 	for i, e := range cases {
 		b := AppendEncode(nil, &e)
-		if len(b) != EncodedSize(len(e.Primary), len(e.Value)) {
-			t.Fatalf("case %d: encoded %d bytes, want %d", i, len(b), EncodedSize(len(e.Primary), len(e.Value)))
+		if want := HeaderSize + len(e.Primary) + len(e.Value); len(b) != want {
+			t.Fatalf("case %d: encoded %d bytes, want %d", i, len(b), want)
 		}
 		d, ok := Decode(b)
 		if !ok {

@@ -41,19 +41,6 @@ func (st *Station) BusyTime() Time { return st.busy }
 // Ops returns the number of service intervals assigned so far.
 func (st *Station) Ops() int64 { return st.ops }
 
-// QueueDepth returns the number of servers that are busy at time now plus
-// nothing queued (the analytic model has no explicit queue; depth is
-// approximated by how far in the future the busiest server is booked).
-func (st *Station) busyServers(now Time) int {
-	n := 0
-	for _, f := range st.free {
-		if f > now {
-			n++
-		}
-	}
-	return n
-}
-
 // Backlog returns how far beyond now the most-loaded server is booked.
 // It is a measure of queueing delay at the station.
 func (st *Station) Backlog(now Time) Time {

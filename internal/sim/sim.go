@@ -389,9 +389,6 @@ func (s *Sim) machineDead(e *event) bool {
 // progress).
 func (s *Sim) Stop() { s.stopped = true }
 
-// Stopped reports whether Stop has been called.
-func (s *Sim) Stopped() bool { return s.stopped }
-
 // Go starts a new proc running fn, beginning at the current virtual time.
 // The proc belongs to machine 0 (see GoOn).
 func (s *Sim) Go(name string, fn func(p *Proc)) *Proc { return s.GoOn(0, name, fn) }

@@ -63,12 +63,3 @@ func (a *Arena) Reset() {
 	a.old = a.old[:0]
 	a.off = 0
 }
-
-// HighWater returns the total bytes currently held across blocks.
-func (a *Arena) HighWater() int {
-	n := len(a.cur)
-	for _, b := range a.old {
-		n += len(b)
-	}
-	return n
-}

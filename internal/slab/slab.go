@@ -384,16 +384,9 @@ func (s *Slab) DecodeSlotView(buf []byte) (Decoded, error) {
 // ExtentCount returns how many extents are allocated.
 func (s *Slab) ExtentCount() int { return len(s.extents) }
 
-// Extents returns the base pages of all allocated extents (recovery scans
-// read them sequentially).
-func (s *Slab) Extents() []int64 { return s.extents }
-
 // ExtentPages returns the size of each extent in pages.
 func (s *Slab) ExtentPages() int64 { return s.extentPages }
 
 // RestoreAppendCursor sets the append cursor (used by recovery after
 // scanning existing extents).
 func (s *Slab) RestoreAppendCursor(next uint64) { s.nextSlot = next }
-
-// RestoreExtents sets the extent table (used by recovery).
-func (s *Slab) RestoreExtents(bases []int64) { s.extents = bases }

@@ -59,12 +59,6 @@ func (b *Breakdown) Count(i int, n int64) { b.ctrs[i] += n }
 // Counters returns the number of registered counters.
 func (b *Breakdown) Counters() int { return len(b.ctrNames) }
 
-// CounterName returns the i-th counter's name.
-func (b *Breakdown) CounterName(i int) string { return b.ctrNames[i] }
-
-// Counter returns the i-th counter's value.
-func (b *Breakdown) Counter(i int) int64 { return b.ctrs[i] }
-
 // Digest returns an FNV-1a hash over every component's name and full
 // histogram state, for determinism regression tests.
 func (b *Breakdown) Digest() uint64 {

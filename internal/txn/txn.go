@@ -121,14 +121,14 @@ func (t *Txn) Get(c env.Ctx, key []byte) ([]byte, bool, error) {
 		}
 		return w.value, true, nil
 	}
-	return snapshotGet(c, t.cl, key, t.startTS, t.bo)
+	return SnapshotGet(c, t.cl, key, t.startTS, t.bo)
 }
 
 // GetAt is a standalone snapshot read at ts through cl, with lazy lock
 // resolution. seed salts the retry backoff.
 func GetAt(c env.Ctx, cl Client, key []byte, ts uint64, seed int64) ([]byte, bool, error) {
 	bo := mvcc.NewBackoff(seed^int64(kv.Hash64(key)^ts), 2*env.Microsecond, 256*env.Microsecond)
-	return snapshotGet(c, cl, key, ts, bo)
+	return SnapshotGet(c, cl, key, ts, bo)
 }
 
 // resolveBudget bounds how many lock resolutions one read or prewrite will
@@ -136,11 +136,12 @@ func GetAt(c env.Ctx, cl Client, key []byte, ts uint64, seed int64) ([]byte, boo
 // rather than infinite loops.
 const resolveBudget = 64
 
-// snapshotGet is the read loop: on TxnLocked, resolve through the primary —
+// SnapshotGet is the read loop: on TxnLocked, resolve through the primary —
 // pending transactions record our snapshot and let us pass, committed ones
 // roll forward, dead ones roll back — and retry; on TxnRetry (a commit flip
-// in flight), back off and retry.
-func snapshotGet(c env.Ctx, cl Client, key []byte, ts uint64, bo *mvcc.Backoff) ([]byte, bool, error) {
+// in flight), back off and retry. The caller owns bo, so a series of reads
+// can share one backoff stream.
+func SnapshotGet(c env.Ctx, cl Client, key []byte, ts uint64, bo *mvcc.Backoff) ([]byte, bool, error) {
 	var skip uint64
 	for attempt := 0; attempt < resolveBudget; attempt++ {
 		res := cl.TxnGet(c, key, ts, skip)
