@@ -13,13 +13,13 @@ var syncForbidden = map[string]bool{
 	"Once": true, "Cond": true, "Map": true,
 }
 
-// nogoroutineAllowed reports whether a package may use raw concurrency:
-// the simulator itself (its procs are goroutines by construction), the env
-// package (hosts the real-runtime implementation), and real-time binaries.
+// nogoroutineAllowed reports whether a package may use raw concurrency: the
+// env package (hosts the real-runtime implementation) and real-time binaries.
+// The simulator itself is not among them: its procs are coroutines, and it
+// has neither a go statement nor a sync primitive.
 func nogoroutineAllowed(rel string) bool {
 	return strings.HasPrefix(rel, "cmd/") ||
 		strings.HasPrefix(rel, "examples/") ||
-		rel == "internal/sim" ||
 		rel == "internal/env"
 }
 

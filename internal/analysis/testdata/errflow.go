@@ -22,7 +22,7 @@ func bareDrop(s *store) {
 }
 
 func asyncDrop(s *store) {
-	go s.WritePages(0, nil) // want errflow
+	go s.WritePages(0, nil) // want errflow nogoroutine
 	defer s.Sync()          // want errflow
 }
 

@@ -48,3 +48,24 @@ func TestAllocBudgetBTreeGet(t *testing.T) {
 		t.Errorf("Tree.Get allocates %v per lookup, want 0", n)
 	}
 }
+
+// TestFirstNAllocs pins a scan gather at zero allocations once the caller's
+// buffers have grown: FirstN fills them and allocates nothing of its own.
+func TestFirstNAllocs(t *testing.T) {
+	tr := New()
+	kb := make([]byte, 12)
+	for i := 0; i < 100_000; i++ {
+		fillBenchKey(kb, i)
+		tr.Put(kb, uint64(i))
+	}
+	var keys [][]byte
+	var vals []uint64
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		fillBenchKey(kb, i%99_000)
+		i += 7919
+		keys, vals = tr.FirstN(kb, 100, keys[:0], vals[:0])
+	}); n != 0 || len(keys) != 100 {
+		t.Errorf("Tree.FirstN allocates %v per 100-key gather (%d keys), want 0", n, len(keys))
+	}
+}

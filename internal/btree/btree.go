@@ -9,6 +9,7 @@ package btree
 
 import (
 	"bytes"
+	"slices"
 )
 
 // maxKeys is the fan-out of a node; chosen so nodes are a few cache lines,
@@ -254,12 +255,16 @@ func (t *Tree) Range(start, end []byte, fn func(key []byte, v uint64) bool) {
 	})
 }
 
-// FirstN collects up to n (key, value) pairs with key >= start.
-func (t *Tree) FirstN(start []byte, n int) (keys [][]byte, vals []uint64) {
+// FirstN appends up to n (key, value) pairs with key >= start to keys and
+// vals and returns the extended slices, so a caller that gathers from several
+// trees reuses one pair of buffers. The buffers grow at most once per call.
+func (t *Tree) FirstN(start []byte, n int, keys [][]byte, vals []uint64) ([][]byte, []uint64) {
+	keys, vals = slices.Grow(keys, n), slices.Grow(vals, n)
+	end := len(keys) + n
 	t.AscendFrom(start, func(k []byte, v uint64) bool {
 		keys = append(keys, k)
 		vals = append(vals, v)
-		return len(keys) < n
+		return len(keys) < end
 	})
 	return keys, vals
 }

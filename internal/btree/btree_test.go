@@ -132,13 +132,18 @@ func TestFirstN(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tr.Put(key(i), uint64(i))
 	}
-	keys, vals := tr.FirstN(key(90), 50)
+	keys, vals := tr.FirstN(key(90), 50, nil, nil)
 	if len(keys) != 10 || len(vals) != 10 {
 		t.Fatalf("FirstN near end returned %d", len(keys))
 	}
-	keys, _ = tr.FirstN(key(5), 3)
-	if len(keys) != 3 || !bytes.Equal(keys[0], key(5)) {
-		t.Fatalf("FirstN = %q", keys)
+	keys, vals = tr.FirstN(key(5), 3, keys[:0], vals[:0])
+	if len(keys) != 3 || !bytes.Equal(keys[0], key(5)) || vals[2] != 7 {
+		t.Fatalf("FirstN = %q %v", keys, vals)
+	}
+	// It appends: what the buffers already hold stays in front.
+	keys, vals = tr.FirstN(key(50), 2, keys, vals)
+	if len(keys) != 5 || !bytes.Equal(keys[0], key(5)) || !bytes.Equal(keys[4], key(51)) || vals[4] != 51 {
+		t.Fatalf("FirstN appending = %q %v", keys, vals)
 	}
 }
 

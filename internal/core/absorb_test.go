@@ -18,7 +18,7 @@ func absorbCfg(cfg *Config) {
 // coalesce in the absorb buffer.
 func burst(c env.Ctx, st *Store, reqs []*kv.Request) []kv.Result {
 	results := make([]kv.Result, len(reqs))
-	w := st.newWaiter()
+	w := st.acquireWaiter(c)
 	remaining := len(reqs)
 	for i, r := range reqs {
 		i := i
@@ -32,6 +32,7 @@ func burst(c env.Ctx, st *Store, reqs []*kv.Request) []kv.Result {
 		st.Submit(c, r)
 	}
 	w.wait(c)
+	st.releaseWaiter(c, w)
 	return results
 }
 

@@ -618,11 +618,12 @@ func (s *Store) GC(c env.Ctx, watermark uint64) int {
 	freed := 0
 	for _, w := range s.workers {
 		r := &kv.Request{Op: kv.OpTxnGC, Key: []byte("gc"), TS: watermark}
-		wt := s.newWaiter()
-		r.Done = wt.complete
+		wt := s.acquireWaiter(c)
+		r.Done = wt.completeFn
 		c.CPU(costs.Callback)
 		w.q.Push(c, r)
 		freed += wt.wait(c).ScanN
+		s.releaseWaiter(c, wt)
 	}
 	return freed
 }

@@ -6,21 +6,51 @@ import (
 )
 
 // waiter turns the asynchronous request interface into a blocking call for
-// the calling thread.
+// the calling thread. Waiters are recycled on the Store (see acquireWaiter),
+// so a blocking call allocates nothing in steady state.
 type waiter struct {
 	mu   env.Mutex
 	cond env.Cond
 	done bool
 	res  kv.Result
+	// prev is the request's own Done, which Do calls before waking the caller.
+	prev func(kv.Result)
+	// completeFn is w.complete, bound once: the value a request's Done takes.
+	completeFn func(kv.Result)
 }
 
-func (s *Store) newWaiter() *waiter {
-	w := &waiter{mu: s.env.NewMutex()}
-	w.cond = s.env.NewCond(w.mu)
+// acquireWaiter takes a waiter off the store's free list, or builds one. The
+// list's mutex is held only for the pop and the push, never across a park:
+// in the simulator it is uncontended and costs no virtual time, and in the
+// real runtime it serializes the goroutines that share the store.
+func (s *Store) acquireWaiter(c env.Ctx) *waiter {
+	var w *waiter
+	s.waiterMu.Lock(c)
+	if n := len(s.waiters); n > 0 {
+		w = s.waiters[n-1]
+		s.waiters = s.waiters[:n-1]
+	}
+	s.waiterMu.Unlock(c)
+	if w == nil {
+		w = &waiter{mu: s.env.NewMutex()}
+		w.cond = s.env.NewCond(w.mu)
+		w.completeFn = w.complete
+	}
 	return w
 }
 
+// releaseWaiter returns w to the free list once its wait has returned.
+func (s *Store) releaseWaiter(c env.Ctx, w *waiter) {
+	w.done, w.res, w.prev = false, kv.Result{}, nil
+	s.waiterMu.Lock(c)
+	s.waiters = append(s.waiters, w)
+	s.waiterMu.Unlock(c)
+}
+
 func (w *waiter) complete(res kv.Result) {
+	if w.prev != nil {
+		w.prev(res)
+	}
 	w.mu.Lock(nil)
 	w.res = res
 	w.done = true
@@ -37,18 +67,16 @@ func (w *waiter) wait(c env.Ctx) kv.Result {
 	return w.res
 }
 
-// Do submits r and blocks the calling thread until it completes.
+// Do submits r and blocks the calling thread until it completes. r.Done, if
+// set, is called first and is back in place when Do returns.
 func (s *Store) Do(c env.Ctx, r *kv.Request) kv.Result {
-	w := s.newWaiter()
-	prev := r.Done
-	r.Done = func(res kv.Result) {
-		if prev != nil {
-			prev(res)
-		}
-		w.complete(res)
-	}
+	w := s.acquireWaiter(c)
+	w.prev, r.Done = r.Done, w.completeFn
 	s.Submit(c, r)
-	return w.wait(c)
+	res := w.wait(c)
+	r.Done = w.prev
+	s.releaseWaiter(c, w)
+	return res
 }
 
 // Put durably stores value under key, blocking until the write has reached

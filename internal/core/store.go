@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"kvell/internal/aio"
@@ -29,6 +30,9 @@ type Store struct {
 	// Single-node stores own it directly; a cluster shares machine 0's
 	// through the network layer.
 	oracle *mvcc.Oracle
+	// waiters is the free list of blocking-call waiters (see acquireWaiter).
+	waiterMu env.Mutex
+	waiters  []*waiter
 }
 
 const (
@@ -46,7 +50,7 @@ func Open(e env.Env, cfg Config) (*Store, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &Store{env: e, cfg: cfg}
+	s := &Store{env: e, cfg: cfg, waiterMu: e.NewMutex()}
 	if cfg.MVCC {
 		s.oracle = &mvcc.Oracle{}
 	}
@@ -223,8 +227,8 @@ func (s *Store) firstKept(c env.Ctx, start []byte, count int, keep func(cd candi
 	for len(out) < count {
 		n := count - len(out)
 		var horizon []byte
-		cands := s.collect(c, func(w *worker) ([][]byte, []uint64) {
-			ks, vs := w.idx.FirstN(start, n)
+		cands := s.collect(c, func(w *worker, ks [][]byte, vs []uint64) ([][]byte, []uint64) {
+			ks, vs = w.idx.FirstN(start, n, ks, vs)
 			if len(ks) == n && (horizon == nil || bytes.Compare(ks[n-1], horizon) < 0) {
 				horizon = ks[n-1]
 			}
@@ -255,9 +259,7 @@ func (s *Store) firstKept(c env.Ctx, start []byte, count int, keep func(cd candi
 
 // ScanRange returns all items with start <= key < end in key order.
 func (s *Store) ScanRange(c env.Ctx, start, end []byte) []kv.Item {
-	cands := s.collect(c, func(w *worker) ([][]byte, []uint64) {
-		var ks [][]byte
-		var vs []uint64
+	cands := s.collect(c, func(w *worker, ks [][]byte, vs []uint64) ([][]byte, []uint64) {
 		w.idx.Range(start, end, func(k []byte, v uint64) bool {
 			ks = append(ks, k)
 			vs = append(vs, v)
@@ -275,19 +277,31 @@ func (s *Store) ScanRange(c env.Ctx, start, end []byte) []kv.Item {
 	return s.fetch(c, kept)
 }
 
-func (s *Store) collect(c env.Ctx, gather func(w *worker) ([][]byte, []uint64)) []candidate {
+// collect gathers candidates from every worker index under its lock and
+// returns them merged in key order. gather appends one worker's keys and
+// values to the (empty) buffers it is given; they are reused from worker to
+// worker, so nothing may keep them past the call.
+func (s *Store) collect(c env.Ctx, gather func(w *worker, ks [][]byte, vs []uint64) ([][]byte, []uint64)) []candidate {
 	var cands []candidate
-	for _, w := range s.scanWorkers() {
+	var ks [][]byte
+	var vs []uint64
+	workers := s.scanWorkers()
+	for _, w := range workers {
 		c.CPU(costs.LockUncontended)
 		w.idxMu.Lock(c)
-		ks, vs := gather(w)
+		ks, vs = gather(w, ks[:0], vs[:0])
 		w.idxMu.Unlock(c)
 		c.CPU(env.Time(w.idx.Depth())*costs.BTreeNode + env.Time(len(ks))*costs.IterStep)
+		if cands == nil {
+			// Keys are hash-partitioned, so the other workers hold about as many.
+			cands = make([]candidate, 0, len(ks)*len(workers))
+		}
 		for i := range ks {
 			cands = append(cands, candidate{key: ks[i], l: location(vs[i]), w: w})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return bytes.Compare(cands[i].key, cands[j].key) < 0 })
+	// A key lives on exactly one worker, so no two candidates compare equal.
+	slices.SortFunc(cands, func(a, b candidate) int { return bytes.Compare(a.key, b.key) })
 	c.CPU(env.Time(len(cands)) * costs.IterStep) // merge
 	return cands
 }

@@ -1,10 +1,18 @@
+// This file imports iter (Go 1.23). The module line in go.mod stays at go 1.22
+// because cmd/kvell-e2e, a module of its own that replaces kvell with this
+// tree, declares go 1.22 and may not require a newer one; the constraint
+// below raises the language version of this file alone, which is what build
+// and vet look at. The repository therefore needs a Go >= 1.23 toolchain.
+
+//go:build go1.23
+
 // Package sim is a deterministic discrete-event simulation kernel.
 //
 // A Sim owns a virtual clock and an event queue. Simulated threads ("procs")
-// are real goroutines, but exactly one goroutine touches the simulation at any
-// moment, and control moves between them only by channel operations — so the
-// simulation is sequentially consistent and deterministic, and passes the race
-// detector by construction.
+// are coroutines (iter.Pull): exactly one of them, or the caller of Run, runs
+// at any moment, and control moves between them only by coroutine switches —
+// so the simulation is sequentially consistent and deterministic, and passes
+// the race detector by construction.
 //
 // Two kinds of events exist: proc wake-ups, and plain functions ("scheduled
 // functions": I/O completions, network deliveries, timers; they must not
@@ -13,19 +21,24 @@
 //
 // # Control transfer
 //
-// There is no scheduler goroutine. The event loop (dispatch) runs on whichever
-// goroutine holds control: on Run's caller until the first proc event, then on
-// each proc goroutine as it parks or finishes. A parking proc pops events in
+// There is no scheduler. The event loop (dispatch) runs on whichever
+// coroutine holds control: on Run's caller until the first proc event, then
+// on each proc as it parks or finishes. A parking proc pops events in
 // (at, seq) order and runs scheduled functions itself; when it reaches a proc
-// event it either just returns from park — the wake-up is its own, no
-// goroutine switch at all — or sends on that proc's resume channel and blocks
-// on its own: one switch per hand-off. A proc that returns does the same from
-// its exiting goroutine. Whichever goroutine finds the run over (queue
-// drained, Run's boundary, Stop, a proc failure) sends on the yield channel,
-// which is all Run waits for. Close unwinds the same way, resuming unfinished
-// procs one at a time in creation order.
+// event it either just returns from park — the wake-up is its own, no switch
+// at all — or names that proc as its successor and yields to Run's caller,
+// whose loop (resumeProc) switches straight into the successor: two
+// coroutine switches per hand-off, neither through the Go scheduler. A proc
+// that returns does the same from its exiting coroutine, before it ends
+// (finish-then-dispatch): the events up to the next proc wake-up are
+// dispatched by the proc that gave up control in every case, so within one
+// Run a scheduled function never runs on Run's caller once a proc has held
+// control. Whichever proc finds the run over (queue drained, Run's boundary,
+// Stop, a proc failure) names no successor, which ends Run's loop. Close
+// unwinds the same way, resuming unfinished procs one at a time in creation
+// order.
 //
-// A scheduled function therefore executes on some proc's goroutine, but never
+// A scheduled function therefore executes on some proc's coroutine, but never
 // in its name: Running() is nil for its duration, and if it panics the panic
 // is recovered in dispatch and re-raised by Run on Run's caller — it is not
 // recorded as that proc's failure, and the proc stays parked. A panic in a
@@ -53,8 +66,9 @@
 // scheduling path is engineered for throughput (see DESIGN.md "Kernel
 // performance model"):
 //
-//   - control passes directly from proc to proc (above): at most one
-//     goroutine switch per hand-off and none when a proc's own wake-up is next;
+//   - control passes from proc to proc by two coroutine switches (above),
+//     about a third of the cost of a channel send and receive through the Go
+//     scheduler, and by none when a proc's own wake-up is next;
 //   - event structs come from a free list, so steady-state scheduling does
 //     not allocate;
 //   - future events live in a concrete 4-ary min-heap ordered on (at, seq) —
@@ -73,6 +87,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"runtime/debug"
 )
@@ -96,7 +111,7 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// errShutdown unwinds proc goroutines when the simulation is closed.
+// errShutdown unwinds proc coroutines when the simulation is closed.
 type shutdownError struct{}
 
 func (shutdownError) Error() string { return "sim: shutdown" }
@@ -122,11 +137,12 @@ type Sim struct {
 	free []*event
 
 	until Time // boundary of the Run in progress (< 0: none)
-	// yield returns control to the goroutine blocked in Run or Close: whichever
-	// goroutine finds the run over (dispatch returned nil) sends on it.
-	yield   chan struct{}
-	closed  bool
-	stopped bool // Stop() was called: Run dispatches no further events
+	// successor is the proc that gets control next, named by the proc that
+	// just gave it up (see relinquish) and read by resumeProc once that proc
+	// has yielded or returned; nil when the run is over.
+	successor *Proc
+	closed    bool
+	stopped   bool // Stop() was called: Run dispatches no further events
 	// halted marks dead machine domains (see Halt). nil until the first
 	// Halt, so single-machine simulations pay one nil check per dispatch.
 	halted  []bool
@@ -143,7 +159,6 @@ type Sim struct {
 // New returns an empty simulation whose random source is seeded with seed.
 func New(seed int64) *Sim {
 	return &Sim{
-		yield: make(chan struct{}),
 		until: -1,
 		rng:   rand.New(rand.NewSource(seed)),
 	}
@@ -337,8 +352,8 @@ func (s *Sim) canFastResume(t Time) bool {
 
 // At schedules fn to run in scheduler context at time at (clamped to now). fn
 // must not block or park; it may wake procs and schedule further events.
-// It runs on whichever goroutine is dispatching, so it must not end that
-// goroutine either (runtime.Goexit, hence t.FailNow; use t.Error).
+// It runs on whichever coroutine is dispatching, so it must not end that
+// coroutine either (runtime.Goexit, hence t.FailNow; use t.Error).
 // The event belongs to machine 0 (see AtOn).
 func (s *Sim) At(at Time, fn func()) { s.schedule(at, nil, fn) }
 
@@ -383,7 +398,7 @@ func (s *Sim) machineDead(e *event) bool {
 // dispatches no further events (pending events stay queued, parked procs stay
 // parked) and later Run calls return immediately. It models a machine dying
 // mid-run — the fault injector calls it at a crash point — and is permanent;
-// Close still tears the proc goroutines down. Safe to call from scheduled
+// Close still tears the proc coroutines down. Safe to call from scheduled
 // functions and from proc context (a proc that calls Stop keeps running until
 // it next parks; with its devices dead it can make no further observable
 // progress).
@@ -398,28 +413,33 @@ func (s *Sim) Go(name string, fn func(p *Proc)) *Proc { return s.GoOn(0, name, f
 // Close like any other parked proc.
 func (s *Sim) GoOn(machine int, name string, fn func(p *Proc)) *Proc {
 	s.procSeq++
-	p := &Proc{sim: s, name: name, id: s.procSeq, machine: int32(machine), resume: make(chan struct{})}
+	p := &Proc{sim: s, name: name, id: s.procSeq, machine: int32(machine)}
 	s.live++
 	s.trackProc(p)
-	go func() {
-		<-p.resume
+	// The coroutine starts at the first next(), which is p's first wake-up —
+	// or Close's, and then fn never runs.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			s.live--
 			s.done++
 			p.done = true
+			// A finished proc keeps nothing of its coroutine: next holds fn and
+			// all it captured, and the Sim keeps the Proc until it compacts.
+			p.next, p.yield = nil, nil
 			if r := recover(); r != nil {
 				if _, ok := r.(shutdownError); !ok && s.failed == nil {
 					s.failed = fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
 				}
 			}
-			// Finish-then-dispatch: the exiting goroutine carries the event
-			// loop forward until it can pass control on.
+			// Finish-then-dispatch: the exiting coroutine carries the event
+			// loop forward until it can name its successor.
 			s.relinquish(p)
 		}()
 		if !s.closed {
 			fn(p)
 		}
-	}()
+	})
 	s.schedule(s.now, p, nil)
 	return p
 }
@@ -453,8 +473,8 @@ func (s *Sim) ProcNames() []string {
 	return names
 }
 
-// dispatch is the event loop. It runs on whichever goroutine holds control —
-// Run's caller at the start of a run, afterwards the proc goroutine that just
+// dispatch is the event loop. It runs on whichever coroutine holds control —
+// Run's caller at the start of a run, afterwards the proc that just
 // parked or finished — popping events in (at, seq) order and running
 // scheduled functions inline with Running() == nil, until it pops a proc's
 // wake-up, which it returns, or finds the run over (queue drained, boundary
@@ -462,7 +482,7 @@ func (s *Sim) ProcNames() []string {
 //
 // Scheduled functions are the only foreign code dispatch calls, so a panic
 // reaching its recover is theirs: it ends the run and is re-raised by Run on
-// Run's caller, whichever goroutine happened to be dispatching.
+// Run's caller, whichever coroutine happened to be dispatching.
 func (s *Sim) dispatch() (next *Proc) {
 	s.running = nil
 	defer func() {
@@ -496,38 +516,37 @@ func (s *Sim) dispatch() (next *Proc) {
 	return nil
 }
 
-// relinquish gives up the control p's goroutine holds because p is parking or
-// has finished: the goroutine dispatches events itself, then hands control
-// straight to the next proc's goroutine, or to Run/Close when the run is
-// over. It reports whether the next proc is p itself (self-resume: p's own
-// wake-up came first, no goroutine switch at all); otherwise a parking p must
-// block on its resume channel. Every transfer is a channel operation, so
-// exactly one goroutine touches the simulation at a time.
+// relinquish gives up the control p's coroutine holds because p is parking or
+// has finished: the coroutine dispatches events itself, then names the proc
+// that gets control next (nil when the run is over) for resumeProc to switch
+// to once p has yielded or returned. It reports whether that proc is p itself
+// (self-resume: p's own wake-up came first, no switch at all); otherwise a
+// parking p must yield.
 func (s *Sim) relinquish(p *Proc) (self bool) {
 	next := s.dispatch()
-	if next == nil {
-		s.yield <- struct{}{}
-		return false
-	}
-	s.running = next
 	if next == p {
+		s.running = p
 		return true
 	}
-	next.resume <- struct{}{}
+	s.successor = next
 	return false
 }
 
-// resumeProc starts a chain of hand-offs at p and waits until some goroutine
-// finds the run over.
+// resumeProc, on Run's or Close's caller, switches into p and then into each
+// successor the procs name in turn, until one finds the run over. Control
+// moves only by coroutine switches, so exactly one of them touches the
+// simulation at a time.
 func (s *Sim) resumeProc(p *Proc) {
-	s.running = p
-	p.resume <- struct{}{}
-	<-s.yield
+	for p != nil {
+		s.running = p
+		p.next()
+		p, s.successor = s.successor, nil
+	}
 }
 
 // Running returns the proc currently holding control, or nil in scheduler
 // context (a scheduled function such as an I/O completion callback is running,
-// on whichever goroutine is dispatching) and outside Run. Observability hooks
+// on whichever coroutine is dispatching) and outside Run. Observability hooks
 // use it to attribute resource usage to the thread that incurred it; it has no
 // effect on scheduling.
 func (s *Sim) Running() *Proc { return s.running }
@@ -541,9 +560,9 @@ func (s *Sim) wake(p *Proc) { s.schedule(s.now, p, nil) }
 // any, and re-raises a scheduled function's panic on its caller. Run may be
 // called repeatedly to advance a simulation in stages.
 //
-// Run itself dispatches only until the first proc event; from there the procs
-// pass control among themselves (see relinquish) and Run waits for whichever
-// goroutine finds the run over.
+// Run itself dispatches only until the first proc event; from there each proc
+// dispatches as it gives up control and names its successor (see relinquish),
+// and Run only switches from one to the next until one finds the run over.
 func (s *Sim) Run(until Time) error {
 	s.until = until
 	if p := s.dispatch(); p != nil {
@@ -560,7 +579,7 @@ func (s *Sim) Run(until Time) error {
 }
 
 // Close terminates the simulation: every parked proc is resumed with a
-// shutdown panic so its goroutine exits. Pending events are discarded.
+// shutdown panic so its coroutine ends. Pending events are discarded.
 // It returns the first proc failure observed, if any.
 func (s *Sim) Close() error {
 	s.closed = true
@@ -576,7 +595,7 @@ func (s *Sim) Close() error {
 	// Resume survivors in creation order (s.procs is append-ordered by id):
 	// which proc panic is recorded first in s.failed must not depend on
 	// anything but creation order. With no run in progress every unfinished
-	// proc is blocked on its resume channel — parked, or never started
+	// proc is suspended in its coroutine — parked, or never started
 	// because its machine was halted first.
 	for {
 		var next *Proc
@@ -600,9 +619,13 @@ type Proc struct {
 	name    string
 	id      uint64 // creation order, for deterministic teardown
 	machine int32  // machine domain (0 unless started with GoOn)
-	resume  chan struct{}
-	done    bool
-	trace   any // observability context (a *trace.Ctx), never read by the kernel
+	// next switches into the proc's coroutine and returns when it yields or
+	// finishes; only resumeProc calls it. yield is the other direction, called
+	// by park.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	done  bool
+	trace any // observability context (a *trace.Ctx), never read by the kernel
 }
 
 // Name returns the proc's diagnostic name.
@@ -628,7 +651,7 @@ func (p *Proc) Trace() any { return p.trace }
 func (p *Proc) park() {
 	s := p.sim
 	if !s.relinquish(p) {
-		<-p.resume
+		p.yield(struct{}{})
 	}
 	if s.closed {
 		panic(errShutdown)
