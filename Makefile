@@ -4,7 +4,7 @@ GO ?= go
 # data plane (workload generation, page cache, index, stats recording,
 # absorb merge and open-loop arrival draws).
 BENCH_PKGS = ./internal/sim ./internal/slab ./internal/pagecache \
-	./internal/ycsb ./internal/btree ./internal/stats \
+	./internal/kv ./internal/ycsb ./internal/btree ./internal/stats \
 	./internal/core ./internal/harness ./internal/hotcache \
 	./internal/mvcc ./internal/txn
 

@@ -28,9 +28,11 @@ type Spec struct {
 	Tweak func(cfg *core.Config)
 
 	// Records keys kv.Key(0..Records-1) are bulk-loaded, each into its
-	// slot's leader, with Value(i) as key i's initial value.
-	Records int64
-	Value   func(i int64) []byte
+	// slot's leader. Key i's initial value is ValueLen bytes, written by
+	// FillValue into a zeroed buffer.
+	Records   int64
+	ValueLen  int
+	FillValue func(buf []byte, i int64)
 
 	// Kill arms a power loss of machine KillMachine at KillAt that also
 	// halts its event domain.
@@ -119,11 +121,16 @@ func Build(spec Spec) *Cluster {
 	// Bulk load: each store gets exactly its slots' keys (generated in key
 	// order, so each per-machine subset stays sorted).
 	perMachine := make([][]kv.Item, M)
-	keyBuf := make([]byte, kv.KeyLen)
+	for m := range perMachine {
+		// Slots spread keys evenly; a little slack spares the regrowth.
+		perMachine[m] = make([]kv.Item, 0, spec.Records/int64(M)*9/8)
+	}
+	var a kv.Arena
 	for i := int64(0); i < spec.Records; i++ {
-		kv.FillKey(keyBuf, i)
-		m := place.Leader(place.SlotOf(keyBuf))
-		perMachine[m] = append(perMachine[m], kv.Item{Key: kv.Key(i), Value: spec.Value(i)})
+		k, v := a.Key(i), a.Alloc(spec.ValueLen)
+		spec.FillValue(v, i)
+		m := place.Leader(place.SlotOf(k))
+		perMachine[m] = append(perMachine[m], kv.Item{Key: k, Value: v})
 	}
 	for m, st := range cl.Stores {
 		if err := st.BulkLoad(perMachine[m]); err != nil {

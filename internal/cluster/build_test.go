@@ -25,9 +25,10 @@ func testSpec(seed int64) Spec {
 			cfg.Workers = 2
 			cfg.PageCachePages = 256
 		},
-		Records: 300,
-		Value:   func(i int64) []byte { return kv.Value(i, 1, 128) },
-		Kill:    true, KillMachine: 1, KillAt: testKillAt,
+		Records:   300,
+		ValueLen:  128,
+		FillValue: func(buf []byte, i int64) { kv.FillValue(buf, i, 1) },
+		Kill:      true, KillMachine: 1, KillAt: testKillAt,
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"kvell/internal/aio"
 	"kvell/internal/btree"
@@ -340,11 +339,17 @@ func (s *Store) fetch(c env.Ctx, cands []candidate) []kv.Item {
 }
 
 // BulkLoad implements kv.Engine: it installs items directly into slabs and
-// indexes, bypassing the timed request path (the unmeasured load phase).
-// Keys must be unique. Items are placed in deterministically shuffled slot
-// order — the paper loads KVell in random key order ("for fairness",
-// §6.3.1) so that consecutive keys do not share disk pages, which would
-// otherwise give unsorted storage an artificial scan-locality advantage.
+// indexes, bypassing the timed request path (the unmeasured load phase), so
+// it must run before Start or between Recover and Start: the page caches do
+// not see what it writes. Keys must be unique and not already in the store.
+// Items are placed in deterministically shuffled slot order — the paper
+// loads KVell in random key order ("for fairness", §6.3.1) so that
+// consecutive keys do not share disk pages, which would otherwise give
+// unsorted storage an artificial scan-locality advantage.
+//
+// The shuffle and the order of the workerFor, Alloc, nextTS and idx.Put calls
+// decide slot placement, slot timestamps and index shape; every golden
+// digest pins them.
 func (s *Store) BulkLoad(items []kv.Item) error {
 	order := make([]int, len(items))
 	for i := range order {
@@ -352,21 +357,16 @@ func (s *Store) BulkLoad(items []kv.Item) error {
 	}
 	r := rand.New(rand.NewSource(0x4B56656C6C)) // "KVell"
 	r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	type pageBuf struct {
-		disk device.Disk
-		data []byte
+	// A slab hands out consecutive slots, so its pages fill one after the
+	// other: each slab (worker-major, then class) keeps the image of the one
+	// slot-holding unit it is filling — a page, or the pages of one multi-page
+	// slot — and writes it out when a slot lands elsewhere.
+	type openPage struct {
+		page int64  // first page of the image
+		data []byte // nil until the slab's first slot
 	}
-	pages := make(map[int64]*pageBuf) // key: global page id per disk pointer—disallow collisions by including worker
-	getPage := func(w *worker, page int64) []byte {
-		// Page ids are disjoint across disks only per disk; key by disk index too.
-		k := page*int64(len(s.cfg.Disks)) + int64(w.id%len(s.cfg.Disks))
-		pb, ok := pages[k]
-		if !ok {
-			pb = &pageBuf{disk: w.dev, data: make([]byte, device.PageSize)}
-			pages[k] = pb
-		}
-		return pb.data
-	}
+	classes := len(slab.DefaultClasses)
+	open := make([]openPage, len(s.workers)*classes)
 	var envBuf []byte
 	for _, oi := range order {
 		it := items[oi]
@@ -385,40 +385,46 @@ func (s *Store) BulkLoad(items []kv.Item) error {
 			return fmt.Errorf("core: item with key %q too large for configured classes", it.Key)
 		}
 		sl := w.slabs[cls]
-		slot, _ := sl.Alloc()
+		slot, reused := sl.Alloc()
 		ts := w.nextTS()
-		if sl.MultiPage() {
-			buf := make([]byte, sl.PagesPerSlot()*device.PageSize)
-			if err := sl.EncodeItem(buf, ts, it.Key, val); err != nil {
+		page := sl.SlotPage(slot)
+		op := &open[w.id*classes+cls]
+		if op.data == nil || page != op.page {
+			st := device.StoreOf(w.dev)
+			if op.data == nil {
+				op.data = make([]byte, sl.PagesPerSlot()*device.PageSize)
+			} else if err := st.WritePages(op.page, op.data); err != nil {
 				return err
 			}
-			if err := device.StoreOf(w.dev).WritePages(sl.SlotPage(slot), buf); err != nil {
+			// Only the first append to a page may start from zeros: any other
+			// slot has neighbours the store already holds (an earlier load's
+			// tail page, the page around a reused slot) or is a tombstone that
+			// may head a free-list chain.
+			if !reused && sl.AppendPageFresh(slot) {
+				clear(op.data)
+			} else if err := st.ReadPages(page, op.data); err != nil {
 				return err
 			}
-		} else {
-			page := sl.SlotPage(slot)
-			data := getPage(w, page)
-			if err := sl.EncodeItem(data[sl.SlotOffset(slot):sl.SlotOffset(slot)+sl.Stride], ts, it.Key, val); err != nil {
-				return err
-			}
+			op.page = page
+		}
+		off := sl.SlotOffset(slot)
+		slotBuf := op.data[off : off+sl.Stride]
+		if reused {
+			w.recoverChain(sl, slotBuf)
+		}
+		if err := sl.EncodeItem(slotBuf, ts, it.Key, val); err != nil {
+			return err
 		}
 		w.idx.Put(it.Key, uint64(loc(cls, slot)))
 	}
 	if s.oracle != nil {
 		s.oracle.Observe(1)
 	}
-	// Flush accumulated sub-page buffers in key order: map iteration order
-	// is randomized per run and the writes must not be.
-	keys := make([]int64, 0, len(pages))
-	for k := range pages {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		pb := pages[k]
-		page := k / int64(len(s.cfg.Disks))
-		if err := device.StoreOf(pb.disk).WritePages(page, pb.data); err != nil {
-			return err
+	for i := range open {
+		if op := &open[i]; op.data != nil {
+			if err := device.StoreOf(s.workers[i/classes].dev).WritePages(op.page, op.data); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -147,9 +147,10 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 			cfg.Workers = clusterWorkers
 			cfg.PageCachePages = max(256, int(spec.RecordsPerMachine/16/3))
 		},
-		Records: total,
-		Value:   func(i int64) []byte { return sh.val(i, 1) },
-		Kill:    spec.Failover, KillMachine: spec.KillMachine, KillAt: killAt,
+		Records:   total,
+		ValueLen:  spec.ItemSize,
+		FillValue: func(buf []byte, i int64) { kv.FillValue(buf, i, 1) },
+		Kill:      spec.Failover, KillMachine: spec.KillMachine, KillAt: killAt,
 	})
 	s, clientM, clientEnv := cl.S, M, cl.Envs[M]
 	tracer := trace.NewTracer(0)

@@ -611,6 +611,7 @@ func RunTxnCluster(spec TxnClusterSpec) (TxnClusterResult, error) {
 		panic("txnbank: cannot kill the oracle's machine")
 	}
 
+	initial := encBal(bankInitial, 0)
 	cl := cluster.Build(cluster.Spec{
 		Machines: M, RF: spec.RF, Seed: spec.Seed, Slots: clusterSlots,
 		Cores: clusterCores, NDisks: 1,
@@ -618,9 +619,10 @@ func RunTxnCluster(spec TxnClusterSpec) (TxnClusterResult, error) {
 			cfg.Workers = bankWorkers
 			cfg.MVCC = true
 		},
-		Records: total,
-		Value:   func(int64) []byte { return encBal(bankInitial, 0) },
-		Kill:    spec.Failover, KillMachine: spec.KillMachine, KillAt: txnClusterKillAt,
+		Records:   total,
+		ValueLen:  balSize,
+		FillValue: func(buf []byte, _ int64) { copy(buf, initial) },
+		Kill:      spec.Failover, KillMachine: spec.KillMachine, KillAt: txnClusterKillAt,
 	})
 	clientM, clientEnv := M, cl.Envs[M]
 

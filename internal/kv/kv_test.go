@@ -110,3 +110,86 @@ func TestAppendItemReusesSlots(t *testing.T) {
 		t.Errorf("steady-state AppendItem allocates %v per call, want 0", n)
 	}
 }
+
+// TestFillValueProperties pins what callers may rely on: a value is a pure
+// function of (record, version), a shorter value is a prefix of a longer one,
+// and distinct records or versions differ from their first word on.
+func TestFillValueProperties(t *testing.T) {
+	lens := []int{1000, 1024}
+	for n := 0; n <= 40; n++ { // 0: nothing to write; 1–7: the tail alone
+		lens = append(lens, n)
+	}
+	long := Value(12345, 6, 1024)
+	for _, n := range lens {
+		got := make([]byte, n)
+		FillValue(got, 12345, 6)
+		if !bytes.Equal(got, long[:n]) {
+			t.Errorf("length %d is not a prefix of length 1024", n)
+		}
+		if !bytes.Equal(got, Value(12345, 6, n)) {
+			t.Errorf("length %d: FillValue and Value disagree", n)
+		}
+	}
+
+	buf := make([]byte, 1024)
+	if n := testing.AllocsPerRun(100, func() { FillValue(buf, 7, 3) }); n != 0 {
+		t.Errorf("FillValue allocates %v per call, want 0", n)
+	}
+
+	word := func(i int64, v uint64) [8]byte {
+		var w [8]byte
+		FillValue(w[:], i, v)
+		return w
+	}
+	for d := int64(0); d < 10_000; d++ {
+		i, v := d*7919%1_000_003, uint64(d%97)
+		if word(i, v) == word(i, v+1) {
+			t.Fatalf("record %d: versions %d and %d share their first 8 bytes", i, v, v+1)
+		}
+		if word(i, v) == word(i+1, v) {
+			t.Fatalf("version %d: records %d and %d share their first 8 bytes", v, i, i+1)
+		}
+	}
+}
+
+// TestArenaAlloc checks the three things a dataset builder needs of an arena:
+// allocations do not overlap, an append cannot reach the neighbour, and a
+// request of a block or more still succeeds.
+func TestArenaAlloc(t *testing.T) {
+	var a Arena
+	x, y := a.Key(1), a.Value(1, 0, 1000)
+	if !bytes.Equal(x, Key(1)) || !bytes.Equal(y, Value(1, 0, 1000)) {
+		t.Fatal("the arena's Key and Value differ from the allocating forms")
+	}
+	x = append(x, "overflow"...)
+	if !bytes.Equal(y, Value(1, 0, 1000)) {
+		t.Fatal("append to one allocation wrote into the next")
+	}
+	for i := 0; i < 3000; i++ { // crosses two block boundaries
+		if b := a.Alloc(1000); len(b) != 1000 || cap(b) != 1000 || b[0] != 0 || b[999] != 0 {
+			t.Fatalf("allocation %d: len %d cap %d, or not zeroed", i, len(b), cap(b))
+		}
+	}
+	if b := a.Alloc(3 * arenaBlock); len(b) != 3*arenaBlock {
+		t.Fatalf("oversized allocation has length %d", len(b))
+	}
+	if n := testing.AllocsPerRun(1, func() {
+		var a Arena
+		for i := 0; i < 1000; i++ {
+			a.Alloc(1000)
+		}
+	}); n > 2 {
+		t.Errorf("1000 allocations of 1000 B made %v heap objects, want one per block", n)
+	}
+}
+
+var sinkByte byte
+
+func BenchmarkFillValue1K(b *testing.B) {
+	buf := make([]byte, 1024)
+	b.SetBytes(1024)
+	for i := 0; i < b.N; i++ {
+		FillValue(buf, int64(i), 1)
+	}
+	sinkByte = buf[0]
+}

@@ -98,8 +98,9 @@ func (g *Generator) nextRecord() int64 {
 // InitialItems builds the bulk-load dataset.
 func (g *Generator) InitialItems() []kv.Item {
 	items := make([]kv.Item, g.records)
+	var a kv.Arena
 	for i := int64(0); i < g.records; i++ {
-		items[i] = kv.Item{Key: kv.Key(i), Value: kv.Value(i, 0, g.valueBytes(i))}
+		items[i] = kv.Item{Key: a.Key(i), Value: a.Value(i, 0, g.valueBytes(i))}
 	}
 	return items
 }

@@ -206,8 +206,10 @@ func (g *Generator) Records() int64 { return g.records }
 // InitialItems builds the bulk-load dataset (keys in sorted order).
 func (g *Generator) InitialItems() []kv.Item {
 	items := make([]kv.Item, g.records)
+	var a kv.Arena
+	n := g.ValueBytes()
 	for i := int64(0); i < g.records; i++ {
-		items[i] = kv.Item{Key: kv.Key(i), Value: kv.Value(i, 0, g.ValueBytes())}
+		items[i] = kv.Item{Key: a.Key(i), Value: a.Value(i, 0, n)}
 	}
 	return items
 }
