@@ -8,7 +8,7 @@ BENCH_PKGS = ./internal/sim ./internal/slab ./internal/pagecache \
 	./internal/core ./internal/harness ./internal/hotcache \
 	./internal/mvcc ./internal/txn
 
-.PHONY: all build vet fmt-check lint test race race-sim check bench exp-golden alloc-budget feature-matrix e2e-smoke crash-sweep trace absorb tier cluster loc
+.PHONY: all build vet fmt-check lint test race race-sim check bench exp-golden harness-golden alloc-budget feature-matrix e2e-smoke crash-sweep trace absorb tier cluster loc
 
 # Crash sweep knobs: SEED picks the deterministic schedule (a CI failure
 # prints the seed to rerun here), K is points per engine, ENGINE narrows to
@@ -67,6 +67,13 @@ alloc-budget:
 # (DESIGN.md §16); MVCC x tiering is asserted rejected.
 feature-matrix:
 	$(GO) test -run TestFeatureMatrix -count=1 ./internal/core
+
+# Every pinned schedule of internal/harness — the engine, crash, transaction,
+# cluster and arrival-generator digests and the nine cheapest experiments'
+# output — in well under the suite's 40 s: the inner loop of a harness
+# refactor, which is correct iff none of them moves.
+harness-golden:
+	$(GO) test -count=1 -run 'TestGoldenDigests|TestCrashGoldenDigests|TestTxnGoldenDigests|TestClusterGoldenDigest|TestArrivalGenGoldenDigest|TestCheapExperimentsProduceOutput' ./internal/harness
 
 # cmd/kvell-e2e (the BENCHMARK.json driver) is a module of its own, so the
 # root ./... patterns never compile it; this keeps a harness signature change
@@ -131,7 +138,7 @@ loc:
 	row 'whole tree' .
 
 # Everything CI runs, in the same order.
-check: build vet fmt-check lint race-sim alloc-budget feature-matrix e2e-smoke crash-sweep race
+check: build vet fmt-check lint race-sim harness-golden alloc-budget feature-matrix e2e-smoke crash-sweep race
 
 # Runs the kernel/allocator/page-cache microbenchmarks and prints plain
 # `go test -bench -benchmem` output, which benchstat reads: save one run per

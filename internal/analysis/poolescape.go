@@ -14,7 +14,7 @@ import (
 // reuse — a use-after-reset that no race detector can see in the
 // single-goroutine simulator, and that corrupts results silently.
 //
-// Taint starts at Arena.Alloc/AllocZero results and Request.ScanBuf /
+// Taint starts at Arena.Alloc results and Request.ScanBuf /
 // ValueBuf reads, propagates through assignment, slicing, and append, and
 // is cleansed by any other call (copies make owned memory). Two sanctioned
 // publications exist: the give-back protocol (engines may store a possibly
@@ -61,10 +61,10 @@ func structOwnsArena(t types.Type) bool {
 	return false
 }
 
-// isArenaAlloc reports whether call is Arena.Alloc or Arena.AllocZero.
+// isArenaAlloc reports whether call is Arena.Alloc.
 func (p *Pass) isArenaAlloc(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Alloc" && sel.Sel.Name != "AllocZero") {
+	if !ok || sel.Sel.Name != "Alloc" {
 		return false
 	}
 	return p.recvTypeName(sel) == "Arena"

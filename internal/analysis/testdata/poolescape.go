@@ -5,8 +5,7 @@ package fixture
 
 type Arena struct{}
 
-func (a *Arena) Alloc(n int) []byte     { return make([]byte, n) }
-func (a *Arena) AllocZero(n int) []byte { return make([]byte, n) }
+func (a *Arena) Alloc(n int) []byte { return make([]byte, n) }
 
 type Item struct{ Key, Value []byte }
 
@@ -33,7 +32,7 @@ func fieldEscape(a *Arena, h *holder) {
 }
 
 func globalEscape(a *Arena) {
-	global = a.AllocZero(4)[:2] // want poolescape
+	global = a.Alloc(4)[:2] // want poolescape
 }
 
 func mapChanEscape(a *Arena, m map[int][]byte, ch chan []byte) {

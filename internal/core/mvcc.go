@@ -547,33 +547,31 @@ func (s *Store) SnapshotTS() uint64 { return s.oracle.Last() }
 // roll-forward, lazy cleanup, or a read-watermark bump that lets the read
 // proceed past the lock — so the read never waits on a writer.
 func (s *Store) GetAt(c env.Ctx, key []byte, ts uint64) ([]byte, bool) {
-	var skip uint64
 	bo := mvcc.NewBackoff(int64(kv.Hash64(key)^ts), 2*env.Microsecond, 256*env.Microsecond)
-	for {
-		res := s.Do(c, &kv.Request{Op: kv.OpTxnGet, Key: key, TS: ts, TS2: skip})
-		switch res.Txn {
-		case kv.TxnLocked:
-			primary := append([]byte(nil), res.Value...)
-			st := s.ResolveLock(c, primary, res.TxnTS, ts)
-			switch st.Txn {
-			case kv.TxnPending:
-				skip = res.TxnTS // primary recorded our snapshot; read past
-			case kv.TxnCommitted:
-				s.Do(c, &kv.Request{Op: kv.OpTxnCommit, Key: key, TS: res.TxnTS, TS2: st.TxnTS})
-				skip = 0
-			case kv.TxnAborted:
-				s.Do(c, &kv.Request{Op: kv.OpTxnRollback, Key: key, TS: res.TxnTS})
-				skip = 0
-			default: // mid-flip
-				c.Sleep(bo.Next())
-				skip = 0
-			}
-		case kv.TxnRetry:
-			c.Sleep(bo.Next())
-		default:
-			return res.Value, res.Found
-		}
+	v, found, ok := mvcc.SnapshotGet(c, lockResolver{s}, key, ts, bo)
+	if !ok {
+		panic(fmt.Sprintf("core: GetAt(%q, %d): lock resolution budget exhausted", key, ts))
 	}
+	return v, found
+}
+
+// lockResolver is the store as mvcc.SnapshotGet calls it.
+type lockResolver struct{ s *Store }
+
+func (r lockResolver) TxnGet(c env.Ctx, key []byte, ts, skip uint64) kv.Result {
+	return r.s.Do(c, &kv.Request{Op: kv.OpTxnGet, Key: key, TS: ts, TS2: skip})
+}
+
+func (r lockResolver) Resolve(c env.Ctx, primary []byte, startTS, readTS uint64) kv.Result {
+	return r.s.ResolveLock(c, primary, startTS, readTS)
+}
+
+func (r lockResolver) Commit(c env.Ctx, key []byte, startTS, commitTS uint64) kv.Result {
+	return r.s.Do(c, &kv.Request{Op: kv.OpTxnCommit, Key: key, TS: startTS, TS2: commitTS})
+}
+
+func (r lockResolver) Rollback(c env.Ctx, key []byte, startTS uint64) kv.Result {
+	return r.s.Do(c, &kv.Request{Op: kv.OpTxnRollback, Key: key, TS: startTS})
 }
 
 // ResolveLock queries the state of the transaction whose primary lock is on

@@ -49,9 +49,6 @@ const (
 	// region whose working set exceeds RAM: page (un)mapping plus remote
 	// TLB invalidation via IPIs (Table 3 derivation above).
 	MmapFault env.Time = 85_000
-	// MmapLRULock is the page-cache LRU lock cost paid while flushing
-	// (about one acquisition per 32KB flushed, §5.4).
-	MmapLRULock env.Time = 1_500
 )
 
 // In-memory data-structure costs.

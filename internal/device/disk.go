@@ -153,10 +153,6 @@ func (d *SimDisk) Counters() Counters { return d.counters }
 // Inflight returns the number of submitted-but-incomplete requests.
 func (d *SimDisk) Inflight() int { return d.inflight }
 
-// Backlog returns how far in the future the busiest channel is booked — a
-// proxy for device queue length.
-func (d *SimDisk) Backlog() env.Time { return d.station.Backlog(d.s.Now()) }
-
 func (d *SimDisk) spikeInterval() env.Time {
 	j := d.prof.SpikeJitter
 	iv := d.prof.SpikeEvery

@@ -58,10 +58,6 @@ type Env interface {
 	Go(name string, fn func(Ctx))
 	// NewMutex returns a mutual-exclusion lock.
 	NewMutex() Mutex
-	// NewSpinMutex returns a lock whose waiters busy-wait, consuming CPU
-	// (the sched_yield pattern the paper profiles in WiredTiger and
-	// TokuMX). In the real runtime it degrades to a regular mutex.
-	NewSpinMutex() Mutex
 	// NewCond returns a condition variable associated with m.
 	NewCond(m Mutex) Cond
 	// NewQueue returns an unbounded FIFO queue for cross-thread requests.

@@ -35,9 +35,6 @@ func (e *RealEnv) Wait() { e.wg.Wait() }
 // NewMutex implements Env.
 func (e *RealEnv) NewMutex() Mutex { return &realMutex{} }
 
-// NewSpinMutex implements Env (plain mutex in the real runtime).
-func (e *RealEnv) NewSpinMutex() Mutex { return &realMutex{} }
-
 // NewCond implements Env.
 func (e *RealEnv) NewCond(m Mutex) Cond {
 	return &realCond{c: sync.NewCond(&m.(*realMutex).mu)}

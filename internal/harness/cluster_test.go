@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 
 	"kvell/internal/env"
@@ -164,5 +165,48 @@ func TestClusterMiniSweepScaling(t *testing.T) {
 	if speedup < 3.0 {
 		t.Errorf("4-machine speedup = %.2fx, want >= 3.0x (1m: %.0f ops/s, 4m: %.0f ops/s)",
 			speedup, one.ThroughputOps, four.ThroughputOps)
+	}
+}
+
+// clusterLoopAllocBudget is the marginal heap allocations per completed
+// operation TestAllocBudgetClusterLoop allows: 14.0847, the largest of three
+// measurements (14.0835, 14.0847, 14.0845), plus 5%. The parent of the commit
+// that introduced the test measured 15.0846: one Done closure per operation
+// more, which this budget rejects. Go1.24.0 on linux/amd64; re-record after a
+// toolchain bump the way closedLoopAllocBudget is.
+const clusterLoopAllocBudget = 14.0847 * 1.05
+
+// TestAllocBudgetClusterLoop bounds what RunCluster allocates per completed
+// operation — the shadow client's issue path, the network hops, the serve
+// thread, replication shipping and the barrier ack — on a small copy of the
+// benchmark's cluster_rf2 workload, so tier-1 fails where its
+// host_allocs_per_op would move. Two runs that differ only in duration are compared, so building and
+// loading the cluster cancels. Not parallel, like TestAllocBudgetClosedLoop.
+func TestAllocBudgetClusterLoop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	run := func(dur env.Time) (mallocs uint64, ops int64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		spec := clusterTestSpec(2, 1)
+		spec.RF = 2
+		spec.Duration = dur
+		res, err := RunCluster(spec)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("cluster run failed: %v", err)
+		}
+		return after.Mallocs - before.Mallocs, res.Completed
+	}
+	m1, o1 := run(100 * env.Millisecond)
+	m2, o2 := run(200 * env.Millisecond)
+	if o2 <= o1 {
+		t.Fatalf("longer run completed no more operations: %d then %d", o1, o2)
+	}
+	perOp := (float64(m2) - float64(m1)) / float64(o2-o1)
+	t.Logf("%.4f allocations per operation (%d over %d operations)", perOp, int64(m2)-int64(m1), o2-o1)
+	if perOp > clusterLoopAllocBudget {
+		t.Errorf("cluster loop allocates %.4f per operation, budget %.4f", perOp, float64(clusterLoopAllocBudget))
 	}
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"kvell/internal/cluster"
 	"kvell/internal/core"
@@ -106,27 +105,6 @@ type ClusterResult struct {
 	Digest uint64
 }
 
-// clientSlot is one window slot of one client: at most one operation rides a
-// slot at a time, and seq invalidates replies that arrive after the slot was
-// swept by the failover driver (a reply already in flight when its slot was
-// reclaimed must not be mistaken for the slot's next operation).
-type clientSlot struct {
-	m      *cluster.ReqMsg
-	key    int64
-	ver    uint64
-	update bool
-	start  env.Time
-	active bool
-	seq    uint64
-}
-
-type clientState struct {
-	mu    env.Mutex
-	cond  env.Cond
-	slots []clientSlot
-	free  []int
-}
-
 // RunCluster executes one cluster run. The returned error is a verification
 // failure (acked write lost, replica index mismatch, promotion failure);
 // harness problems panic.
@@ -152,95 +130,18 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 		FillValue: func(buf []byte, i int64) { kv.FillValue(buf, i, 1) },
 		Kill:      spec.Failover, KillMachine: spec.KillMachine, KillAt: killAt,
 	})
-	s, clientM, clientEnv := cl.S, M, cl.Envs[M]
+	clientM, clientEnv := M, cl.Envs[M]
 	tracer := trace.NewTracer(0)
+	tp := clusterTransport{cl, clientM, tracer}
 
-	lat := stats.NewHist()
 	nClients := spec.ClientsPerMachine * M
-	states := make([]*clientState, nClients)
-	dmu := clientEnv.NewMutex()
-	dcond := clientEnv.NewCond(dmu)
-	clientsLeft := nClients
-
-	for ci := 0; ci < nClients; ci++ {
-		ci := ci
-		cs := &clientState{slots: make([]clientSlot, spec.Window)}
-		cs.mu = clientEnv.NewMutex()
-		cs.cond = clientEnv.NewCond(cs.mu)
-		for si := range cs.slots {
-			cs.slots[si].m = cluster.NewReqMsg(cl)
-			cs.free = append(cs.free, si)
-		}
-		states[ci] = cs
+	wins := make([]*window[*shadowOp[*cluster.ReqMsg]], nClients)
+	clients := newLatch(clientEnv, nClients)
+	for ci := range wins {
+		wins[ci] = shadowWindow(clientEnv, sh, spec.Window, tp)
 		clientEnv.Go(fmt.Sprintf("cluster-client-%d", ci), func(c env.Ctx) {
-			// Seeded from the spec: the client schedule is part of the
-			// reproducible cluster schedule.
-			rng := rand.New(rand.NewSource(spec.Seed*7919 + int64(ci)))
-			lo := int64(ci) * total / int64(nClients)
-			hi := (int64(ci) + 1) * total / int64(nClients)
-			for c.Now() < spec.Duration {
-				cs.mu.Lock(c)
-				for len(cs.free) == 0 {
-					cs.cond.Wait(c)
-				}
-				si := cs.free[len(cs.free)-1]
-				cs.free = cs.free[:len(cs.free)-1]
-				cs.mu.Unlock(c)
-				sl := &cs.slots[si]
-				k := lo + rng.Int63n(hi-lo)
-				sl.key = k
-				sl.update = rng.Intn(2) == 0 && !sh.inflight[k]
-				sl.start = c.Now()
-				sl.active = true
-				sl.seq++
-				mySeq := sl.seq
-				m := sl.m
-				res.Issued++
-				if sl.update {
-					sl.ver = sh.issue(k)
-					m.Op = kv.OpUpdate
-					m.Key = kv.Key(k)
-					m.Value = sh.val(k, sl.ver)
-				} else {
-					m.Op = kv.OpGet
-					m.Key = kv.Key(k)
-					m.Value = nil
-				}
-				m.Trace = tracer.Begin(int(m.Op), c.Now())
-				tc := m.Trace
-				m.Done = func(kv.Result) {
-					now := s.Now()
-					cs.mu.Lock(nil)
-					if !sl.active || sl.seq != mySeq {
-						cs.mu.Unlock(nil)
-						tracer.Finish(tc, now)
-						return
-					}
-					sl.active = false
-					if sl.update {
-						sh.ack(sl.key, sl.ver)
-						res.Updates++
-					}
-					res.Completed++
-					lat.Add(now - sl.start)
-					cs.free = append(cs.free, si)
-					cs.mu.Unlock(nil)
-					tracer.Finish(tc, now)
-					cs.cond.Signal(nil)
-				}
-				cl.Send(c, clientM, m)
-			}
-			cs.mu.Lock(c)
-			for len(cs.free) < spec.Window {
-				cs.cond.Wait(c)
-			}
-			cs.mu.Unlock(c)
-			dmu.Lock(c)
-			clientsLeft--
-			if clientsLeft == 0 {
-				dcond.Broadcast(c)
-			}
-			dmu.Unlock(c)
+			shadowClient(c, sh, wins[ci], tp, spec.Seed, ci, nClients, spec.Duration)
+			clients.done(c)
 		})
 	}
 
@@ -272,22 +173,8 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 				n := kv.KeyNum([]byte(key))
 				return n < 0 || sh.inflight[n]
 			})
-			for _, cs := range states {
-				cs.mu.Lock(c)
-				for si := range cs.slots {
-					sl := &cs.slots[si]
-					if sl.active && sl.m.Node.Host() == dead {
-						sl.active = false
-						sl.seq++ // a late reply must not complete the next op
-						if sl.update {
-							sh.inflight[sl.key] = false
-						}
-						res.FailedOps++
-						cs.free = append(cs.free, si)
-					}
-				}
-				cs.mu.Unlock(c)
-				cs.cond.Broadcast(c)
+			for _, win := range wins {
+				res.FailedOps += sweepShadow(c, sh, win, func(m *cluster.ReqMsg) bool { return m.Node.Host() == dead })
 			}
 		})
 
@@ -302,42 +189,27 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 				deadKeys = append(deadKeys, i)
 			}
 		}
-		recVer = make([]uint64, len(deadKeys))
 		clientEnv.Go("cluster-verify", func(c env.Ctx) {
-			dmu.Lock(c)
-			for clientsLeft > 0 {
-				dcond.Wait(c)
-			}
-			dmu.Unlock(c)
+			clients.wait(c)
 			if verifyErr != nil {
 				return
 			}
-			win := newWindow(clientEnv, verifyWindow)
-			for i, k := range deadKeys {
-				win.acquire(c)
-				i, k := i, k
-				m := cluster.NewReqMsg(cl)
-				m.Op = kv.OpGet
-				m.Key = kv.Key(k)
-				m.Done = func(out kv.Result) {
-					res.Verified++
-					recVer[i] = sh.match(k, out)
-					if recVer[i] == 0 {
-						res.Lost++
-						if verifyErr == nil {
-							verifyErr = fmt.Errorf("cluster: key %d lost after failover (found=%v, acked=%d, issued=%d)",
-								k, out.Found, sh.acked[k], sh.issued[k])
-						}
+			untraced := clusterTransport{cl, clientM, nil}
+			key := func(i int) int64 { return deadKeys[i] }
+			recVer = readBack(c, clientEnv, sh, untraced, len(deadKeys), key, func(k int64, ver uint64, out kv.Result) {
+				res.Verified++
+				if ver == 0 {
+					res.Lost++
+					if verifyErr == nil {
+						verifyErr = fmt.Errorf("cluster: key %d lost after failover (found=%v, acked=%d, issued=%d)",
+							k, out.Found, sh.acked[k], sh.issued[k])
 					}
-					win.release()
 				}
-				cl.Send(c, clientM, m)
-			}
-			win.drain(c)
+			})
 		})
 	}
 
-	must(s.Run(spec.Duration + 2*env.Second))
+	must(cl.S.Run(spec.Duration + 2*env.Second))
 	if cl.Inj != nil && cl.Inj.Tripped() {
 		res.CrashTime = cl.Inj.CrashTime()
 		res.Fault = cl.Inj.Stats()
@@ -351,40 +223,21 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 		res.EntriesShipped += rp.EntriesShipped
 		res.BytesShipped += rp.BytesShipped
 	}
+	res.Issued, res.Completed, res.Updates = sh.nIssued, sh.nCompleted, sh.nAckedUpdates
 	res.ThroughputOps = float64(res.Completed) / (float64(spec.Duration) / float64(env.Second))
-	res.MeanLat = lat.Mean()
-	res.P99 = lat.Percentile(0.99)
+	res.MeanLat = sh.lat.Mean()
+	res.P99 = sh.lat.Percentile(0.99)
 	res.NetTime = env.Time(tracer.Breakdown().Sum(trace.CompNet))
 	res.ReplTime = env.Time(tracer.Breakdown().Sum(trace.CompReplicate))
-	must(s.Close())
+	must(cl.S.Close())
 
 	h := stats.NewFNV()
-	h.Word(uint64(M))
-	h.Word(uint64(spec.RF))
-	h.Word(uint64(res.Issued))
-	h.Word(uint64(res.Completed))
-	h.Word(uint64(res.Updates))
-	h.Word(uint64(res.FailedOps))
-	h.Word(uint64(res.MeanLat))
-	h.Word(uint64(res.P99))
-	h.Word(uint64(res.Net.Msgs))
-	h.Word(uint64(res.Net.Bytes))
-	h.Word(uint64(res.Net.Dropped))
-	h.Word(uint64(res.PagesShipped))
-	h.Word(uint64(res.EntriesShipped))
-	h.Word(uint64(res.BytesShipped))
-	h.Word(uint64(res.NetTime))
-	h.Word(uint64(res.ReplTime))
-	h.Word(uint64(res.Promoted + 1))
-	h.Word(uint64(res.CrashTime))
-	h.Word(res.Frontier)
-	h.Word(uint64(res.Checked))
-	h.Word(uint64(res.Mismatches))
-	h.Word(uint64(res.Verified))
-	h.Word(uint64(res.Lost))
-	for _, v := range recVer {
-		h.Word(v)
-	}
+	h.Words(uint64(M), uint64(spec.RF), uint64(res.Issued), uint64(res.Completed), uint64(res.Updates), uint64(res.FailedOps),
+		uint64(res.MeanLat), uint64(res.P99), uint64(res.Net.Msgs), uint64(res.Net.Bytes), uint64(res.Net.Dropped),
+		uint64(res.PagesShipped), uint64(res.EntriesShipped), uint64(res.BytesShipped), uint64(res.NetTime), uint64(res.ReplTime),
+		uint64(res.Promoted+1), uint64(res.CrashTime), res.Frontier,
+		uint64(res.Checked), uint64(res.Mismatches), uint64(res.Verified), uint64(res.Lost))
+	h.Words(recVer...)
 	res.Digest = uint64(h)
 
 	if verifyErr != nil {
@@ -434,18 +287,18 @@ func clusterExp(o Options, w io.Writer) {
 			res.Net.Msgs, float64(res.Net.Bytes)/(1<<20))
 	}
 
-	fm := 4
-	fres, err := RunCluster(ClusterSpec{
-		Machines:          fm,
+	fspec := ClusterSpec{
+		Machines:          4,
 		RF:                2,
 		Seed:              o.Seed,
 		RecordsPerMachine: recs,
 		Duration:          dur,
 		Failover:          true,
 		KillMachine:       1,
-	})
+	}
+	fres, err := RunCluster(fspec)
 	fmt.Fprintf(w, "\nFailover: %d machines, RF=2, kill machine %d at %s (promoted follower: machine %d)\n",
-		fm, 1, stats.FmtDur(fres.CrashTime), fres.Promoted)
+		fspec.Machines, fspec.KillMachine, stats.FmtDur(fres.CrashTime), fres.Promoted)
 	fmt.Fprintf(w, "  completed=%d failed=%d pages-shipped=%d entries-shipped=%d frontier=%d\n",
 		fres.Completed, fres.FailedOps, fres.PagesShipped, fres.EntriesShipped, fres.Frontier)
 	fmt.Fprintf(w, "  verified=%d keys on promoted store: lost=%d, index entries checked=%d mismatches=%d\n",

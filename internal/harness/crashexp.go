@@ -114,41 +114,17 @@ func RunCrash(spec CrashSpec) (CrashResult, error) {
 	}
 	tb.Load(eng, items)
 
-	e1 := tb.Env
+	e1, tp := tb.Env, engineTransport{eng}
 	for ci := 0; ci < crashClients; ci++ {
-		ci := ci
 		e1.Go(fmt.Sprintf("crash-client-%d", ci), func(c env.Ctx) {
-			// Seeded from the crash spec: the client schedule is part of
-			// the reproducible crash schedule.
-			rng := rand.New(rand.NewSource(spec.Seed*7919 + int64(ci)))
-			lo := int64(ci) * spec.Records / crashClients
-			hi := (int64(ci) + 1) * spec.Records / crashClients
-			win := newWindow(e1, crashWindow)
-			release := func(kv.Result) { win.release() }
-			for c.Now() < crashHorizon {
-				win.acquire(c)
-				k := lo + rng.Int63n(hi-lo)
-				if rng.Intn(2) == 0 && !sh.inflight[k] {
-					v := sh.issue(k)
-					res.IssuedUpdates++
-					r := &kv.Request{Op: kv.OpUpdate, Key: kv.Key(k), Value: sh.val(k, v)}
-					r.Done = func(kv.Result) {
-						sh.ack(k, v)
-						res.AckedUpdates++
-						win.release()
-					}
-					eng.Submit(c, r)
-				} else {
-					eng.Submit(c, &kv.Request{Op: kv.OpGet, Key: kv.Key(k), Done: release})
-				}
-			}
-			win.drain(c)
+			shadowClient(c, sh, shadowWindow(e1, sh, crashWindow, tp), tp, spec.Seed, ci, crashClients, crashHorizon)
 		})
 	}
 	if err := tb.Crash(); err != nil {
 		return res, fmt.Errorf("%s: %v", res.Engine, err)
 	}
 	res.CrashTime, res.Fault = tb.Inj.CrashTime(), tb.Inj.Stats()
+	res.IssuedUpdates, res.AckedUpdates = sh.nIssuedUpdates, sh.nAckedUpdates
 	if st, ok := eng.(*core.Store); ok {
 		res.HotHits = st.Stats().HotHits
 	}
@@ -157,7 +133,7 @@ func RunCrash(spec CrashSpec) (CrashResult, error) {
 	// and read back every key through the engine.
 	tb.Reboot()
 	eng2 := buildEngine(tb.Env, hs, tb.Disks)
-	recVer := make([]uint64, spec.Records)
+	var recVer []uint64
 	var vd verdict
 	tb.Recover("crash-recover", func(c env.Ctx) {
 		t0 := c.Now()
@@ -187,50 +163,27 @@ func RunCrash(spec CrashSpec) (CrashResult, error) {
 		res.RecoverTime = c.Now() - t0
 
 		eng2.Start()
-		win := newWindow(tb.Env, verifyWindow)
-		for k := int64(0); k < spec.Records; k++ {
-			win.acquire(c)
-			k := k
-			r := &kv.Request{Op: kv.OpGet, Key: kv.Key(k)}
-			r.Done = func(out kv.Result) {
-				recVer[k] = sh.match(k, out)
-				if !out.Found {
-					vd.failf("key %d lost: acked version %d (issued %d)", k, sh.acked[k], sh.issued[k])
-				} else if recVer[k] == 0 {
-					vd.failf("key %d recovered to an impossible value (%dB; acked %d, issued %d)",
-						k, len(out.Value), sh.acked[k], sh.issued[k])
-				}
-				win.release()
+		all := func(i int) int64 { return int64(i) }
+		recVer = readBack(c, tb.Env, sh, engineTransport{eng2}, int(spec.Records), all, func(k int64, ver uint64, out kv.Result) {
+			if !out.Found {
+				vd.failf("key %d lost: acked version %d (issued %d)", k, sh.acked[k], sh.issued[k])
+			} else if ver == 0 {
+				vd.failf("key %d recovered to an impossible value (%dB; acked %d, issued %d)",
+					k, len(out.Value), sh.acked[k], sh.issued[k])
 			}
-			eng2.Submit(c, r)
-		}
-		win.drain(c)
+		})
 		eng2.Stop(c)
 	})
 	tb.Close()
 
 	h := stats.NewFNV()
-	h.Word(uint64(res.CrashTime))
-	h.Word(uint64(res.Fault.Writes))
-	h.Word(uint64(res.Fault.InFlight))
-	h.Word(uint64(res.Fault.Completed))
-	h.Word(uint64(res.Fault.Dropped))
-	h.Word(uint64(res.Fault.Torn))
-	h.Word(uint64(res.Fault.LostPost))
-	h.Word(uint64(res.AckedUpdates))
-	h.Word(uint64(res.IssuedUpdates))
-	h.Word(uint64(res.Replayed))
-	h.Word(uint64(res.RecoverTime))
-	for _, v := range recVer {
-		h.Word(v)
-	}
+	h.Words(uint64(res.CrashTime), uint64(res.Fault.Writes), uint64(res.Fault.InFlight),
+		uint64(res.Fault.Completed), uint64(res.Fault.Dropped), uint64(res.Fault.Torn), uint64(res.Fault.LostPost),
+		uint64(res.AckedUpdates), uint64(res.IssuedUpdates), uint64(res.Replayed), uint64(res.RecoverTime))
+	h.Words(recVer...)
 	res.Digest = uint64(h)
 
-	if vd.failed() {
-		return res, fmt.Errorf("%s seed=%d atwrite=%d: %d verification failures, first: %s",
-			res.Engine, spec.Seed, spec.AtWrite, len(vd.failures), vd.failures[0])
-	}
-	return res, nil
+	return res, vd.err("%s seed=%d atwrite=%d", res.Engine, spec.Seed, spec.AtWrite)
 }
 
 // crashHarnessSpec maps a CrashSpec onto the benchmark Spec that

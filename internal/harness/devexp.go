@@ -214,27 +214,23 @@ func table3(o Options, w io.Writer) {
 			e.Go("aio", func(c env.Ctx) {
 				r := rand.New(rand.NewSource(o.Seed + 9))
 				buf := make([]byte, device.PageSize)
-				inflight := 0
-				mu := e.NewMutex()
-				cond := e.NewCond(mu)
+				win := newWindow(e, qd, func(l lease[*device.Request]) *device.Request {
+					return &device.Request{Op: device.Write, Buf: buf, Done: func() {
+						l.release()
+						done()
+					}}
+				})
+				var batch []*device.Request
 				for c.Now() < dur {
 					// io_submit for a batch topping the queue back up.
-					mu.Lock(c)
-					for inflight >= qd {
-						cond.Wait(c)
+					batch = append(batch[:0], win.acquire(c))
+					for win.idle() > 0 {
+						batch = append(batch, win.acquire(c))
 					}
-					n := qd - inflight
-					inflight += n
-					mu.Unlock(c)
-					c.CPU(costs.Syscall + env.Time(n)*costs.SyscallPerReq)
-					for i := 0; i < n; i++ {
-						d.Submit(&device.Request{Op: device.Write, Page: r.Int63n(1 << 31), Buf: buf, Done: func() {
-							mu.Lock(nil)
-							inflight--
-							mu.Unlock(nil)
-							cond.Signal(nil)
-							done()
-						}})
+					c.CPU(costs.Syscall + env.Time(len(batch))*costs.SyscallPerReq)
+					for _, rq := range batch {
+						rq.Page = r.Int63n(1 << 31)
+						d.Submit(rq)
 					}
 					// io_getevents
 					c.CPU(costs.Syscall)

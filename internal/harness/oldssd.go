@@ -66,16 +66,19 @@ func cpuPerIO(o Options, w io.Writer) {
 			e.Go("gen", func(c env.Ctx) {
 				r := rand.New(rand.NewSource(o.Seed + int64(di)*10))
 				buf := make([]byte, device.PageSize)
-				win := newWindow(e, 64)
+				win := newWindow(e, 64, func(l lease[*device.Request]) *device.Request {
+					return &device.Request{Op: device.Read, Buf: buf, Done: func() {
+						ops++
+						l.release()
+					}}
+				})
 				for c.Now() < dur {
-					win.acquire(c)
+					rq := win.acquire(c)
 					if cpu > 0 {
 						c.CPU(cpu)
 					}
-					disks[di].Submit(&device.Request{Op: device.Read, Page: r.Int63n(1 << 31), Buf: buf, Done: func() {
-						ops++
-						win.release()
-					}})
+					rq.Page = r.Int63n(1 << 31)
+					disks[di].Submit(rq)
 				}
 			})
 		}

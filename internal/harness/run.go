@@ -391,26 +391,19 @@ func runClosedLoop(e *sim.Env, spec *Spec, res *Result, eng kv.Engine, gen Gener
 	fill := fillFunc(gen)
 	for ci := 0; ci < spec.Clients; ci++ {
 		e.Go(fmt.Sprintf("client-%d", ci), func(c env.Ctx) {
-			win := newWindow(e, spec.Window)
-			// Each client owns a pool of Window requests whose Done callbacks
-			// are wired once; completed requests return to the pool and are
-			// refilled in place, so the steady-state issue path allocates
-			// nothing. The window gate guarantees a free request whenever it
-			// admits an operation.
-			free := make([]*kv.Request, spec.Window)
-			for i := range free {
+			// Each client owns Window pooled requests whose Done callbacks are
+			// wired once; a completed request is refilled in place, so the
+			// steady-state issue path allocates nothing.
+			win := newWindow(e, spec.Window, func(l lease[*kv.Request]) *kv.Request {
 				r := &kv.Request{}
 				r.Done = func(kv.Result) {
 					res.complete(r)
-					free = append(free, r)
-					win.release()
+					l.release()
 				}
-				free[i] = r
-			}
+				return r
+			})
 			for c.Now() < end {
-				win.acquire(c)
-				r := free[len(free)-1]
-				free = free[:len(free)-1]
+				r := win.acquire(c)
 				fill(r, c.Now())
 				r.Start = c.Now()
 				submit(c, eng, spec.Tracer, r)

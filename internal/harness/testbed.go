@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 
 	"kvell/internal/device"
@@ -96,109 +95,3 @@ func (tb *Testbed) Recover(name string, fn func(c env.Ctx)) {
 func (tb *Testbed) Close() {
 	must(tb.Sim.Close())
 }
-
-// window bounds one proc's outstanding asynchronous requests: acquire before
-// each submit, release from the completion callback, drain before exiting.
-type window struct {
-	mu   env.Mutex
-	cond env.Cond
-	n    int
-	max  int
-}
-
-func newWindow(e env.Env, max int) *window {
-	w := &window{mu: e.NewMutex(), max: max}
-	w.cond = e.NewCond(w.mu)
-	return w
-}
-
-func (w *window) acquire(c env.Ctx) {
-	w.mu.Lock(c)
-	for w.n >= w.max {
-		w.cond.Wait(c)
-	}
-	w.n++
-	w.mu.Unlock(c)
-}
-
-// release runs in scheduler context (a completion callback).
-func (w *window) release() {
-	w.mu.Lock(nil)
-	w.n--
-	w.mu.Unlock(nil)
-	w.cond.Signal(nil)
-}
-
-func (w *window) drain(c env.Ctx) {
-	w.mu.Lock(c)
-	for w.n > 0 {
-		w.cond.Wait(c)
-	}
-	w.mu.Unlock(c)
-}
-
-// shadow is the acked-write model the crash and failover verifiers share.
-// Versions are per key: bulk load is version 1 and each update increments. At
-// most one update per key is in flight (clients downgrade a busy key's update
-// to a read), so after a crash the durable version of key k must lie in
-// [acked[k], issued[k]].
-type shadow struct {
-	issued   []uint64
-	acked    []uint64
-	inflight []bool
-	// val is the value version v of key k carries.
-	val func(k int64, v uint64) []byte
-}
-
-func newShadow(keys int64, val func(k int64, v uint64) []byte) *shadow {
-	sh := &shadow{
-		issued:   make([]uint64, keys),
-		acked:    make([]uint64, keys),
-		inflight: make([]bool, keys),
-		val:      val,
-	}
-	for i := range sh.issued {
-		sh.issued[i], sh.acked[i] = 1, 1
-	}
-	return sh
-}
-
-// issue starts an update of key k and returns its version.
-func (sh *shadow) issue(k int64) uint64 {
-	sh.inflight[k] = true
-	sh.issued[k]++
-	return sh.issued[k]
-}
-
-// ack records that version v of key k was acknowledged.
-func (sh *shadow) ack(k int64, v uint64) {
-	sh.acked[k] = v
-	sh.inflight[k] = false
-}
-
-// match returns which admissible version of key k a read-back value is,
-// newest first, or 0 if it is none of them: the key was lost, torn, or rolled
-// back past an acknowledgement.
-func (sh *shadow) match(k int64, out kv.Result) uint64 {
-	if !out.Found {
-		return 0
-	}
-	for v := sh.issued[k]; v >= sh.acked[k]; v-- {
-		if bytes.Equal(out.Value, sh.val(k, v)) {
-			return v
-		}
-	}
-	return 0
-}
-
-// verdict collects a run's verification failures; the first few are kept and
-// the first is reported.
-type verdict struct{ failures []string }
-
-func (vd *verdict) failf(format string, args ...any) {
-	if len(vd.failures) < 8 {
-		vd.failures = append(vd.failures, fmt.Sprintf(format, args...))
-	}
-}
-
-func (vd *verdict) failed() bool { return len(vd.failures) > 0 }

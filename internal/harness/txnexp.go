@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -66,51 +67,48 @@ func pickTxnKeys(rng *rand.Rand, accounts int64, n int, theta float64) []int64 {
 }
 
 // transfer is one drawn bank transfer: the first account pays amt to each of
-// the others. vals are the exact bytes the committing attempt wrote.
+// the others. vals are the exact bytes the committing attempt wrote and cts
+// its commit timestamp.
 type transfer struct {
 	accs   []int64
 	keys   [][]byte
 	deltas []int64
 	vals   [][]byte
+	cts    uint64
 }
 
 // mover is one mover proc's transfer stream. Its account draws, amounts and
 // per-transfer backoff seeds are all functions of (seed, ci, transfer index),
 // so the transfer schedule is part of the reproducible transactional schedule.
 type mover struct {
-	mgr      *txn.Manager
-	rng      *rand.Rand
-	seed     int64 // per-transfer manager seed base
-	n        int   // transfers drawn so far
-	accounts int64
-	size     int
-	theta    float64
-	bals     []int64
+	b    *bank
+	mgr  *txn.Manager
+	rng  *rand.Rand
+	seed int64 // per-transfer manager seed base
+	n    int   // transfers drawn so far
+	bals []int64
 }
 
-func newMover(cl txn.Client, seed int64, ci int, accounts int64, size int, theta float64) *mover {
+func newMover(b *bank, cl txn.Client, ci int) *mover {
 	return &mover{
-		mgr:      &txn.Manager{Cl: cl, MaxAttempts: 64},
-		rng:      rand.New(rand.NewSource(seed*7919 + int64(ci))),
-		seed:     seed*104_729 + int64(ci)*1_000_003,
-		accounts: accounts,
-		size:     size,
-		theta:    theta,
-		bals:     make([]int64, size),
+		b:    b,
+		mgr:  &txn.Manager{Cl: cl, MaxAttempts: 64},
+		rng:  rand.New(rand.NewSource(b.seed*7919 + int64(ci))),
+		seed: b.seed*104_729 + int64(ci)*1_000_003,
+		bals: make([]int64, b.size),
 	}
 }
 
-// next draws the next transfer and runs it through the percolator client,
-// returning its commit timestamp or the manager's error.
-func (mv *mover) next(c env.Ctx) (transfer, uint64, error) {
-	tr := transfer{accs: pickTxnKeys(mv.rng, mv.accounts, mv.size, mv.theta)}
+// next draws the next transfer and runs it through the percolator client.
+func (mv *mover) next(c env.Ctx) (tr transfer, err error) {
+	tr.accs = pickTxnKeys(mv.rng, mv.b.accounts, mv.b.size, mv.b.theta)
 	n := len(tr.accs)
 	tr.keys, tr.deltas, tr.vals = make([][]byte, n), make([]int64, n), make([][]byte, n)
 	for i, a := range tr.accs {
 		tr.keys[i] = kv.Key(a)
 	}
 	amt := 1 + mv.rng.Int63n(7)
-	cts, err := mv.mgr.Run(c, mv.seed+int64(mv.n), func(c env.Ctx, tx *txn.Txn) error {
+	tr.cts, err = mv.mgr.Run(c, mv.seed+int64(mv.n), func(c env.Ctx, tx *txn.Txn) error {
 		for i, k := range tr.keys {
 			v, ok, err := tx.Get(c, k)
 			if err != nil {
@@ -132,7 +130,7 @@ func (mv *mover) next(c env.Ctx) (transfer, uint64, error) {
 		return nil
 	})
 	mv.n++
-	return tr, cts, err
+	return tr, err
 }
 
 // tracedClient is the auditor's transport: a LocalClient whose snapshot-read
@@ -211,7 +209,6 @@ type TxnBankResult struct {
 func RunTxnBank(spec TxnBankSpec) (TxnBankResult, error) {
 	spec.defaults()
 	res := TxnBankResult{Accounts: bankAccounts}
-	const total = bankAccounts * bankInitial
 
 	s := sim.New(spec.Seed + 1)
 	e := sim.NewEnv(s, bankCores)
@@ -223,129 +220,62 @@ func RunTxnBank(spec TxnBankSpec) (TxnBankResult, error) {
 	must(st.BulkLoad(bankItems(bankAccounts)))
 	st.Start()
 
+	b := driveBank(e, spec.Seed, bankAccounts, spec.TxnSize, spec.Theta,
+		func(int) txn.Client { return &txn.LocalClient{St: st} },
+		func(_ env.Ctx, t int) bool { return t < spec.Transfers },
+		func(error) bool { return false })
+
 	tracer := trace.NewTracer(0)
-	ledger := make([]int64, bankAccounts) // committed deltas, by account
-	finals := make([]int64, bankAccounts)
-	var audits []uint64 // (ts, sum) pairs, in audit order
-	var vd verdict
-
-	mu := e.NewMutex()
-	cond := e.NewCond(mu)
-	finished := 0
-
-	for ci := 0; ci < bankMovers; ci++ {
-		ci := ci
-		e.Go(fmt.Sprintf("txn-mover-%d", ci), func(c env.Ctx) {
-			mv := newMover(&txn.LocalClient{St: st}, spec.Seed, ci, bankAccounts, spec.TxnSize, spec.Theta)
-			for t := 0; t < spec.Transfers; t++ {
-				tr, _, err := mv.next(c)
-				if err == txn.ErrConflict {
-					continue // retry budget exhausted; counted in mgr.Aborts
-				}
-				if err != nil {
-					vd.failf("mover %d transfer %d: %v", ci, t, err)
-					continue
-				}
-				res.Committed++
-				for i, a := range tr.accs {
-					ledger[a] += tr.deltas[i]
-				}
-			}
-			res.Conflicts += mv.mgr.Conflicts
-			res.Aborts += mv.mgr.Aborts
-			mu.Lock(c)
-			finished++
-			mu.Unlock(c)
-			cond.Signal(c)
-		})
-	}
-
 	auditCl := &tracedClient{LocalClient: txn.LocalClient{St: st}, tracer: tracer}
-	audit := func(c env.Ctx, final bool) {
+	var audits []uint64 // (ts, sum) pairs, in audit order
+	audit := func(c env.Ctx) {
 		ts := st.SnapshotTS()
 		bo := mvcc.NewBackoff(spec.Seed^int64(ts), 2*env.Microsecond, 256*env.Microsecond)
-		var sum int64
-		for a := int64(0); a < bankAccounts; a++ {
-			v, ok, err := txn.SnapshotGet(c, auditCl, kv.Key(a), ts, bo)
-			if err != nil {
-				vd.failf("audit@%d: read of account %d: %v", ts, a, err)
-				return
-			}
-			if !ok {
-				vd.failf("audit@%d: account %d missing", ts, a)
-				return
-			}
-			bal := decBal(v)
-			if final {
-				finals[a] = bal
-			}
-			sum += bal
-		}
-		if sum != total {
-			vd.failf("audit@%d: conservation violated: sum=%d want %d", ts, sum, total)
-		}
+		sum := b.audit(c, ts, func(c env.Ctx, key []byte, ts uint64) ([]byte, bool, error) {
+			return txn.SnapshotGet(c, auditCl, key, ts, bo)
+		})
 		audits = append(audits, ts, uint64(sum))
 		res.Audits++
 	}
-
 	e.Go("txn-auditor", func(c env.Ctx) {
 		for i := 0; i < bankAudits; i++ {
 			c.Sleep(bankAuditGap)
-			audit(c, false)
+			audit(c)
 		}
-		mu.Lock(c)
-		for finished < bankMovers {
-			cond.Wait(c)
-		}
-		mu.Unlock(c)
+		b.finished.wait(c)
 		res.GCFreed = int64(st.GC(c, st.SnapshotTS()))
-		audit(c, true)
-		for a := int64(0); a < bankAccounts; a++ {
-			if want := bankInitial + ledger[a]; finals[a] != want {
-				vd.failf("account %d: final balance %d, committed ledger says %d", a, finals[a], want)
-			}
-		}
+		audit(c)
+		b.checkLedger()
 		res.PendingAfter = st.PendingLocks()
 		if res.PendingAfter != 0 {
-			vd.failf("%d locks still pending after all movers drained", res.PendingAfter)
+			b.vd.failf("%d locks still pending after all movers drained", res.PendingAfter)
 		}
 		st.Stop(c)
 	})
 
 	must(s.Run(-1))
+	res.Committed = b.committed
+	res.Conflicts, res.Aborts = b.conflicts()
 	res.ReadLockWait = env.Time(tracer.Breakdown().Sum(trace.CompLock))
 	if res.ReadLockWait != 0 {
-		vd.failf("snapshot reads waited %s on locks; SI readers must never block", stats.FmtDur(res.ReadLockWait))
+		b.vd.failf("snapshot reads waited %s on locks; SI readers must never block", stats.FmtDur(res.ReadLockWait))
 	}
 	if err := st.CheckMVCC(); err != nil {
-		vd.failf("post-run MVCC audit: %v", err)
+		b.vd.failf("post-run MVCC audit: %v", err)
 	}
 	if err := st.CheckConsistency(); err != nil {
-		vd.failf("post-run consistency: %v", err)
+		b.vd.failf("post-run consistency: %v", err)
 	}
 	must(s.Close())
 
 	h := stats.NewFNV()
-	h.Word(uint64(bankAccounts))
-	h.Word(uint64(res.Committed))
-	h.Word(uint64(res.Conflicts))
-	h.Word(uint64(res.Aborts))
-	h.Word(uint64(res.Audits))
-	h.Word(uint64(res.GCFreed))
-	h.Word(uint64(res.ReadLockWait))
-	for _, v := range audits {
-		h.Word(v)
-	}
-	for _, v := range finals {
-		h.Word(uint64(v))
-	}
+	h.Words(bankAccounts, uint64(res.Committed), uint64(res.Conflicts), uint64(res.Aborts),
+		uint64(res.Audits), uint64(res.GCFreed), uint64(res.ReadLockWait))
+	h.Words(audits...)
+	foldInts(&h, b.finals)
 	res.Digest = uint64(h)
 
-	if vd.failed() {
-		return res, fmt.Errorf("txnbank seed=%d theta=%.2f size=%d: %d failures, first: %s",
-			spec.Seed, spec.Theta, spec.TxnSize, len(vd.failures), vd.failures[0])
-	}
-	return res, nil
+	return res, b.vd.err("txnbank seed=%d theta=%.2f size=%d", spec.Seed, spec.Theta, spec.TxnSize)
 }
 
 // openBank opens an MVCC store for the single-node bank runs.
@@ -367,14 +297,152 @@ func bankItems(accounts int64) []kv.Item {
 	return items
 }
 
-// ackedTxn is one acknowledged transfer: its commit timestamp, the accounts
-// it touched, and the exact bytes it left behind. The crash and failover
-// verifiers re-read every key of every acked transaction at its commit
-// timestamp — all present, or the transaction was visible half-applied.
-type ackedTxn struct {
-	cts  uint64
-	keys [][]byte
-	vals [][]byte
+// bank is the txnbank workload and its books. bankMovers mover procs transfer
+// between accounts in percolator transactions; the bank keeps the committed
+// ledger and every acknowledged transfer, and afterwards audits conservation
+// at a snapshot, checks the balances against the ledger and re-reads what it
+// acknowledged. What a run adds is the machine, when it dies, and the read.
+type bank struct {
+	seed     int64
+	accounts int64
+	size     int // accounts per transfer
+	theta    float64
+
+	movers   []*mover
+	finished *latch       // the movers, counted out as their stop rule ends them
+	ledger   []int64      // committed deltas, by account
+	finals   []int64      // balances, as the last audit read them
+	acked    [][]transfer // acknowledged transfers, by mover
+	vd       verdict
+
+	// issued/committed count transfers started and acknowledged; failed those
+	// lost to an excused error (see driveBank).
+	issued, committed, failed int64
+}
+
+// bankRead is a snapshot read of key at ts from the store under audit.
+type bankRead func(c env.Ctx, key []byte, ts uint64) ([]byte, bool, error)
+
+// driveBank opens a bank of accounts accounts and starts its movers on e,
+// mover ci over client(ci), each transfer moving between size accounts drawn
+// with skew theta. more is the stop rule, asked before each transfer with the
+// number already drawn. A transfer that exhausts its retry budget
+// (txn.ErrConflict, counted in mgr.Aborts) is skipped; any other error is a
+// verification failure unless excused says the machine's fate explains it.
+func driveBank(e env.Env, seed, accounts int64, size int, theta float64,
+	client func(ci int) txn.Client, more func(c env.Ctx, t int) bool, excused func(error) bool) *bank {
+	b := &bank{
+		seed: seed, accounts: accounts, size: size, theta: theta,
+		movers:   make([]*mover, bankMovers),
+		finished: newLatch(e, bankMovers),
+		ledger:   make([]int64, accounts),
+		finals:   make([]int64, accounts),
+		acked:    make([][]transfer, bankMovers),
+	}
+	for ci := range b.movers {
+		mv := newMover(b, client(ci), ci)
+		b.movers[ci] = mv
+		e.Go(fmt.Sprintf("txn-mover-%d", ci), func(c env.Ctx) {
+			for t := 0; more(c, t); t++ {
+				b.issued++
+				tr, err := mv.next(c)
+				switch {
+				case err == nil:
+					b.committed++
+					for i, a := range tr.accs {
+						b.ledger[a] += tr.deltas[i]
+					}
+					b.acked[ci] = append(b.acked[ci], tr)
+				case errors.Is(err, txn.ErrConflict): // skipped
+				case excused(err):
+					b.failed++
+				default:
+					b.vd.failf("mover %d transfer %d: %v", ci, t, err)
+				}
+			}
+			b.finished.done(c)
+		})
+	}
+	return b
+}
+
+// conflicts sums the movers' write-write conflict retries and the transfers
+// that exhausted their retry budget.
+func (b *bank) conflicts() (conflicts, aborts int64) {
+	for _, mv := range b.movers {
+		conflicts += mv.mgr.Conflicts
+		aborts += mv.mgr.Aborts
+	}
+	return conflicts, aborts
+}
+
+// audit reads every account at snapshot ts into finals and checks
+// conservation: the balances must sum to what the bank opened with. It
+// returns the sum.
+func (b *bank) audit(c env.Ctx, ts uint64, read bankRead) int64 {
+	var sum int64
+	for a := range b.finals {
+		v, ok, err := read(c, kv.Key(int64(a)), ts)
+		if err != nil || !ok {
+			b.vd.failf("audit@%d: account %d unreadable (found=%v, err=%v)", ts, a, ok, err)
+			continue
+		}
+		b.finals[a] = decBal(v)
+		sum += b.finals[a]
+	}
+	if want := b.accounts * bankInitial; sum != want {
+		b.vd.failf("audit@%d: conservation violated: sum=%d want %d", ts, sum, want)
+	}
+	return sum
+}
+
+// checkLedger holds the last audit's balances against the committed ledger.
+// They agree exactly only when every commit was acknowledged: not after a
+// machine died mid-commit.
+func (b *bank) checkLedger() {
+	for a, d := range b.ledger {
+		if want := bankInitial + d; b.finals[a] != want {
+			b.vd.failf("account %d: balance %d, committed ledger says %d", a, b.finals[a], want)
+		}
+	}
+}
+
+// verifyAcked re-reads every key of every acknowledged transfer at its commit
+// timestamp and returns how many held exactly the bytes the transfer wrote.
+// Commit timestamps are unique, so any other outcome means the transfer was
+// visible half-applied.
+func (b *bank) verifyAcked(c env.Ctx, read bankRead) (matched int) {
+	for ci := range b.acked {
+		for ti, at := range b.acked[ci] {
+			for i, k := range at.keys {
+				v, ok, err := read(c, k, at.cts)
+				if err != nil || !ok || !bytes.Equal(v, at.vals[i]) {
+					b.vd.failf("acked txn half-applied: mover %d txn %d cts=%d key %q (found=%v, err=%v)",
+						ci, ti, at.cts, k, ok, err)
+					continue
+				}
+				matched++
+			}
+		}
+	}
+	return matched
+}
+
+// foldAcked folds every acknowledged commit timestamp, in mover order, into a
+// run's digest.
+func (b *bank) foldAcked(h *stats.FNV) {
+	for ci := range b.acked {
+		for _, at := range b.acked[ci] {
+			h.Word(at.cts)
+		}
+	}
+}
+
+// foldInts folds balances or ledger deltas into a run's digest.
+func foldInts(h *stats.FNV, vs []int64) {
+	for _, v := range vs {
+		h.Word(uint64(v))
+	}
 }
 
 // The transactional crash run's shape: bankMovers movers run open-ended
@@ -411,121 +479,64 @@ type TxnCrashResult struct {
 // transaction half-applied, or a lock surviving settlement.
 func RunTxnCrash(seed, atWrite int64) (TxnCrashResult, error) {
 	res := TxnCrashResult{Seed: seed, AtWrite: atWrite}
-	const total = crashAccounts * bankInitial
 
-	// First life: transfers until the power cut.
+	// First life: transfers until the power cut. The crash freezes the movers
+	// mid-transfer, so no error of theirs is a verdict.
 	tb := NewTestbed(seed, atWrite, bankCores, bankNDisks)
 	st := openBank(tb.Env, tb.Disks)
 	tb.Load(st, bankItems(crashAccounts))
-
-	acked := make([][]ackedTxn, bankMovers)
-	movers := make([]*mover, bankMovers)
-	for ci := 0; ci < bankMovers; ci++ {
-		ci := ci
-		movers[ci] = newMover(&txn.LocalClient{St: st}, seed, ci, crashAccounts, crashTxnSize, 0)
-		tb.Env.Go(fmt.Sprintf("txn-crash-mover-%d", ci), func(c env.Ctx) {
-			for c.Now() < crashHorizon {
-				res.IssuedTxns++
-				tr, cts, err := movers[ci].next(c)
-				if err != nil {
-					continue // conflict exhaustion; the crash freeze also lands here
-				}
-				res.AckedTxns++
-				acked[ci] = append(acked[ci], ackedTxn{cts: cts, keys: tr.keys, vals: tr.vals})
-			}
-		})
-	}
+	b := driveBank(tb.Env, seed, crashAccounts, crashTxnSize, 0,
+		func(int) txn.Client { return &txn.LocalClient{St: st} },
+		func(c env.Ctx, _ int) bool { return c.Now() < crashHorizon },
+		func(error) bool { return true })
 	if err := tb.Crash(); err != nil {
 		return res, fmt.Errorf("txnbank: %v", err)
 	}
-	for _, mv := range movers {
-		res.Conflicts += mv.mgr.Conflicts
-	}
+	res.IssuedTxns, res.AckedTxns = b.issued, b.committed
+	res.Conflicts, _ = b.conflicts()
 	res.CrashTime, res.Fault = tb.Inj.CrashTime(), tb.Inj.Stats()
 
 	// Second life: recover, settle leftover intents, and verify. No GC runs,
 	// so every acked transaction's versions are still on disk as evidence.
 	tb.Reboot()
 	st2 := openBank(tb.Env, tb.Disks)
-	finals := make([]int64, crashAccounts)
-	var vd verdict
 	tb.Recover("txn-crash-recover", func(c env.Ctx) {
 		t0 := c.Now()
 		if err := st2.Recover(c); err != nil {
-			vd.failf("recover: %v", err)
+			b.vd.failf("recover: %v", err)
 			return
 		}
 		st2.Start()
 		res.Resolved = st2.ResolveIntents(c)
 		res.RecoverTime = c.Now() - t0
 		if n := st2.PendingLocks(); n != 0 {
-			vd.failf("%d locks survived crash settlement", n)
+			b.vd.failf("%d locks survived crash settlement", n)
 		}
-		ts := st2.SnapshotTS()
-		var sum int64
-		for a := int64(0); a < crashAccounts; a++ {
-			v, ok := st2.GetAt(c, kv.Key(a), ts)
-			if !ok {
-				vd.failf("account %d lost in crash", a)
-				continue
-			}
-			finals[a] = decBal(v)
-			sum += finals[a]
+		read := func(c env.Ctx, key []byte, ts uint64) ([]byte, bool, error) {
+			v, ok := st2.GetAt(c, key, ts)
+			return v, ok, nil
 		}
-		if sum != total {
-			vd.failf("conservation violated after crash: sum=%d want %d (crash@%s)",
-				sum, total, stats.FmtDur(res.CrashTime))
-		}
-		// Every acknowledged transaction must be fully visible at its commit
-		// timestamp: reading each of its keys at cts must return exactly the
-		// bytes it wrote (commit timestamps are unique, so the version at cts
-		// is that transaction's or the check fails).
-		for ci := range acked {
-			for ti, at := range acked[ci] {
-				for i, k := range at.keys {
-					v, ok := st2.GetAt(c, k, at.cts)
-					if !ok || !bytes.Equal(v, at.vals[i]) {
-						vd.failf("acked txn half-applied: mover %d txn %d cts=%d key %q (found=%v)",
-							ci, ti, at.cts, k, ok)
-					}
-				}
-			}
-		}
+		b.audit(c, st2.SnapshotTS(), read)
+		b.verifyAcked(c, read)
 		if err := st2.CheckConsistency(); err != nil {
-			vd.failf("post-recovery consistency: %v", err)
+			b.vd.failf("post-recovery consistency: %v", err)
 		}
 		st2.Stop(c)
 	})
 	if err := st2.CheckMVCC(); err != nil {
-		vd.failf("post-recovery MVCC audit: %v", err)
+		b.vd.failf("post-recovery MVCC audit: %v", err)
 	}
 	tb.Close()
 
 	h := stats.NewFNV()
-	h.Word(uint64(res.CrashTime))
-	h.Word(uint64(res.Fault.Writes))
-	h.Word(uint64(res.Fault.InFlight))
-	h.Word(uint64(res.Fault.Dropped))
-	h.Word(uint64(res.Fault.Torn))
-	h.Word(uint64(res.IssuedTxns))
-	h.Word(uint64(res.AckedTxns))
-	h.Word(uint64(res.Resolved))
-	h.Word(uint64(res.RecoverTime))
-	for ci := range acked {
-		for _, at := range acked[ci] {
-			h.Word(at.cts)
-		}
-	}
-	for _, v := range finals {
-		h.Word(uint64(v))
-	}
+	h.Words(uint64(res.CrashTime), uint64(res.Fault.Writes), uint64(res.Fault.InFlight),
+		uint64(res.Fault.Dropped), uint64(res.Fault.Torn), uint64(res.IssuedTxns), uint64(res.AckedTxns),
+		uint64(res.Resolved), uint64(res.RecoverTime))
+	b.foldAcked(&h)
+	foldInts(&h, b.finals)
 	res.Digest = uint64(h)
 
-	if vd.failed() {
-		return res, fmt.Errorf("txnbank crash seed=%d atwrite=%d: %d failures, first: %s",
-			seed, atWrite, len(vd.failures), vd.failures[0])
-	}
-	return res, nil
+	return res, b.vd.err("txnbank crash seed=%d atwrite=%d", seed, atWrite)
 }
 
 // TxnCrashSweep crashes the transactional store at Points seeded write
@@ -551,9 +562,11 @@ func TxnCrashRepro(o SweepOpts, i int) string {
 // server machines (store shards with MVCC on) plus one client machine whose
 // bankMovers mover procs each run txnClusterTransfers two-account percolator
 // transfers across shards, timestamps served by the oracle on machine
-// cluster.OracleHome. With Failover set, machine KillMachine (never the
-// oracle's) dies at txnClusterKillAt and a follower is promoted through
-// full-scan recovery; conservation and every acked transaction must survive.
+// cluster.OracleHome (machine 0). With Failover set, machine KillMachine dies
+// at txnClusterKillAt and a follower is promoted through full-scan recovery;
+// conservation and every acked transaction must survive. KillMachine 0 means
+// the default, machine 1: the oracle's machine cannot be the one to die,
+// because timestamp service is pinned there.
 type TxnClusterSpec struct {
 	Machines int
 	RF       int
@@ -575,7 +588,6 @@ const (
 func (ts *TxnClusterSpec) defaults() {
 	def(&ts.Machines, 4)
 	def(&ts.RF, 1)
-	// Never the oracle's machine: timestamp service is pinned there.
 	def(&ts.KillMachine, 1)
 }
 
@@ -605,11 +617,7 @@ func RunTxnCluster(spec TxnClusterSpec) (TxnClusterResult, error) {
 	spec.defaults()
 	M := spec.Machines
 	total := int64(M) * txnClusterAccounts
-	grand := total * bankInitial
 	res := TxnClusterResult{Machines: M, RF: spec.RF, Promoted: -1}
-	if spec.Failover && spec.KillMachine == cluster.OracleHome {
-		panic("txnbank: cannot kill the oracle's machine")
-	}
 
 	initial := encBal(bankInitial, 0)
 	cl := cluster.Build(cluster.Spec{
@@ -626,50 +634,16 @@ func RunTxnCluster(spec TxnClusterSpec) (TxnClusterResult, error) {
 	})
 	clientM, clientEnv := M, cl.Envs[M]
 
-	ledger := make([]int64, total)
-	acked := make([][]ackedTxn, bankMovers)
 	tcs := make([]*cluster.TxnClient, bankMovers)
 	for ci := range tcs {
 		tcs[ci] = cluster.NewTxnClient(cl, clientEnv, clientM)
 	}
-	var vd verdict
-	mu := clientEnv.NewMutex()
-	cond := clientEnv.NewCond(mu)
-	finished := 0
-
-	for ci := 0; ci < bankMovers; ci++ {
-		ci := ci
-		clientEnv.Go(fmt.Sprintf("txn-cluster-mover-%d", ci), func(c env.Ctx) {
-			mv := newMover(tcs[ci], spec.Seed, ci, total, 2, spec.Theta)
-			for t := 0; t < txnClusterTransfers; t++ {
-				tr, cts, err := mv.next(c)
-				if err == txn.ErrAborted && spec.Failover {
-					// The kill swept this transfer mid-commit; its primary
-					// never became durable, so it rolled back cleanly.
-					res.FailedTxns++
-					continue
-				}
-				if err == txn.ErrConflict {
-					continue // retry budget exhausted; counted in mgr.Aborts
-				}
-				if err != nil {
-					vd.failf("mover %d transfer %d: %v", ci, t, err)
-					continue
-				}
-				res.Committed++
-				for i, a := range tr.accs {
-					ledger[a] += tr.deltas[i]
-				}
-				acked[ci] = append(acked[ci], ackedTxn{cts: cts, keys: tr.keys, vals: tr.vals})
-			}
-			res.Conflicts += mv.mgr.Conflicts
-			res.Aborts += mv.mgr.Aborts
-			mu.Lock(c)
-			finished++
-			mu.Unlock(c)
-			cond.Signal(c)
-		})
-	}
+	// A transfer the kill swept mid-commit reports ErrAborted: its primary
+	// never became durable, so it rolled back cleanly.
+	b := driveBank(clientEnv, spec.Seed, total, 2, spec.Theta,
+		func(ci int) txn.Client { return tcs[ci] },
+		func(_ env.Ctx, t int) bool { return t < txnClusterTransfers },
+		func(err error) bool { return spec.Failover && errors.Is(err, txn.ErrAborted) })
 
 	// Failover driver: wait out detection, promote the replica with the dead
 	// store's own (MVCC) config so the promoted store rebuilds version chains
@@ -681,11 +655,11 @@ func RunTxnCluster(spec TxnClusterSpec) (TxnClusterResult, error) {
 		cl.Envs[res.Promoted].Go("txn-failover-driver", func(c env.Ctx) {
 			c.Sleep(txnClusterKillAt + clusterDetectDelay - c.Now())
 			if !cl.Inj.Tripped() {
-				vd.failf("machine %d never died", dead)
+				b.vd.failf("machine %d never died", dead)
 				return
 			}
 			if _, err := cl.Promote(c, dead); err != nil {
-				vd.failf("promotion failed: %v", err)
+				b.vd.failf("promotion failed: %v", err)
 				return
 			}
 			for _, tc := range tcs {
@@ -699,60 +673,25 @@ func RunTxnCluster(spec TxnClusterSpec) (TxnClusterResult, error) {
 	// its commit timestamp through the (possibly re-routed) cluster.
 	allDone := false
 	clientEnv.Go("txn-cluster-verify", func(c env.Ctx) {
-		mu.Lock(c)
-		for finished < bankMovers {
-			cond.Wait(c)
-		}
-		mu.Unlock(c)
+		b.finished.wait(c)
 		vtc := cluster.NewTxnClient(cl, clientEnv, clientM)
-		ts := vtc.SnapshotTS(c)
-		var sum int64
-		finals := make([]int64, total)
-		for a := int64(0); a < total; a++ {
-			v, ok, err := txn.GetAt(c, vtc, kv.Key(a), ts, spec.Seed)
-			if err != nil {
-				vd.failf("verify read of account %d: %v", a, err)
-				continue
-			}
-			if !ok {
-				vd.failf("account %d lost", a)
-				continue
-			}
-			finals[a] = decBal(v)
-			sum += finals[a]
+		read := func(c env.Ctx, key []byte, ts uint64) ([]byte, bool, error) {
+			return txn.GetAt(c, vtc, key, ts, spec.Seed)
 		}
-		if sum != grand {
-			vd.failf("conservation violated across cluster: sum=%d want %d", sum, grand)
-		}
+		b.audit(c, vtc.SnapshotTS(c), read)
 		if !spec.Failover {
-			// Without a kill every commit was acknowledged, so the committed
-			// ledger predicts every balance exactly.
-			for a := int64(0); a < total; a++ {
-				if want := bankInitial + ledger[a]; finals[a] != want {
-					vd.failf("account %d: balance %d, committed ledger says %d", a, finals[a], want)
-				}
-			}
+			b.checkLedger()
 		}
-		for ci := range acked {
-			for ti, at := range acked[ci] {
-				for i, k := range at.keys {
-					v, ok, err := txn.GetAt(c, vtc, k, at.cts, spec.Seed+int64(ti))
-					if err != nil || !ok || !bytes.Equal(v, at.vals[i]) {
-						vd.failf("acked txn half-applied after failover: mover %d txn %d cts=%d key %q",
-							ci, ti, at.cts, k)
-					} else {
-						res.AckedVerified++
-					}
-				}
-			}
-		}
+		res.AckedVerified = b.verifyAcked(c, read)
 		allDone = true
 	})
 
 	must(cl.S.Run(60 * env.Second))
-	if !allDone && !vd.failed() {
+	if !allDone && !b.vd.failed() {
 		panic("txnbank cluster: run did not complete within the time bound")
 	}
+	res.Committed, res.FailedTxns = b.committed, b.failed
+	res.Conflicts, res.Aborts = b.conflicts()
 	if cl.Inj != nil && cl.Inj.Tripped() {
 		res.CrashTime = cl.Inj.CrashTime()
 	}
@@ -768,40 +707,20 @@ func RunTxnCluster(spec TxnClusterSpec) (TxnClusterResult, error) {
 	// After a failover the killed machine's entry is its promoted store.
 	for m, st := range cl.Stores {
 		if err := st.CheckMVCC(); err != nil {
-			vd.failf("machine %d MVCC audit: %v", m, err)
+			b.vd.failf("machine %d MVCC audit: %v", m, err)
 		}
 	}
 	must(cl.S.Close())
 
 	h := stats.NewFNV()
-	h.Word(uint64(M))
-	h.Word(uint64(spec.RF))
-	h.Word(uint64(res.Committed))
-	h.Word(uint64(res.Conflicts))
-	h.Word(uint64(res.Aborts))
-	h.Word(uint64(res.FailedTxns))
-	h.Word(uint64(res.Swept))
-	h.Word(uint64(res.AckedVerified))
-	h.Word(uint64(res.Promoted + 1))
-	h.Word(uint64(res.CrashTime))
-	h.Word(uint64(res.Net.Msgs))
-	h.Word(uint64(res.Net.Bytes))
-	h.Word(uint64(res.PagesShipped))
-	for ci := range acked {
-		for _, at := range acked[ci] {
-			h.Word(at.cts)
-		}
-	}
-	for _, v := range ledger {
-		h.Word(uint64(v))
-	}
+	h.Words(uint64(M), uint64(spec.RF), uint64(res.Committed), uint64(res.Conflicts), uint64(res.Aborts),
+		uint64(res.FailedTxns), uint64(res.Swept), uint64(res.AckedVerified), uint64(res.Promoted+1),
+		uint64(res.CrashTime), uint64(res.Net.Msgs), uint64(res.Net.Bytes), uint64(res.PagesShipped))
+	b.foldAcked(&h)
+	foldInts(&h, b.ledger)
 	res.Digest = uint64(h)
 
-	if vd.failed() {
-		return res, fmt.Errorf("txnbank cluster seed=%d machines=%d rf=%d failover=%v: %d failures, first: %s",
-			spec.Seed, M, spec.RF, spec.Failover, len(vd.failures), vd.failures[0])
-	}
-	return res, nil
+	return res, b.vd.err("txnbank cluster seed=%d machines=%d rf=%d failover=%v", spec.Seed, M, spec.RF, spec.Failover)
 }
 
 // txnExp is the deliverable experiment: transactional throughput and
@@ -819,7 +738,7 @@ func txnExp(o Options, w io.Writer) {
 	}
 
 	fmt.Fprintf(w, "\nTxnbank: %d movers, %d transfers each, conservation audited at every snapshot:\n\n",
-		4, transfers)
+		bankMovers, transfers)
 	fmt.Fprintf(w, "%-8s %-6s %10s %10s %10s %12s %12s\n",
 		"theta", "size", "committed", "conflicts", "aborts", "gc-freed", "digest")
 	for _, th := range thetas {
@@ -839,17 +758,17 @@ func txnExp(o Options, w io.Writer) {
 		}
 	}
 
-	fm, rf := 4, 2
-	fres, err := RunTxnCluster(TxnClusterSpec{
-		Machines:    fm,
-		RF:          rf,
+	fspec := TxnClusterSpec{
+		Machines:    4,
+		RF:          2,
 		Seed:        o.Seed,
 		Theta:       0.3,
 		Failover:    true,
 		KillMachine: 1,
-	})
+	}
+	fres, err := RunTxnCluster(fspec)
 	fmt.Fprintf(w, "\nCluster transactions: %d machines, RF=%d, kill machine %d at %s (promoted: machine %d)\n",
-		fm, rf, 1, stats.FmtDur(fres.CrashTime), fres.Promoted)
+		fspec.Machines, fspec.RF, fspec.KillMachine, stats.FmtDur(fres.CrashTime), fres.Promoted)
 	fmt.Fprintf(w, "  committed=%d failed=%d swept=%d conflicts=%d acked-keys-verified=%d\n",
 		fres.Committed, fres.FailedTxns, fres.Swept, fres.Conflicts, fres.AckedVerified)
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"testing"
+
+	"kvell/internal/cluster"
 )
 
 // TestTxnBankConservation is the tentpole's basic soundness check: a
@@ -102,6 +104,16 @@ func TestTxnClusterFailover(t *testing.T) {
 	}
 	if res.AckedVerified == 0 {
 		t.Fatal("no acked-transaction keys were verified")
+	}
+}
+
+// An unset KillMachine is machine 1, so a spec cannot ask for the oracle's
+// machine (cluster.OracleHome, machine 0) to die.
+func TestTxnClusterKillMachineDefault(t *testing.T) {
+	spec := TxnClusterSpec{Failover: true, KillMachine: cluster.OracleHome}
+	spec.defaults()
+	if spec.KillMachine != 1 {
+		t.Errorf("KillMachine defaults to %d, want machine 1", spec.KillMachine)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"kvell/internal/env"
+	"kvell/internal/kv"
 )
 
 // NoLoc marks "no previous version" in an envelope's chain pointer. Location
@@ -301,3 +302,61 @@ func (b *Backoff) Attempts() int { return b.n }
 
 // Reset restarts the exponential ramp (the jitter stream continues).
 func (b *Backoff) Reset() { b.n = 0 }
+
+// ResolveBudget bounds how many lock resolutions one read or prewrite will
+// attempt before giving up; it exists to convert protocol bugs into errors
+// rather than infinite loops.
+const ResolveBudget = 64
+
+// LockResolver is the four store calls a snapshot read makes: the read
+// itself, and the three that settle a lock found in its way.
+type LockResolver interface {
+	// TxnGet performs a snapshot read of key at ts. skip, when nonzero, names
+	// a pending transaction (by start timestamp) whose lock the read may pass
+	// — the reader already registered its snapshot with that transaction's
+	// primary.
+	TxnGet(c env.Ctx, key []byte, ts, skip uint64) kv.Result
+	// Resolve queries the state of the transaction whose primary lock sits on
+	// primary, recording readTS as a passed-reader watermark while pending.
+	Resolve(c env.Ctx, primary []byte, startTS, readTS uint64) kv.Result
+	// Commit flips the intent at startTS on key to a committed version at
+	// commitTS.
+	Commit(c env.Ctx, key []byte, startTS, commitTS uint64) kv.Result
+	// Rollback removes the intent at startTS on key.
+	Rollback(c env.Ctx, key []byte, startTS uint64) kv.Result
+}
+
+// SnapshotGet is the read loop: on TxnLocked, resolve through the primary —
+// pending transactions record our snapshot and let us pass, committed ones
+// roll forward, dead ones roll back — and retry; on TxnRetry (a commit flip
+// in flight), back off and retry. The caller owns bo, so a series of reads
+// can share one backoff stream. ok is false when ResolveBudget ran out.
+func SnapshotGet(c env.Ctx, r LockResolver, key []byte, ts uint64, bo *Backoff) (value []byte, found, ok bool) {
+	var skip uint64
+	for attempt := 0; attempt < ResolveBudget; attempt++ {
+		res := r.TxnGet(c, key, ts, skip)
+		switch res.Txn {
+		case kv.TxnLocked:
+			primary := append([]byte(nil), res.Value...)
+			st := r.Resolve(c, primary, res.TxnTS, ts)
+			switch st.Txn {
+			case kv.TxnPending:
+				skip = res.TxnTS // registered with the primary; read past
+			case kv.TxnCommitted:
+				r.Commit(c, key, res.TxnTS, st.TxnTS) // roll the secondary forward
+				skip = 0
+			case kv.TxnAborted:
+				r.Rollback(c, key, res.TxnTS) // lazy cleanup of a dead intent
+				skip = 0
+			default: // mid-flip
+				c.Sleep(bo.Next())
+				skip = 0
+			}
+		case kv.TxnRetry:
+			c.Sleep(bo.Next())
+		default:
+			return res.Value, res.Found, true
+		}
+	}
+	return nil, false, false
+}

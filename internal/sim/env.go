@@ -44,25 +44,6 @@ func (e *Env) NewMutex() env.Mutex {
 	return &simMutex{m: m}
 }
 
-// NewSpinMutex implements env.Env: waiters burn CPU against the core pool.
-func (e *Env) NewSpinMutex() env.Mutex { return &simSpinMutex{m: NewSpinMutex(e.S, e.CPUs)} }
-
-type simSpinMutex struct{ m *SpinMutex }
-
-func (m *simSpinMutex) Lock(c env.Ctx) {
-	p := proc(c)
-	if p == nil {
-		if m.m.locked {
-			panic("sim: contended spin Lock from scheduler context")
-		}
-		m.m.locked = true
-		return
-	}
-	m.m.Lock(p)
-}
-
-func (m *simSpinMutex) Unlock(c env.Ctx) { m.m.Unlock() }
-
 // NewCond implements env.Env.
 func (e *Env) NewCond(m env.Mutex) env.Cond {
 	return &simCond{c: NewCond(e.S), m: m.(*simMutex)}

@@ -82,36 +82,6 @@ func TestEnvQueueCloseAndTryPop(t *testing.T) {
 	s.Close()
 }
 
-func TestEnvSpinMutexAdapter(t *testing.T) {
-	s := New(1)
-	e := NewEnv(s, 4)
-	m := e.NewSpinMutex()
-	held := false
-	e.Go("holder", func(c env.Ctx) {
-		m.Lock(c)
-		held = true
-		c.Sleep(10_000)
-		held = false
-		m.Unlock(c)
-	})
-	e.Go("waiter", func(c env.Ctx) {
-		c.Sleep(100)
-		m.Lock(c)
-		if held {
-			t.Error("lock acquired while held")
-		}
-		m.Unlock(c)
-	})
-	if err := s.Run(-1); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	// Spinning must have burned CPU beyond the explicit charges (none here).
-	if e.CPUs.Station().BusyTime() == 0 {
-		t.Fatal("spin waiter burned no CPU")
-	}
-}
-
 func TestSchedulerContextLockFromCallback(t *testing.T) {
 	// Completion callbacks lock with a nil ctx; uncontended TryLock path.
 	s := New(1)

@@ -144,7 +144,7 @@ func TestCloseUnwindsEveryPrimitiveInCreationOrder(t *testing.T) {
 	s := New(1)
 	pool := NewPool(s, 1)
 	mu := NewMutex(s)
-	spin := NewSpinMutex(s, pool)
+	spin := &spinLock{pool: pool}
 	cond := NewCond(s)
 	q := NewQueue(s)
 	var order []string

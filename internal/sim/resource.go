@@ -41,18 +41,6 @@ func (st *Station) BusyTime() Time { return st.busy }
 // Ops returns the number of service intervals assigned so far.
 func (st *Station) Ops() int64 { return st.ops }
 
-// Backlog returns how far beyond now the most-loaded server is booked.
-// It is a measure of queueing delay at the station.
-func (st *Station) Backlog(now Time) Time {
-	var max Time
-	for _, f := range st.free {
-		if f-now > max {
-			max = f - now
-		}
-	}
-	return max
-}
-
 // minFree returns the earliest per-server free time (the start bound for the
 // next arrival).
 func (st *Station) minFree() Time {
@@ -274,50 +262,6 @@ func (m *Mutex) Unlock(p *Proc) {
 	if len(m.waiters) > 0 {
 		m.s.wake(popProc(&m.waiters)) // stays locked; next proc now owns it
 		return
-	}
-	m.locked = false
-}
-
-// SpinMutex is a lock whose waiters burn CPU while waiting (the
-// sched_yield/busy-wait pattern the paper profiles in WiredTiger). Waiting
-// cost is charged to the pool, so heavy contention consumes simulated cores.
-type SpinMutex struct {
-	s    *Sim
-	pool *Pool
-	// SpinQuantum is the CPU burst charged per failed acquisition attempt.
-	SpinQuantum Time
-	locked      bool
-	// SpinTime accumulates total CPU burned waiting.
-	SpinTime  Time
-	Acquires  int64
-	Contended int64
-}
-
-// NewSpinMutex returns a spin lock that charges waiting time to pool.
-func NewSpinMutex(s *Sim, pool *Pool) *SpinMutex {
-	return &SpinMutex{s: s, pool: pool, SpinQuantum: 2 * 1000} // 2us
-}
-
-// Lock acquires the lock, burning CPU in SpinQuantum slices while it is held
-// by another proc.
-func (m *SpinMutex) Lock(p *Proc) {
-	m.Acquires++
-	if !m.locked {
-		m.locked = true
-		return
-	}
-	m.Contended++
-	for m.locked {
-		m.pool.Use(p, m.SpinQuantum)
-		m.SpinTime += m.SpinQuantum
-	}
-	m.locked = true
-}
-
-// Unlock releases the lock.
-func (m *SpinMutex) Unlock() {
-	if !m.locked {
-		panic("sim: unlock of unlocked spin mutex")
 	}
 	m.locked = false
 }

@@ -257,31 +257,6 @@ func TestMutexTryLockCountsFailedAttempts(t *testing.T) {
 	}
 }
 
-func TestSpinMutexBurnsCPU(t *testing.T) {
-	s := New(1)
-	pool := NewPool(s, 4)
-	m := NewSpinMutex(s, pool)
-	s.Go("holder", func(p *Proc) {
-		m.Lock(p)
-		p.Sleep(100 * 1000)
-		m.Unlock()
-	})
-	s.Go("spinner", func(p *Proc) {
-		p.Sleep(1)
-		m.Lock(p)
-		m.Unlock()
-	})
-	if err := s.Run(-1); err != nil {
-		t.Fatal(err)
-	}
-	if m.SpinTime < 90*1000 {
-		t.Fatalf("spin time = %d, want ~100us of burned CPU", m.SpinTime)
-	}
-	if pool.Station().BusyTime() < m.SpinTime {
-		t.Fatalf("pool busy %d < spin %d: spinning not charged to cores", pool.Station().BusyTime(), m.SpinTime)
-	}
-}
-
 func TestCondSignalWakesInOrder(t *testing.T) {
 	s := New(1)
 	m := NewMutex(s)

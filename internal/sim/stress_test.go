@@ -9,7 +9,7 @@ import (
 )
 
 // The schedule-equivalence stress: a seeded scenario that leans on every way
-// control moves through the kernel — procs, timers, Mutex/SpinMutex/Cond/
+// control moves through the kernel — procs, timers, Mutex/Cond/spin loop/
 // Queue/Pool/Station, procs started from callbacks, a second machine domain
 // that is halted mid-run, staged Run(until) calls, Stop from a proc and from a
 // callback, and Close over procs parked everywhere — and folds (now, actor,
@@ -17,6 +17,29 @@ import (
 // recorded on the scheduler-goroutine kernel this one replaced (PR 14); a
 // kernel change that reorders a single event, moves the clock differently or
 // reports a different Running() anywhere changes them.
+
+// spinLock is the busy-wait lock the baseline engines' log slots model: a
+// waiter burns CPU against the pool in 2us quanta while the lock is held. Its
+// counters are folded into the stress digest.
+type spinLock struct {
+	pool                          *Pool
+	locked                        bool
+	SpinTime, Acquires, Contended int64
+}
+
+func (m *spinLock) Lock(p *Proc) {
+	m.Acquires++
+	if m.locked {
+		m.Contended++
+	}
+	for m.locked {
+		m.pool.Use(p, 2000)
+		m.SpinTime += 2000
+	}
+	m.locked = true
+}
+
+func (m *spinLock) Unlock() { m.locked = false }
 
 type stressEnd int
 
@@ -63,7 +86,7 @@ func stressScenario(t *testing.T, seed int64, end stressEnd) (digest uint64, ste
 	dev := NewStation(3)
 	mu := NewMutex(s)
 	cond := NewCond(s)
-	spin := NewSpinMutex(s, pool)
+	spin := &spinLock{pool: pool}
 	q := NewQueue(s)
 	qOpen := true
 	var submitted, completed int

@@ -8,8 +8,8 @@ package slab
 // bounding memory by the largest job seen.
 //
 // Contents returned by Alloc are NOT zeroed after the first Reset — callers
-// must fully overwrite the buffer or use AllocZero. Buffers stay valid
-// until the next Reset; an Arena is not safe for concurrent use.
+// must fully overwrite the buffer. Buffers stay valid until the next Reset;
+// an Arena is not safe for concurrent use.
 type Arena struct {
 	cur []byte
 	off int
@@ -32,13 +32,6 @@ func (a *Arena) Alloc(n int) []byte {
 	}
 	b := a.cur[a.off : a.off+n : a.off+n]
 	a.off += n
-	return b
-}
-
-// AllocZero returns an n-byte zeroed buffer.
-func (a *Arena) AllocZero(n int) []byte {
-	b := a.Alloc(n)
-	clear(b)
 	return b
 }
 

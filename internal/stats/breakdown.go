@@ -88,3 +88,10 @@ func NewFNV() FNV { return FNV(fnvOffset) }
 
 // Word folds one 64-bit word into the hash, least-significant byte first.
 func (f *FNV) Word(v uint64) { (*fnv64)(f).word(v) }
+
+// Words folds each word in turn: a digest's fields, written as one list.
+func (f *FNV) Words(vs ...uint64) {
+	for _, v := range vs {
+		f.Word(v)
+	}
+}

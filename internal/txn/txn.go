@@ -26,24 +26,13 @@ import (
 // store's own API on a single node, a network stub in a cluster. All methods
 // block the calling proc until the store responds.
 type Client interface {
+	// TxnGet, Resolve, Commit and Rollback.
+	mvcc.LockResolver
 	// NextTS fetches a fresh timestamp from the oracle.
 	NextTS(c env.Ctx) uint64
-	// TxnGet performs a snapshot read of key at ts. skip, when nonzero, names
-	// a pending transaction (by start timestamp) whose lock the read may pass
-	// — the reader already registered its snapshot with that transaction's
-	// primary.
-	TxnGet(c env.Ctx, key []byte, ts, skip uint64) kv.Result
 	// Prewrite installs a locked intent for the transaction started at
 	// startTS. value is ignored when del is set.
 	Prewrite(c env.Ctx, key, value, primary []byte, startTS uint64, del bool) kv.Result
-	// Commit flips the intent at startTS on key to a committed version at
-	// commitTS.
-	Commit(c env.Ctx, key []byte, startTS, commitTS uint64) kv.Result
-	// Resolve queries the state of the transaction whose primary lock sits on
-	// primary, recording readTS as a passed-reader watermark while pending.
-	Resolve(c env.Ctx, primary []byte, startTS, readTS uint64) kv.Result
-	// Rollback removes the intent at startTS on key.
-	Rollback(c env.Ctx, key []byte, startTS uint64) kv.Result
 }
 
 // ErrConflict reports a write-write conflict: another transaction committed
@@ -131,42 +120,12 @@ func GetAt(c env.Ctx, cl Client, key []byte, ts uint64, seed int64) ([]byte, boo
 	return SnapshotGet(c, cl, key, ts, bo)
 }
 
-// resolveBudget bounds how many lock resolutions one read or prewrite will
-// attempt before giving up; it exists to convert protocol bugs into errors
-// rather than infinite loops.
-const resolveBudget = 64
-
-// SnapshotGet is the read loop: on TxnLocked, resolve through the primary —
-// pending transactions record our snapshot and let us pass, committed ones
-// roll forward, dead ones roll back — and retry; on TxnRetry (a commit flip
-// in flight), back off and retry. The caller owns bo, so a series of reads
-// can share one backoff stream.
+// SnapshotGet is a snapshot read at ts through cl with lazy lock resolution
+// (mvcc.SnapshotGet). The caller owns bo, so a series of reads can share one
+// backoff stream.
 func SnapshotGet(c env.Ctx, cl Client, key []byte, ts uint64, bo *mvcc.Backoff) ([]byte, bool, error) {
-	var skip uint64
-	for attempt := 0; attempt < resolveBudget; attempt++ {
-		res := cl.TxnGet(c, key, ts, skip)
-		switch res.Txn {
-		case kv.TxnLocked:
-			primary := append([]byte(nil), res.Value...)
-			st := cl.Resolve(c, primary, res.TxnTS, ts)
-			switch st.Txn {
-			case kv.TxnPending:
-				skip = res.TxnTS // registered with the primary; read past
-			case kv.TxnCommitted:
-				cl.Commit(c, key, res.TxnTS, st.TxnTS) // roll the secondary forward
-				skip = 0
-			case kv.TxnAborted:
-				cl.Rollback(c, key, res.TxnTS) // lazy cleanup of a dead intent
-				skip = 0
-			default: // mid-flip
-				c.Sleep(bo.Next())
-				skip = 0
-			}
-		case kv.TxnRetry:
-			c.Sleep(bo.Next())
-		default:
-			return res.Value, res.Found, nil
-		}
+	if v, found, ok := mvcc.SnapshotGet(c, cl, key, ts, bo); ok {
+		return v, found, nil
 	}
 	return nil, false, ErrTooManyResolves
 }
@@ -223,7 +182,7 @@ func (t *Txn) Commit(c env.Ctx) (uint64, error) {
 
 // prewriteOne installs one intent, lazily resolving any blocking lock.
 func (t *Txn) prewriteOne(c env.Ctx, w *write, primary []byte) error {
-	for attempt := 0; attempt < resolveBudget; attempt++ {
+	for attempt := 0; attempt < mvcc.ResolveBudget; attempt++ {
 		res := t.cl.Prewrite(c, w.key, w.value, primary, t.startTS, w.del)
 		switch res.Txn {
 		case kv.TxnOK:
