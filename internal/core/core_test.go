@@ -14,7 +14,7 @@ import (
 
 // simHarness runs fn as a client proc against a fresh KVell store inside a
 // simulation and returns the store for post-run inspection.
-func simHarness(t *testing.T, cfg func(*Config), fn func(c env.Ctx, st *Store)) (*Store, *device.MemStore) {
+func simHarness(t testing.TB, cfg func(*Config), fn func(c env.Ctx, st *Store)) (*Store, *device.MemStore) {
 	t.Helper()
 	s := sim.New(1)
 	e := sim.NewEnv(s, 8)

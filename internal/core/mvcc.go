@@ -587,13 +587,15 @@ func (s *Store) ResolveLock(c env.Ctx, primary []byte, startTS, rts uint64) kv.R
 // calling thread and never blocks a worker.
 func (s *Store) ScanAtN(c env.Ctx, start []byte, count int, ts uint64) []kv.Item {
 	var items []kv.Item
-	s.firstKept(c, start, count, func(cd candidate) (location, bool) {
+	ss := s.acquireScan(c)
+	s.firstKept(c, ss, start, count, func(cd candidate) (location, bool) {
 		v, ok := s.GetAt(c, cd.key, ts)
 		if ok {
-			items = append(items, kv.Item{Key: cd.key, Value: v})
+			items = append(items, kv.Item{Key: append([]byte(nil), cd.key...), Value: v})
 		}
 		return cd.l, ok
 	})
+	s.releaseScan(c, ss)
 	return items
 }
 

@@ -25,12 +25,12 @@ type waiter struct {
 // real runtime it serializes the goroutines that share the store.
 func (s *Store) acquireWaiter(c env.Ctx) *waiter {
 	var w *waiter
-	s.waiterMu.Lock(c)
+	s.poolMu.Lock(c)
 	if n := len(s.waiters); n > 0 {
 		w = s.waiters[n-1]
 		s.waiters = s.waiters[:n-1]
 	}
-	s.waiterMu.Unlock(c)
+	s.poolMu.Unlock(c)
 	if w == nil {
 		w = &waiter{mu: s.env.NewMutex()}
 		w.cond = s.env.NewCond(w.mu)
@@ -42,9 +42,9 @@ func (s *Store) acquireWaiter(c env.Ctx) *waiter {
 // releaseWaiter returns w to the free list once its wait has returned.
 func (s *Store) releaseWaiter(c env.Ctx, w *waiter) {
 	w.done, w.res, w.prev = false, kv.Result{}, nil
-	s.waiterMu.Lock(c)
+	s.poolMu.Lock(c)
 	s.waiters = append(s.waiters, w)
-	s.waiterMu.Unlock(c)
+	s.poolMu.Unlock(c)
 }
 
 func (w *waiter) complete(res kv.Result) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"kvell/internal/aio"
 	"kvell/internal/btree"
@@ -29,9 +28,11 @@ type Store struct {
 	// Single-node stores own it directly; a cluster shares machine 0's
 	// through the network layer.
 	oracle *mvcc.Oracle
-	// waiters is the free list of blocking-call waiters (see acquireWaiter).
-	waiterMu env.Mutex
-	waiters  []*waiter
+	// poolMu guards the free lists of blocking-call waiters (see
+	// acquireWaiter) and scan states (see acquireScan).
+	poolMu  env.Mutex
+	waiters []*waiter
+	scans   []*scanState
 }
 
 const (
@@ -49,7 +50,7 @@ func Open(e env.Env, cfg Config) (*Store, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &Store{env: e, cfg: cfg, waiterMu: e.NewMutex()}
+	s := &Store{env: e, cfg: cfg, poolMu: e.NewMutex()}
 	if cfg.MVCC {
 		s.oracle = &mvcc.Oracle{}
 	}
@@ -178,9 +179,10 @@ func (s *Store) LookupLoc(key []byte) (uint64, bool) {
 // the calling thread, coordinating with workers (§5.5 Scan).
 func (s *Store) Submit(c env.Ctx, r *kv.Request) {
 	if r.Op == kv.OpScan {
-		items := s.ScanN(c, r.Key, r.ScanCount)
+		// The items land in the request's scratch, like every engine's scan.
+		r.ScanBuf = s.scanInto(c, r.Key, r.ScanCount, r.ScanBuf)
 		if r.Done != nil {
-			r.Done(kv.Result{Found: len(items) > 0, ScanN: len(items)})
+			r.Done(kv.Result{Found: len(r.ScanBuf) > 0, ScanN: len(r.ScanBuf)})
 		}
 		return
 	}
@@ -189,153 +191,263 @@ func (s *Store) Submit(c env.Ctx, r *kv.Request) {
 	s.workerFor(r.Key).q.Push(c, r)
 }
 
-// candidate is a scan candidate gathered from a worker index.
+// candidate is a scan candidate gathered from a worker index. Its key
+// aliases the index's own key bytes: it is compared and matched against
+// slots, and copied only into the items a scan hands out.
 type candidate struct {
 	key []byte
 	l   location
 	w   *worker
 }
 
-// scanJoin collects scan read completions.
-type scanJoin struct {
+// scanRun is one worker's run of gathered keys, ks[next:end] of its scan
+// state, in key order; next is the merge's cursor into it.
+type scanRun struct {
+	w         *worker
+	next, end int
+}
+
+// scanState is one scan's working memory: the gather buffers every worker's
+// run is appended to, the run cursors and the heap the lazy merge pulls
+// from, the kept candidates, and one location-direct read per kept
+// candidate. States are recycled on the Store (see acquireScan), like Do's
+// waiters, so a warm scan allocates nothing.
+type scanState struct {
 	mu        env.Mutex
 	cond      env.Cond
-	remaining int
-	items     []kv.Item
+	remaining int // reads still to deliver (guarded by mu)
+
+	ks   [][]byte
+	vs   []uint64
+	runs []scanRun
+	heap []int // indices of the unexhausted runs, a min-heap on their next key
+	kept []candidate
+	next []byte // the start key of a further firstKept pass
+
+	reqs []*locReq
+	// items is the caller's destination while a fetch is in flight: read i
+	// copies its key and value into items[i]. nil otherwise.
+	items []kv.Item
+}
+
+// acquireScan takes a scan state off the store's free list, or builds one.
+func (s *Store) acquireScan(c env.Ctx) *scanState {
+	var ss *scanState
+	s.poolMu.Lock(c)
+	if n := len(s.scans); n > 0 {
+		ss = s.scans[n-1]
+		s.scans = s.scans[:n-1]
+	}
+	s.poolMu.Unlock(c)
+	if ss == nil {
+		ss = &scanState{mu: s.env.NewMutex()}
+		ss.cond = s.env.NewCond(ss.mu)
+	}
+	return ss
+}
+
+// releaseScan returns ss to the free list once its scan has returned.
+func (s *Store) releaseScan(c env.Ctx, ss *scanState) {
+	s.poolMu.Lock(c)
+	s.scans = append(s.scans, ss)
+	s.poolMu.Unlock(c)
 }
 
 // ScanN returns up to count items with key >= start, in key order, reading
 // each item's current value. Per §5.5, the scanning thread briefly locks
 // each worker's index in turn, merges the candidate keys, and then issues
-// location-direct reads that bypass the index lookup.
+// location-direct reads that bypass the index lookup. The items are freshly
+// allocated and owned by the caller.
 func (s *Store) ScanN(c env.Ctx, start []byte, count int) []kv.Item {
-	return s.fetch(c, s.firstKept(c, start, count, s.latest))
+	return s.scanInto(c, start, count, nil)
+}
+
+// scanInto is ScanN with the items copied into dst's storage (see fetch).
+func (s *Store) scanInto(c env.Ctx, start []byte, count int, dst []kv.Item) []kv.Item {
+	ss := s.acquireScan(c)
+	s.firstKept(c, ss, start, count, s.latest)
+	items := ss.fetch(c, dst)
+	s.releaseScan(c, ss)
+	return items
 }
 
 // firstKept walks the keys >= start in key order across all workers, offering
-// each to keep, and returns the first count it accepts, each at the location
-// keep says to read (fewer only if the indexes run out). Keys that keep
-// refuses (under MVCC: a retained delete, a bare intent, a version the
+// each to keep, and leaves in ss.kept the first count it accepts, each at the
+// location keep says to read (fewer only if the indexes run out). Keys that
+// keep refuses (under MVCC: a retained delete, a bare intent, a version the
 // snapshot does not see) do not count, so a scan is never short while more
 // keys follow. Every worker contributes its first n keys per pass, and the
 // merge of those is complete only up to the smallest last key of a worker that
 // had more — the horizon; a further pass starts just past it. Without refusals
 // the first pass always yields count keys at or below the horizon.
-func (s *Store) firstKept(c env.Ctx, start []byte, count int, keep func(cd candidate) (location, bool)) []candidate {
-	var out []candidate
-	for len(out) < count {
-		n := count - len(out)
-		var horizon []byte
-		cands := s.collect(c, func(w *worker, ks [][]byte, vs []uint64) ([][]byte, []uint64) {
-			ks, vs = w.idx.FirstN(start, n, ks, vs)
-			if len(ks) == n && (horizon == nil || bytes.Compare(ks[n-1], horizon) < 0) {
-				horizon = ks[n-1]
-			}
-			return ks, vs
-		})
-		kept := cands[:0]
-		for _, cd := range cands {
-			if len(kept) == n || (horizon != nil && bytes.Compare(cd.key, horizon) > 0) {
+func (s *Store) firstKept(c env.Ctx, ss *scanState, start []byte, count int, keep func(cd candidate) (location, bool)) {
+	ss.kept = ss.kept[:0]
+	for len(ss.kept) < count {
+		horizon := ss.gather(c, s.scanWorkers(), start, nil, count-len(ss.kept))
+		for len(ss.kept) < count {
+			cd, ok := ss.pop()
+			if !ok || (horizon != nil && bytes.Compare(cd.key, horizon) > 0) {
 				break
 			}
 			if l, ok := keep(cd); ok {
 				cd.l = l
-				kept = append(kept, cd)
+				ss.kept = append(ss.kept, cd)
 			}
-		}
-		if out == nil {
-			out = kept // the usual single pass: no copy
-		} else {
-			out = append(out, kept...)
 		}
 		if horizon == nil {
 			break
 		}
-		start = append(horizon[:len(horizon):len(horizon)], 0) // the next key after horizon
+		ss.next = append(append(ss.next[:0], horizon...), 0) // the next key after horizon
+		start = ss.next
 	}
-	return out
 }
 
-// ScanRange returns all items with start <= key < end in key order.
+// ScanRange returns all items with start <= key < end in key order, freshly
+// allocated like ScanN's.
 func (s *Store) ScanRange(c env.Ctx, start, end []byte) []kv.Item {
-	cands := s.collect(c, func(w *worker, ks [][]byte, vs []uint64) ([][]byte, []uint64) {
-		w.idx.Range(start, end, func(k []byte, v uint64) bool {
-			ks = append(ks, k)
-			vs = append(vs, v)
-			return true
-		})
-		return ks, vs
-	})
-	kept := cands[:0]
-	for _, cd := range cands {
+	ss := s.acquireScan(c)
+	ss.gather(c, s.scanWorkers(), start, end, 0)
+	ss.kept = ss.kept[:0]
+	for cd, ok := ss.pop(); ok; cd, ok = ss.pop() {
 		if l, ok := s.latest(cd); ok {
 			cd.l = l
-			kept = append(kept, cd)
+			ss.kept = append(ss.kept, cd)
 		}
 	}
-	return s.fetch(c, kept)
+	items := ss.fetch(c, nil)
+	s.releaseScan(c, ss)
+	return items
 }
 
-// collect gathers candidates from every worker index under its lock and
-// returns them merged in key order. gather appends one worker's keys and
-// values to the (empty) buffers it is given; they are reused from worker to
-// worker, so nothing may keep them past the call.
-func (s *Store) collect(c env.Ctx, gather func(w *worker, ks [][]byte, vs []uint64) ([][]byte, []uint64)) []candidate {
-	var cands []candidate
-	var ks [][]byte
-	var vs []uint64
-	workers := s.scanWorkers()
+// gather takes one run from every worker index, under its lock, and sets up
+// the merge over them: with n > 0 the worker's first n keys >= start,
+// otherwise its keys in [start, end). It returns the horizon of an n-limited
+// gather — the smallest last key of a run that is full, nil if none is.
+//
+// The virtual CPU charges model KVell's scan, not the host's work here: per
+// worker the descent and one step per key, then one step per candidate for
+// the merge, all charged up front whatever the merge later pulls.
+func (ss *scanState) gather(c env.Ctx, workers []*worker, start, end []byte, n int) (horizon []byte) {
+	ss.ks, ss.vs, ss.runs = ss.ks[:0], ss.vs[:0], ss.runs[:0]
 	for _, w := range workers {
+		lo := len(ss.ks)
 		c.CPU(costs.LockUncontended)
 		w.idxMu.Lock(c)
-		ks, vs = gather(w, ks[:0], vs[:0])
-		w.idxMu.Unlock(c)
-		c.CPU(env.Time(w.idx.Depth())*costs.BTreeNode + env.Time(len(ks))*costs.IterStep)
-		if cands == nil {
-			// Keys are hash-partitioned, so the other workers hold about as many.
-			cands = make([]candidate, 0, len(ks)*len(workers))
+		if n > 0 {
+			ss.ks, ss.vs = w.idx.FirstN(start, n, ss.ks, ss.vs)
+		} else {
+			w.idx.Range(start, end, func(k []byte, v uint64) bool {
+				ss.ks = append(ss.ks, k)
+				ss.vs = append(ss.vs, v)
+				return true
+			})
 		}
-		for i := range ks {
-			cands = append(cands, candidate{key: ks[i], l: location(vs[i]), w: w})
+		w.idxMu.Unlock(c)
+		hi := len(ss.ks)
+		c.CPU(env.Time(w.idx.Depth())*costs.BTreeNode + env.Time(hi-lo)*costs.IterStep)
+		if n > 0 && hi-lo == n && (horizon == nil || bytes.Compare(ss.ks[hi-1], horizon) < 0) {
+			horizon = ss.ks[hi-1]
+		}
+		ss.runs = append(ss.runs, scanRun{w: w, next: lo, end: hi})
+	}
+	c.CPU(env.Time(len(ss.ks)) * costs.IterStep) // merge
+	ss.heap = ss.heap[:0]
+	for i, r := range ss.runs {
+		if r.next < r.end {
+			ss.heap = append(ss.heap, i)
 		}
 	}
-	// A key lives on exactly one worker, so no two candidates compare equal.
-	slices.SortFunc(cands, func(a, b candidate) int { return bytes.Compare(a.key, b.key) })
-	c.CPU(env.Time(len(cands)) * costs.IterStep) // merge
-	return cands
+	for i := len(ss.heap)/2 - 1; i >= 0; i-- {
+		ss.down(i)
+	}
+	return horizon
 }
 
-// fetch reads the values for cands via location-direct worker requests and
-// blocks until all arrive. Under MVCC the candidates have been through latest
-// and the reads unwrap envelopes (startLoc).
-func (s *Store) fetch(c env.Ctx, cands []candidate) []kv.Item {
-	if len(cands) == 0 {
-		return nil
+// pop takes the smallest key the merge has not yet returned, or reports false
+// once every run is exhausted. A key lives on exactly one worker, so no two
+// runs ever tie.
+func (ss *scanState) pop() (candidate, bool) {
+	if len(ss.heap) == 0 {
+		return candidate{}, false
 	}
-	j := &scanJoin{mu: s.env.NewMutex(), remaining: len(cands), items: make([]kv.Item, len(cands))}
-	j.cond = s.env.NewCond(j.mu)
-	for i, cd := range cands {
-		i, cd := i, cd
-		j.items[i].Key = cd.key
-		cd.w.q.Push(c, &locReq{key: cd.key, l: cd.l, join: j, idx: i})
+	r := &ss.runs[ss.heap[0]]
+	cd := candidate{key: ss.ks[r.next], l: location(ss.vs[r.next]), w: r.w}
+	r.next++
+	if r.next == r.end {
+		last := len(ss.heap) - 1
+		ss.heap[0] = ss.heap[last]
+		ss.heap = ss.heap[:last]
+	}
+	ss.down(0)
+	return cd, true
+}
+
+// down restores the heap property below position i.
+func (ss *scanState) down(i int) {
+	h := ss.heap
+	for {
+		least := i
+		for _, ch := range [2]int{2*i + 1, 2*i + 2} {
+			if ch < len(h) && bytes.Compare(ss.ks[ss.runs[h[ch]].next], ss.ks[ss.runs[h[least]].next]) < 0 {
+				least = ch
+			}
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+}
+
+// fetch reads the values of ss.kept via location-direct worker requests,
+// blocks until all arrive, and returns the items found, in key order, in
+// dst's storage: read i copies its key and value into item slot i, reusing
+// the slot's buffers, and every slot past len(dst) up to cap(dst) is reused
+// too. A candidate whose item vanished between the index snapshot and the
+// read is dropped. Under MVCC the candidates have been through latest and
+// the reads unwrap envelopes (locReq.slot).
+func (ss *scanState) fetch(c env.Ctx, dst []kv.Item) []kv.Item {
+	n := len(ss.kept)
+	if n == 0 {
+		return dst[:0]
+	}
+	if cap(dst) < n {
+		dst = append(dst[:cap(dst)], make([]kv.Item, n-cap(dst))...)
+	}
+	ss.items = dst[:n]
+	ss.remaining = n
+	for len(ss.reqs) < n {
+		lr := &locReq{scan: ss}
+		lr.read = lr.slot
+		ss.reqs = append(ss.reqs, lr)
+	}
+	for i, cd := range ss.kept {
+		lr := ss.reqs[i]
+		lr.key, lr.l, lr.idx, lr.hops = cd.key, cd.l, i, 0
+		cd.w.q.Push(c, lr)
 	}
 	t0 := c.Now()
-	j.mu.Lock(c)
-	for j.remaining > 0 {
-		j.cond.Wait(c)
+	ss.mu.Lock(c)
+	for ss.remaining > 0 {
+		ss.cond.Wait(c)
 	}
-	j.mu.Unlock(c)
+	ss.mu.Unlock(c)
 	// The scanning thread blocks here while workers serve the
 	// location-direct reads (§5.5).
 	trace.FromCtx(c).Add(trace.CompStall, t0, c.Now())
-	// Drop candidates whose item vanished between index snapshot and read.
-	out := j.items[:0]
-	for _, it := range j.items {
-		if it.Value != nil {
-			out = append(out, it)
+	items := ss.items
+	ss.items = nil
+	// Drop candidates whose item vanished between index snapshot and read,
+	// swapping rather than overwriting so no two slots share buffers.
+	found := 0
+	for i := range items {
+		if ss.reqs[i].found {
+			items[found], items[i] = items[i], items[found]
+			found++
 		}
 	}
-	return out
+	return items[:found]
 }
 
 // BulkLoad implements kv.Engine: it installs items directly into slabs and

@@ -21,15 +21,23 @@ type ioCont func(c env.Ctx, io *aio.IO, out *[]*aio.IO)
 // locReq is an internal location-direct read used by scans (§5.5: scan
 // reads bypass the index because the scanner already consulted it). The
 // expected key guards against the slot having been freed and reused for a
-// different key between the index snapshot and the read.
+// different key between the index snapshot and the read. locReqs belong to
+// a scan state and are recycled with it.
 type locReq struct {
+	scan *scanState
 	key  []byte
 	l    location
-	join *scanJoin
-	idx  int
+	idx  int // the item slot the read delivers into
 	// hops bounds the MVCC-mode walk from an intent at the head of the chain
 	// to its newest committed predecessor.
 	hops int
+	// found says whether the read delivered a value (false: the item
+	// vanished between the index snapshot and the read).
+	found bool
+	// w is the worker serving the read; read is lr.slot, bound once: the
+	// continuation readSlot takes.
+	w    *worker
+	read slotFn
 }
 
 // prJoiner is one operation waiting on a pending page read, with the trace
@@ -446,42 +454,49 @@ func (w *worker) ackFound(r *kv.Request) func(c env.Ctx, out *[]*aio.IO) {
 	}
 }
 
-// deliver hands a scan read's value (nil: the item vanished) to its join.
-func (lr *locReq) deliver(c env.Ctx, val []byte) {
-	j := lr.join
-	j.mu.Lock(c)
-	j.items[lr.idx].Value = val
-	j.remaining--
-	done := j.remaining == 0
-	j.mu.Unlock(c)
-	if done {
-		j.cond.Broadcast(c)
-	}
+// startLoc reads lr's slot on w, the owner of its location.
+func (w *worker) startLoc(c env.Ctx, lr *locReq, out *[]*aio.IO) {
+	lr.w = w
+	w.readSlot(c, lr.l, lr.key, lr.read, out)
 }
 
-func (w *worker) startLoc(c env.Ctx, lr *locReq, out *[]*aio.IO) {
-	w.readSlot(c, lr.l, lr.key, func(c env.Ctx, payload []byte, out *[]*aio.IO) {
-		if w.mv != nil {
-			// A candidate whose slot turned into a prewrite intent since the
-			// index snapshot reads through to its newest committed
-			// predecessor (latest-semantics scan, §5.5's "approximately
-			// correct" contract).
-			if e, ok := mvcc.Decode(payload); ok && e.Intent() && e.PrevLoc != mvcc.NoLoc && lr.hops < maxChainWalk {
-				lr.l = location(e.PrevLoc)
-				lr.hops++
-				w.startLoc(c, lr, out)
-				return
-			}
-		}
-		val, ok := w.committedValue(c, payload)
-		if !ok {
-			lr.deliver(c, nil)
+// slot receives the payload of lr's slot (see slotFn).
+func (lr *locReq) slot(c env.Ctx, payload []byte, out *[]*aio.IO) {
+	w := lr.w
+	if w.mv != nil {
+		// A candidate whose slot turned into a prewrite intent since the
+		// index snapshot reads through to its newest committed predecessor
+		// (latest-semantics scan, §5.5's "approximately correct" contract).
+		if e, ok := mvcc.Decode(payload); ok && e.Intent() && e.PrevLoc != mvcc.NoLoc && lr.hops < maxChainWalk {
+			lr.l = location(e.PrevLoc)
+			lr.hops++
+			w.startLoc(c, lr, out)
 			return
 		}
-		// Scan values are retained past delivery (they land in the join's
-		// item slice), so no scratch buffer: each read allocates its value.
-		lr.deliver(c, valueInto(nil, val))
-	}, out)
+	}
+	val, ok := w.committedValue(c, payload)
+	lr.deliver(c, val, ok)
+}
+
+// deliver copies a scan read's key and value (ok false: the item vanished)
+// into its item slot, then counts the read done, waking the scanner at the
+// last. Nothing of lr's scan state may be touched after the unlock but the
+// cond: the scanner may already have returned the state to the pool.
+func (lr *locReq) deliver(c env.Ctx, val []byte, ok bool) {
+	ss := lr.scan
+	if ok {
+		it := &ss.items[lr.idx]
+		it.Key = append(it.Key[:0], lr.key...)
+		it.Value = append(it.Value[:0], val...)
+	}
+	lr.found = ok
+	ss.mu.Lock(c)
+	ss.remaining--
+	done := ss.remaining == 0
+	ss.mu.Unlock(c)
+	if done {
+		ss.cond.Broadcast(c)
+	}
 }
 
 func (w *worker) respond(c env.Ctx, r *kv.Request, res kv.Result) {

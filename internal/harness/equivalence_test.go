@@ -70,12 +70,13 @@ func TestEnginesAgreeWithModel(t *testing.T) {
 				m[k] = v
 			}
 			e.Go("client", func(c env.Ctx) {
+				// One scan request serves every scan, so each refills the
+				// ScanBuf the previous one left behind.
+				scan := &kv.Request{Op: kv.OpScan}
 				for i, o := range ops {
 					switch o.kind {
 					case kv.OpUpdate:
-						res := make(chan struct{}) // engines may be async; use Done
-						_ = res
-						doneCh := false
+						doneCh := false // engines may be async; use Done
 						eng.Submit(c, &kv.Request{Op: kv.OpUpdate, Key: kv.Key(o.key), Value: valueOf(o.key, o.ver),
 							Done: func(kv.Result) { doneCh = true }})
 						for !doneCh {
@@ -102,8 +103,9 @@ func TestEnginesAgreeWithModel(t *testing.T) {
 					case kv.OpScan:
 						var got kv.Result
 						doneCh := false
-						eng.Submit(c, &kv.Request{Op: kv.OpScan, Key: kv.Key(o.key), ScanCount: o.scan,
-							Done: func(r kv.Result) { got = r; doneCh = true }})
+						scan.Key, scan.ScanCount = kv.Key(o.key), o.scan
+						scan.Done = func(r kv.Result) { got = r; doneCh = true }
+						eng.Submit(c, scan)
 						for !doneCh {
 							c.Sleep(10 * env.Microsecond)
 						}
@@ -111,9 +113,18 @@ func TestEnginesAgreeWithModel(t *testing.T) {
 						if o.key+int64(o.scan) > records {
 							want = int(records - o.key)
 						}
-						if got.ScanN != want {
-							t.Errorf("op %d: %v Scan(%d,%d) returned %d, want %d", i, kind, o.key, o.scan, got.ScanN, want)
+						if got.ScanN != want || len(scan.ScanBuf) != want {
+							t.Errorf("op %d: %v Scan(%d,%d) returned %d (%d in ScanBuf), want %d",
+								i, kind, o.key, o.scan, got.ScanN, len(scan.ScanBuf), want)
 							return
+						}
+						for j, it := range scan.ScanBuf {
+							k := o.key + int64(j)
+							if !bytes.Equal(it.Key, kv.Key(k)) || !bytes.Equal(it.Value, valueOf(k, m[k])) {
+								t.Errorf("op %d: %v Scan(%d,%d)[%d] = key %q, want key %d at ver %d",
+									i, kind, o.key, o.scan, j, it.Key, k, m[k])
+								return
+							}
 						}
 					}
 				}

@@ -61,6 +61,42 @@ func TestScanAPI(t *testing.T) {
 	}
 }
 
+// Scan results belong to the caller: writing into a returned key or value
+// must not reach the store. (Keys used to alias the index's own key bytes,
+// so this edit renamed k010 inside the index.)
+func TestScanResultsAreCallerOwned(t *testing.T) {
+	db, err := Open(Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := 0; i < 30; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		scan func() ([]Item, error)
+	}{
+		{"Scan", func() ([]Item, error) { return db.Scan([]byte("k010"), 5) }},
+		{"ScanRange", func() ([]Item, error) { return db.ScanRange([]byte("k010"), []byte("k015")) }},
+	} {
+		name, scan := tc.name, tc.scan
+		items, err := scan()
+		if err != nil || len(items) != 5 {
+			t.Fatalf("%s: %d items, %v", name, len(items), err)
+		}
+		items[0].Key[0], items[0].Value[0] = 'z', 'z'
+		if v, ok, _ := db.Get([]byte("k010")); !ok || string(v) != "v010" {
+			t.Fatalf("after writing into a %s result, Get(k010) = %q, found=%v", name, v, ok)
+		}
+		if again, _ := scan(); string(again[0].Key) != "k010" || string(again[0].Value) != "v010" {
+			t.Fatalf("after writing into a %s result, a rescan starts at %q = %q", name, again[0].Key, again[0].Value)
+		}
+	}
+}
+
 func TestFileStorePersistsAcrossOpens(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.kvell")
 	db, err := Open(Options{Path: path, Workers: 2})
