@@ -89,6 +89,50 @@ func TestTxnCrashReproLine(t *testing.T) {
 	}
 }
 
+// TestClusterCLIDigests runs the cluster subcommand the way CI does, at a few
+// thousand records, and checks that it exits 0, that the failover block ends
+// in its "ok:" line, and that every printed digest is the one RunCluster
+// returns for the same spec.
+func TestClusterCLIDigests(t *testing.T) {
+	const seed, recs, dur = 3, 3_000, 100 * env.Millisecond
+	var out bytes.Buffer
+	args := []string{"cluster", "-machines", "1,2", "-records", "3000", "-dur-ms", "100", "-seed", "3"}
+	if code := run(args, &out); code != 0 {
+		t.Fatalf("%v exited %d:\n%s", args, code, out.String())
+	}
+	spec := harness.ClusterSpec{RF: 1, Seed: seed, RecordsPerMachine: recs, Duration: dur}
+	var want []string
+	for _, m := range []int{1, 2} {
+		spec.Machines = m
+		res, err := harness.RunCluster(spec)
+		if err != nil {
+			t.Fatalf("%d machines: %v", m, err)
+		}
+		want = append(want, fmt.Sprintf("%016x", res.Digest))
+	}
+	spec.RF, spec.Failover, spec.KillMachine = 2, true, 1
+	res, err := harness.RunCluster(spec)
+	if err != nil {
+		t.Fatalf("failover: %v", err)
+	}
+	okLine := fmt.Sprintf("  ok: every acknowledged write survived the machine kill (digest %016x)", res.Digest)
+
+	var got []string
+	sawOK := false
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 7 && (f[0] == "1" || f[0] == "2") {
+			got = append(got, f[6])
+		}
+		sawOK = sawOK || line == okLine
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("sweep digests %v, want %v:\n%s", got, want, out.String())
+	}
+	if !sawOK {
+		t.Errorf("no line %q:\n%s", okLine, out.String())
+	}
+}
+
 // TestRunRejectsUnknown: usage errors exit 2 without running anything.
 func TestRunRejectsUnknown(t *testing.T) {
 	for _, args := range [][]string{

@@ -123,18 +123,9 @@ func clusterCmd(fs *flag.FlagSet) func(harness.Options, io.Writer) int {
 		if *failover {
 			spec.Machines = max(2, counts[len(counts)-1])
 			spec.RF, spec.Failover, spec.KillMachine = *killRF, true, 1
-			res, err := harness.RunCluster(spec)
-			fmt.Fprintf(w, "\nFailover: %d machines, RF=%d, machine 1 killed at %s, follower on machine %d promoted\n",
-				spec.Machines, *killRF, stats.FmtDur(res.CrashTime), res.Promoted)
-			fmt.Fprintf(w, "  completed=%d failed=%d shipped: %d pages, %d index entries (frontier %d)\n",
-				res.Completed, res.FailedOps, res.PagesShipped, res.EntriesShipped, res.Frontier)
-			fmt.Fprintf(w, "  verified=%d keys: lost=%d; replica index checked=%d mismatches=%d  digest=%016x\n",
-				res.Verified, res.Lost, res.Checked, res.Mismatches, res.Digest)
-			if err != nil {
-				fmt.Fprintf(w, "  FAILED: %v\n", err)
+			if harness.FailoverReport(spec, w) != nil {
 				return 1
 			}
-			fmt.Fprintf(w, "  ok: every acknowledged write survived\n")
 		}
 		fmt.Fprintf(w, "\n(%.1fs wall)\n", time.Since(t0).Seconds())
 		return 0

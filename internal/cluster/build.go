@@ -23,8 +23,8 @@ type Spec struct {
 	Cores    int // CPU cores per server machine
 	NDisks   int // disks per server machine
 
-	// Tweak finishes every store's config (workers, cache, MVCC). Disks,
-	// NoInPlaceUpdates and OnIndexUpdate are already set and must stay.
+	// Tweak finishes every store's config (workers, cache, MVCC). Disks and
+	// NoInPlaceUpdates are already set and must stay.
 	Tweak func(cfg *core.Config)
 
 	// Records keys kv.Key(0..Records-1) are bulk-loaded, each into its
@@ -44,7 +44,9 @@ type Spec struct {
 // Build assembles and starts the whole cluster: sim, fabric, placement,
 // machine envs, fault- and replication-wrapped disks, bulk-loaded stores,
 // follower replicas seeded from the leaders' post-load images, serving
-// nodes, and the armed injector. The order in which it creates disks, stores
+// nodes, and the armed injector. Under RF>1 the disk wrapper is all of
+// replication: a leader's store is configured exactly like an unreplicated
+// one but for NoInPlaceUpdates. The order in which it creates disks, stores
 // and procs is part of the reproducible schedule (DESIGN.md "Testbeds"):
 // every cluster golden digest pins it.
 func Build(spec Spec) *Cluster {
@@ -107,9 +109,6 @@ func Build(spec Spec) *Cluster {
 		// records never race an in-place rewrite of the same replica page
 		// and recovery's newest-timestamp arbitration resolves duplicates.
 		cfg.NoInPlaceUpdates = spec.RF > 1
-		if rp != nil {
-			cfg.OnIndexUpdate = rp.OnIndexUpdate
-		}
 		spec.Tweak(&cfg)
 		st, err := core.Open(cl.Envs[m], cfg)
 		if err != nil {

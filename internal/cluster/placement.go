@@ -4,12 +4,12 @@
 // slot on one server machine — consistent-hash placement, so removing a
 // machine moves only that machine's slots. Each server runs one core.Store
 // holding exactly its slots' keys; clients route requests over internal/net
-// to the slot's leader; leaders ship every slab-page write and every index
-// entry to their followers and acknowledge a write only when it is durable
-// both locally and on all live followers. When internal/fault kills a whole
-// machine, a seeded-RNG failover promotes one of its followers: the replica
-// disks are scanned by the ordinary §6.6 recovery path, the rebuilt index is
-// cross-checked against the replicated index entries, and clients re-route.
+// to the slot's leader; leaders ship every slab-page write to their
+// followers and acknowledge a write only when it is durable both locally and
+// on all live followers. When internal/fault kills a whole machine, a
+// seeded-RNG failover promotes one of its followers: the ordinary §6.6
+// recovery path scans the replica disks and rebuilds the index, and clients
+// re-route.
 //
 // Everything runs on the sim clock through env/sim primitives: no
 // goroutines, no wall time, no unseeded randomness — the cluster schedule is

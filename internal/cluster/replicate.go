@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"sort"
-
 	"kvell/internal/costs"
 	"kvell/internal/device"
 	"kvell/internal/env"
@@ -19,7 +17,6 @@ const (
 	ReqOverhead     = 64 // client request header (op, key len, routing epoch)
 	ReplyOverhead   = 32 // reply header (status, value len)
 	PageRecOverhead = 32 // replication page record header (seq, disk, page)
-	IdxRecOverhead  = 24 // replication index record header (seq, loc, flags)
 	AckSize         = 16 // follower cumulative ack (seq)
 )
 
@@ -33,16 +30,8 @@ type pageRec struct {
 	data []byte
 }
 
-// idxRec replicates one index change: key now lives at loc (or is deleted).
-type idxRec struct {
-	seq uint64
-	key []byte
-	loc uint64
-	del bool
-}
-
 // pend is a client write waiting at the replication barrier: its local write
-// is durable, but a follower has not yet acknowledged every record shipped
+// is durable, but a follower has not yet acknowledged every page shipped
 // before it.
 type pend struct {
 	m   *ReqMsg
@@ -52,11 +41,13 @@ type pend struct {
 }
 
 // Replicator is the leader side of one store's replication: it assigns every
-// shipped record (page write or index change) a sequence number from one
-// monotone stream, fans records to all live followers, and releases client
-// write acknowledgements only when every live follower has acknowledged all
-// records up to the write's barrier — KVell's "durable at its final location"
-// guarantee, extended across machines.
+// slab-page write a sequence number from one monotone stream, ships it to all
+// live followers, and releases client write acknowledgements only when every
+// live follower has acknowledged all pages up to the write's barrier —
+// KVell's "durable at its final location" guarantee, extended across
+// machines. No index is shipped: a follower's disks are the leader's, page
+// for page, so promotion rebuilds the index by the same full scan that
+// recovers a single machine (§6.6).
 type Replicator struct {
 	cl        *Cluster
 	home      int // leader machine
@@ -70,10 +61,9 @@ type Replicator struct {
 	head    int
 
 	// Counters.
-	PagesShipped   int64
-	EntriesShipped int64
-	BytesShipped   int64
-	Released       int64
+	PagesShipped int64
+	BytesShipped int64
+	Released     int64
 }
 
 type followerLink struct {
@@ -84,9 +74,9 @@ type followerLink struct {
 }
 
 // NewReplicator returns an inactive replicator for the store on machine home.
-// Wire it into the store config via OnIndexUpdate/WrapDisk, attach followers,
-// then Activate once bulk load is done (bulk load is replicated by seeding
-// follower disks from leader snapshots instead).
+// Wrap the store's disks with WrapDisk, attach followers, then Activate once
+// bulk load is done (bulk load is replicated by seeding follower disks from
+// leader snapshots instead).
 func NewReplicator(cl *Cluster, home int) *Replicator {
 	return &Replicator{cl: cl, home: home}
 }
@@ -97,21 +87,9 @@ func (rp *Replicator) AddFollower(rep *Replica) {
 	rep.rp = rp
 }
 
-// Activate starts shipping. Records submitted before activation (bulk load)
-// are not shipped.
+// Activate starts shipping. Pages written before activation (bulk load) are
+// not shipped.
 func (rp *Replicator) Activate() { rp.active = true }
-
-// OnIndexUpdate is the core.Config hook: ship the index change to followers.
-// Runs on the leader's worker thread.
-func (rp *Replicator) OnIndexUpdate(worker int, key []byte, loc uint64, del bool) {
-	if !rp.active || !rp.anyLive() {
-		return
-	}
-	rp.seq++
-	rec := &idxRec{seq: rp.seq, key: append([]byte(nil), key...), loc: loc, del: del}
-	rp.EntriesShipped++
-	rp.fan(rec, IdxRecOverhead+len(rec.key))
-}
 
 // shipPage ships one page write (called by the replDisk wrapper at Submit,
 // before the leader's own disk consumes the buffer).
@@ -121,11 +99,8 @@ func (rp *Replicator) shipPage(disk int, page int64, buf []byte) {
 	}
 	rp.seq++
 	rec := &pageRec{seq: rp.seq, disk: disk, page: page, data: append([]byte(nil), buf...)}
+	size := PageRecOverhead + len(rec.data)
 	rp.PagesShipped++
-	rp.fan(rec, PageRecOverhead+len(rec.data))
-}
-
-func (rp *Replicator) fan(rec any, size int) {
 	rp.BytesShipped += int64(size)
 	for _, f := range rp.followers {
 		if f.dead {
@@ -137,8 +112,8 @@ func (rp *Replicator) fan(rec any, size int) {
 }
 
 // Barrier holds m's reply until every live follower has acknowledged all
-// records shipped so far; called by the node at local-durable time (so the
-// captured barrier covers every record this write generated). Books the wait
+// pages shipped so far; called by the node at local-durable time (so the
+// captured barrier covers every page this write generated). Books the wait
 // as CompReplicate on the request's trace.
 func (rp *Replicator) Barrier(m *ReqMsg, n *Node) {
 	bar := rp.seq
@@ -255,20 +230,12 @@ func (d *replDisk) Dead() bool {
 	return false
 }
 
-// ReplEntry is one replicated index entry held by a follower.
-type ReplEntry struct {
-	Loc uint64
-	Del bool
-	Seq uint64
-}
-
-// Replica is the follower side: it applies the leader's record stream to its
-// own replica disks and index map, in sequence order, and acknowledges the
-// contiguous applied frontier back to the leader. Page records are durable
-// (replica disk write) before they count; index records apply in memory.
-// On leader death a Replica can be promoted: its disks hold a prefix of the
-// leader's disk state closed under the ack barrier, so the ordinary §6.6
-// full-scan recovery rebuilds a store containing every acknowledged write.
+// Replica is the follower side: it writes the leader's page stream to its own
+// replica disks and acknowledges the contiguous frontier of pages durable
+// there back to the leader. It keeps no index: on leader death a Replica can
+// be promoted, and since its disks hold a prefix of the leader's disk state
+// closed under the ack barrier, the ordinary §6.6 full-scan recovery rebuilds
+// a store containing every acknowledged write.
 type Replica struct {
 	cl    *Cluster
 	env   *sim.Env
@@ -277,8 +244,9 @@ type Replica struct {
 	rp    *Replicator
 	disks []*device.SimDisk
 	q     env.Queue
+	// applies recycles the page writes in flight to the replica disks.
+	applies []*pageApply
 
-	idx      map[string]ReplEntry
 	frontier uint64
 	doneSet  map[uint64]struct{}
 	lastAck  uint64
@@ -301,7 +269,6 @@ func NewReplica(cl *Cluster, e *sim.Env, home int, disks []*device.SimDisk) *Rep
 	rep := &Replica{
 		cl: cl, env: e, home: home, host: e.Machine, disks: disks,
 		q:       e.NewQueue(),
-		idx:     make(map[string]ReplEntry),
 		doneSet: make(map[uint64]struct{}),
 	}
 	rep.mu = e.NewMutex()
@@ -312,7 +279,8 @@ func NewReplica(cl *Cluster, e *sim.Env, home int, disks []*device.SimDisk) *Rep
 // Host returns the machine the replica runs on.
 func (rep *Replica) Host() int { return rep.host }
 
-// Frontier returns the highest contiguously applied sequence number.
+// Frontier returns the highest sequence number up to which every page is
+// durable on the replica disks.
 func (rep *Replica) Frontier() uint64 { return rep.frontier }
 
 // Start launches the apply thread on the replica's machine.
@@ -320,8 +288,8 @@ func (rep *Replica) Start() {
 	rep.env.Go("replica-apply", rep.run)
 }
 
-// enqueue accepts a delivered record (network callback, scheduler context).
-func (rep *Replica) enqueue(rec any) {
+// enqueue accepts a delivered page (network callback, scheduler context).
+func (rep *Replica) enqueue(rec *pageRec) {
 	if rep.closed {
 		rep.LateDrops++
 		return
@@ -341,23 +309,40 @@ func (rep *Replica) run(c env.Ctx) {
 			return
 		}
 		for _, v := range batch {
-			switch rec := v.(type) {
-			case *idxRec:
-				c.CPU(costs.BTreeNode)
-				rep.idx[string(rec.key)] = ReplEntry{Loc: rec.loc, Del: rec.del, Seq: rec.seq}
-				rep.complete(rec.seq)
-			case *pageRec:
-				c.CPU(costs.Callback)
-				seq := rec.seq
-				rep.disks[rec.disk].Submit(&device.Request{
-					Op:   device.Write,
-					Page: rec.page,
-					Buf:  rec.data,
-					Done: func() { rep.complete(seq) },
-				})
-			}
+			rec := v.(*pageRec)
+			c.CPU(costs.Callback)
+			pa := rep.newApply()
+			pa.Page, pa.Buf, pa.seq = rec.page, rec.data, rec.seq
+			rep.disks[rec.disk].Submit(&pa.Request)
 		}
 	}
+}
+
+// pageApply is one page write in flight to a replica disk. The replica
+// recycles them, so Done is bound once, when one is first made.
+type pageApply struct {
+	device.Request
+	rep *Replica
+	seq uint64
+}
+
+func (rep *Replica) newApply() *pageApply {
+	if n := len(rep.applies); n > 0 {
+		pa := rep.applies[n-1]
+		rep.applies = rep.applies[:n-1]
+		return pa
+	}
+	pa := &pageApply{Request: device.Request{Op: device.Write}, rep: rep}
+	pa.Done = pa.done
+	return pa
+}
+
+// done runs when the page is durable on the replica disk (scheduler context).
+func (pa *pageApply) done() {
+	rep, seq := pa.rep, pa.seq
+	pa.Buf = nil // the shared record data, not the replica's to keep
+	rep.applies = append(rep.applies, pa)
+	rep.complete(seq)
 }
 
 // complete marks seq applied and advances the contiguous frontier; every
@@ -384,7 +369,7 @@ func (rep *Replica) complete(seq uint64) {
 }
 
 // Promote turns the replica into a live store after its leader's machine
-// died: stop accepting records, drain the apply queue, wait for replica disk
+// died: stop accepting pages, drain the apply queue, wait for replica disk
 // writes to settle, then rebuild a store over the replica disks with the
 // ordinary full-scan recovery path (§6.6 — the replica ships no manifest,
 // exactly like the single-machine store). cfg must describe the same
@@ -414,7 +399,6 @@ func (rep *Replica) Promote(c env.Ctx, cfg core.Config) (*core.Store, error) {
 	for i, d := range rep.disks {
 		cfg.Disks[i] = d
 	}
-	cfg.OnIndexUpdate = nil // the promoted store runs unreplicated
 	st, err := core.Open(rep.env, cfg)
 	if err != nil {
 		return nil, err
@@ -424,34 +408,4 @@ func (rep *Replica) Promote(c env.Ctx, cfg core.Config) (*core.Store, error) {
 	}
 	rep.promoted = true
 	return st, nil
-}
-
-// ValidateIndex cross-checks the replicated index entries against a
-// recovered store's scan-rebuilt index. exempt reports keys that may
-// legitimately disagree (writes in flight at the crash: their records may
-// sit past the applied frontier). Returns entries checked and mismatches.
-func (rep *Replica) ValidateIndex(st *core.Store, exempt func(key string) bool) (checked, mismatches int) {
-	keys := make([]string, 0, len(rep.idx))
-	for k := range rep.idx {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if exempt != nil && exempt(k) {
-			continue
-		}
-		e := rep.idx[k]
-		loc, ok := st.LookupLoc([]byte(k))
-		checked++
-		if e.Del {
-			if ok {
-				mismatches++
-			}
-			continue
-		}
-		if !ok || loc != e.Loc {
-			mismatches++
-		}
-	}
-	return checked, mismatches
 }

@@ -112,15 +112,6 @@ type Config struct {
 	// writes are wrapped when the group commit flushes them, and
 	// transaction operations bypass the buffer.
 	MVCC bool
-
-	// OnIndexUpdate, when set, is called synchronously whenever a worker
-	// (re)locates or deletes a key in its in-memory index during normal
-	// operation — not during bulk load or recovery, whose state the caller
-	// obtains by other means (initial snapshot, full-scan rebuild). The
-	// cluster replication layer uses it to ship index entries to followers
-	// alongside the slab pages. The callback runs on the worker's thread,
-	// must not block or park, and must not retain key.
-	OnIndexUpdate func(worker int, key []byte, loc uint64, del bool)
 }
 
 // DefaultConfig returns the paper's configuration over the given disks.

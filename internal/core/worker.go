@@ -363,8 +363,7 @@ func (w *worker) lookup(c env.Ctx, key []byte) (location, bool) {
 }
 
 // indexSet is the one index write: it installs l as key's location (or, with
-// del, removes key), charging the descent, and reports the change to the
-// replication hook.
+// del, removes key), charging the descent.
 func (w *worker) indexSet(c env.Ctx, key []byte, l location, del bool) {
 	c.CPU(env.Time(w.idx.Depth()) * costs.BTreeNode)
 	w.idxMu.Lock(c)
@@ -374,9 +373,6 @@ func (w *worker) indexSet(c env.Ctx, key []byte, l location, del bool) {
 		w.idx.Put(key, uint64(l))
 	}
 	w.idxMu.Unlock(c)
-	if fn := w.st.cfg.OnIndexUpdate; fn != nil {
-		fn(w.id, key, uint64(l), del)
-	}
 }
 
 func (w *worker) indexPut(c env.Ctx, key []byte, l location) { w.indexSet(c, key, l, false) }

@@ -18,13 +18,14 @@ import (
 // machines (clusterCores cores, clusterWorkers KVell workers and one disk
 // each) plus one client machine, joined by a 10GbE network model, serving
 // a closed-loop YCSB-A (50/50 uniform get/update) workload routed by
-// consistent-hash placement. With RF > 1 every leader ships index entries
-// and slab pages to its RF-1 followers and acknowledges writes only after
-// all live followers have them durable. With Failover set, machine
-// KillMachine dies a third of the way into the workload (power loss + halted
-// event domain) and a seeded-RNG-chosen follower is promoted via the
-// ordinary full-scan recovery path; acknowledged writes must all survive on
-// the promoted store.
+// consistent-hash placement. With RF > 1 every leader ships its slab-page
+// writes to its RF-1 followers and acknowledges writes only after all live
+// followers have them durable. With Failover set (which needs RF > 1),
+// machine KillMachine dies a third of the way into the workload (power
+// loss + halted event domain) and a seeded-RNG-chosen follower is promoted
+// via the ordinary full-scan recovery path; acknowledged writes must all
+// survive on the promoted store, and its rebuilt index must name the same
+// locations as the halted leader's.
 type ClusterSpec struct {
 	Machines int
 	RF       int
@@ -83,10 +84,9 @@ type ClusterResult struct {
 	MeanLat       env.Time
 	P99           env.Time
 
-	Net            net.Counters
-	PagesShipped   int64
-	EntriesShipped int64
-	BytesShipped   int64
+	Net          net.Counters
+	PagesShipped int64
+	BytesShipped int64
 	// NetTime/ReplTime are the summed per-request CompNet / CompReplicate
 	// components (request+reply hops; replication-barrier waits).
 	NetTime  env.Time
@@ -97,7 +97,7 @@ type ClusterResult struct {
 	CrashTime  env.Time
 	Fault      fault.Stats
 	Frontier   uint64 // promoted replica's applied frontier
-	Checked    int    // replicated index entries validated after recovery
+	Checked    int    // dead store's keys not in flight, located on halted leader and promoted store
 	Mismatches int
 	Verified   int // dead store's keys read back post-failover
 	Lost       int // acked writes missing from the promoted store
@@ -105,14 +105,18 @@ type ClusterResult struct {
 	Digest uint64
 }
 
-// RunCluster executes one cluster run. The returned error is a verification
-// failure (acked write lost, replica index mismatch, promotion failure);
-// harness problems panic.
+// RunCluster executes one cluster run. The returned error is a bad spec (a
+// failover with no follower to promote) or a verification failure (acked
+// write lost, promoted index mismatch, promotion failure); harness problems
+// panic.
 func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 	spec.defaults()
 	M := spec.Machines
 	total := int64(M) * spec.RecordsPerMachine
 	res := ClusterResult{Machines: M, RF: spec.RF, Promoted: -1}
+	if spec.Failover && spec.RF < 2 {
+		return res, fmt.Errorf("cluster: failover needs RF >= 2 to have a follower to promote (RF=%d)", spec.RF)
+	}
 
 	// Shadow model (crash-harness discipline): after a failover the durable
 	// version of every key must be one its client could have been told about.
@@ -148,39 +152,7 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 	var verifyErr error
 	var recVer []uint64
 	if spec.Failover {
-		// Failover driver: runs on the machine of the follower to promote,
-		// waits out the detection delay, promotes, validates the replicated
-		// index, and sweeps clients' stuck slots (the client-side timeout: ops
-		// sent to the dead machine fail, un-acked).
 		dead := spec.KillMachine
-		rep := cl.Follower(dead)
-		res.Promoted = rep.Host()
-		cl.Envs[rep.Host()].Go("failover-driver", func(c env.Ctx) {
-			c.Sleep(killAt + clusterDetectDelay - c.Now())
-			if !cl.Inj.Tripped() {
-				verifyErr = fmt.Errorf("cluster: machine %d never died", dead)
-				return
-			}
-			st2, err := cl.Promote(c, dead)
-			if err != nil {
-				verifyErr = fmt.Errorf("cluster: promotion failed: %v", err)
-				return
-			}
-			res.Frontier = rep.Frontier()
-			// Keys with an update in flight at the kill may have records
-			// past the applied frontier; everything else must match exactly.
-			res.Checked, res.Mismatches = rep.ValidateIndex(st2, func(key string) bool {
-				n := kv.KeyNum([]byte(key))
-				return n < 0 || sh.inflight[n]
-			})
-			for _, win := range wins {
-				res.FailedOps += sweepShadow(c, sh, win, func(m *cluster.ReqMsg) bool { return m.Node.Host() == dead })
-			}
-		})
-
-		// Post-workload verification: read every key of the dead store back
-		// through the cluster — now served by the promoted follower — and
-		// check it against the shadow model.
 		var deadKeys []int64
 		keyBuf := make([]byte, kv.KeyLen)
 		for i := int64(0); i < total; i++ {
@@ -189,6 +161,49 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 				deadKeys = append(deadKeys, i)
 			}
 		}
+
+		// Failover driver: runs on the machine of the follower to promote,
+		// waits out the detection delay, promotes, checks the rebuilt index,
+		// and sweeps clients' stuck slots (the client-side timeout: ops sent
+		// to the dead machine fail, un-acked).
+		rep := cl.Follower(dead)
+		res.Promoted = rep.Host()
+		cl.Envs[rep.Host()].Go("failover-driver", func(c env.Ctx) {
+			c.Sleep(killAt + clusterDetectDelay - c.Now())
+			if !cl.Inj.Tripped() {
+				verifyErr = fmt.Errorf("cluster: machine %d never died", dead)
+				return
+			}
+			leader := cl.Stores[dead] // halted, its index as it was at the kill
+			st2, err := cl.Promote(c, dead)
+			if err != nil {
+				verifyErr = fmt.Errorf("cluster: promotion failed: %v", err)
+				return
+			}
+			res.Frontier = rep.Frontier()
+			// The scan over the replica disks must find every key where the
+			// leader's index put it. A key with an update in flight at the
+			// kill may have its page past the applied frontier: skip it.
+			for _, k := range deadKeys {
+				if sh.inflight[k] {
+					continue
+				}
+				kv.FillKey(keyBuf, k)
+				want, wantOK := leader.LookupLoc(keyBuf)
+				got, gotOK := st2.LookupLoc(keyBuf)
+				res.Checked++
+				if got != want || gotOK != wantOK {
+					res.Mismatches++
+				}
+			}
+			for _, win := range wins {
+				res.FailedOps += sweepShadow(c, sh, win, func(m *cluster.ReqMsg) bool { return m.Node.Host() == dead })
+			}
+		})
+
+		// Post-workload verification: read every key of the dead store back
+		// through the cluster — now served by the promoted follower — and
+		// check it against the shadow model.
 		clientEnv.Go("cluster-verify", func(c env.Ctx) {
 			clients.wait(c)
 			if verifyErr != nil {
@@ -220,7 +235,6 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 			continue
 		}
 		res.PagesShipped += rp.PagesShipped
-		res.EntriesShipped += rp.EntriesShipped
 		res.BytesShipped += rp.BytesShipped
 	}
 	res.Issued, res.Completed, res.Updates = sh.nIssued, sh.nCompleted, sh.nAckedUpdates
@@ -234,7 +248,7 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 	h := stats.NewFNV()
 	h.Words(uint64(M), uint64(spec.RF), uint64(res.Issued), uint64(res.Completed), uint64(res.Updates), uint64(res.FailedOps),
 		uint64(res.MeanLat), uint64(res.P99), uint64(res.Net.Msgs), uint64(res.Net.Bytes), uint64(res.Net.Dropped),
-		uint64(res.PagesShipped), uint64(res.EntriesShipped), uint64(res.BytesShipped), uint64(res.NetTime), uint64(res.ReplTime),
+		uint64(res.PagesShipped), uint64(res.BytesShipped), uint64(res.NetTime), uint64(res.ReplTime),
 		uint64(res.Promoted+1), uint64(res.CrashTime), res.Frontier,
 		uint64(res.Checked), uint64(res.Mismatches), uint64(res.Verified), uint64(res.Lost))
 	h.Words(recVer...)
@@ -244,7 +258,7 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 		return res, verifyErr
 	}
 	if res.Mismatches > 0 {
-		return res, fmt.Errorf("cluster: %d replicated index entries disagree with recovery (checked %d)",
+		return res, fmt.Errorf("cluster: the promoted store's index disagrees with the halted leader's on %d of %d keys",
 			res.Mismatches, res.Checked)
 	}
 	return res, nil
@@ -287,7 +301,7 @@ func clusterExp(o Options, w io.Writer) {
 			res.Net.Msgs, float64(res.Net.Bytes)/(1<<20))
 	}
 
-	fspec := ClusterSpec{
+	FailoverReport(ClusterSpec{
 		Machines:          4,
 		RF:                2,
 		Seed:              o.Seed,
@@ -295,12 +309,18 @@ func clusterExp(o Options, w io.Writer) {
 		Duration:          dur,
 		Failover:          true,
 		KillMachine:       1,
-	}
+	}, w)
+}
+
+// FailoverReport runs the failover spec fspec and prints its outcome, ending
+// in an "ok:" line with the run's digest or a "FAILED:" line; it returns
+// RunCluster's error.
+func FailoverReport(fspec ClusterSpec, w io.Writer) error {
 	fres, err := RunCluster(fspec)
-	fmt.Fprintf(w, "\nFailover: %d machines, RF=2, kill machine %d at %s (promoted follower: machine %d)\n",
-		fspec.Machines, fspec.KillMachine, stats.FmtDur(fres.CrashTime), fres.Promoted)
-	fmt.Fprintf(w, "  completed=%d failed=%d pages-shipped=%d entries-shipped=%d frontier=%d\n",
-		fres.Completed, fres.FailedOps, fres.PagesShipped, fres.EntriesShipped, fres.Frontier)
+	fmt.Fprintf(w, "\nFailover: %d machines, RF=%d, kill machine %d at %s (promoted follower: machine %d)\n",
+		fres.Machines, fres.RF, fspec.KillMachine, stats.FmtDur(fres.CrashTime), fres.Promoted)
+	fmt.Fprintf(w, "  completed=%d failed=%d pages-shipped=%d frontier=%d\n",
+		fres.Completed, fres.FailedOps, fres.PagesShipped, fres.Frontier)
 	fmt.Fprintf(w, "  verified=%d keys on promoted store: lost=%d, index entries checked=%d mismatches=%d\n",
 		fres.Verified, fres.Lost, fres.Checked, fres.Mismatches)
 	if err != nil {
@@ -308,4 +328,5 @@ func clusterExp(o Options, w io.Writer) {
 	} else {
 		fmt.Fprintf(w, "  ok: every acknowledged write survived the machine kill (digest %016x)\n", fres.Digest)
 	}
+	return err
 }
