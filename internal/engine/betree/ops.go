@@ -81,13 +81,19 @@ func (d *DB) write(c env.Ctx, key, value []byte, del bool) {
 	if !del {
 		m.value = append([]byte(nil), value...)
 	}
-	c.CPU(costs.MemBytes(msgBytes(&m)) + costs.BTreeNode*2)
+	c.CPU(rootInsertCost(&m))
 	d.rootBytes += upsertMsg(&d.rootMsgs, m)
 	if d.rootBytes >= d.cfg.RootBufferBytes {
 		d.flushRoot(c)
 	}
 	d.treeMu.Unlock(c)
 	d.maybeStall(c)
+}
+
+// rootInsertCost is the CPU of buffering m at the root: the copy plus a
+// short descent of the sorted buffer.
+func rootInsertCost(m *msg) env.Time {
+	return costs.MemBytes(msgBytes(m)) + costs.BTreeNode*2
 }
 
 // maybeStall blocks the writer while dirty data exceeds the stall
@@ -432,15 +438,18 @@ func (d *DB) BulkLoad(items []kv.Item) error {
 // ReplayLog rebuilds a freshly-opened durable DB from the valid prefix of
 // its on-disk log: last-writer-wins over the records, then a bulk build of
 // the surviving items. Log reads go through the engine's synchronous read
-// path so recovery cost lands on virtual time. Returns the number of live
-// records recovered.
+// path and every record pays the write path's root-buffer insert, so
+// recovery cost lands on virtual time. Returns the number of log records
+// replayed.
 func (d *DB) ReplayLog(c env.Ctx) int {
 	if !d.cfg.Durable {
 		panic("betree: ReplayLog on a non-durable DB")
 	}
-	items := d.log.Replay(c)
+	items, n := d.log.ReplayItems(c, func(_ byte, key, value []byte) {
+		c.CPU(rootInsertCost(&msg{key: key, value: value}))
+	})
 	d.buildLeaves(items)
-	return len(items)
+	return n
 }
 
 // buildLeaves replaces the tree with bulk-built leaves for items (sorted by

@@ -11,6 +11,7 @@ import (
 	"kvell/internal/kv"
 	"kvell/internal/pagecache"
 	"kvell/internal/trace"
+	"kvell/internal/walog"
 )
 
 // Config describes an LSM engine instance. Defaults mirror the paper's
@@ -38,12 +39,13 @@ type Config struct {
 	// (except the last), reducing write amplification at the price of
 	// overlapping tables (read and scan amplification).
 	Fragmented bool
-	// Durable makes the WAL crash-safe: every record's chunk is written
-	// and completed before the operation returns (instead of buffering up
-	// to WALBufferBytes), chunks carry an FNV-64 checksum so replay detects
-	// torn tails, and BulkLoad logs its items so ReplayWAL can rebuild the
-	// whole store on a fresh DB. Off by default — it changes I/O timing,
-	// and the simulator's schedule goldens are recorded without it.
+	// Durable switches the WAL from the timing-only buffered model (zeroed
+	// group writes every WALBufferBytes) to a real checksummed log
+	// (walog.Log): every record's chunk is written and completed before the
+	// operation returns, BulkLoad logs its items, and ReplayLog rebuilds
+	// the whole store from the log on a fresh DB. Off by default — it
+	// changes I/O timing, and the simulator's schedule goldens are recorded
+	// without it.
 	Durable bool
 	// Tracer, if set, receives background maintenance spans (flushes,
 	// compactions). Purely observational.
@@ -95,9 +97,13 @@ type DB struct {
 	mem       *memtable
 	imm       *memtable // immutable memtable being flushed (nil when none)
 	seq       uint64
-	walRecs   []byte // buffered framed log records (see wal.go)
-	walBuf    []byte // chunk image scratch (see walChunk)
-	walPage   int64
+	// Timing-only log (see wal.go): bytes gathered since the last group
+	// write, the zeroed group image, and the next group's region offset.
+	walBytes int64
+	walBuf   []byte
+	walPage  int64
+	// Durable log: nil unless cfg.Durable.
+	log *walog.Log
 
 	// Version state.
 	verMu    env.Mutex
@@ -148,7 +154,10 @@ func New(e env.Env, cfg Config) *DB {
 	d.levels = make([][]*sstable, cfg.Levels)
 	for range cfg.Disks {
 		// Reserve the first pages for the WAL region.
-		d.allocs = append(d.allocs, device.NewAllocator(1<<20))
+		d.allocs = append(d.allocs, device.NewAllocator(walRegionSize))
+	}
+	if cfg.Durable {
+		d.log = walog.NewLog(e, walIO{d}, walRegionSize)
 	}
 	return d
 }
@@ -254,7 +263,7 @@ func (d *DB) Stop(c env.Ctx) {
 // real insert-order load leaves behind (scans must merge every family).
 func (d *DB) BulkLoad(items []kv.Item) error {
 	if d.cfg.Durable {
-		d.logBulkItems(items)
+		d.log.AppendBulk(device.StoreOf(d.cfg.Disks[0]), items)
 	}
 	last := len(d.levels) - 1
 	stripes := 1
@@ -312,9 +321,8 @@ func (d *DB) write(c env.Ctx, key, value []byte, tombstone bool) {
 	d.writeMu.Lock(c)
 	d.stats.Puts++
 
-	// WAL append (real framed records, buffered; the group leader writes
-	// a chunk while holding the write lock — the log bottleneck §3.1
-	// describes). See wal.go; ReplayWAL rebuilds state from this log.
+	// WAL append (see wal.go): a buffered group write by whoever fills it,
+	// or in durable mode a completed walog chunk that ReplayLog reads back.
 	d.seq++
 	t0 := c.Now()
 	d.walAppend(c, key, value, tombstone)

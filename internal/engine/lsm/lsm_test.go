@@ -10,6 +10,7 @@ import (
 	"kvell/internal/env"
 	"kvell/internal/kv"
 	"kvell/internal/sim"
+	"kvell/internal/walog"
 )
 
 // harness runs fn as a client against a fresh LSM DB in a simulation.
@@ -397,19 +398,35 @@ func TestStatsString(t *testing.T) {
 	_ = fmt.Sprintf("%+v", st)
 }
 
-func TestWALReplayRebuildsState(t *testing.T) {
-	// Phase 1: write through the normal path (real framed WAL), then
-	// "crash" by abandoning the DB.
-	s := sim.New(1)
+// durableLife runs fn as a client against a fresh durable DB on a new
+// simulated machine whose disk is backed by ms, so a later life sees what an
+// earlier one left on "disk". It returns the life's disk, for its counters.
+func durableLife(t *testing.T, ms *device.MemStore, seed int64, fn func(c env.Ctx, d *DB)) *device.SimDisk {
+	t.Helper()
+	s := sim.New(seed)
 	e := sim.NewEnv(s, 8)
-	ms := device.NewMemStore()
 	disk := device.NewSimDisk(s, device.Optane(), ms)
 	cfg := DefaultConfig(disk)
-	cfg.MemtableBytes = 1 << 20 // keep everything in memtable+WAL (no flush)
-	cfg.WALBufferBytes = 8 << 10
+	cfg.MemtableBytes = 64 << 10 // replay flushes several times
+	cfg.Durable = true
 	d := New(e, cfg)
-	d.Start()
-	e.Go("writer", func(c env.Ctx) {
+	e.Go("client", func(c env.Ctx) { fn(c, d) })
+	if err := s.Run(-1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return disk
+}
+
+// TestWALReplayRebuildsState: every acknowledged write of a durable DB —
+// puts, overwrites, a delete — is back after a replay on a fresh DB, at its
+// newest version, across the memtable flushes the replay makes.
+func TestWALReplayRebuildsState(t *testing.T) {
+	ms := device.NewMemStore()
+	durableLife(t, ms, 1, func(c env.Ctx, d *DB) {
+		d.Start()
 		for i := int64(0); i < 500; i++ {
 			d.Put(c, kv.Key(i), kv.Value(i, 1, 300))
 		}
@@ -419,67 +436,61 @@ func TestWALReplayRebuildsState(t *testing.T) {
 		d.Delete(c, kv.Key(123))
 		d.Stop(c)
 	})
-	if err := s.Run(-1); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
 
-	// Phase 2: fresh DB over the same bytes; replay the log.
-	s2 := sim.New(2)
-	e2 := sim.NewEnv(s2, 8)
-	disk2 := device.NewSimDisk(s2, device.Optane(), ms)
-	cfg2 := cfg
-	cfg2.Disks = []device.Disk{disk2}
-	d2 := New(e2, cfg2)
 	var replayed int
-	e2.Go("recover", func(c env.Ctx) {
-		n, err := d2.ReplayWAL(c)
-		if err != nil {
-			t.Error(err)
-			return
+	durableLife(t, ms, 2, func(c env.Ctx, d *DB) {
+		replayed = d.ReplayLog(c)
+		if d.Stats().Flushes == 0 {
+			t.Error("replay never flushed its memtable")
 		}
-		replayed = n
-		d2.Start()
-		// The unflushed tail (records still in the 8KB buffer at crash)
-		// is legitimately lost — RocksDB in the paper's configuration has
-		// exactly this window (§5.5). Verify a large prefix survived.
-		present := 0
+		d.Start()
 		for i := int64(0); i < 500; i++ {
-			if _, ok := d2.Get(c, kv.Key(i)); ok {
-				present++
+			want := kv.Value(i, 1, 300)
+			if i%5 == 0 {
+				want = kv.Value(i, 2, 300)
+			}
+			v, ok := d.Get(c, kv.Key(i))
+			switch {
+			case i == 123 && ok:
+				t.Error("deleted key 123 is back after replay")
+			case i != 123 && (!ok || !bytes.Equal(v, want)):
+				t.Errorf("key %d after replay: found=%v, not its newest acknowledged version", i, ok)
 			}
 		}
-		if present < 450 {
-			t.Errorf("only %d/500 keys after replay", present)
-		}
-		// Replayed versions must be the newest logged ones.
-		v, ok := d2.Get(c, kv.Key(5))
-		if !ok || !bytes.Equal(v, kv.Value(5, 2, 300)) {
-			t.Error("replay returned a stale version")
-		}
-		d2.Stop(c)
+		d.Stop(c)
 	})
-	if err := s2.Run(-1); err != nil {
-		t.Fatal(err)
+	if replayed != 500+100+1 {
+		t.Fatalf("replayed %d records, the log holds %d", replayed, 500+100+1)
 	}
-	s2.Close()
-	if replayed < 550 {
-		t.Fatalf("replayed only %d records", replayed)
+}
+
+// TestWALReplayReadBound: replay reads the log about once. Single-record
+// chunks are one page each, so a replay that reads a fixed large extent per
+// chunk reads hundreds of times more than the log holds.
+func TestWALReplayReadBound(t *testing.T) {
+	ms := device.NewMemStore()
+	durableLife(t, ms, 1, func(c env.Ctx, d *DB) {
+		for i := int64(0); i < 200; i++ {
+			d.Put(c, kv.Key(i), kv.Value(i, 1, 200))
+		}
+	})
+	used := walog.Scan(ms, 0, walRegionSize, func(byte, []byte, []byte) {})
+	var n int
+	disk := durableLife(t, ms, 2, func(c env.Ctx, d *DB) {
+		n = d.ReplayLog(c)
+	})
+	if n != 200 {
+		t.Fatalf("replayed %d records, want 200", n)
+	}
+	if read, bound := disk.Counters().ReadBytes, 2*used*device.PageSize; read > bound {
+		t.Fatalf("replay read %d bytes of a %d-page log (bound %d)", read, used, bound)
 	}
 }
 
 func TestWALReplayEmptyLog(t *testing.T) {
-	s := sim.New(1)
-	e := sim.NewEnv(s, 2)
-	d := New(e, DefaultConfig(device.NewSimDisk(s, device.Optane(), nil)))
-	e.Go("recover", func(c env.Ctx) {
-		n, err := d.ReplayWAL(c)
-		if err != nil || n != 0 {
-			t.Errorf("empty log replay: n=%d err=%v", n, err)
+	durableLife(t, device.NewMemStore(), 1, func(c env.Ctx, d *DB) {
+		if n := d.ReplayLog(c); n != 0 {
+			t.Errorf("empty log replay: n=%d", n)
 		}
 	})
-	if err := s.Run(-1); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
 }

@@ -216,15 +216,17 @@ func (d *DB) BulkLoad(items []kv.Item) error {
 // ReplayLog rebuilds a freshly-opened durable DB from the valid prefix of
 // its on-disk log: last-writer-wins over the records, then a bulk build of
 // the surviving items. Log reads go through the engine's synchronous read
-// path so recovery cost lands on virtual time. Returns the number of live
-// records recovered.
+// path and every record pays Put's copy into its leaf, so recovery cost
+// lands on virtual time. Returns the number of log records replayed.
 func (d *DB) ReplayLog(c env.Ctx) int {
 	if !d.cfg.Durable {
 		panic("wtree: ReplayLog on a non-durable DB")
 	}
-	items := d.log.Replay(c)
+	items, n := d.log.ReplayItems(c, func(_ byte, key, value []byte) {
+		c.CPU(costs.MemBytes(len(key) + len(value)))
+	})
 	d.t.Build(device.StoreOf(d.cfg.Disks[0]), items)
-	return len(items)
+	return n
 }
 
 // ---- background threads ----

@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"kvell/internal/core"
@@ -14,6 +16,7 @@ import (
 	"kvell/internal/fault"
 	"kvell/internal/kv"
 	"kvell/internal/stats"
+	"kvell/internal/ycsb"
 )
 
 // CrashSpec describes one crash–recover–verify run: an engine under a
@@ -83,7 +86,8 @@ type CrashResult struct {
 	AckedUpdates  int64
 	IssuedUpdates int64
 	// Replayed is what the engine's recovery path reported: items scanned
-	// (KVell) or log records replayed (baselines).
+	// (KVell) or log records replayed from the log's valid prefix
+	// (baselines).
 	Replayed int64
 	// HotHits is how often the hot-key cache served a read before the crash
 	// (KVell with TieredHotBytes only) — proof the sweep exercised it.
@@ -137,30 +141,17 @@ func RunCrash(spec CrashSpec) (CrashResult, error) {
 	var vd verdict
 	tb.Recover("crash-recover", func(c env.Ctx) {
 		t0 := c.Now()
-		switch spec.Engine {
-		case KVell:
-			st := eng2.(*core.Store)
-			if err := st.Recover(c); err != nil {
-				vd.failf("recover: %v", err)
-				return
-			}
-			res.Replayed = st.Stats().Items
+		n, err := recoverEngine(c, spec.Engine, eng2)
+		if err != nil {
+			vd.failf("recover: %v", err)
+			return
+		}
+		res.Replayed, res.RecoverTime = n, c.Now()-t0
+		if st, ok := eng2.(*core.Store); ok {
 			if err := st.CheckConsistency(); err != nil {
 				vd.failf("post-recovery consistency: %v", err)
 			}
-		case RocksLike, PebblesLike:
-			n, err := eng2.(*lsm.DB).ReplayWAL(c)
-			if err != nil {
-				vd.failf("replay: %v", err)
-				return
-			}
-			res.Replayed = int64(n)
-		case WiredTigerLike:
-			res.Replayed = int64(eng2.(*wtree.DB).ReplayLog(c))
-		case TokuLike:
-			res.Replayed = int64(eng2.(*betree.DB).ReplayLog(c))
 		}
-		res.RecoverTime = c.Now() - t0
 
 		eng2.Start()
 		all := func(i int) int64 { return int64(i) }
@@ -184,6 +175,19 @@ func RunCrash(spec CrashSpec) (CrashResult, error) {
 	res.Digest = uint64(h)
 
 	return res, vd.err("%s seed=%d atwrite=%d", res.Engine, spec.Seed, spec.AtWrite)
+}
+
+// recoverEngine runs kind's recovery path on eng, freshly built over a
+// crashed machine's disks, and returns what it rebuilt from: items scanned
+// (KVell's full-scan Recover) or log records replayed (the baselines'
+// ReplayLog).
+func recoverEngine(c env.Ctx, kind EngineKind, eng kv.Engine) (int64, error) {
+	if kind == KVell {
+		st := eng.(*core.Store)
+		err := st.Recover(c)
+		return st.Stats().Items, err
+	}
+	return int64(eng.(interface{ ReplayLog(env.Ctx) int }).ReplayLog(c)), nil
 }
 
 // crashHarnessSpec maps a CrashSpec onto the benchmark Spec that
@@ -368,4 +372,75 @@ func recoveryScaleExp(o Options, w io.Writer) {
 		fmt.Fprintf(w, "%-12d %12d %12s %14.0f\n", n, res.Replayed, stats.FmtDur(res.RecoverTime), float64(res.Replayed)/secs)
 	}
 	fmt.Fprintf(w, "\nPaper: recovery scans the full slabs at device bandwidth; 100GB recovers in 6.6s.\n")
+}
+
+// recoveryCrashWrite is where the recovery experiment cuts power. Every
+// update of its YCSB A burst costs each engine at least one device write
+// (KVell's slab page, a baseline's log chunk), and the burst's ~2,500
+// updates pass it.
+const recoveryCrashWrite = 2_000
+
+// recoveryExp measures §6.6 through the crash testbed: on the Amazon-8NVMe
+// machine, the same YCSB A update burst runs KVell, RocksDB-like and
+// WiredTiger-like into a power cut at the same device write, and each
+// engine's own recovery path runs on the power-loss images — KVell's full
+// slab scan, the baselines' log replay. The baselines run durable, as in the
+// crash sweep: their log holds the whole store, bulk load included, so
+// replay rebuilds all of it.
+func recoveryExp(o Options, w io.Writer) {
+	records := o.records(200_000)
+	fmt.Fprintf(w, "Recovery (§6.6): crash during YCSB A, %d x 1KB records, Config-Amazon-8NVMe\n\n", records)
+	fmt.Fprintf(w, "%-18s %12s %18s %12s %12s\n", "Engine", "recover", "rebuilt from", "read", "per item")
+	kinds := []EngineKind{KVell, RocksLike, WiredTigerLike}
+	took := make(map[EngineKind]env.Time)
+	for _, kind := range kinds {
+		hs := crashHarnessSpec(&CrashSpec{Engine: kind, Seed: o.Seed, Records: records})
+		hs.Cores, hs.ItemSize = 32, 1024
+		tb := NewTestbed(o.Seed, recoveryCrashWrite, hs.Cores, 8)
+		eng := buildEngine(tb.Env, hs, tb.Disks)
+		gen := ycsb.NewGenerator(ycsb.Core('A'), ycsb.Uniform, records, 1024, o.Seed)
+		tb.Load(eng, gen.InitialItems())
+		tb.Env.Go("writer", func(c env.Ctx) {
+			p := eng.(interface{ Put(env.Ctx, []byte, []byte) })
+			for i := 0; i < 5000; i++ {
+				if r := gen.Next(); r.Op == kv.OpUpdate {
+					p.Put(c, r.Key, r.Value)
+				}
+			}
+		})
+		must(tb.Crash())
+		tb.Reboot()
+		eng2 := buildEngine(tb.Env, hs, tb.Disks)
+		var n int64
+		tb.Recover("recover", func(c env.Ctx) {
+			t0 := c.Now()
+			var err error
+			n, err = recoverEngine(c, kind, eng2)
+			must(err)
+			took[kind] = c.Now() - t0
+		})
+		var read int64
+		for _, d := range tb.Disks {
+			read += d.Counters().ReadBytes
+		}
+		tb.Close()
+		unit := "records"
+		if kind == KVell {
+			unit = "items"
+		}
+		fmt.Fprintf(w, "%-18s %12s %18s %10.1fMB %10.2fus\n", kind, stats.FmtDur(took[kind]),
+			fmt.Sprintf("%d %s", n, unit), float64(read)/1e6, float64(took[kind])/float64(n)/float64(env.Microsecond))
+	}
+	order := slices.Clone(kinds)
+	slices.SortStableFunc(order, func(a, b EngineKind) int { return cmp.Compare(took[a], took[b]) })
+	names := make([]string, len(order))
+	for i, k := range order {
+		names[i] = k.String()
+	}
+	verdict := "holds"
+	if !slices.Equal(order, kinds) {
+		verdict = "does not hold"
+	}
+	fmt.Fprintf(w, "\nMeasured order: %s — the paper's order %s.\n", strings.Join(names, " < "), verdict)
+	fmt.Fprintf(w, "Paper: KVell 6.6s < RocksDB 18s < WiredTiger 24s on the 100GB database. KVell scans the\nwhole database at device bandwidth; log-replay systems are CPU-bound on record re-insertion.\n")
 }

@@ -8,7 +8,6 @@ import (
 	"kvell/internal/core"
 	"kvell/internal/costs"
 	"kvell/internal/device"
-	"kvell/internal/engine/lsm"
 	"kvell/internal/env"
 	"kvell/internal/kv"
 	"kvell/internal/nutanix"
@@ -401,165 +400,6 @@ func table6(o Options, w io.Writer) {
 		fmt.Fprintf(w, "%-18.2f %12s %12s\n", ratio, stats.FmtRate(row["zipf"]), stats.FmtRate(row["uniform"]))
 	}
 	fmt.Fprintf(w, "\nPaper: 0.8 -> 24M/15M; 1.03 -> 2.4M/1.4M; 1.2 -> 614K/540K; 2.6 -> 348K/156K; 5.0 -> 280K/109K.\n")
-}
-
-// recoveryExp measures §6.6: KVell full-scan recovery (real) vs modeled
-// commit-log replay for the baselines.
-func recoveryExp(o Options, w io.Writer) {
-	records := o.records(200_000)
-	fmt.Fprintf(w, "Recovery (§6.6): crash during YCSB A, %d x 1KB records, Config-Amazon-8NVMe\n\n", records)
-
-	// Phase 1: populate a KVell store and run a brief write burst.
-	s1 := sim.New(o.Seed)
-	e1 := sim.NewEnv(s1, 32)
-	var stores []device.Store
-	var disks []device.Disk
-	for i := 0; i < 8; i++ {
-		ms := device.NewMemStore()
-		stores = append(stores, ms)
-		disks = append(disks, device.NewSimDisk(s1, device.AmazonNVMe(), ms))
-	}
-	cfg := core.DefaultConfig(disks...)
-	cfg.Workers = 16
-	cfg.PageCachePages = int(records / 3)
-	st, err := core.Open(e1, cfg)
-	must(err)
-	gen := ycsb.NewGenerator(ycsb.Core('A'), ycsb.Uniform, records, 1024, o.Seed)
-	must(st.BulkLoad(gen.InitialItems()))
-	st.Start()
-	e1.Go("writer", func(c env.Ctx) {
-		for i := 0; i < 5000; i++ {
-			r := gen.Next()
-			if r.Op == kv.OpUpdate {
-				st.Put(c, r.Key, r.Value)
-			}
-		}
-		// Crash: abandon the store with no shutdown.
-	})
-	must(s1.Run(-1))
-	s1.Close()
-
-	// Phase 2: recover a fresh store over the surviving bytes; virtual
-	// time of Recover() is the measured recovery time.
-	s2 := sim.New(o.Seed + 1)
-	e2 := sim.NewEnv(s2, 32)
-	var disks2 []device.Disk
-	for i := 0; i < 8; i++ {
-		disks2 = append(disks2, device.NewSimDisk(s2, device.AmazonNVMe(), stores[i]))
-	}
-	cfg2 := cfg
-	cfg2.Disks = disks2
-	st2, err := core.Open(e2, cfg2)
-	must(err)
-	var kvellTime env.Time
-	var kvellItems int64
-	e2.Go("recover", func(c env.Ctx) {
-		t0 := c.Now()
-		must(st2.Recover(c))
-		kvellTime = c.Now() - t0
-		kvellItems = st2.Stats().Items
-	})
-	must(s2.Run(-1))
-	s2.Close()
-
-	dataset := float64(records) * 1024
-	// Project using the bandwidth actually achieved: at small scale the
-	// scan is dominated by fixed empty-extent probes (one per slab), so
-	// the dataset-proportional part must be separated out.
-	var bytesRead int64
-	for _, dd := range disks2 {
-		bytesRead += dd.(*device.SimDisk).Counters().ReadBytes
-	}
-	kvellBW := float64(bytesRead) / (float64(kvellTime) / float64(env.Second))
-	projKVell := 100e9 / kvellBW
-
-	// RocksDB-like: REAL log replay. Run the same write burst through the
-	// LSM engine (producing a real framed WAL), crash, then time ReplayWAL
-	// on a fresh instance over the surviving bytes.
-	var rocksT env.Time
-	var rocksRecs int
-	{
-		s3 := sim.New(o.Seed + 2)
-		e3 := sim.NewEnv(s3, 32)
-		ms := device.NewMemStore()
-		disk := device.NewSimDisk(s3, device.AmazonNVMe(), ms)
-		lcfg := lsm.DefaultConfig(disk)
-		lcfg.MemtableBytes = int64(records) * 1024 / 32
-		ldb := lsm.New(e3, lcfg)
-		gen3 := ycsb.NewGenerator(ycsb.Core('A'), ycsb.Uniform, records, 1024, o.Seed)
-		must(ldb.BulkLoad(gen3.InitialItems()))
-		ldb.Start()
-		e3.Go("writer", func(c env.Ctx) {
-			for i := 0; i < 5000; i++ {
-				r := gen3.Next()
-				if r.Op == kv.OpUpdate {
-					ldb.Put(c, r.Key, r.Value)
-				}
-			}
-			ldb.Stop(c)
-		})
-		must(s3.Run(-1))
-		s3.Close()
-
-		s4 := sim.New(o.Seed + 3)
-		e4 := sim.NewEnv(s4, 32)
-		disk4 := device.NewSimDisk(s4, device.AmazonNVMe(), ms)
-		lcfg2 := lcfg
-		lcfg2.Disks = []device.Disk{disk4}
-		ldb2 := lsm.New(e4, lcfg2)
-		e4.Go("recover", func(c env.Ctx) {
-			t0 := c.Now()
-			n, err := ldb2.ReplayWAL(c)
-			must(err)
-			rocksRecs = n
-			rocksT = c.Now() - t0
-		})
-		must(s4.Run(-1))
-		s4.Close()
-	}
-	// The paper measures whole-database recovery; our phase 1 logs only a
-	// short burst, so project replay rate to the paper's outstanding-log
-	// size (a few GB of WAL on the 100GB database, dominating its 18s).
-	rocksRate := float64(rocksRecs) / (float64(rocksT) / float64(env.Second)) // records/s
-	const rocksLogAssumed = 0.5e9                                             // outstanding WAL at crash on the 100GB run
-	rocksProj := rocksLogAssumed / 1024 / rocksRate
-
-	// WiredTiger-like: modeled replay (its slot log has no replay path
-	// here); slightly slower per record, as the paper observes.
-	wtT, wtProj := func() (env.Time, float64) {
-		s := sim.New(o.Seed + 4)
-		e := sim.NewEnv(s, 32)
-		prof := device.AmazonNVMe()
-		prof.SpikeEvery = 0
-		d := device.NewSimDisk(s, prof, device.NullStore{})
-		logBytes := int64(dataset * 0.05)
-		recs := logBytes / 1024
-		var took env.Time
-		e.Go("replay", func(c env.Ctx) {
-			t0 := c.Now()
-			buf := make([]byte, 256*device.PageSize)
-			sio := device.NewSyncIO(e)
-			for off := int64(0); off < logBytes; off += int64(len(buf)) {
-				sio.Do(c, d, device.Read, off/device.PageSize, buf)
-			}
-			c.CPU(env.Time(recs) * 12 * env.Microsecond)
-			took = c.Now() - t0
-		})
-		must(s.Run(-1))
-		s.Close()
-		const wtLogAssumed = 1.5e9 // outstanding log at crash on the 100GB run (60s checkpoints)
-		proj := float64(took) / float64(env.Second) * (wtLogAssumed / float64(logBytes))
-		return took, proj
-	}()
-
-	fmt.Fprintf(w, "%-18s %14s %26s\n", "Engine", "measured", "projected @100GB dataset")
-	fmt.Fprintf(w, "%-18s %14s %25.1fs   (scan bw %s; %d items rebuilt)\n", "KVell",
-		stats.FmtDur(kvellTime), projKVell, stats.FmtBytesRate(kvellBW), kvellItems)
-	fmt.Fprintf(w, "%-18s %14s %25.1fs   (real WAL replay, %d records at %s rec/s)\n", "RocksDB-like",
-		stats.FmtDur(rocksT), rocksProj, rocksRecs, stats.FmtRate(rocksRate))
-	fmt.Fprintf(w, "%-18s %14s %25.1fs   (modeled log replay)\n", "WiredTiger-like", stats.FmtDur(wtT), wtProj)
-	fmt.Fprintf(w, "\nProjections assume 0.5GB (RocksDB) / 1.5GB (WiredTiger) of outstanding log at crash.\n")
-	fmt.Fprintf(w, "Paper: KVell 6.6s, RocksDB 18s, WiredTiger 24s on the 100GB database. KVell scans the\nwhole database at device bandwidth; log-replay systems are CPU-bound on record re-insertion.\n")
 }
 
 // batchLat reproduces §6.5.1: batch 64 maximizes bandwidth at 158us average

@@ -100,13 +100,27 @@ func (l *Log) AppendBulk(st device.Store, items []kv.Item) {
 }
 
 // Replay reads the log's valid prefix through the timed read path, so
-// recovery cost lands on virtual time, and returns what it leaves behind:
-// last writer wins per key, deletes honoured, sorted by key — ready for a
-// bulk build. The log resumes after the prefix. Call on a freshly opened
-// log, before any Append.
-func (l *Log) Replay(c env.Ctx) []kv.Item {
-	m := make(map[string][]byte)
+// recovery cost lands on virtual time, and hands every record to fn in log
+// order (key and value are only valid during the call). The log resumes
+// after the prefix. It returns the number of records replayed. Call on a
+// freshly opened log, before any Append.
+func (l *Log) Replay(c env.Ctx, fn func(op byte, key, value []byte)) int {
+	n := 0
 	l.next = Scan(timedReader{l.io, c}, 0, l.pages, func(op byte, k, v []byte) {
+		fn(op, k, v)
+		n++
+	})
+	return n
+}
+
+// ReplayItems is Replay folded into what the records leave behind: last
+// writer wins per key, deletes honoured, sorted by key — ready for a bulk
+// build. fn sees every record first, for the caller to charge its
+// re-insertion. It also returns the number of records replayed.
+func (l *Log) ReplayItems(c env.Ctx, fn func(op byte, key, value []byte)) ([]kv.Item, int) {
+	m := make(map[string][]byte)
+	n := l.Replay(c, func(op byte, k, v []byte) {
+		fn(op, k, v)
 		if op == OpDelete {
 			delete(m, string(k))
 			return
@@ -122,7 +136,7 @@ func (l *Log) Replay(c env.Ctx) []kv.Item {
 	for _, k := range keys {
 		items = append(items, kv.Item{Key: []byte(k), Value: m[k]})
 	}
-	return items
+	return items, n
 }
 
 // timedReader adapts a PageIO and the replaying thread to Scan's Reader.

@@ -8,6 +8,7 @@ import (
 
 	"kvell/internal/device"
 	"kvell/internal/engine/betree"
+	"kvell/internal/engine/lsm"
 	"kvell/internal/engine/wtree"
 	"kvell/internal/env"
 	"kvell/internal/kv"
@@ -15,8 +16,8 @@ import (
 	"kvell/internal/walog"
 )
 
-// durableTree is what the replay test needs of a tree engine.
-type durableTree interface {
+// durableEngine is what the replay test needs of a log-based engine.
+type durableEngine interface {
 	kv.Engine
 	Put(c env.Ctx, key, value []byte)
 	Get(c env.Ctx, key []byte) ([]byte, bool)
@@ -26,7 +27,7 @@ type durableTree interface {
 // life runs fn against a durable engine built by open on a fresh simulated
 // machine whose disk is backed by st, so a second life sees what the first
 // left on "disk". fn runs on a simulated thread: it reports with t.Error.
-func life(t *testing.T, st device.Store, open func(env.Env, device.Disk) durableTree, fn func(c env.Ctx, eng durableTree)) {
+func life(t *testing.T, st device.Store, open func(env.Env, device.Disk) durableEngine, fn func(c env.Ctx, eng durableEngine)) {
 	t.Helper()
 	s := sim.New(1)
 	e := sim.NewEnv(s, 4)
@@ -44,29 +45,31 @@ func life(t *testing.T, st device.Store, open func(env.Env, device.Disk) durable
 // (each acknowledged only after its chunk completed), then tear the last,
 // multi-page chunk the way a power loss would. A replay by a fresh engine
 // must yield exactly the acknowledged prefix — last writer wins, deletes
-// honoured, nothing of the torn record — through both tree engines.
+// honoured, nothing of the torn record — through every log-based engine.
 func TestReplayAfterTornTail(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		open func(env.Env, device.Disk) durableTree
+		open func(env.Env, device.Disk) durableEngine
 	}{
-		{"wtree", func(e env.Env, d device.Disk) durableTree {
+		{"wtree", func(e env.Env, d device.Disk) durableEngine {
 			cfg := wtree.DefaultConfig(d)
 			cfg.Durable = true
 			return wtree.New(e, cfg)
 		}},
-		{"betree", func(e env.Env, d device.Disk) durableTree {
+		{"betree", func(e env.Env, d device.Disk) durableEngine {
 			cfg := betree.DefaultConfig(d)
 			cfg.Durable = true
 			return betree.New(e, cfg)
 		}},
+		{"rocks", func(e env.Env, d device.Disk) durableEngine { return durableLSM(e, d, false) }},
+		{"pebbles", func(e env.Env, d device.Disk) durableEngine { return durableLSM(e, d, true) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			open := tc.open
 			st := device.NewMemStore()
 			model := map[int64][]byte{}
 			const tornKey = 1000
-			life(t, st, open, func(c env.Ctx, eng durableTree) {
+			life(t, st, open, func(c env.Ctx, eng durableEngine) {
 				var items []kv.Item
 				for i := int64(0); i < 600; i++ { // > 256KB: two bulk chunks
 					model[i] = kv.Value(i, 0, 500)
@@ -100,10 +103,13 @@ func TestReplayAfterTornTail(t *testing.T) {
 				t.Fatalf("valid prefix is %d pages after the tear, want %d (a three-page tail)", after, used-3)
 			}
 
-			life(t, st, open, func(c env.Ctx, eng durableTree) {
+			life(t, st, open, func(c env.Ctx, eng durableEngine) {
 				t0 := c.Now()
-				if n := eng.ReplayLog(c); n != len(model) {
-					t.Errorf("replay recovered %d live records, the acknowledged prefix holds %d", n, len(model))
+				if n := eng.ReplayLog(c); n != 600+300 {
+					t.Errorf("replayed %d records, the acknowledged prefix holds %d", n, 600+300)
+				}
+				if db, ok := eng.(*lsm.DB); ok && db.Stats().Flushes == 0 {
+					t.Error("replay never flushed a memtable")
 				}
 				if c.Now() == t0 {
 					t.Error("replay took no virtual time: its reads bypassed the timed path")
@@ -126,6 +132,17 @@ func TestReplayAfterTornTail(t *testing.T) {
 			}
 		})
 	}
+}
+
+// durableLSM is a durable LSM whose memtable is small enough that replaying
+// the test's log flushes it a few times (and few enough that no write stalls
+// on L0 without the background threads).
+func durableLSM(e env.Env, d device.Disk, fragmented bool) *lsm.DB {
+	cfg := lsm.DefaultConfig(d)
+	cfg.MemtableBytes = 128 << 10
+	cfg.Fragmented = fragmented
+	cfg.Durable = true
+	return lsm.New(e, cfg)
 }
 
 // lastPage records which page Scan read last: the first page of the chunk

@@ -1,6 +1,6 @@
-// Package walog is the page-aligned, checksummed write-ahead log of the two
-// tree baselines' durable modes (wtree, betree): the on-disk format and its
-// scanner here, the writer and replayer (Log) in log.go. A log is a dense
+// Package walog is the page-aligned, checksummed write-ahead log of the
+// three log-based baselines' durable modes (lsm, wtree, betree): the on-disk
+// format and its scanner here, the writer and replayer (Log) in log.go. A log is a dense
 // sequence of chunks starting at a fixed base page; each chunk is one
 // flushed batch of records, padded to a page boundary:
 //
@@ -31,8 +31,7 @@ type Reader interface {
 	ReadPages(page int64, buf []byte) error
 }
 
-// Magic marks a valid chunk header. Distinct from the lsm WAL magic so a
-// mis-pointed scan fails fast instead of misparsing.
+// Magic marks a valid chunk header.
 const Magic = 0x4B56574C4F473031 // "KVWLOG01"
 
 // HeaderSize is the fixed chunk header length.
