@@ -361,14 +361,15 @@ func freshStore(tb testing.TB, records int64) (*Store, *ycsb.Generator) {
 }
 
 // The set-up budget: allocations and bytes per loaded item, recorded from
-// this test's own log when it was introduced (go1.24.0 on linux/amd64; the
-// staged load over per-record keys and values that this replaced measured
-// 3.84 and 3 303), plus 5%. What remains is the image itself: per item a
-// quarter of a 4 KB store page, an index key copy and a share of the
-// dataset's arena blocks.
+// this test's own log (go1.24.0 on linux/amd64; the staged load over
+// per-record keys and values that the bulk load replaced measured 3.84 and
+// 3 303, and the index's per-key copy, before B-tree nodes owned their keys,
+// 1.339 and 2 251), plus 5%. What remains is the image itself: per item a
+// quarter of a 4 KB store page, its key's bytes in an index node and a share
+// of the dataset's arena blocks.
 const (
-	setupAllocBudget = 1.339 * 1.05
-	setupBytesBudget = 2251 * 1.05
+	setupAllocBudget = 0.387 * 1.05
+	setupBytesBudget = 2248 * 1.05
 )
 
 // TestAllocBudgetSetup bounds what set-up — paid by every benchmark pass,

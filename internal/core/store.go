@@ -191,9 +191,9 @@ func (s *Store) Submit(c env.Ctx, r *kv.Request) {
 	s.workerFor(r.Key).q.Push(c, r)
 }
 
-// candidate is a scan candidate gathered from a worker index. Its key
-// aliases the index's own key bytes: it is compared and matched against
-// slots, and copied only into the items a scan hands out.
+// candidate is a scan candidate gathered from a worker index. Its key is
+// the scan's copy (scanState.kb): it is compared and matched against slots,
+// and copied again into the items a scan hands out.
 type candidate struct {
 	key []byte
 	l   location
@@ -218,6 +218,7 @@ type scanState struct {
 	remaining int // reads still to deliver (guarded by mu)
 
 	ks   [][]byte
+	kb   []byte // the bytes of ks: gather's copies, reset once per scan
 	vs   []uint64
 	runs []scanRun
 	heap []int // indices of the unexhausted runs, a min-heap on their next key
@@ -243,6 +244,7 @@ func (s *Store) acquireScan(c env.Ctx) *scanState {
 		ss = &scanState{mu: s.env.NewMutex()}
 		ss.cond = s.env.NewCond(ss.mu)
 	}
+	ss.kb = ss.kb[:0]
 	return ss
 }
 
@@ -324,6 +326,12 @@ func (s *Store) ScanRange(c env.Ctx, start, end []byte) []kv.Item {
 // otherwise its keys in [start, end). It returns the horizon of an n-limited
 // gather — the smallest last key of a run that is full, nil if none is.
 //
+// A key the index hands out aliases its node and is valid only until the
+// worker's next Put or Delete, while the merge, keep and fetch run after the
+// lock is dropped, so gather copies each key into ss.kb before unlocking.
+// Gathered keys live until the scan releases its state: a kept candidate
+// outlives the pass that found it.
+//
 // The virtual CPU charges model KVell's scan, not the host's work here: per
 // worker the descent and one step per key, then one step per candidate for
 // the merge, all charged up front whatever the merge later pulls.
@@ -341,6 +349,11 @@ func (ss *scanState) gather(c env.Ctx, workers []*worker, start, end []byte, n i
 				ss.vs = append(ss.vs, v)
 				return true
 			})
+		}
+		for i, k := range ss.ks[lo:] {
+			at := len(ss.kb)
+			ss.kb = append(ss.kb, k...)
+			ss.ks[lo+i] = ss.kb[at:len(ss.kb):len(ss.kb)]
 		}
 		w.idxMu.Unlock(c)
 		hi := len(ss.ks)

@@ -34,28 +34,35 @@ func TestAllocBudgetPagecacheMiss(t *testing.T) {
 }
 
 // TestAllocBudgetPagecacheEvictCycle pins the steady-state insert+evict
-// cycle at zero allocations. The hash-index variant is used because the
-// B-tree *cost model* index is a real tree that copies each new page key —
-// an intentional part of the simulation, not the frame machinery under test.
+// cycle at zero allocations, with either index: the B-tree copies each new
+// page key into its node's own key bytes.
 func TestAllocBudgetPagecacheEvictCycle(t *testing.T) {
-	c := New(512, IndexHash)
-	buf := PageBuf()
-	for i := int64(0); i < 512; i++ {
-		c.Insert(i, buf)
-	}
-	i := int64(512)
-	// Warm: cycle the window once so the probe table reaches steady state.
-	for j := 0; j < 2048; j++ {
-		_, data := c.InsertTake(i%2048, buf)
-		_ = data
-		i++
-	}
-	if n := testing.AllocsPerRun(1000, func() {
-		_, data := c.InsertTake(i%2048, buf)
-		_ = data
-		i++
-	}); n != 0 {
-		t.Errorf("InsertTake evict cycle allocates %v per insert, want 0", n)
+	for _, kind := range []struct {
+		name string
+		idx  IndexKind
+	}{{"hash", IndexHash}, {"btree", IndexBTree}} {
+		t.Run(kind.name, func(t *testing.T) {
+			c := New(512, kind.idx)
+			buf := PageBuf()
+			for i := int64(0); i < 512; i++ {
+				c.Insert(i, buf)
+			}
+			i := int64(512)
+			// Warm: cycle the window once so the probe table (or the tree's
+			// nodes) reaches steady state.
+			for j := 0; j < 2048; j++ {
+				_, data := c.InsertTake(i%2048, buf)
+				_ = data
+				i++
+			}
+			if n := testing.AllocsPerRun(1000, func() {
+				_, data := c.InsertTake(i%2048, buf)
+				_ = data
+				i++
+			}); n != 0 {
+				t.Errorf("InsertTake evict cycle allocates %v per insert, want 0", n)
+			}
+		})
 	}
 }
 
