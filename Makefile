@@ -69,11 +69,12 @@ feature-matrix:
 	$(GO) test -run TestFeatureMatrix -count=1 ./internal/core
 
 # Every pinned schedule of internal/harness — the engine, crash, transaction,
-# cluster and arrival-generator digests and the nine cheapest experiments'
-# output — in well under the suite's 40 s: the inner loop of a harness
-# refactor, which is correct iff none of them moves.
+# cluster, absorb, tiered and arrival-generator digests and the nine cheapest
+# experiments' output — in well under the suite's 40 s: the inner loop of a
+# harness refactor, which is correct iff none of them moves. Adding
+# -update-golden to the same command re-records every one of them.
 harness-golden:
-	$(GO) test -count=1 -run 'TestGoldenDigests|TestCrashGoldenDigests|TestTxnGoldenDigests|TestClusterGoldenDigest|TestArrivalGenGoldenDigest|TestCheapExperimentsProduceOutput' ./internal/harness
+	$(GO) test -count=1 -run 'Golden|TestCheapExperimentsProduceOutput' ./internal/harness
 
 # cmd/kvell-e2e (the BENCHMARK.json driver) is a module of its own, so the
 # root ./... patterns never compile it; this keeps a harness signature change

@@ -40,13 +40,16 @@ func (io *IO) Completed() env.Time { return io.req.Completed }
 
 // Engine is a per-worker asynchronous I/O context.
 type Engine struct {
-	dev device.Disk
+	dev  device.Disk
+	busy BusyDevice // dev's idle-channel test, nil if it has none
 
 	mu        env.Mutex
 	cond      env.Cond
 	completed []*IO
 	spare     []*IO // previous completion batch, recycled as the next list
 	inflight  int
+	waiting   bool // a GetEvents is parked on cond
+	kicked    bool // Kick woke that GetEvents
 
 	// Stats
 	Syscalls  int64
@@ -62,9 +65,14 @@ type Engine struct {
 // further I/O: submitted requests vanish and never complete.
 type DeadDevice interface{ Dead() bool }
 
+// BusyDevice is implemented by devices that can say whether every channel is
+// in service. A device without it is never busy.
+type BusyDevice interface{ Busy() bool }
+
 // New returns an I/O engine for dev using e's synchronization primitives.
 func New(e env.Env, dev device.Disk) *Engine {
 	a := &Engine{dev: dev, ChargeSyscalls: true}
+	a.busy, _ = dev.(BusyDevice)
 	a.mu = e.NewMutex()
 	a.cond = e.NewCond(a.mu)
 	return a
@@ -76,6 +84,31 @@ func (a *Engine) Disk() device.Disk { return a.dev }
 // Inflight returns the number of submitted-but-uncollected requests
 // (includes completions not yet returned by GetEvents).
 func (a *Engine) Inflight() int { return a.inflight }
+
+// Busy reports whether the device has no idle channel, so that a request
+// submitted now would only queue behind the ones in service.
+func (a *Engine) Busy() bool { return a.busy != nil && a.busy.Busy() }
+
+// Kick wakes a GetEvents parked on this engine, which then returns without
+// waiting for its completions. It models a request queue and the AIO context
+// signalling one eventfd (io_set_eventfd): the owner sleeps on both. A kick
+// only lands while the device has an idle channel: otherwise a request issued
+// now would only queue, and the owner keeps sleeping to batch it with the
+// next completion. With no GetEvents parked a kick is a no-op.
+func (a *Engine) Kick(c env.Ctx) {
+	if a.Busy() {
+		return
+	}
+	a.mu.Lock(c)
+	wake := a.waiting && !a.kicked
+	if wake {
+		a.kicked = true
+	}
+	a.mu.Unlock(c)
+	if wake {
+		a.cond.Signal(c)
+	}
+}
 
 // Submit issues a batch of requests with the cost of one system call
 // (io_submit). Completion data becomes available via GetEvents.
@@ -122,21 +155,26 @@ func (a *Engine) Submit(c env.Ctx, ios []*IO) {
 }
 
 // GetEvents blocks until at least min completions are available (or none
-// can ever arrive) and returns them, charging one system call
-// (io_getevents). min is clamped to the number of requests in flight.
-// The returned slice is only valid until the next GetEvents call, which
-// recycles its backing array.
+// can ever arrive) or a Kick wakes it, and returns the completions there
+// are, charging one system call (io_getevents). min is clamped to the number
+// of requests in flight. An empty return charges nothing: the wake is a read
+// of the eventfd, whose count says there are no events to collect. The
+// returned slice is only valid until the next GetEvents call, which recycles
+// its backing array.
 func (a *Engine) GetEvents(c env.Ctx, min int) []*IO {
 	a.mu.Lock(c)
 	if min > a.inflight {
 		min = a.inflight
 	}
-	if min <= 0 && len(a.completed) == 0 {
+	for len(a.completed) < min && !a.kicked {
+		a.waiting = true
+		a.cond.Wait(c)
+		a.waiting = false
+	}
+	a.kicked = false
+	if len(a.completed) == 0 {
 		a.mu.Unlock(c)
 		return nil
-	}
-	for len(a.completed) < min {
-		a.cond.Wait(c)
 	}
 	out := a.completed
 	// Ping-pong the two batch lists: the caller finishes with the returned

@@ -202,7 +202,8 @@ func (rp *Replicator) WrapDisk(idx int, inner device.Disk) device.Disk {
 
 // replDisk is the replication wrapper. Besides device.Disk it forwards the
 // optional interfaces the engine layers probe for: Store (device.StoreOf,
-// for bulk load) and Dead (aio's dead-device check under fault injection).
+// for bulk load), Dead (aio's dead-device check under fault injection) and
+// Busy (aio's idle-channel test).
 type replDisk struct {
 	rp    *Replicator
 	idx   int
@@ -226,6 +227,15 @@ func (d *replDisk) Store() device.Store { return device.StoreOf(d.inner) }
 func (d *replDisk) Dead() bool {
 	if dd, ok := d.inner.(interface{ Dead() bool }); ok {
 		return dd.Dead()
+	}
+	return false
+}
+
+// Busy implements aio.BusyDevice by delegation (false when the inner disk
+// cannot tell).
+func (d *replDisk) Busy() bool {
+	if bd, ok := d.inner.(interface{ Busy() bool }); ok {
+		return bd.Busy()
 	}
 	return false
 }

@@ -291,7 +291,7 @@ func (w *worker) absorbLoop(c env.Ctx) {
 			w.absorbMu.Unlock(c)
 			return
 		}
-		w.q.Push(c, w.tick)
+		w.enqueue(c, w.tick)
 		w.absorbMu.Unlock(c)
 	}
 }

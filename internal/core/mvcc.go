@@ -559,7 +559,7 @@ func (s *Store) GetAt(c env.Ctx, key []byte, ts uint64) ([]byte, bool) {
 type lockResolver struct{ s *Store }
 
 func (r lockResolver) TxnGet(c env.Ctx, key []byte, ts, skip uint64) kv.Result {
-	return r.s.Do(c, &kv.Request{Op: kv.OpTxnGet, Key: key, TS: ts, TS2: skip})
+	return r.s.Call(c, kv.Request{Op: kv.OpTxnGet, Key: key, TS: ts, TS2: skip})
 }
 
 func (r lockResolver) Resolve(c env.Ctx, primary []byte, startTS, readTS uint64) kv.Result {
@@ -567,17 +567,17 @@ func (r lockResolver) Resolve(c env.Ctx, primary []byte, startTS, readTS uint64)
 }
 
 func (r lockResolver) Commit(c env.Ctx, key []byte, startTS, commitTS uint64) kv.Result {
-	return r.s.Do(c, &kv.Request{Op: kv.OpTxnCommit, Key: key, TS: startTS, TS2: commitTS})
+	return r.s.Call(c, kv.Request{Op: kv.OpTxnCommit, Key: key, TS: startTS, TS2: commitTS})
 }
 
 func (r lockResolver) Rollback(c env.Ctx, key []byte, startTS uint64) kv.Result {
-	return r.s.Do(c, &kv.Request{Op: kv.OpTxnRollback, Key: key, TS: startTS})
+	return r.s.Call(c, kv.Request{Op: kv.OpTxnRollback, Key: key, TS: startTS})
 }
 
 // ResolveLock queries the state of the transaction whose primary lock is on
 // primary, recording rts as a read watermark while it is pending.
 func (s *Store) ResolveLock(c env.Ctx, primary []byte, startTS, rts uint64) kv.Result {
-	return s.Do(c, &kv.Request{Op: kv.OpTxnResolve, Key: primary, TS: startTS, TS2: rts})
+	return s.Call(c, kv.Request{Op: kv.OpTxnResolve, Key: primary, TS: startTS, TS2: rts})
 }
 
 // ScanAtN returns up to count items with key >= start as they stood at
@@ -621,7 +621,7 @@ func (s *Store) GC(c env.Ctx, watermark uint64) int {
 		wt := s.acquireWaiter(c)
 		r.Done = wt.completeFn
 		c.CPU(costs.Callback)
-		w.q.Push(c, r)
+		w.enqueue(c, r)
 		freed += wt.wait(c).ScanN
 		s.releaseWaiter(c, wt)
 	}
@@ -681,14 +681,14 @@ func (s *Store) ResolveIntents(c env.Ctx) int {
 		case kv.TxnPending:
 			// The primary intent never flipped, so the transaction never
 			// reached its commit point: roll everything back, primary first.
-			s.Do(c, &kv.Request{Op: kv.OpTxnRollback, Key: []byte(p.primary), TS: p.startTS})
+			s.Call(c, kv.Request{Op: kv.OpTxnRollback, Key: []byte(p.primary), TS: p.startTS})
 			if p.key != p.primary {
-				s.Do(c, &kv.Request{Op: kv.OpTxnRollback, Key: kb, TS: p.startTS})
+				s.Call(c, kv.Request{Op: kv.OpTxnRollback, Key: kb, TS: p.startTS})
 			}
 		case kv.TxnCommitted:
-			s.Do(c, &kv.Request{Op: kv.OpTxnCommit, Key: kb, TS: p.startTS, TS2: st.TxnTS})
+			s.Call(c, kv.Request{Op: kv.OpTxnCommit, Key: kb, TS: p.startTS, TS2: st.TxnTS})
 		default:
-			s.Do(c, &kv.Request{Op: kv.OpTxnRollback, Key: kb, TS: p.startTS})
+			s.Call(c, kv.Request{Op: kv.OpTxnRollback, Key: kb, TS: p.startTS})
 		}
 		n++
 	}

@@ -17,6 +17,8 @@ type waiter struct {
 	prev func(kv.Result)
 	// completeFn is w.complete, bound once: the value a request's Done takes.
 	completeFn func(kv.Result)
+	// req is the request of a Call, run in place of a fresh one.
+	req kv.Request
 }
 
 // acquireWaiter takes a waiter off the store's free list, or builds one. The
@@ -41,7 +43,7 @@ func (s *Store) acquireWaiter(c env.Ctx) *waiter {
 
 // releaseWaiter returns w to the free list once its wait has returned.
 func (s *Store) releaseWaiter(c env.Ctx, w *waiter) {
-	w.done, w.res, w.prev = false, kv.Result{}, nil
+	w.done, w.res, w.prev, w.req = false, kv.Result{}, nil, kv.Request{}
 	s.poolMu.Lock(c)
 	s.waiters = append(s.waiters, w)
 	s.poolMu.Unlock(c)
@@ -71,27 +73,45 @@ func (w *waiter) wait(c env.Ctx) kv.Result {
 // set, is called first and is back in place when Do returns.
 func (s *Store) Do(c env.Ctx, r *kv.Request) kv.Result {
 	w := s.acquireWaiter(c)
+	res := w.do(c, s, r)
+	s.releaseWaiter(c, w)
+	return res
+}
+
+// Call is Do for a request passed by value: it runs on the request embedded
+// in the pooled waiter, so a blocking round trip allocates no kv.Request.
+// Result.Value stays the caller's to keep: the embedded request is zeroed on
+// release, so a read only ever fills r's own ValueBuf (normally nil, which
+// gets a fresh buffer), never one a previous call grew.
+func (s *Store) Call(c env.Ctx, r kv.Request) kv.Result {
+	w := s.acquireWaiter(c)
+	w.req = r
+	res := w.do(c, s, &w.req)
+	s.releaseWaiter(c, w)
+	return res
+}
+
+func (w *waiter) do(c env.Ctx, s *Store, r *kv.Request) kv.Result {
 	w.prev, r.Done = r.Done, w.completeFn
 	s.Submit(c, r)
 	res := w.wait(c)
 	r.Done = w.prev
-	s.releaseWaiter(c, w)
 	return res
 }
 
 // Put durably stores value under key, blocking until the write has reached
 // its final location on disk (§4.4: updates are acknowledged only then).
 func (s *Store) Put(c env.Ctx, key, value []byte) {
-	s.Do(c, &kv.Request{Op: kv.OpUpdate, Key: key, Value: value})
+	s.Call(c, kv.Request{Op: kv.OpUpdate, Key: key, Value: value})
 }
 
 // Get returns the most recent value of key.
 func (s *Store) Get(c env.Ctx, key []byte) ([]byte, bool) {
-	res := s.Do(c, &kv.Request{Op: kv.OpGet, Key: key})
+	res := s.Call(c, kv.Request{Op: kv.OpGet, Key: key})
 	return res.Value, res.Found
 }
 
 // Delete removes key, reporting whether it existed.
 func (s *Store) Delete(c env.Ctx, key []byte) bool {
-	return s.Do(c, &kv.Request{Op: kv.OpDelete, Key: key}).Found
+	return s.Call(c, kv.Request{Op: kv.OpDelete, Key: key}).Found
 }

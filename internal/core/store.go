@@ -188,7 +188,7 @@ func (s *Store) Submit(c env.Ctx, r *kv.Request) {
 	}
 	c.CPU(costs.Callback) // route + enqueue
 	r.Trace.MarkQueue(c.Now())
-	s.workerFor(r.Key).q.Push(c, r)
+	s.workerFor(r.Key).enqueue(c, r)
 }
 
 // candidate is a scan candidate gathered from a worker index. Its key is
@@ -438,7 +438,7 @@ func (ss *scanState) fetch(c env.Ctx, dst []kv.Item) []kv.Item {
 	for i, cd := range ss.kept {
 		lr := ss.reqs[i]
 		lr.key, lr.l, lr.idx, lr.hops = cd.key, cd.l, i, 0
-		cd.w.q.Push(c, lr)
+		cd.w.enqueue(c, lr)
 	}
 	t0 := c.Now()
 	ss.mu.Lock(c)

@@ -240,6 +240,15 @@ func (w *worker) putIO(io *aio.IO) {
 	w.ioFree = append(w.ioFree, io)
 }
 
+// enqueue hands v to w's request queue and kicks the queue owner's I/O
+// engine, so a worker parked on its completions serves v at once while its
+// disk has an idle channel (aio.Engine.Kick). In the SharedEverything
+// ablation the owner is the shared state's worker.
+func (w *worker) enqueue(c env.Ctx, v any) {
+	w.q.Push(c, v)
+	w.state.aio.Kick(c)
+}
+
 func (w *worker) nextTS() uint64 {
 	t := w.ts
 	w.ts++
@@ -308,7 +317,15 @@ func (w *worker) run(c env.Ctx) {
 		state.recycleBufs()
 		w.unlockShared(c)
 		if w.aio.Inflight() > 0 {
-			evs := w.aio.GetEvents(c, 1)
+			// Serve requests already queued now while the device has an
+			// idle channel; otherwise sleep until a completion, or until
+			// enqueue kicks, so that arrivals batch with the next
+			// completion only where they would queue at the device anyway.
+			need := 1
+			if w.q.Len() > 0 && !w.aio.Busy() {
+				need = 0
+			}
+			evs := w.aio.GetEvents(c, need)
 			out = out[:0]
 			w.lockShared(c)
 			for _, io := range evs {

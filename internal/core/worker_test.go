@@ -329,3 +329,79 @@ func TestSharedEverythingVariant(t *testing.T) {
 		t.Fatalf("items = %d", st.Stats().Items)
 	}
 }
+
+// wakeHarness runs fn on a one-worker store over a disk whose reads take a
+// millisecond on each of channels channels. Keys 0..n-1 are bulk loaded one
+// item per page, so none of them is cached.
+func wakeHarness(t *testing.T, channels, n int, fn func(c env.Ctx, st *Store)) {
+	t.Helper()
+	s := sim.New(1)
+	e := sim.NewEnv(s, 8)
+	p := device.Optane()
+	p.Name, p.Channels, p.ReadSvc, p.SpikeEvery = "slow", channels, env.Millisecond, 0
+	cfg := DefaultConfig(device.NewSimDisk(s, p, nil))
+	cfg.Workers = 1
+	st, err := Open(e, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]kv.Item, n)
+	for i := range items {
+		items[i] = kv.Item{Key: kv.Key(int64(i)), Value: kv.Value(int64(i), 0, 3000)}
+	}
+	if err := st.BulkLoad(items); err != nil {
+		t.Fatal(err)
+	}
+	st.Start()
+	e.Go("client", func(c env.Ctx) {
+		fn(c, st)
+		st.Stop(c)
+	})
+	if err := s.Run(-1); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+}
+
+// A request that reaches a worker waiting on its I/O is served at once while
+// the disk has an idle channel: a cache hit overtakes the read in flight.
+func TestWakeServesHitDuringRead(t *testing.T) {
+	wakeHarness(t, 6, 2, func(c env.Ctx, st *Store) {
+		st.Get(c, kv.Key(1)) // key 1's page is now cached
+		var missAt, hitAt env.Time
+		st.Submit(c, &kv.Request{Op: kv.OpGet, Key: kv.Key(0), Done: func(kv.Result) { missAt = c.Now() }})
+		c.Sleep(50 * env.Microsecond) // the worker has issued the read and sleeps
+		st.Submit(c, &kv.Request{Op: kv.OpGet, Key: kv.Key(1), Done: func(kv.Result) { hitAt = c.Now() }})
+		for missAt == 0 || hitAt == 0 {
+			c.Sleep(100 * env.Microsecond)
+		}
+		if hitAt >= missAt {
+			t.Fatalf("cache hit completed at %dns, after the read in flight (%dns)", hitAt, missAt)
+		}
+	})
+}
+
+// While every channel of the disk is busy a worker keeps sleeping through
+// arrivals, so the misses that arrive meanwhile leave in one io_submit after
+// the completion (§5.4's batching).
+func TestWakeKeepsBatchingOnBusyDisk(t *testing.T) {
+	wakeHarness(t, 1, 4, func(c env.Ctx, st *Store) {
+		a := st.workers[0].aio
+		sys0, sub0 := a.Syscalls, a.Submitted
+		done := 0
+		get := func(k int64) {
+			st.Submit(c, &kv.Request{Op: kv.OpGet, Key: kv.Key(k), Done: func(kv.Result) { done++ }})
+		}
+		get(0)
+		c.Sleep(50 * env.Microsecond) // key 0's read is in service
+		get(1)
+		get(2)
+		get(3)
+		for done < 4 {
+			c.Sleep(100 * env.Microsecond)
+		}
+		if sys, sub := a.Syscalls-sys0, a.Submitted-sub0; sys != 2 || sub != 4 {
+			t.Fatalf("%d io_submit calls for %d reads, want 2 for 4", sys, sub)
+		}
+	})
+}

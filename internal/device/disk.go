@@ -153,6 +153,10 @@ func (d *SimDisk) Counters() Counters { return d.counters }
 // Inflight returns the number of submitted-but-incomplete requests.
 func (d *SimDisk) Inflight() int { return d.inflight }
 
+// Busy reports whether every channel is in service, so that a request
+// submitted now would queue (aio.BusyDevice).
+func (d *SimDisk) Busy() bool { return d.inflight >= d.prof.Channels }
+
 func (d *SimDisk) spikeInterval() env.Time {
 	j := d.prof.SpikeJitter
 	iv := d.prof.SpikeEvery

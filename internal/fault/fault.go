@@ -226,6 +226,9 @@ func (t *track) run() {
 // Dead implements aio.DeadDevice.
 func (d *Disk) Dead() bool { return d.dead }
 
+// Busy implements aio.BusyDevice by delegation.
+func (d *Disk) Busy() bool { return d.inner.Busy() }
+
 // Store returns the live backing store (device.StoreOf, used by engine
 // bulk-load fast paths and cache bookkeeping).
 func (d *Disk) Store() device.Store { return d.store }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -32,26 +33,31 @@ func clusterFailoverSpec(seed int64) ClusterSpec {
 
 // Golden digests for the cluster schedules: the full observable outcome of a
 // run (ops, latency shape, network traffic, replication stream, failover
-// recovery state) folded to one FNV word. Any change to the simulator kernel,
-// network model, placement, replication protocol or promotion path moves
-// them. On mismatch the failure prints the measured digest; re-pin only for
-// changes *meant* to alter cluster schedules.
-const (
-	clusterGolden1        = uint64(0xa01767aa73c22e1a)
-	clusterGolden2        = uint64(0x21ce1b0eba0cfdfb)
-	clusterGoldenFailover = uint64(0x0092cd4cf153c6b8)
-)
+// recovery state) folded to one FNV word, with the counters that explain a
+// move beside it. Any change to the simulator kernel, network model,
+// placement, replication protocol or promotion path moves them; re-record
+// (see TestGoldenDigests) only for changes *meant* to alter cluster
+// schedules.
+const clusterGoldenPath = "testdata/cluster_golden.json"
+
+type clusterGoldenEntry struct {
+	Digest       string `json:"digest"`
+	Completed    int64  `json:"completed"`
+	Failed       int64  `json:"failed"`
+	NetMsgs      int64  `json:"net_msgs"`
+	PagesShipped int64  `json:"pages_shipped"`
+}
 
 func TestClusterGoldenDigest(t *testing.T) {
 	t.Parallel()
+	fx := openGolden[clusterGoldenEntry](t, clusterGoldenPath)
 	for _, c := range []struct {
 		name string
 		spec ClusterSpec
-		want uint64
 	}{
-		{"1-machine", clusterTestSpec(1, 1), clusterGolden1},
-		{"2-machine", clusterTestSpec(2, 1), clusterGolden2},
-		{"failover", clusterFailoverSpec(1), clusterGoldenFailover},
+		{"1-machine", clusterTestSpec(1, 1)},
+		{"2-machine", clusterTestSpec(2, 1)},
+		{"failover", clusterFailoverSpec(1)},
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -60,11 +66,13 @@ func TestClusterGoldenDigest(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cluster run failed: %v", err)
 			}
-			if res.Digest != c.want {
-				t.Errorf("cluster schedule diverged from golden digest\n got %016x\nwant %016x\n(completed=%d failed=%d net msgs=%d shipped pages=%d)",
-					res.Digest, c.want, res.Completed, res.FailedOps,
-					res.Net.Msgs, res.PagesShipped)
-			}
+			fx.check(t, c.name, clusterGoldenEntry{
+				Digest:       fmt.Sprintf("%016x", res.Digest),
+				Completed:    res.Completed,
+				Failed:       res.FailedOps,
+				NetMsgs:      res.Net.Msgs,
+				PagesShipped: res.PagesShipped,
+			})
 		})
 	}
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"testing"
@@ -172,7 +171,7 @@ type crashGoldenEntry struct {
 
 func TestCrashGoldenDigests(t *testing.T) {
 	t.Parallel()
-	got := make(map[string]crashGoldenEntry)
+	fx := openGolden[crashGoldenEntry](t, crashGoldenPath)
 	for _, kind := range AllEngines {
 		for i := 1; i <= 3; i++ {
 			pointSeed, atWrite := SweepPoint(1, i)
@@ -180,42 +179,12 @@ func TestCrashGoldenDigests(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v point %d: %v", kind, i, err)
 			}
-			got[fmt.Sprintf("%v/point-%d", kind, i)] = crashGoldenEntry{
+			fx.check(t, fmt.Sprintf("%v/point-%d", kind, i), crashGoldenEntry{
 				Digest:      fmt.Sprintf("%016x", res.Digest),
 				CrashTime:   res.CrashTime,
 				RecoverTime: res.RecoverTime,
 				Replayed:    res.Replayed,
-			}
-		}
-	}
-
-	if *updateGolden {
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(crashGoldenPath, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", crashGoldenPath)
-		return
-	}
-	buf, err := os.ReadFile(crashGoldenPath)
-	if err != nil {
-		t.Fatalf("missing golden fixture (run with -update-golden to record): %v", err)
-	}
-	var want map[string]crashGoldenEntry
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatalf("corrupt golden fixture: %v", err)
-	}
-	for name, w := range want {
-		if g, ok := got[name]; !ok || g != w {
-			t.Errorf("%s: crash schedule diverged from golden fixture\n got %+v\nwant %+v", name, g, w)
-		}
-	}
-	for name := range got {
-		if _, ok := want[name]; !ok {
-			t.Errorf("%s: point missing from fixture (run with -update-golden)", name)
+			})
 		}
 	}
 }

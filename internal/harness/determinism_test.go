@@ -25,6 +25,10 @@ type fingerprint struct {
 
 func runFingerprint(spec Spec) fingerprint {
 	r := Run(spec)
+	return fingerprintOf(&r)
+}
+
+func fingerprintOf(r *Result) fingerprint {
 	return fingerprint{
 		ops:      r.Ops,
 		lat:      r.Lat.Digest(),
@@ -104,23 +108,13 @@ func absorbDeterminismSpec(seed int64) Spec {
 	}
 }
 
-// Golden fingerprint for absorbDeterminismSpec(1234): locks the absorb-
-// enabled open-loop schedule the same way testdata/golden_digests.json locks
-// the closed-loop ones. On mismatch the failure message prints the measured
-// values; update the constants only for changes *meant* to alter schedules.
-const (
-	absorbGoldenOps      = int64(79_959)
-	absorbGoldenLat      = uint64(0x358ee3f665d9b1ef)
-	absorbGoldenTimeline = uint64(0x1f922423bbe6e8c0)
-)
+// absorbGoldenPath locks absorbDeterminismSpec(1234), the absorb-enabled
+// open-loop schedule, the same way goldenPath locks the closed-loop ones.
+const absorbGoldenPath = "testdata/absorb_golden.json"
 
 func TestAbsorbGoldenDigest(t *testing.T) {
 	t.Parallel()
-	fp := runFingerprint(absorbDeterminismSpec(1234))
-	if fp.ops != absorbGoldenOps || fp.lat != absorbGoldenLat || fp.timeline != absorbGoldenTimeline {
-		t.Errorf("absorb-enabled schedule diverged from golden fingerprint\n got ops=%d lat=%#016x timeline=%#016x\nwant ops=%d lat=%#016x timeline=%#016x",
-			fp.ops, fp.lat, fp.timeline, absorbGoldenOps, absorbGoldenLat, absorbGoldenTimeline)
-	}
+	openGolden[goldenEntry](t, absorbGoldenPath).check(t, "absorb-1234", toGolden(runFingerprint(absorbDeterminismSpec(1234))))
 }
 
 func TestAbsorbSpecDeterminism(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"kvell/internal/device"
@@ -15,13 +16,86 @@ import (
 // The golden digests lock the simulator's schedule: they were recorded before
 // the kernel fast paths (event pool, 4-ary heap, same-time lane, Pool.Use
 // analytic bursts) landed, so any kernel change that alters a single event's
-// order — and therefore any measured number — fails this test. Re-record with
+// order — and therefore any measured number — fails this test. Every
+// schedule pin of this package is a JSON fixture under testdata/ read through
+// openGolden, and one flag re-records them all:
 //
-//	go test ./internal/harness -run TestGoldenDigests -update-golden
+//	go test ./internal/harness -run Golden -update-golden
 //
 // only for changes that are *meant* to alter schedules (new engine behavior,
-// cost model changes), never for performance work.
+// cost model changes), never for performance work. The same flag rewrites the
+// cheap sections of results/quick.txt (TestCheapExperimentsProduceOutput).
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden digest fixtures")
+
+// golden is one fixture of named rows. A test checks each row as it produces
+// it, from subtests too; under -update-golden the fixture is instead rewritten
+// from every row produced, once the test and all its subtests are done (and
+// only if none failed).
+type golden[V comparable] struct {
+	path string
+	want map[string]V
+	mu   sync.Mutex
+	got  map[string]V
+}
+
+// openGolden loads the fixture at path for t.
+func openGolden[V comparable](t *testing.T, path string) *golden[V] {
+	t.Helper()
+	g := &golden[V]{path: path, got: make(map[string]V)}
+	if !*updateGolden {
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden fixture (run with -update-golden to record): %v", err)
+		}
+		if err := json.Unmarshal(buf, &g.want); err != nil {
+			t.Fatalf("corrupt golden fixture %s: %v", path, err)
+		}
+	}
+	t.Cleanup(func() { g.finish(t) })
+	return g
+}
+
+// check records row name and, unless re-recording, compares it with the
+// fixture's.
+func (g *golden[V]) check(t *testing.T, name string, v V) {
+	t.Helper()
+	g.mu.Lock()
+	g.got[name] = v
+	g.mu.Unlock()
+	if *updateGolden {
+		return
+	}
+	if w, ok := g.want[name]; !ok {
+		t.Errorf("%s: row missing from %s (run with -update-golden)", name, g.path)
+	} else if v != w {
+		t.Errorf("%s: schedule diverged from %s\n got %+v\nwant %+v", name, g.path, v, w)
+	}
+}
+
+func (g *golden[V]) finish(t *testing.T) {
+	if t.Failed() {
+		return
+	}
+	if !*updateGolden {
+		for name := range g.want {
+			if _, ok := g.got[name]; !ok {
+				t.Errorf("%s: row in %s but not produced by the test", name, g.path)
+			}
+		}
+		return
+	}
+	buf, err := json.MarshalIndent(g.got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(g.path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(g.path, append(buf, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("rewrote %s", g.path)
+}
 
 const goldenPath = "testdata/golden_digests.json"
 
@@ -47,9 +121,9 @@ func toGolden(fp fingerprint) goldenEntry {
 
 func TestGoldenDigests(t *testing.T) {
 	t.Parallel()
-	got := make(map[string]goldenEntry)
+	fx := openGolden[goldenEntry](t, goldenPath)
 	for _, k := range AllEngines {
-		got[k.String()] = toGolden(goldenFingerprint(k))
+		fx.check(t, k.String(), toGolden(goldenFingerprint(k)))
 		// The same workload on fig8's machine: the single-disk rows cannot
 		// see a change in how an engine spreads work over disks, such as the
 		// LSM block cache keying blocks by page instead of (disk, page).
@@ -57,45 +131,6 @@ func TestGoldenDigests(t *testing.T) {
 		s.Profile = device.AmazonNVMe()
 		s.NDisks = 8
 		s.Cores = 32
-		got[k.String()+"/8-disk"] = toGolden(runFingerprint(s))
-	}
-
-	if *updateGolden {
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", goldenPath)
-		return
-	}
-
-	buf, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden fixture (run with -update-golden to record): %v", err)
-	}
-	var want map[string]goldenEntry
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatalf("corrupt golden fixture: %v", err)
-	}
-	for name, w := range want {
-		g, ok := got[name]
-		if !ok {
-			t.Errorf("%s: row in fixture but not produced by the test", name)
-			continue
-		}
-		if g != w {
-			t.Errorf("%s: schedule diverged from golden fixture\n got %+v\nwant %+v", name, g, w)
-		}
-	}
-	for name := range got {
-		if _, ok := want[name]; !ok {
-			t.Errorf("%s: row missing from fixture (run with -update-golden)", name)
-		}
+		fx.check(t, k.String()+"/8-disk", toGolden(runFingerprint(s)))
 	}
 }

@@ -35,35 +35,30 @@ func tieredDeterminismSpec(seed int64) Spec {
 
 // hotCounters is the tiering-specific half of a run's fingerprint.
 type hotCounters struct {
-	hits, misses, promos, demos int64
+	Hits       int64 `json:"hits"`
+	Misses     int64 `json:"misses"`
+	Promotions int64 `json:"promotions"`
+	Demotions  int64 `json:"demotions"`
 }
 
 func hotCountersOf(r *Result) hotCounters {
 	return hotCounters{r.HotHits, r.HotMisses, r.HotPromotions, r.HotDemotions}
 }
 
-// Golden fingerprint for tieredDeterminismSpec(4321): locks the tiered
-// open-loop schedule — including every hot-cache counter — the same way the
-// absorb golden locks the absorb-enabled one. On mismatch the failure message
-// prints the measured values; update the constants only for changes *meant*
-// to alter tiered schedules.
-const (
-	tieredGoldenOps      = int64(34_885)
-	tieredGoldenLat      = uint64(0x9cd090525c6a439d)
-	tieredGoldenTimeline = uint64(0x2ec6a39156e9119d)
-)
+// tieredGoldenPath locks tieredDeterminismSpec(4321), the tiered open-loop
+// schedule, including every hot-cache counter.
+const tieredGoldenPath = "testdata/tiered_golden.json"
 
-var tieredGoldenHot = hotCounters{hits: 32_009, misses: 9_490, promos: 6_316, demos: 4_268}
+type tieredGoldenEntry struct {
+	goldenEntry
+	Hot hotCounters `json:"hot"`
+}
 
 func TestTieredGoldenDigest(t *testing.T) {
 	t.Parallel()
 	r := Run(tieredDeterminismSpec(4321))
-	fp := fingerprint{ops: r.Ops, lat: r.Lat.Digest(), timeline: r.Timeline.Digest()}
-	hc := hotCountersOf(&r)
-	if fp.ops != tieredGoldenOps || fp.lat != tieredGoldenLat || fp.timeline != tieredGoldenTimeline || hc != tieredGoldenHot {
-		t.Errorf("tiered schedule diverged from golden fingerprint\n got ops=%d lat=%#016x timeline=%#016x hot=%+v\nwant ops=%d lat=%#016x timeline=%#016x hot=%+v",
-			fp.ops, fp.lat, fp.timeline, hc, tieredGoldenOps, tieredGoldenLat, tieredGoldenTimeline, tieredGoldenHot)
-	}
+	openGolden[tieredGoldenEntry](t, tieredGoldenPath).check(t, "tiered-4321",
+		tieredGoldenEntry{goldenEntry: toGolden(fingerprintOf(&r)), Hot: hotCountersOf(&r)})
 }
 
 func TestTieredSpecDeterminism(t *testing.T) {

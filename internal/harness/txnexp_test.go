@@ -1,10 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"testing"
 
 	"kvell/internal/cluster"
@@ -131,57 +128,24 @@ func TestTxnClusterPlain(t *testing.T) {
 }
 
 // Golden digests for the transactional workloads, same discipline as
-// TestGoldenDigests: re-record with -update-txn-golden only for intentional
-// schedule changes.
-var updateTxnGolden = flag.Bool("update-txn-golden", false, "rewrite the transactional golden digest fixtures")
-
+// TestGoldenDigests.
 const txnGoldenPath = "testdata/txn_golden.json"
 
 func TestTxnGoldenDigests(t *testing.T) {
 	t.Parallel()
-	got := make(map[string]string)
+	fx := openGolden[string](t, txnGoldenPath)
 
 	bank, err := RunTxnBank(TxnBankSpec{Seed: 1234, Theta: 0.5, TxnSize: 3, Transfers: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got["bank-single-node"] = fmt.Sprintf("%016x", bank.Digest)
+	fx.check(t, "bank-single-node", fmt.Sprintf("%016x", bank.Digest))
 
 	clus, err := RunTxnCluster(TxnClusterSpec{Seed: 1234, Machines: 4, RF: 1, Theta: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got["bank-cluster-4m"] = fmt.Sprintf("%016x", clus.Digest)
-
-	if *updateTxnGolden {
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(txnGoldenPath, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", txnGoldenPath)
-		return
-	}
-	buf, err := os.ReadFile(txnGoldenPath)
-	if err != nil {
-		t.Fatalf("missing golden fixture (run with -update-txn-golden to record): %v", err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatalf("corrupt golden fixture: %v", err)
-	}
-	for name, w := range want {
-		if g := got[name]; g != w {
-			t.Errorf("%s: schedule diverged from golden fixture: got %s want %s", name, g, w)
-		}
-	}
-	for name := range got {
-		if _, ok := want[name]; !ok {
-			t.Errorf("%s: run missing from fixture (run with -update-txn-golden)", name)
-		}
-	}
+	fx.check(t, "bank-cluster-4m", fmt.Sprintf("%016x", clus.Digest))
 }
 
 // testWriter adapts t.Logf to io.Writer for sweep output.

@@ -350,3 +350,45 @@ func BenchmarkTxnCommit(b *testing.B) {
 	e.Wait()
 	disk.Close()
 }
+
+// TestAllocBudgetLocalRoundTrip pins LocalClient at no kv.Request per store
+// round trip: a warm TxnGet + Commit allocates no more than the same two
+// operations on caller-owned requests through core.Store.Do.
+func TestAllocBudgetLocalRoundTrip(t *testing.T) {
+	harness(t, 1, func(c env.Ctx, st *core.Store, cl *LocalClient) {
+		k := kv.Key(9)
+		start := cl.NextTS(c)
+		if res := cl.Prewrite(c, k, bal(9), k, start, false); res.Txn != kv.TxnOK {
+			t.Fatalf("prewrite: %v", res.Txn)
+		}
+		cts := cl.NextTS(c)
+		if res := cl.Commit(c, k, start, cts); res.Txn != kv.TxnOK {
+			t.Fatalf("commit: %v", res.Txn)
+		}
+		get := &kv.Request{Op: kv.OpTxnGet, Key: k, TS: cts}
+		commit := &kv.Request{Op: kv.OpTxnCommit, Key: k, TS: start, TS2: cts}
+		owned := func() {
+			get.ValueBuf = nil // a fresh value per read, as LocalClient returns
+			if res := st.Do(c, get); !res.Found || !bytes.Equal(res.Value, bal(9)) {
+				t.Fatalf("TxnGet through Do: %+v", res)
+			}
+			if res := st.Do(c, commit); res.Txn != kv.TxnOK {
+				t.Fatalf("repeated Commit through Do: %v", res.Txn)
+			}
+		}
+		local := func() {
+			if res := cl.TxnGet(c, k, cts, 0); !res.Found || !bytes.Equal(res.Value, bal(9)) {
+				t.Fatalf("TxnGet: %+v", res)
+			}
+			if res := cl.Commit(c, k, start, cts); res.Txn != kv.TxnOK {
+				t.Fatalf("repeated Commit: %v", res.Txn)
+			}
+		}
+		owned()
+		local() // warm: the page is cached and one waiter is pooled
+		want := testing.AllocsPerRun(100, owned)
+		if got := testing.AllocsPerRun(100, local); got > want {
+			t.Errorf("LocalClient TxnGet+Commit allocates %.0f/op, %.0f more than on caller-owned requests", got, got-want)
+		}
+	})
+}
