@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"kvell/internal/core"
 	"kvell/internal/device"
 	"kvell/internal/env"
 )
@@ -133,4 +134,9 @@ func TestGoldenDigests(t *testing.T) {
 		s.Cores = 32
 		fx.check(t, k.String()+"/8-disk", toGolden(runFingerprint(s)))
 	}
+	// The §4.1 ablation: every worker thread on one shared shard. No other
+	// tier-1 row runs a SharedEverything schedule.
+	s := determinismSpec(KVell, 1234)
+	s.TweakKVell = func(c *core.Config) { c.SharedEverything = true }
+	fx.check(t, "KVell/shared-everything", toGolden(runFingerprint(s)))
 }
