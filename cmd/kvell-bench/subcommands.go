@@ -13,7 +13,6 @@ import (
 
 	"kvell/internal/env"
 	"kvell/internal/harness"
-	"kvell/internal/stats"
 	"kvell/internal/trace"
 	"kvell/internal/ycsb"
 )
@@ -99,25 +98,9 @@ func clusterCmd(fs *flag.FlagSet) func(harness.Options, io.Writer) int {
 		}
 		spec := harness.ClusterSpec{RF: *rf, Seed: o.Seed, RecordsPerMachine: recs, Duration: dur}
 
-		fmt.Fprintf(w, "Sharded KVell cluster: YCSB A uniform, %d records/machine, RF=%d, 10GbE, seed=%d\n\n",
-			recs, *rf, o.Seed)
-		fmt.Fprintf(w, "%-10s %12s %10s %10s %12s %12s %18s\n",
-			"machines", "ops/s", "speedup", "p99", "net msgs", "net MB", "digest")
-		var base float64
 		t0 := time.Now()
-		for _, m := range counts {
-			spec.Machines = m
-			res, err := harness.RunCluster(spec)
-			if err != nil {
-				fmt.Fprintf(w, "%-10d FAILED: %v\n", m, err)
-				return 1
-			}
-			if base == 0 {
-				base = res.ThroughputOps
-			}
-			fmt.Fprintf(w, "%-10d %12.0f %9.2fx %10s %12d %12.1f   %016x\n",
-				m, res.ThroughputOps, res.ThroughputOps/base, stats.FmtDur(res.P99),
-				res.Net.Msgs, float64(res.Net.Bytes)/(1<<20), res.Digest)
+		if harness.ScalingReport(spec, counts, w) != nil {
+			return 1
 		}
 
 		if *failover {

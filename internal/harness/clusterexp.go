@@ -277,39 +277,39 @@ func clusterExp(o Options, w io.Writer) {
 	recs := o.records(50_000)
 	dur := o.dur(env.Second)
 
-	fmt.Fprintf(w, "\nWeak scaling, YCSB A uniform, %d records/machine, RF=1, 10GbE:\n\n", recs)
-	fmt.Fprintf(w, "%-10s %12s %10s %10s %12s %12s\n",
-		"machines", "ops/s", "speedup", "p99", "net msgs", "net MB")
+	fmt.Fprintln(w)
+	spec := ClusterSpec{RF: 1, Seed: o.Seed, RecordsPerMachine: recs, Duration: dur}
+	if ScalingReport(spec, machines, w) != nil {
+		return
+	}
+	spec.Machines, spec.RF, spec.Failover, spec.KillMachine = 4, 2, true, 1
+	FailoverReport(spec, w)
+}
+
+// ScalingReport runs spec's weak-scaling sweep, one run per machine count,
+// and prints a row per run with the digest a rerun at the same seed must
+// reproduce. It stops at the first failed run and returns its error.
+func ScalingReport(spec ClusterSpec, machines []int, w io.Writer) error {
+	fmt.Fprintf(w, "Sharded KVell cluster: YCSB A uniform, %d records/machine, RF=%d, 10GbE, seed=%d\n\n",
+		spec.RecordsPerMachine, spec.RF, spec.Seed)
+	fmt.Fprintf(w, "%-10s %12s %10s %10s %12s %12s %18s\n",
+		"machines", "ops/s", "speedup", "p99", "net msgs", "net MB", "digest")
 	var base float64
 	for _, m := range machines {
-		res, err := RunCluster(ClusterSpec{
-			Machines:          m,
-			RF:                1,
-			Seed:              o.Seed,
-			RecordsPerMachine: recs,
-			Duration:          dur,
-		})
+		spec.Machines = m
+		res, err := RunCluster(spec)
 		if err != nil {
 			fmt.Fprintf(w, "%-10d FAILED: %v\n", m, err)
-			continue
+			return err
 		}
 		if base == 0 {
 			base = res.ThroughputOps
 		}
-		fmt.Fprintf(w, "%-10d %12.0f %9.2fx %10s %12d %12.1f\n",
+		fmt.Fprintf(w, "%-10d %12.0f %9.2fx %10s %12d %12.1f   %016x\n",
 			m, res.ThroughputOps, res.ThroughputOps/base, stats.FmtDur(res.P99),
-			res.Net.Msgs, float64(res.Net.Bytes)/(1<<20))
+			res.Net.Msgs, float64(res.Net.Bytes)/(1<<20), res.Digest)
 	}
-
-	FailoverReport(ClusterSpec{
-		Machines:          4,
-		RF:                2,
-		Seed:              o.Seed,
-		RecordsPerMachine: recs,
-		Duration:          dur,
-		Failover:          true,
-		KillMachine:       1,
-	}, w)
+	return nil
 }
 
 // FailoverReport runs the failover spec fspec and prints its outcome, ending
