@@ -18,15 +18,16 @@ import (
 
 // Config describes a KVell store.
 type Config struct {
-	// Workers is the number of shared-nothing worker threads. Requests are
-	// routed to workers by key hash (§4.1).
+	// Workers is the number of worker threads. Each owns a shared-nothing
+	// shard of the key space, and requests are routed to shards by key hash
+	// (§4.1).
 	Workers int
 	// Disks are the block devices. Each worker stores its slabs on exactly
 	// one disk (workers round-robin over disks), bounding each disk's
 	// queue to BatchSize × workers-per-disk requests (§4.3).
 	Disks []device.Disk
 	// PageCachePages is the total capacity of the internal page caches,
-	// split evenly among workers (§5.3).
+	// split evenly among shards (§5.3).
 	PageCachePages int
 	// BatchSize is the maximum I/O batch per io_submit (§5.4; paper: 64).
 	BatchSize int
@@ -53,10 +54,10 @@ type Config struct {
 	// and the old slot is tombstoned only after the write is durable.
 	NoInPlaceUpdates bool
 
-	// SharedEverything is the §4.1 counter-design ablation: all workers
-	// share one index, one page cache and one set of slabs behind a
-	// global lock (the "conventional KV design" the paper contrasts
-	// with). Simulation-only.
+	// SharedEverything is the §4.1 counter-design ablation: all worker
+	// threads run on one shard — one index, one full-size page cache and
+	// one set of slabs behind a global lock (the "conventional KV design"
+	// the paper contrasts with). Simulation-only.
 	SharedEverything bool
 
 	// AbsorbInterval, when > 0, enables the write-absorption front end:
