@@ -166,7 +166,7 @@ func (w *worker) absorbStart(c env.Ctx, r *kv.Request, out *[]*aio.IO) bool {
 // device is idle with an empty buffer (nothing to merge with, so buffering
 // could only add latency), or the key's hash slot holds a colliding key.
 func (w *worker) absorb(c env.Ctx, r *kv.Request, out *[]*aio.IO) bool {
-	if w.aio.Inflight() == 0 && len(*out) == 0 && w.ab.pending() == 0 {
+	if w.threads[0].Inflight() == 0 && len(*out) == 0 && w.ab.pending() == 0 {
 		return false
 	}
 	now := c.Now()
@@ -255,7 +255,7 @@ func (w *worker) flushAbsorb(c env.Ctx, out *[]*aio.IO) {
 // toward the ceiling, four times it, when a backlog has formed (bandwidth
 // mode). The tick proc reads the interval under absorbMu.
 func (w *worker) absorbTick(c env.Ctx, out *[]*aio.IO) {
-	depth := w.aio.Inflight()
+	depth := w.threads[0].Inflight()
 	w.flushAbsorb(c, out)
 	cfg := &w.st.cfg
 	floor := max(cfg.AbsorbInterval/4, 1)

@@ -226,9 +226,9 @@ func (w *worker) readExtent(c env.Ctx, base int64, extPages int64) []byte {
 			Buf:  buf[off*device.PageSize : (off+n)*device.PageSize],
 		})
 	}
-	w.aio.Submit(c, ios)
+	w.threads[0].Submit(c, ios)
 	for done := 0; done < len(ios); {
-		evs := w.aio.GetEvents(c, 1)
+		evs := w.threads[0].GetEvents(c, 1)
 		done += len(evs)
 	}
 	return buf

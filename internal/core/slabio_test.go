@@ -38,14 +38,14 @@ func slabLayerHarness(t *testing.T, cfg func(*Config), fn func(c env.Ctx, w *wor
 // directly: submit the batch, run completions (which may emit follow-up
 // I/Os), repeat until nothing is queued or in flight.
 func settle(c env.Ctx, w *worker, out *[]*aio.IO) {
-	for len(*out) > 0 || w.aio.Inflight() > 0 {
-		w.aio.Submit(c, *out)
+	for len(*out) > 0 || w.threads[0].Inflight() > 0 {
+		w.threads[0].Submit(c, *out)
 		w.recycleBufs()
 		*out = (*out)[:0]
-		if w.aio.Inflight() == 0 {
+		if w.threads[0].Inflight() == 0 {
 			continue
 		}
-		for _, io := range w.aio.GetEvents(c, 1) {
+		for _, io := range w.threads[0].GetEvents(c, 1) {
 			io.Tag.(ioCont)(c, io, out)
 			w.putIO(io)
 		}
