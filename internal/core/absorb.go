@@ -16,8 +16,9 @@ import (
 // wins), and all of them are acknowledged together once that single write is
 // durable (group ack). heldAt parallels reqs with each request's absorb time
 // so the hold can be attributed to the absorb latency component. Entries are
-// pooled by the worker's absorber and their ack continuation is wired once,
-// so the steady-state merge path allocates nothing.
+// pooled by the worker's absorber, and an entry is itself the continuation
+// its flush hands on to (complete), so the steady-state merge path allocates
+// nothing.
 type absorbEntry struct {
 	w       *worker
 	hash    uint64
@@ -25,17 +26,16 @@ type absorbEntry struct {
 	heldAt  []env.Time
 	updated bool // an update/RMW was absorbed (delete acks report Found)
 	found   bool // flush outcome for a surviving delete
-	ackFn   func(c env.Ctx, out *[]*aio.IO)
 }
 
 // last returns the surviving request (the newest absorbed write).
 func (e *absorbEntry) last() *kv.Request { return e.reqs[len(e.reqs)-1] }
 
-// ack acknowledges every absorbed request once the group's device write has
-// settled, then recycles the entry. Updates always report Found (as the
+// complete acknowledges every absorbed request once the group's device write
+// has settled, then recycles the entry. Updates always report Found (as the
 // direct path does); deletes report the flush outcome, or Found when the
 // delete canceled a write that was still in the buffer.
-func (e *absorbEntry) ack(c env.Ctx, out *[]*aio.IO) {
+func (e *absorbEntry) complete(c env.Ctx, _ *aio.IO, out *[]*aio.IO) {
 	w := e.w
 	for i, r := range e.reqs {
 		e.reqs[i] = nil
@@ -117,7 +117,6 @@ func (ab *absorber) add(w *worker, r *kv.Request, now env.Time) bool {
 		ab.free = ab.free[:n-1]
 	} else {
 		e = &absorbEntry{w: w}
-		e.ackFn = e.ack
 	}
 	e.hash = h
 	e.updated = r.Op != kv.OpDelete
@@ -235,14 +234,16 @@ func (w *worker) flushAbsorb(c env.Ctx, out *[]*aio.IO) {
 		} else {
 			c.SetTrace(nil)
 		}
+		o := w.getRec(nil)
+		o.next = e
 		if last.Op == kv.OpDelete {
 			e.found = true
-			if !w.remove(c, last.Key, e.ackFn, out) {
+			if !w.remove(c, last.Key, o, out) {
 				e.found = false
-				e.ackFn(c, out)
+				e.complete(c, nil, out)
 			}
 		} else {
-			w.update(c, last.Key, last.Value, e.ackFn, out)
+			w.update(c, last.Key, last.Value, o, out)
 		}
 	}
 	c.SetTrace(nil)

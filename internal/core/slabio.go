@@ -18,6 +18,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 
 	"kvell/internal/aio"
 	"kvell/internal/costs"
@@ -27,12 +28,15 @@ import (
 	"kvell/internal/slab"
 )
 
-// slotFn receives a slot's payload: nil when the slot holds no live item, or
-// one whose key differs from the reader's expected key (freed and reused
-// since the caller learned the location); non-nil, even when empty,
+// slotReader receives a slot's payload: nil when the slot holds no live
+// item, or one whose key differs from the reader's expected key (freed and
+// reused since the caller learned the location); non-nil, even when empty,
 // otherwise. The payload aliases a cached page or an I/O buffer: it is valid
-// only for the duration of the call.
-type slotFn func(c env.Ctx, payload []byte, out *[]*aio.IO)
+// only for the duration of the call. Implementations are pooled records
+// (*locReq, *opRec), so a read in flight allocates nothing.
+type slotReader interface {
+	slot(c env.Ctx, payload []byte, out *[]*aio.IO)
+}
 
 // slotPayload decodes one slot image (a stride, or a multi-page slot's whole
 // buffer), charging the copy-out of its payload.
@@ -46,8 +50,7 @@ func (w *worker) slotPayload(c env.Ctx, sl *slab.Slab, expect, buf []byte) []byt
 }
 
 // cachedSlot is readSlot's no-I/O arm, split out so a page-cache hit
-// completes without materializing a continuation closure (the Get fast
-// path). hit is false when the slot needs a device read — the caller then
+// completes without taking a continuation record (the Get fast path). hit is false when the slot needs a device read — the caller then
 // continues with fetchSlot, which does not charge the cache lookup again.
 func (w *worker) cachedSlot(c env.Ctx, l location, expect []byte) (payload []byte, hit bool) {
 	sl := w.slabs[l.class()]
@@ -64,29 +67,27 @@ func (w *worker) cachedSlot(c env.Ctx, l location, expect []byte) (payload []byt
 }
 
 // fetchSlot is readSlot's device arm.
-func (w *worker) fetchSlot(c env.Ctx, l location, expect []byte, fn slotFn, out *[]*aio.IO) {
+func (w *worker) fetchSlot(c env.Ctx, l location, expect []byte, sr slotReader, out *[]*aio.IO) {
 	sl := w.slabs[l.class()]
-	slot := l.slot()
+	page := sl.SlotPage(l.slot())
+	j := prJoiner{slot: sr, l: l, expect: expect}
 	if sl.MultiPage() {
 		// Multi-page items bypass the page cache (they would monopolize it)
 		// and are read in one large request into an unpooled buffer.
-		buf := make([]byte, sl.PagesPerSlot()*device.PageSize)
-		w.emitIO(c, device.Read, sl.SlotPage(slot), buf, func(c env.Ctx, io *aio.IO, out *[]*aio.IO) {
-			fn(c, w.slotPayload(c, sl, expect, io.Buf), out)
-		}, out)
+		w.privateRead(c, page, make([]byte, sl.PagesPerSlot()*device.PageSize), j, out)
 		return
 	}
-	w.joinRead(c, sl.SlotPage(slot), prJoiner{slot: fn, l: l, expect: expect}, out)
+	w.joinRead(c, page, j, out)
 }
 
-// readSlot delivers the payload of the slot at l to fn: synchronously on a
+// readSlot delivers the payload of the slot at l to sr: synchronously on a
 // page-cache hit, from the read's completion otherwise.
-func (w *worker) readSlot(c env.Ctx, l location, expect []byte, fn slotFn, out *[]*aio.IO) {
+func (w *worker) readSlot(c env.Ctx, l location, expect []byte, sr slotReader, out *[]*aio.IO) {
 	if payload, hit := w.cachedSlot(c, l, expect); hit {
-		fn(c, payload, out)
+		sr.slot(c, payload, out)
 		return
 	}
-	w.fetchSlot(c, l, expect, fn, out)
+	w.fetchSlot(c, l, expect, sr, out)
 }
 
 // valueInto copies src into dst's storage (growing it as needed), or into a
@@ -107,40 +108,95 @@ func valueInto(dst *[]byte, src []byte) []byte {
 	return val
 }
 
-// patchSlot applies fn to the slot at l in place and writes the page back;
-// done (optional) runs once the write is durable. This is the
-// read-modify-write at the heart of in-place slab updates: cached pages cost
-// 1 I/O, uncached 2 (§6.3.1's accounting). fn sees the slot's stride; for a
-// multi-page slot it sees the first page only, read and rewritten privately
-// (such slots never enter the page cache), so the patch is still one atomic
-// single-page write.
-func (w *worker) patchSlot(c env.Ctx, l location, fn func(c env.Ctx, slot []byte), done func(c env.Ctx, out *[]*aio.IO), out *[]*aio.IO) {
+// edit is what patchSlot does to a slot's bytes. A patch carries its edit by
+// value — in a pending read's joiner when the page must be read first — so
+// an in-place write needs no closure.
+type edit struct {
+	op      editOp
+	ts      uint64 // the slab timestamp; editFlip: the commit timestamp
+	key     []byte
+	payload []byte // editItem; editImage: the slot's whole encoded image
+	reused  bool   // editItem: recover the free-list chain first
+	chainTo uint64 // editTombstone
+	kind    byte   // editFlip: the committed envelope kind
+}
+
+type editOp uint8
+
+const (
+	// editItem encodes (key, payload) stamped ts, first reinstating the
+	// free-list chain a reused slot's tombstone displaced.
+	editItem editOp = iota
+	// editTombstone writes a tombstone chaining to chainTo.
+	editTombstone
+	// editFlip commits an intent in place: only the envelope's kind byte
+	// and commit-timestamp field change, so the slab header — including the
+	// per-page timestamps a multi-page tear check validates — is untouched.
+	editFlip
+	// editImage reuses a multi-page slot: the chain is recovered from the
+	// first page, then the pre-encoded image is written over the slot.
+	editImage
+)
+
+// apply performs ed on slot, one slot's bytes (a multi-page slot's first
+// page).
+func (w *worker) apply(sl *slab.Slab, ed *edit, slot []byte) {
+	switch ed.op {
+	case editItem:
+		if ed.reused {
+			w.recoverChain(sl, slot)
+		}
+		if err := sl.EncodeItem(slot, ed.ts, ed.key, ed.payload); err != nil {
+			panic(err)
+		}
+	case editTombstone:
+		sl.EncodeTombstone(slot, ed.ts, ed.chainTo)
+	case editFlip:
+		// The envelope heads the slot's value region, right after the slab
+		// header and key.
+		p := slab.HeaderSize + len(ed.key)
+		slot[p] = ed.kind
+		binary.LittleEndian.PutUint64(slot[p+9:p+17], ed.ts)
+	}
+}
+
+// patchPage applies ed to l's slot in data, the image of the slot's page as
+// the page cache holds it, and writes the page back; done runs once the
+// write is durable.
+func (w *worker) patchPage(c env.Ctx, l location, ed *edit, data []byte, done cont, out *[]*aio.IO) {
 	sl := w.slabs[l.class()]
 	page := sl.SlotPage(l.slot())
-	if sl.MultiPage() {
-		w.emitIO(c, device.Read, page, w.pageBuf(), func(c env.Ctx, io *aio.IO, out *[]*aio.IO) {
-			buf := io.Buf
-			fn(c, buf)
-			w.writePage(c, page, buf, func(c env.Ctx, out *[]*aio.IO) {
-				w.retireBuf(buf)
-				if done != nil {
-					done(c, out)
-				}
-			}, out)
-		}, out)
+	if ed.op == editImage {
+		w.recoverChain(sl, data[:slab.HeaderSize+8])
+		w.cacheRemove(page) // the page belongs to a multi-page slot
+		w.writePage(c, page, ed.payload, done, out)
 		return
 	}
 	off := sl.SlotOffset(l.slot())
-	c.CPU(w.cache.LookupCost())
-	if data := w.cache.Get(page); data != nil {
-		fn(c, data[off:off+sl.Stride])
-		w.writePage(c, page, data, done, out)
+	w.apply(sl, ed, data[off:off+sl.Stride])
+	w.writePage(c, page, data, done, out)
+}
+
+// patchSlot applies ed to the slot at l in place and writes the page back;
+// done (optional) runs once the write is durable. This is the
+// read-modify-write at the heart of in-place slab updates: cached pages cost
+// 1 I/O, uncached 2 (§6.3.1's accounting). ed sees the slot's stride; for a
+// multi-page slot it sees the first page only, read and rewritten privately
+// (such slots never enter the page cache), so the patch is still one atomic
+// single-page write.
+func (w *worker) patchSlot(c env.Ctx, l location, ed edit, done cont, out *[]*aio.IO) {
+	sl := w.slabs[l.class()]
+	page := sl.SlotPage(l.slot())
+	if sl.MultiPage() {
+		w.privateRead(c, page, w.pageBuf(), prJoiner{l: l, ed: ed, done: done}, out)
 		return
 	}
-	w.joinRead(c, page, prJoiner{fn: func(c env.Ctx, data []byte, out *[]*aio.IO) {
-		fn(c, data[off:off+sl.Stride])
-		w.writePage(c, page, data, done, out)
-	}}, out)
+	c.CPU(w.cache.LookupCost())
+	if data := w.cache.Get(page); data != nil {
+		w.patchPage(c, l, &ed, data, done, out)
+		return
+	}
+	w.joinRead(c, page, prJoiner{l: l, ed: ed, done: done}, out)
 }
 
 // placeItem stores (key, payload), stamped ts, in a newly allocated slot of
@@ -150,7 +206,7 @@ func (w *worker) patchSlot(c env.Ctx, l location, fn func(c env.Ctx, slot []byte
 // and multi-page slots. With index set the new location is installed in the
 // index before the write is issued; callers that pass false own the index
 // update. payload must stay valid until done.
-func (w *worker) placeItem(c env.Ctx, cls int, key, payload []byte, ts uint64, index bool, done func(c env.Ctx, out *[]*aio.IO), out *[]*aio.IO) location {
+func (w *worker) placeItem(c env.Ctx, cls int, key, payload []byte, ts uint64, index bool, done cont, out *[]*aio.IO) location {
 	sl := w.slabs[cls]
 	slot, reused := sl.Alloc()
 	sl.Live++
@@ -170,11 +226,7 @@ func (w *worker) placeItem(c env.Ctx, cls int, key, payload []byte, ts uint64, i
 		}
 		// Recover the free-list chain from the old tombstone before
 		// overwriting it.
-		w.joinRead(c, page, prJoiner{fn: func(c env.Ctx, data []byte, out *[]*aio.IO) {
-			w.recoverChain(sl, data[:slab.HeaderSize+8])
-			w.cacheRemove(page) // the page belongs to a multi-page slot
-			w.writePage(c, page, buf, done, out)
-		}}, out)
+		w.joinRead(c, page, prJoiner{l: l, ed: edit{op: editImage, payload: buf}, done: done}, out)
 		return l
 	}
 	if !reused && sl.AppendPageFresh(slot) {
@@ -194,14 +246,7 @@ func (w *worker) placeItem(c env.Ctx, cls int, key, payload []byte, ts uint64, i
 		w.writePage(c, page, data, done, out)
 		return l
 	}
-	w.patchSlot(c, l, func(c env.Ctx, buf []byte) {
-		if reused {
-			w.recoverChain(sl, buf)
-		}
-		if err := sl.EncodeItem(buf, ts, key, payload); err != nil {
-			panic(err)
-		}
-	}, done, out)
+	w.patchSlot(c, l, edit{op: editItem, ts: ts, key: key, payload: payload, reused: reused}, done, out)
 	return l
 }
 
@@ -224,7 +269,7 @@ func (w *worker) recoverChain(sl *slab.Slab, slotBuf []byte) {
 // freeSlot marks the slot at l deleted on disk and pushes it onto its slab's
 // free list, chaining per §5.3 when the in-memory heads are full; done
 // (optional) runs once the tombstone is durable.
-func (w *worker) freeSlot(c env.Ctx, l location, done func(c env.Ctx, out *[]*aio.IO), out *[]*aio.IO) {
+func (w *worker) freeSlot(c env.Ctx, l location, done cont, out *[]*aio.IO) {
 	sl := w.slabs[l.class()]
 	chainTo, chained := sl.Free.Push(l.slot())
 	if !chained {
@@ -244,7 +289,5 @@ func (w *worker) freeSlot(c env.Ctx, l location, done func(c env.Ctx, out *[]*ai
 		w.retireBuf(data)
 		return
 	}
-	w.patchSlot(c, l, func(c env.Ctx, buf []byte) {
-		sl.EncodeTombstone(buf, ts, chainTo)
-	}, done, out)
+	w.patchSlot(c, l, edit{op: editTombstone, ts: ts, chainTo: chainTo}, done, out)
 }

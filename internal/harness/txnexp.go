@@ -230,9 +230,9 @@ func RunTxnBank(spec TxnBankSpec) (TxnBankResult, error) {
 	var audits []uint64 // (ts, sum) pairs, in audit order
 	audit := func(c env.Ctx) {
 		ts := st.SnapshotTS()
-		bo := mvcc.NewBackoff(spec.Seed^int64(ts), 2*env.Microsecond, 256*env.Microsecond)
+		bo := mvcc.MakeBackoff(spec.Seed^int64(ts), 2*env.Microsecond, 256*env.Microsecond)
 		sum := b.audit(c, ts, func(c env.Ctx, key []byte, ts uint64) ([]byte, bool, error) {
-			return txn.SnapshotGet(c, auditCl, key, ts, bo)
+			return txn.SnapshotGet(c, auditCl, key, ts, &bo)
 		})
 		audits = append(audits, ts, uint64(sum))
 		res.Audits++

@@ -15,6 +15,7 @@
 package txn
 
 import (
+	"bytes"
 	"errors"
 
 	"kvell/internal/env"
@@ -49,7 +50,8 @@ var ErrAborted = errors.New("txn: aborted by lock cleanup")
 // blocking lock within the retry budget.
 var ErrTooManyResolves = errors.New("txn: lock resolution budget exhausted")
 
-// write is one buffered mutation.
+// write is one buffered mutation. Its key is a view of the transaction's
+// key arena.
 type write struct {
 	key   []byte
 	value []byte
@@ -57,27 +59,41 @@ type write struct {
 }
 
 // Txn is a single transaction: a snapshot timestamp plus a client-side write
-// buffer. It is not safe for concurrent use; one proc owns it.
+// buffer. It is not safe for concurrent use; one proc owns it. Its buffers
+// are reused from one transaction to the next (Manager.Run), so a warm
+// transaction allocates nothing of its own.
 type Txn struct {
 	cl      Client
 	startTS uint64
-	writes  []write        // commit order; writes[0] is the primary
-	byKey   map[string]int // key -> index in writes
-	bo      *mvcc.Backoff
-	done    bool
+	writes  []write // commit order; writes[0] is the primary
+	// byHash maps kv.Hash64 of a key to its index in writes. A key whose
+	// hash an earlier key took is found by scanning writes.
+	byHash map[uint64]int
+	keys   []byte // the arena the writes' keys are copied into
+	bo     mvcc.Backoff
+	done   bool
 }
 
 // Begin opens a transaction at a fresh snapshot. seed salts the retry
 // backoff's jitter stream (pass a workload-derived value; two runs with equal
 // seeds and schedules sleep identically).
 func Begin(c env.Ctx, cl Client, seed int64) *Txn {
+	t := &Txn{}
+	t.begin(c, cl, seed)
+	return t
+}
+
+// begin resets t to a fresh transaction, keeping its buffers: nothing of a
+// previous transaction survives.
+func (t *Txn) begin(c env.Ctx, cl Client, seed int64) {
 	ts := cl.NextTS(c)
-	return &Txn{
-		cl:      cl,
-		startTS: ts,
-		byKey:   make(map[string]int),
-		bo:      mvcc.NewBackoff(seed^int64(ts), 2*env.Microsecond, 256*env.Microsecond),
+	clear(t.writes)
+	t.cl, t.startTS, t.writes, t.keys, t.done = cl, ts, t.writes[:0], t.keys[:0], false
+	if t.byHash == nil {
+		t.byHash = make(map[uint64]int)
 	}
+	clear(t.byHash)
+	t.bo = mvcc.MakeBackoff(seed^int64(ts), 2*env.Microsecond, 256*env.Microsecond)
 }
 
 // StartTS returns the transaction's snapshot timestamp.
@@ -91,33 +107,56 @@ func (t *Txn) Put(key, value []byte) { t.buffer(key, value, false) }
 func (t *Txn) Delete(key []byte) { t.buffer(key, nil, true) }
 
 func (t *Txn) buffer(key, value []byte, del bool) {
-	if i, ok := t.byKey[string(key)]; ok {
+	h := kv.Hash64(key)
+	if i := t.find(key, h); i >= 0 {
 		t.writes[i].value = value
 		t.writes[i].del = del
 		return
 	}
-	t.byKey[string(key)] = len(t.writes)
-	t.writes = append(t.writes, write{key: append([]byte(nil), key...), value: value, del: del})
+	if _, taken := t.byHash[h]; !taken {
+		t.byHash[h] = len(t.writes)
+	}
+	n := len(t.keys)
+	t.keys = append(t.keys, key...)
+	t.writes = append(t.writes, write{key: t.keys[n:len(t.keys):len(t.keys)], value: value, del: del})
+}
+
+// find returns the index of key's buffered write (h is its kv.Hash64), or
+// -1.
+func (t *Txn) find(key []byte, h uint64) int {
+	i, ok := t.byHash[h]
+	if !ok {
+		return -1
+	}
+	if bytes.Equal(t.writes[i].key, key) {
+		return i
+	}
+	for j := range t.writes {
+		if bytes.Equal(t.writes[j].key, key) {
+			return j
+		}
+	}
+	return -1
 }
 
 // Get reads key at the transaction's snapshot, seeing the transaction's own
 // buffered writes first.
 func (t *Txn) Get(c env.Ctx, key []byte) ([]byte, bool, error) {
-	if i, ok := t.byKey[string(key)]; ok {
+	if i := t.find(key, kv.Hash64(key)); i >= 0 {
 		w := &t.writes[i]
 		if w.del {
 			return nil, false, nil
 		}
 		return w.value, true, nil
 	}
-	return SnapshotGet(c, t.cl, key, t.startTS, t.bo)
+	return SnapshotGet(c, t.cl, key, t.startTS, &t.bo)
 }
 
 // GetAt is a standalone snapshot read at ts through cl, with lazy lock
 // resolution. seed salts the retry backoff.
 func GetAt(c env.Ctx, cl Client, key []byte, ts uint64, seed int64) ([]byte, bool, error) {
-	bo := mvcc.NewBackoff(seed^int64(kv.Hash64(key)^ts), 2*env.Microsecond, 256*env.Microsecond)
-	return SnapshotGet(c, cl, key, ts, bo)
+	bo := mvcc.MakeBackoff(seed^int64(kv.Hash64(key)^ts), 2*env.Microsecond, 256*env.Microsecond)
+	return SnapshotGet(c, cl, key, ts, &bo)
 }
 
 // SnapshotGet is a snapshot read at ts through cl with lazy lock resolution
@@ -233,6 +272,8 @@ type Manager struct {
 	Conflicts int64
 	// Aborts counts transactions that exhausted their retry budget.
 	Aborts int64
+
+	t Txn // the transaction every attempt of every Run reuses
 }
 
 // DefaultMaxAttempts is the retry budget when Manager.MaxAttempts is zero.
@@ -242,15 +283,19 @@ const DefaultMaxAttempts = 16
 // write-write conflicts, and returns the commit timestamp. A non-conflict
 // error from fn aborts the transaction and is returned as-is. seed salts the
 // backoff jitter; pass a per-transaction workload value for determinism.
+//
+// Every attempt runs on the Manager's one Txn, reset in between, so fn must
+// not keep t past its call. A Manager belongs to one proc, like a Txn.
 func (m *Manager) Run(c env.Ctx, seed int64, fn func(c env.Ctx, t *Txn) error) (uint64, error) {
 	max := m.MaxAttempts
 	if max <= 0 {
 		max = DefaultMaxAttempts
 	}
-	bo := mvcc.NewBackoff(seed, 4*env.Microsecond, 512*env.Microsecond)
+	bo := mvcc.MakeBackoff(seed, 4*env.Microsecond, 512*env.Microsecond)
+	t := &m.t
 	var lastErr error
 	for attempt := 0; attempt < max; attempt++ {
-		t := Begin(c, m.Cl, seed)
+		t.begin(c, m.Cl, seed)
 		if err := fn(c, t); err != nil {
 			t.Rollback()
 			return 0, err
