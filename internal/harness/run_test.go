@@ -74,13 +74,14 @@ func TestSmokeBaselinesYCSBA(t *testing.T) {
 }
 
 // closedLoopAllocBudget is the marginal heap allocations per completed
-// operation TestAllocBudgetClosedLoop allows: 0.2081, the largest of three
-// measurements (0.2081 each) once B-tree nodes owned their keys, plus 5%;
-// it was 0.4141 while every new index key, page numbers included, was an
-// allocation. Measured with go1.24.0 on linux/amd64; what escapes to the
-// heap is the compiler's decision, so a toolchain bump may move the count
-// and the budget is then re-recorded the same way.
-const closedLoopAllocBudget = 0.2081 * 1.05
+// operation TestAllocBudgetClosedLoop allows: 0.01. The measurements are
+// zero within the noise of a whole-process count (0.0000, -0.0001, -0.0000)
+// since a page-cache miss continues in a pooled record; with a closure per
+// miss it was 0.2081, and 0.4141 while every new index key, page numbers
+// included, was an allocation. Measured with go1.24.0 on linux/amd64; what
+// escapes to the heap is the compiler's decision, so a toolchain bump may
+// move the count and the budget is then re-recorded the same way.
+const closedLoopAllocBudget = 0.01
 
 // TestAllocBudgetClosedLoop bounds what harness.Run allocates per completed
 // operation on the closed-loop issue path — pooled requests, generator fill,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 
 	"kvell/internal/core"
@@ -155,6 +156,82 @@ func TestTxnWriteConflictLoserRetries(t *testing.T) {
 		v, _, _ := GetAt(c, cl, k, st.SnapshotTS(), 5)
 		if got := binary.LittleEndian.Uint64(v); got != 2 {
 			t.Fatalf("final value %d, want 2 (one lost update)", got)
+		}
+	})
+}
+
+// recordingClient is a LocalClient that logs the keys it prewrites and
+// commits.
+type recordingClient struct {
+	LocalClient
+	prewrites, commits []string
+}
+
+func (r *recordingClient) Prewrite(c env.Ctx, key, value, primary []byte, startTS uint64, del bool) kv.Result {
+	r.prewrites = append(r.prewrites, string(key))
+	return r.LocalClient.Prewrite(c, key, value, primary, startTS, del)
+}
+
+func (r *recordingClient) Commit(c env.Ctx, key []byte, startTS, commitTS uint64) kv.Result {
+	r.commits = append(r.commits, string(key))
+	return r.LocalClient.Commit(c, key, startTS, commitTS)
+}
+
+// TestManagerReusedTxnCarriesNothing runs a body whose first attempt buffers
+// k1 and k2 and loses a write-write conflict on k1, and whose second attempt
+// writes only k3. Run reuses one Txn for both, and nothing of the first
+// attempt may leak into the second: its Get of k1 reads the store, and only
+// k3 is prewritten and committed.
+func TestManagerReusedTxnCarriesNothing(t *testing.T) {
+	harness(t, 5, func(c env.Ctx, st *core.Store, lc *LocalClient) {
+		k1, k2, k3 := kv.Key(1), kv.Key(2), kv.Key(3)
+		st.Put(c, k1, bal(1))
+		rc := &recordingClient{LocalClient: *lc}
+		m := &Manager{Cl: rc}
+		attempts := 0
+		var first *Txn
+		_, err := m.Run(c, 11, func(c env.Ctx, tx *Txn) error {
+			attempts++
+			if attempts == 1 {
+				first = tx
+				st.Put(c, k1, bal(2)) // commits after tx's snapshot
+				tx.Put(k1, bal(10))
+				tx.Put(k2, bal(20))
+				return nil
+			}
+			if tx != first {
+				t.Error("Run did not reuse its Txn")
+			}
+			rc.prewrites, rc.commits = nil, nil
+			if v, ok, err := tx.Get(c, k1); err != nil || !ok || !bytes.Equal(v, bal(2)) {
+				t.Errorf("attempt 2 reads k1 = %v, %v, %v; want the store's %v", v, ok, err, bal(2))
+			}
+			if v, ok, err := tx.Get(c, k2); err != nil || ok {
+				t.Errorf("attempt 2 reads k2 = %v, %v, %v; want absent", v, ok, err)
+			}
+			tx.Put(k3, bal(30))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if attempts != 2 || m.Conflicts != 1 {
+			t.Fatalf("%d attempts, %d conflicts; want 2 and 1", attempts, m.Conflicts)
+		}
+		want := []string{string(k3)}
+		if !slices.Equal(rc.prewrites, want) || !slices.Equal(rc.commits, want) {
+			t.Errorf("attempt 2 prewrote %q and committed %q, want %q for both", rc.prewrites, rc.commits, want)
+		}
+		for _, tc := range []struct {
+			key  []byte
+			want []byte
+		}{{k1, bal(2)}, {k2, nil}, {k3, bal(30)}} {
+			if v, ok := st.Get(c, tc.key); ok != (tc.want != nil) || !bytes.Equal(v, tc.want) {
+				t.Errorf("store holds %q = %v (%v), want %v", tc.key, v, ok, tc.want)
+			}
+		}
+		if n := st.PendingLocks(); n != 0 {
+			t.Errorf("%d locks pending after Run", n)
 		}
 	})
 }
@@ -351,9 +428,16 @@ func BenchmarkTxnCommit(b *testing.B) {
 	disk.Close()
 }
 
+// localRoundTripAllocBudget is what a warm TxnGet + Commit through
+// LocalClient may allocate: 1, the caller-owned Result.Value of the read,
+// plus 5%. With a closure per store continuation it measured 2. Go1.24.0 on
+// linux/amd64.
+const localRoundTripAllocBudget = 1 * 1.05
+
 // TestAllocBudgetLocalRoundTrip pins LocalClient at no kv.Request per store
 // round trip: a warm TxnGet + Commit allocates no more than the same two
-// operations on caller-owned requests through core.Store.Do.
+// operations on caller-owned requests through core.Store.Do, and no more
+// than localRoundTripAllocBudget.
 func TestAllocBudgetLocalRoundTrip(t *testing.T) {
 	harness(t, 1, func(c env.Ctx, st *core.Store, cl *LocalClient) {
 		k := kv.Key(9)
@@ -387,8 +471,12 @@ func TestAllocBudgetLocalRoundTrip(t *testing.T) {
 		owned()
 		local() // warm: the page is cached and one waiter is pooled
 		want := testing.AllocsPerRun(100, owned)
-		if got := testing.AllocsPerRun(100, local); got > want {
+		got := testing.AllocsPerRun(100, local)
+		if got > want {
 			t.Errorf("LocalClient TxnGet+Commit allocates %.0f/op, %.0f more than on caller-owned requests", got, got-want)
+		}
+		if got > localRoundTripAllocBudget {
+			t.Errorf("LocalClient TxnGet+Commit allocates %.0f/op, budget %.2f", got, float64(localRoundTripAllocBudget))
 		}
 	})
 }
