@@ -30,6 +30,8 @@ type Config struct {
 	// split evenly among shards (§5.3).
 	PageCachePages int
 	// BatchSize is the maximum I/O batch per io_submit (§5.4; paper: 64).
+	// Background work keeps to it too: a GC pass frees at most BatchSize
+	// slots and resumes once their tombstones are durable.
 	BatchSize int
 	// FreelistHeads is N, the per-slab bound on in-memory free-list heads
 	// (§5.3; paper: 64).

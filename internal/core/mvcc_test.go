@@ -660,3 +660,70 @@ func TestAllocBudgetMVCCRead(t *testing.T) {
 	e.Wait()
 	disk.Close()
 }
+
+// peakDisk is a SimDisk that records its largest in-flight count.
+type peakDisk struct {
+	*device.SimDisk
+	peak int
+}
+
+func (d *peakDisk) Submit(r *device.Request) {
+	d.SimDisk.Submit(r)
+	d.peak = max(d.peak, d.Inflight())
+}
+
+// TestMVCCGCPacesDevice collects 20,480 stale versions. The disk's in-flight
+// count must stay within twice the bound Config documents, BatchSize ×
+// workers per disk: a collection that emits every free in one batch puts
+// tens of thousands of requests on the device at once.
+func TestMVCCGCPacesDevice(t *testing.T) {
+	const keys, stale = 2048, 10
+	s := sim.New(1)
+	e := sim.NewEnv(s, 8)
+	disk := &peakDisk{SimDisk: device.NewSimDisk(s, device.Optane(), device.NewMemStore())}
+	cfg := DefaultConfig(disk)
+	cfg.Workers = 2
+	cfg.MVCC = true
+	st, err := Open(e, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Start()
+	e.Go("client", func(c env.Ctx) {
+		defer st.Stop(c)
+		for i := int64(0); i < keys; i++ {
+			txnPut(t, c, st, kv.Key(i), kv.Value(i, 0, 40)) // the key enters the version table
+			for v := uint64(1); v <= stale; v++ {
+				st.Put(c, kv.Key(i), kv.Value(i, v, 40))
+			}
+		}
+		disk.peak = 0
+		if n := st.GC(c, st.SnapshotTS()); n != keys*stale {
+			t.Errorf("GC freed %d slots, want %d", n, keys*stale)
+		}
+		t.Logf("peak of %d requests in flight during GC", disk.peak)
+		if bound := 2 * cfg.BatchSize * cfg.Workers; disk.peak > bound {
+			t.Errorf("%d requests in flight on the disk during GC, bound %d", disk.peak, bound)
+		}
+		for i := int64(0); i < keys; i++ {
+			if v, ok := st.Get(c, kv.Key(i)); !ok || !bytes.Equal(v, kv.Value(i, stale, 40)) {
+				t.Fatalf("key %d lost its newest version to GC", i)
+			}
+		}
+	})
+	if err := s.Run(-1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Stats().MVCCKeys != 0 {
+		t.Errorf("%d keys still tracked after GC", st.Stats().MVCCKeys)
+	}
+	if err := st.CheckMVCC(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -73,7 +73,7 @@ func (w *waiter) wait(c env.Ctx) kv.Result {
 // set, is called first and is back in place when Do returns.
 func (s *Store) Do(c env.Ctx, r *kv.Request) kv.Result {
 	w := s.acquireWaiter(c)
-	res := w.do(c, s, r)
+	res := w.do(c, s, nil, r)
 	s.releaseWaiter(c, w)
 	return res
 }
@@ -83,17 +83,25 @@ func (s *Store) Do(c env.Ctx, r *kv.Request) kv.Result {
 // Result.Value stays the caller's to keep: the embedded request is zeroed on
 // release, so a read only ever fills r's own ValueBuf (normally nil, which
 // gets a fresh buffer), never one a previous call grew.
-func (s *Store) Call(c env.Ctx, r kv.Request) kv.Result {
+func (s *Store) Call(c env.Ctx, r kv.Request) kv.Result { return s.callOn(c, nil, r) }
+
+// callOn is Call with the request queued on shard on (routed by key when on
+// is nil).
+func (s *Store) callOn(c env.Ctx, on *worker, r kv.Request) kv.Result {
 	w := s.acquireWaiter(c)
 	w.req = r
-	res := w.do(c, s, &w.req)
+	res := w.do(c, s, on, &w.req)
 	s.releaseWaiter(c, w)
 	return res
 }
 
-func (w *waiter) do(c env.Ctx, s *Store, r *kv.Request) kv.Result {
+func (w *waiter) do(c env.Ctx, s *Store, on *worker, r *kv.Request) kv.Result {
 	w.prev, r.Done = r.Done, w.completeFn
-	s.Submit(c, r)
+	if on == nil {
+		s.Submit(c, r)
+	} else {
+		s.submitTo(c, on, r)
+	}
 	res := w.wait(c)
 	r.Done = w.prev
 	return res

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"kvell/internal/cluster"
@@ -154,4 +155,47 @@ type testWriter struct{ t *testing.T }
 func (w testWriter) Write(p []byte) (int, error) {
 	w.t.Logf("%s", p)
 	return len(p), nil
+}
+
+// txnLoopAllocBudget is the marginal heap allocations per committed transfer
+// TestAllocBudgetTxnLoop allows: 41.8425, the largest of three measurements
+// (41.8387, 41.8425, 41.8362), plus 5%. Most of it is the caller-owned
+// Result.Value of every read and the bank's own transfer records. With a
+// closure per store continuation, a fresh Txn per attempt and a garbage
+// collection that freed every slot in one batch it measured 145.60. Go1.24.0
+// on linux/amd64; re-record after a toolchain bump the way
+// closedLoopAllocBudget is.
+const txnLoopAllocBudget = 41.8425 * 1.05
+
+// TestAllocBudgetTxnLoop bounds what RunTxnBank allocates per committed
+// transfer — the movers' percolator client, the store's transaction
+// handlers, the version table and the final garbage collection — on the
+// shape of the benchmark's txn_bank workload, so tier-1 fails where its
+// host_allocs_per_op would move. Two runs that differ only in their transfer
+// count are compared, so opening and loading the bank cancels. Not
+// parallel, like TestAllocBudgetClosedLoop.
+func TestAllocBudgetTxnLoop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	run := func(transfers int) (mallocs uint64, committed int64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := RunTxnBank(TxnBankSpec{Seed: 1, Transfers: transfers, TxnSize: 3, Theta: 0.6})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("bank run failed: %v", err)
+		}
+		return after.Mallocs - before.Mallocs, res.Committed
+	}
+	m1, c1 := run(200)
+	m2, c2 := run(400)
+	if c2 <= c1 {
+		t.Fatalf("longer run committed no more transfers: %d then %d", c1, c2)
+	}
+	perOp := (float64(m2) - float64(m1)) / float64(c2-c1)
+	t.Logf("%.4f allocations per transfer (%d over %d transfers)", perOp, int64(m2)-int64(m1), c2-c1)
+	if perOp > txnLoopAllocBudget {
+		t.Errorf("transaction loop allocates %.4f per transfer, budget %.4f", perOp, float64(txnLoopAllocBudget))
+	}
 }
