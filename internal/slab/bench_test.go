@@ -45,3 +45,19 @@ func BenchmarkEncodeMultiPage(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEncodeItem1KValue encodes a 1 KB value into a 2048-byte stride,
+// the shape of every item of the end-to-end benchmark: most of the cost is
+// zeroing the slot's tail.
+func BenchmarkEncodeItem1KValue(b *testing.B) {
+	s := newSlab(2048)
+	buf := make([]byte, 2048)
+	key := []byte("user000000000000001")
+	val := make([]byte, 1024)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := s.EncodeItem(buf, uint64(i), key, val); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -195,9 +195,7 @@ func (s *Slab) EncodeItem(buf []byte, ts uint64, key, value []byte) error {
 		copy(buf[HeaderSize:], key)
 		copy(buf[HeaderSize+len(key):], value)
 		// Zero the tail so stale bytes never masquerade as data.
-		for i := HeaderSize + len(key) + len(value); i < s.Stride; i++ {
-			buf[i] = 0
-		}
+		clear(buf[HeaderSize+len(key)+len(value):])
 		return nil
 	}
 	if int64(len(buf)) != s.pagesPerSlot*device.PageSize {
@@ -206,25 +204,20 @@ func (s *Slab) EncodeItem(buf []byte, ts uint64, key, value []byte) error {
 	if len(key)+len(value) > int(s.pagesPerSlot)*PagePayload {
 		return fmt.Errorf("slab: item too large for %d-page slot", s.pagesPerSlot)
 	}
-	data := make([]byte, 0, len(key)+len(value))
-	data = append(data, key...)
-	data = append(data, value...)
+	// Each page carries the next PagePayload bytes of key then value.
+	klen, vlen := len(key), len(value)
 	for p := int64(0); p < s.pagesPerSlot; p++ {
 		pg := buf[p*device.PageSize : (p+1)*device.PageSize]
 		flag := byte(flagCont)
 		if p == 0 {
 			flag = flagLive
 		}
-		putHeader(pg, flag, ts, len(key), len(value))
-		chunk := data
-		if len(chunk) > PagePayload {
-			chunk = chunk[:PagePayload]
-		}
-		copy(pg[HeaderSize:], chunk)
-		for i := HeaderSize + len(chunk); i < device.PageSize; i++ {
-			pg[i] = 0
-		}
-		data = data[len(chunk):]
+		putHeader(pg, flag, ts, klen, vlen)
+		n := HeaderSize + copy(pg[HeaderSize:], key)
+		key = key[n-HeaderSize:]
+		c := copy(pg[n:], value)
+		value = value[c:]
+		clear(pg[n+c:])
 	}
 	return nil
 }

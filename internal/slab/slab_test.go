@@ -231,3 +231,72 @@ func TestEncodeDecodePropertyAllClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// encodeRef is EncodeItem as it was before it zeroed with clear and copied
+// across pages without staging key and value in one slice: the byte-level
+// oracle for TestEncodeItemMatchesReference.
+func encodeRef(s *Slab, buf []byte, ts uint64, key, value []byte) {
+	if s.slotsPerPage > 0 {
+		putHeader(buf, flagLive, ts, len(key), len(value))
+		copy(buf[HeaderSize:], key)
+		copy(buf[HeaderSize+len(key):], value)
+		for i := HeaderSize + len(key) + len(value); i < s.Stride; i++ {
+			buf[i] = 0
+		}
+		return
+	}
+	data := append(append([]byte(nil), key...), value...)
+	for p := int64(0); p < s.pagesPerSlot; p++ {
+		pg := buf[p*device.PageSize : (p+1)*device.PageSize]
+		flag := byte(flagCont)
+		if p == 0 {
+			flag = flagLive
+		}
+		putHeader(pg, flag, ts, len(key), len(value))
+		chunk := data
+		if len(chunk) > PagePayload {
+			chunk = chunk[:PagePayload]
+		}
+		copy(pg[HeaderSize:], chunk)
+		for i := HeaderSize + len(chunk); i < device.PageSize; i++ {
+			pg[i] = 0
+		}
+		data = data[len(chunk):]
+	}
+}
+
+// EncodeItem writes exactly the bytes the reference encoder does into a
+// buffer full of stale 0xFF, for sub-page and multi-page classes, items that
+// fill their slot and items far short of it, values that end on and off a
+// page boundary.
+func TestEncodeItemMatchesReference(t *testing.T) {
+	key := []byte("user000000000000042")
+	for _, stride := range DefaultClasses {
+		s := newSlab(stride)
+		size := stride
+		if s.pagesPerSlot > 1 {
+			size = int(s.pagesPerSlot) * device.PageSize
+		}
+		payload := stride - HeaderSize
+		if s.pagesPerSlot > 1 {
+			payload = int(s.pagesPerSlot) * PagePayload
+		}
+		for _, vlen := range []int{0, 1, payload / 2, payload - len(key) - 1, payload - len(key), PagePayload - len(key), PagePayload} {
+			if vlen < 0 || len(key)+vlen > payload {
+				continue
+			}
+			val := make([]byte, vlen)
+			for i := range val {
+				val[i] = byte(i*7 + 1)
+			}
+			got, want := bytes.Repeat([]byte{0xFF}, size), bytes.Repeat([]byte{0xFF}, size)
+			if err := s.EncodeItem(got, 9, key, val); err != nil {
+				t.Fatalf("stride %d, %dB value: %v", stride, vlen, err)
+			}
+			encodeRef(s, want, 9, key, val)
+			if !bytes.Equal(got, want) {
+				t.Errorf("stride %d, %dB value: encoding differs from the reference", stride, vlen)
+			}
+		}
+	}
+}

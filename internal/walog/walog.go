@@ -79,9 +79,7 @@ func EncodeChunk(dst, payload []byte, count int) []byte {
 	n := copy(dst[HeaderSize:], payload)
 	// Zero the padding: the encode buffer is recycled across chunks and
 	// stale bytes must not reach the device.
-	for i := HeaderSize + n; i < need; i++ {
-		dst[i] = 0
-	}
+	clear(dst[HeaderSize+n:])
 	return dst
 }
 
