@@ -39,10 +39,36 @@ type MemStore struct {
 	// old pages and write fresh page numbers, and every write is a full
 	// page copy, so reuse is invisible to readers.
 	free []*[PageSize]byte
+	// chunk is the unused tail of the last page chunk: fresh pages are
+	// carved from chunks of memChunkPages, one heap object per chunk
+	// instead of one per page.
+	chunk [][PageSize]byte
 }
+
+// memChunkPages is how many fresh pages a MemStore allocates at once. A
+// chunk stays reachable while any of its pages is, in the store or on its
+// free list: at most 256 KB pinned by one live page.
+const memChunkPages = 64
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore { return &MemStore{pages: make(map[int64]*[PageSize]byte)} }
+
+// newPage returns a page array for a page number the store does not hold:
+// a freed one if there is one, else the next of the current chunk. Its
+// content is stale or zero; every caller overwrites all of it.
+func (m *MemStore) newPage() *[PageSize]byte {
+	if f := len(m.free); f > 0 {
+		p := m.free[f-1]
+		m.free = m.free[:f-1]
+		return p
+	}
+	if len(m.chunk) == 0 {
+		m.chunk = make([][PageSize]byte, memChunkPages)
+	}
+	p := &m.chunk[0]
+	m.chunk = m.chunk[1:]
+	return p
+}
 
 func checkBuf(buf []byte) int {
 	if len(buf) == 0 || len(buf)%PageSize != 0 {
@@ -77,12 +103,7 @@ func (m *MemStore) WritePages(page int64, buf []byte) error {
 	for i := 0; i < n; i++ {
 		p, ok := m.pages[page+int64(i)]
 		if !ok {
-			if f := len(m.free); f > 0 {
-				p = m.free[f-1]
-				m.free = m.free[:f-1]
-			} else {
-				p = new([PageSize]byte)
-			}
+			p = m.newPage()
 			m.pages[page+int64(i)] = p
 		}
 		copy(p[:], buf[i*PageSize:(i+1)*PageSize])
@@ -106,7 +127,8 @@ func (m *MemStore) Pages() int {
 // Snapshot returns a deep copy of the store's current page images — the
 // "disk at reboot" a fault injector hands to recovery. The copy shares
 // nothing with the live store, so post-crash mutations by still-unwinding
-// procs cannot leak into it.
+// procs cannot leak into it; its pages come from chunks of its own, and its
+// free list starts empty.
 func (m *MemStore) Snapshot() *MemStore {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -119,13 +141,39 @@ func (m *MemStore) Snapshot() *MemStore {
 		nums = append(nums, pg)
 	}
 	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
-	c := NewMemStore()
+	c := &MemStore{pages: make(map[int64]*[PageSize]byte, len(nums))}
 	for _, pg := range nums {
-		cp := new([PageSize]byte)
+		cp := c.newPage()
 		*cp = *m.pages[pg]
 		c.pages[pg] = cp
 	}
 	return c
+}
+
+// FirstDiff returns the lowest page number whose image differs between m and
+// o, a page only one of them holds included; differ is false when both hold
+// the same pages with the same bytes.
+func (m *MemStore) FirstDiff(o *MemStore) (page int64, differ bool) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	note := func(pg int64) {
+		if !differ || pg < page {
+			page, differ = pg, true
+		}
+	}
+	for pg, p := range m.pages {
+		if q, ok := o.pages[pg]; !ok || *p != *q {
+			note(pg)
+		}
+	}
+	for pg := range o.pages {
+		if _, ok := m.pages[pg]; !ok {
+			note(pg)
+		}
+	}
+	return page, differ
 }
 
 // Free discards the content of count pages starting at page (space reuse
