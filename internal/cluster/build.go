@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 
 	"kvell/internal/core"
 	"kvell/internal/device"
@@ -117,22 +118,37 @@ func Build(spec Spec) *Cluster {
 		cl.Stores[m], cl.cfgs[m] = st, cfg
 	}
 
-	// Bulk load: each store gets exactly its slots' keys (generated in key
-	// order, so each per-machine subset stays sorted).
-	perMachine := make([][]kv.Item, M)
-	for m := range perMachine {
-		// Slots spread keys evenly; a little slack spares the regrowth.
-		perMachine[m] = make([]kv.Item, 0, spec.Records/int64(M)*9/8)
+	// Bulk load: each store gets exactly its slots' keys, in key order. The
+	// stores load one at a time from one item buffer sized for the largest
+	// share: BulkLoad keeps no item bytes (the index copies keys, the slab
+	// pages both).
+	leader := make([]int32, spec.Records)
+	count := make([]int, M)
+	key := make([]byte, kv.KeyLen)
+	for i := range leader {
+		kv.FillKey(key, int64(i))
+		m := place.Leader(place.SlotOf(key))
+		leader[i] = int32(m)
+		count[m]++
 	}
-	var a kv.Arena
-	for i := int64(0); i < spec.Records; i++ {
-		k, v := a.Key(i), a.Alloc(spec.ValueLen)
-		spec.FillValue(v, i)
-		m := place.Leader(place.SlotOf(k))
-		perMachine[m] = append(perMachine[m], kv.Item{Key: k, Value: v})
-	}
+	stride := kv.KeyLen + spec.ValueLen
+	items := make([]kv.Item, 0, slices.Max(count))
+	data := make([]byte, cap(items)*stride)
 	for m, st := range cl.Stores {
-		if err := st.BulkLoad(perMachine[m]); err != nil {
+		items = items[:0]
+		for i, lm := range leader {
+			if int(lm) != m {
+				continue
+			}
+			lo, hi := len(items)*stride, (len(items)+1)*stride
+			b := data[lo:hi:hi]
+			k, v := b[:kv.KeyLen:kv.KeyLen], b[kv.KeyLen:]
+			kv.FillKey(k, int64(i))
+			clear(v)
+			spec.FillValue(v, int64(i))
+			items = append(items, kv.Item{Key: k, Value: v})
+		}
+		if err := st.BulkLoad(items); err != nil {
 			panic(err)
 		}
 	}

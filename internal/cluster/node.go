@@ -95,12 +95,16 @@ type ReqMsg struct {
 	// respValue carries the reply value across the network hop (reused).
 	respValue []byte
 	res       kv.Result
+	// deliver hands the message to Node on arrival; bound once, so a send
+	// builds no closure.
+	deliver func()
 }
 
 // NewReqMsg returns a reusable request message for cluster cl.
 func NewReqMsg(cl *Cluster) *ReqMsg {
 	m := &ReqMsg{cl: cl}
 	m.req.Done = m.serverDone
+	m.deliver = func() { m.Node.enqueue(m) }
 	return m
 }
 
@@ -113,7 +117,7 @@ func (cl *Cluster) Send(c env.Ctx, client int, m *ReqMsg) {
 	m.Epoch = cl.Place.Epoch()
 	m.client = client
 	size := ReqOverhead + len(m.Key) + len(m.Value) + len(m.Aux)
-	cl.Net.Send(client, n.host, size, m.Trace, func() { n.enqueue(m) })
+	cl.Net.Send(client, n.host, size, m.Trace, m.deliver)
 }
 
 // serverDone is the embedded request's completion: it runs on the serving
@@ -144,6 +148,8 @@ type Node struct {
 
 	inbox   env.Queue
 	stopped bool
+	// replies recycles the reply records delivered back to clients.
+	replies []*replyRec
 
 	// Reqs counts operations served.
 	Reqs int64
@@ -194,13 +200,44 @@ func (n *Node) serve(c env.Ctx) {
 }
 
 // reply sends m's result back to the issuing client (dropped if the client
-// machine — or this machine, post-mortem — is dead).
+// machine — or this machine, post-mortem — is dead). The result and the
+// callback are captured at send time, so a reply that lands after the client
+// swept m still delivers what was sent.
 func (n *Node) reply(m *ReqMsg) {
-	res := m.res
+	rr := n.newReply()
+	rr.res = m.res
 	if len(m.respValue) > 0 {
-		res.Value = m.respValue
+		rr.res.Value = m.respValue
 	}
+	rr.done = m.Done
 	size := ReplyOverhead + len(m.respValue)
-	done := m.Done
-	n.cl.Net.Send(n.host, m.client, size, m.Trace, func() { done(res) })
+	n.cl.Net.Send(n.host, m.client, size, m.Trace, rr.deliver)
+}
+
+// replyRec is one reply in flight to a client. The node recycles it when it
+// is delivered; one whose send was dropped is left to the garbage collector.
+type replyRec struct {
+	n       *Node
+	res     kv.Result
+	done    func(kv.Result)
+	deliver func() // bound once, to arrive
+}
+
+func (n *Node) newReply() *replyRec {
+	if k := len(n.replies); k > 0 {
+		rr := n.replies[k-1]
+		n.replies = n.replies[:k-1]
+		return rr
+	}
+	rr := &replyRec{n: n}
+	rr.deliver = rr.arrive
+	return rr
+}
+
+// arrive runs on the client machine (scheduler context).
+func (rr *replyRec) arrive() {
+	done, res := rr.done, rr.res
+	rr.done, rr.res = nil, kv.Result{}
+	rr.n.replies = append(rr.n.replies, rr)
+	done(res)
 }
