@@ -120,7 +120,7 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 
 	// Shadow model (crash-harness discipline): after a failover the durable
 	// version of every key must be one its client could have been told about.
-	sh := newShadow(total, func(k int64, v uint64) []byte { return kv.Value(k, v, spec.ItemSize) })
+	sh := newShadow(total, func(int64, uint64) int { return spec.ItemSize })
 	killAt := spec.Duration / 3
 	cl := cluster.Build(cluster.Spec{
 		Machines: M, RF: spec.RF, Seed: spec.Seed, Slots: clusterSlots,

@@ -104,9 +104,7 @@ type CrashResult struct {
 func RunCrash(spec CrashSpec) (CrashResult, error) {
 	spec.defaults()
 	res := CrashResult{Engine: spec.Engine.String(), Seed: spec.Seed, AtWrite: spec.AtWrite}
-	sh := newShadow(spec.Records, func(k int64, v uint64) []byte {
-		return kv.Value(k, v, crashValSize(k, v))
-	})
+	sh := newShadow(spec.Records, crashValSize)
 
 	// First life: run the workload until the machine dies.
 	tb := NewTestbed(spec.Seed, spec.AtWrite, crashCores, crashNDisks)
@@ -114,7 +112,7 @@ func RunCrash(spec CrashSpec) (CrashResult, error) {
 	eng := buildEngine(tb.Env, hs, tb.Disks)
 	items := make([]kv.Item, spec.Records)
 	for i := int64(0); i < spec.Records; i++ {
-		items[i] = kv.Item{Key: kv.Key(i), Value: sh.val(i, 1)}
+		items[i] = kv.Item{Key: kv.Key(i), Value: sh.fillVal(nil, i, 1)}
 	}
 	tb.Load(eng, items)
 

@@ -204,8 +204,11 @@ type shadow struct {
 	issued   []uint64
 	acked    []uint64
 	inflight []bool
-	// val is the value version v of key k carries.
-	val func(k int64, v uint64) []byte
+	// valLen is the length of the value version v of key k carries; its
+	// bytes are kv.FillValue's for (k, v).
+	valLen func(k int64, v uint64) int
+	// scratch holds the candidate values match compares against.
+	scratch []byte
 
 	// Whole-run counts over every shadow client: operations issued and
 	// completed, updates among each, and the completed operations' latency.
@@ -214,18 +217,30 @@ type shadow struct {
 	lat                       *stats.Hist
 }
 
-func newShadow(keys int64, val func(k int64, v uint64) []byte) *shadow {
+func newShadow(keys int64, valLen func(k int64, v uint64) int) *shadow {
 	sh := &shadow{
 		issued:   make([]uint64, keys),
 		acked:    make([]uint64, keys),
 		inflight: make([]bool, keys),
-		val:      val,
+		valLen:   valLen,
 		lat:      stats.NewHist(),
 	}
 	for i := range sh.issued {
 		sh.issued[i], sh.acked[i] = 1, 1
 	}
 	return sh
+}
+
+// fillVal writes the value version v of key k carries into buf, grown if it
+// is short, and returns it.
+func (sh *shadow) fillVal(buf []byte, k int64, v uint64) []byte {
+	n := sh.valLen(k, v)
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	kv.FillValue(buf, k, v)
+	return buf
 }
 
 // issue starts an update of key k and returns its version.
@@ -249,20 +264,24 @@ func (sh *shadow) match(k int64, out kv.Result) uint64 {
 		return 0
 	}
 	for v := sh.issued[k]; v >= sh.acked[k]; v-- {
-		if bytes.Equal(out.Value, sh.val(k, v)) {
+		sh.scratch = sh.fillVal(sh.scratch, k, v)
+		if bytes.Equal(out.Value, sh.scratch) {
 			return v
 		}
 	}
 	return 0
 }
 
-// shadowOp is one window slot of a shadow client: the slot's pooled message
-// and the operation riding it.
+// shadowOp is one window slot of a shadow client: the slot's pooled message,
+// the operation riding it, and the key and value bytes it sends, refilled
+// for every operation (the message refers to them until its reply).
 type shadowOp[M any] struct {
 	msg   M
 	key   int64
 	ver   uint64 // the version an update writes; 0 for a get
 	start env.Time
+	kbuf  []byte
+	vbuf  []byte
 }
 
 // shadowWindow returns the depth-slot window of one shadow client on e: a
@@ -270,7 +289,7 @@ type shadowOp[M any] struct {
 // the slot was swept first — then the operation already failed, un-acked.
 func shadowWindow[M any](e env.Env, sh *shadow, depth int, tp transport[M]) *window[*shadowOp[M]] {
 	return newWindow(e, depth, func(l lease[*shadowOp[M]]) *shadowOp[M] {
-		op := &shadowOp[M]{}
+		op := &shadowOp[M]{kbuf: make([]byte, kv.KeyLen)}
 		op.msg = tp.newMsg(func(kv.Result) {
 			if !l.release() {
 				return
@@ -299,13 +318,15 @@ func shadowClient[M any](c env.Ctx, sh *shadow, win *window[*shadowOp[M]], tp tr
 		op := win.acquire(c)
 		op.key = lo + rng.Int63n(hi-lo)
 		op.ver, op.start = 0, c.Now()
+		kv.FillKey(op.kbuf, op.key)
 		sh.nIssued++
 		if rng.Intn(2) == 0 && !sh.inflight[op.key] {
 			op.ver = sh.issue(op.key)
 			sh.nIssuedUpdates++
-			tp.send(c, op.msg, kv.OpUpdate, kv.Key(op.key), sh.val(op.key, op.ver))
+			op.vbuf = sh.fillVal(op.vbuf, op.key, op.ver)
+			tp.send(c, op.msg, kv.OpUpdate, op.kbuf, op.vbuf)
 		} else {
-			tp.send(c, op.msg, kv.OpGet, kv.Key(op.key), nil)
+			tp.send(c, op.msg, kv.OpGet, op.kbuf, nil)
 		}
 	}
 	win.drain(c)
@@ -325,10 +346,11 @@ func sweepShadow[M any](c env.Ctx, sh *shadow, win *window[*shadowOp[M]], lost f
 }
 
 // readOp is one window slot of the read-back verifier: the slot's pooled
-// message and which of the keys it is reading.
+// message, which of the keys it is reading, and that key's bytes.
 type readOp[M any] struct {
-	msg M
-	i   int
+	msg  M
+	i    int
+	kbuf []byte
 }
 
 // readBack reads the n keys key(0..n-1) back through tp, verifyWindow at a
@@ -337,7 +359,7 @@ type readOp[M any] struct {
 func readBack[M any](c env.Ctx, e env.Env, sh *shadow, tp transport[M], n int, key func(i int) int64, seen func(k int64, ver uint64, out kv.Result)) []uint64 {
 	recVer := make([]uint64, n)
 	win := newWindow(e, verifyWindow, func(l lease[*readOp[M]]) *readOp[M] {
-		op := &readOp[M]{}
+		op := &readOp[M]{kbuf: make([]byte, kv.KeyLen)}
 		op.msg = tp.newMsg(func(out kv.Result) {
 			k := key(op.i)
 			recVer[op.i] = sh.match(k, out)
@@ -349,7 +371,8 @@ func readBack[M any](c env.Ctx, e env.Env, sh *shadow, tp transport[M], n int, k
 	for i := 0; i < n; i++ {
 		op := win.acquire(c)
 		op.i = i
-		tp.send(c, op.msg, kv.OpGet, kv.Key(key(i)), nil)
+		kv.FillKey(op.kbuf, key(i))
+		tp.send(c, op.msg, kv.OpGet, op.kbuf, nil)
 	}
 	win.drain(c)
 	return recVer
