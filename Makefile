@@ -2,11 +2,12 @@ GO ?= go
 
 # Packages with microbenchmarks covering the simulator's hot paths and the
 # data plane (workload generation, page cache, index, stats recording,
-# absorb merge and open-loop arrival draws).
+# absorb merge, open-loop arrival draws, the in-memory page store and
+# replication's page round trip).
 BENCH_PKGS = ./internal/sim ./internal/slab ./internal/pagecache \
 	./internal/kv ./internal/ycsb ./internal/btree ./internal/stats \
 	./internal/core ./internal/harness ./internal/hotcache \
-	./internal/mvcc ./internal/txn
+	./internal/mvcc ./internal/txn ./internal/device ./internal/cluster
 
 .PHONY: all build vet fmt-check lint test race race-sim check bench exp-golden harness-golden alloc-budget feature-matrix e2e-smoke crash-sweep trace absorb tier cluster loc
 
@@ -57,8 +58,10 @@ race:
 race-sim:
 	$(GO) test -race -count=5 ./internal/sim
 
-# Zero-allocation budgets for the data-plane hot paths (testing.AllocsPerRun
-# tests named TestAllocBudget*); a regression here fails the build.
+# Allocation budgets for the data-plane hot paths and whole runs (the tests
+# named TestAllocBudget*): testing.AllocsPerRun around one operation, or
+# runtime.MemStats deltas over a run or a set-up, per operation or per loaded
+# item; a regression here fails the build.
 alloc-budget:
 	$(GO) test -run AllocBudget ./...
 
