@@ -155,7 +155,10 @@ func Build(spec Spec) *Cluster {
 
 	// Followers: replica disks seeded from the leader's post-bulk-load
 	// images (bulk load bypasses the request path, so it is replicated by
-	// snapshot, not by shipping).
+	// snapshot, not by shipping). A snapshot copies only the page map and
+	// shares the leader's page arrays copy-on-write: the first write to a
+	// shared page, by the leader or a follower, moves it to an array of its
+	// own.
 	if spec.RF > 1 {
 		for m := 0; m < M; m++ {
 			for _, f := range place.Followers(m) {

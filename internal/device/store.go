@@ -9,8 +9,8 @@ package device
 import (
 	"fmt"
 	"os"
-	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // PageSize is the block granularity of every device (4KB, as in the paper).
@@ -31,12 +31,16 @@ type Store interface {
 }
 
 // MemStore is an in-memory sparse page store. It is safe for concurrent use.
+//
+// Page arrays are shared copy-on-write between a store and its snapshots:
+// Snapshot copies only the page map, and a store that writes a page it
+// shares with another store first moves it to an array of its own.
 type MemStore struct {
 	//kvell:lint-ignore nogoroutine MemStore also backs RealDisk's concurrent executors; under the sim it is only touched from the single scheduler thread
 	mu    sync.RWMutex
-	pages map[int64]*[PageSize]byte
-	// free recycles page arrays released by Free: engines constantly free
-	// old pages and write fresh page numbers, and every write is a full
+	pages map[int64]memPage
+	// free recycles page arrays no store holds any more: engines constantly
+	// free old pages and write fresh page numbers, and every write is a full
 	// page copy, so reuse is invisible to readers.
 	free []*[PageSize]byte
 	// chunk is the unused tail of the last page chunk: fresh pages are
@@ -45,17 +49,26 @@ type MemStore struct {
 	chunk [][PageSize]byte
 }
 
+// memPage is one page a MemStore holds: its image and, once a snapshot has
+// shared the image, the number of stores holding it. The count lives beside
+// the map entry rather than in the array, so a chunk stays 64 whole pages.
+// A nil holders means this store is the only one that ever held the array.
+type memPage struct {
+	p       *[PageSize]byte
+	holders *atomic.Int32
+}
+
 // memChunkPages is how many fresh pages a MemStore allocates at once. A
-// chunk stays reachable while any of its pages is, in the store or on its
-// free list: at most 256 KB pinned by one live page.
+// chunk stays reachable while any of its pages is, in a store or on a free
+// list: at most 256 KB pinned by one live page.
 const memChunkPages = 64
 
 // NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore { return &MemStore{pages: make(map[int64]*[PageSize]byte)} }
+func NewMemStore() *MemStore { return &MemStore{pages: make(map[int64]memPage)} }
 
-// newPage returns a page array for a page number the store does not hold:
-// a freed one if there is one, else the next of the current chunk. Its
-// content is stale or zero; every caller overwrites all of it.
+// newPage returns a page array for a page the store is about to overwrite
+// whole: a freed one if there is one, else the next of the current chunk.
+// Its content is stale or zero.
 func (m *MemStore) newPage() *[PageSize]byte {
 	if f := len(m.free); f > 0 {
 		p := m.free[f-1]
@@ -68,6 +81,14 @@ func (m *MemStore) newPage() *[PageSize]byte {
 	p := &m.chunk[0]
 	m.chunk = m.chunk[1:]
 	return p
+}
+
+// release gives up this store's hold on mp's array, which goes on the free
+// list only if no other store still holds it.
+func (m *MemStore) release(mp memPage) {
+	if mp.holders == nil || mp.holders.Add(-1) == 0 {
+		m.free = append(m.free, mp.p)
+	}
 }
 
 func checkBuf(buf []byte) int {
@@ -84,8 +105,8 @@ func (m *MemStore) ReadPages(page int64, buf []byte) error {
 	defer m.mu.RUnlock()
 	for i := 0; i < n; i++ {
 		dst := buf[i*PageSize : (i+1)*PageSize]
-		if p, ok := m.pages[page+int64(i)]; ok {
-			copy(dst, p[:])
+		if mp, ok := m.pages[page+int64(i)]; ok {
+			copy(dst, mp.p[:])
 		} else {
 			for j := range dst {
 				dst[j] = 0
@@ -95,18 +116,30 @@ func (m *MemStore) ReadPages(page int64, buf []byte) error {
 	return nil
 }
 
-// WritePages implements Store.
+// WritePages implements Store. A page shared with another store is written
+// to a fresh array; one whose other holders have all let go is written in
+// place.
 func (m *MemStore) WritePages(page int64, buf []byte) error {
 	n := checkBuf(buf)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i := 0; i < n; i++ {
-		p, ok := m.pages[page+int64(i)]
-		if !ok {
-			p = m.newPage()
-			m.pages[page+int64(i)] = p
+		pg := page + int64(i)
+		mp, ok := m.pages[pg]
+		switch {
+		case !ok:
+			mp = memPage{p: m.newPage()}
+			m.pages[pg] = mp
+		case mp.holders != nil && mp.holders.Load() > 1:
+			// Another store holds this array. A count of one, by contrast,
+			// stays one while m.mu is held: only a holder raises a count,
+			// by a snapshot of itself. So the last holder writes in place.
+			old := mp
+			mp = memPage{p: m.newPage()}
+			m.pages[pg] = mp
+			m.release(old)
 		}
-		copy(p[:], buf[i*PageSize:(i+1)*PageSize])
+		copy(mp.p[:], buf[i*PageSize:(i+1)*PageSize])
 	}
 	return nil
 }
@@ -117,35 +150,41 @@ func (m *MemStore) Sync() error { return nil }
 // Close implements Store.
 func (m *MemStore) Close() error { return nil }
 
-// Pages returns the number of distinct pages ever written.
+// Pages returns the number of pages the store holds now: written and not
+// freed since.
 func (m *MemStore) Pages() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return len(m.pages)
 }
 
-// Snapshot returns a deep copy of the store's current page images — the
-// "disk at reboot" a fault injector hands to recovery. The copy shares
-// nothing with the live store, so post-crash mutations by still-unwinding
-// procs cannot leak into it; its pages come from chunks of its own, and its
-// free list starts empty.
+// Snapshot returns a copy of the store's current page images — the "disk
+// at reboot" a fault injector hands to recovery, or a replica disk seeded
+// from its leader. It copies the page map and shares every page array with
+// the original, one more holder each; its free list and chunk start empty.
+// Neither side sees the other's later writes, because a write to a shared
+// page takes a fresh array, and a free only drops the freeing store's hold.
 func (m *MemStore) Snapshot() *MemStore {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	// Collect and sort the page numbers first: map iteration order is
-	// randomized per run and the copy must not depend on it (the copies
-	// themselves are order-independent, but keeping the discipline uniform
-	// is cheaper than arguing each site).
-	nums := make([]int64, 0, len(m.pages))
-	for pg := range m.pages {
-		nums = append(nums, pg)
-	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
-	c := &MemStore{pages: make(map[int64]*[PageSize]byte, len(nums))}
-	for _, pg := range nums {
-		cp := c.newPage()
-		*cp = *m.pages[pg]
-		c.pages[pg] = cp
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	// Map order is unobservable here: the loop only copies pointers and
+	// hands each first-shared page a count from one batch, so no page
+	// image, free list or chunk depends on the order.
+	var fresh []atomic.Int32
+	c := &MemStore{pages: make(map[int64]memPage, len(m.pages))}
+	for pg, mp := range m.pages {
+		if mp.holders == nil {
+			if len(fresh) == 0 {
+				// Enough for every page not yet visited.
+				fresh = make([]atomic.Int32, len(m.pages)-len(c.pages))
+			}
+			mp.holders = &fresh[0]
+			fresh = fresh[1:]
+			mp.holders.Store(1)
+			m.pages[pg] = mp
+		}
+		mp.holders.Add(1)
+		c.pages[pg] = mp
 	}
 	return c
 }
@@ -163,8 +202,8 @@ func (m *MemStore) FirstDiff(o *MemStore) (page int64, differ bool) {
 			page, differ = pg, true
 		}
 	}
-	for pg, p := range m.pages {
-		if q, ok := o.pages[pg]; !ok || *p != *q {
+	for pg, mp := range m.pages {
+		if q, ok := o.pages[pg]; !ok || (mp.p != q.p && *mp.p != *q.p) {
 			note(pg)
 		}
 	}
@@ -182,8 +221,8 @@ func (m *MemStore) Free(page int64, count int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i := int64(0); i < count; i++ {
-		if p, ok := m.pages[page+i]; ok {
-			m.free = append(m.free, p)
+		if mp, ok := m.pages[page+i]; ok {
+			m.release(mp)
 			delete(m.pages, page+i)
 		}
 	}

@@ -162,7 +162,10 @@ func (inj *Injector) countWrite() {
 }
 
 // trip kills the machine: applies the power-loss model to each disk's
-// in-flight writes, snapshots the stores, and freezes the simulation.
+// in-flight writes, snapshots the stores, and freezes the simulation. A
+// snapshot shares page arrays with its live store copy-on-write; a write by
+// a still-unwinding proc to a shared page takes a fresh array, so nothing
+// written after death reaches the crash image.
 // Runs either in scheduler context (AtTime) or in the context of the proc
 // that submitted the fatal write (AtWrite); both are safe — Stop only sets
 // a flag, and the caller keeps running until it next parks, by which time
