@@ -13,11 +13,12 @@
 // is recorded in DESIGN.md.
 //
 // The leaf format, the leaf table, residency accounting and page I/O are
-// internal/engine/leaf, shared with wtree, and the durable log is walog.Log;
-// what this package keeps is the policy §3.1 profiles: message buffers and
-// their cascades, the tree lock held through flush-down leaf reads (dropped
-// only on the Get path), a buffered 1MB group-commit log, and checkpoints
-// that collect every dirty leaf first and write them afterwards.
+// internal/engine/leaf, shared with wtree, and the commit log is walog.Log
+// with WALBufferBytes (1MB) as its group size; what this package keeps is
+// the policy §3.1 profiles: message buffers and their cascades, the tree
+// lock held through flush-down leaf reads (dropped only on the Get path),
+// and checkpoints that collect every dirty leaf first and write them
+// afterwards.
 package betree
 
 import (
@@ -41,7 +42,10 @@ type Config struct {
 	GroupBufferBytes int
 	// LeafBytes is the on-disk leaf size.
 	LeafBytes int
-	// WALBufferBytes is the (buffered) commit-log group size.
+	// WALBufferBytes is the commit log's group size: a record is
+	// acknowledged at once, and the writer whose record fills a group
+	// writes it. 0 writes and completes every record's chunk before its
+	// operation returns.
 	WALBufferBytes int64
 	// SplitSpan splits a group when its range covers more leaves.
 	SplitSpan int
@@ -50,20 +54,10 @@ type Config struct {
 	// DirtyStallFrac stalls writers when dirty bytes exceed this fraction
 	// of the cache.
 	DirtyStallFrac float64
-	// Durable switches the commit log from the timing-only buffered model
-	// (zeroed buffers) to a real checksummed WAL (walog format): every
-	// record is flushed before the operation returns and ReplayLog rebuilds
-	// the store from the log after a crash. Off by default — it changes I/O
-	// timing, and the simulator's schedule goldens are recorded without it.
-	Durable bool
 	// Tracer, if set, receives background maintenance spans (eviction,
 	// checkpoints, buffer cascades). Purely observational.
 	Tracer *trace.Tracer
 }
-
-// logRegionPages is the page count reserved for the commit log before the
-// leaf allocator's arena (see New).
-const logRegionPages = 1 << 20
 
 // DefaultConfig returns a TokuMX-like configuration for scaled datasets.
 func DefaultConfig(disks ...device.Disk) Config {
@@ -134,13 +128,7 @@ type DB struct {
 	seq       uint64
 	closing   bool
 
-	// Commit log, timing-only buffered model (see logAppend).
-	logMu      env.Mutex
-	logBuf     int64
-	logPage    int64
-	logScratch []byte // zeroed group image, never written to
-	// Commit log, durable mode: nil unless cfg.Durable.
-	log *walog.Log
+	log *walog.Log // the group-commit log (see logRecord)
 
 	io *leaf.IO
 
@@ -156,12 +144,9 @@ func New(e env.Env, cfg Config) *DB {
 	d.treeMu = e.NewMutex()
 	d.stallMu = e.NewMutex()
 	d.stallCond = e.NewCond(d.stallMu)
-	d.logMu = e.NewMutex()
-	if cfg.Durable {
-		d.log = walog.NewLog(e, d.io, logRegionPages)
-	}
+	d.log = walog.NewLog(e, d.io, cfg.WALBufferBytes)
 	// The first pages are reserved for the log.
-	d.t = leaf.NewTree(device.NewAllocator(logRegionPages), cfg.CacheBytes, cfg.LeafBytes)
+	d.t = leaf.NewTree(device.NewAllocator(walog.RegionPages), cfg.CacheBytes, cfg.LeafBytes)
 	d.groups = []*group{{}}
 	return d
 }

@@ -2,7 +2,6 @@ package betree
 
 import (
 	"bytes"
-	"slices"
 	"sort"
 
 	"kvell/internal/costs"
@@ -18,40 +17,13 @@ import (
 // Submit implements kv.Engine (library model).
 func (d *DB) Submit(c env.Ctx, r *kv.Request) { kv.SubmitLibrary(c, d, r) }
 
-// logRecord routes a mutation through the commit log: the timing-only
-// buffered model by default, a real flushed WAL record in durable mode.
+// logRecord appends the record to the group-commit log (1MB groups, like
+// the configured baselines).
 func (d *DB) logRecord(c env.Ctx, op byte, key, value []byte) {
 	t0 := c.Now()
-	recBytes := leaf.EntryBytes(len(key), len(value))
-	c.CPU(costs.WALBytes(recBytes))
-	if d.cfg.Durable {
-		d.log.Append(c, op, key, value)
-	} else {
-		d.logAppend(c, recBytes)
-	}
+	c.CPU(costs.WALBytes(leaf.EntryBytes(len(key), len(value))))
+	d.log.Append(c, op, key, value)
 	trace.FromCtx(c).Span("wal", t0, c.Now())
-}
-
-// logAppend is a buffered group commit (1MB buffer, like the configured
-// baselines; TokuMX's bottleneck is elsewhere). Nothing serializes the group
-// writes, which is fine for a timing-only log: its content is never read
-// back, so every write shares one zeroed image.
-func (d *DB) logAppend(c env.Ctx, recBytes int) {
-	d.logMu.Lock(c)
-	d.logBuf += int64(recBytes)
-	var pages int64
-	if d.logBuf >= d.cfg.WALBufferBytes {
-		pages = (d.logBuf + device.PageSize - 1) / device.PageSize
-		d.logBuf = 0
-	}
-	d.logMu.Unlock(c)
-	if pages > 0 {
-		need := int(pages) * device.PageSize
-		d.logScratch = slices.Grow(d.logScratch[:0], need)[:need]
-		page := d.logPage % logRegionPages
-		d.logPage += pages
-		d.io.Write(c, page, d.logScratch)
-	}
 }
 
 // Put buffers the write at the root; full buffers cascade down (§3.1:
@@ -423,28 +395,23 @@ func (d *DB) ScanInto(c env.Ctx, start []byte, count int, dst []kv.Item) []kv.It
 	return out
 }
 
-// BulkLoad builds full leaves directly and sizes the group table. In
-// durable mode the items are also appended to the log (direct, untimed
-// store writes — bulk load precedes the measured run), so post-crash
-// replay reconstructs the loaded data without trusting any leaf page.
+// BulkLoad builds full leaves directly and sizes the group table. The
+// items are also appended to the log (direct, untimed store writes — bulk
+// load precedes the measured run), so post-crash replay reconstructs the
+// loaded data without trusting any leaf page.
 func (d *DB) BulkLoad(items []kv.Item) error {
-	if d.cfg.Durable {
-		d.log.AppendBulk(device.StoreOf(d.cfg.Disks[0]), items)
-	}
+	d.log.AppendBulk(device.StoreOf(d.cfg.Disks[0]), items)
 	d.buildLeaves(items)
 	return nil
 }
 
-// ReplayLog rebuilds a freshly-opened durable DB from the valid prefix of
+// ReplayLog rebuilds a freshly-opened DB from the valid prefix of
 // its on-disk log: last-writer-wins over the records, then a bulk build of
 // the surviving items. Log reads go through the engine's synchronous read
 // path and every record pays the write path's root-buffer insert, so
 // recovery cost lands on virtual time. Returns the number of log records
 // replayed.
 func (d *DB) ReplayLog(c env.Ctx) int {
-	if !d.cfg.Durable {
-		panic("betree: ReplayLog on a non-durable DB")
-	}
 	items, n := d.log.ReplayItems(c, func(_ byte, key, value []byte) {
 		c.CPU(rootInsertCost(&msg{key: key, value: value}))
 	})

@@ -12,7 +12,7 @@ import (
 // profiles — one system call per request plus a per-byte copy/checksum
 // charge — blocking the calling thread on the device. It holds no tree
 // state, so it is called without the tree lock wherever the engine's policy
-// drops it; it is also the walog.PageIO of the engine's durable log.
+// drops it; it is also the walog.PageIO of the engine's commit log.
 type IO struct {
 	disk device.Disk
 	sync *device.SyncIO
@@ -38,7 +38,7 @@ func (io *IO) Write(c env.Ctx, page int64, buf []byte) {
 // Fetch reads the leaf image at page into buf (the read overwrites all of
 // it) and decodes it, charging the copy out of the buffer. The records do
 // not alias buf. A damaged image panics naming the page: leaf pages are not
-// the recovery source — a durable engine rebuilds from its log — so there
+// the recovery source — an engine rebuilds from its log — so there
 // is nothing to fall back on here.
 func (io *IO) Fetch(c env.Ctx, page int64, buf []byte) ([]Entry, int) {
 	io.Read(c, page, buf)

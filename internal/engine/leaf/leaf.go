@@ -3,7 +3,7 @@
 // identically lives here once — the on-disk leaf format, the sorted leaf
 // table with its charged descent, which leaves are resident and which are
 // dirty, record upsert/remove with split and page-run resize, the bulk
-// build, and the buffered pread/pwrite path the leaves (and the durable log)
+// build, and the buffered pread/pwrite path the leaves (and the commit log)
 // go through.
 //
 // What the paper's §3 profiles is deliberately NOT here and never selected

@@ -31,6 +31,9 @@ type Config struct {
 	LevelMultiplier   int64
 	TableTargetBytes  int64
 	BlockCacheBytes   int64
+	// WALBufferBytes is the log's group size: a record is acknowledged at
+	// once, and the writer whose record fills a group writes it. 0 writes
+	// and completes every record's chunk before its operation returns.
 	WALBufferBytes    int64
 	CompactionThreads int
 	BloomBitsPerKey   int
@@ -39,14 +42,6 @@ type Config struct {
 	// (except the last), reducing write amplification at the price of
 	// overlapping tables (read and scan amplification).
 	Fragmented bool
-	// Durable switches the WAL from the timing-only buffered model (zeroed
-	// group writes every WALBufferBytes) to a real checksummed log
-	// (walog.Log): every record's chunk is written and completed before the
-	// operation returns, BulkLoad logs its items, and ReplayLog rebuilds
-	// the whole store from the log on a fresh DB. Off by default — it
-	// changes I/O timing, and the simulator's schedule goldens are recorded
-	// without it.
-	Durable bool
 	// Tracer, if set, receives background maintenance spans (flushes,
 	// compactions). Purely observational.
 	Tracer *trace.Tracer
@@ -97,13 +92,7 @@ type DB struct {
 	mem       *memtable
 	imm       *memtable // immutable memtable being flushed (nil when none)
 	seq       uint64
-	// Timing-only log (see wal.go): bytes gathered since the last group
-	// write, the zeroed group image, and the next group's region offset.
-	walBytes int64
-	walBuf   []byte
-	walPage  int64
-	// Durable log: nil unless cfg.Durable.
-	log *walog.Log
+	log       *walog.Log // see wal.go
 
 	// Version state.
 	verMu    env.Mutex
@@ -154,11 +143,9 @@ func New(e env.Env, cfg Config) *DB {
 	d.levels = make([][]*sstable, cfg.Levels)
 	for range cfg.Disks {
 		// Reserve the first pages for the WAL region.
-		d.allocs = append(d.allocs, device.NewAllocator(walRegionSize))
+		d.allocs = append(d.allocs, device.NewAllocator(walog.RegionPages))
 	}
-	if cfg.Durable {
-		d.log = walog.NewLog(e, walIO{d}, walRegionSize)
-	}
+	d.log = walog.NewLog(e, walIO{d}, cfg.WALBufferBytes)
 	return d
 }
 
@@ -257,14 +244,13 @@ func (d *DB) Stop(c env.Ctx) {
 	d.writeCond.Broadcast(c)
 }
 
-// BulkLoad implements kv.Engine: builds last-level tables directly. In
-// fragmented (PebblesDB-like) mode the loaded keyspace is striped across
-// several overlapping table families, reproducing the fragment overlap a
-// real insert-order load leaves behind (scans must merge every family).
+// BulkLoad implements kv.Engine: logs the items (untimed, so a replay
+// rebuilds them) and builds last-level tables directly. In fragmented
+// (PebblesDB-like) mode the loaded keyspace is striped across several
+// overlapping table families, reproducing the fragment overlap a real
+// insert-order load leaves behind (scans must merge every family).
 func (d *DB) BulkLoad(items []kv.Item) error {
-	if d.cfg.Durable {
-		d.log.AppendBulk(device.StoreOf(d.cfg.Disks[0]), items)
-	}
+	d.log.AppendBulk(device.StoreOf(d.cfg.Disks[0]), items)
 	last := len(d.levels) - 1
 	stripes := 1
 	if d.cfg.Fragmented {
@@ -304,9 +290,9 @@ func (d *DB) Submit(c env.Ctx, r *kv.Request) { kv.SubmitLibrary(c, d, r) }
 
 // ---- write path ----
 
-// Put durably... buffers the write: like the configured RocksDB baseline
-// (§6.2), the WAL buffer is 1MB and synced infrequently, so persistence is
-// batched — KVell §5.5 contrasts its own guarantee with exactly this.
+// Put buffers the write: like the configured RocksDB baseline (§6.2), the
+// WAL group is 1MB and written once full, so persistence is batched — KVell
+// §5.5 contrasts its own guarantee with exactly this.
 func (d *DB) Put(c env.Ctx, key, value []byte) {
 	d.write(c, key, value, false)
 }
@@ -321,8 +307,7 @@ func (d *DB) write(c env.Ctx, key, value []byte, tombstone bool) {
 	d.writeMu.Lock(c)
 	d.stats.Puts++
 
-	// WAL append (see wal.go): a buffered group write by whoever fills it,
-	// or in durable mode a completed walog chunk that ReplayLog reads back.
+	// WAL append (see wal.go): a group write by whoever fills it.
 	d.seq++
 	t0 := c.Now()
 	d.walAppend(c, key, value, tombstone)

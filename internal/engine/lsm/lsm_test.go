@@ -408,7 +408,7 @@ func durableLife(t *testing.T, ms *device.MemStore, seed int64, fn func(c env.Ct
 	disk := device.NewSimDisk(s, device.Optane(), ms)
 	cfg := DefaultConfig(disk)
 	cfg.MemtableBytes = 64 << 10 // replay flushes several times
-	cfg.Durable = true
+	cfg.WALBufferBytes = 0
 	d := New(e, cfg)
 	e.Go("client", func(c env.Ctx) { fn(c, d) })
 	if err := s.Run(-1); err != nil {
@@ -474,7 +474,7 @@ func TestWALReplayReadBound(t *testing.T) {
 			d.Put(c, kv.Key(i), kv.Value(i, 1, 200))
 		}
 	})
-	used := walog.Scan(ms, 0, walRegionSize, func(byte, []byte, []byte) {})
+	used := walog.Scan(ms, 0, walog.RegionPages, func(byte, []byte, []byte) {})
 	var n int
 	disk := durableLife(t, ms, 2, func(c env.Ctx, d *DB) {
 		n = d.ReplayLog(c)

@@ -1,6 +1,7 @@
 // Package lsm implements a leveled log-structured merge key-value store in
 // the mold of RocksDB (§3.1 of the KVell paper): an in-memory memtable pair
-// absorbing writes behind a write-ahead log, sorted immutable SSTables
+// absorbing writes behind a write-ahead log (walog.Log, grouped
+// WALBufferBytes at a time; see wal.go), sorted immutable SSTables
 // arranged in levels on disk, background flush and compaction threads, a
 // shared block cache, and the write stalls that appear when compaction
 // cannot keep up. A "fragmented" mode approximates PebblesDB: compactions

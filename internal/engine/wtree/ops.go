@@ -2,7 +2,6 @@ package wtree
 
 import (
 	"bytes"
-	"slices"
 
 	"kvell/internal/costs"
 	"kvell/internal/device"
@@ -22,60 +21,19 @@ type library struct{ *DB }
 
 func (l library) Delete(c env.Ctx, key []byte) { l.DB.Delete(c, key) }
 
-// logRecord routes a mutation through the commit log: the timing-only slot
-// model by default, a real flushed WAL record in durable mode — one chunk
-// per record, later writers busy-waiting exactly as in the slot model.
+// logRecord joins the record to the commit log's open slot: a writer that
+// finds a slot write in flight busy-waits for it, burning CPU
+// (__log_wait_for_earlier_slot), and the writer that fills the slot writes
+// it sequentially.
 func (d *DB) logRecord(c env.Ctx, op byte, key, value []byte) {
 	t0 := c.Now()
-	recBytes := leaf.EntryBytes(len(key), len(value))
-	if d.cfg.Durable {
-		c.CPU(costs.LogSlotJoin + costs.WALBytes(recBytes))
-		spins := d.log.Append(c, op, key, value)
-		d.stats.LogSpinTime += env.Time(spins) * costs.LogSlotSpin
+	c.CPU(costs.LogSlotJoin + costs.WALBytes(leaf.EntryBytes(len(key), len(value))))
+	spins, wrote := d.log.Append(c, op, key, value)
+	d.stats.LogSpinTime += env.Time(spins) * costs.LogSlotSpin
+	if wrote {
 		d.stats.LogSlotWrites++
-	} else {
-		d.logAppend(c, recBytes)
 	}
 	trace.FromCtx(c).Span("wal", t0, c.Now())
-}
-
-// logAppend models the slot-based group commit: the record joins the
-// active slot; when a slot write is in flight, the writer busy-waits for
-// it (__log_wait_for_earlier_slot), burning CPU. A full slot elects the
-// caller leader, who performs the sequential log write.
-func (d *DB) logAppend(c env.Ctx, recBytes int) {
-	c.CPU(costs.LogSlotJoin + costs.WALBytes(recBytes))
-	d.logMu.Lock(c)
-	for d.logWriting {
-		d.logMu.Unlock(c)
-		c.CPU(costs.LogSlotSpin) // sched_yield busy-wait
-		d.stats.LogSpinTime += costs.LogSlotSpin
-		d.logMu.Lock(c)
-	}
-	d.logBuf += int64(recBytes)
-	lead := false
-	var pages int64
-	if d.logBuf >= d.cfg.LogSlotBytes {
-		lead = true
-		d.logWriting = true
-		pages = (d.logBuf + device.PageSize - 1) / device.PageSize
-		d.logBuf = 0
-	}
-	d.logMu.Unlock(c)
-	if lead {
-		// The leader owns logScratch while logWriting is set (the handoff is
-		// ordered by logMu); the slot content is never read back, so one
-		// zeroed buffer serves every slot write.
-		need := int(pages) * device.PageSize
-		d.logScratch = slices.Grow(d.logScratch[:0], need)[:need]
-		page := d.logPage % logRegionPages
-		d.logPage += pages
-		d.io.Write(c, page, d.logScratch)
-		d.stats.LogSlotWrites++
-		d.logMu.Lock(c)
-		d.logWriting = false
-		d.logMu.Unlock(c)
-	}
 }
 
 // Put inserts or replaces a record.
@@ -201,27 +159,22 @@ func (d *DB) ScanInto(c env.Ctx, start []byte, count int, dst []kv.Item) []kv.It
 }
 
 // BulkLoad implements kv.Engine: builds ~90%-full leaves directly on disk.
-// In durable mode the items are also appended to the log (direct, untimed
-// store writes — bulk load precedes the measured run), so post-crash replay
-// reconstructs the loaded data without trusting any leaf page.
+// The items are also appended to the log (direct, untimed store writes —
+// bulk load precedes the measured run), so post-crash replay reconstructs
+// the loaded data without trusting any leaf page.
 func (d *DB) BulkLoad(items []kv.Item) error {
 	st := device.StoreOf(d.cfg.Disks[0])
-	if d.cfg.Durable {
-		d.log.AppendBulk(st, items)
-	}
+	d.log.AppendBulk(st, items)
 	d.t.Build(st, items)
 	return nil
 }
 
-// ReplayLog rebuilds a freshly-opened durable DB from the valid prefix of
+// ReplayLog rebuilds a freshly-opened DB from the valid prefix of
 // its on-disk log: last-writer-wins over the records, then a bulk build of
 // the surviving items. Log reads go through the engine's synchronous read
 // path and every record pays Put's copy into its leaf, so recovery cost
 // lands on virtual time. Returns the number of log records replayed.
 func (d *DB) ReplayLog(c env.Ctx) int {
-	if !d.cfg.Durable {
-		panic("wtree: ReplayLog on a non-durable DB")
-	}
 	items, n := d.log.ReplayItems(c, func(_ byte, key, value []byte) {
 		c.CPU(costs.MemBytes(len(key) + len(value)))
 	})

@@ -9,11 +9,12 @@
 // contention, shared-cache locking, and eviction/checkpoint stalls.
 //
 // The leaf format, the leaf table, residency accounting and page I/O are
-// internal/engine/leaf, shared with betree, and the durable log is
-// walog.Log; what this package keeps is the policy §3.1 profiles: the tree
-// lock is dropped across every leaf read (callers re-find their leaf), the
-// commit log is a slot whose followers busy-wait, and dirty leaves are
-// written back one at a time with the lock released.
+// internal/engine/leaf, shared with betree, and the commit log is
+// walog.Log with LogSlotBytes as its group size; what this package keeps is
+// the policy §3.1 profiles: the tree lock is dropped across every leaf read
+// (callers re-find their leaf), the commit log is a slot whose followers
+// busy-wait, and dirty leaves are written back one at a time with the lock
+// released.
 package wtree
 
 import (
@@ -34,28 +35,18 @@ type Config struct {
 	// fraction of the cache; DirtyStallFrac stalls application writes.
 	DirtyTriggerFrac float64
 	DirtyStallFrac   float64
-	// LogSlotBytes is the group-commit slot size; a full slot is written
-	// by its leader while later writers busy-wait.
+	// LogSlotBytes is the commit log's group size: a full slot is written
+	// by its leader while later writers busy-wait. 0 writes and completes
+	// every record's chunk before its operation returns.
 	LogSlotBytes int64
 	// CheckpointEvery is the checkpoint period.
 	CheckpointEvery env.Time
 	// LeafBytes is the on-disk leaf page size (4KB in the paper's setup).
 	LeafBytes int
-	// Durable switches the commit log from the timing-only slot model
-	// (zeroed buffers, group commit) to a real checksummed WAL (walog
-	// format): every record is encoded, written to the log region and
-	// flushed before the operation returns, and ReplayLog can rebuild the
-	// store from the log after a crash. Off by default — it changes I/O
-	// timing, and the simulator's schedule goldens are recorded without it.
-	Durable bool
 	// Tracer, if set, receives background maintenance spans (eviction,
 	// checkpoints). Purely observational.
 	Tracer *trace.Tracer
 }
-
-// logRegionPages is the page count reserved for the commit log before the
-// leaf allocator's arena (see New).
-const logRegionPages = 1 << 20
 
 // DefaultConfig returns the paper's WiredTiger-like configuration.
 func DefaultConfig(disks ...device.Disk) Config {
@@ -96,14 +87,7 @@ type DB struct {
 	t       *leaf.Tree
 	closing bool
 
-	// Commit log, timing-only slot model (see logAppend).
-	logMu      env.Mutex
-	logBuf     int64
-	logWriting bool
-	logPage    int64
-	logScratch []byte // leader-owned slot buffer (exclusive while logWriting)
-	// Commit log, durable mode: nil unless cfg.Durable.
-	log *walog.Log
+	log *walog.Log // the slot-based commit log (see logRecord)
 
 	io *leaf.IO
 
@@ -121,12 +105,9 @@ func New(e env.Env, cfg Config) *DB {
 	d := &DB{env: e, cfg: cfg, name: "WiredTiger-like", io: leaf.NewIO(e, cfg.Disks[0])}
 	d.mu = e.NewMutex()
 	d.cond = e.NewCond(d.mu)
-	d.logMu = e.NewMutex()
-	if cfg.Durable {
-		d.log = walog.NewLog(e, d.io, logRegionPages)
-	}
+	d.log = walog.NewLog(e, d.io, cfg.LogSlotBytes)
 	// The first pages are reserved for the log.
-	d.t = leaf.NewTree(device.NewAllocator(logRegionPages), cfg.CacheBytes, cfg.LeafBytes)
+	d.t = leaf.NewTree(device.NewAllocator(walog.RegionPages), cfg.CacheBytes, cfg.LeafBytes)
 	return d
 }
 

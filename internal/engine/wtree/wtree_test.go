@@ -2,6 +2,7 @@ package wtree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"kvell/internal/env"
 	"kvell/internal/kv"
 	"kvell/internal/sim"
+	"kvell/internal/walog"
 )
 
 func harness(t *testing.T, tweak func(*Config), fn func(c env.Ctx, d *DB)) *DB {
@@ -129,25 +131,29 @@ func TestUpdatesSurviveEvictionRoundTrip(t *testing.T) {
 	})
 }
 
+// TestLogSlotContention: many concurrent writers produce slot writes and
+// spin time, and LogSlotWrites counts chunks: one per slot the log wrote,
+// each holding at least LogSlotBytes of payload, with fewer than a slot's
+// worth of records left in the open slot.
 func TestLogSlotContention(t *testing.T) {
-	// Many concurrent writers must produce slot writes and spin time.
 	s := sim.New(1)
 	e := sim.NewEnv(s, 8)
 	disk := device.NewSimDisk(s, device.Optane(), nil)
 	cfg := DefaultConfig(disk)
 	d := New(e, cfg)
 	d.Start()
+	const writers, puts, valueLen = 16, 300, 900
 	doneCount := 0
-	for w := 0; w < 16; w++ {
+	for w := 0; w < writers; w++ {
 		w := w
 		e.Go("writer", func(c env.Ctx) {
 			r := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 300; i++ {
+			for i := 0; i < puts; i++ {
 				k := int64(r.Intn(5000))
-				d.Put(c, kv.Key(k), kv.Value(k, 1, 900))
+				d.Put(c, kv.Key(k), kv.Value(k, 1, valueLen))
 			}
 			doneCount++
-			if doneCount == 16 {
+			if doneCount == writers {
 				d.Stop(c)
 			}
 		})
@@ -156,11 +162,34 @@ func TestLogSlotContention(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	if d.stats.LogSlotWrites == 0 {
-		t.Fatal("no log slot writes")
-	}
 	if d.stats.LogSpinTime == 0 {
 		t.Fatal("no busy-wait time recorded — contention model dead")
+	}
+
+	st := device.StoreOf(disk)
+	hdr := make([]byte, device.PageSize)
+	var chunks, records int64
+	for page := int64(0); ; {
+		if err := st.ReadPages(page, hdr); err != nil {
+			t.Fatal(err)
+		}
+		if binary.LittleEndian.Uint64(hdr[0:8]) != walog.Magic {
+			break
+		}
+		payload := int(binary.LittleEndian.Uint32(hdr[8:12]))
+		if payload < int(cfg.LogSlotBytes) {
+			t.Fatalf("chunk at page %d carries %d bytes, below the %d-byte slot", page, payload, cfg.LogSlotBytes)
+		}
+		chunks++
+		records += int64(binary.LittleEndian.Uint32(hdr[12:16]))
+		page += walog.ChunkPages(payload)
+	}
+	if chunks == 0 || d.stats.LogSlotWrites != chunks {
+		t.Fatalf("LogSlotWrites = %d, the log holds %d chunks", d.stats.LogSlotWrites, chunks)
+	}
+	rec := int64(walog.RecordHeader + kv.KeyLen + valueLen)
+	if open := writers*puts - records; open < 0 || open*rec >= cfg.LogSlotBytes {
+		t.Fatalf("%d records acknowledged outside every chunk; an open slot holds at most %d", open, cfg.LogSlotBytes/rec)
 	}
 }
 

@@ -154,11 +154,11 @@ func TestParseEngineFlag(t *testing.T) {
 	}
 }
 
-// Golden fixture for the Durable-mode schedules, same discipline as
+// Golden fixture for the crash schedules, same discipline as
 // TestGoldenDigests (re-record with -update-golden only for changes meant to
-// alter schedules): RunCrash builds every engine with Durable set, so this
-// pins what TestGoldenDigests cannot — the baselines' real WAL writes, the
-// power-loss images and the replay path. CrashTime and RecoverTime are
+// alter schedules): RunCrash gives every baseline's log a group size of 0,
+// so this pins what TestGoldenDigests cannot — a chunk written per record
+// before its acknowledgement, the power-loss images and the replay path. CrashTime and RecoverTime are
 // virtual clocks, Replayed the recovery path's own count.
 const crashGoldenPath = "testdata/crash_golden.json"
 

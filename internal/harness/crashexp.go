@@ -189,9 +189,10 @@ func recoverEngine(c env.Ctx, kind EngineKind, eng kv.Engine) (int64, error) {
 }
 
 // crashHarnessSpec maps a CrashSpec onto the benchmark Spec that
-// buildEngine consumes, flipping every baseline into its durable mode
-// (KVell is durable by construction — no commit log, acknowledgements only
-// after the final-location write).
+// buildEngine consumes, giving every baseline's log a group size of 0, so
+// each record's chunk completes before its operation is acknowledged (KVell
+// is durable by construction — no commit log, acknowledgements only after
+// the final-location write).
 func crashHarnessSpec(cs *CrashSpec) *Spec {
 	hs := &Spec{
 		Engine:    cs.Engine,
@@ -200,9 +201,9 @@ func crashHarnessSpec(cs *CrashSpec) *Spec {
 		Records:   cs.Records,
 		ItemSize:  crashItemSize,
 		CacheFrac: 1.0 / 3,
-		TweakLSM:  func(c *lsm.Config) { c.Durable = true },
-		TweakWT:   func(c *wtree.Config) { c.Durable = true },
-		TweakBE:   func(c *betree.Config) { c.Durable = true },
+		TweakLSM:  func(c *lsm.Config) { c.WALBufferBytes = 0 },
+		TweakWT:   func(c *wtree.Config) { c.LogSlotBytes = 0 },
+		TweakBE:   func(c *betree.Config) { c.WALBufferBytes = 0 },
 	}
 	if cs.AbsorbInterval > 0 || cs.TieredHotBytes > 0 {
 		hs.TweakKVell = func(c *core.Config) {
@@ -382,9 +383,9 @@ const recoveryCrashWrite = 2_000
 // machine, the same YCSB A update burst runs KVell, RocksDB-like and
 // WiredTiger-like into a power cut at the same device write, and each
 // engine's own recovery path runs on the power-loss images — KVell's full
-// slab scan, the baselines' log replay. The baselines run durable, as in the
-// crash sweep: their log holds the whole store, bulk load included, so
-// replay rebuilds all of it.
+// slab scan, the baselines' log replay. The baselines' logs run at group
+// size 0, as in the crash sweep: their log holds the whole store, bulk load
+// included, so replay rebuilds all of it.
 func recoveryExp(o Options, w io.Writer) {
 	records := o.records(200_000)
 	fmt.Fprintf(w, "Recovery (§6.6): crash during YCSB A, %d x 1KB records, Config-Amazon-8NVMe\n\n", records)

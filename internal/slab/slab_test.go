@@ -300,3 +300,68 @@ func TestEncodeItemMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSlabDecode: over arbitrary slot bytes, for one sub-page and one
+// multi-page class, DecodeSlot and DecodeSlotView never panic, agree on the
+// slot's kind and error, and on a live slot agree on timestamp, key and
+// value. DecodeSlot's item must not alias the slot buffer. The corpus is
+// EncodeItem and EncodeTombstone output of both classes, a torn multi-page
+// item and an empty slot.
+func FuzzSlabDecode(f *testing.F) {
+	sub, multi := newSlab(256), New(0, 2*device.PageSize, device.NewAllocator(0), 256, 64)
+	for _, tc := range []struct {
+		s    *Slab
+		klen int
+		vlen int
+	}{{sub, 10, 40}, {sub, 16, 256 - HeaderSize - 16}, {multi, 20, 100}, {multi, 20, 6000}} {
+		buf := make([]byte, tc.s.Stride)
+		val := bytes.Repeat([]byte{0xA5}, tc.vlen)
+		if err := tc.s.EncodeItem(buf, 7, bytes.Repeat([]byte{'k'}, tc.klen), val); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+		if tc.s == multi && tc.vlen > PagePayload {
+			torn := bytes.Clone(buf)
+			torn[device.PageSize+1] ^= 1 // the continuation page's timestamp
+			f.Add(torn)
+		}
+	}
+	for _, s := range []*Slab{sub, multi} {
+		buf := make([]byte, s.Stride)
+		s.EncodeTombstone(buf, 9, 12345)
+		f.Add(buf)
+	}
+	f.Add(make([]byte, 256))
+	f.Add([]byte{flagLive})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, s := range []*Slab{sub, multi} {
+			sized := make([]byte, s.Stride)
+			copy(sized, data)
+			for _, buf := range [][]byte{data, sized} {
+				d, err := s.DecodeSlot(buf)
+				v, verr := s.DecodeSlotView(buf)
+				if err != verr || d.Kind != v.Kind || d.ChainTo != v.ChainTo {
+					t.Fatalf("stride %d: DecodeSlot gives (%v, kind %d, chain %d), DecodeSlotView (%v, kind %d, chain %d)",
+						s.Stride, err, d.Kind, d.ChainTo, verr, v.Kind, v.ChainTo)
+				}
+				if d.Kind != Live {
+					continue
+				}
+				if d.Item.Timestamp != v.Item.Timestamp || !bytes.Equal(d.Item.Key, v.Item.Key) || !bytes.Equal(d.Item.Value, v.Item.Value) {
+					t.Fatalf("stride %d: DecodeSlot and DecodeSlotView disagree on a live slot", s.Stride)
+				}
+				key, val := bytes.Clone(d.Item.Key), bytes.Clone(d.Item.Value)
+				for i := range buf {
+					buf[i] ^= 0xFF
+				}
+				if !bytes.Equal(d.Item.Key, key) || !bytes.Equal(d.Item.Value, val) {
+					t.Fatalf("stride %d: DecodeSlot's item aliases the slot buffer", s.Stride)
+				}
+				for i := range buf {
+					buf[i] ^= 0xFF
+				}
+			}
+		}
+	})
+}

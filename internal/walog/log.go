@@ -16,33 +16,45 @@ type PageIO interface {
 	Write(c env.Ctx, page int64, buf []byte)
 }
 
-// Log is a durable record log over the first Pages pages of a disk, with
-// the writer discipline the format's recovery argument needs: one chunk
-// write in flight at a time, a record acknowledged only after its chunk
-// completed, and pages handed out densely in claim order.
+// RegionPages is the page count every log-based engine reserves for its
+// log at the start of disk 0, ahead of its data allocator.
+const RegionPages = 1 << 20
+
+// Log is a group-commit record log over the first RegionPages pages of a
+// disk, with the writer discipline the format's recovery argument needs:
+// one chunk write in flight at a time, the writer that closes a group
+// returning only after its chunk completed, and pages handed out densely in
+// claim order.
 type Log struct {
 	io    PageIO
-	pages int64 // region size
+	group int // group size in payload bytes; 0 is a chunk per record
 
 	mu      env.Mutex
-	writing bool  // a chunk write is in flight
-	next    int64 // first unwritten page of the region
-	// Chunk scratch, owned by the writer that set writing.
-	payload, chunk []byte
+	writing bool   // a chunk write is in flight
+	next    int64  // first unwritten page of the region
+	payload []byte // the open group's records
+	count   int    // records in payload
+	chunk   []byte // owned by the writer that set writing
 }
 
-// NewLog returns an empty log over pages [0, pages) behind io.
-func NewLog(e env.Env, io PageIO, pages int64) *Log {
-	return &Log{io: io, pages: pages, mu: e.NewMutex()}
+// NewLog returns an empty log behind io whose chunks carry at least group
+// payload bytes each.
+func NewLog(e env.Env, io PageIO, group int64) *Log {
+	return &Log{io: io, group: int(group), mu: e.NewMutex()}
 }
 
-// Append writes one record as a chunk of its own and returns once the write
-// has completed, so an acknowledged operation is always in the log's valid
-// prefix. A writer that finds a chunk in flight busy-waits for it, a
-// costs.LogSlotSpin quantum at a time; the number of quanta burnt is
-// returned for the engine's own statistics. Formatting CPU is the caller's
-// to charge, before the call.
-func (l *Log) Append(c env.Ctx, op byte, key, value []byte) (spins int) {
+// Append adds one record to the open group. The writer whose record brings
+// the group's payload to at least the group size closes it: it writes the
+// group as one chunk and returns once the write has completed, reporting
+// wrote. Every other writer returns at once, its record held in memory
+// until a later writer closes the group — the window a crash loses, as
+// with RocksDB's unsynced WAL (sync=false). With group size 0 every record
+// is a chunk of its own, so an acknowledged operation is always in the
+// log's valid prefix. A writer that finds a chunk in flight busy-waits for
+// it, a costs.LogSlotSpin quantum at a time, and returns the number of
+// quanta burnt for the engine's own statistics. Formatting CPU is the
+// caller's to charge, before the call.
+func (l *Log) Append(c env.Ctx, op byte, key, value []byte) (spins int, wrote bool) {
 	l.mu.Lock(c)
 	for l.writing {
 		l.mu.Unlock(c)
@@ -50,16 +62,22 @@ func (l *Log) Append(c env.Ctx, op byte, key, value []byte) (spins int) {
 		spins++
 		l.mu.Lock(c)
 	}
+	l.payload = AppendRecord(l.payload, op, key, value)
+	l.count++
+	if len(l.payload) < l.group {
+		l.mu.Unlock(c)
+		return spins, false
+	}
 	l.writing = true
-	l.payload = AppendRecord(l.payload[:0], op, key, value)
-	l.chunk = EncodeChunk(l.chunk, l.payload, 1)
+	l.chunk = EncodeChunk(l.chunk, l.payload, l.count)
 	page := l.claim(len(l.payload))
+	l.payload, l.count = l.payload[:0], 0
 	l.mu.Unlock(c)
 	l.io.Write(c, page, l.chunk)
 	l.mu.Lock(c)
 	l.writing = false
 	l.mu.Unlock(c)
-	return spins
+	return spins, true
 }
 
 // claim reserves the pages of a chunk carrying payloadLen bytes. The region
@@ -67,7 +85,7 @@ func (l *Log) Append(c env.Ctx, op byte, key, value []byte) (spins int) {
 func (l *Log) claim(payloadLen int) int64 {
 	page := l.next
 	l.next += ChunkPages(payloadLen)
-	if l.next > l.pages {
+	if l.next > RegionPages {
 		panic("walog: log region overflow")
 	}
 	return page
@@ -75,7 +93,8 @@ func (l *Log) claim(payloadLen int) int64 {
 
 // AppendBulk appends items as put records, in chunks of about 256 KB, by
 // direct untimed store writes — bulk load precedes the measured run — so a
-// replay reconstructs the loaded data without trusting any other page.
+// replay reconstructs the loaded data without trusting any other page. Call
+// before any Append.
 func (l *Log) AppendBulk(st device.Store, items []kv.Item) {
 	count := 0
 	flush := func() {
@@ -106,7 +125,7 @@ func (l *Log) AppendBulk(st device.Store, items []kv.Item) {
 // freshly opened log, before any Append.
 func (l *Log) Replay(c env.Ctx, fn func(op byte, key, value []byte)) int {
 	n := 0
-	l.next = Scan(timedReader{l.io, c}, 0, l.pages, func(op byte, k, v []byte) {
+	l.next = Scan(timedReader{l.io, c}, 0, RegionPages, func(op byte, k, v []byte) {
 		fn(op, k, v)
 		n++
 	})

@@ -41,107 +41,169 @@ func life(t *testing.T, st device.Store, open func(env.Env, device.Disk) durable
 	}
 }
 
-// TestReplayAfterTornTail: bulk-load, then put/overwrite/delete N records
-// (each acknowledged only after its chunk completed), then tear the last,
-// multi-page chunk the way a power loss would. A replay by a fresh engine
-// must yield exactly the acknowledged prefix — last writer wins, deletes
-// honoured, nothing of the torn record — through every log-based engine.
+// logOp is one acknowledged mutation of TestReplayAfterTornTail.
+type logOp struct {
+	key   int64
+	value []byte // nil for a delete
+}
+
+// closedGroups returns, for each group a log of the given group size closes
+// over ops, the index one past its last record and its payload length.
+func closedGroups(ops []logOp, group int) (ends, payloads []int) {
+	payload := 0
+	for i, op := range ops {
+		payload += walog.RecordHeader + len(kv.Key(op.key)) + len(op.value)
+		if payload >= group {
+			ends, payloads = append(ends, i+1), append(payloads, payload)
+			payload = 0
+		}
+	}
+	return ends, payloads
+}
+
+// TestReplayAfterTornTail: bulk-load, then put/overwrite/delete N records,
+// then tear the last chunk written, a multi-page one, the way a power loss
+// would. A replay by a fresh engine must yield exactly the records of the
+// groups whose chunk completed — last writer wins, deletes honoured,
+// nothing of the torn chunk — through every log-based engine, at two group
+// sizes. At 0 every record is a chunk of its own, acknowledged after it
+// completed, so that is every acknowledged record. At a positive size the
+// torn chunk takes its whole group, and the records acknowledged into the
+// group no chunk closed are absent too: the loss window of a buffered log.
 func TestReplayAfterTornTail(t *testing.T) {
-	for _, tc := range []struct {
+	engines := []struct {
 		name string
-		open func(env.Env, device.Disk) durableEngine
+		open func(e env.Env, d device.Disk, group int64) durableEngine
 	}{
-		{"wtree", func(e env.Env, d device.Disk) durableEngine {
+		{"wtree", func(e env.Env, d device.Disk, group int64) durableEngine {
 			cfg := wtree.DefaultConfig(d)
-			cfg.Durable = true
+			cfg.LogSlotBytes = group
 			return wtree.New(e, cfg)
 		}},
-		{"betree", func(e env.Env, d device.Disk) durableEngine {
+		{"betree", func(e env.Env, d device.Disk, group int64) durableEngine {
 			cfg := betree.DefaultConfig(d)
-			cfg.Durable = true
+			cfg.WALBufferBytes = group
 			return betree.New(e, cfg)
 		}},
-		{"rocks", func(e env.Env, d device.Disk) durableEngine { return durableLSM(e, d, false) }},
-		{"pebbles", func(e env.Env, d device.Disk) durableEngine { return durableLSM(e, d, true) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			open := tc.open
-			st := device.NewMemStore()
-			model := map[int64][]byte{}
-			const tornKey = 1000
-			life(t, st, open, func(c env.Ctx, eng durableEngine) {
+		{"rocks", func(e env.Env, d device.Disk, group int64) durableEngine { return durableLSM(e, d, false, group) }},
+		{"pebbles", func(e env.Env, d device.Disk, group int64) durableEngine { return durableLSM(e, d, true, group) }},
+	}
+	const tornKey = 1000
+	for _, group := range []int64{0, 8192} {
+		var ops []logOp
+		for i := int64(0); i < 300; i++ {
+			k := i * 3 % 700 // overwrites loaded keys, adds new ones
+			var v []byte
+			if i%5 != 4 {
+				v = kv.Value(k, uint64(i+1), 100+int(i))
+			}
+			ops = append(ops, logOp{k, v})
+		}
+		// The record whose chunk will be torn: 10KB, so it closes its group
+		// at either size and the chunk spans three or more pages.
+		ops = append(ops, logOp{tornKey, kv.Value(tornKey, 1, 10_000)})
+		if group > 0 {
+			// Acknowledged into a group that never fills.
+			for k := int64(tornKey + 1); k <= tornKey+3; k++ {
+				ops = append(ops, logOp{k, kv.Value(k, 1, 100)})
+			}
+		}
+		ends, payloads := closedGroups(ops, int(group))
+		if ends[len(ends)-1] != 301 {
+			t.Fatalf("group %d: the torn record does not close the last group", group)
+		}
+		// What survives the tear: every group before the torn one.
+		kept := ends[len(ends)-2]
+		tornPages := walog.ChunkPages(payloads[len(payloads)-1])
+		if group > 0 && 301-kept < 3 {
+			t.Fatalf("group %d: the torn chunk holds %d records, want the torn one and two before it", group, 301-kept)
+		}
+
+		for _, tc := range engines {
+			name := tc.name
+			if group > 0 {
+				name += "-grouped"
+			}
+			t.Run(name, func(t *testing.T) {
+				open := func(e env.Env, d device.Disk) durableEngine { return tc.open(e, d, group) }
+				st := device.NewMemStore()
+				model := map[int64][]byte{}
 				var items []kv.Item
 				for i := int64(0); i < 600; i++ { // > 256KB: two bulk chunks
 					model[i] = kv.Value(i, 0, 500)
 					items = append(items, kv.Item{Key: kv.Key(i), Value: model[i]})
 				}
-				if err := eng.BulkLoad(items); err != nil {
-					t.Error(err)
-					return
-				}
-				for i := int64(0); i < 300; i++ {
-					k := i * 3 % 700 // overwrites loaded keys, adds new ones
-					switch i % 5 {
-					case 4:
-						eng.Submit(c, &kv.Request{Op: kv.OpDelete, Key: kv.Key(k), Done: func(kv.Result) {}})
-						delete(model, k)
-					default:
-						model[k] = kv.Value(k, uint64(i+1), 100+int(i))
-						eng.Put(c, kv.Key(k), model[k])
-					}
-				}
-				// The record whose chunk will be torn: 10KB, three pages.
-				eng.Put(c, kv.Key(tornKey), kv.Value(tornKey, 1, 10_000))
-			})
-
-			// Tear it: the chunk's last page never reached the medium.
-			used := walog.Scan(st, 0, 1<<20, func(byte, []byte, []byte) {})
-			if err := st.WritePages(used-1, make([]byte, device.PageSize)); err != nil {
-				t.Fatal(err)
-			}
-			if after := walog.Scan(st, 0, 1<<20, func(byte, []byte, []byte) {}); after != used-3 {
-				t.Fatalf("valid prefix is %d pages after the tear, want %d (a three-page tail)", after, used-3)
-			}
-
-			life(t, st, open, func(c env.Ctx, eng durableEngine) {
-				t0 := c.Now()
-				if n := eng.ReplayLog(c); n != 600+300 {
-					t.Errorf("replayed %d records, the acknowledged prefix holds %d", n, 600+300)
-				}
-				if db, ok := eng.(*lsm.DB); ok && db.Stats().Flushes == 0 {
-					t.Error("replay never flushed a memtable")
-				}
-				if c.Now() == t0 {
-					t.Error("replay took no virtual time: its reads bypassed the timed path")
-				}
-				for i := int64(0); i <= tornKey; i++ {
-					got, ok := eng.Get(c, kv.Key(i))
-					want, wok := model[i]
-					if ok != wok || !bytes.Equal(got, want) {
-						t.Errorf("key %d after replay: found=%v, acknowledged prefix has it=%v", i, ok, wok)
+				life(t, st, open, func(c env.Ctx, eng durableEngine) {
+					if err := eng.BulkLoad(items); err != nil {
+						t.Error(err)
 						return
 					}
+					for _, op := range ops {
+						if op.value == nil {
+							eng.Submit(c, &kv.Request{Op: kv.OpDelete, Key: kv.Key(op.key), Done: func(kv.Result) {}})
+						} else {
+							eng.Put(c, kv.Key(op.key), op.value)
+						}
+					}
+				})
+				for _, op := range ops[:kept] {
+					if op.value == nil {
+						delete(model, op.key)
+					} else {
+						model[op.key] = op.value
+					}
 				}
-				// The log resumes after the valid prefix, over the torn tail.
-				eng.Put(c, kv.Key(tornKey), kv.Value(tornKey, 2, 50))
+
+				// Tear it: the chunk's last page never reached the medium.
+				used := walog.Scan(st, 0, walog.RegionPages, func(byte, []byte, []byte) {})
+				if err := st.WritePages(used-1, make([]byte, device.PageSize)); err != nil {
+					t.Fatal(err)
+				}
+				if after := walog.Scan(st, 0, walog.RegionPages, func(byte, []byte, []byte) {}); after != used-tornPages {
+					t.Fatalf("valid prefix is %d pages after the tear, want %d (a %d-page tail)", after, used-tornPages, tornPages)
+				}
+
+				life(t, st, open, func(c env.Ctx, eng durableEngine) {
+					t0 := c.Now()
+					if n := eng.ReplayLog(c); n != 600+kept {
+						t.Errorf("replayed %d records, the completed groups hold %d", n, 600+kept)
+					}
+					if db, ok := eng.(*lsm.DB); ok && db.Stats().Flushes == 0 {
+						t.Error("replay never flushed a memtable")
+					}
+					if c.Now() == t0 {
+						t.Error("replay took no virtual time: its reads bypassed the timed path")
+					}
+					for i := int64(0); i <= tornKey+3; i++ {
+						got, ok := eng.Get(c, kv.Key(i))
+						want, wok := model[i]
+						if ok != wok || !bytes.Equal(got, want) {
+							t.Errorf("key %d after replay: found=%v, the completed groups have it=%v", i, ok, wok)
+							return
+						}
+					}
+					// The log resumes after the valid prefix, over the torn
+					// tail; the record fills a group of its own.
+					eng.Put(c, kv.Key(tornKey), kv.Value(tornKey, 2, 10_000))
+				})
+				n := 0
+				walog.Scan(st, 0, walog.RegionPages, func(byte, []byte, []byte) { n++ })
+				if want := 600 + kept + 1; n != want {
+					t.Fatalf("log holds %d records after the post-replay put, want %d", n, want)
+				}
 			})
-			n := 0
-			walog.Scan(st, 0, 1<<20, func(byte, []byte, []byte) { n++ })
-			if want := 600 + 300 + 1; n != want {
-				t.Fatalf("log holds %d records after the post-replay put, want %d", n, want)
-			}
-		})
+		}
 	}
 }
 
-// durableLSM is a durable LSM whose memtable is small enough that replaying
-// the test's log flushes it a few times (and few enough that no write stalls
-// on L0 without the background threads).
-func durableLSM(e env.Env, d device.Disk, fragmented bool) *lsm.DB {
+// durableLSM is an LSM whose memtable is small enough that replaying the
+// test's log flushes it a few times (and few enough that no write stalls on
+// L0 without the background threads).
+func durableLSM(e env.Env, d device.Disk, fragmented bool, group int64) *lsm.DB {
 	cfg := lsm.DefaultConfig(d)
 	cfg.MemtableBytes = 128 << 10
 	cfg.Fragmented = fragmented
-	cfg.Durable = true
+	cfg.WALBufferBytes = group
 	return lsm.New(e, cfg)
 }
 

@@ -1,8 +1,8 @@
 // Package walog is the page-aligned, checksummed write-ahead log of the
-// three log-based baselines' durable modes (lsm, wtree, betree): the on-disk
-// format and its scanner here, the writer and replayer (Log) in log.go. A log is a dense
-// sequence of chunks starting at a fixed base page; each chunk is one
-// flushed batch of records, padded to a page boundary:
+// three log-based baselines (lsm, wtree, betree): the on-disk format and its
+// scanner here, the group-commit writer and the replayer (Log) in log.go. A
+// log is a dense sequence of chunks starting at a fixed base page; each
+// chunk is one flushed group of records, padded to a page boundary:
 //
 //	magic(8) | payloadLen(4) | count(4) | fnv64a(payload)(8) | payload | pad
 //
@@ -13,8 +13,8 @@
 // The checksum is what makes crash recovery sound under the ≤1-page
 // atomicity model: a torn chunk (some of its pages persisted, some not)
 // fails verification and Scan stops there. Log keeps at most one chunk
-// write in flight and acknowledges only after its completion, so the log's
-// valid prefix always contains every acknowledged record.
+// write in flight, so the log's valid prefix always holds every group whose
+// chunk completed: with a group size of 0, every acknowledged record.
 package walog
 
 import (
