@@ -9,7 +9,7 @@ BENCH_PKGS = ./internal/sim ./internal/slab ./internal/pagecache \
 	./internal/core ./internal/harness ./internal/hotcache \
 	./internal/mvcc ./internal/txn ./internal/device ./internal/cluster
 
-.PHONY: all build vet fmt-check lint test race race-sim check bench exp-golden harness-golden alloc-budget feature-matrix e2e-smoke crash-sweep trace absorb tier cluster loc
+.PHONY: all build vet fmt-check lint test race race-sim check bench exp-golden harness-golden alloc-budget feature-matrix e2e-smoke examples-smoke crash-sweep trace absorb tier cluster loc
 
 # Crash sweep knobs: SEED picks the deterministic schedule (a CI failure
 # prints the seed to rerun here), K is points per engine, ENGINE narrows to
@@ -86,6 +86,24 @@ e2e-smoke:
 	$(GO) vet -C cmd/kvell-e2e ./...
 	$(GO) test -C cmd/kvell-e2e ./...
 
+# The examples and the kvell CLI have no tests of their own: each example
+# must run to completion, and the CLI must put, get, scan, delete and print
+# stats on a temporary store, its get printing the value just put.
+examples-smoke:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/recovery
+	$(GO) run ./examples/simulate
+	$(GO) run ./examples/ycsb -records 2000 -ops 5000
+	@set -e; dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/kvell" ./cmd/kvell; \
+	kv() { "$$dir/kvell" -db "$$dir/smoke.kvell" "$$@"; }; \
+	kv put smoke-key smoke-value; \
+	got="$$(kv get smoke-key)"; \
+	if [ "$$got" != smoke-value ]; then \
+		echo "kvell get printed '$$got', want smoke-value"; exit 1; fi; \
+	kv scan smoke 10; kv del smoke-key; kv stats; \
+	echo "examples-smoke: kvell put/get/scan/del/stats ok"
+
 # Crash–recover–verify sweep (see DESIGN.md §9): kills each engine at K
 # seeded points under load, reboots on the power-loss disk images, verifies
 # no acknowledged write was lost and no torn value surfaced. Deterministic
@@ -142,7 +160,7 @@ loc:
 	row 'whole tree' .
 
 # Everything CI runs, in the same order.
-check: build vet fmt-check lint race-sim harness-golden alloc-budget feature-matrix e2e-smoke crash-sweep race
+check: build vet fmt-check lint race-sim harness-golden alloc-budget feature-matrix examples-smoke e2e-smoke crash-sweep race
 
 # Runs the kernel/allocator/page-cache microbenchmarks and prints plain
 # `go test -bench -benchmem` output, which benchstat reads: save one run per

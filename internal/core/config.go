@@ -16,6 +16,14 @@ import (
 	"kvell/internal/slab"
 )
 
+// freelistHeads is N, the per-slab bound on in-memory free-list heads
+// (§5.3; paper: 64).
+const freelistHeads = 64
+
+// tieredSlotBytes is the hot tier's arena slot size: records whose
+// key+value exceed it are never cached.
+const tieredSlotBytes = 1024
+
 // Config describes a KVell store.
 type Config struct {
 	// Workers is the number of worker threads. Each owns a shared-nothing
@@ -33,9 +41,6 @@ type Config struct {
 	// Background work keeps to it too: a GC pass frees at most BatchSize
 	// slots and resumes once their tombstones are durable.
 	BatchSize int
-	// FreelistHeads is N, the per-slab bound on in-memory free-list heads
-	// (§5.3; paper: 64).
-	FreelistHeads int
 	// CacheIndex selects the page-cache index structure (B-tree in
 	// production; the hash variant reproduces the paper's tail-latency
 	// anecdote as an ablation).
@@ -86,9 +91,6 @@ type Config struct {
 	// which is what keeps crash recovery unchanged. Incompatible with
 	// SharedEverything (the cache is per-worker state).
 	TieredHotBytes int64
-	// TieredSlotBytes is the arena slot size; records whose key+value exceed
-	// it are never cached (default 1024).
-	TieredSlotBytes int
 	// TieredPromoteAfter is the decayed access count a cold key must reach
 	// before a read promotes it (default 2; 1 promotes on first touch).
 	TieredPromoteAfter int
@@ -124,7 +126,6 @@ func DefaultConfig(disks ...device.Disk) Config {
 		Disks:             disks,
 		PageCachePages:    8192,
 		BatchSize:         64,
-		FreelistHeads:     64,
 		CacheIndex:        pagecache.IndexBTree,
 		WorkerRegionPages: 1 << 24, // 64GB of page numbers per worker
 	}
@@ -139,9 +140,6 @@ func (c *Config) validate() error {
 	}
 	if c.BatchSize < 1 {
 		c.BatchSize = 64
-	}
-	if c.FreelistHeads < 1 {
-		c.FreelistHeads = 64
 	}
 	if c.PageCachePages < c.Workers {
 		c.PageCachePages = c.Workers
@@ -176,9 +174,6 @@ func (c *Config) validate() error {
 	if c.TieredHotBytes > 0 {
 		if c.SharedEverything {
 			return fmt.Errorf("core: tiering requires shared-nothing workers")
-		}
-		if c.TieredSlotBytes <= 0 {
-			c.TieredSlotBytes = 1024
 		}
 		if c.TieredPromoteAfter <= 0 {
 			c.TieredPromoteAfter = 2

@@ -99,9 +99,9 @@ func payloadAt(c env.Ctx, w *worker, l location, key []byte) []byte {
 	return p.got
 }
 
-// TestSlabLayerReuseReinstatesChain frees more slots than the free list has
-// in-memory heads, so the later tombstone chains to the displaced head; the
-// placement that reuses it must read that pointer back and reinstate the
+// TestSlabLayerReuseReinstatesChain frees one slot more than the free list
+// has in-memory heads, so the last tombstone chains to the head it displaces;
+// the placement that reuses it must read that pointer back and reinstate the
 // head before overwriting the tombstone — sub-page and multi-page.
 func TestSlabLayerReuseReinstatesChain(t *testing.T) {
 	for _, tc := range []struct {
@@ -109,36 +109,47 @@ func TestSlabLayerReuseReinstatesChain(t *testing.T) {
 		vlen int
 	}{{"subpage", 40}, {"multipage", 5000}} {
 		t.Run(tc.name, func(t *testing.T) {
-			slabLayerHarness(t, func(c *Config) { c.FreelistHeads = 1 }, func(c env.Ctx, w *worker) {
+			slabLayerHarness(t, func(*Config) {}, func(c env.Ctx, w *worker) {
 				var locs []location
-				for i := int64(0); i < 3; i++ {
+				for i := int64(0); i <= freelistHeads; i++ {
 					locs = append(locs, place(t, c, w, kv.Key(i), kv.Value(i, 1, tc.vlen), true))
 				}
 				sl := w.slabs[locs[0].class()]
 				if sl.MultiPage() != (tc.name == "multipage") {
 					t.Fatalf("%dB value landed in class %d", tc.vlen, locs[0].class())
 				}
-				free(t, c, w, locs[0])
-				free(t, c, w, locs[1]) // one head: chains to locs[0]'s slot
-				if h := sl.Free.Heads(); len(h) != 1 || h[0] != locs[1].slot() {
-					t.Fatalf("heads after two frees = %v, want [%d]", h, locs[1].slot())
+				for _, l := range locs {
+					free(t, c, w, l)
 				}
-				if got := payloadAt(c, w, locs[1], kv.Key(1)); got != nil {
+				// The last free displaced the first head and chains to it.
+				chained := locs[freelistHeads]
+				if h := sl.Free.Heads(); len(h) != freelistHeads || h[0] != chained.slot() {
+					t.Fatalf("heads after %d frees = %v, want %d heads led by %d", len(locs), h, freelistHeads, chained.slot())
+				}
+				if got := payloadAt(c, w, chained, kv.Key(freelistHeads)); got != nil {
 					t.Fatal("freed slot still reads as live")
+				}
+				// Heads are reused newest first: every unchained one goes
+				// before the chained slot.
+				for i := freelistHeads - 1; i > 0; i-- {
+					k := int64(100 + i)
+					if l := place(t, c, w, kv.Key(k), kv.Value(k, 1, tc.vlen), true); l != locs[i] {
+						t.Fatalf("reuse %d placed at slot %d, want %d", i, l.slot(), locs[i].slot())
+					}
 				}
 
 				// Not indexed by the layer: the caller owns the index update.
-				l := place(t, c, w, kv.Key(7), kv.Value(7, 1, tc.vlen), false)
-				if l != locs[1] {
-					t.Fatalf("reuse placed at %d/%d, want the freed slot %d/%d", l.class(), l.slot(), locs[1].class(), locs[1].slot())
+				l := place(t, c, w, kv.Key(200), kv.Value(200, 1, tc.vlen), false)
+				if l != chained {
+					t.Fatalf("reuse placed at %d/%d, want the chained slot %d/%d", l.class(), l.slot(), chained.class(), chained.slot())
 				}
-				if _, ok := w.idx.Get(kv.Key(7)); ok {
+				if _, ok := w.idx.Get(kv.Key(200)); ok {
 					t.Fatal("placeItem(index=false) touched the index")
 				}
 				if h := sl.Free.Heads(); len(h) != 1 || h[0] != locs[0].slot() {
 					t.Fatalf("heads after reuse = %v, want the chained slot [%d] reinstated", h, locs[0].slot())
 				}
-				if got := payloadAt(c, w, l, kv.Key(7)); !bytes.Equal(got, kv.Value(7, 1, tc.vlen)) {
+				if got := payloadAt(c, w, l, kv.Key(200)); !bytes.Equal(got, kv.Value(200, 1, tc.vlen)) {
 					t.Fatal("reused slot does not read back the placed item")
 				}
 				if sl.MultiPage() && w.cache.Contains(sl.SlotPage(l.slot())) {
@@ -146,14 +157,14 @@ func TestSlabLayerReuseReinstatesChain(t *testing.T) {
 				}
 
 				// The reinstated head is reused next, then appends resume.
-				if l := place(t, c, w, kv.Key(8), kv.Value(8, 1, tc.vlen), true); l != locs[0] {
+				if l := place(t, c, w, kv.Key(201), kv.Value(201, 1, tc.vlen), true); l != locs[0] {
 					t.Fatalf("second reuse placed at slot %d, want %d", l.slot(), locs[0].slot())
 				}
-				if v, ok := w.idx.Get(kv.Key(8)); !ok || location(v) != locs[0] {
+				if v, ok := w.idx.Get(kv.Key(201)); !ok || location(v) != locs[0] {
 					t.Fatal("placeItem(index=true) did not install the location")
 				}
 				next := sl.Slots()
-				if l := place(t, c, w, kv.Key(9), kv.Value(9, 1, tc.vlen), true); l.slot() != next {
+				if l := place(t, c, w, kv.Key(202), kv.Value(202, 1, tc.vlen), true); l.slot() != next {
 					t.Fatalf("with no free slot left, placed at %d, want append slot %d", l.slot(), next)
 				}
 			})

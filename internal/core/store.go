@@ -90,7 +90,7 @@ func Open(e env.Env, cfg Config) (*Store, error) {
 		}
 		for ci, stride := range slab.DefaultClasses {
 			alloc := device.NewAllocator(base + int64(ci)*perClass)
-			w.slabs = append(w.slabs, slab.New(ci, stride, alloc, extentPages, cfg.FreelistHeads))
+			w.slabs = append(w.slabs, slab.New(ci, stride, alloc, extentPages, freelistHeads))
 		}
 		w.logBase = base + int64(len(slab.DefaultClasses))*perClass
 		w.logPages = perClass
@@ -106,7 +106,7 @@ func Open(e env.Env, cfg Config) (*Store, error) {
 		if cfg.TieredHotBytes > 0 {
 			w.hot = hotcache.New(hotcache.Config{
 				CapBytes:     cfg.TieredHotBytes / int64(shards),
-				SlotBytes:    cfg.TieredSlotBytes,
+				SlotBytes:    tieredSlotBytes,
 				HalfLife:     tieredHalfLife,
 				PromoteAfter: uint32(cfg.TieredPromoteAfter),
 				Seed:         cfg.TieredSeed + int64(i),

@@ -109,7 +109,7 @@ func TestTieredRejectsSharedEverything(t *testing.T) {
 func TestTieredDefaults(t *testing.T) {
 	simHarness(t, func(c *Config) { c.TieredHotBytes = 1 << 20 }, func(c env.Ctx, st *Store) {
 		cfg := st.cfg
-		if cfg.TieredSlotBytes != 1024 || cfg.TieredPromoteAfter != 2 {
+		if cfg.TieredPromoteAfter != 2 {
 			t.Fatalf("tiering defaults not applied: %+v", cfg)
 		}
 	})

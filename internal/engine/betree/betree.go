@@ -32,28 +32,31 @@ import (
 	"kvell/internal/walog"
 )
 
+// Buffer, split and write-back policy, the same for every instance (a
+// TokuMX-like setup at the harness's dataset scales).
+const (
+	// rootBufferBytes and groupBufferBytes bound the message buffers.
+	rootBufferBytes  = 256 << 10
+	groupBufferBytes = 64 << 10
+	// splitSpan splits a group when its range covers more leaves.
+	splitSpan = 256
+	// checkpointEvery is the period of the dirty-leaf flush.
+	checkpointEvery = 2 * env.Second
+	// dirtyStallFrac stalls writers when dirty bytes exceed this fraction
+	// of the cache; eviction starts at half of it.
+	dirtyStallFrac = 0.2
+)
+
 // Config describes a betree engine.
 type Config struct {
 	Disks []device.Disk
 	// CacheBytes is the leaf-cache budget.
 	CacheBytes int64
-	// RootBufferBytes and GroupBufferBytes bound the message buffers.
-	RootBufferBytes  int
-	GroupBufferBytes int
-	// LeafBytes is the on-disk leaf size.
-	LeafBytes int
 	// WALBufferBytes is the commit log's group size: a record is
 	// acknowledged at once, and the writer whose record fills a group
 	// writes it. 0 writes and completes every record's chunk before its
 	// operation returns.
 	WALBufferBytes int64
-	// SplitSpan splits a group when its range covers more leaves.
-	SplitSpan int
-	// CheckpointEvery flushes dirty leaves periodically.
-	CheckpointEvery env.Time
-	// DirtyStallFrac stalls writers when dirty bytes exceed this fraction
-	// of the cache.
-	DirtyStallFrac float64
 	// Tracer, if set, receives background maintenance spans (eviction,
 	// checkpoints, buffer cascades). Purely observational.
 	Tracer *trace.Tracer
@@ -62,15 +65,9 @@ type Config struct {
 // DefaultConfig returns a TokuMX-like configuration for scaled datasets.
 func DefaultConfig(disks ...device.Disk) Config {
 	return Config{
-		Disks:            disks,
-		CacheBytes:       64 << 20,
-		RootBufferBytes:  256 << 10,
-		GroupBufferBytes: 64 << 10,
-		LeafBytes:        device.PageSize,
-		WALBufferBytes:   1 << 20,
-		SplitSpan:        256,
-		CheckpointEvery:  2 * env.Second,
-		DirtyStallFrac:   0.2,
+		Disks:          disks,
+		CacheBytes:     64 << 20,
+		WALBufferBytes: 1 << 20,
 	}
 }
 
@@ -146,7 +143,7 @@ func New(e env.Env, cfg Config) *DB {
 	d.stallCond = e.NewCond(d.stallMu)
 	d.log = walog.NewLog(e, d.io, cfg.WALBufferBytes)
 	// The first pages are reserved for the log.
-	d.t = leaf.NewTree(device.NewAllocator(walog.RegionPages), cfg.CacheBytes, cfg.LeafBytes)
+	d.t = leaf.NewTree(device.NewAllocator(walog.RegionPages), cfg.CacheBytes)
 	d.groups = []*group{{}}
 	return d
 }

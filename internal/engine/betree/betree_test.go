@@ -18,8 +18,6 @@ func harness(t *testing.T, tweak func(*Config), fn func(c env.Ctx, d *DB)) *DB {
 	disk := device.NewSimDisk(s, device.Optane(), nil)
 	cfg := DefaultConfig(disk)
 	cfg.CacheBytes = 256 << 10
-	cfg.RootBufferBytes = 16 << 10
-	cfg.GroupBufferBytes = 8 << 10
 	if tweak != nil {
 		tweak(&cfg)
 	}
@@ -36,6 +34,14 @@ func harness(t *testing.T, tweak func(*Config), fn func(c env.Ctx, d *DB)) *DB {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// buffered reports whether key has a message in the root buffer or in its
+// group's buffer.
+func buffered(d *DB, key []byte) bool {
+	_, inRoot := findMsg(d.rootMsgs, key)
+	_, inGroup := findMsg(d.groups[d.findGroup(key)].msgs, key)
+	return inRoot || inGroup
 }
 
 func TestPutGetThroughBuffers(t *testing.T) {
@@ -65,8 +71,11 @@ func TestNewestWinsAcrossLevels(t *testing.T) {
 		k := kv.Key(5)
 		// Version 1 driven all the way to the leaf by subsequent traffic.
 		d.Put(c, k, kv.Value(5, 1, 300))
-		for i := int64(100); i < 600; i++ {
+		for i := int64(100); i < 1100; i++ {
 			d.Put(c, kv.Key(i), kv.Value(i, 1, 300))
+		}
+		if buffered(d, k) {
+			t.Fatal("version 1 is still buffered")
 		}
 		// Version 2 still in an upper buffer.
 		d.Put(c, k, kv.Value(5, 2, 300))
@@ -87,8 +96,11 @@ func TestDeleteMessages(t *testing.T) {
 			t.Fatal("deleted key visible (buffered delete)")
 		}
 		// Push the delete down with more traffic.
-		for i := int64(300); i < 900; i++ {
+		for i := int64(300); i < 1300; i++ {
 			d.Put(c, kv.Key(i), kv.Value(i, 1, 300))
+		}
+		if buffered(d, kv.Key(7)) {
+			t.Fatal("the delete is still buffered")
 		}
 		if _, ok := d.Get(c, kv.Key(7)); ok {
 			t.Fatal("deleted key resurrected after flush-down")
@@ -98,8 +110,11 @@ func TestDeleteMessages(t *testing.T) {
 
 func TestScanMergesBuffersAndLeaves(t *testing.T) {
 	harness(t, nil, func(c env.Ctx, d *DB) {
-		for i := int64(0); i < 500; i++ {
+		for i := int64(0); i < 1000; i++ {
 			d.Put(c, kv.Key(i), kv.Value(i, 1, 400))
+		}
+		if buffered(d, kv.Key(118)) {
+			t.Fatal("the scanned keys are still buffered")
 		}
 		// Fresh overwrites still buffered.
 		d.Put(c, kv.Key(120), kv.Value(120, 2, 400))
@@ -121,12 +136,12 @@ func TestScanMergesBuffersAndLeaves(t *testing.T) {
 }
 
 func TestGroupSplitsKeepCorrectness(t *testing.T) {
-	d := harness(t, func(cfg *Config) { cfg.SplitSpan = 8 }, func(c env.Ctx, d *DB) {
+	d := harness(t, nil, func(c env.Ctx, d *DB) {
 		r := rand.New(rand.NewSource(4))
-		for _, i := range r.Perm(3000) {
+		for _, i := range r.Perm(6000) {
 			d.Put(c, kv.Key(int64(i)), kv.Value(int64(i), 1, 400))
 		}
-		for i := int64(0); i < 3000; i += 41 {
+		for i := int64(0); i < 6000; i += 41 {
 			v, ok := d.Get(c, kv.Key(i))
 			if !ok || !bytes.Equal(v, kv.Value(i, 1, 400)) {
 				t.Fatalf("Get(%d) ok=%v", i, ok)
@@ -208,8 +223,6 @@ func TestSpinLockContentionAccounted(t *testing.T) {
 	e := sim.NewEnv(s, 8)
 	disk := device.NewSimDisk(s, device.Optane(), nil)
 	cfg := DefaultConfig(disk)
-	cfg.RootBufferBytes = 8 << 10
-	cfg.GroupBufferBytes = 4 << 10
 	d := New(e, cfg)
 	d.Start()
 	done := 0

@@ -2,6 +2,7 @@ package betree
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"kvell/internal/env"
@@ -9,20 +10,28 @@ import (
 )
 
 func TestScanAcrossGroupBoundaries(t *testing.T) {
-	harness(t, func(cfg *Config) { cfg.SplitSpan = 6 }, func(c env.Ctx, d *DB) {
-		for i := int64(0); i < 1500; i++ {
-			d.Put(c, kv.Key(i), kv.Value(i, 1, 400))
+	harness(t, nil, func(c env.Ctx, d *DB) {
+		const n, from, count = 6000, 100, 5000
+		r := rand.New(rand.NewSource(4))
+		for _, i := range r.Perm(n) {
+			d.Put(c, kv.Key(int64(i)), kv.Value(int64(i), 1, 400))
 		}
-		if len(d.groups) < 3 {
-			t.Skipf("groups did not split (%d); adjust workload", len(d.groups))
+		inside := 0
+		for _, g := range d.groups[1:] {
+			if bytes.Compare(g.firstKey, kv.Key(from)) > 0 && bytes.Compare(g.firstKey, kv.Key(from+count-1)) <= 0 {
+				inside++
+			}
+		}
+		if inside < 2 {
+			t.Fatalf("%d group boundaries inside the scanned range, want at least 2", inside)
 		}
 		// A scan spanning several groups must stay ordered and complete.
-		items := d.Scan(c, kv.Key(100), 800)
-		if len(items) != 800 {
+		items := d.Scan(c, kv.Key(from), count)
+		if len(items) != count {
 			t.Fatalf("scan returned %d", len(items))
 		}
 		for j, it := range items {
-			if !bytes.Equal(it.Key, kv.Key(100+int64(j))) {
+			if !bytes.Equal(it.Key, kv.Key(from+int64(j))) {
 				t.Fatalf("scan[%d] = %q", j, it.Key)
 			}
 		}
@@ -31,8 +40,12 @@ func TestScanAcrossGroupBoundaries(t *testing.T) {
 
 func TestScanTrailingBufferedKeys(t *testing.T) {
 	harness(t, nil, func(c env.Ctx, d *DB) {
-		for i := int64(0); i < 50; i++ {
-			d.Put(c, kv.Key(i), kv.Value(i, 1, 300))
+		loaded := make([]kv.Item, 50)
+		for i := range loaded {
+			loaded[i] = kv.Item{Key: kv.Key(int64(i)), Value: kv.Value(int64(i), 1, 300)}
+		}
+		if err := d.BulkLoad(loaded); err != nil {
+			t.Fatal(err)
 		}
 		// Keys beyond every leaf entry, still in the root buffer.
 		d.Put(c, kv.Key(900), kv.Value(900, 1, 300))

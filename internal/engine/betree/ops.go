@@ -55,7 +55,7 @@ func (d *DB) write(c env.Ctx, key, value []byte, del bool) {
 	}
 	c.CPU(rootInsertCost(&m))
 	d.rootBytes += upsertMsg(&d.rootMsgs, m)
-	if d.rootBytes >= d.cfg.RootBufferBytes {
+	if d.rootBytes >= rootBufferBytes {
 		d.flushRoot(c)
 	}
 	d.treeMu.Unlock(c)
@@ -71,7 +71,7 @@ func rootInsertCost(m *msg) env.Time {
 // maybeStall blocks the writer while dirty data exceeds the stall
 // threshold (eviction/checkpoint pressure).
 func (d *DB) maybeStall(c env.Ctx) {
-	limit := int64(float64(d.cfg.CacheBytes) * d.cfg.DirtyStallFrac)
+	limit := int64(float64(d.cfg.CacheBytes) * dirtyStallFrac)
 	d.stallMu.Lock(c)
 	if d.t.DirtyBytes() > limit/2 {
 		d.stallCond.Broadcast(c) // wake the eviction thread early
@@ -90,7 +90,7 @@ func (d *DB) maybeStall(c env.Ctx) {
 // passes half the stall threshold, keeping writers unblocked when it can
 // keep up (and producing the §3.2 stalls when it cannot).
 func (d *DB) evictLoop(c env.Ctx) {
-	trigger := int64(float64(d.cfg.CacheBytes) * d.cfg.DirtyStallFrac / 2)
+	trigger := int64(float64(d.cfg.CacheBytes) * dirtyStallFrac / 2)
 	var scratch []byte // this thread's reconcile buffer (dead once written)
 	for {
 		d.stallMu.Lock(c)
@@ -143,7 +143,7 @@ func (d *DB) flushRoot(c env.Ctx) {
 	d.rootMsgs = d.rootMsgs[:0]
 	d.rootBytes = 0
 	for _, g := range d.groups {
-		if g.bytes >= d.cfg.GroupBufferBytes {
+		if g.bytes >= groupBufferBytes {
 			overflow = append(overflow, g)
 		}
 	}
@@ -176,7 +176,7 @@ func (d *DB) flushGroup(c env.Ctx, g *group) {
 	g.msgs = g.msgs[:0]
 	g.bytes = 0
 	// Split the group when its span has grown too wide.
-	if maxLeaf >= minLeaf && maxLeaf-minLeaf+1 > d.cfg.SplitSpan {
+	if maxLeaf >= minLeaf && maxLeaf-minLeaf+1 > splitSpan {
 		d.splitGroup(g)
 	}
 }
@@ -420,13 +420,13 @@ func (d *DB) ReplayLog(c env.Ctx) int {
 }
 
 // buildLeaves replaces the tree with bulk-built leaves for items (sorted by
-// key) and sizes the group table to them: one group per SplitSpan/2 leaves.
+// key) and sizes the group table to them: one group per splitSpan/2 leaves.
 func (d *DB) buildLeaves(items []kv.Item) {
 	if !d.t.Build(device.StoreOf(d.cfg.Disks[0]), items) {
 		return
 	}
 	d.groups = d.groups[:0]
-	step := max(d.cfg.SplitSpan/2, 1)
+	const step = splitSpan / 2
 	for i := 0; i < len(d.t.Leaves); i += step {
 		// Leaves[0].FirstKey is nil: the first group owns -inf too.
 		d.groups = append(d.groups, &group{firstKey: bytes.Clone(d.t.Leaves[i].FirstKey)})
@@ -446,7 +446,7 @@ func (d *DB) checkpointLoop(c env.Ctx) {
 	var jobs []job
 	var dirty []*leaf.Leaf
 	for {
-		c.Sleep(d.cfg.CheckpointEvery)
+		c.Sleep(checkpointEvery)
 		bc := d.cfg.Tracer.BeginBg("checkpoint", c.Now())
 		c.SetTrace(bc)
 		d.treeMu.Lock(c)

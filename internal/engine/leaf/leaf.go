@@ -37,6 +37,10 @@ const (
 	countHeader = 4
 )
 
+// leafBytes is the leaf page size (4KB in the paper's setup): a leaf splits
+// when its image outgrows it, and a bulk build fills leaves to 90% of it.
+const leafBytes = device.PageSize
+
 // EntryBytes is the serialized size of a record, which is also what the
 // engines charge and log per record.
 func EntryBytes(klen, vlen int) int { return entryHeader + klen + vlen }

@@ -107,7 +107,7 @@ func TestRunPagesAtThePageEdge(t *testing.T) {
 // newTestTree returns a tree over a fresh store, with the allocator starting
 // at page 100 so a stray write to page 0 would show.
 func newTestTree(cacheBytes int64) (*Tree, *device.MemStore) {
-	return NewTree(device.NewAllocator(100), cacheBytes, device.PageSize), device.NewMemStore()
+	return NewTree(device.NewAllocator(100), cacheBytes), device.NewMemStore()
 }
 
 func check(t *testing.T, tr *Tree, when string) {

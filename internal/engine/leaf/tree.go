@@ -24,15 +24,14 @@ type Tree struct {
 	dirtyB  int64   // Σ Bytes of dirty leaves
 
 	cacheBytes int64 // residency budget
-	leafBytes  int   // a leaf splits when its image outgrows this
 	alloc      *device.Allocator
 	bufs       [][]byte // recycled leaf read buffers
 }
 
 // NewTree returns a tree of one empty resident leaf, so the table is never
 // empty. Leaves take their page runs from alloc.
-func NewTree(alloc *device.Allocator, cacheBytes int64, leafBytes int) *Tree {
-	t := &Tree{cacheBytes: cacheBytes, leafBytes: leafBytes, alloc: alloc}
+func NewTree(alloc *device.Allocator, cacheBytes int64) *Tree {
+	t := &Tree{cacheBytes: cacheBytes, alloc: alloc}
 	l := &Leaf{Ents: []Entry{}, Pages: 1, Page: alloc.Alloc(1), lruIdx: -1}
 	t.Leaves = []*Leaf{l}
 	t.Touch(l)
@@ -212,7 +211,7 @@ func (t *Tree) Remove(l *Leaf, key []byte) bool {
 // its next mutation), and a leaf whose single large record outgrew its page
 // run moves to a run that fits.
 func (t *Tree) Fit(l *Leaf) {
-	if l.Bytes+countHeader > t.leafBytes && len(l.Ents) > 1 {
+	if l.Bytes+countHeader > leafBytes && len(l.Ents) > 1 {
 		t.split(l)
 	}
 	if need := RunPages(l.Bytes); need > l.Pages {
@@ -258,7 +257,7 @@ func (t *Tree) Build(st device.Store, items []kv.Item) bool {
 	if len(items) == 0 {
 		return false
 	}
-	budget := t.leafBytes * 9 / 10
+	budget := leafBytes * 9 / 10
 	var leaves []*Leaf
 	var img []byte
 	cur := &Leaf{lruIdx: -1}

@@ -71,7 +71,7 @@ type compaction struct {
 func (d *DB) levelTargetBytes(i int) int64 {
 	t := d.cfg.BaseLevelBytes
 	for j := 1; j < i; j++ {
-		t *= d.cfg.LevelMultiplier
+		t *= LevelMultiplier
 	}
 	return t
 }
@@ -91,7 +91,7 @@ func (d *DB) pickCompaction() *compaction {
 	for i := 0; i < len(d.levels)-1; i++ {
 		var score float64
 		if i == 0 {
-			score = float64(len(d.levels[0])) / float64(d.cfg.L0CompactionTrigger)
+			score = float64(len(d.levels[0])) / l0CompactionTrigger
 		} else {
 			score = float64(levelBytes(d.levels[i])) / float64(d.levelTargetBytes(i))
 		}
@@ -286,36 +286,16 @@ func (d *DB) runCompaction(c env.Ctx, job *compaction, arena *slab.Arena) {
 		}
 	}
 
-	// K-way merge by (key asc, seq desc); keep only the newest version.
-	var lastKey []byte
-	haveLast := false
+	// Keep only the newest version of each key.
+	m := merger{sources: sources}
 	for {
-		var best *scanSource
-		var e entry
-		for _, s := range sources {
-			se, ok := s.peek()
-			if !ok {
-				continue
-			}
-			if best == nil {
-				best, e = s, se
-				continue
-			}
-			cmp := bytes.Compare(se.key, e.key)
-			if cmp < 0 || (cmp == 0 && se.seq > e.seq) {
-				best, e = s, se
-			}
-		}
-		if best == nil {
+		e, dup, ok := m.next()
+		if !ok {
 			break
 		}
-		best.advance()
-		if haveLast && bytes.Equal(e.key, lastKey) {
-			continue // superseded version
+		if !dup {
+			emit(&e)
 		}
-		lastKey = append(lastKey[:0], e.key...)
-		haveLast = true
-		emit(&e)
 	}
 	if t := b.finish(c); t != nil {
 		outputs = append(outputs, t)

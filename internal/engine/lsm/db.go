@@ -14,29 +14,44 @@ import (
 	"kvell/internal/walog"
 )
 
+// The tree shape, the L0 pressure bands, the Bloom filter density and the
+// compaction thread count are the same for every instance (the paper's
+// RocksDB setup, §6.2); what scales with the dataset is in Config.
+const (
+	// Levels is L, the number of levels (L0 included), and LevelMultiplier
+	// is T, the size ratio between adjacent levels below L1: the L and T of
+	// the leveled and fragmented cost models (PAPERS.md, VAT).
+	Levels          = 5
+	LevelMultiplier = 10
+
+	// l0CompactionTrigger is the L0 table count that scores 1 for
+	// compaction. At l0SlowdownTrigger tables writers are delayed (RocksDB's
+	// delayed-write-rate band); at l0StallTrigger they stop entirely.
+	l0CompactionTrigger = 4
+	l0SlowdownTrigger   = 8
+	l0StallTrigger      = 16
+
+	// bloomBitsPerKey sizes each table's filter (~1% false positives).
+	bloomBitsPerKey = 10
+
+	// compactionThreads is the number of background compaction threads.
+	compactionThreads = 3
+)
+
 // Config describes an LSM engine instance. Defaults mirror the paper's
 // setup (§6.2) scaled by the harness to the dataset: two memory components,
-// five levels, a 1MB write-ahead-log buffer, and a block cache sized to a
-// third of the data.
+// a 1MB write-ahead-log buffer, and a block cache sized to a third of the
+// data.
 type Config struct {
-	Disks               []device.Disk
-	MemtableBytes       int64
-	L0CompactionTrigger int
-	// L0SlowdownTrigger delays writers (RocksDB's delayed-write-rate
-	// band); L0StallTrigger stops them entirely.
-	L0SlowdownTrigger int
-	L0StallTrigger    int
-	Levels            int
-	BaseLevelBytes    int64
-	LevelMultiplier   int64
-	TableTargetBytes  int64
-	BlockCacheBytes   int64
+	Disks            []device.Disk
+	MemtableBytes    int64
+	BaseLevelBytes   int64
+	TableTargetBytes int64
+	BlockCacheBytes  int64
 	// WALBufferBytes is the log's group size: a record is acknowledged at
 	// once, and the writer whose record fills a group writes it. 0 writes
 	// and completes every record's chunk before its operation returns.
-	WALBufferBytes    int64
-	CompactionThreads int
-	BloomBitsPerKey   int
+	WALBufferBytes int64
 	// Fragmented selects the PebblesDB-like mode: compactions re-partition
 	// and move tables down without merging into the destination level
 	// (except the last), reducing write amplification at the price of
@@ -51,19 +66,12 @@ type Config struct {
 // hundreds of megabytes (the harness's scaled-down experiments).
 func DefaultConfig(disks ...device.Disk) Config {
 	return Config{
-		Disks:               disks,
-		MemtableBytes:       4 << 20,
-		L0CompactionTrigger: 4,
-		L0SlowdownTrigger:   8,
-		L0StallTrigger:      16,
-		Levels:              5,
-		BaseLevelBytes:      16 << 20,
-		LevelMultiplier:     10,
-		TableTargetBytes:    2 << 20,
-		BlockCacheBytes:     64 << 20,
-		WALBufferBytes:      1 << 20,
-		CompactionThreads:   2,
-		BloomBitsPerKey:     10,
+		Disks:            disks,
+		MemtableBytes:    4 << 20,
+		BaseLevelBytes:   16 << 20,
+		TableTargetBytes: 2 << 20,
+		BlockCacheBytes:  64 << 20,
+		WALBufferBytes:   1 << 20,
 	}
 }
 
@@ -122,9 +130,6 @@ func New(e env.Env, cfg Config) *DB {
 	if len(cfg.Disks) == 0 {
 		panic("lsm: no disks")
 	}
-	if cfg.Levels < 2 {
-		cfg.Levels = 5
-	}
 	d := &DB{env: e, cfg: cfg, mem: newMemtable(), seq: 1, busy: map[int64]bool{}, io: device.NewSyncIO(e)}
 	d.name = "RocksDB-like"
 	if cfg.Fragmented {
@@ -140,7 +145,7 @@ func New(e env.Env, cfg Config) *DB {
 		cap = 16
 	}
 	d.cache = pagecache.New(cap, pagecache.IndexHash)
-	d.levels = make([][]*sstable, cfg.Levels)
+	d.levels = make([][]*sstable, Levels)
 	for range cfg.Disks {
 		// Reserve the first pages for the WAL region.
 		d.allocs = append(d.allocs, device.NewAllocator(walog.RegionPages))
@@ -228,7 +233,7 @@ func (d *DB) writePagesTimed(c env.Ctx, disk device.Disk, page int64, data []byt
 // Start launches the flush thread and compaction threads.
 func (d *DB) Start() {
 	d.env.Go(d.name+"-flush", d.flushLoop)
-	for i := 0; i < d.cfg.CompactionThreads; i++ {
+	for i := range compactionThreads {
 		d.env.Go(fmt.Sprintf("%s-compact-%d", d.name, i), d.compactLoop)
 	}
 }
@@ -337,14 +342,14 @@ func (d *DB) write(c env.Ctx, key, value []byte, tombstone bool) {
 	}
 	// L0 pressure: first a slowdown band (RocksDB's delayed write rate),
 	// then a hard stall (§3.2).
-	if n := d.l0Count(); n >= d.cfg.L0SlowdownTrigger && n < d.cfg.L0StallTrigger {
+	if n := d.l0Count(); n >= l0SlowdownTrigger && n < l0StallTrigger {
 		ts := c.Now()
 		d.writeMu.Unlock(c)
 		c.Sleep(env.Millisecond)
 		d.writeMu.Lock(c)
 		trace.FromCtx(c).Add(trace.CompStall, ts, c.Now())
 	}
-	for d.l0Count() >= d.cfg.L0StallTrigger {
+	for d.l0Count() >= l0StallTrigger {
 		d.stall(c)
 	}
 	d.writeMu.Unlock(c)
@@ -650,43 +655,62 @@ func (d *DB) tableSource(c env.Ctx, t *sstable, start []byte) *scanSource {
 	}}
 }
 
-// mergeScan merges sources by (key asc, seq desc), deduplicates and drops
-// tombstones, appending up to count items to dst (slot capacity reused,
-// see kv.AppendItem).
-func mergeScan(c env.Ctx, sources []*scanSource, count int, dst []kv.Item) []kv.Item {
-	out := dst
-	var lastKey []byte
-	for len(out) < count {
-		// Pick the smallest key; among equal keys the highest seq.
-		var best *scanSource
-		var bestE entry
-		for _, s := range sources {
-			e, ok := s.peek()
-			if !ok {
-				continue
-			}
-			if best == nil {
-				best, bestE = s, e
-				continue
-			}
-			cmp := bytes.Compare(e.key, bestE.key)
-			if cmp < 0 || (cmp == 0 && e.seq > bestE.seq) {
-				best, bestE = s, e
-			}
-		}
-		if best == nil {
-			break
-		}
-		best.advance()
-		c.CPU(costs.IterStep)
-		if lastKey != nil && bytes.Equal(bestE.key, lastKey) {
-			continue // older duplicate
-		}
-		lastKey = append(lastKey[:0], bestE.key...)
-		if bestE.tombstone {
+// merger is a k-way merge of sources by (key asc, seq desc): the newest
+// version of each key comes first, and the older ones after it are marked
+// as superseded.
+type merger struct {
+	sources  []*scanSource
+	lastKey  []byte
+	haveLast bool
+}
+
+// next takes the smallest key off the sources, the highest seq among equal
+// keys. dup reports an older version of the key returned before it; ok is
+// false once every source is exhausted.
+func (m *merger) next() (e entry, dup, ok bool) {
+	var best *scanSource
+	for _, s := range m.sources {
+		se, ok := s.peek()
+		if !ok {
 			continue
 		}
-		out = kv.AppendItem(out, bestE.key, bestE.value)
+		if best == nil {
+			best, e = s, se
+			continue
+		}
+		cmp := bytes.Compare(se.key, e.key)
+		if cmp < 0 || (cmp == 0 && se.seq > e.seq) {
+			best, e = s, se
+		}
+	}
+	if best == nil {
+		return entry{}, false, false
+	}
+	best.advance()
+	if m.haveLast && bytes.Equal(e.key, m.lastKey) {
+		return e, true, true
+	}
+	m.lastKey = append(m.lastKey[:0], e.key...)
+	m.haveLast = true
+	return e, false, true
+}
+
+// mergeScan merges sources, dropping older versions and tombstones,
+// appending up to count items to dst (slot capacity reused, see
+// kv.AppendItem).
+func mergeScan(c env.Ctx, sources []*scanSource, count int, dst []kv.Item) []kv.Item {
+	out := dst
+	m := merger{sources: sources}
+	for len(out) < count {
+		e, dup, ok := m.next()
+		if !ok {
+			break
+		}
+		c.CPU(costs.IterStep)
+		if dup || e.tombstone {
+			continue
+		}
+		out = kv.AppendItem(out, e.key, e.value)
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"kvell/internal/env"
 	"kvell/internal/kv"
 	"kvell/internal/sim"
+	"kvell/internal/trace"
 	"kvell/internal/walog"
 )
 
@@ -209,14 +210,28 @@ func TestFragmentedCorrectness(t *testing.T) {
 	})
 }
 
+// TestWriteStallsHappenUnderPressure drives eight concurrent writers with a
+// tiny memtable: their slowdown sleeps overlap, so flushes outpace the L0
+// compaction and L0 reaches the hard stall trigger.
 func TestWriteStallsHappenUnderPressure(t *testing.T) {
+	const writers, puts = 8, 500
+	peakL0 := 0
 	d := harness(t, false, func(cfg *Config) {
-		cfg.MemtableBytes = 32 << 10
-		cfg.L0StallTrigger = 4
-		cfg.CompactionThreads = 1
+		cfg.MemtableBytes = 16 << 10
 	}, func(c env.Ctx, d *DB) {
-		for i := int64(0); i < 3000; i++ {
-			d.Put(c, kv.Key(i%200), kv.Value(i, uint64(i), 900))
+		done := 0
+		for w := int64(0); w < writers; w++ {
+			d.env.Go("writer", func(c env.Ctx) {
+				for i := int64(0); i < puts; i++ {
+					k := w*puts + i
+					d.Put(c, kv.Key(k%2000), kv.Value(k, uint64(k), 900))
+				}
+				done++
+			})
+		}
+		for done < writers {
+			c.Sleep(100 * env.Microsecond)
+			peakL0 = max(peakL0, d.l0Count())
 		}
 	})
 	if d.stats.WriteStalls == 0 {
@@ -225,10 +240,60 @@ func TestWriteStallsHappenUnderPressure(t *testing.T) {
 	if d.stats.StallTime == 0 {
 		t.Fatal("stall time not accounted")
 	}
+	if peakL0 < l0StallTrigger {
+		t.Fatalf("L0 peaked at %d tables, below the %d-table stall trigger", peakL0, l0StallTrigger)
+	}
+}
+
+// TestSlowdownBandDelaysWithoutStall runs only the flush thread, so every
+// memtable adds an L0 table, until L0 is in the slowdown band; one traced
+// write there sleeps a millisecond booked as stall time but is not counted
+// as a write stall.
+func TestSlowdownBandDelaysWithoutStall(t *testing.T) {
+	s := sim.New(1)
+	e := sim.NewEnv(s, 8)
+	cfg := DefaultConfig(device.NewSimDisk(s, device.Optane(), nil))
+	cfg.MemtableBytes = 16 << 10
+	d := New(e, cfg)
+	e.Go("flush", d.flushLoop)
+	tr := trace.NewTracer(0)
+	e.Go("client", func(c env.Ctx) {
+		var i int64
+		put := func() {
+			d.Put(c, kv.Key(i), kv.Value(i, 1, 900))
+			i++
+		}
+		for d.l0Count() < l0SlowdownTrigger {
+			put()
+		}
+		c.Sleep(10 * env.Millisecond) // the last flush completes
+		stalls := d.stats.WriteStalls
+		tc := tr.Begin(0, c.Now())
+		c.SetTrace(tc)
+		put()
+		c.SetTrace(nil)
+		tr.Finish(tc, c.Now())
+		if n := d.l0Count(); n < l0SlowdownTrigger || n >= l0StallTrigger {
+			t.Errorf("L0 has %d tables, outside the slowdown band [%d, %d)", n, l0SlowdownTrigger, l0StallTrigger)
+		}
+		if got := tr.Breakdown().Sum(trace.CompStall); got < float64(env.Millisecond) {
+			t.Errorf("stall time of a write in the slowdown band = %vns, want at least 1ms", got)
+		}
+		if d.stats.WriteStalls != stalls {
+			t.Errorf("the slowdown band counted %d write stalls", d.stats.WriteStalls-stalls)
+		}
+		d.Stop(c)
+	})
+	if err := s.Run(-1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestBloomFilter(t *testing.T) {
-	b := newBloom(1000, 10)
+	b := newBloom(1000)
 	for i := 0; i < 1000; i++ {
 		b.add(kv.Key(int64(i)))
 	}
@@ -327,7 +392,7 @@ func TestCompactionReducesL0(t *testing.T) {
 			c.Sleep(10 * env.Millisecond)
 		}
 	})
-	if l0 := len(d.levels[0]); l0 >= d.cfg.L0StallTrigger {
+	if l0 := len(d.levels[0]); l0 >= l0StallTrigger {
 		t.Fatalf("L0 has %d tables after quiesce", l0)
 	}
 	var total int

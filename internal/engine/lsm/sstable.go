@@ -47,11 +47,11 @@ type bloom struct {
 	k    uint32
 }
 
-func newBloom(n int, bitsPerKey int) *bloom {
+func newBloom(n int) *bloom {
 	if n < 1 {
 		n = 1
 	}
-	nbits := n * bitsPerKey
+	nbits := n * bloomBitsPerKey
 	if nbits < 64 {
 		nbits = 64
 	}
@@ -243,7 +243,7 @@ func (b *tableBuilder) finish(c env.Ctx) *sstable {
 		entries: b.entries,
 		dataLen: b.dataLen,
 	}
-	t.filter = newBloom(len(b.filterHashes), b.db.cfg.BloomBitsPerKey)
+	t.filter = newBloom(len(b.filterHashes))
 	for _, h := range b.filterHashes {
 		t.filter.addHash(h)
 	}

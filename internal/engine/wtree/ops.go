@@ -48,8 +48,8 @@ func (d *DB) Put(c env.Ctx, key, value []byte) {
 	d.t.Upsert(l, key, bytes.Clone(value))
 	d.t.Fit(l)
 
-	dirtyStall := int64(float64(d.cfg.CacheBytes) * d.cfg.DirtyStallFrac)
-	if d.t.DirtyBytes() > int64(float64(d.cfg.CacheBytes)*d.cfg.DirtyTriggerFrac) {
+	dirtyStall := int64(float64(d.cfg.CacheBytes) * dirtyStallFrac)
+	if d.t.DirtyBytes() > int64(float64(d.cfg.CacheBytes)*dirtyTriggerFrac) {
 		d.cond.Broadcast(c) // wake the eviction thread
 	}
 	for d.t.DirtyBytes() > dirtyStall && !d.closing {
@@ -190,7 +190,7 @@ func (d *DB) evictLoop(c env.Ctx) {
 	var scratch []byte
 	for {
 		d.mu.Lock(c)
-		trigger := int64(float64(d.cfg.CacheBytes) * d.cfg.DirtyTriggerFrac)
+		trigger := int64(float64(d.cfg.CacheBytes) * dirtyTriggerFrac)
 		for d.t.DirtyBytes() <= trigger && !d.closing {
 			d.cond.Wait(c)
 		}
@@ -235,7 +235,7 @@ func (d *DB) writeLeaf(c env.Ctx, l *leaf.Leaf, drop bool, scratch *[]byte) {
 func (d *DB) checkpointLoop(c env.Ctx) {
 	var scratch []byte
 	for {
-		c.Sleep(d.cfg.CheckpointEvery)
+		c.Sleep(checkpointEvery)
 		d.mu.Lock(c)
 		if d.closing {
 			d.mu.Unlock(c)

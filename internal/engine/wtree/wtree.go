@@ -25,24 +25,27 @@ import (
 	"kvell/internal/walog"
 )
 
+// Write-back policy, the same for every instance (the paper's WiredTiger
+// setup).
+const (
+	// dirtyTriggerFrac starts eviction when dirty bytes exceed this
+	// fraction of the cache; dirtyStallFrac stalls application writes.
+	dirtyTriggerFrac = 0.05
+	dirtyStallFrac   = 0.20
+	// checkpointEvery is the checkpoint period.
+	checkpointEvery = 2 * env.Second
+)
+
 // Config describes a wtree engine.
 type Config struct {
 	Disks []device.Disk
 	// CacheBytes is the page-cache budget (the paper gives every system a
 	// cache of one third of the dataset).
 	CacheBytes int64
-	// DirtyTriggerFrac starts eviction when dirty bytes exceed this
-	// fraction of the cache; DirtyStallFrac stalls application writes.
-	DirtyTriggerFrac float64
-	DirtyStallFrac   float64
 	// LogSlotBytes is the commit log's group size: a full slot is written
 	// by its leader while later writers busy-wait. 0 writes and completes
 	// every record's chunk before its operation returns.
 	LogSlotBytes int64
-	// CheckpointEvery is the checkpoint period.
-	CheckpointEvery env.Time
-	// LeafBytes is the on-disk leaf page size (4KB in the paper's setup).
-	LeafBytes int
 	// Tracer, if set, receives background maintenance spans (eviction,
 	// checkpoints). Purely observational.
 	Tracer *trace.Tracer
@@ -51,13 +54,9 @@ type Config struct {
 // DefaultConfig returns the paper's WiredTiger-like configuration.
 func DefaultConfig(disks ...device.Disk) Config {
 	return Config{
-		Disks:            disks,
-		CacheBytes:       64 << 20,
-		DirtyTriggerFrac: 0.05,
-		DirtyStallFrac:   0.20,
-		LogSlotBytes:     16 << 10,
-		CheckpointEvery:  2 * env.Second,
-		LeafBytes:        device.PageSize,
+		Disks:        disks,
+		CacheBytes:   64 << 20,
+		LogSlotBytes: 16 << 10,
 	}
 }
 
@@ -99,15 +98,12 @@ func New(e env.Env, cfg Config) *DB {
 	if len(cfg.Disks) == 0 {
 		panic("wtree: no disks")
 	}
-	if cfg.LeafBytes == 0 {
-		cfg.LeafBytes = device.PageSize
-	}
 	d := &DB{env: e, cfg: cfg, name: "WiredTiger-like", io: leaf.NewIO(e, cfg.Disks[0])}
 	d.mu = e.NewMutex()
 	d.cond = e.NewCond(d.mu)
 	d.log = walog.NewLog(e, d.io, cfg.LogSlotBytes)
 	// The first pages are reserved for the log.
-	d.t = leaf.NewTree(device.NewAllocator(walog.RegionPages), cfg.CacheBytes, cfg.LeafBytes)
+	d.t = leaf.NewTree(device.NewAllocator(walog.RegionPages), cfg.CacheBytes)
 	return d
 }
 

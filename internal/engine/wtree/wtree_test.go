@@ -195,8 +195,7 @@ func TestLogSlotContention(t *testing.T) {
 
 func TestWriteStallsUnderDirtyPressure(t *testing.T) {
 	d := harness(t, func(cfg *Config) {
-		cfg.CacheBytes = 32 << 10
-		cfg.DirtyStallFrac = 0.10
+		cfg.CacheBytes = 16 << 10
 	}, func(c env.Ctx, d *DB) {
 		for i := int64(0); i < 2000; i++ {
 			d.Put(c, kv.Key(i%100), kv.Value(i, uint64(i), 900))

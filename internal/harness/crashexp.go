@@ -210,7 +210,6 @@ func crashHarnessSpec(cs *CrashSpec) *Spec {
 			c.AbsorbInterval = cs.AbsorbInterval
 			if cs.TieredHotBytes > 0 {
 				c.TieredHotBytes = cs.TieredHotBytes
-				c.TieredSlotBytes = 1024
 				c.TieredPromoteAfter = 1
 				c.TieredSeed = cs.Seed
 			}

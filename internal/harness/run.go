@@ -262,7 +262,6 @@ func buildEngine(e *sim.Env, s *Spec, disks []device.Disk) kv.Engine {
 		// scale, keeping write amplification near the paper's regime.
 		cfg.BaseLevelBytes = cfg.MemtableBytes * 2
 		cfg.TableTargetBytes = cfg.MemtableBytes / 2
-		cfg.CompactionThreads = 3
 		cfg.Tracer = s.Tracer
 		if s.TweakLSM != nil {
 			s.TweakLSM(&cfg)

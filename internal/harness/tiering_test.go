@@ -25,8 +25,7 @@ func tieredDeterminismSpec(seed int64) Spec {
 		Duration:  200 * env.Millisecond,
 		Arrival:   &Arrival{Rate: 200_000, MaxPerShard: 128, Policy: Shed},
 		TweakKVell: func(c *core.Config) {
-			c.TieredHotBytes = 1 << 20
-			c.TieredSlotBytes = 512
+			c.TieredHotBytes = 2 << 20 // 256 1KB slots per shard
 			c.TieredPromoteAfter = 1
 			c.TieredSeed = seed
 		},

@@ -117,7 +117,6 @@ func tierSpec(o Options, rate float64, eng EngineKind, theta, cacheMB float64, s
 		TweakKVell: func(c *core.Config) {
 			if cacheMB > 0 {
 				c.TieredHotBytes = int64(cacheMB * (1 << 20))
-				c.TieredSlotBytes = tierItemSize
 				c.TieredPromoteAfter = tierPromoteAfter
 				c.TieredSeed = o.Seed
 			}
