@@ -312,9 +312,7 @@ type Replica struct {
 	lastAck  uint64
 	closed   bool
 
-	mu       env.Mutex
-	cond     env.Cond
-	exited   bool
+	applying env.Latch // the apply thread, counted out when its queue closes
 	promoted bool
 
 	// Counters.
@@ -331,8 +329,7 @@ func NewReplica(cl *Cluster, e *sim.Env, home int, disks []*device.SimDisk) *Rep
 		q:       e.NewQueue(),
 		doneSet: make(map[uint64]struct{}),
 	}
-	rep.mu = e.NewMutex()
-	rep.cond = e.NewCond(rep.mu)
+	rep.applying = env.NewLatch(e)
 	return rep
 }
 
@@ -345,6 +342,7 @@ func (rep *Replica) Frontier() uint64 { return rep.frontier }
 
 // Start launches the apply thread on the replica's machine.
 func (rep *Replica) Start() {
+	rep.applying.Add(nil, 1)
 	rep.env.Go("replica-apply", rep.run)
 }
 
@@ -362,10 +360,7 @@ func (rep *Replica) run(c env.Ctx) {
 	for {
 		batch := rep.q.PopWait(c, buf)
 		if batch == nil {
-			rep.mu.Lock(c)
-			rep.exited = true
-			rep.cond.Broadcast(c)
-			rep.mu.Unlock(c)
+			rep.applying.Done(c)
 			return
 		}
 		for _, v := range batch {
@@ -465,11 +460,7 @@ func (a *ackRec) arrive() {
 func (rep *Replica) Promote(c env.Ctx, cfg core.Config) (*core.Store, error) {
 	rep.closed = true
 	rep.q.Close(c)
-	rep.mu.Lock(c)
-	for !rep.exited {
-		rep.cond.Wait(c)
-	}
-	rep.mu.Unlock(c)
+	rep.applying.Wait(c)
 	for {
 		busy := false
 		for _, d := range rep.disks {

@@ -38,22 +38,20 @@ func (cl *Cluster) FetchTS(c env.Ctx, client int, consume bool, done func(ts uin
 // fetch) and parks the calling proc until the reply lands. One TxnClient
 // serves one proc.
 //
-// Calls are sequence-guarded for failover: each send installs a completion
-// closure stamped with a fresh sequence number, so a straggler reply from a
-// machine that died mid-call (swept by SweepIf) cannot be mistaken for the
-// reply to a later call reusing the same message.
+// Calls are message-guarded for failover: SweepIf fails the call in flight
+// and swaps in a fresh message, so a straggler reply from a machine that
+// died mid-call lands on a message that is no longer tc.msg and is dropped,
+// never mistaken for the reply to a later call.
 type TxnClient struct {
 	Cl      *Cluster
 	Machine int // client machine this proc runs on
 
-	mu   env.Mutex
-	cond env.Cond
-	msg  *ReqMsg
-	seq  uint64
-	busy bool // a store call is in flight (timestamp fetches never set it)
-	done bool
-	res  kv.Result
-	ts   uint64
+	reply env.Latch // counts out the call or timestamp fetch in flight
+	msg   *ReqMsg
+	busy  bool // a store call is in flight (timestamp fetches never set it)
+	res   kv.Result
+	ts    uint64
+	tsFn  func(ts uint64) // gotTS, bound once
 
 	// Swept counts in-flight calls failed by the failover sweep.
 	Swept int64
@@ -61,43 +59,33 @@ type TxnClient struct {
 
 // NewTxnClient returns a transaction client sending from machine on e.
 func NewTxnClient(cl *Cluster, e *sim.Env, machine int) *TxnClient {
-	tc := &TxnClient{Cl: cl, Machine: machine}
-	tc.mu = e.NewMutex()
-	tc.cond = e.NewCond(tc.mu)
-	tc.msg = NewReqMsg(cl)
+	tc := &TxnClient{Cl: cl, Machine: machine, reply: env.NewLatch(e)}
+	tc.msg = tc.newMsg()
+	tc.tsFn = tc.gotTS
 	return tc
 }
 
-// finish delivers a result for call my; stale sequence numbers (a straggler
-// reply racing a sweep) are dropped. c is nil from completion callbacks.
-func (tc *TxnClient) finish(c env.Ctx, my uint64, res kv.Result) {
-	tc.mu.Lock(c)
-	if tc.seq != my || tc.done {
-		tc.mu.Unlock(c)
-		return
+// newMsg returns a message whose Done, bound once, completes the call in
+// flight only while the message is still tc.msg (scheduler context).
+func (tc *TxnClient) newMsg() *ReqMsg {
+	m := NewReqMsg(tc.Cl)
+	m.Done = func(res kv.Result) {
+		if m != tc.msg {
+			return // a straggler of a swept call
+		}
+		tc.res, tc.busy = res, false
+		tc.reply.Done(nil)
 	}
-	tc.res = res
-	tc.done = true
-	tc.busy = false
-	tc.mu.Unlock(c)
-	tc.cond.Signal(c)
+	return m
 }
 
 // call sends the prepared message and blocks until its reply (or a sweep).
 func (tc *TxnClient) call(c env.Ctx) kv.Result {
-	tc.seq++
-	my := tc.seq
-	tc.done = false
 	tc.busy = true
-	tc.msg.Done = func(res kv.Result) { tc.finish(nil, my, res) }
+	tc.reply.Add(c, 1)
 	tc.Cl.Send(c, tc.Machine, tc.msg)
-	tc.mu.Lock(c)
-	for !tc.done {
-		tc.cond.Wait(c)
-	}
-	res := tc.res
-	tc.mu.Unlock(c)
-	return res
+	tc.reply.Wait(c)
+	return tc.res
 }
 
 // SweepIf fails the in-flight call, if any, that was sent to dead — a machine
@@ -107,15 +95,13 @@ func (tc *TxnClient) call(c env.Ctx) kv.Result {
 // damage a transaction that in fact committed before the crash. Returns
 // whether a call was swept. Call after FailMachine + promotion re-routing.
 func (tc *TxnClient) SweepIf(c env.Ctx, dead int) bool {
-	tc.mu.Lock(c)
-	swept := tc.busy && !tc.done && tc.msg.Node != nil && tc.msg.Node.Host() == dead
-	my := tc.seq
-	tc.mu.Unlock(c)
-	if !swept {
+	if !tc.busy || tc.msg.Node == nil || tc.msg.Node.Host() != dead {
 		return false
 	}
 	tc.Swept++
-	tc.finish(c, my, kv.Result{Txn: kv.TxnRetry})
+	tc.msg = tc.newMsg()
+	tc.res, tc.busy = kv.Result{Txn: kv.TxnRetry}, false
+	tc.reply.Done(c)
 	return true
 }
 
@@ -134,25 +120,16 @@ func (tc *TxnClient) NextTS(c env.Ctx) uint64 { return tc.fetchTS(c, true) }
 func (tc *TxnClient) SnapshotTS(c env.Ctx) uint64 { return tc.fetchTS(c, false) }
 
 func (tc *TxnClient) fetchTS(c env.Ctx, consume bool) uint64 {
-	tc.seq++ // invalidate any straggler reply from a swept store call
-	my := tc.seq
-	tc.done = false
-	tc.Cl.FetchTS(c, tc.Machine, consume, func(ts uint64) {
-		tc.mu.Lock(nil)
-		if tc.seq == my && !tc.done {
-			tc.ts = ts
-			tc.done = true
-		}
-		tc.mu.Unlock(nil)
-		tc.cond.Signal(nil)
-	})
-	tc.mu.Lock(c)
-	for !tc.done {
-		tc.cond.Wait(c)
-	}
-	ts := tc.ts
-	tc.mu.Unlock(c)
-	return ts
+	tc.reply.Add(c, 1)
+	tc.Cl.FetchTS(c, tc.Machine, consume, tc.tsFn)
+	tc.reply.Wait(c)
+	return tc.ts
+}
+
+// gotTS receives a timestamp grant (scheduler context).
+func (tc *TxnClient) gotTS(ts uint64) {
+	tc.ts = ts
+	tc.reply.Done(nil)
 }
 
 // TxnGet performs a snapshot read at ts (skip names a pending transaction

@@ -18,21 +18,16 @@ func absorbCfg(cfg *Config) {
 // coalesce in the absorb buffer.
 func burst(c env.Ctx, st *Store, reqs []*kv.Request) []kv.Result {
 	results := make([]kv.Result, len(reqs))
-	w := st.acquireWaiter(c)
-	remaining := len(reqs)
+	all := env.NewLatch(st.env)
+	all.Add(c, len(reqs))
 	for i, r := range reqs {
-		i := i
 		r.Done = func(res kv.Result) {
 			results[i] = res
-			remaining--
-			if remaining == 0 {
-				w.complete(res)
-			}
+			all.Done(nil)
 		}
 		st.Submit(c, r)
 	}
-	w.wait(c)
-	st.releaseWaiter(c, w)
+	all.Wait(c)
 	return results
 }
 

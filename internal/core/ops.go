@@ -9,10 +9,8 @@ import (
 // the calling thread. Waiters are recycled on the Store (see acquireWaiter),
 // so a blocking call allocates nothing in steady state.
 type waiter struct {
-	mu   env.Mutex
-	cond env.Cond
-	done bool
-	res  kv.Result
+	latch env.Latch
+	res   kv.Result
 	// prev is the request's own Done, which Do calls before waking the caller.
 	prev func(kv.Result)
 	// completeFn is w.complete, bound once: the value a request's Done takes.
@@ -34,8 +32,7 @@ func (s *Store) acquireWaiter(c env.Ctx) *waiter {
 	}
 	s.poolMu.Unlock(c)
 	if w == nil {
-		w = &waiter{mu: s.env.NewMutex()}
-		w.cond = s.env.NewCond(w.mu)
+		w = &waiter{latch: env.NewLatch(s.env)}
 		w.completeFn = w.complete
 	}
 	return w
@@ -43,7 +40,7 @@ func (s *Store) acquireWaiter(c env.Ctx) *waiter {
 
 // releaseWaiter returns w to the free list once its wait has returned.
 func (s *Store) releaseWaiter(c env.Ctx, w *waiter) {
-	w.done, w.res, w.prev, w.req = false, kv.Result{}, nil, kv.Request{}
+	w.res, w.prev, w.req = kv.Result{}, nil, kv.Request{}
 	s.poolMu.Lock(c)
 	s.waiters = append(s.waiters, w)
 	s.poolMu.Unlock(c)
@@ -53,20 +50,8 @@ func (w *waiter) complete(res kv.Result) {
 	if w.prev != nil {
 		w.prev(res)
 	}
-	w.mu.Lock(nil)
 	w.res = res
-	w.done = true
-	w.mu.Unlock(nil)
-	w.cond.Broadcast(nil)
-}
-
-func (w *waiter) wait(c env.Ctx) kv.Result {
-	w.mu.Lock(c)
-	for !w.done {
-		w.cond.Wait(c)
-	}
-	w.mu.Unlock(c)
-	return w.res
+	w.latch.Done(nil)
 }
 
 // Do submits r and blocks the calling thread until it completes. r.Done, if
@@ -97,14 +82,15 @@ func (s *Store) callOn(c env.Ctx, on *worker, r kv.Request) kv.Result {
 
 func (w *waiter) do(c env.Ctx, s *Store, on *worker, r *kv.Request) kv.Result {
 	w.prev, r.Done = r.Done, w.completeFn
+	w.latch.Add(c, 1)
 	if on == nil {
 		s.Submit(c, r)
 	} else {
 		s.submitTo(c, on, r)
 	}
-	res := w.wait(c)
+	w.latch.Wait(c)
 	r.Done = w.prev
-	return res
+	return w.res
 }
 
 // Put durably stores value under key, blocking until the write has reached

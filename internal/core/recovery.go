@@ -30,31 +30,16 @@ func (s *Store) Recover(c env.Ctx) error {
 	if s.started {
 		return fmt.Errorf("core: Recover must precede Start")
 	}
-	mu := s.env.NewMutex()
-	cond := s.env.NewCond(mu)
-	remaining := len(s.workers)
-	var firstErr error
-	for _, w := range s.workers {
-		w := w
+	scans := env.NewLatch(s.env)
+	scans.Add(c, len(s.workers))
+	errs := make([]error, len(s.workers)) // by worker; the first non-nil is returned
+	for i, w := range s.workers {
 		s.env.Go(fmt.Sprintf("kvell-recover-%d", w.id), func(c env.Ctx) {
-			err := w.recover(c)
-			mu.Lock(c)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			remaining--
-			done := remaining == 0
-			mu.Unlock(c)
-			if done {
-				cond.Broadcast(c)
-			}
+			errs[i] = w.recover(c)
+			scans.Done(c)
 		})
 	}
-	mu.Lock(c)
-	for remaining > 0 {
-		cond.Wait(c)
-	}
-	mu.Unlock(c)
+	scans.Wait(c)
 	if s.oracle != nil {
 		// Re-floor the oracle above every commit/start timestamp found on
 		// disk so post-crash timestamps sort after all pre-crash ones.
@@ -62,7 +47,12 @@ func (s *Store) Recover(c env.Ctx) error {
 			s.oracle.Observe(w.maxCommitTS)
 		}
 	}
-	return firstErr
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // recover scans this worker's slabs.

@@ -212,9 +212,7 @@ type scanRun struct {
 // candidate. States are recycled on the Store (see acquireScan), like Do's
 // waiters, so a warm scan allocates nothing.
 type scanState struct {
-	mu        env.Mutex
-	cond      env.Cond
-	remaining int // reads still to deliver (guarded by mu)
+	reads env.Latch // the location-direct reads still to deliver
 
 	ks   [][]byte
 	kb   []byte // the bytes of ks: gather's copies, reset once per scan
@@ -240,8 +238,7 @@ func (s *Store) acquireScan(c env.Ctx) *scanState {
 	}
 	s.poolMu.Unlock(c)
 	if ss == nil {
-		ss = &scanState{mu: s.env.NewMutex()}
-		ss.cond = s.env.NewCond(ss.mu)
+		ss = &scanState{reads: env.NewLatch(s.env)}
 	}
 	ss.kb = ss.kb[:0]
 	return ss
@@ -428,7 +425,7 @@ func (ss *scanState) fetch(c env.Ctx, dst []kv.Item) []kv.Item {
 		dst = append(dst[:cap(dst)], make([]kv.Item, n-cap(dst))...)
 	}
 	ss.items = dst[:n]
-	ss.remaining = n
+	ss.reads.Add(c, n)
 	for len(ss.reqs) < n {
 		ss.reqs = append(ss.reqs, &locReq{scan: ss})
 	}
@@ -438,11 +435,7 @@ func (ss *scanState) fetch(c env.Ctx, dst []kv.Item) []kv.Item {
 		cd.w.enqueue(c, lr)
 	}
 	t0 := c.Now()
-	ss.mu.Lock(c)
-	for ss.remaining > 0 {
-		ss.cond.Wait(c)
-	}
-	ss.mu.Unlock(c)
+	ss.reads.Wait(c)
 	// The scanning thread blocks here while workers serve the
 	// location-direct reads (§5.5).
 	trace.FromCtx(c).Add(trace.CompStall, t0, c.Now())

@@ -633,9 +633,9 @@ func (lr *locReq) slot(c env.Ctx, payload []byte, out *[]*aio.IO) {
 }
 
 // deliver copies a scan read's key and value (ok false: the item vanished)
-// into its item slot, then counts the read done, waking the scanner at the
-// last. Nothing of lr's scan state may be touched after the unlock but the
-// cond: the scanner may already have returned the state to the pool.
+// into its item slot, then counts the read done on the scan's latch, which
+// wakes the scanner at the last. Nothing of lr's scan state may be touched
+// after Done: the scanner may already have returned the state to the pool.
 func (lr *locReq) deliver(c env.Ctx, val []byte, ok bool) {
 	ss := lr.scan
 	if ok {
@@ -644,13 +644,7 @@ func (lr *locReq) deliver(c env.Ctx, val []byte, ok bool) {
 		it.Value = append(it.Value[:0], val...)
 	}
 	lr.found = ok
-	ss.mu.Lock(c)
-	ss.remaining--
-	done := ss.remaining == 0
-	ss.mu.Unlock(c)
-	if done {
-		ss.cond.Broadcast(c)
-	}
+	ss.reads.Done(c)
 }
 
 func (w *worker) respond(c env.Ctx, r *kv.Request, res kv.Result) {

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"kvell/internal/costs"
 	"kvell/internal/env"
 	"kvell/internal/trace"
 )
@@ -16,7 +17,7 @@ func StoreOf(d Disk) Store {
 // SyncIO issues blocking device requests: Do submits one request and parks
 // the calling thread until it completes — the shape of a read or write
 // system call, which is how the library-model engines do all their I/O.
-// Waiters (mutex, cond, bound completion callback and request record) are
+// Waiters (latch, bound completion callback and request record) are
 // recycled, so a request allocates nothing in steady state.
 //
 // The free list is host-only state touched without a lock: simulated procs
@@ -28,11 +29,8 @@ type SyncIO struct {
 }
 
 type syncWaiter struct {
-	mu     env.Mutex
-	cond   env.Cond
-	ok     bool
-	req    Request
-	doneFn func()
+	latch env.Latch
+	req   Request
 }
 
 // NewSyncIO returns an empty pool of blocking requests.
@@ -47,26 +45,42 @@ func (s *SyncIO) Do(c env.Ctx, disk Disk, op Op, page int64, buf []byte) {
 	if n := len(s.free); n > 0 {
 		w = s.free[n-1]
 		s.free = s.free[:n-1]
-		w.ok = false
 	} else {
-		w = &syncWaiter{mu: s.env.NewMutex()}
-		w.cond = s.env.NewCond(w.mu)
-		w.doneFn = w.done
+		w = &syncWaiter{latch: env.NewLatch(s.env)}
+		w.req.Done = func() { w.latch.Done(nil) }
 	}
-	w.req = Request{Op: op, Page: page, Buf: buf, Done: w.doneFn, Trace: trace.FromCtx(c)}
+	w.req = Request{Op: op, Page: page, Buf: buf, Done: w.req.Done, Trace: trace.FromCtx(c)}
+	w.latch.Add(c, 1)
 	disk.Submit(&w.req)
-	w.mu.Lock(c)
-	for !w.ok {
-		w.cond.Wait(c)
-	}
-	w.mu.Unlock(c)
+	w.latch.Wait(c)
 	w.req.Buf = nil
 	s.free = append(s.free, w)
 }
 
-func (w *syncWaiter) done() {
-	w.mu.Lock(nil)
-	w.ok = true
-	w.mu.Unlock(nil)
-	w.cond.Broadcast(nil)
+// BufferedIO is the buffered pread/pwrite path of the library-model
+// baselines on one disk, the path §6.3.1 profiles: one system call per
+// request plus a per-byte copy/checksum charge, blocking the calling thread
+// on the device. It holds no engine state, so an engine calls it without
+// its own locks wherever its policy drops them; it is also the walog.PageIO
+// of an engine's commit log.
+type BufferedIO struct {
+	disk Disk
+	sync SyncIO
+}
+
+// NewBufferedIO returns the buffered I/O path on disk.
+func NewBufferedIO(e env.Env, disk Disk) *BufferedIO {
+	return &BufferedIO{disk: disk, sync: SyncIO{env: e}}
+}
+
+// Read fills buf from the pages starting at page.
+func (b *BufferedIO) Read(c env.Ctx, page int64, buf []byte) {
+	c.CPU(costs.Syscall + costs.PreadBytes(len(buf)))
+	b.sync.Do(c, b.disk, Read, page, buf)
+}
+
+// Write writes buf to the pages starting at page.
+func (b *BufferedIO) Write(c env.Ctx, page int64, buf []byte) {
+	c.CPU(costs.Syscall + costs.PwriteBytes(len(buf)))
+	b.sync.Do(c, b.disk, Write, page, buf)
 }

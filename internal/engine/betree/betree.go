@@ -127,7 +127,7 @@ type DB struct {
 
 	log *walog.Log // the group-commit log (see logRecord)
 
-	io *leaf.IO
+	io *device.BufferedIO
 
 	stats Stats
 }
@@ -137,7 +137,7 @@ func New(e env.Env, cfg Config) *DB {
 	if len(cfg.Disks) == 0 {
 		panic("betree: no disks")
 	}
-	d := &DB{env: e, cfg: cfg, name: "TokuMX-like", io: leaf.NewIO(e, cfg.Disks[0])}
+	d := &DB{env: e, cfg: cfg, name: "TokuMX-like", io: device.NewBufferedIO(e, cfg.Disks[0])}
 	d.treeMu = e.NewMutex()
 	d.stallMu = e.NewMutex()
 	d.stallCond = e.NewCond(d.stallMu)
@@ -189,7 +189,7 @@ func (d *DB) loadLeafLocked(c env.Ctx, l *leaf.Leaf) {
 	}
 	d.stats.CacheMisses++
 	buf := d.t.GetBuf(l.Pages)
-	ents, total := d.io.Fetch(c, l.Page, buf)
+	ents, total := leaf.Fetch(c, d.io, l.Page, buf)
 	d.t.PutBuf(buf)
 	d.t.Install(l, ents, total)
 }

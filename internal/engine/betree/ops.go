@@ -278,7 +278,7 @@ func (d *DB) GetInto(c env.Ctx, key []byte, vdst *[]byte) ([]byte, bool) {
 		page := l.Page
 		buf := d.t.GetBuf(l.Pages)
 		d.treeMu.Unlock(c)
-		ents, total := d.io.Fetch(c, page, buf)
+		ents, total := leaf.Fetch(c, d.io, page, buf)
 		d.treeMu.Lock(c)
 		d.t.PutBuf(buf)
 		if !l.Resident() && l.Page == page {

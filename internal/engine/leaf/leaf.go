@@ -3,8 +3,8 @@
 // identically lives here once — the on-disk leaf format, the sorted leaf
 // table with its charged descent, which leaves are resident and which are
 // dirty, record upsert/remove with split and page-run resize, the bulk
-// build, and the buffered pread/pwrite path the leaves (and the commit log)
-// go through.
+// build, and Fetch, a leaf read through the engine's buffered pread/pwrite
+// path (device.BufferedIO, which the commit log and the LSM use too).
 //
 // What the paper's §3 profiles is deliberately NOT here and never selected
 // by a flag in this package: which lock is held across a leaf read, the
@@ -14,7 +14,8 @@
 // what is shared and what is deliberately not").
 //
 // Nothing in this package locks: a Tree is guarded by its engine's tree lock,
-// which every method other than IO's expects to be held.
+// which every method expects to be held; Fetch holds no tree state and is
+// called wherever the engine's policy drops the lock.
 package leaf
 
 import (

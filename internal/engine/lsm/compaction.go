@@ -213,7 +213,7 @@ func (d *DB) compactionSource(c env.Ctx, t *sstable, arena *slab.Arena) *scanSou
 			} else {
 				chunk = arena.Alloc(int(n * device.PageSize))
 			}
-			d.readPagesSync(c, t.disk, t.basePage+rel, chunk)
+			d.io[t.disk].Read(c, t.basePage+rel, chunk)
 			d.stats.CompactionBytesRead += n * device.PageSize
 			chunkStart = rel
 		}

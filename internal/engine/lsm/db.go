@@ -115,10 +115,11 @@ type DB struct {
 	cacheMu env.Mutex
 	cache   *pagecache.Cache
 
+	// allocs and io are per disk, in cfg.Disks order: a table's disk is an
+	// index into them.
 	allocs   []*device.Allocator
+	io       []*device.BufferedIO
 	diskNext int
-
-	io *device.SyncIO
 
 	stats Stats
 }
@@ -130,7 +131,7 @@ func New(e env.Env, cfg Config) *DB {
 	if len(cfg.Disks) == 0 {
 		panic("lsm: no disks")
 	}
-	d := &DB{env: e, cfg: cfg, mem: newMemtable(), seq: 1, busy: map[int64]bool{}, io: device.NewSyncIO(e)}
+	d := &DB{env: e, cfg: cfg, mem: newMemtable(), seq: 1, busy: map[int64]bool{}}
 	d.name = "RocksDB-like"
 	if cfg.Fragmented {
 		d.name = "PebblesDB-like"
@@ -146,11 +147,12 @@ func New(e env.Env, cfg Config) *DB {
 	}
 	d.cache = pagecache.New(cap, pagecache.IndexHash)
 	d.levels = make([][]*sstable, Levels)
-	for range cfg.Disks {
+	for _, disk := range cfg.Disks {
 		// Reserve the first pages for the WAL region.
 		d.allocs = append(d.allocs, device.NewAllocator(walog.RegionPages))
+		d.io = append(d.io, device.NewBufferedIO(e, disk))
 	}
-	d.log = walog.NewLog(e, walIO{d}, cfg.WALBufferBytes)
+	d.log = walog.NewLog(e, d.io[0], cfg.WALBufferBytes)
 	return d
 }
 
@@ -162,28 +164,11 @@ func (d *DB) Stats() Stats { return d.stats }
 
 func (d *DB) nextTableID() int64 { d.tableID++; return d.tableID }
 
-// alloc reserves pages on the given disk.
-func (d *DB) alloc(disk device.Disk, pages int64) int64 {
-	for i, dd := range d.cfg.Disks {
-		if dd == disk {
-			return d.allocs[i].Alloc(pages)
-		}
-	}
-	panic("lsm: unknown disk")
-}
-
 // cacheKey qualifies a page number with its disk for the shared block
 // cache: the per-disk allocators hand out overlapping page numbers, so raw
 // pages from different disks would collide (a single-disk DB is unaffected:
 // the disk index is 0 and the key equals the page).
-func (d *DB) cacheKey(disk device.Disk, page int64) int64 {
-	for i, dd := range d.cfg.Disks {
-		if dd == disk {
-			return int64(i)<<40 | page
-		}
-	}
-	panic("lsm: unknown disk")
-}
+func cacheKey(disk int, page int64) int64 { return int64(disk)<<40 | page }
 
 func (d *DB) free(c env.Ctx, t *sstable) {
 	if t.freed {
@@ -194,38 +179,21 @@ func (d *DB) free(c env.Ctx, t *sstable) {
 	// blocks at these page numbers must be dropped first.
 	d.cacheMu.Lock(c)
 	for i := range t.blocks {
-		d.cache.Remove(d.cacheKey(t.disk, t.blocks[i].page))
+		d.cache.Remove(cacheKey(t.disk, t.blocks[i].page))
 	}
 	d.cacheMu.Unlock(c)
-	for i, dd := range d.cfg.Disks {
-		if dd == t.disk {
-			d.allocs[i].Free(t.basePage, t.pages)
-		}
-	}
-	if ms, ok := device.StoreOf(t.disk).(*device.MemStore); ok {
+	d.allocs[t.disk].Free(t.basePage, t.pages)
+	if ms, ok := device.StoreOf(d.cfg.Disks[t.disk]).(*device.MemStore); ok {
 		ms.Free(t.basePage, t.pages)
 	}
 }
 
-// nextDisk round-robins new tables across disks.
-func (d *DB) nextDisk() device.Disk {
-	disk := d.cfg.Disks[d.diskNext%len(d.cfg.Disks)]
+// nextDisk round-robins new tables across disks, returning an index into
+// cfg.Disks.
+func (d *DB) nextDisk() int {
+	disk := d.diskNext % len(d.cfg.Disks)
 	d.diskNext++
 	return disk
-}
-
-// ---- synchronous device I/O (read/write syscalls, one per call) ----
-
-func (d *DB) readPagesSync(c env.Ctx, disk device.Disk, page int64, buf []byte) {
-	// pread: the per-block buffered-read path §6.3.1 profiles (syscall +
-	// copy + checksum per byte).
-	c.CPU(costs.Syscall + costs.PreadBytes(len(buf)))
-	d.io.Do(c, disk, device.Read, page, buf)
-}
-
-func (d *DB) writePagesTimed(c env.Ctx, disk device.Disk, page int64, data []byte) {
-	c.CPU(costs.Syscall + costs.PwriteBytes(len(data)))
-	d.io.Do(c, disk, device.Write, page, data)
 }
 
 // ---- engine lifecycle ----
@@ -515,7 +483,7 @@ func (d *DB) searchTable(c env.Ctx, t *sstable, key []byte) (entry, bool) {
 // blockData returns a block's payload via the shared block cache.
 func (d *DB) blockData(c env.Ctx, t *sstable, bi int) []byte {
 	blk := &t.blocks[bi]
-	key := d.cacheKey(t.disk, blk.page)
+	key := cacheKey(t.disk, blk.page)
 	c.CPU(costs.LockUncontended)
 	d.cacheMu.Lock(c)
 	c.CPU(d.cache.LookupCost())
@@ -528,7 +496,8 @@ func (d *DB) blockData(c env.Ctx, t *sstable, bi int) []byte {
 	d.cacheMu.Unlock(c)
 
 	buf := make([]byte, int(blk.pages)*device.PageSize)
-	d.readPagesSync(c, t.disk, blk.page, buf)
+	// pread: the per-block buffered-read path §6.3.1 profiles.
+	d.io[t.disk].Read(c, blk.page, buf)
 
 	d.cacheMu.Lock(c)
 	d.cache.Insert(key, buf)

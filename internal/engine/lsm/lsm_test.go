@@ -339,7 +339,7 @@ func TestTableBuilderBlockLayout(t *testing.T) {
 	e := sim.NewEnv(s, 2)
 	disk := device.NewSimDisk(s, device.Optane(), nil)
 	d := New(e, DefaultConfig(disk))
-	b := d.newBuilder(disk)
+	b := d.newBuilder(0)
 	for i := int64(0); i < 100; i++ {
 		b.add(&entry{key: kv.Key(i), value: kv.Value(i, 0, 1000), seq: 1})
 	}

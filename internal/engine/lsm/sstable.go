@@ -100,7 +100,7 @@ type block struct {
 // entry data lives on the device.
 type sstable struct {
 	id       int64
-	disk     device.Disk
+	disk     int // index into the engine's disks
 	basePage int64
 	pages    int64
 	blocks   []block
@@ -128,7 +128,7 @@ func (t *sstable) containsKey(key []byte) bool {
 // (block firstKeys, min/max, the filter) never comes from the arena.
 type tableBuilder struct {
 	db           *DB
-	disk         device.Disk
+	disk         int // index into the engine's disks
 	arena        *slab.Arena
 	buf          []byte // current block payload
 	blocks       []block
@@ -140,7 +140,7 @@ type tableBuilder struct {
 	dataLen      int64
 }
 
-func (d *DB) newBuilder(disk device.Disk) *tableBuilder {
+func (d *DB) newBuilder(disk int) *tableBuilder {
 	return &tableBuilder{db: d, disk: disk}
 }
 
@@ -247,7 +247,7 @@ func (b *tableBuilder) finish(c env.Ctx) *sstable {
 	for _, h := range b.filterHashes {
 		t.filter.addHash(h)
 	}
-	t.basePage = b.db.alloc(b.disk, b.pageCur)
+	t.basePage = b.db.allocs[b.disk].Alloc(b.pageCur)
 	for i := range t.blocks {
 		t.blocks[i].page += t.basePage
 	}
@@ -258,9 +258,9 @@ func (b *tableBuilder) finish(c env.Ctx) *sstable {
 	page := t.basePage
 	for _, pd := range b.pagesData {
 		if c != nil {
-			b.db.writePagesTimed(c, b.disk, page, pd)
+			b.db.io[b.disk].Write(c, page, pd)
 		} else {
-			if err := device.StoreOf(b.disk).WritePages(page, pd); err != nil {
+			if err := device.StoreOf(b.db.cfg.Disks[b.disk]).WritePages(page, pd); err != nil {
 				panic(err)
 			}
 		}

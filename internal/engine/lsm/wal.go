@@ -21,18 +21,6 @@ func (d *DB) walAppend(c env.Ctx, key, value []byte, tombstone bool) {
 	d.log.Append(c, op, key, value)
 }
 
-// walIO is the log's page I/O: the engine's own pread/pwrite path on
-// disk 0.
-type walIO struct{ d *DB }
-
-func (w walIO) Read(c env.Ctx, page int64, buf []byte) {
-	w.d.readPagesSync(c, w.d.cfg.Disks[0], page, buf)
-}
-
-func (w walIO) Write(c env.Ctx, page int64, buf []byte) {
-	w.d.writePagesTimed(c, w.d.cfg.Disks[0], page, buf)
-}
-
 // ReplayLog rebuilds a freshly opened DB from the valid prefix of its
 // log, as crash recovery does: every record is re-inserted into the memtable
 // at the write path's cost, and each full memtable is flushed to L0. Sequence

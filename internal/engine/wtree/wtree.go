@@ -88,7 +88,7 @@ type DB struct {
 
 	log *walog.Log // the slot-based commit log (see logRecord)
 
-	io *leaf.IO
+	io *device.BufferedIO
 
 	stats Stats
 }
@@ -98,7 +98,7 @@ func New(e env.Env, cfg Config) *DB {
 	if len(cfg.Disks) == 0 {
 		panic("wtree: no disks")
 	}
-	d := &DB{env: e, cfg: cfg, name: "WiredTiger-like", io: leaf.NewIO(e, cfg.Disks[0])}
+	d := &DB{env: e, cfg: cfg, name: "WiredTiger-like", io: device.NewBufferedIO(e, cfg.Disks[0])}
 	d.mu = e.NewMutex()
 	d.cond = e.NewCond(d.mu)
 	d.log = walog.NewLog(e, d.io, cfg.LogSlotBytes)
@@ -141,7 +141,7 @@ func (d *DB) loadLeaf(c env.Ctx, l *leaf.Leaf) bool {
 	page := l.Page
 	buf := d.t.GetBuf(l.Pages) // popped while the lock is still held
 	d.mu.Unlock(c)
-	ents, total := d.io.Fetch(c, page, buf)
+	ents, total := leaf.Fetch(c, d.io, page, buf)
 	d.mu.Lock(c)
 	d.t.PutBuf(buf)
 	if !l.Resident() {

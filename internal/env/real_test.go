@@ -103,3 +103,34 @@ func (fakeCtx) CPU(Time)     {}
 func (fakeCtx) Sleep(d Time) { time.Sleep(time.Duration(d)) }
 func (fakeCtx) SetTrace(any) {}
 func (fakeCtx) Trace() any   { return nil }
+
+// N goroutines count into one latch at once while one waiter waits; the
+// waiter must see every slot they wrote before their Done (under -race, a
+// write the latch does not order before Wait's return is reported). Rounds
+// re-arm the latch while the last round's Broadcast may still be landing.
+func TestRealLatchConcurrentDone(t *testing.T) {
+	const n, rounds = 16, 50
+	e := NewReal()
+	l := NewLatch(e)
+	c := &fakeCtx{}
+	slots := make([]int, n)
+	for r := 1; r <= rounds; r++ {
+		l.Add(c, n)
+		start := make(chan struct{})
+		for i := range slots {
+			e.Go("done", func(c Ctx) {
+				<-start
+				slots[i] = r
+				l.Done(nil)
+			})
+		}
+		close(start)
+		l.Wait(c)
+		for i, v := range slots {
+			if v != r {
+				t.Fatalf("round %d: slot %d holds %d after Wait", r, i, v)
+			}
+		}
+	}
+	e.Wait()
+}

@@ -140,12 +140,13 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 
 	nClients := spec.ClientsPerMachine * M
 	wins := make([]*window[*shadowOp[*cluster.ReqMsg]], nClients)
-	clients := newLatch(clientEnv, nClients)
+	clients := env.NewLatch(clientEnv)
+	clients.Add(nil, nClients)
 	for ci := range wins {
 		wins[ci] = shadowWindow(clientEnv, sh, spec.Window, tp)
 		clientEnv.Go(fmt.Sprintf("cluster-client-%d", ci), func(c env.Ctx) {
 			shadowClient(c, sh, wins[ci], tp, spec.Seed, ci, nClients, spec.Duration)
-			clients.done(c)
+			clients.Done(c)
 		})
 	}
 
@@ -205,7 +206,7 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 		// through the cluster — now served by the promoted follower — and
 		// check it against the shadow model.
 		clientEnv.Go("cluster-verify", func(c env.Ctx) {
-			clients.wait(c)
+			clients.Wait(c)
 			if verifyErr != nil {
 				return
 			}

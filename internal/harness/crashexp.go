@@ -9,9 +9,6 @@ import (
 	"strings"
 
 	"kvell/internal/core"
-	"kvell/internal/engine/betree"
-	"kvell/internal/engine/lsm"
-	"kvell/internal/engine/wtree"
 	"kvell/internal/env"
 	"kvell/internal/fault"
 	"kvell/internal/kv"
@@ -195,15 +192,13 @@ func recoverEngine(c env.Ctx, kind EngineKind, eng kv.Engine) (int64, error) {
 // the final-location write).
 func crashHarnessSpec(cs *CrashSpec) *Spec {
 	hs := &Spec{
-		Engine:    cs.Engine,
-		Seed:      cs.Seed,
-		Cores:     crashCores,
-		Records:   cs.Records,
-		ItemSize:  crashItemSize,
-		CacheFrac: 1.0 / 3,
-		TweakLSM:  func(c *lsm.Config) { c.WALBufferBytes = 0 },
-		TweakWT:   func(c *wtree.Config) { c.LogSlotBytes = 0 },
-		TweakBE:   func(c *betree.Config) { c.WALBufferBytes = 0 },
+		Engine:        cs.Engine,
+		Seed:          cs.Seed,
+		Cores:         crashCores,
+		Records:       cs.Records,
+		ItemSize:      crashItemSize,
+		CacheFrac:     1.0 / 3,
+		UngroupedLogs: true,
 	}
 	if cs.AbsorbInterval > 0 || cs.TieredHotBytes > 0 {
 		hs.TweakKVell = func(c *core.Config) {

@@ -60,36 +60,14 @@ func fig5(o Options, w io.Writer) {
 	fmt.Fprintf(w, "Figure 5: YCSB average throughput (Config-Optane, %d x 1KB records, cache = 1/3)\n", records)
 	for _, dist := range []ycsb.Distribution{ycsb.Uniform, ycsb.Zipfian} {
 		fmt.Fprintf(w, "\n-- %s key distribution --\n", dist)
-		fmt.Fprintf(w, "%-16s", "workload")
-		for _, k := range AllEngines {
-			fmt.Fprintf(w, " %14s", k)
-		}
-		fmt.Fprintln(w)
-		for _, wl := range []byte{'A', 'B', 'C', 'D', 'E', 'F'} {
-			fmt.Fprintf(w, "YCSB %c          ", wl)
-			var specs []Spec
-			for _, k := range AllEngines {
-				specs = append(specs, Spec{
-					Name: fmt.Sprintf("fig5-%c-%s-%v", wl, dist, k), Seed: o.Seed,
-					Engine: k, Records: records,
-					Gen:      ycsbSpecGen(wl, dist, records, 1024),
-					Duration: dur,
-				})
+		ycsbByEngine(o, w, 16, func(wl byte, k EngineKind) Spec {
+			return Spec{
+				Name: fmt.Sprintf("fig5-%c-%s-%v", wl, dist, k), Seed: o.Seed,
+				Engine: k, Records: records,
+				Gen:      ycsbSpecGen(wl, dist, records, 1024),
+				Duration: dur,
 			}
-			var kvellT, best float64
-			for i, r := range o.runAll(specs...) {
-				fmt.Fprintf(w, " %14s", stats.FmtRate(r.Throughput))
-				if AllEngines[i] == KVell {
-					kvellT = r.Throughput
-				} else if r.Throughput > best {
-					best = r.Throughput
-				}
-			}
-			if best > 0 {
-				fmt.Fprintf(w, "   KVell/next-best = %.1fx", kvellT/best)
-			}
-			fmt.Fprintln(w)
-		}
+		})
 	}
 	fmt.Fprintf(w, "\nPaper: KVell >= 2x next best on read-dominated, >= 5x on write-dominated;\ncomparable or better on scans (E): ~ RocksDB uniform, +25%% and more on Zipfian.\n")
 }
@@ -220,27 +198,21 @@ func table5(o Options, w io.Writer) {
 	fmt.Fprintf(w, "\nPaper: KVell 2.4ms/3.9ms; RocksDB 5.4ms/9.6s; PebblesDB 2.8ms/9.4s; WiredTiger 4.7ms/3s.\n")
 }
 
-// fig8 runs the Config-Amazon-8NVMe configuration: 8 drives, more cores.
-func fig8(o Options, w io.Writer) {
-	records := o.records(160_000)
-	dur := o.dur(2 * env.Second)
-	fmt.Fprintf(w, "Figure 8: YCSB throughput on Config-Amazon-8NVMe (8 disks, 32 cores, uniform)\n\n")
-	fmt.Fprintf(w, "%-10s", "workload")
+// ycsbByEngine prints a table of YCSB A–F by AllEngines, label column width
+// wide: each workload's row runs spec(workload, engine) for every engine,
+// prints the throughputs and, when some other engine did any work, KVell's
+// ratio to the best of them.
+func ycsbByEngine(o Options, w io.Writer, width int, spec func(wl byte, k EngineKind) Spec) {
+	fmt.Fprintf(w, "%-*s", width, "workload")
 	for _, k := range AllEngines {
 		fmt.Fprintf(w, " %14s", k)
 	}
 	fmt.Fprintln(w)
-	for _, wl := range []byte{'A', 'B', 'C', 'D', 'E', 'F'} {
-		fmt.Fprintf(w, "YCSB %c    ", wl)
-		var specs []Spec
-		for _, k := range AllEngines {
-			specs = append(specs, Spec{
-				Name: "fig8", Seed: o.Seed, Engine: k, Records: records,
-				Profile: device.AmazonNVMe(), NDisks: 8, Cores: 32,
-				Clients:  map[bool]int{true: 16, false: 48}[k == KVell],
-				Gen:      ycsbSpecGen(wl, ycsb.Uniform, records, 1024),
-				Duration: dur,
-			})
+	for _, wl := range []byte("ABCDEF") {
+		fmt.Fprintf(w, "%-*s", width, fmt.Sprintf("YCSB %c", wl))
+		specs := make([]Spec, len(AllEngines))
+		for i, k := range AllEngines {
+			specs[i] = spec(wl, k)
 		}
 		var kvellT, best float64
 		for i, r := range o.runAll(specs...) {
@@ -251,8 +223,27 @@ func fig8(o Options, w io.Writer) {
 				best = r.Throughput
 			}
 		}
-		fmt.Fprintf(w, "   KVell/next-best = %.1fx\n", kvellT/best)
+		if best > 0 {
+			fmt.Fprintf(w, "   KVell/next-best = %.1fx", kvellT/best)
+		}
+		fmt.Fprintln(w)
 	}
+}
+
+// fig8 runs the Config-Amazon-8NVMe configuration: 8 drives, more cores.
+func fig8(o Options, w io.Writer) {
+	records := o.records(160_000)
+	dur := o.dur(2 * env.Second)
+	fmt.Fprintf(w, "Figure 8: YCSB throughput on Config-Amazon-8NVMe (8 disks, 32 cores, uniform)\n\n")
+	ycsbByEngine(o, w, 10, func(wl byte, k EngineKind) Spec {
+		return Spec{
+			Name: "fig8", Seed: o.Seed, Engine: k, Records: records,
+			Profile: device.AmazonNVMe(), NDisks: 8, Cores: 32,
+			Clients:  map[bool]int{true: 16, false: 48}[k == KVell],
+			Gen:      ycsbSpecGen(wl, ycsb.Uniform, records, 1024),
+			Duration: dur,
+		}
+	})
 	fmt.Fprintf(w, "\nPaper: KVell 6.7x RocksDB, 8x PebblesDB, 13x TokuMX, 9.3x WiredTiger on A;\nslightly ahead of RocksDB on E. (Cores scaled 72 -> 32 here; see EXPERIMENTS.md.)\n")
 }
 

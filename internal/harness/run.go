@@ -117,11 +117,12 @@ type Spec struct {
 	Duration env.Time
 	Bucket   env.Time // timeline bucket (default 1s)
 
-	// Tweak hooks let experiments adjust engine configs.
+	// TweakKVell lets experiments adjust KVell's config.
 	TweakKVell func(*core.Config)
-	TweakLSM   func(*lsm.Config)
-	TweakWT    func(*wtree.Config)
-	TweakBE    func(*betree.Config)
+	// UngroupedLogs sets every baseline's commit-log group size to 0: a
+	// chunk per record, acknowledged after its write (the crash harness's
+	// loss window; the benchmark runs grouped logs).
+	UngroupedLogs bool
 
 	// Tracer, if set, records per-request latency attribution and
 	// virtual-time spans for the run. Purely observational: the simulated
@@ -263,24 +264,24 @@ func buildEngine(e *sim.Env, s *Spec, disks []device.Disk) kv.Engine {
 		cfg.BaseLevelBytes = cfg.MemtableBytes * 2
 		cfg.TableTargetBytes = cfg.MemtableBytes / 2
 		cfg.Tracer = s.Tracer
-		if s.TweakLSM != nil {
-			s.TweakLSM(&cfg)
+		if s.UngroupedLogs {
+			cfg.WALBufferBytes = 0
 		}
 		return lsm.New(e, cfg)
 	case WiredTigerLike:
 		cfg := wtree.DefaultConfig(disks...)
 		cfg.CacheBytes = cache
 		cfg.Tracer = s.Tracer
-		if s.TweakWT != nil {
-			s.TweakWT(&cfg)
+		if s.UngroupedLogs {
+			cfg.LogSlotBytes = 0
 		}
 		return wtree.New(e, cfg)
 	case TokuLike:
 		cfg := betree.DefaultConfig(disks...)
 		cfg.CacheBytes = cache
 		cfg.Tracer = s.Tracer
-		if s.TweakBE != nil {
-			s.TweakBE(&cfg)
+		if s.UngroupedLogs {
+			cfg.WALBufferBytes = 0
 		}
 		return betree.New(e, cfg)
 	default:

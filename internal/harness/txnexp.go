@@ -242,7 +242,7 @@ func RunTxnBank(spec TxnBankSpec) (TxnBankResult, error) {
 			c.Sleep(bankAuditGap)
 			audit(c)
 		}
-		b.finished.wait(c)
+		b.finished.Wait(c)
 		res.GCFreed = int64(st.GC(c, st.SnapshotTS()))
 		audit(c)
 		b.checkLedger()
@@ -309,7 +309,7 @@ type bank struct {
 	theta    float64
 
 	movers   []*mover
-	finished *latch       // the movers, counted out as their stop rule ends them
+	finished env.Latch    // the movers, counted out as their stop rule ends them
 	ledger   []int64      // committed deltas, by account
 	finals   []int64      // balances, as the last audit read them
 	acked    [][]transfer // acknowledged transfers, by mover
@@ -334,11 +334,12 @@ func driveBank(e env.Env, seed, accounts int64, size int, theta float64,
 	b := &bank{
 		seed: seed, accounts: accounts, size: size, theta: theta,
 		movers:   make([]*mover, bankMovers),
-		finished: newLatch(e, bankMovers),
+		finished: env.NewLatch(e),
 		ledger:   make([]int64, accounts),
 		finals:   make([]int64, accounts),
 		acked:    make([][]transfer, bankMovers),
 	}
+	b.finished.Add(nil, bankMovers)
 	for ci := range b.movers {
 		mv := newMover(b, client(ci), ci)
 		b.movers[ci] = mv
@@ -360,7 +361,7 @@ func driveBank(e env.Env, seed, accounts int64, size int, theta float64,
 					b.vd.failf("mover %d transfer %d: %v", ci, t, err)
 				}
 			}
-			b.finished.done(c)
+			b.finished.Done(c)
 		})
 	}
 	return b
@@ -673,7 +674,7 @@ func RunTxnCluster(spec TxnClusterSpec) (TxnClusterResult, error) {
 	// its commit timestamp through the (possibly re-routed) cluster.
 	allDone := false
 	clientEnv.Go("txn-cluster-verify", func(c env.Ctx) {
-		b.finished.wait(c)
+		b.finished.Wait(c)
 		vtc := cluster.NewTxnClient(cl, clientEnv, clientM)
 		read := func(c env.Ctx, key []byte, ts uint64) ([]byte, bool, error) {
 			return txn.GetAt(c, vtc, key, ts, spec.Seed)

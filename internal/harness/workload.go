@@ -13,7 +13,7 @@ import (
 )
 
 // The workload side of a testbed: who keeps W requests in flight (window), who
-// waits for the clients to finish (latch), who draws the shadow-model stream
+// waits for the clients to finish (env.Latch), who draws the shadow-model stream
 // and reads it back (shadowClient, readBack), over what (transport). The bank
 // workload is in txnexp.go. See DESIGN.md §15.
 
@@ -120,38 +120,6 @@ func (w *window[M]) sweep(c env.Ctx, lost func(M) bool) (swept []M) {
 	w.mu.Unlock(c)
 	w.cond.Broadcast(c)
 	return swept
-}
-
-// latch lets procs wait until n others have finished.
-type latch struct {
-	mu   env.Mutex
-	cond env.Cond
-	left int
-}
-
-func newLatch(e env.Env, n int) *latch {
-	l := &latch{mu: e.NewMutex(), left: n}
-	l.cond = e.NewCond(l.mu)
-	return l
-}
-
-// done counts one proc out.
-func (l *latch) done(c env.Ctx) {
-	l.mu.Lock(c)
-	l.left--
-	if l.left == 0 {
-		l.cond.Broadcast(c)
-	}
-	l.mu.Unlock(c)
-}
-
-// wait blocks until all n procs are out.
-func (l *latch) wait(c env.Ctx) {
-	l.mu.Lock(c)
-	for l.left > 0 {
-		l.cond.Wait(c)
-	}
-	l.mu.Unlock(c)
 }
 
 // transport is how a workload model reaches the store under test: newMsg
