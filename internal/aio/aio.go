@@ -40,8 +40,7 @@ func (io *IO) Completed() env.Time { return io.req.Completed }
 
 // Engine is a per-worker asynchronous I/O context.
 type Engine struct {
-	dev  device.Disk
-	busy BusyDevice // dev's idle-channel test, nil if it has none
+	dev device.Disk
 
 	mu        env.Mutex
 	cond      env.Cond
@@ -60,19 +59,9 @@ type Engine struct {
 	ChargeSyscalls bool
 }
 
-// DeadDevice is implemented by devices that can die mid-run (the fault
-// injector's wrapped disk). Once Dead reports true the device accepts no
-// further I/O: submitted requests vanish and never complete.
-type DeadDevice interface{ Dead() bool }
-
-// BusyDevice is implemented by devices that can say whether every channel is
-// in service. A device without it is never busy.
-type BusyDevice interface{ Busy() bool }
-
 // New returns an I/O engine for dev using e's synchronization primitives.
 func New(e env.Env, dev device.Disk) *Engine {
 	a := &Engine{dev: dev, ChargeSyscalls: true}
-	a.busy, _ = dev.(BusyDevice)
 	a.mu = e.NewMutex()
 	a.cond = e.NewCond(a.mu)
 	return a
@@ -87,7 +76,7 @@ func (a *Engine) Inflight() int { return a.inflight }
 
 // Busy reports whether the device has no idle channel, so that a request
 // submitted now would only queue behind the ones in service.
-func (a *Engine) Busy() bool { return a.busy != nil && a.busy.Busy() }
+func (a *Engine) Busy() bool { return a.dev.Busy() }
 
 // Kick wakes a GetEvents parked on this engine, which then returns without
 // waiting for its completions. It models a request queue and the AIO context
@@ -116,7 +105,7 @@ func (a *Engine) Submit(c env.Ctx, ios []*IO) {
 	if len(ios) == 0 {
 		return
 	}
-	if dd, ok := a.dev.(DeadDevice); ok && dd.Dead() {
+	if a.dev.Dead() {
 		// The machine died mid-run: the syscall never executes (no CPU
 		// charge) and the requests are lost. They still count as in flight
 		// so a worker's GetEvents parks instead of spinning — nothing will

@@ -206,8 +206,8 @@ func (cl *Cluster) Follower(dead int) *Replica {
 // Promote fails machine dead over to Follower(dead): routing is re-pointed,
 // the replica becomes a store through full-scan recovery under the dead
 // store's own config, and a node on the follower's machine starts serving
-// it. c must be a proc on that machine. The caller sweeps its clients'
-// operations stuck at the dead machine.
+// it. c must be a proc on that machine. The caller then fails the requests
+// stuck at the dead machine with Sweep.
 func (cl *Cluster) Promote(c env.Ctx, dead int) (*core.Store, error) {
 	rep := cl.Follower(dead)
 	cl.FailMachine(dead)

@@ -41,16 +41,16 @@ func TestBuildKillPromoteRead(t *testing.T) {
 	clientM := len(cl.Envs) - 1
 
 	// A key whose slot the doomed machine leads.
-	k := int64(-1)
-	for i := int64(0); i < 300 && k < 0; i++ {
+	key := int64(-1)
+	for i := int64(0); i < 300 && key < 0; i++ {
 		if cl.Place.Leader(cl.Place.SlotOf(kv.Key(i))) == dead {
-			k = i
+			key = i
 		}
 	}
-	if k < 0 {
+	if key < 0 {
 		t.Fatal("no key routed to the machine to kill")
 	}
-	want := kv.Value(k, 2, 128)
+	want := kv.Value(key, 2, 128)
 
 	acked, promoted := false, false
 	var promoteErr error
@@ -60,19 +60,13 @@ func TestBuildKillPromoteRead(t *testing.T) {
 		t.Fatalf("follower picked on machine %d", rep.Host())
 	}
 	cl.Envs[clientM].Go("client", func(c env.Ctx) {
-		m := NewReqMsg(cl)
-		m.Op, m.Key, m.Value = kv.OpUpdate, kv.Key(k), want
-		m.Done = func(kv.Result) { acked = true }
-		cl.Send(c, clientM, m)
+		k := cl.NewClient()
+		k.Submit(c, &kv.Request{Op: kv.OpUpdate, Key: kv.Key(key), Value: want,
+			Done: func(kv.Result) { acked = true }})
 		for !promoted { // a request sent to the dead machine is simply lost
 			c.Sleep(env.Millisecond)
 		}
-		r := NewReqMsg(cl)
-		r.Op, r.Key = kv.OpGet, kv.Key(k)
-		r.Done = func(res kv.Result) {
-			got = kv.Result{Found: res.Found, Value: append([]byte(nil), res.Value...)}
-		}
-		cl.Send(c, clientM, r)
+		got = k.Call(c, kv.Request{Op: kv.OpGet, Key: kv.Key(key)})
 	})
 	cl.Envs[rep.Host()].Go("failover", func(c env.Ctx) {
 		c.Sleep(testKillAt + testDetect)
@@ -94,7 +88,7 @@ func TestBuildKillPromoteRead(t *testing.T) {
 	if promoteErr != nil {
 		t.Fatalf("promotion failed: %v", promoteErr)
 	}
-	if n := cl.NodeFor(kv.Key(k)); n.Host() != rep.Host() {
+	if n := cl.NodeFor(kv.Key(key)); n.Host() != rep.Host() {
 		t.Errorf("key still routed to machine %d, want promoted machine %d", n.Host(), rep.Host())
 	}
 	if !got.Found || !bytes.Equal(got.Value, want) {
@@ -108,7 +102,7 @@ func assembly(cl *Cluster) (procs []string, diskIDs []int) {
 	for m := range cl.Stores {
 		for _, d := range cl.cfgs[m].Disks {
 			if rd, ok := d.(*replDisk); ok {
-				d = rd.inner
+				d = rd.Disk
 			}
 			if fd, ok := d.(*fault.Disk); ok {
 				d = fd.Inner()

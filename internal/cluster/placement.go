@@ -31,8 +31,6 @@ type Placement struct {
 	RF      int // replicas per shard, including the leader
 
 	leader []int // slot -> owning machine (fixed at construction)
-	route  []int // slot -> home store to contact (== leader until failover)
-	epoch  int
 }
 
 // hrw is the rendezvous score of (slot, machine): a 64-bit finalizer mix,
@@ -55,7 +53,7 @@ func NewPlacement(slots, servers, rf int) *Placement {
 		rf = servers
 	}
 	p := &Placement{Slots: slots, Servers: servers, RF: rf,
-		leader: make([]int, slots), route: make([]int, slots)}
+		leader: make([]int, slots)}
 	for s := 0; s < slots; s++ {
 		best, bestScore := 0, uint64(0)
 		for m := 0; m < servers; m++ {
@@ -64,7 +62,6 @@ func NewPlacement(slots, servers, rf int) *Placement {
 			}
 		}
 		p.leader[s] = best
-		p.route[s] = best
 	}
 	return p
 }
@@ -78,11 +75,6 @@ func (p *Placement) SlotOf(key []byte) int {
 // failover the owner's store is hosted elsewhere but keeps its identity).
 func (p *Placement) Leader(slot int) int { return p.leader[slot] }
 
-// Route returns the home store to contact for slot: the leader, or — after
-// its machine failed — still the leader's store identity, now hosted on the
-// promoted follower (the Cluster's node registry resolves identity to host).
-func (p *Placement) Route(slot int) int { return p.route[slot] }
-
 // Followers returns machine m's follower set: its RF-1 ring successors among
 // the initial servers.
 func (p *Placement) Followers(m int) []int {
@@ -92,11 +84,3 @@ func (p *Placement) Followers(m int) []int {
 	}
 	return out
 }
-
-// Epoch returns the routing epoch, bumped by every Fail.
-func (p *Placement) Epoch() int { return p.epoch }
-
-// Fail records machine m's death. Routing is unchanged (slot identity stays
-// with the dead machine's store, which the failover re-hosts); the epoch bump
-// tells clients to re-examine in-flight requests.
-func (p *Placement) Fail(m int) { p.epoch++ }

@@ -48,28 +48,6 @@ func TestPlacementBalance(t *testing.T) {
 	}
 }
 
-// Fail only bumps the routing epoch: the slot→leader map is immutable (the
-// registry re-points the store identity to the promoted node instead).
-func TestPlacementFailBumpsEpochOnly(t *testing.T) {
-	p := NewPlacement(256, 4, 2)
-	before := make([]int, p.Slots)
-	for slot := range before {
-		before[slot] = p.Leader(slot)
-	}
-	if p.Epoch() != 0 {
-		t.Fatalf("initial epoch = %d", p.Epoch())
-	}
-	p.Fail(2)
-	if p.Epoch() != 1 {
-		t.Fatalf("epoch after Fail = %d, want 1", p.Epoch())
-	}
-	for slot, l := range before {
-		if p.Leader(slot) != l {
-			t.Fatalf("slot %d leader moved on Fail: %d -> %d", slot, l, p.Leader(slot))
-		}
-	}
-}
-
 // Same key, same slot, regardless of cluster size; slots are within bounds.
 func TestSlotOfDeterministic(t *testing.T) {
 	a := NewPlacement(4096, 2, 1)

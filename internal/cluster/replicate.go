@@ -14,7 +14,7 @@ import (
 // these just size the simulated messages so the network model charges
 // realistic transmit times.
 const (
-	ReqOverhead     = 64 // client request header (op, key len, routing epoch)
+	ReqOverhead     = 64 // client request header (op, lengths, timestamps)
 	ReplyOverhead   = 32 // reply header (status, value len)
 	PageRecOverhead = 32 // replication page record header (seq, disk, page)
 	AckSize         = 16 // follower cumulative ack (seq)
@@ -61,8 +61,7 @@ func (rp *Replicator) submitted(rec *pageRec) {
 // is durable, but a follower has not yet acknowledged every page shipped
 // before it.
 type pend struct {
-	m   *ReqMsg
-	n   *Node
+	m   *reqRec
 	seq uint64
 	t0  env.Time
 }
@@ -159,17 +158,17 @@ func (rp *Replicator) newRec() *pageRec {
 	return rec
 }
 
-// Barrier holds m's reply until every live follower has acknowledged all
+// barrier holds m's reply until every live follower has acknowledged all
 // pages shipped so far; called by the node at local-durable time (so the
 // captured barrier covers every page this write generated). Books the wait
 // as CompReplicate on the request's trace.
-func (rp *Replicator) Barrier(m *ReqMsg, n *Node) {
+func (rp *Replicator) barrier(m *reqRec) {
 	bar := rp.seq
 	if bar <= rp.minAcked() {
-		n.reply(m)
+		m.node.reply(m)
 		return
 	}
-	rp.pending = append(rp.pending, pend{m: m, n: n, seq: bar, t0: rp.cl.S.Now()})
+	rp.pending = append(rp.pending, pend{m: m, seq: bar, t0: rp.cl.S.Now()})
 }
 
 // onAck records follower machine's cumulative ack and releases the pending
@@ -228,8 +227,8 @@ func (rp *Replicator) release() {
 		rp.pending[rp.head] = pend{}
 		rp.head++
 		rp.Released++
-		p.m.Trace.Add(trace.CompReplicate, p.t0, now)
-		p.n.reply(p.m)
+		p.m.req.Trace.Add(trace.CompReplicate, p.t0, now)
+		p.m.node.reply(p.m)
 	}
 	if rp.head > 64 {
 		n := copy(rp.pending, rp.pending[rp.head:])
@@ -245,47 +244,22 @@ func (rp *Replicator) release() {
 // disk's position in the store's disk list, which is also its position in
 // each follower's replica-disk list.
 func (rp *Replicator) WrapDisk(idx int, inner device.Disk) device.Disk {
-	return &replDisk{rp: rp, idx: idx, inner: inner}
+	return &replDisk{Disk: inner, rp: rp, idx: idx}
 }
 
-// replDisk is the replication wrapper. Besides device.Disk it forwards the
-// optional interfaces the engine layers probe for: Store (device.StoreOf,
-// for bulk load), Dead (aio's dead-device check under fault injection) and
-// Busy (aio's idle-channel test).
+// replDisk is the replication wrapper: the inner disk with a Submit that
+// ships every write first.
 type replDisk struct {
-	rp    *Replicator
-	idx   int
-	inner device.Disk
+	device.Disk
+	rp  *Replicator
+	idx int
 }
 
 func (d *replDisk) Submit(r *device.Request) {
 	if r.Op == device.Write {
 		d.rp.shipPage(d.idx, r.Page, r.Buf)
 	}
-	d.inner.Submit(r)
-}
-
-func (d *replDisk) Counters() device.Counters { return d.inner.Counters() }
-
-// Store makes the wrapper loadable by device.StoreOf, by delegation.
-func (d *replDisk) Store() device.Store { return device.StoreOf(d.inner) }
-
-// Dead implements aio.DeadDevice by delegation (false when the inner disk is
-// not fault-wrapped).
-func (d *replDisk) Dead() bool {
-	if dd, ok := d.inner.(interface{ Dead() bool }); ok {
-		return dd.Dead()
-	}
-	return false
-}
-
-// Busy implements aio.BusyDevice by delegation (false when the inner disk
-// cannot tell).
-func (d *replDisk) Busy() bool {
-	if bd, ok := d.inner.(interface{ Busy() bool }); ok {
-		return bd.Busy()
-	}
-	return false
+	d.Disk.Submit(r)
 }
 
 // Replica is the follower side: it writes the leader's page stream to its own

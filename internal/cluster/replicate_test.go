@@ -14,7 +14,7 @@ import (
 // memStoreOf returns the page store under d, through any wrapper.
 func memStoreOf(t *testing.T, d device.Disk) *device.MemStore {
 	t.Helper()
-	ms, ok := device.StoreOf(d).(*device.MemStore)
+	ms, ok := d.Store().(*device.MemStore)
 	if !ok {
 		t.Fatalf("disk %T is not backed by a MemStore", d)
 	}
@@ -53,19 +53,17 @@ func TestReplicaImagesEqualLeader(t *testing.T) {
 	// then wait for every follower's frontier to reach its leader's seq.
 	caughtUp := false
 	cl.Envs[clientM].Go("client", func(c env.Ctx) {
-		msgs := make([]*ReqMsg, records)
+		k := cl.NewClient()
+		reqs := make([]kv.Request, records)
 		left := 0
-		for i := range msgs {
-			m := NewReqMsg(cl)
-			m.Key = kv.Key(int64(i))
-			m.Done = func(kv.Result) { left-- }
-			msgs[i] = m
+		for i := range reqs {
+			reqs[i] = kv.Request{Op: kv.OpUpdate, Key: kv.Key(int64(i)), Done: func(kv.Result) { left-- }}
 		}
 		for v := uint64(2); v < 2+rounds; v++ {
 			left = records
-			for i, m := range msgs {
-				m.Op, m.Value = kv.OpUpdate, kv.Value(int64(i), v, 200)
-				cl.Send(c, clientM, m)
+			for i := range reqs {
+				reqs[i].Value = kv.Value(int64(i), v, 200)
+				k.Submit(c, &reqs[i])
 			}
 			for left > 0 {
 				c.Sleep(100 * env.Microsecond)

@@ -68,7 +68,7 @@ func bulkLoadStaged(s *Store, items []kv.Item) error {
 			if err := sl.EncodeItem(buf, ts, it.Key, val); err != nil {
 				return err
 			}
-			if err := device.StoreOf(w.dev).WritePages(sl.SlotPage(slot), buf); err != nil {
+			if err := w.dev.Store().WritePages(sl.SlotPage(slot), buf); err != nil {
 				return err
 			}
 		} else {
@@ -90,7 +90,7 @@ func bulkLoadStaged(s *Store, items []kv.Item) error {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, k := range keys {
 		pb := pages[k]
-		if err := device.StoreOf(pb.disk).WritePages(k/int64(len(s.cfg.Disks)), pb.data); err != nil {
+		if err := pb.disk.Store().WritePages(k/int64(len(s.cfg.Disks)), pb.data); err != nil {
 			return err
 		}
 	}

@@ -880,7 +880,7 @@ func (s *Store) CheckMVCC() error {
 }
 
 func (w *worker) checkMVCC() error {
-	st := device.StoreOf(w.dev)
+	st := w.dev.Store()
 	// envelopeAt reads the slot at l; live reports a live envelope of key.
 	envelopeAt := func(l location, key []byte) (e mvcc.Envelope, live bool, err error) {
 		d, err := hostSlot(st, w.slabs[l.class()], l.slot())

@@ -505,7 +505,7 @@ func (s *Store) BulkLoad(items []kv.Item) error {
 		page := sl.SlotPage(slot)
 		op := &open[w.id*classes+cls]
 		if op.data == nil || page != op.page {
-			st := device.StoreOf(w.dev)
+			st := w.dev.Store()
 			if op.data == nil {
 				op.data = make([]byte, sl.PagesPerSlot()*device.PageSize)
 			} else if err := st.WritePages(op.page, op.data); err != nil {
@@ -537,7 +537,7 @@ func (s *Store) BulkLoad(items []kv.Item) error {
 	}
 	for i := range open {
 		if op := &open[i]; op.data != nil {
-			if err := device.StoreOf(s.workers[i/classes].dev).WritePages(op.page, op.data); err != nil {
+			if err := s.workers[i/classes].dev.Store().WritePages(op.page, op.data); err != nil {
 				return err
 			}
 		}

@@ -46,7 +46,7 @@ func hostSlot(st device.Store, sl *slab.Slab, slot uint64) (slab.Decoded, error)
 }
 
 func (w *worker) checkConsistency() error {
-	st := device.StoreOf(w.dev)
+	st := w.dev.Store()
 	// Per-class set of slots the index claims are live.
 	indexed := make([]map[uint64]bool, len(w.slabs))
 	for i := range indexed {

@@ -52,6 +52,16 @@ type Disk interface {
 	Submit(r *Request)
 	// Counters returns cumulative operation counters.
 	Counters() Counters
+	// Store returns the backing store, for the untimed direct writes of bulk
+	// load and the host-side reads of verification.
+	Store() Store
+	// Busy reports whether every channel is in service, so that a request
+	// submitted now would only queue (false for a disk that cannot tell).
+	Busy() bool
+	// Dead reports whether the disk died mid-run (fault injection): it then
+	// accepts no further I/O, and submitted requests vanish and never
+	// complete.
+	Dead() bool
 }
 
 // Counters is a snapshot of device activity.
@@ -153,9 +163,11 @@ func (d *SimDisk) Counters() Counters { return d.counters }
 // Inflight returns the number of submitted-but-incomplete requests.
 func (d *SimDisk) Inflight() int { return d.inflight }
 
-// Busy reports whether every channel is in service, so that a request
-// submitted now would queue (aio.BusyDevice).
+// Busy implements Disk.
 func (d *SimDisk) Busy() bool { return d.inflight >= d.prof.Channels }
+
+// Dead implements Disk: a SimDisk never dies (fault.Disk wraps one that can).
+func (d *SimDisk) Dead() bool { return false }
 
 func (d *SimDisk) spikeInterval() env.Time {
 	j := d.prof.SpikeJitter
@@ -403,6 +415,12 @@ func (d *RealDisk) Counters() Counters {
 
 // Store returns the backing store.
 func (d *RealDisk) Store() Store { return d.store }
+
+// Busy implements Disk: a RealDisk does not track its channels.
+func (d *RealDisk) Busy() bool { return false }
+
+// Dead implements Disk.
+func (d *RealDisk) Dead() bool { return false }
 
 // Close drains pending requests and stops the executors.
 func (d *RealDisk) Close() {

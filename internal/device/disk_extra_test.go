@@ -221,14 +221,16 @@ func TestSyncIOBlocksUntilCompletion(t *testing.T) {
 	re.Wait()
 }
 
-func TestStoreOf(t *testing.T) {
+func TestDiskStore(t *testing.T) {
 	ms := NewMemStore()
-	if StoreOf(NewSimDisk(sim.New(1), Optane(), ms)) != Store(ms) {
-		t.Fatal("SimDisk: StoreOf is not the backing store")
+	var d Disk = NewSimDisk(sim.New(1), Optane(), ms)
+	if d.Store() != Store(ms) {
+		t.Fatal("SimDisk: Store is not the backing store")
 	}
 	rd := NewRealDisk(ms, 1, false)
 	defer rd.Close()
-	if StoreOf(rd) != Store(ms) {
-		t.Fatal("RealDisk: StoreOf is not the backing store")
+	d = rd
+	if d.Store() != Store(ms) || d.Busy() || d.Dead() {
+		t.Fatal("RealDisk: Store is not the backing store, or it reports a busy or dead disk")
 	}
 }

@@ -6,14 +6,6 @@ import (
 	"kvell/internal/trace"
 )
 
-// StoreOf returns the backing store behind a disk, for the untimed direct
-// writes of bulk load and the host-side reads of verification. Every disk
-// that can be loaded this way (SimDisk, RealDisk and the wrappers that
-// delegate to them) has a Store method.
-func StoreOf(d Disk) Store {
-	return d.(interface{ Store() Store }).Store()
-}
-
 // SyncIO issues blocking device requests: Do submits one request and parks
 // the calling thread until it completes — the shape of a read or write
 // system call, which is how the library-model engines do all their I/O.

@@ -400,7 +400,7 @@ func (d *DB) ScanInto(c env.Ctx, start []byte, count int, dst []kv.Item) []kv.It
 // load precedes the measured run), so post-crash replay reconstructs the
 // loaded data without trusting any leaf page.
 func (d *DB) BulkLoad(items []kv.Item) error {
-	d.log.AppendBulk(device.StoreOf(d.cfg.Disks[0]), items)
+	d.log.AppendBulk(d.cfg.Disks[0].Store(), items)
 	d.buildLeaves(items)
 	return nil
 }
@@ -422,7 +422,7 @@ func (d *DB) ReplayLog(c env.Ctx) int {
 // buildLeaves replaces the tree with bulk-built leaves for items (sorted by
 // key) and sizes the group table to them: one group per splitSpan/2 leaves.
 func (d *DB) buildLeaves(items []kv.Item) {
-	if !d.t.Build(device.StoreOf(d.cfg.Disks[0]), items) {
+	if !d.t.Build(d.cfg.Disks[0].Store(), items) {
 		return
 	}
 	d.groups = d.groups[:0]

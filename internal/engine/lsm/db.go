@@ -183,7 +183,7 @@ func (d *DB) free(c env.Ctx, t *sstable) {
 	}
 	d.cacheMu.Unlock(c)
 	d.allocs[t.disk].Free(t.basePage, t.pages)
-	if ms, ok := device.StoreOf(d.cfg.Disks[t.disk]).(*device.MemStore); ok {
+	if ms, ok := d.cfg.Disks[t.disk].Store().(*device.MemStore); ok {
 		ms.Free(t.basePage, t.pages)
 	}
 }
@@ -223,7 +223,7 @@ func (d *DB) Stop(c env.Ctx) {
 // overlapping table families, reproducing the fragment overlap a real
 // insert-order load leaves behind (scans must merge every family).
 func (d *DB) BulkLoad(items []kv.Item) error {
-	d.log.AppendBulk(device.StoreOf(d.cfg.Disks[0]), items)
+	d.log.AppendBulk(d.cfg.Disks[0].Store(), items)
 	last := len(d.levels) - 1
 	stripes := 1
 	if d.cfg.Fragmented {

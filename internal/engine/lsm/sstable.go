@@ -260,7 +260,7 @@ func (b *tableBuilder) finish(c env.Ctx) *sstable {
 		if c != nil {
 			b.db.io[b.disk].Write(c, page, pd)
 		} else {
-			if err := device.StoreOf(b.db.cfg.Disks[b.disk]).WritePages(page, pd); err != nil {
+			if err := b.db.cfg.Disks[b.disk].Store().WritePages(page, pd); err != nil {
 				panic(err)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 
 	"kvell/internal/costs"
-	"kvell/internal/device"
 	"kvell/internal/engine/leaf"
 	"kvell/internal/env"
 	"kvell/internal/kv"
@@ -163,7 +162,7 @@ func (d *DB) ScanInto(c env.Ctx, start []byte, count int, dst []kv.Item) []kv.It
 // bulk load precedes the measured run), so post-crash replay reconstructs
 // the loaded data without trusting any leaf page.
 func (d *DB) BulkLoad(items []kv.Item) error {
-	st := device.StoreOf(d.cfg.Disks[0])
+	st := d.cfg.Disks[0].Store()
 	d.log.AppendBulk(st, items)
 	d.t.Build(st, items)
 	return nil
@@ -178,7 +177,7 @@ func (d *DB) ReplayLog(c env.Ctx) int {
 	items, n := d.log.ReplayItems(c, func(_ byte, key, value []byte) {
 		c.CPU(costs.MemBytes(len(key) + len(value)))
 	})
-	d.t.Build(device.StoreOf(d.cfg.Disks[0]), items)
+	d.t.Build(d.cfg.Disks[0].Store(), items)
 	return n
 }
 

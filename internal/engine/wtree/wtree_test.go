@@ -166,7 +166,7 @@ func TestLogSlotContention(t *testing.T) {
 		t.Fatal("no busy-wait time recorded — contention model dead")
 	}
 
-	st := device.StoreOf(disk)
+	st := disk.Store()
 	hdr := make([]byte, device.PageSize)
 	var chunks, records int64
 	for page := int64(0); ; {

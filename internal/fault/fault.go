@@ -226,14 +226,14 @@ func (t *track) run() {
 	}
 }
 
-// Dead implements aio.DeadDevice.
+// Dead implements device.Disk.
 func (d *Disk) Dead() bool { return d.dead }
 
-// Busy implements aio.BusyDevice by delegation.
+// Busy implements device.Disk by delegation.
 func (d *Disk) Busy() bool { return d.inner.Busy() }
 
-// Store returns the live backing store (device.StoreOf, used by engine
-// bulk-load fast paths and cache bookkeeping).
+// Store returns the live backing store (used by engine bulk-load fast paths
+// and cache bookkeeping).
 func (d *Disk) Store() device.Store { return d.store }
 
 // Inner returns the wrapped simulated disk.

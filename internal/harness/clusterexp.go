@@ -134,18 +134,16 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 		FillValue: func(buf []byte, i int64) { kv.FillValue(buf, i, 1) },
 		Kill:      spec.Failover, KillMachine: spec.KillMachine, KillAt: killAt,
 	})
-	clientM, clientEnv := M, cl.Envs[M]
+	clientEnv := cl.Envs[M]
 	tracer := trace.NewTracer(0)
-	tp := clusterTransport{cl, clientM, tracer}
 
 	nClients := spec.ClientsPerMachine * M
-	wins := make([]*window[*shadowOp[*cluster.ReqMsg]], nClients)
 	clients := env.NewLatch(clientEnv)
 	clients.Add(nil, nClients)
-	for ci := range wins {
-		wins[ci] = shadowWindow(clientEnv, sh, spec.Window, tp)
+	for ci := 0; ci < nClients; ci++ {
+		win, to := shadowWindow(clientEnv, sh, spec.Window, tracer), cl.NewClient()
 		clientEnv.Go(fmt.Sprintf("cluster-client-%d", ci), func(c env.Ctx) {
-			shadowClient(c, sh, wins[ci], tp, spec.Seed, ci, nClients, spec.Duration)
+			shadowClient(c, sh, win, to, tracer, spec.Seed, ci, nClients, spec.Duration)
 			clients.Done(c)
 		})
 	}
@@ -165,8 +163,9 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 
 		// Failover driver: runs on the machine of the follower to promote,
 		// waits out the detection delay, promotes, checks the rebuilt index,
-		// and sweeps clients' stuck slots (the client-side timeout: ops sent
-		// to the dead machine fail, un-acked).
+		// and sweeps the requests stuck at the dead machine (the client-side
+		// timeout: they fail, un-acked). The sweep clears sh.inflight, so it
+		// comes after the index check.
 		rep := cl.Follower(dead)
 		res.Promoted = rep.Host()
 		cl.Envs[rep.Host()].Go("failover-driver", func(c env.Ctx) {
@@ -197,9 +196,7 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 					res.Mismatches++
 				}
 			}
-			for _, win := range wins {
-				res.FailedOps += sweepShadow(c, sh, win, func(m *cluster.ReqMsg) bool { return m.Node.Host() == dead })
-			}
+			res.FailedOps = int64(cl.Sweep(c, dead))
 		})
 
 		// Post-workload verification: read every key of the dead store back
@@ -210,9 +207,8 @@ func RunCluster(spec ClusterSpec) (ClusterResult, error) {
 			if verifyErr != nil {
 				return
 			}
-			untraced := clusterTransport{cl, clientM, nil}
 			key := func(i int) int64 { return deadKeys[i] }
-			recVer = readBack(c, clientEnv, sh, untraced, len(deadKeys), key, func(k int64, ver uint64, out kv.Result) {
+			recVer = readBack(c, clientEnv, sh, cl.NewClient(), len(deadKeys), key, func(k int64, ver uint64, out kv.Result) {
 				res.Verified++
 				if ver == 0 {
 					res.Lost++

@@ -113,10 +113,10 @@ func RunCrash(spec CrashSpec) (CrashResult, error) {
 	}
 	tb.Load(eng, items)
 
-	e1, tp := tb.Env, engineTransport{eng}
+	e1 := tb.Env
 	for ci := 0; ci < crashClients; ci++ {
 		e1.Go(fmt.Sprintf("crash-client-%d", ci), func(c env.Ctx) {
-			shadowClient(c, sh, shadowWindow(e1, sh, crashWindow, tp), tp, spec.Seed, ci, crashClients, crashHorizon)
+			shadowClient(c, sh, shadowWindow(e1, sh, crashWindow, nil), eng, nil, spec.Seed, ci, crashClients, crashHorizon)
 		})
 	}
 	if err := tb.Crash(); err != nil {
@@ -150,7 +150,7 @@ func RunCrash(spec CrashSpec) (CrashResult, error) {
 
 		eng2.Start()
 		all := func(i int) int64 { return int64(i) }
-		recVer = readBack(c, tb.Env, sh, engineTransport{eng2}, int(spec.Records), all, func(k int64, ver uint64, out kv.Result) {
+		recVer = readBack(c, tb.Env, sh, eng2, int(spec.Records), all, func(k int64, ver uint64, out kv.Result) {
 			if !out.Found {
 				vd.failf("key %d lost: acked version %d (issued %d)", k, sh.acked[k], sh.issued[k])
 			} else if ver == 0 {

@@ -369,18 +369,18 @@ func (res *Result) complete(r *kv.Request) {
 	}
 }
 
-// submit hands r to the engine on proc c, under a trace context when the run
-// is traced. Library engines run the whole op inside Submit on this proc;
-// async engines (KVell) carry r.Trace across the worker handoff and only the
-// routing CPU lands here.
-func submit(c env.Ctx, eng kv.Engine, tr *trace.Tracer, r *kv.Request) {
+// submit hands r to to on proc c, under a trace context opened at r.Start
+// when tr is set. Library engines run the whole op inside Submit on this
+// proc; async engines (KVell) carry r.Trace across the worker handoff, a
+// cluster.Client across the network, and only the routing CPU lands here.
+func submit(c env.Ctx, to submitter, tr *trace.Tracer, r *kv.Request) {
 	if tr == nil {
-		eng.Submit(c, r)
+		to.Submit(c, r)
 		return
 	}
 	r.Trace = tr.Begin(int(r.Op), r.Start)
 	c.SetTrace(r.Trace)
-	eng.Submit(c, r)
+	to.Submit(c, r)
 	c.SetTrace(nil)
 }
 

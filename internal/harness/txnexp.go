@@ -144,7 +144,7 @@ type tracedClient struct {
 
 func (tc *tracedClient) TxnGet(c env.Ctx, key []byte, ts, skip uint64) kv.Result {
 	t := tc.tracer.Begin(int(kv.OpTxnGet), c.Now())
-	res := tc.St.Do(c, &kv.Request{Op: kv.OpTxnGet, Key: key, TS: ts, TS2: skip, Trace: t})
+	res := tc.St.Call(c, kv.Request{Op: kv.OpTxnGet, Key: key, TS: ts, TS2: skip, Trace: t})
 	tc.tracer.Finish(t, c.Now())
 	return res
 }
@@ -633,23 +633,19 @@ func RunTxnCluster(spec TxnClusterSpec) (TxnClusterResult, error) {
 		FillValue: func(buf []byte, _ int64) { copy(buf, initial) },
 		Kill:      spec.Failover, KillMachine: spec.KillMachine, KillAt: txnClusterKillAt,
 	})
-	clientM, clientEnv := M, cl.Envs[M]
+	clientEnv := cl.Envs[M]
 
-	tcs := make([]*cluster.TxnClient, bankMovers)
-	for ci := range tcs {
-		tcs[ci] = cluster.NewTxnClient(cl, clientEnv, clientM)
-	}
 	// A transfer the kill swept mid-commit reports ErrAborted: its primary
 	// never became durable, so it rolled back cleanly.
 	b := driveBank(clientEnv, spec.Seed, total, 2, spec.Theta,
-		func(ci int) txn.Client { return tcs[ci] },
+		func(int) txn.Client { return &txn.LocalClient{St: cl.NewClient()} },
 		func(_ env.Ctx, t int) bool { return t < txnClusterTransfers },
 		func(err error) bool { return spec.Failover && errors.Is(err, txn.ErrAborted) })
 
 	// Failover driver: wait out detection, promote the replica with the dead
 	// store's own (MVCC) config so the promoted store rebuilds version chains
-	// and locks, then sweep every mover's in-flight call to the dead machine
-	// (they complete with TxnRetry and re-send under the new epoch).
+	// and locks, then sweep every call in flight to the dead machine (it
+	// completes with TxnRetry, and the mover re-sends it to the promoted store).
 	if spec.Failover {
 		dead := spec.KillMachine
 		res.Promoted = cl.Follower(dead).Host()
@@ -663,9 +659,7 @@ func RunTxnCluster(spec TxnClusterSpec) (TxnClusterResult, error) {
 				b.vd.failf("promotion failed: %v", err)
 				return
 			}
-			for _, tc := range tcs {
-				tc.SweepIf(c, dead)
-			}
+			res.Swept = int64(cl.Sweep(c, dead))
 		})
 	}
 
@@ -675,11 +669,12 @@ func RunTxnCluster(spec TxnClusterSpec) (TxnClusterResult, error) {
 	allDone := false
 	clientEnv.Go("txn-cluster-verify", func(c env.Ctx) {
 		b.finished.Wait(c)
-		vtc := cluster.NewTxnClient(cl, clientEnv, clientM)
+		vk := cl.NewClient()
+		vc := &txn.LocalClient{St: vk}
 		read := func(c env.Ctx, key []byte, ts uint64) ([]byte, bool, error) {
-			return txn.GetAt(c, vtc, key, ts, spec.Seed)
+			return txn.GetAt(c, vc, key, ts, spec.Seed)
 		}
-		b.audit(c, vtc.SnapshotTS(c), read)
+		b.audit(c, vk.SnapshotTS(c), read)
 		if !spec.Failover {
 			b.checkLedger()
 		}
@@ -701,9 +696,6 @@ func RunTxnCluster(spec TxnClusterSpec) (TxnClusterResult, error) {
 		if rp != nil {
 			res.PagesShipped += rp.PagesShipped
 		}
-	}
-	for _, tc := range tcs {
-		res.Swept += tc.Swept
 	}
 	// After a failover the killed machine's entry is its promoted store.
 	for m, st := range cl.Stores {

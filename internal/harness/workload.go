@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"kvell/internal/cluster"
 	"kvell/internal/env"
 	"kvell/internal/kv"
 	"kvell/internal/stats"
@@ -14,47 +13,38 @@ import (
 
 // The workload side of a testbed: who keeps W requests in flight (window), who
 // waits for the clients to finish (env.Latch), who draws the shadow-model stream
-// and reads it back (shadowClient, readBack), over what (transport). The bank
-// workload is in txnexp.go. See DESIGN.md §15.
+// and reads it back (shadowClient, readBack), and what they submit to
+// (submitter). The bank workload is in txnexp.go. See DESIGN.md §15.
 
 // window bounds a client's outstanding asynchronous operations to its slot
 // count. Every slot owns one pooled message whose completion callback is wired
 // once, when the slot is made, so steady-state issue allocates nothing:
 // acquire hands out a free slot's message (most recently freed first), the
-// wired callback releases the slot when the reply arrives, drain waits for
-// every reply. A transport that can lose replies also sweeps: the slot gets a
-// new generation and a fresh message, and a reply that lands later — still
-// wired to the old generation — is dropped instead of completing whatever
-// rides the slot by then.
+// wired callback releases the slot when the operation completes, drain waits
+// for every completion.
 type window[M any] struct {
 	mu    env.Mutex
 	cond  env.Cond
-	wire  func(lease[M]) M
 	slots []slot[M]
 	free  []*slot[M]
 }
 
-type slot[M any] struct {
-	msg  M
-	gen  uint64
-	busy bool
-}
+type slot[M any] struct{ msg M }
 
-// lease is a slot at one generation: what a wired completion callback holds.
+// lease is a slot as its wired completion callback holds it.
 type lease[M any] struct {
-	w   *window[M]
-	sl  *slot[M]
-	gen uint64
+	w  *window[M]
+	sl *slot[M]
 }
 
 // newWindow returns a window of n slots. wire makes one slot's message, with
 // l.release called from its completion callback.
 func newWindow[M any](e env.Env, n int, wire func(l lease[M]) M) *window[M] {
-	w := &window[M]{mu: e.NewMutex(), wire: wire, slots: make([]slot[M], n), free: make([]*slot[M], n)}
+	w := &window[M]{mu: e.NewMutex(), slots: make([]slot[M], n), free: make([]*slot[M], n)}
 	w.cond = e.NewCond(w.mu)
 	for i := range w.slots {
 		sl := &w.slots[i]
-		sl.msg = wire(lease[M]{w, sl, 0})
+		sl.msg = wire(lease[M]{w, sl})
 		w.free[i] = sl
 	}
 	return w
@@ -68,7 +58,6 @@ func (w *window[M]) acquire(c env.Ctx) M {
 	}
 	sl := w.free[len(w.free)-1]
 	w.free = w.free[:len(w.free)-1]
-	sl.busy = true
 	w.mu.Unlock(c)
 	return sl.msg
 }
@@ -77,21 +66,13 @@ func (w *window[M]) acquire(c env.Ctx) M {
 func (w *window[M]) idle() int { return len(w.free) }
 
 // release frees the slot for the next operation. It runs in scheduler context
-// (a completion callback) and reports false, doing nothing, when the slot was
-// swept since the callback was wired.
-func (l lease[M]) release() bool {
-	w, sl := l.w, l.sl
+// (a completion callback), once per acquire.
+func (l lease[M]) release() {
+	w := l.w
 	w.mu.Lock(nil)
-	live := sl.busy && sl.gen == l.gen
-	if live {
-		sl.busy = false
-		w.free = append(w.free, sl)
-	}
+	w.free = append(w.free, l.sl)
 	w.mu.Unlock(nil)
-	if live {
-		w.cond.Signal(nil)
-	}
-	return live
+	w.cond.Signal(nil)
 }
 
 // drain blocks until no operation is outstanding.
@@ -103,64 +84,10 @@ func (w *window[M]) drain(c env.Ctx) {
 	w.mu.Unlock(c)
 }
 
-// sweep is the client-side timeout: it frees every busy slot whose message
-// lost selects and returns those messages, which are the window's no longer.
-func (w *window[M]) sweep(c env.Ctx, lost func(M) bool) (swept []M) {
-	w.mu.Lock(c)
-	for i := range w.slots {
-		sl := &w.slots[i]
-		if sl.busy && lost(sl.msg) {
-			swept = append(swept, sl.msg)
-			sl.busy = false
-			sl.gen++
-			sl.msg = w.wire(lease[M]{w, sl, sl.gen})
-			w.free = append(w.free, sl)
-		}
-	}
-	w.mu.Unlock(c)
-	w.cond.Broadcast(c)
-	return swept
-}
-
-// transport is how a workload model reaches the store under test: newMsg
-// makes one window slot's pooled message with done wired as its completion,
-// send fills it with an operation and submits it.
-type transport[M any] interface {
-	newMsg(done func(kv.Result)) M
-	send(c env.Ctx, m M, op kv.OpType, key, value []byte)
-}
-
-// engineTransport submits requests to a single-node engine.
-type engineTransport struct{ eng kv.Engine }
-
-func (engineTransport) newMsg(done func(kv.Result)) *kv.Request { return &kv.Request{Done: done} }
-
-func (t engineTransport) send(c env.Ctx, r *kv.Request, op kv.OpType, key, value []byte) {
-	r.Op, r.Key, r.Value = op, key, value
-	t.eng.Submit(c, r)
-}
-
-// clusterTransport sends messages from machine client of cl, each traced by
-// tracer (nil for none).
-type clusterTransport struct {
-	cl     *cluster.Cluster
-	client int
-	tracer *trace.Tracer
-}
-
-func (t clusterTransport) newMsg(done func(kv.Result)) *cluster.ReqMsg {
-	m := cluster.NewReqMsg(t.cl)
-	m.Done = func(out kv.Result) {
-		done(out)
-		t.tracer.Finish(m.Trace, t.cl.S.Now())
-	}
-	return m
-}
-
-func (t clusterTransport) send(c env.Ctx, m *cluster.ReqMsg, op kv.OpType, key, value []byte) {
-	m.Op, m.Key, m.Value = op, key, value
-	m.Trace = t.tracer.Begin(int(op), c.Now())
-	t.cl.Send(c, t.client, m)
+// submitter is what a workload model submits requests to: a single-node
+// engine or a cluster.Client.
+type submitter interface {
+	Submit(c env.Ctx, r *kv.Request)
 }
 
 // shadow is the acked-write model the crash and failover verifiers share.
@@ -240,26 +167,32 @@ func (sh *shadow) match(k int64, out kv.Result) uint64 {
 	return 0
 }
 
-// shadowOp is one window slot of a shadow client: the slot's pooled message,
+// shadowOp is one window slot of a shadow client: the slot's pooled request,
 // the operation riding it, and the key and value bytes it sends, refilled
-// for every operation (the message refers to them until its reply).
-type shadowOp[M any] struct {
-	msg   M
-	key   int64
-	ver   uint64 // the version an update writes; 0 for a get
-	start env.Time
-	kbuf  []byte
-	vbuf  []byte
+// for every operation (the request refers to them until it completes).
+type shadowOp struct {
+	req  kv.Request
+	key  int64
+	ver  uint64 // the version an update writes; 0 for a get
+	kbuf []byte
+	vbuf []byte
 }
 
 // shadowWindow returns the depth-slot window of one shadow client on e: a
-// completion acknowledges its update in sh and books the operation, unless
-// the slot was swept first — then the operation already failed, un-acked.
-func shadowWindow[M any](e env.Env, sh *shadow, depth int, tp transport[M]) *window[*shadowOp[M]] {
-	return newWindow(e, depth, func(l lease[*shadowOp[M]]) *shadowOp[M] {
-		op := &shadowOp[M]{kbuf: make([]byte, kv.KeyLen)}
-		op.msg = tp.newMsg(func(kv.Result) {
-			if !l.release() {
+// completion acknowledges its update in sh, books the operation and finishes
+// its trace in tr (nil for none). A completion with TxnRetry is a request the
+// cluster gave up on: the operation failed, un-acked — its version stays
+// admissible — and frees its key for the next update; it is neither counted
+// nor timed, and its trace is never finished.
+func shadowWindow(e env.Env, sh *shadow, depth int, tr *trace.Tracer) *window[*shadowOp] {
+	return newWindow(e, depth, func(l lease[*shadowOp]) *shadowOp {
+		op := &shadowOp{kbuf: make([]byte, kv.KeyLen)}
+		op.req.Done = func(out kv.Result) {
+			l.release()
+			if out.Txn == kv.TxnRetry {
+				if op.ver != 0 {
+					sh.inflight[op.key] = false
+				}
 				return
 			}
 			if op.ver != 0 {
@@ -267,80 +200,71 @@ func shadowWindow[M any](e env.Env, sh *shadow, depth int, tp transport[M]) *win
 				sh.nAckedUpdates++
 			}
 			sh.nCompleted++
-			sh.lat.Add(e.Now() - op.start)
-		})
+			sh.lat.Add(e.Now() - op.req.Start)
+			tr.Finish(op.req.Trace, e.Now())
+		}
 		return op
 	})
 }
 
-// shadowClient runs client ci of n over win until virtual time until: a closed
-// loop drawing keys from the client's own n-th of the key range, each
-// operation a coin flip between a get and an update, an update of a key that
-// has one in flight downgraded to a get. The stream is seeded from (seed, ci):
-// the client schedule is part of the reproducible schedule.
-func shadowClient[M any](c env.Ctx, sh *shadow, win *window[*shadowOp[M]], tp transport[M], seed int64, ci, n int, until env.Time) {
+// shadowClient runs client ci of n over win until virtual time until,
+// submitting to to under tracer tr (nil for none): a closed loop drawing keys
+// from the client's own n-th of the key range, each operation a coin flip
+// between a get and an update, an update of a key that has one in flight
+// downgraded to a get. The stream is seeded from (seed, ci): the client
+// schedule is part of the reproducible schedule.
+func shadowClient(c env.Ctx, sh *shadow, win *window[*shadowOp], to submitter, tr *trace.Tracer, seed int64, ci, n int, until env.Time) {
 	rng := rand.New(rand.NewSource(seed*7919 + int64(ci)))
 	keys := int64(len(sh.issued))
 	lo, hi := int64(ci)*keys/int64(n), (int64(ci)+1)*keys/int64(n)
 	for c.Now() < until {
 		op := win.acquire(c)
+		r := &op.req
 		op.key = lo + rng.Int63n(hi-lo)
-		op.ver, op.start = 0, c.Now()
+		op.ver, r.Start = 0, c.Now()
 		kv.FillKey(op.kbuf, op.key)
 		sh.nIssued++
+		r.Op, r.Key, r.Value = kv.OpGet, op.kbuf, nil
 		if rng.Intn(2) == 0 && !sh.inflight[op.key] {
 			op.ver = sh.issue(op.key)
 			sh.nIssuedUpdates++
 			op.vbuf = sh.fillVal(op.vbuf, op.key, op.ver)
-			tp.send(c, op.msg, kv.OpUpdate, op.kbuf, op.vbuf)
-		} else {
-			tp.send(c, op.msg, kv.OpGet, op.kbuf, nil)
+			r.Op, r.Value = kv.OpUpdate, op.vbuf
 		}
+		submit(c, to, tr, r)
 	}
 	win.drain(c)
 }
 
-// sweepShadow fails every in-flight operation of win whose message lost
-// selects and returns how many. A failed update stays un-acked — its version
-// remains admissible — and frees its key for the next one.
-func sweepShadow[M any](c env.Ctx, sh *shadow, win *window[*shadowOp[M]], lost func(M) bool) int64 {
-	swept := win.sweep(c, func(op *shadowOp[M]) bool { return lost(op.msg) })
-	for _, op := range swept {
-		if op.ver != 0 {
-			sh.inflight[op.key] = false
-		}
-	}
-	return int64(len(swept))
-}
-
 // readOp is one window slot of the read-back verifier: the slot's pooled
-// message, which of the keys it is reading, and that key's bytes.
-type readOp[M any] struct {
-	msg  M
+// request, which of the keys it is reading, and that key's bytes.
+type readOp struct {
+	req  kv.Request
 	i    int
 	kbuf []byte
 }
 
-// readBack reads the n keys key(0..n-1) back through tp, verifyWindow at a
+// readBack reads the n keys key(0..n-1) back through to, verifyWindow at a
 // time, and returns which admissible version the store holds of each
 // (sh.match; 0 for none). seen is told every outcome as its read completes.
-func readBack[M any](c env.Ctx, e env.Env, sh *shadow, tp transport[M], n int, key func(i int) int64, seen func(k int64, ver uint64, out kv.Result)) []uint64 {
+func readBack(c env.Ctx, e env.Env, sh *shadow, to submitter, n int, key func(i int) int64, seen func(k int64, ver uint64, out kv.Result)) []uint64 {
 	recVer := make([]uint64, n)
-	win := newWindow(e, verifyWindow, func(l lease[*readOp[M]]) *readOp[M] {
-		op := &readOp[M]{kbuf: make([]byte, kv.KeyLen)}
-		op.msg = tp.newMsg(func(out kv.Result) {
+	win := newWindow(e, verifyWindow, func(l lease[*readOp]) *readOp {
+		op := &readOp{kbuf: make([]byte, kv.KeyLen)}
+		op.req.Done = func(out kv.Result) {
 			k := key(op.i)
 			recVer[op.i] = sh.match(k, out)
 			seen(k, recVer[op.i], out)
 			l.release()
-		})
+		}
 		return op
 	})
 	for i := 0; i < n; i++ {
 		op := win.acquire(c)
 		op.i = i
 		kv.FillKey(op.kbuf, key(i))
-		tp.send(c, op.msg, kv.OpGet, op.kbuf, nil)
+		op.req.Op, op.req.Key = kv.OpGet, op.kbuf
+		to.Submit(c, &op.req)
 	}
 	win.drain(c)
 	return recVer

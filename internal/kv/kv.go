@@ -92,10 +92,14 @@ const (
 	TxnOK            uint8 = iota
 	TxnLocked              // blocked by another transaction's intent: TxnTS = its start timestamp, Value = its primary key
 	TxnWriteConflict       // a version committed after the writer's snapshot: TxnTS = its commit timestamp
-	TxnRetry               // commit timestamp at or below the primary's MaxReadTS: refetch and retry (TxnTS = the watermark)
-	TxnPending             // resolve: transaction still pending
-	TxnCommitted           // resolve: committed at TxnTS
-	TxnAborted             // resolve/commit: no intent and no committed version — rolled back
+	// TxnRetry: commit timestamp at or below the primary's MaxReadTS,
+	// refetch and retry (TxnTS = the watermark). It is also the verdict of a
+	// cluster request given up on after its serving machine died
+	// (cluster.Cluster.Sweep), whatever its op: its outcome is unknown.
+	TxnRetry
+	TxnPending   // resolve: transaction still pending
+	TxnCommitted // resolve: committed at TxnTS
+	TxnAborted   // resolve/commit: no intent and no committed version — rolled back
 )
 
 // Result is the outcome of a request.

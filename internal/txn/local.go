@@ -1,15 +1,21 @@
 package txn
 
 import (
-	"kvell/internal/core"
 	"kvell/internal/env"
 	"kvell/internal/kv"
 )
 
-// LocalClient speaks the transaction protocol directly to a single-node
-// store (whose oracle is store-local).
+// Store is what a LocalClient speaks to: a single-node *core.Store (whose
+// oracle is store-local) or a *cluster.Client (which fetches timestamps from
+// the cluster's oracle machine). Call runs one request to completion.
+type Store interface {
+	Call(c env.Ctx, r kv.Request) kv.Result
+	NextTS(c env.Ctx) uint64
+}
+
+// LocalClient speaks the transaction protocol as blocking calls on St.
 type LocalClient struct {
-	St *core.Store
+	St Store
 }
 
 var _ Client = (*LocalClient)(nil)
