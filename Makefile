@@ -65,9 +65,10 @@ race-sim:
 alloc-budget:
 	$(GO) test -run AllocBudget ./...
 
-# Every legal combination of the request-path features (absorb, tiering,
-# MVCC, no-in-place) against a map model through a stop/reopen/recover cycle
-# (DESIGN.md §16); MVCC x tiering is asserted rejected.
+# All 64 subsets of the request-path features and ablations (absorb,
+# tiering, MVCC, no-in-place, shared-everything, commit log): 48 against a
+# map model through a stop/reopen/recover cycle (DESIGN.md §16), and the 16
+# with MVCC x commit log asserted rejected.
 feature-matrix:
 	$(GO) test -run TestFeatureMatrix -count=1 ./internal/core
 

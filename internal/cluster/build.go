@@ -190,7 +190,7 @@ func Build(spec Spec) *Cluster {
 
 // serve starts a node on machine host serving store identity home.
 func (cl *Cluster) serve(home, host int, st *core.Store, repl *Replicator) {
-	n := NewNode(cl, cl.Envs[host], home, st, repl)
+	n := NewNode(cl, cl.Envs[host], st, repl)
 	cl.nodes[home] = n
 	n.Start()
 }

@@ -81,7 +81,6 @@ func (m *reqRec) serverDone(res kv.Result) {
 type Node struct {
 	cl   *Cluster
 	env  *sim.Env
-	home int // store identity (initial leader machine)
 	host int // machine this node runs on
 	st   *core.Store
 	repl *Replicator // nil for unreplicated (RF=1) and promoted nodes
@@ -90,10 +89,9 @@ type Node struct {
 	stopped bool
 }
 
-// NewNode returns a node serving st (store identity home) on e's machine.
-// repl may be nil.
-func NewNode(cl *Cluster, e *sim.Env, home int, st *core.Store, repl *Replicator) *Node {
-	return &Node{cl: cl, env: e, home: home, host: e.Machine, st: st,
+// NewNode returns a node serving st on e's machine. repl may be nil.
+func NewNode(cl *Cluster, e *sim.Env, st *core.Store, repl *Replicator) *Node {
+	return &Node{cl: cl, env: e, host: e.Machine, st: st,
 		repl: repl, inbox: e.NewQueue()}
 }
 

@@ -91,7 +91,6 @@ type Replicator struct {
 	// Counters.
 	PagesShipped int64
 	BytesShipped int64
-	Released     int64
 }
 
 type followerLink struct {
@@ -226,7 +225,6 @@ func (rp *Replicator) release() {
 		p := rp.pending[rp.head]
 		rp.pending[rp.head] = pend{}
 		rp.head++
-		rp.Released++
 		p.m.req.Trace.Add(trace.CompReplicate, p.t0, now)
 		p.m.node.reply(p.m)
 	}
@@ -287,11 +285,6 @@ type Replica struct {
 	closed   bool
 
 	applying env.Latch // the apply thread, counted out when its queue closes
-	promoted bool
-
-	// Counters.
-	Applied   int64
-	LateDrops int64
 }
 
 // NewReplica returns a follower for the store on machine home, running on
@@ -323,7 +316,6 @@ func (rep *Replica) Start() {
 // enqueue accepts a delivered page (network callback, scheduler context).
 func (rep *Replica) enqueue(rec *pageRec) {
 	if rep.closed {
-		rep.LateDrops++
 		return
 	}
 	rep.q.Push(nil, rec)
@@ -379,7 +371,6 @@ func (pa *pageApply) done() {
 // advance sends a cumulative ack to the leader (dropped by the network if
 // the leader's machine is dead).
 func (rep *Replica) complete(seq uint64) {
-	rep.Applied++
 	rep.doneSet[seq] = struct{}{}
 	adv := false
 	for {
@@ -458,6 +449,5 @@ func (rep *Replica) Promote(c env.Ctx, cfg core.Config) (*core.Store, error) {
 	if err := st.Recover(c); err != nil {
 		return nil, err
 	}
-	rep.promoted = true
 	return st, nil
 }

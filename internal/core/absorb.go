@@ -65,7 +65,6 @@ type absorber struct {
 
 	// cumulative stats
 	absorbed int64 // requests merged into an existing entry
-	reads    int64 // gets answered from the buffer
 	flushes  int64 // group commits
 	groupedW int64 // entries written by group commits
 }
@@ -151,7 +150,6 @@ func (w *worker) absorbStart(c env.Ctx, r *kv.Request, out *[]*aio.IO) bool {
 				return true
 			}
 			c.CPU(costs.MemBytes(len(last.Value))) // RMW read, served in memory
-			w.ab.reads++
 			return w.absorb(c, r, out)
 		}
 		// Not buffered: the direct path reads the current value from the
@@ -193,14 +191,13 @@ func (w *worker) absorbGet(c env.Ctx, r *kv.Request) bool {
 	if e == nil {
 		return false
 	}
-	w.ab.reads++
 	last := e.last()
 	if last.Op == kv.OpDelete {
 		w.respond(c, r, kv.Result{})
 		return true
 	}
 	c.CPU(costs.MemBytes(len(last.Value)))
-	w.respond(c, r, kv.Result{Found: true, Value: valueInto(&r.ValueBuf, last.Value)})
+	w.respond(c, r, kv.Result{Found: true, Value: kv.CopyValue(last.Value, &r.ValueBuf)})
 	return true
 }
 

@@ -162,16 +162,6 @@ func TestAbsorbDisabledByDefault(t *testing.T) {
 	}
 }
 
-func TestAbsorbRejectsSharedEverything(t *testing.T) {
-	cfg := DefaultConfig(nil)
-	cfg.Disks = cfg.Disks[:0]
-	cfg.SharedEverything = true
-	cfg.AbsorbInterval = env.Microsecond
-	if err := cfg.validate(); err == nil {
-		t.Fatal("validate accepted absorb + shared-everything")
-	}
-}
-
 // drainEntry recycles e the way flushAbsorb does, without device I/O —
 // enough to exercise the merge hot path in isolation.
 func drainEntry(ab *absorber, e *absorbEntry) {

@@ -75,7 +75,8 @@ type Config struct {
 	// absorbed are acknowledged together when the surviving write is
 	// durable. The interval adapts to device queue depth within a factor of
 	// four either side of AbsorbInterval, its starting point (absorbTick).
-	// Incompatible with SharedEverything (the buffer is per-worker state).
+	// The buffer is per-shard state, so under SharedEverything the one
+	// shard's threads share one buffer.
 	AbsorbInterval env.Time
 	// AbsorbMaxHeld bounds buffered (un-acked) requests per worker; the
 	// buffer is force-flushed at the bound (default 4×BatchSize).
@@ -88,8 +89,9 @@ type Config struct {
 	// within the decay horizon are promoted; every write is written through
 	// or invalidated, so the cache never serves a value the store would not.
 	// The cache is a pure read accelerator — the disk stays authoritative,
-	// which is what keeps crash recovery unchanged. Incompatible with
-	// SharedEverything (the cache is per-worker state).
+	// which is what keeps crash recovery unchanged. Under MVCC a key in the
+	// version table is never in the cache: a prewrite drops the key's
+	// record, and reads admit only keys with no table entry.
 	TieredHotBytes int64
 	// TieredPromoteAfter is the decayed access count a cold key must reach
 	// before a read promotes it (default 2; 1 promotes on first touch).
@@ -110,12 +112,12 @@ type Config struct {
 	// slot. Snapshot guarantees therefore cover keys written through the
 	// transaction operations. Single-version reads stay on the
 	// zero-allocation path (the table probe misses and the read proceeds
-	// exactly as before, plus the envelope header strip). Incompatible with
-	// SharedEverything (per-worker state), TieredHotBytes (the hot cache
-	// would serve raw envelopes) and WithCommitLog (the ablation predates
-	// the envelope format). Write absorption composes: absorbed plain
-	// writes are wrapped when the group commit flushes them, and
-	// transaction operations bypass the buffer.
+	// exactly as before, plus the envelope header strip). Incompatible
+	// only with WithCommitLog, which logs plain updates only. Write
+	// absorption composes (absorbed plain writes are wrapped when the group
+	// commit flushes them; transaction operations bypass the buffer), and so
+	// do tiering (see TieredHotBytes) and SharedEverything (the version
+	// table is per-shard state).
 	MVCC bool
 }
 
@@ -152,32 +154,14 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: worker region %d pages too small for %d classes of %d-page extents",
 			c.WorkerRegionPages, len(slab.DefaultClasses), extentPages)
 	}
-	if c.AbsorbInterval > 0 {
-		if c.SharedEverything {
-			return fmt.Errorf("core: write absorption requires shared-nothing workers")
-		}
-		if c.AbsorbMaxHeld <= 0 {
-			c.AbsorbMaxHeld = 4 * c.BatchSize
-		}
+	if c.AbsorbInterval > 0 && c.AbsorbMaxHeld <= 0 {
+		c.AbsorbMaxHeld = 4 * c.BatchSize
 	}
-	if c.MVCC {
-		if c.SharedEverything {
-			return fmt.Errorf("core: MVCC requires shared-nothing workers")
-		}
-		if c.TieredHotBytes > 0 {
-			return fmt.Errorf("core: MVCC is incompatible with hot/cold tiering")
-		}
-		if c.WithCommitLog {
-			return fmt.Errorf("core: MVCC is incompatible with the commit-log ablation")
-		}
+	if c.TieredHotBytes > 0 && c.TieredPromoteAfter <= 0 {
+		c.TieredPromoteAfter = 2
 	}
-	if c.TieredHotBytes > 0 {
-		if c.SharedEverything {
-			return fmt.Errorf("core: tiering requires shared-nothing workers")
-		}
-		if c.TieredPromoteAfter <= 0 {
-			c.TieredPromoteAfter = 2
-		}
+	if c.MVCC && c.WithCommitLog {
+		return fmt.Errorf("core: MVCC is incompatible with the commit-log ablation")
 	}
 	return nil
 }

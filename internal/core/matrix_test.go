@@ -14,9 +14,10 @@ import (
 	"kvell/internal/sim"
 )
 
-// matrixFeatures are the request-path features that may be combined. The one
-// pair Config.validate rejects is MVCC × tiering (the hot cache would serve
-// raw envelopes); every other subset must behave like a map.
+// matrixFeatures are the request-path features and the ablations that
+// reshape it. The one pair Config.validate rejects is MVCC × the commit-log
+// ablation (which logs plain updates only); every other subset must behave
+// like a map.
 var matrixFeatures = []struct {
 	name string
 	set  func(*Config)
@@ -25,13 +26,15 @@ var matrixFeatures = []struct {
 	{"tiered", func(c *Config) { c.TieredHotBytes = 64 << 10; c.TieredPromoteAfter = 1 }},
 	{"mvcc", func(c *Config) { c.MVCC = true }},
 	{"noinplace", func(c *Config) { c.NoInPlaceUpdates = true }},
+	{"shared", func(c *Config) { c.SharedEverything = true }},
+	{"commitlog", func(c *Config) { c.WithCommitLog = true }},
 }
 
 // TestFeatureMatrix runs, for every legal subset of {absorb, tiered, MVCC,
-// no-in-place}, a seeded get/update/delete/RMW/scan workload with
-// size-class-hopping values against a map model on a page cache far smaller
-// than the data, then stops, reopens on the same disk image, recovers and
-// re-checks every key plus both audits.
+// no-in-place, shared-everything, commit log}, a seeded
+// get/update/delete/RMW/scan workload with size-class-hopping values against
+// a map model on a page cache far smaller than the data, then stops, reopens
+// on the same disk image, recovers and re-checks every key plus both audits.
 func TestFeatureMatrix(t *testing.T) {
 	for mask := 0; mask < 1<<len(matrixFeatures); mask++ {
 		var names []string
@@ -55,13 +58,13 @@ func TestFeatureMatrix(t *testing.T) {
 				}
 			}
 		}
-		absorb, tiered, versioned := on[0], on[1], on[2]
+		absorb, tiered, versioned, shared, commitLog := on[0], on[1], on[2], on[4], on[5]
 		t.Run(name, func(t *testing.T) {
-			if tiered && versioned {
+			if versioned && commitLog {
 				cfg := DefaultConfig(device.NewRealDisk(device.NewMemStore(), 1, false))
 				configure(&cfg)
 				if err := cfg.validate(); err == nil {
-					t.Fatal("validate accepted MVCC × tiering")
+					t.Fatal("validate accepted MVCC × the commit-log ablation")
 				}
 				return
 			}
@@ -73,6 +76,9 @@ func TestFeatureMatrix(t *testing.T) {
 			}
 			if tiered && stats.HotHits == 0 {
 				t.Errorf("hot tier never hit: %+v", stats)
+			}
+			if shared && st.Shards() != 1 {
+				t.Errorf("shared-everything store has %d shards, want 1", st.Shards())
 			}
 			if stats.FreeReused == 0 {
 				t.Errorf("no freed slot was ever reused: %+v", stats)

@@ -94,7 +94,7 @@ func (w *worker) committedValue(c env.Ctx, payload []byte) ([]byte, bool) {
 // respondEnvValue copies e.Value into r's scratch buffer and answers r.
 func (w *worker) respondEnvValue(c env.Ctx, r *kv.Request, e *mvcc.Envelope, status uint8) {
 	c.CPU(costs.MemBytes(len(e.Value)))
-	w.respond(c, r, kv.Result{Found: true, Value: valueInto(&r.ValueBuf, e.Value), Txn: status})
+	w.respond(c, r, kv.Result{Found: true, Value: kv.CopyValue(e.Value, &r.ValueBuf), Txn: status})
 }
 
 // placeVersion stores the encoded envelope b as a new version slot of key
@@ -329,6 +329,11 @@ func (w *worker) prewriteRead(c env.Ctx, r *kv.Request, l location, payload []by
 // they pass, writes the intent slot; TxnOK is reported only once the intent
 // is durable.
 func (w *worker) prewriteLocked(c env.Ctx, r *kv.Request, ks *mvcc.KeyState, out *[]*aio.IO) {
+	if w.hot != nil {
+		// A key in the version table is never in the hot tier: its commit
+		// or rollback bypasses update and remove, which keep the tier fresh.
+		w.hotInvalidate(c, r.Key)
+	}
 	if lk := ks.Lock; lk != nil {
 		if lk.StartTS == r.TS {
 			// Duplicate prewrite (client retry): the intent is in place.
@@ -769,7 +774,6 @@ func (w *worker) mvccRecoverSlot(sl *slab.Slab, slotIdx uint64, d slab.Decoded) 
 		rv.primary = append([]byte(nil), e.Primary...)
 	}
 	w.recMVCC[string(d.Item.Key)] = append(w.recMVCC[string(d.Item.Key)], rv)
-	sl.Live++
 	return true
 }
 
@@ -849,9 +853,7 @@ func (w *worker) mvccFinishRecovery() {
 // dropRecovered returns a recovery-losing slot to its free list (in memory
 // only, like the non-MVCC duplicate rule).
 func (w *worker) dropRecovered(l location) {
-	sl := w.slabs[l.class()]
-	sl.Free.PushHead(l.slot())
-	sl.Live--
+	w.slabs[l.class()].Free.PushHead(l.slot())
 }
 
 // ---------------------------------------------------------------------------

@@ -606,17 +606,11 @@ func TestMVCCAbsorbRMWOnDeletedKey(t *testing.T) {
 }
 
 func TestMVCCConfigRejectsIncompatibleVariants(t *testing.T) {
-	for _, mod := range []func(*Config){
-		func(c *Config) { c.SharedEverything = true },
-		func(c *Config) { c.TieredHotBytes = 1 << 20 },
-		func(c *Config) { c.WithCommitLog = true },
-	} {
-		cfg := DefaultConfig(device.NewRealDisk(device.NewMemStore(), 1, false))
-		cfg.MVCC = true
-		mod(&cfg)
-		if err := cfg.validate(); err == nil {
-			t.Fatal("validate accepted an incompatible MVCC combination")
-		}
+	cfg := DefaultConfig(device.NewRealDisk(device.NewMemStore(), 1, false))
+	cfg.MVCC = true
+	cfg.WithCommitLog = true
+	if err := cfg.validate(); err == nil {
+		t.Fatal("validate accepted MVCC with the commit-log ablation")
 	}
 }
 

@@ -176,19 +176,15 @@ func (w *worker) recoverLive(c env.Ctx, sl *slab.Slab, slotIdx uint64, d slab.De
 	if !ok {
 		w.idx.Put(d.Item.Key, uint64(newLoc))
 		w.liveTS[string(d.Item.Key)] = d.Item.Timestamp
-		sl.Live++
 		return
 	}
 	// Duplicate key (crash mid-migration, §5.6): keep the newer timestamp.
 	prevLoc := location(prev)
-	prevSl := w.slabs[prevLoc.class()]
 	prevTS := w.liveTS[string(d.Item.Key)]
 	if d.Item.Timestamp > prevTS {
 		w.idx.Put(d.Item.Key, uint64(newLoc))
 		w.liveTS[string(d.Item.Key)] = d.Item.Timestamp
-		prevSl.Free.PushHead(prevLoc.slot())
-		prevSl.Live--
-		sl.Live++
+		w.slabs[prevLoc.class()].Free.PushHead(prevLoc.slot())
 	} else {
 		sl.Free.PushHead(slotIdx)
 	}

@@ -90,24 +90,6 @@ func (w *worker) readSlot(c env.Ctx, l location, expect []byte, sr slotReader, o
 	w.fetchSlot(c, l, expect, sr, out)
 }
 
-// valueInto copies src into dst's storage (growing it as needed), or into a
-// fresh buffer when dst is nil. The result is never nil, so a
-// present-but-empty value stays distinguishable from "not found".
-func valueInto(dst *[]byte, src []byte) []byte {
-	n := len(src)
-	var val []byte
-	if dst != nil && *dst != nil && cap(*dst) >= n {
-		val = (*dst)[:n]
-	} else {
-		val = make([]byte, n)
-		if dst != nil {
-			*dst = val
-		}
-	}
-	copy(val, src)
-	return val
-}
-
 // edit is what patchSlot does to a slot's bytes. A patch carries its edit by
 // value — in a pending read's joiner when the page must be read first — so
 // an in-place write needs no closure.
@@ -209,7 +191,6 @@ func (w *worker) patchSlot(c env.Ctx, l location, ed edit, done cont, out *[]*ai
 func (w *worker) placeItem(c env.Ctx, cls int, key, payload []byte, ts uint64, index bool, done cont, out *[]*aio.IO) location {
 	sl := w.slabs[cls]
 	slot, reused := sl.Alloc()
-	sl.Live++
 	l := loc(cls, slot)
 	if index {
 		w.indexPut(c, key, l)
@@ -275,7 +256,6 @@ func (w *worker) freeSlot(c env.Ctx, l location, done cont, out *[]*aio.IO) {
 	if !chained {
 		chainTo = freelist.NoSlot
 	}
-	sl.Live--
 	ts := w.nextTS()
 	if sl.MultiPage() {
 		// The slot owns whole pages; writing the first page alone is enough

@@ -558,16 +558,14 @@ type Stats struct {
 
 	// Write-absorption counters (zero when the front end is disabled).
 	Absorbed      int64 // requests merged into an already-buffered key
-	AbsorbReads   int64 // gets/RMW reads served from the buffer
 	AbsorbFlushes int64 // group commits
 	AbsorbWrites  int64 // surviving writes issued by group commits
 
 	// Hot-key cache counters (zero when tiering is disabled).
-	HotHits          int64 // reads served from the hot tier
-	HotMisses        int64 // hot-tier probes that fell through to the engine
-	HotPromotions    int64 // records promoted into the hot tier
-	HotDemotions     int64 // records demoted to make room
-	HotInvalidations int64 // cached records dropped by writes/deletes
+	HotHits       int64 // reads served from the hot tier
+	HotMisses     int64 // hot-tier probes that fell through to the engine
+	HotPromotions int64 // records promoted into the hot tier
+	HotDemotions  int64 // records demoted to make room
 
 	// MVCCKeys is the number of keys in the uncheckpointed multi-version
 	// window (pending intent or >1 retained version); zero when MVCC is off.
@@ -589,7 +587,6 @@ func (s *Store) Stats() Stats {
 		st.Requests += w.reqs
 		if w.ab != nil {
 			st.Absorbed += w.ab.absorbed
-			st.AbsorbReads += w.ab.reads
 			st.AbsorbFlushes += w.ab.flushes
 			st.AbsorbWrites += w.ab.groupedW
 		}
@@ -601,7 +598,6 @@ func (s *Store) Stats() Stats {
 			st.HotMisses += w.hot.Misses()
 			st.HotPromotions += w.hot.Promotions()
 			st.HotDemotions += w.hot.Demotions()
-			st.HotInvalidations += w.hot.Invalidations()
 		}
 		for _, sl := range w.slabs {
 			st.FreeReused += sl.Free.Reused()

@@ -17,10 +17,13 @@ import (
 // A key with a buffered write is always served from the absorb buffer, so
 // the hot cache can never be asked for a value that is fresher in memory;
 // every durable write passes through update or remove, where the cached
-// copy is refreshed or dropped before the slab I/O is issued. The cache is a
-// pure read accelerator — the disk stays authoritative, so crash recovery is
-// byte-for-byte the untiered scan. Everything below is gated on w.hot,
-// keeping tiering-off schedules bit-identical.
+// copy is refreshed or dropped before the slab I/O is issued. Transaction
+// writes (MVCC) bypass update and remove, so a key in the version table is
+// never in the hot tier: its prewrite drops the cached record, reads of it
+// skip hotGet, and finishRead admits only keys with no table entry. The
+// cache is a pure read accelerator — the disk stays authoritative, so crash
+// recovery is byte-for-byte the untiered scan. Everything below is gated on
+// w.hot, keeping tiering-off schedules bit-identical.
 
 // hotGet serves an OpGet from the hot tier. Returns false on a miss (the
 // request then takes the normal index/page-cache path); the miss itself is

@@ -97,12 +97,76 @@ func TestTieredWithAbsorb(t *testing.T) {
 	}
 }
 
-func TestTieredRejectsSharedEverything(t *testing.T) {
-	cfg := DefaultConfig(nil)
-	cfg.SharedEverything = true
-	cfg.TieredHotBytes = 1 << 20
-	if err := cfg.validate(); err == nil {
-		t.Fatal("validate accepted SharedEverything + tiering")
+// TestTieredMVCCCoherence pins the tier/table invariant: a key in the MVCC
+// version table is never in the hot tier. A transaction deletes, or
+// overwrites, a key that is either resident in the hot tier or being read
+// from the device by a plain Get issued right behind the prewrite; once the
+// transaction has committed and GC has dropped the key from the table, a
+// plain Get must return the transaction's outcome, not a value the tier held
+// or took in before the commit.
+func TestTieredMVCCCoherence(t *testing.T) {
+	cfg := func(c *Config) {
+		tieredCfg(c)
+		c.TieredPromoteAfter = 1
+		c.MVCC = true
+		c.Workers = 1
+		c.PageCachePages = 2
+	}
+	for _, del := range []bool{true, false} {
+		for _, resident := range []bool{true, false} {
+			name := map[bool]string{true: "delete", false: "overwrite"}[del] +
+				map[bool]string{true: "/resident", false: "/racing-get"}[resident]
+			t.Run(name, func(t *testing.T) {
+				simHarness(t, cfg, func(c env.Ctx, st *Store) {
+					k, old, val := kv.Key(7), kv.Value(7, 1, 300), kv.Value(7, 2, 300)
+					if del {
+						val = nil
+					}
+					st.Put(c, k, old)
+					if resident {
+						st.Get(c, k)
+					} else {
+						// Push k's page out of the page cache, so the Get
+						// behind the prewrite joins the prewrite's device read
+						// and completes after the key has entered the table.
+						for i := int64(100); i < 150; i++ {
+							st.Put(c, kv.Key(i), kv.Value(i, 1, 300))
+						}
+					}
+					if got := st.workerFor(k).hot.Contains(k); got != resident {
+						t.Fatalf("k resident in the hot tier = %v, want %v", got, resident)
+					}
+					start := st.NextTS(c)
+					res := burst(c, st, []*kv.Request{
+						{Op: kv.OpTxnPrewrite, Key: k, Value: val, TS: start, Aux: k, Del: del},
+						{Op: kv.OpGet, Key: k},
+					})
+					if res[0].Txn != kv.TxnOK {
+						t.Fatalf("prewrite: txn status %d", res[0].Txn)
+					}
+					if !res[1].Found || !bytes.Equal(res[1].Value, old) {
+						t.Fatalf("Get under the pending intent: found=%v, want the committed value", res[1].Found)
+					}
+					for {
+						res := st.Do(c, &kv.Request{Op: kv.OpTxnCommit, Key: k, TS: start, TS2: st.NextTS(c)})
+						if res.Txn == kv.TxnOK {
+							break
+						}
+						if res.Txn != kv.TxnRetry {
+							t.Fatalf("commit: txn status %d", res.Txn)
+						}
+					}
+					st.GC(c, st.SnapshotTS())
+					if n := st.Stats().MVCCKeys; n != 0 {
+						t.Fatalf("MVCCKeys = %d after GC, want 0", n)
+					}
+					got, ok := st.Get(c, k)
+					if ok != !del || !bytes.Equal(got, val) {
+						t.Fatalf("Get after the commit: found=%v (%d B), want the transaction's outcome", ok, len(got))
+					}
+				})
+			})
+		}
 	}
 }
 

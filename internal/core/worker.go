@@ -585,10 +585,11 @@ func (w *worker) finishRead(c env.Ctx, r *kv.Request, l location, payload []byte
 		w.respond(c, r, kv.Result{})
 		return
 	}
-	val = valueInto(&r.ValueBuf, val)
+	val = kv.CopyValue(val, &r.ValueBuf)
 	if r.Op == kv.OpGet {
-		// Multi-page items bypass the hot tier like they bypass the page cache.
-		if w.hot != nil && !w.slabs[l.class()].MultiPage() {
+		// Multi-page items bypass the hot tier like they bypass the page
+		// cache, and so do keys in the version table (see prewriteLocked).
+		if w.hot != nil && !w.slabs[l.class()].MultiPage() && (w.mv == nil || w.mv.Get(r.Key) == nil) {
 			w.hotAdmit(c, r.Key, val)
 		}
 		w.respond(c, r, kv.Result{Found: true, Value: val})

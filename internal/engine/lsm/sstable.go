@@ -106,7 +106,6 @@ type sstable struct {
 	blocks   []block
 	filter   *bloom
 	min, max []byte
-	entries  int64
 	dataLen  int64
 	refs     int // guarded by the engine's version mutex
 	freed    bool
@@ -240,7 +239,6 @@ func (b *tableBuilder) finish(c env.Ctx) *sstable {
 		blocks:  b.blocks,
 		min:     b.min,
 		max:     append([]byte(nil), b.max...),
-		entries: b.entries,
 		dataLen: b.dataLen,
 	}
 	t.filter = newBloom(len(b.filterHashes))

@@ -210,7 +210,6 @@ type Disk struct {
 // pages it overwrote, and the engine's completion callback (wrapped so the
 // injector observes completion).
 type track struct {
-	d    *Disk
 	page int64
 	n    int
 	pre  []byte
@@ -285,7 +284,7 @@ func (d *Disk) getTrack() *track {
 		d.trackFree = d.trackFree[:n-1]
 		return t
 	}
-	t := &track{d: d}
+	t := &track{}
 	t.fn = t.run
 	return t
 }

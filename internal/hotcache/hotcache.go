@@ -357,19 +357,7 @@ func (h *Cache) Get(key []byte, now env.Time, vdst *[]byte) ([]byte, bool) {
 		e.count++
 	}
 	h.transpose(ei, now)
-	v := h.valOf(ei)
-	n := len(v)
-	var out []byte
-	if vdst != nil && *vdst != nil && cap(*vdst) >= n {
-		out = (*vdst)[:n]
-	} else {
-		out = make([]byte, n)
-		if vdst != nil {
-			*vdst = out
-		}
-	}
-	copy(out, v)
-	return out, true
+	return kv.CopyValue(h.valOf(ei), vdst), true
 }
 
 // Contains reports residency without touching counters or ordering.

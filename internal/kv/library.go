@@ -41,7 +41,9 @@ func SubmitLibrary(c env.Ctx, e Library, r *Request) {
 
 // CopyValue returns a copy of src for a read result. With caller-owned
 // scratch (vdst non-nil) the copy is backed by *vdst, which is grown when it
-// is too small, and is only valid until the caller reuses the scratch.
+// is too small, and is only valid until the caller reuses the scratch. The
+// result is never nil, so a present-but-empty value stays distinguishable
+// from "not found".
 func CopyValue(src []byte, vdst *[]byte) []byte {
 	n := len(src)
 	if vdst != nil && *vdst != nil && cap(*vdst) >= n {

@@ -81,9 +81,6 @@ type Slab struct {
 
 	nextSlot uint64 // append cursor
 	Free     *freelist.List
-
-	// Live counts live items (maintained by the owning engine).
-	Live int64
 }
 
 // New returns a slab of the given stride drawing space from alloc in
