@@ -154,12 +154,9 @@ func (m *matrixRun) value(k int64) []byte {
 
 // workload loads every key, then issues bursts of concurrently outstanding
 // operations on distinct keys, so the model stays exact while the device is
-// busy enough for the absorb buffer to engage. Two interleavings are kept out
-// of the bursts because the store mishandles them whatever the feature set
-// (ROADMAP, "Found by the feature matrix"): a read and a write of one key in
-// flight together under tiering, and an RMW in flight together with any
-// operation that frees a slot — so every third burst is one RMW among reads,
-// and the others hold no RMW.
+// busy enough for the absorb buffer to engage. Distinct keys also keep out of
+// the bursts a read and a write of one key in flight together, which the hot
+// tier mishandles (ROADMAP, "Found by the feature matrix", 1(b)).
 func (m *matrixRun) workload(c env.Ctx, st *Store) {
 	t := m.t
 	for base := int64(0); base < matrixKeys; base += 50 {
@@ -186,12 +183,12 @@ func (m *matrixRun) workload(c env.Ctx, st *Store) {
 			r := &kv.Request{Op: kv.OpGet, Key: kv.Key(k)}
 			old, had := m.model[k]
 			switch p := m.rng.Intn(100); {
-			case round%3 == 2 && len(reqs) == 0:
+			case p < 15:
 				r.Op, r.Value = kv.OpRMW, m.value(k)
 				if had {
 					m.model[k] = r.Value
 				}
-			case round%3 == 2 || p < 40:
+			case p < 40:
 			case p < 80:
 				r.Op, r.Value = kv.OpUpdate, m.value(k)
 				m.model[k] = r.Value

@@ -8,7 +8,7 @@ package core
 //
 //	readSlot   read a slot's payload (cachedSlot is its no-I/O arm)
 //	placeItem  store an item in a newly allocated slot
-//	freeSlot   tombstone a slot and push it on its free list
+//	freeSlot   tombstone a slot, which joins its free list right there
 //	patchSlot  modify a slot's bytes in place
 //
 // The simulator is deterministic, so the order in which these functions
@@ -99,7 +99,6 @@ type edit struct {
 	key     []byte
 	payload []byte // editItem; editImage: the slot's whole encoded image
 	reused  bool   // editItem: recover the free-list chain first
-	chainTo uint64 // editTombstone
 	kind    byte   // editFlip: the committed envelope kind
 }
 
@@ -109,7 +108,8 @@ const (
 	// editItem encodes (key, payload) stamped ts, first reinstating the
 	// free-list chain a reused slot's tombstone displaced.
 	editItem editOp = iota
-	// editTombstone writes a tombstone chaining to chainTo.
+	// editTombstone writes a tombstone, and the slot joins its free list
+	// there (tombstone).
 	editTombstone
 	// editFlip commits an intent in place: only the envelope's kind byte
 	// and commit-timestamp field change, so the slab header — including the
@@ -120,9 +120,10 @@ const (
 	editImage
 )
 
-// apply performs ed on slot, one slot's bytes (a multi-page slot's first
-// page).
-func (w *worker) apply(sl *slab.Slab, ed *edit, slot []byte) {
+// apply performs ed on slot, the bytes of the slot at l (a multi-page slot's
+// first page).
+func (w *worker) apply(l location, ed *edit, slot []byte) {
+	sl := w.slabs[l.class()]
 	switch ed.op {
 	case editItem:
 		if ed.reused {
@@ -132,7 +133,7 @@ func (w *worker) apply(sl *slab.Slab, ed *edit, slot []byte) {
 			panic(err)
 		}
 	case editTombstone:
-		sl.EncodeTombstone(slot, ed.ts, ed.chainTo)
+		tombstone(sl, l.slot(), ed.ts, slot)
 	case editFlip:
 		// The envelope heads the slot's value region, right after the slab
 		// header and key.
@@ -142,21 +143,27 @@ func (w *worker) apply(sl *slab.Slab, ed *edit, slot []byte) {
 	}
 }
 
-// patchPage applies ed to l's slot in data, the image of the slot's page as
-// the page cache holds it, and writes the page back; done runs once the
-// write is durable.
+// patchPage applies ed to l's slot in data and writes the page back; done
+// runs once the write is durable. data is the slot's page as the page cache
+// holds it or, for a multi-page slot, a private image of its first page,
+// retired once its write is issued.
 func (w *worker) patchPage(c env.Ctx, l location, ed *edit, data []byte, done cont, out *[]*aio.IO) {
 	sl := w.slabs[l.class()]
 	page := sl.SlotPage(l.slot())
-	if ed.op == editImage {
-		w.recoverChain(sl, data[:slab.HeaderSize+8])
-		w.cacheRemove(page) // the page belongs to a multi-page slot
-		w.writePage(c, page, ed.payload, done, out)
+	if !sl.MultiPage() {
+		off := sl.SlotOffset(l.slot())
+		w.apply(l, ed, data[off:off+sl.Stride])
+		w.writePage(c, page, data, done, out)
 		return
 	}
-	off := sl.SlotOffset(l.slot())
-	w.apply(sl, ed, data[off:off+sl.Stride])
-	w.writePage(c, page, data, done, out)
+	if ed.op == editImage {
+		w.recoverChain(sl, data[:slab.HeaderSize+8])
+		w.writePage(c, page, ed.payload, done, out)
+	} else {
+		w.apply(l, ed, data)
+		w.writePage(c, page, data, done, out)
+	}
+	w.retireBuf(data)
 }
 
 // patchSlot applies ed to the slot at l in place and writes the page back;
@@ -207,7 +214,7 @@ func (w *worker) placeItem(c env.Ctx, cls int, key, payload []byte, ts uint64, i
 		}
 		// Recover the free-list chain from the old tombstone before
 		// overwriting it.
-		w.joinRead(c, page, prJoiner{l: l, ed: edit{op: editImage, payload: buf}, done: done}, out)
+		w.privateRead(c, page, w.pageBuf(), prJoiner{l: l, ed: edit{op: editImage, payload: buf}, done: done}, out)
 		return l
 	}
 	if !reused && sl.AppendPageFresh(slot) {
@@ -247,27 +254,30 @@ func (w *worker) recoverChain(sl *slab.Slab, slotBuf []byte) {
 	}
 }
 
-// freeSlot marks the slot at l deleted on disk and pushes it onto its slab's
-// free list, chaining per §5.3 when the in-memory heads are full; done
-// (optional) runs once the tombstone is durable.
+// tombstone encodes the tombstone of slot, stamped ts, into buf (the slot's
+// stride, or a multi-page slot's first page) and pushes the slot on sl's
+// free list, chaining per §5.3 to the head the push displaced. It is the one
+// place a slot becomes reusable: an allocation can never pop a slot whose
+// tombstone is still to be written over the item it places there.
+func tombstone(sl *slab.Slab, slot, ts uint64, buf []byte) {
+	sl.EncodeTombstone(buf, ts, sl.Free.Push(slot))
+}
+
+// freeSlot marks the slot at l deleted on disk; the slot joins its free list
+// where its tombstone is encoded (tombstone), so after any pending read of its
+// page. done (optional) runs once the tombstone is durable.
 func (w *worker) freeSlot(c env.Ctx, l location, done cont, out *[]*aio.IO) {
 	sl := w.slabs[l.class()]
-	chainTo, chained := sl.Free.Push(l.slot())
-	if !chained {
-		chainTo = freelist.NoSlot
-	}
 	ts := w.nextTS()
 	if sl.MultiPage() {
 		// The slot owns whole pages; writing the first page alone is enough
 		// (decode stops at the tombstone flag). The page image is one-shot:
 		// once the batch submits it can be recycled.
-		page := sl.SlotPage(l.slot())
 		data := w.zeroPageBuf()
-		sl.EncodeTombstone(data, ts, chainTo)
-		w.cacheRemove(page)
-		w.writePage(c, page, data, done, out)
+		tombstone(sl, l.slot(), ts, data)
+		w.writePage(c, sl.SlotPage(l.slot()), data, done, out)
 		w.retireBuf(data)
 		return
 	}
-	w.patchSlot(c, l, edit{op: editTombstone, ts: ts, chainTo: chainTo}, done, out)
+	w.patchSlot(c, l, edit{op: editTombstone, ts: ts}, done, out)
 }

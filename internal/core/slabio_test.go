@@ -102,14 +102,17 @@ func payloadAt(c env.Ctx, w *worker, l location, key []byte) []byte {
 // TestSlabLayerReuseReinstatesChain frees one slot more than the free list
 // has in-memory heads, so the last tombstone chains to the head it displaces;
 // the placement that reuses it must read that pointer back and reinstate the
-// head before overwriting the tombstone — sub-page and multi-page.
+// head before overwriting the tombstone — sub-page and multi-page. A
+// multi-page slot's pages never enter the page cache: on a full two-page
+// cache, its reuses must evict nothing.
 func TestSlabLayerReuseReinstatesChain(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		vlen int
-	}{{"subpage", 40}, {"multipage", 5000}} {
+		name       string
+		vlen       int
+		cachePages int
+	}{{"subpage", 40, 8192}, {"multipage", 5000, 2}} {
 		t.Run(tc.name, func(t *testing.T) {
-			slabLayerHarness(t, func(*Config) {}, func(c env.Ctx, w *worker) {
+			slabLayerHarness(t, func(c *Config) { c.PageCachePages = tc.cachePages }, func(c env.Ctx, w *worker) {
 				var locs []location
 				for i := int64(0); i <= freelistHeads; i++ {
 					locs = append(locs, place(t, c, w, kv.Key(i), kv.Value(i, 1, tc.vlen), true))
@@ -128,6 +131,11 @@ func TestSlabLayerReuseReinstatesChain(t *testing.T) {
 				}
 				if got := payloadAt(c, w, chained, kv.Key(freelistHeads)); got != nil {
 					t.Fatal("freed slot still reads as live")
+				}
+				// Pages of no slab: for the multi-page row, they fill the cache.
+				sentinels := []int64{1 << 40, 1<<40 + 1}
+				for _, p := range sentinels {
+					w.cacheInsert(c, p, w.pageBuf())
 				}
 				// Heads are reused newest first: every unchained one goes
 				// before the chained slot.
@@ -154,6 +162,11 @@ func TestSlabLayerReuseReinstatesChain(t *testing.T) {
 				}
 				if sl.MultiPage() && w.cache.Contains(sl.SlotPage(l.slot())) {
 					t.Fatal("a multi-page slot's stale first page was left in the page cache")
+				}
+				for _, p := range sentinels {
+					if !w.cache.Contains(p) {
+						t.Fatalf("page %d was evicted by %d slot reuses", p, freelistHeads)
+					}
 				}
 
 				// The reinstated head is reused next, then appends resume.

@@ -101,17 +101,13 @@ func (pr *pendingRead) complete(c env.Ctx, io *aio.IO, out *[]*aio.IO) {
 		}
 		sl := w.slabs[j.l.class()]
 		switch {
-		case pr.private && j.slot != nil:
-			j.slot.slot(c, w.slotPayload(c, sl, j.expect, io.Buf), out)
+		case j.slot == nil:
+			w.patchPage(c, j.l, &j.ed, io.Buf, j.done, out)
 		case pr.private:
-			w.apply(sl, &j.ed, io.Buf)
-			w.writePage(c, pr.page, io.Buf, j.done, out)
-			w.retireBuf(io.Buf)
-		case j.slot != nil:
+			j.slot.slot(c, w.slotPayload(c, sl, j.expect, io.Buf), out)
+		default:
 			off := sl.SlotOffset(j.l.slot())
 			j.slot.slot(c, w.slotPayload(c, sl, j.expect, io.Buf[off:off+sl.Stride]), out)
-		default:
-			w.patchPage(c, j.l, &j.ed, io.Buf, j.done, out)
 		}
 	}
 	c.SetTrace(nil)
@@ -686,13 +682,6 @@ func (w *worker) cacheInsert(c env.Ctx, page int64, data []byte) {
 		w.retireBuf(ev)
 	}
 	c.CPU(w.cache.InsertCost())
-}
-
-// cacheRemove drops page from the cache, reclaiming its buffer.
-func (w *worker) cacheRemove(page int64) {
-	if data := w.cache.RemoveTake(page); data != nil {
-		w.retireBuf(data)
-	}
 }
 
 // writePage submits a page write; done (optional) is its tag, run when the

@@ -258,6 +258,50 @@ func TestNoInPlaceVariantNeverOverwritesLive(t *testing.T) {
 	}
 }
 
+// TestQueuedTombstoneSparesReusedSlot is the regression test of a lost
+// acknowledged write (ROADMAP item 1(a)). An RMW's read and a delete's
+// tombstone patch wait on one uncached page. When the read completes, the
+// RMW's no-in-place write allocates a slot before the tombstone joiner runs;
+// if the deleted slot were already on the free list, the RMW would take it
+// and the queued tombstone would then overwrite the RMW's item.
+func TestQueuedTombstoneSparesReusedSlot(t *testing.T) {
+	cfg := func(c *Config) {
+		c.Workers = 1
+		c.PageCachePages = 1
+		c.NoInPlaceUpdates = true
+	}
+	v := kv.Value(1, 2, 200)
+	st, _ := simHarness(t, cfg, func(c env.Ctx, st *Store) {
+		for i := int64(0); i < 64; i++ {
+			st.Put(c, kv.Key(i), kv.Value(i, 1, 200))
+		}
+		w := st.workers[0]
+		l0, _ := w.idx.Get(kv.Key(0))
+		l1, _ := w.idx.Get(kv.Key(1))
+		sl := w.slabs[location(l0).class()]
+		page := sl.SlotPage(location(l0).slot())
+		if location(l1).class() != location(l0).class() || sl.SlotPage(location(l1).slot()) != page || w.cache.Contains(page) {
+			t.Fatal("keys 0 and 1 must share one uncached page")
+		}
+		res := burst(c, st, []*kv.Request{
+			{Op: kv.OpRMW, Key: kv.Key(1), Value: v},
+			{Op: kv.OpDelete, Key: kv.Key(0)},
+		})
+		if !res[0].Found || !res[1].Found {
+			t.Fatalf("RMW found=%v, delete found=%v; want both", res[0].Found, res[1].Found)
+		}
+		if got, ok := st.Get(c, kv.Key(1)); !ok || !bytes.Equal(got, v) {
+			t.Errorf("RMW'd key lost: Get(1) found=%v (%d B)", ok, len(got))
+		}
+		if _, ok := st.Get(c, kv.Key(0)); ok {
+			t.Error("deleted key 0 still found")
+		}
+	})
+	if err := st.CheckConsistency(); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestNoInPlaceRecovery(t *testing.T) {
 	// The append+tombstone discipline must recover to the newest version.
 	_, ms := simHarness(t, func(cfg *Config) { cfg.NoInPlaceUpdates = true; cfg.Workers = 2 }, func(c env.Ctx, st *Store) {

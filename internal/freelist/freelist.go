@@ -39,27 +39,26 @@ func (l *List) Freed() int64  { return l.freed }
 func (l *List) Reused() int64 { return l.reused }
 
 // Push records that slot was freed. If the in-memory head set is full, an
-// existing head is displaced: the caller must write slot's on-disk
-// tombstone with a pointer to the returned chainTo slot (chain == true).
-// Otherwise chain is false and the tombstone carries no pointer.
-func (l *List) Push(slot uint64) (chainTo uint64, chain bool) {
+// existing head is displaced and returned: the caller must write slot's
+// on-disk tombstone with a pointer to chainTo. Otherwise chainTo is NoSlot
+// and the tombstone carries no pointer.
+func (l *List) Push(slot uint64) (chainTo uint64) {
 	l.freed++
 	if len(l.heads) < l.max {
 		l.heads = append(l.heads, slot)
-		return NoSlot, false
+		return NoSlot
 	}
 	old := l.heads[l.next]
 	l.heads[l.next] = slot
 	l.next = (l.next + 1) % l.max
-	return old, true
+	return old
 }
 
-// PushHead inserts a head without chaining (used when a popped slot's
-// on-disk tombstone revealed the next stack element, and during recovery).
-// If the head set is full it reports false and the caller should leave the
-// chain on disk (it will be found again through its predecessor... which no
-// longer exists; recovery rebuilds lists, so dropping is safe but wastes the
-// space until then — callers treat false as "re-chain through me").
+// PushHead inserts a head without chaining: a popped slot's on-disk
+// tombstone revealed the next stack element, or recovery found a free slot.
+// If the head set is full it drops slot and reports false. A chain tail
+// dropped this way stays on disk, unreachable and unused, until recovery
+// rebuilds the lists.
 func (l *List) PushHead(slot uint64) bool {
 	if len(l.heads) >= l.max {
 		return false

@@ -8,7 +8,7 @@ import (
 func TestPushPopLIFO(t *testing.T) {
 	l := New(4)
 	for i := uint64(0); i < 3; i++ {
-		if chain, ok := l.Push(i); ok || chain != NoSlot {
+		if chain := l.Push(i); chain != NoSlot {
 			t.Fatalf("Push(%d) chained while under capacity", i)
 		}
 	}
@@ -39,13 +39,11 @@ func TestPushChainsWhenFull(t *testing.T) {
 	l := New(2)
 	l.Push(10)
 	l.Push(11)
-	chain, ok := l.Push(12)
-	if !ok || chain != 10 {
-		t.Fatalf("third push: chain=%d ok=%v, want chain to displaced head 10", chain, ok)
+	if chain := l.Push(12); chain != 10 {
+		t.Fatalf("third push: chain=%d, want chain to displaced head 10", chain)
 	}
-	chain, ok = l.Push(13)
-	if !ok || chain != 11 {
-		t.Fatalf("fourth push: chain=%d ok=%v, want 11 (round robin)", chain, ok)
+	if chain := l.Push(13); chain != 11 {
+		t.Fatalf("fourth push: chain=%d, want 11 (round robin)", chain)
 	}
 	if l.Len() != 2 {
 		t.Fatalf("len = %d, want bounded at 2", l.Len())
@@ -74,7 +72,7 @@ func TestBoundProperty(t *testing.T) {
 					// popped
 				}
 			} else {
-				if _, chain := l.Push(uint64(op)); chain {
+				if l.Push(uint64(op)) != NoSlot {
 					chained++
 				}
 			}

@@ -379,19 +379,6 @@ func (c *Cache) Remove(page int64) {
 	}
 }
 
-// RemoveTake is Remove, but hands back the dropped page's data buffer (nil
-// if the page was not cached) under the same recycling contract as
-// InsertTake.
-func (c *Cache) RemoveTake(page int64) []byte {
-	fi := c.lookup(page)
-	if fi == nilIdx {
-		return nil
-	}
-	data := c.frames[fi].data
-	c.removeFrame(fi)
-	return data
-}
-
 // Pin marks page non-evictable (KVell pins the append-tail page of each
 // slab so fresh appends need no read-modify-write).
 func (c *Cache) Pin(page int64) {
