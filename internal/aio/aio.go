@@ -130,7 +130,9 @@ func (a *Engine) Submit(c env.Ctx, ios []*IO) {
 			io.done = func() {
 				// Runs on the simulation scheduler or a real executor
 				// goroutine; both may take the mutex (never held across a
-				// park by the worker).
+				// park by the worker). A read submitted without a buffer
+				// completes with the disk's image of its page.
+				io.Buf = io.req.Buf
 				a.mu.Lock(nil)
 				a.completed = append(a.completed, io)
 				a.mu.Unlock(nil)

@@ -144,9 +144,9 @@ func (w *worker) apply(l location, ed *edit, slot []byte) {
 }
 
 // patchPage applies ed to l's slot in data and writes the page back; done
-// runs once the write is durable. data is the slot's page as the page cache
-// holds it or, for a multi-page slot, a private image of its first page,
-// retired once its write is issued.
+// runs once the write is durable. data is the slot's page as writable
+// returned it or, for a multi-page slot, a private image of its first page,
+// held until its write is submitted.
 func (w *worker) patchPage(c env.Ctx, l location, ed *edit, data []byte, done cont, out *[]*aio.IO) {
 	sl := w.slabs[l.class()]
 	page := sl.SlotPage(l.slot())
@@ -163,7 +163,7 @@ func (w *worker) patchPage(c env.Ctx, l location, ed *edit, data []byte, done co
 		w.apply(l, ed, data)
 		w.writePage(c, page, data, done, out)
 	}
-	w.retireBuf(data)
+	w.hold(-1, data)
 }
 
 // patchSlot applies ed to the slot at l in place and writes the page back;
@@ -182,7 +182,7 @@ func (w *worker) patchSlot(c env.Ctx, l location, ed edit, done cont, out *[]*ai
 	}
 	c.CPU(w.cache.LookupCost())
 	if data := w.cache.Get(page); data != nil {
-		w.patchPage(c, l, &ed, data, done, out)
+		w.patchPage(c, l, &ed, w.writable(page, data), done, out)
 		return
 	}
 	w.joinRead(c, page, prJoiner{l: l, ed: ed, done: done}, out)
@@ -232,6 +232,9 @@ func (w *worker) placeItem(c env.Ctx, cls int, key, payload []byte, ts uint64, i
 		w.cache.Pin(page)
 		w.tailPage[cls] = page
 		w.writePage(c, page, data, done, out)
+		if w.shared {
+			w.hold(page, data)
+		}
 		return l
 	}
 	w.patchSlot(c, l, edit{op: editItem, ts: ts, key: key, payload: payload, reused: reused}, done, out)
@@ -276,7 +279,7 @@ func (w *worker) freeSlot(c env.Ctx, l location, done cont, out *[]*aio.IO) {
 		data := w.zeroPageBuf()
 		tombstone(sl, l.slot(), ts, data)
 		w.writePage(c, sl.SlotPage(l.slot()), data, done, out)
-		w.retireBuf(data)
+		w.hold(-1, data)
 		return
 	}
 	w.patchSlot(c, l, edit{op: editTombstone, ts: ts}, done, out)

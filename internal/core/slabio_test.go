@@ -40,7 +40,7 @@ func slabLayerHarness(t *testing.T, cfg func(*Config), fn func(c env.Ctx, w *wor
 func settle(c env.Ctx, w *worker, out *[]*aio.IO) {
 	for len(*out) > 0 || w.threads[0].Inflight() > 0 {
 		w.threads[0].Submit(c, *out)
-		w.recycleBufs()
+		w.release()
 		*out = (*out)[:0]
 		if w.threads[0].Inflight() == 0 {
 			continue

@@ -78,6 +78,7 @@ func Open(e env.Env, cfg Config) (*Store, error) {
 			idx:          btree.New(),
 			idxMu:        e.NewMutex(),
 			cache:        pagecache.New(cachePer, cfg.CacheIndex),
+			shared:       disk.Image(0) != nil,
 			pendingReads: make(map[int64]*pendingRead),
 			tailPage:     make(map[int]int64),
 			ts:           1,

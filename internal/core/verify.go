@@ -18,7 +18,9 @@ import (
 //     stored key matches the indexed key;
 //   - every free-list head lies below the slab's append cursor;
 //   - no free-list head aliases an indexed slot of the same class (a slot
-//     cannot be simultaneously allocated and free).
+//     cannot be simultaneously allocated and free);
+//   - every page the page cache holds is byte-equal to the device store's
+//     image of it (the cache never holds data the disk does not).
 //
 // The first violation found is returned as an error with enough context to
 // reproduce; nil means the audit passed.
@@ -83,6 +85,18 @@ func (w *worker) checkConsistency() error {
 			return false
 		}
 		return true
+	})
+	if verr != nil {
+		return verr
+	}
+	buf := make([]byte, device.PageSize)
+	w.cache.Each(func(page int64, data []byte) bool {
+		if err := st.ReadPages(page, buf); err != nil {
+			verr = fmt.Errorf("cached page %d: read: %w", page, err)
+		} else if !bytes.Equal(data, buf) {
+			verr = fmt.Errorf("cached page %d differs from the device image", page)
+		}
+		return verr == nil
 	})
 	if verr != nil {
 		return verr

@@ -83,9 +83,10 @@ type pendingRead struct {
 // spent waiting on the shared read.
 func (pr *pendingRead) complete(c env.Ctx, io *aio.IO, out *[]*aio.IO) {
 	w := pr.w
+	data := io.Buf
 	if !pr.private {
 		delete(w.pendingReads, pr.page)
-		w.cacheInsert(c, pr.page, io.Buf)
+		w.cacheInsert(c, pr.page, data)
 	}
 	now := c.Now()
 	for i := range pr.joiners {
@@ -99,15 +100,25 @@ func (pr *pendingRead) complete(c env.Ctx, io *aio.IO, out *[]*aio.IO) {
 		} else {
 			c.SetTrace(nil)
 		}
+		if !pr.private {
+			// An earlier joiner, or what it went on to do, may have patched
+			// the page: its frame then holds the patched copy (writable).
+			if f := w.cache.Peek(pr.page); f != nil {
+				data = f
+			}
+			if j.slot == nil {
+				data = w.writable(pr.page, data)
+			}
+		}
 		sl := w.slabs[j.l.class()]
 		switch {
 		case j.slot == nil:
-			w.patchPage(c, j.l, &j.ed, io.Buf, j.done, out)
+			w.patchPage(c, j.l, &j.ed, data, j.done, out)
 		case pr.private:
-			j.slot.slot(c, w.slotPayload(c, sl, j.expect, io.Buf), out)
+			j.slot.slot(c, w.slotPayload(c, sl, j.expect, data), out)
 		default:
 			off := sl.SlotOffset(j.l.slot())
-			j.slot.slot(c, w.slotPayload(c, sl, j.expect, io.Buf[off:off+sl.Stride]), out)
+			j.slot.slot(c, w.slotPayload(c, sl, j.expect, data[off:off+sl.Stride]), out)
 		}
 	}
 	c.SetTrace(nil)
@@ -260,16 +271,22 @@ type worker struct {
 	tailPage     map[int]int64     // class -> pinned append-tail page
 	liveTS       map[string]uint64 // recovery only: newest ts seen per key
 
+	// shared says the disk shares its page images (device.Disk.Image): a
+	// cache fill then takes no buffer, and a frame holds the device's array
+	// of its page except while a write of the page is queued (writable).
+	shared bool
+
 	// Steady-state free lists (§4's CPU discipline applied to the host):
 	// page buffers, pending-read records and IO structs are recycled so the
-	// per-operation path allocates nothing once warm. Evicted page buffers
-	// park in bufPending until the batch's io_submit has consumed any write
-	// that still references them, then move to bufFree.
-	bufFree    [][]byte
-	bufPending [][]byte
-	prFree     []*pendingRead
-	ioFree     []*aio.IO
-	recFree    []*opRec
+	// per-operation path allocates nothing once warm. held lists the page
+	// buffers a write of the batch being built may still reference; they
+	// move to bufFree once the batch's io_submit has consumed its writes
+	// (release).
+	bufFree [][]byte
+	held    []heldBuf
+	prFree  []*pendingRead
+	ioFree  []*aio.IO
+	recFree []*opRec
 
 	// commit-log ablation state
 	logBase, logPages int64
@@ -301,8 +318,17 @@ type worker struct {
 	reqs int64
 }
 
-// pageBuf returns a page-sized buffer destined for a disk read, which
-// overwrites every byte — recycled buffers need no clearing.
+// heldBuf is a page buffer held until the batch is submitted: the private
+// copy a cache frame holds while a write of its page is queued (page ≥ 0),
+// or one no frame holds (page -1) — a one-shot write image, a private read's
+// buffer, a frame's evicted buffer when the disk shares no images.
+type heldBuf struct {
+	page int64
+	buf  []byte
+}
+
+// pageBuf returns a page-sized buffer destined for a disk read or a full
+// copy, which overwrites every byte — recycled buffers need no clearing.
 func (w *worker) pageBuf() []byte {
 	if n := len(w.bufFree); n > 0 {
 		b := w.bufFree[n-1]
@@ -320,20 +346,42 @@ func (w *worker) zeroPageBuf() []byte {
 	return b
 }
 
-// recycleBufs moves buffers whose last referencing write has been submitted
-// onto the free list. Call only right after aio.Submit.
-func (w *worker) recycleBufs() {
-	w.bufFree = append(w.bufFree, w.bufPending...)
-	clear(w.bufPending)
-	w.bufPending = w.bufPending[:0]
+// hold keeps b from reuse until the batch is submitted (release); page is
+// the page whose cache frame holds b, or -1.
+func (w *worker) hold(page int64, b []byte) {
+	w.held = append(w.held, heldBuf{page: page, buf: b})
 }
 
-// retireBuf parks a page buffer the cache no longer references; it becomes
-// reusable at the next recycleBufs.
-func (w *worker) retireBuf(b []byte) {
-	if len(b) == device.PageSize {
-		w.bufPending = append(w.bufPending, b)
+// writable returns bytes of page a patch may write, given data, the page's
+// current image: its cache frame's, or a completed read's whose frame is
+// gone. That is data itself unless data is the device's own array; then it
+// is a pooled copy, which the frame, if it holds data, holds instead until
+// the batch is submitted. The copy charges no CPU: the simulated engine
+// patches its cached page in place, and only the host keeps one image.
+func (w *worker) writable(page int64, data []byte) []byte {
+	if img := w.dev.Image(page); img == nil || &img[0] != &data[0] {
+		return data
 	}
+	b := w.pageBuf()
+	copy(b, data)
+	w.cache.Replace(page, data, b)
+	w.hold(page, b)
+	return b
+}
+
+// release runs right after the batch's aio.Submit, when the device has
+// captured every write the batch holds a buffer for: each frame that holds
+// one goes back to the device's image of its page, which now equals it,
+// and every held buffer returns to the free list.
+func (w *worker) release() {
+	for i, h := range w.held {
+		if h.page >= 0 {
+			w.cache.Replace(h.page, h.buf, w.dev.Image(h.page))
+		}
+		w.bufFree = append(w.bufFree, h.buf)
+		w.held[i] = heldBuf{}
+	}
+	w.held = w.held[:0]
 }
 
 func (w *worker) getPR(page int64) *pendingRead {
@@ -448,9 +496,9 @@ func (w *worker) run(c env.Ctx, eng *aio.Engine) {
 			w.flushAbsorb(c, &out)
 		}
 		eng.Submit(c, out)
-		// Writes referencing evicted page buffers have been consumed by the
-		// device (data is captured at submission), so the buffers are free.
-		w.recycleBufs()
+		// The device captures write data at submission, so the batch's held
+		// buffers are free.
+		w.release()
 		w.unlockShared(c)
 		if eng.Inflight() > 0 {
 			// Serve requests already queued now while the device has an
@@ -483,7 +531,7 @@ func (w *worker) run(c env.Ctx, eng *aio.Engine) {
 				w.flushAbsorb(c, &out)
 			}
 			eng.Submit(c, out)
-			w.recycleBufs()
+			w.release()
 			w.unlockShared(c)
 		}
 	}
@@ -664,7 +712,13 @@ func (w *worker) joinRead(c env.Ctx, page int64, j prJoiner, out *[]*aio.IO) {
 	pr := w.getPR(page)
 	pr.joiners = append(pr.joiners, j)
 	w.pendingReads[page] = pr
-	w.emitIO(c, device.Read, page, w.pageBuf(), pr, out)
+	// A fill from a disk that shares its images takes no buffer: the read
+	// completes with the device's array of the page.
+	var buf []byte
+	if !w.shared {
+		buf = w.pageBuf()
+	}
+	w.emitIO(c, device.Read, page, buf, pr, out)
 }
 
 // privateRead reads page into buf for j alone, outside the page cache and
@@ -677,9 +731,12 @@ func (w *worker) privateRead(c env.Ctx, page int64, buf []byte, j prJoiner, out 
 	w.emitIO(c, device.Read, page, buf, pr, out)
 }
 
+// cacheInsert puts data in the cache as page's image. An evicted frame's
+// buffer is recycled only when the disk shares no images: otherwise it is
+// the device's array, or a held copy that release recycles.
 func (w *worker) cacheInsert(c env.Ctx, page int64, data []byte) {
-	if _, ev := w.cache.InsertTake(page, data); ev != nil {
-		w.retireBuf(ev)
+	if _, ev := w.cache.InsertTake(page, data); ev != nil && !w.shared {
+		w.hold(-1, ev)
 	}
 	c.CPU(w.cache.InsertCost())
 }
@@ -790,5 +847,5 @@ func (w *worker) commitLog(c env.Ctx, recBytes int, o *opRec, out *[]*aio.IO) {
 	// One-shot log page image, recyclable once the batch submits.
 	buf := w.zeroPageBuf()
 	w.writePage(c, page, buf, &o.log, out)
-	w.retireBuf(buf)
+	w.hold(-1, buf)
 }

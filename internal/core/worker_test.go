@@ -542,3 +542,97 @@ func TestWakeKeepsBatchingOnBusyDisk(t *testing.T) {
 		}
 	})
 }
+
+// privateFrames counts the cached pages of st whose frame holds something
+// other than the device's own image of the page.
+func privateFrames(st *Store) int {
+	n := 0
+	for _, w := range st.workers {
+		w.cache.Each(func(page int64, data []byte) bool {
+			if img := w.dev.Image(page); img == nil || &img[0] != &data[0] {
+				n++
+			}
+			return true
+		})
+	}
+	return n
+}
+
+// TestCacheFramesShareDeviceImages pins the one-image rule: once the worker
+// has drained a burst, every cached frame holds the device's array of its
+// page — after cache fills, and after updates, RMWs and deletes that patched
+// cached and uncached pages, two keys of one page in the same batch among
+// them — and the cache equals the device image.
+func TestCacheFramesShareDeviceImages(t *testing.T) {
+	const n = 96
+	cfg := func(c *Config) {
+		c.Workers = 1
+		c.PageCachePages = 3
+	}
+	simHarness(t, cfg, func(c env.Ctx, st *Store) {
+		model := make(map[int64][]byte)
+		for i := int64(0); i < n; i++ {
+			model[i] = kv.Value(i, 1, 200)
+			st.Put(c, kv.Key(i), model[i])
+		}
+		check := func(step string) {
+			t.Helper()
+			c.Sleep(env.Millisecond) // the worker drains the burst's I/O
+			if k := privateFrames(st); k != 0 {
+				t.Errorf("%s: %d cached frames hold a private buffer", step, k)
+			}
+			if err := st.CheckConsistency(); err != nil {
+				t.Errorf("%s: %v", step, err)
+			}
+		}
+		check("loads")
+
+		var reads []*kv.Request
+		for i := int64(0); i < n; i += 3 {
+			reads = append(reads, &kv.Request{Op: kv.OpGet, Key: kv.Key(i)})
+		}
+		for i, res := range burst(c, st, reads) {
+			if !res.Found || !bytes.Equal(res.Value, model[int64(3*i)]) {
+				t.Fatalf("read of key %d: found=%v", 3*i, res.Found)
+			}
+		}
+		check("read-only burst")
+
+		// Keys 0-1 and 93-94 share a page each; the second pair's page was
+		// read last above, so it is cached, and the first pair's is not.
+		w := st.workers[0]
+		pageOf := func(i int64) int64 {
+			v, _ := w.idx.Get(kv.Key(i))
+			return w.slabs[location(v).class()].SlotPage(location(v).slot())
+		}
+		if pageOf(0) != pageOf(1) || pageOf(93) != pageOf(94) || w.cache.Contains(pageOf(0)) || !w.cache.Contains(pageOf(93)) {
+			t.Fatal("keys 0-1 must share an uncached page, keys 93-94 a cached one")
+		}
+		var writes []*kv.Request
+		for _, i := range []int64{0, 1, 93, 94} {
+			model[i] = kv.Value(i, 2, 200)
+			writes = append(writes, &kv.Request{Op: kv.OpUpdate, Key: kv.Key(i), Value: model[i]})
+		}
+		model[2] = kv.Value(2, 3, 200)
+		writes = append(writes,
+			&kv.Request{Op: kv.OpRMW, Key: kv.Key(2), Value: model[2]},
+			&kv.Request{Op: kv.OpDelete, Key: kv.Key(42)},
+			&kv.Request{Op: kv.OpUpdate, Key: kv.Key(n), Value: kv.Value(n, 1, 200)})
+		delete(model, 42)
+		model[n] = kv.Value(n, 1, 200)
+		for i, res := range burst(c, st, writes) {
+			if !res.Found {
+				t.Fatalf("write %d of the burst not acknowledged Found", i)
+			}
+		}
+		check("update/delete/RMW burst")
+
+		for i := int64(0); i <= n; i++ {
+			got, ok := st.Get(c, kv.Key(i))
+			if want, live := model[i]; ok != live || !bytes.Equal(got, want) {
+				t.Fatalf("key %d: found=%v, want %v", i, ok, live)
+			}
+		}
+		check("read-back")
+	})
+}

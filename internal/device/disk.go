@@ -26,8 +26,11 @@ const (
 // lock and signal a condition variable.
 type Request struct {
 	Op   Op
-	Page int64  // first page
-	Buf  []byte // len(Buf) = number of pages * PageSize
+	Page int64 // first page
+	// Buf is len(Buf)/PageSize pages of data. A single-page read may leave
+	// it nil: the disk then sets it, by completion, to an image of the page
+	// the caller must not write (see Disk.Submit).
+	Buf  []byte
 	Done func()
 	// Submitted is stamped by the disk for latency accounting.
 	Submitted env.Time
@@ -48,8 +51,20 @@ type Request struct {
 type Disk interface {
 	// Submit enqueues the request. For writes, the buffer is consumed
 	// (copied or written) before Submit returns and may be reused by the
-	// caller; for reads the buffer is filled by completion time.
+	// caller; for reads the buffer is filled by completion time. A read
+	// submitted without a buffer reads one page and completes with Buf set
+	// to a read-only image of it: on a SimDisk over a MemStore the store's
+	// own array (see Image), over a NullStore the one shared zero page, and
+	// otherwise a fresh copy.
 	Submit(r *Request)
+	// Image returns the disk's own image of page, read-only: the array a
+	// buffer-less read of the page completes with now and that the page's
+	// later writes update (MemStore.Image says for how long). It is nil when
+	// the disk has no image to share: a RealDisk, whose executors write the
+	// store concurrently, or a store other than a MemStore — a FileStore
+	// keeps its pages in a file, a NullStore keeps nothing of what is
+	// written to it.
+	Image(page int64) []byte
 	// Counters returns cumulative operation counters.
 	Counters() Counters
 	// Store returns the backing store, for the untimed direct writes of bulk
@@ -169,6 +184,30 @@ func (d *SimDisk) Busy() bool { return d.inflight >= d.prof.Channels }
 // Dead implements Disk: a SimDisk never dies (fault.Disk wraps one that can).
 func (d *SimDisk) Dead() bool { return false }
 
+// Image implements Disk: the backing MemStore's array of page.
+func (d *SimDisk) Image(page int64) []byte {
+	if m, ok := d.store.(*MemStore); ok {
+		return m.Image(page)
+	}
+	return nil
+}
+
+// readImage is what a buffer-less read of page completes with (see
+// Disk.Submit).
+func (d *SimDisk) readImage(page int64) []byte {
+	if img := d.Image(page); img != nil {
+		return img
+	}
+	if _, ok := d.store.(NullStore); ok {
+		return zeroPage[:]
+	}
+	buf := make([]byte, PageSize)
+	if err := d.store.ReadPages(page, buf); err != nil {
+		panic("device: sim read failed: " + err.Error())
+	}
+	return buf
+}
+
 func (d *SimDisk) spikeInterval() env.Time {
 	j := d.prof.SpikeJitter
 	iv := d.prof.SpikeEvery
@@ -240,6 +279,9 @@ func (d *SimDisk) Submit(r *Request) {
 	now := d.s.Now()
 	r.Submitted = now
 	n := int64(len(r.Buf) / PageSize)
+	if r.Buf == nil {
+		n = 1
+	}
 	d.maybeSpike(now)
 	svc := d.service(r.Op, r.Page, n)
 	d.inflight++
@@ -272,6 +314,9 @@ func (d *SimDisk) Submit(r *Request) {
 	// caller may recycle the Request struct once Done has run, and write
 	// data already reached the store above.
 	cp.buf = r.Buf
+	if r.Buf == nil {
+		cp.req = r
+	}
 	cp.page = r.Page
 	cp.op = r.Op
 	cp.n = n
@@ -281,9 +326,11 @@ func (d *SimDisk) Submit(r *Request) {
 }
 
 // simCompl is a pooled completion record; fn is created once per record and
-// captures only the record itself.
+// captures only the record itself. req is kept only for a buffer-less read,
+// whose Buf the completion sets.
 type simCompl struct {
 	d         *SimDisk
+	req       *Request
 	buf       []byte
 	page      int64
 	op        Op
@@ -306,7 +353,11 @@ func (d *SimDisk) getCompl() *simCompl {
 
 func (cp *simCompl) run() {
 	d := cp.d
-	if cp.op == Read {
+	switch {
+	case cp.op != Read:
+	case cp.req != nil:
+		cp.req.Buf = d.readImage(cp.page)
+	default:
 		if err := d.store.ReadPages(cp.page, cp.buf); err != nil {
 			panic("device: sim read failed: " + err.Error())
 		}
@@ -323,6 +374,7 @@ func (cp *simCompl) run() {
 		d.IOTimeline.Add(t, 1)
 	}
 	reqDone := cp.reqDone
+	cp.req = nil
 	cp.buf = nil
 	cp.reqDone = nil
 	d.complFree = append(d.complFree, cp)
@@ -391,8 +443,12 @@ func (d *RealDisk) run(reqs chan *Request) {
 	}
 }
 
-// Submit implements Disk. Writes copy the caller's buffer before queueing.
+// Submit implements Disk. Writes copy the caller's buffer before queueing;
+// a buffer-less read gets a fresh one.
 func (d *RealDisk) Submit(r *Request) {
+	if r.Op == Read && r.Buf == nil {
+		r.Buf = make([]byte, PageSize)
+	}
 	if r.Op == Write {
 		// The executor runs asynchronously; capture the data now so the
 		// caller may reuse its buffer, matching SimDisk semantics.
@@ -421,6 +477,10 @@ func (d *RealDisk) Busy() bool { return false }
 
 // Dead implements Disk.
 func (d *RealDisk) Dead() bool { return false }
+
+// Image implements Disk: a RealDisk never shares its images, since its
+// executors write the store concurrently with the caller's reads of them.
+func (d *RealDisk) Image(int64) []byte { return nil }
 
 // Close drains pending requests and stops the executors.
 func (d *RealDisk) Close() {

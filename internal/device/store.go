@@ -34,7 +34,11 @@ type Store interface {
 //
 // Page arrays are shared copy-on-write between a store and its snapshots:
 // Snapshot copies only the page map, and a store that writes a page it
-// shares with another store first moves it to an array of its own.
+// shares with another store first moves it to an array of its own. Image
+// shares an array with a reader too, read-only: it stays the page's image,
+// later writes showing through it, until the page is freed (its array may
+// then carry another page) or, once a snapshot shares it, until the store
+// writes the page (the array then stays the snapshot's).
 type MemStore struct {
 	//kvell:lint-ignore nogoroutine MemStore also backs RealDisk's concurrent executors; under the sim it is only touched from the single scheduler thread
 	mu    sync.RWMutex
@@ -57,6 +61,11 @@ type memPage struct {
 	p       *[PageSize]byte
 	holders *atomic.Int32
 }
+
+// zeroPage is the one image of every page a store does not hold, shared by
+// buffer-less reads of a never-written MemStore page and of every NullStore
+// page. Nothing writes into it.
+var zeroPage [PageSize]byte
 
 // memChunkPages is how many fresh pages a MemStore allocates at once. A
 // chunk stays reachable while any of its pages is, in a store or on a free
@@ -114,6 +123,19 @@ func (m *MemStore) ReadPages(page int64, buf []byte) error {
 		}
 	}
 	return nil
+}
+
+// Image returns the store's own array of page, read-only, or the shared
+// zero page if the store does not hold page (see MemStore for how long the
+// array stays the page's image).
+func (m *MemStore) Image(page int64) []byte {
+	m.mu.RLock()
+	mp, ok := m.pages[page]
+	m.mu.RUnlock()
+	if !ok {
+		return zeroPage[:]
+	}
+	return mp.p[:]
 }
 
 // WritePages implements Store. A page shared with another store is written

@@ -228,6 +228,9 @@ func (t *track) run() {
 // Dead implements device.Disk.
 func (d *Disk) Dead() bool { return d.dead }
 
+// Image implements device.Disk by delegation.
+func (d *Disk) Image(page int64) []byte { return d.inner.Image(page) }
+
 // Busy implements device.Disk by delegation.
 func (d *Disk) Busy() bool { return d.inner.Busy() }
 

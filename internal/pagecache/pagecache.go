@@ -273,8 +273,9 @@ func (c *Cache) touch(fi int32) {
 }
 
 // Get returns the cached page data (nil on miss) and promotes it to MRU.
-// The returned slice is the cache's own storage: the engine may mutate it
-// in place when applying an update it is also writing to disk.
+// The returned slice is the data last inserted or set for page, not a copy:
+// it may be a device's read-only page image (device.Disk.Image), so the
+// engine writes it only where it knows it put a buffer of its own there.
 func (c *Cache) Get(page int64) []byte {
 	fi := c.lookup(page)
 	if fi == nilIdx {
@@ -284,6 +285,34 @@ func (c *Cache) Get(page int64) []byte {
 	c.hits++
 	c.touch(fi)
 	return c.frames[fi].data
+}
+
+// Each calls fn on every cached page, most recently used first, until fn
+// returns false. It neither promotes pages nor counts lookups.
+func (c *Cache) Each(fn func(page int64, data []byte) bool) {
+	for fi := c.head; fi != nilIdx; fi = c.frames[fi].next {
+		if !fn(c.frames[fi].page, c.frames[fi].data) {
+			return
+		}
+	}
+}
+
+// Peek returns the cached page data (nil on miss) without promoting it or
+// counting a lookup.
+func (c *Cache) Peek(page int64) []byte {
+	if fi := c.lookup(page); fi != nilIdx {
+		return c.frames[fi].data
+	}
+	return nil
+}
+
+// Replace sets data as page's data if page is cached with old, without
+// promoting it: how the engine swaps a device's page image for a private
+// copy and back.
+func (c *Cache) Replace(page int64, old, data []byte) {
+	if fi := c.lookup(page); fi != nilIdx && &c.frames[fi].data[0] == &old[0] {
+		c.frames[fi].data = data
+	}
 }
 
 // Contains reports whether page is cached without promoting it.
@@ -299,10 +328,11 @@ func (c *Cache) Insert(page int64, data []byte) (evicted int64) {
 	return evicted
 }
 
-// InsertTake is Insert, but also hands back the evicted page's data buffer
-// (nil if nothing was evicted). The buffer is no longer referenced by the
-// cache, so the caller may recycle it — but only after any in-flight disk
-// writes that captured it have been submitted.
+// InsertTake is Insert, but also hands back the evicted page's data (nil if
+// nothing was evicted). The cache no longer references it, so the caller may
+// recycle it if it is a buffer of the caller's own, not a device's shared
+// page image — but only after any disk writes that reference it have been
+// submitted.
 func (c *Cache) InsertTake(page int64, data []byte) (evicted int64, evictedData []byte) {
 	evicted = -1
 	if fi := c.lookup(page); fi != nilIdx {
