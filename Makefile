@@ -66,9 +66,8 @@ alloc-budget:
 	$(GO) test -run AllocBudget ./...
 
 # All 64 subsets of the request-path features and ablations (absorb,
-# tiering, MVCC, no-in-place, shared-everything, commit log): 48 against a
-# map model through a stop/reopen/recover cycle (DESIGN.md §16), and the 16
-# with MVCC x commit log asserted rejected.
+# tiering, MVCC, no-in-place, shared-everything, commit log) against a map
+# model through a stop/reopen/recover cycle (DESIGN.md §16).
 feature-matrix:
 	$(GO) test -run TestFeatureMatrix -count=1 ./internal/core
 

@@ -50,9 +50,10 @@ type Config struct {
 	// makes manifest-free recovery possible).
 	WorkerRegionPages int64
 
-	// WithCommitLog enables the ablation variant that appends every
-	// update to a per-worker sequential commit log before writing it to
-	// its final location, to measure what §4.4 avoids.
+	// WithCommitLog enables the ablation variant that measures what §4.4
+	// avoids: every page write of a shard — items, tombstones, MVCC
+	// intents and flips — is also appended to the shard's sequential log
+	// region, and completes only once both copies are durable (logDisk).
 	WithCommitLog bool
 
 	// NoInPlaceUpdates enables the §5.6 variant for drives that cannot
@@ -112,12 +113,12 @@ type Config struct {
 	// slot. Snapshot guarantees therefore cover keys written through the
 	// transaction operations. Single-version reads stay on the
 	// zero-allocation path (the table probe misses and the read proceeds
-	// exactly as before, plus the envelope header strip). Incompatible
-	// only with WithCommitLog, which logs plain updates only. Write
-	// absorption composes (absorbed plain writes are wrapped when the group
-	// commit flushes them; transaction operations bypass the buffer), and so
-	// do tiering (see TieredHotBytes) and SharedEverything (the version
-	// table is per-shard state).
+	// exactly as before, plus the envelope header strip). Every other
+	// option composes: write absorption (absorbed plain writes are wrapped
+	// when the group commit flushes them; transaction operations bypass the
+	// buffer), tiering (see TieredHotBytes), SharedEverything (the version
+	// table is per-shard state) and WithCommitLog (intent and flip writes
+	// are logged like any other page write).
 	MVCC bool
 }
 
@@ -159,9 +160,6 @@ func (c *Config) validate() error {
 	}
 	if c.TieredHotBytes > 0 && c.TieredPromoteAfter <= 0 {
 		c.TieredPromoteAfter = 2
-	}
-	if c.MVCC && c.WithCommitLog {
-		return fmt.Errorf("core: MVCC is incompatible with the commit-log ablation")
 	}
 	return nil
 }

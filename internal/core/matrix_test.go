@@ -15,9 +15,7 @@ import (
 )
 
 // matrixFeatures are the request-path features and the ablations that
-// reshape it. The one pair Config.validate rejects is MVCC × the commit-log
-// ablation (which logs plain updates only); every other subset must behave
-// like a map.
+// reshape it. Every subset must behave like a map.
 var matrixFeatures = []struct {
 	name string
 	set  func(*Config)
@@ -30,7 +28,7 @@ var matrixFeatures = []struct {
 	{"commitlog", func(c *Config) { c.WithCommitLog = true }},
 }
 
-// TestFeatureMatrix runs, for every legal subset of {absorb, tiered, MVCC,
+// TestFeatureMatrix runs, for every subset of {absorb, tiered, MVCC,
 // no-in-place, shared-everything, commit log}, a seeded
 // get/update/delete/RMW/scan workload with size-class-hopping values against
 // a map model on a page cache far smaller than the data, then stops, reopens
@@ -58,16 +56,8 @@ func TestFeatureMatrix(t *testing.T) {
 				}
 			}
 		}
-		absorb, tiered, versioned, shared, commitLog := on[0], on[1], on[2], on[4], on[5]
+		absorb, tiered, versioned, shared := on[0], on[1], on[2], on[4]
 		t.Run(name, func(t *testing.T) {
-			if versioned && commitLog {
-				cfg := DefaultConfig(device.NewRealDisk(device.NewMemStore(), 1, false))
-				configure(&cfg)
-				if err := cfg.validate(); err == nil {
-					t.Fatal("validate accepted MVCC × the commit-log ablation")
-				}
-				return
-			}
 			m := &matrixRun{t: t, rng: rand.New(rand.NewSource(int64(mask) + 1)), model: map[int64][]byte{}, versioned: versioned}
 			st, ms := simHarness(t, configure, m.workload)
 			stats := st.Stats()

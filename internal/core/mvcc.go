@@ -486,11 +486,24 @@ func (w *worker) txnRollback(c env.Ctx, r *kv.Request, out *[]*aio.IO) {
 		w.indexPut(c, r.Key, location(ks.Versions[0].Loc))
 	} else {
 		w.indexDelete(c, r.Key)
-		w.mv.Delete(r.Key) // recycles ks
+		w.tableDelete(r.Key) // recycles ks
 	}
 	o := w.getRec(r)
 	o.res = kv.Result{Found: true, Txn: kv.TxnOK}
 	w.freeSlot(c, intent, o, out)
+}
+
+// tableDelete removes key from the version table. With tiering on it also
+// stamps the key on the hot tier's write clock (the key is never resident
+// there, so that is all Invalidate does): a Get that started while the key
+// was in the table may have read a version a commit has since superseded,
+// and once the table no longer names the key, only the stamp keeps
+// hotAdmit from admitting it.
+func (w *worker) tableDelete(key []byte) {
+	if w.hot != nil {
+		w.hot.Invalidate(key)
+	}
+	w.mv.Delete(key)
 }
 
 // txnGC trims versions no snapshot at or above watermark r.TS can read.
@@ -570,7 +583,7 @@ func (w *worker) gcPass(c env.Ctx, g *gcState, out *[]*aio.IO) {
 			w.freeSlot(c, location(ks.Versions[0].Loc), g, out)
 			n++
 		}
-		w.mv.Delete(ks.Key())
+		w.tableDelete(ks.Key())
 	}
 	c.CPU(env.Time(visited) * costs.IterStep)
 	g.freed += n

@@ -605,15 +605,6 @@ func TestMVCCAbsorbRMWOnDeletedKey(t *testing.T) {
 	}
 }
 
-func TestMVCCConfigRejectsIncompatibleVariants(t *testing.T) {
-	cfg := DefaultConfig(device.NewRealDisk(device.NewMemStore(), 1, false))
-	cfg.MVCC = true
-	cfg.WithCommitLog = true
-	if err := cfg.validate(); err == nil {
-		t.Fatal("validate accepted MVCC with the commit-log ablation")
-	}
-}
-
 // TestAllocBudgetMVCCRead pins the single-version MVCC read path (version
 // table miss, warm page cache) at zero allocations per operation — the
 // tentpole's "single-version reads stay on the 0-alloc path" requirement.

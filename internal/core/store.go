@@ -70,6 +70,10 @@ func Open(e env.Env, cfg Config) (*Store, error) {
 		disk := cfg.Disks[i%d]
 		ordinal := int64(i / d)
 		base := ordinal * cfg.WorkerRegionPages
+		if cfg.WithCommitLog {
+			// The region's last class-sized share is the shard's log.
+			disk = &logDisk{Disk: disk, base: base + int64(len(slab.DefaultClasses))*perClass, pages: perClass, mu: e.NewMutex()}
+		}
 		w := &worker{
 			st:           s,
 			id:           i,
@@ -93,8 +97,6 @@ func Open(e env.Env, cfg Config) (*Store, error) {
 			alloc := device.NewAllocator(base + int64(ci)*perClass)
 			w.slabs = append(w.slabs, slab.New(ci, stride, alloc, extentPages, freelistHeads))
 		}
-		w.logBase = base + int64(len(slab.DefaultClasses))*perClass
-		w.logPages = perClass
 		if cfg.MVCC {
 			w.mv = mvcc.NewTable()
 		}
@@ -116,6 +118,84 @@ func Open(e env.Env, cfg Config) (*Store, error) {
 		s.workers = append(s.workers, w)
 	}
 	return s, nil
+}
+
+// logDisk is the §4.4 commit-log ablation (Config.WithCommitLog), what
+// KVell's design leaves out: a shard's disk whose Submit first appends every
+// page write — an item, a tombstone, an MVCC intent or flip alike — to the
+// next pages of the shard's log region, and completes the write only once
+// both are durable. The region is reused from its start when full. Reads
+// pass through.
+type logDisk struct {
+	device.Disk
+	base, pages int64 // the log region
+	next        int64 // the region's next page, relative to base
+	// mu guards next, free and the records' counts: a RealDisk completes the
+	// two writes of one record on two executors.
+	mu   env.Mutex
+	free []*logJoin
+}
+
+// logJoin is one page write and its log append in flight: r is the
+// caller's request, done its completion, run when the later of the two
+// writes completes. fn is bound once, to arrive, so a write builds no
+// closure.
+type logJoin struct {
+	d    *logDisk
+	r    *device.Request
+	done func()
+	left int
+	log  device.Request
+	fn   func()
+}
+
+func (d *logDisk) Submit(r *device.Request) {
+	if r.Op != device.Write {
+		d.Disk.Submit(r)
+		return
+	}
+	n := int64(len(r.Buf) / device.PageSize)
+	d.mu.Lock(nil)
+	var j *logJoin
+	if k := len(d.free); k > 0 {
+		j = d.free[k-1]
+		d.free = d.free[:k-1]
+	} else {
+		j = &logJoin{d: d}
+		j.fn = j.arrive
+	}
+	if d.next+n > d.pages {
+		d.next = 0
+	}
+	page := d.base + d.next
+	d.next += n
+	d.mu.Unlock(nil)
+	j.r, j.done, j.left = r, r.Done, 2
+	j.log = device.Request{Op: device.Write, Page: page, Buf: r.Buf, Done: j.fn, Trace: r.Trace, Enqueued: r.Enqueued}
+	r.Done = j.fn
+	d.Disk.Submit(&j.log)
+	d.Disk.Submit(r)
+}
+
+// arrive counts one of j's writes complete. At the second, the caller's
+// request gets its Done back and the later completion time, j is recycled,
+// and the caller's completion runs.
+func (j *logJoin) arrive() {
+	d := j.d
+	d.mu.Lock(nil)
+	j.left--
+	var done func()
+	if j.left == 0 {
+		r := j.r
+		r.Done, done = j.done, j.done
+		r.Completed = max(r.Completed, j.log.Completed)
+		*j = logJoin{d: d, fn: j.fn}
+		d.free = append(d.free, j)
+	}
+	d.mu.Unlock(nil)
+	if done != nil {
+		done()
+	}
 }
 
 // Shards returns the number of shards the key space is split into: one per

@@ -17,13 +17,16 @@ import (
 // A key with a buffered write is always served from the absorb buffer, so
 // the hot cache can never be asked for a value that is fresher in memory;
 // every durable write passes through update or remove, where the cached
-// copy is refreshed or dropped before the slab I/O is issued. Transaction
-// writes (MVCC) bypass update and remove, so a key in the version table is
-// never in the hot tier: its prewrite drops the cached record, reads of it
-// skip hotGet, and finishRead admits only keys with no table entry. The
-// cache is a pure read accelerator — the disk stays authoritative, so crash
-// recovery is byte-for-byte the untiered scan. Everything below is gated on
-// w.hot, keeping tiering-off schedules bit-identical.
+// copy is refreshed or dropped before the slab I/O is issued, and the write
+// is stamped on the hot tier's write clock whether the key is resident or
+// not: a cold read in flight across it never admits what it read (hotAdmit).
+// Transaction writes (MVCC) bypass update and remove, so a key in the
+// version table is never in the hot tier: its prewrite drops the cached
+// record (and stamps it), reads of it skip hotGet, and finishRead admits
+// only keys with no table entry. The cache is a pure read accelerator — the
+// disk stays authoritative, so crash recovery is byte-for-byte the untiered
+// scan. Everything below is gated on w.hot, keeping tiering-off schedules
+// bit-identical.
 
 // hotGet serves an OpGet from the hot tier. Returns false on a miss (the
 // request then takes the normal index/page-cache path); the miss itself is
@@ -44,11 +47,17 @@ func (w *worker) hotGet(c env.Ctx, r *kv.Request) bool {
 	return true
 }
 
-// hotAdmit offers a value that just came off the cold path to the hot tier.
-// Call before responding: key and val are backed by request-owned buffers
-// that may be recycled by Done.
-func (w *worker) hotAdmit(c env.Ctx, key, val []byte) {
+// hotAdmit offers a value that just came off the cold path to the hot tier,
+// unless the key was written after the read started, at write clock since:
+// the write-through of a key that was not resident is a no-op, so the value
+// read may predate it, and admitting it would serve it from then on. Call
+// before responding: key and val are backed by request-owned buffers that
+// may be recycled by Done.
+func (w *worker) hotAdmit(c env.Ctx, key, val []byte, since uint64) {
 	c.CPU(costs.HashLookup)
+	if w.hot.WrittenSince(key, since) {
+		return
+	}
 	promoted, demoted := w.hot.Admit(key, val, c.Now())
 	tc := trace.FromCtx(c)
 	if promoted {

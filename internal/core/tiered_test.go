@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"kvell/internal/device"
 	"kvell/internal/env"
 	"kvell/internal/kv"
 )
@@ -98,54 +99,110 @@ func TestTieredWithAbsorb(t *testing.T) {
 }
 
 // TestTieredMVCCCoherence pins the tier/table invariant: a key in the MVCC
-// version table is never in the hot tier. A transaction deletes, or
-// overwrites, a key that is either resident in the hot tier or being read
-// from the device by a plain Get issued right behind the prewrite; once the
-// transaction has committed and GC has dropped the key from the table, a
-// plain Get must return the transaction's outcome, not a value the tier held
-// or took in before the commit.
+// version table is never in the hot tier, and a read admits nothing written
+// while it was in flight. A transaction deletes, or overwrites, a key that
+// is resident in the hot tier, or being read from the device by a plain Get
+// that is
+//   - racing-get: issued right behind the prewrite (it joins the
+//     prewrite's read and completes with the key in the table);
+//   - get-past-gc: issued before the prewrite, its read completing only
+//     after the commit and GC (a plain Delete between the two lets the
+//     prewrite take a fresh slot instead of joining the Get's read);
+//   - get-under-intent: issued while the intent is pending, its read of the
+//     old version completing only after the commit and the GC that drops
+//     the key from the table.
+//
+// Once the transaction has committed and GC has dropped the key from the
+// table, a plain Get must return the transaction's outcome, not a value the
+// tier held or took in before the commit.
 func TestTieredMVCCCoherence(t *testing.T) {
-	cfg := func(c *Config) {
-		tieredCfg(c)
-		c.TieredPromoteAfter = 1
-		c.MVCC = true
-		c.Workers = 1
-		c.PageCachePages = 2
-	}
 	for _, del := range []bool{true, false} {
-		for _, resident := range []bool{true, false} {
-			name := map[bool]string{true: "delete", false: "overwrite"}[del] +
-				map[bool]string{true: "/resident", false: "/racing-get"}[resident]
+		for _, mode := range []string{"resident", "racing-get", "get-past-gc", "get-under-intent"} {
+			name := map[bool]string{true: "delete", false: "overwrite"}[del] + "/" + mode
 			t.Run(name, func(t *testing.T) {
+				gate := &gateDisk{}
+				cfg := func(c *Config) {
+					tieredCfg(c)
+					c.TieredPromoteAfter = 1
+					c.MVCC = true
+					c.Workers = 1
+					c.PageCachePages = 2
+					gate.Disk = c.Disks[0]
+					c.Disks = []device.Disk{gate}
+				}
 				simHarness(t, cfg, func(c env.Ctx, st *Store) {
 					k, old, val := kv.Key(7), kv.Value(7, 1, 300), kv.Value(7, 2, 300)
 					if del {
 						val = nil
 					}
+					// A read of k while it is absent leaves a miss on its
+					// ghost counter and admits nothing, so any later read of
+					// k promotes at completion — a Get of a table key skips
+					// the tier and leaves no miss of its own.
+					if _, ok := st.Get(c, k); ok {
+						t.Fatal("k found before its put")
+					}
 					st.Put(c, k, old)
-					if resident {
-						st.Get(c, k)
-					} else {
-						// Push k's page out of the page cache, so the Get
-						// behind the prewrite joins the prewrite's device read
-						// and completes after the key has entered the table.
+					// Push k's page out of the page cache, so a Get of k
+					// reads it from the device.
+					pushOut := func() {
 						for i := int64(100); i < 150; i++ {
 							st.Put(c, kv.Key(i), kv.Value(i, 1, 300))
 						}
 					}
+					resident := mode == "resident"
+					if resident {
+						st.Get(c, k)
+					} else {
+						pushOut()
+					}
 					if got := st.workerFor(k).hot.Contains(k); got != resident {
 						t.Fatalf("k resident in the hot tier = %v, want %v", got, resident)
 					}
-					start := st.NextTS(c)
-					res := burst(c, st, []*kv.Request{
-						{Op: kv.OpTxnPrewrite, Key: k, Value: val, TS: start, Aux: k, Del: del},
-						{Op: kv.OpGet, Key: k},
-					})
-					if res[0].Txn != kv.TxnOK {
-						t.Fatalf("prewrite: txn status %d", res[0].Txn)
+					w := st.workerFor(k)
+					v, _ := st.LookupLoc(k)
+					l := location(v)
+					gate.page = w.slabs[l.class()].SlotPage(l.slot())
+
+					// early are requests whose reads of k's old page the gate
+					// holds until the transaction has been collected.
+					var early []kv.Result
+					done := env.NewLatch(st.env)
+					submitEarly := func(reqs ...*kv.Request) {
+						done.Add(c, len(reqs))
+						for _, r := range reqs {
+							i := len(early)
+							early = append(early, kv.Result{})
+							r.Done = func(res kv.Result) { early[i] = res; done.Done(nil) }
+							st.Submit(c, r)
+						}
 					}
-					if !res[1].Found || !bytes.Equal(res[1].Value, old) {
-						t.Fatalf("Get under the pending intent: found=%v, want the committed value", res[1].Found)
+					if mode == "get-past-gc" {
+						// The Delete's tombstone joins the Get's held read, and
+						// the transaction below needs no read of that page.
+						gate.shut = true
+						submitEarly(&kv.Request{Op: kv.OpGet, Key: k}, &kv.Request{Op: kv.OpDelete, Key: k})
+					}
+					start := st.NextTS(c)
+					prewrite := &kv.Request{Op: kv.OpTxnPrewrite, Key: k, Value: val, TS: start, Aux: k, Del: del}
+					if mode == "racing-get" {
+						// The Get behind the prewrite joins the prewrite's
+						// device read and completes after the key has entered
+						// the table.
+						res := burst(c, st, []*kv.Request{prewrite, {Op: kv.OpGet, Key: k}})
+						if !res[1].Found || !bytes.Equal(res[1].Value, old) {
+							t.Fatalf("Get under the pending intent: found=%v, want the committed value", res[1].Found)
+						}
+						if res[0].Txn != kv.TxnOK {
+							t.Fatalf("prewrite: txn status %d", res[0].Txn)
+						}
+					} else if res := st.Do(c, prewrite); res.Txn != kv.TxnOK {
+						t.Fatalf("prewrite: txn status %d", res.Txn)
+					}
+					if mode == "get-under-intent" {
+						pushOut() // the prewrite read k's old page back in
+						gate.shut = true
+						submitEarly(&kv.Request{Op: kv.OpGet, Key: k})
 					}
 					for {
 						res := st.Do(c, &kv.Request{Op: kv.OpTxnCommit, Key: k, TS: start, TS2: st.NextTS(c)})
@@ -156,7 +213,25 @@ func TestTieredMVCCCoherence(t *testing.T) {
 							t.Fatalf("commit: txn status %d", res.Txn)
 						}
 					}
-					st.GC(c, st.SnapshotTS())
+					if len(early) == 0 {
+						st.GC(c, st.SnapshotTS())
+					} else {
+						// The collection frees k's old slot, whose tombstone
+						// joins the held read: it cannot finish before the
+						// gate opens, but drops k from the table at once.
+						submitEarly(&kv.Request{Op: kv.OpTxnGC, TS: st.SnapshotTS()})
+						for i := 0; st.Stats().MVCCKeys != 0; i++ {
+							if i == 1000 {
+								t.Fatal("GC never dropped k from the version table")
+							}
+							c.Sleep(env.Microsecond)
+						}
+						gate.open()
+						done.Wait(c)
+						if !early[0].Found || !bytes.Equal(early[0].Value, old) {
+							t.Fatalf("Get issued before the commit: found=%v, want the old value", early[0].Found)
+						}
+					}
 					if n := st.Stats().MVCCKeys; n != 0 {
 						t.Fatalf("MVCCKeys = %d after GC, want 0", n)
 					}
@@ -168,6 +243,31 @@ func TestTieredMVCCCoherence(t *testing.T) {
 			})
 		}
 	}
+}
+
+// gateDisk holds back the reads of one page submitted while it is shut,
+// until open.
+type gateDisk struct {
+	device.Disk
+	page int64
+	shut bool
+	held []*device.Request
+}
+
+func (d *gateDisk) Submit(r *device.Request) {
+	if d.shut && r.Op == device.Read && r.Page == d.page {
+		d.held = append(d.held, r)
+		return
+	}
+	d.Disk.Submit(r)
+}
+
+func (d *gateDisk) open() {
+	d.shut = false
+	for _, r := range d.held {
+		d.Disk.Submit(r)
+	}
+	d.held = nil
 }
 
 func TestTieredDefaults(t *testing.T) {

@@ -18,7 +18,7 @@ import (
 // context when the I/O completes, and the durability callback (done) the
 // slab layer takes. It may emit follow-up I/Os; io is nil when it runs other
 // than as an I/O's completion. Every implementation is a pooled record wired
-// once (*pendingRead, *opRec, *logPort, *absorbEntry), never a closure:
+// once (*pendingRead, *opRec, *absorbEntry), never a closure:
 // storing a pooled pointer in an interface or a tag allocates nothing.
 type cont interface {
 	complete(c env.Ctx, io *aio.IO, out *[]*aio.IO)
@@ -133,8 +133,8 @@ func (pr *pendingRead) complete(c env.Ctx, io *aio.IO, out *[]*aio.IO) {
 // or hands on to next instead (an absorb entry's group ack); on the way it
 // tombstones the slot a moved write left (l, free), releases the envelope
 // buffer (env) and publishes a flipped intent (ks). The same record is a
-// read's slotReader, continuing at step. Records are pooled by the worker
-// and wired once (log), so a request in flight allocates nothing.
+// read's slotReader, continuing at step. Records are pooled by the worker,
+// so a request in flight allocates nothing.
 type opRec struct {
 	w    *worker
 	step opStep
@@ -144,14 +144,13 @@ type opRec struct {
 	l    location // the slot a read continues from; a moved write's old slot
 	free bool     // tombstone l once the new slot is durable
 	env  []byte
-	// waits counts the completions still due: the write's own, and the
-	// commit-log append's in that ablation.
-	waits int
-	log   logPort
 	// ks is the key whose lock an intent flip publishes, as a version at
 	// commit timestamp res.TxnTS.
 	ks    *mvcc.KeyState
 	depth int // stepWalk: chain hops so far
+	// since is the hot tier's write clock when the request started (stepGet
+	// with tiering on; see hotAdmit).
+	since uint64
 }
 
 // opStep says how a record continues from a slot read.
@@ -165,11 +164,6 @@ const (
 	stepOutcome                // outcomeRead: the indexed envelope of a settled key
 )
 
-// logPort is a record's second completion: its commit-log append's.
-type logPort struct{ o *opRec }
-
-func (p *logPort) complete(c env.Ctx, _ *aio.IO, out *[]*aio.IO) { p.o.arrive(c, out) }
-
 // getRec takes a record for r off the worker's free list, or builds one.
 func (w *worker) getRec(r *kv.Request) *opRec {
 	var o *opRec
@@ -178,36 +172,25 @@ func (w *worker) getRec(r *kv.Request) *opRec {
 		w.recFree = w.recFree[:n-1]
 	} else {
 		o = &opRec{w: w}
-		o.log.o = o
 	}
-	o.r, o.waits = r, 1
+	o.r = r
 	return o
 }
 
 func (w *worker) putRec(o *opRec) {
-	*o = opRec{w: w, log: o.log}
+	*o = opRec{w: w}
 	w.recFree = append(w.recFree, o)
 }
 
-// complete is the durability continuation of the write o tracks. A moved
-// item is durable in its new slot, so its old one is tombstoned now (§5.2:
-// write the new slot first, then delete the old one).
+// complete is the durability continuation of the write o tracks: the
+// record is recycled and the request answered. A moved item is durable in
+// its new slot, so its old one is tombstoned first (§5.2: write the new slot
+// first, then delete the old one).
 func (o *opRec) complete(c env.Ctx, _ *aio.IO, out *[]*aio.IO) {
-	if o.free {
-		o.free = false
-		o.w.freeSlot(c, o.l, nil, out)
-	}
-	o.arrive(c, out)
-}
-
-// arrive counts one completion; at the last the record is recycled and the
-// request answered.
-func (o *opRec) arrive(c env.Ctx, out *[]*aio.IO) {
-	o.waits--
-	if o.waits > 0 {
-		return
-	}
 	w, r, res, next := o.w, o.r, o.res, o.next
+	if o.free {
+		w.freeSlot(c, o.l, nil, out)
+	}
 	if o.env != nil {
 		w.releaseEnv(o.env)
 	}
@@ -227,11 +210,11 @@ func (o *opRec) arrive(c env.Ctx, out *[]*aio.IO) {
 // slot is a record's read continuation (see slotReader): the record is
 // recycled, then the request continues at its step.
 func (o *opRec) slot(c env.Ctx, payload []byte, out *[]*aio.IO) {
-	w, r, step, l, res, depth := o.w, o.r, o.step, o.l, o.res, o.depth
+	w, r, step, l, res, depth, since := o.w, o.r, o.step, o.l, o.res, o.depth, o.since
 	w.putRec(o)
 	switch step {
 	case stepGet:
-		w.finishRead(c, r, l, payload, out)
+		w.finishRead(c, r, l, since, payload, out)
 	case stepVersion:
 		w.versionRead(c, r, payload, res.Txn)
 	case stepWalk:
@@ -287,10 +270,6 @@ type worker struct {
 	prFree  []*pendingRead
 	ioFree  []*aio.IO
 	recFree []*opRec
-
-	// commit-log ablation state
-	logBase, logPages int64
-	logCursor         int64
 
 	// Write-absorption front end (nil when disabled). absorbMu guards the
 	// interval and the stopped flag, which the per-worker tick proc reads;
@@ -590,6 +569,10 @@ func (w *worker) start(c env.Ctx, r *kv.Request, out *[]*aio.IO) {
 	switch r.Op {
 	case kv.OpGet, kv.OpRMW:
 		// Both read the key's current value; an RMW then writes (YCSB F).
+		var since uint64
+		if w.hot != nil {
+			since = w.hot.Clock()
+		}
 		ks, l, ok := w.newestCommitted(r.Key)
 		if ks == nil {
 			// The hot tier is probed after the absorb buffer (whose copy is
@@ -604,11 +587,11 @@ func (w *worker) start(c env.Ctx, r *kv.Request, out *[]*aio.IO) {
 			return
 		}
 		if payload, hit := w.cachedSlot(c, l, r.Key); hit {
-			w.finishRead(c, r, l, payload, out)
+			w.finishRead(c, r, l, since, payload, out)
 			return
 		}
 		o := w.getRec(r)
-		o.step, o.l = stepGet, l
+		o.step, o.l, o.since = stepGet, l, since
 		w.fetchSlot(c, l, r.Key, o, out)
 	case kv.OpUpdate:
 		w.update(c, r.Key, r.Value, w.ackFound(r), out)
@@ -622,8 +605,9 @@ func (w *worker) start(c env.Ctx, r *kv.Request, out *[]*aio.IO) {
 }
 
 // finishRead completes the read stage of a Get or RMW with the payload of
-// the key's current slot.
-func (w *worker) finishRead(c env.Ctx, r *kv.Request, l location, payload []byte, out *[]*aio.IO) {
+// the key's current slot; since is the hot tier's write clock when the
+// request started.
+func (w *worker) finishRead(c env.Ctx, r *kv.Request, l location, since uint64, payload []byte, out *[]*aio.IO) {
 	val, ok := w.committedValue(c, payload)
 	if !ok {
 		w.respond(c, r, kv.Result{})
@@ -634,7 +618,7 @@ func (w *worker) finishRead(c env.Ctx, r *kv.Request, l location, payload []byte
 		// Multi-page items bypass the hot tier like they bypass the page
 		// cache, and so do keys in the version table (see prewriteLocked).
 		if w.hot != nil && !w.slabs[l.class()].MultiPage() && (w.mv == nil || w.mv.Get(r.Key) == nil) {
-			w.hotAdmit(c, r.Key, val)
+			w.hotAdmit(c, r.Key, val, since)
 		}
 		w.respond(c, r, kv.Result{Found: true, Value: val})
 		return
@@ -781,9 +765,6 @@ func (w *worker) update(c env.Ctx, key, value []byte, o *opRec, out *[]*aio.IO) 
 	old, exists := w.lookup(c, key)
 	ts := w.nextTS()
 	c.CPU(costs.MemBytes(len(key) + len(payload))) // marshal into page image
-	if w.st.cfg.WithCommitLog {
-		w.commitLog(c, len(key)+len(payload), o, out)
-	}
 	sl := w.slabs[cls]
 	// In-place update (same class, sub-page item). Skipped in the
 	// NoInPlaceUpdates variant (§5.6): drives that cannot write a 4KB page
@@ -835,17 +816,4 @@ func (w *worker) remove(c env.Ctx, key []byte, o *opRec, out *[]*aio.IO) bool {
 	w.indexDelete(c, key)
 	w.freeSlot(c, l, o, out)
 	return true
-}
-
-// commitLog makes o also wait for a sequential commit-log append (the §4.4
-// ablation: what KVell's design avoids).
-func (w *worker) commitLog(c env.Ctx, recBytes int, o *opRec, out *[]*aio.IO) {
-	c.CPU(costs.WALBytes(recBytes))
-	o.waits++
-	page := w.logBase + w.logCursor%w.logPages
-	w.logCursor++
-	// One-shot log page image, recyclable once the batch submits.
-	buf := w.zeroPageBuf()
-	w.writePage(c, page, buf, &o.log, out)
-	w.hold(-1, buf)
 }

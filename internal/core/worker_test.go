@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"kvell/internal/device"
@@ -104,9 +106,207 @@ func TestCommitLogVariantDoublesWrites(t *testing.T) {
 		return w
 	}
 	plain, logged := writeOps(false), writeOps(true)
-	if logged < plain+150 {
-		t.Fatalf("commit-log variant wrote %d pages vs %d plain; log writes missing", logged, plain)
+	if logged != 2*plain {
+		t.Fatalf("commit-log variant wrote %d pages vs %d plain, want exactly twice", logged, plain)
 	}
+}
+
+// recDisk records the writes that reach the disk below a shard's logDisk,
+// and whether each has completed. It holds each log append back until the
+// data write after it is submitted: on a one-channel disk the append then
+// completes last, so a write acknowledged on its data write alone shows.
+type recDisk struct {
+	device.Disk
+	held   *device.Request
+	writes []*recWrite
+}
+
+type recWrite struct {
+	page int64
+	buf  []byte
+	done bool
+}
+
+func (d *recDisk) Submit(r *device.Request) {
+	if r.Op != device.Write {
+		d.Disk.Submit(r)
+		return
+	}
+	w := &recWrite{page: r.Page, buf: r.Buf}
+	d.writes = append(d.writes, w)
+	done := r.Done
+	r.Done = func() { w.done = true; done() }
+	if d.held == nil {
+		d.held = r
+		return
+	}
+	d.Disk.Submit(r)
+	d.Disk.Submit(d.held)
+	d.held = nil
+}
+
+// pairs checks that the writes come as (log append, data write) pairs: the
+// append inside the shard's log region, the data write outside it, both of
+// the same bytes. It returns the number of pairs.
+func (d *recDisk) pairs(t *testing.T, ld *logDisk) int {
+	t.Helper()
+	in := func(p int64) bool { return p >= ld.base && p < ld.base+ld.pages }
+	if len(d.writes)%2 != 0 {
+		t.Fatalf("%d writes reached the disk, not a whole number of pairs", len(d.writes))
+	}
+	for i := 0; i < len(d.writes); i += 2 {
+		lw, dw := d.writes[i], d.writes[i+1]
+		if !in(lw.page) || in(dw.page) {
+			t.Fatalf("pair %d: log append at page %d, data write at page %d; log region [%d, %d)",
+				i/2, lw.page, dw.page, ld.base, ld.base+ld.pages)
+		}
+		if len(lw.buf) != len(dw.buf) || &lw.buf[0] != &dw.buf[0] {
+			t.Fatalf("pair %d: the log append does not carry the data write's bytes", i/2)
+		}
+	}
+	return len(d.writes) / 2
+}
+
+// logHarness runs fn on a one-shard store with the commit log on, over a
+// one-channel disk seen through a recDisk.
+func logHarness(t *testing.T, mvcc bool, fn func(c env.Ctx, st *Store, rd *recDisk)) {
+	t.Helper()
+	s := sim.New(1)
+	e := sim.NewEnv(s, 8)
+	prof := device.Optane()
+	prof.Channels = 1
+	rd := &recDisk{Disk: device.NewSimDisk(s, prof, nil)}
+	cfg := DefaultConfig(rd)
+	cfg.Workers = 1
+	cfg.WithCommitLog = true
+	cfg.MVCC = mvcc
+	st, err := Open(e, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Start()
+	e.Go("client", func(c env.Ctx) {
+		fn(c, st, rd)
+		st.Stop(c)
+	})
+	if err := s.Run(-1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rd.pairs(t, st.workers[0].dev.(*logDisk))
+}
+
+// Every page write — items, tombstones — gets one log append of the same
+// bytes in the shard's log region, and a put is acknowledged only once both
+// writes have completed.
+func TestCommitLogDiskLogsEveryWrite(t *testing.T) {
+	logHarness(t, false, func(c env.Ctx, st *Store, rd *recDisk) {
+		ld := st.workers[0].dev.(*logDisk)
+		put := func(i int64, ver uint64, size int) {
+			all := env.NewLatch(st.env)
+			all.Add(c, 1)
+			st.Submit(c, &kv.Request{Op: kv.OpUpdate, Key: kv.Key(i), Value: kv.Value(i, ver, size), Done: func(kv.Result) {
+				for j, w := range rd.writes {
+					if !w.done {
+						t.Errorf("put %d (v%d) acknowledged before write %d (page %d) completed", i, ver, j, w.page)
+					}
+				}
+				all.Done(nil)
+			}})
+			all.Wait(c)
+		}
+		for i := int64(0); i < 40; i++ {
+			put(i, 1, 300) // appends
+		}
+		for i := int64(0); i < 40; i += 3 {
+			put(i, 2, 300) // in-place updates
+		}
+		n := rd.pairs(t, ld)
+		if n < 40+14 {
+			t.Fatalf("%d logged writes for 54 puts", n)
+		}
+		// Moves and deletes write tombstones, which are logged too.
+		for i := int64(0); i < 40; i += 5 {
+			st.Put(c, kv.Key(i), kv.Value(i, 3, 3000))
+			st.Delete(c, kv.Key(i+1))
+		}
+		if got := rd.pairs(t, ld) - n; got < 3*8 {
+			t.Fatalf("%d logged writes for 8 moves and 8 deletes, want at least %d", got, 3*8)
+		}
+	})
+}
+
+// Over a RealDisk the two writes of one record complete on two executors at
+// once; each caller's Done still runs exactly once, after both, and the log
+// region wraps.
+func TestCommitLogDiskOverRealDisk(t *testing.T) {
+	ms := device.NewMemStore()
+	rd := device.NewRealDisk(ms, 4, false)
+	defer rd.Close()
+	ld := &logDisk{Disk: rd, base: 1000, pages: 8, mu: env.NewReal().NewMutex()}
+	fill := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, device.PageSize) }
+	var wg sync.WaitGroup
+	var dones atomic.Int32
+	reqs := make([]device.Request, 64)
+	for i := range reqs {
+		wg.Add(1)
+		reqs[i] = device.Request{Op: device.Write, Page: int64(i), Buf: fill(i), Done: func() { dones.Add(1); wg.Done() }}
+		ld.Submit(&reqs[i])
+	}
+	wg.Wait()
+	if n := dones.Load(); n != 64 {
+		t.Fatalf("%d completions for 64 writes", n)
+	}
+	if c := rd.Counters(); c.WriteOps != 128 {
+		t.Fatalf("%d device writes for 64 logged writes, want 128", c.WriteOps)
+	}
+	buf := make([]byte, device.PageSize)
+	for i := range reqs {
+		if err := ms.ReadPages(int64(i), buf); err != nil || !bytes.Equal(buf, fill(i)) {
+			t.Fatalf("data page %d does not hold its write (err %v)", i, err)
+		}
+	}
+	// Writes to one page run in submission order, so each log page holds
+	// the last of the eight rounds that wrote it.
+	for k := 0; k < 8; k++ {
+		if err := ms.ReadPages(1000+int64(k), buf); err != nil || !bytes.Equal(buf, fill(56+k)) {
+			t.Fatalf("log page %d does not hold write %d (err %v)", k, 56+k, err)
+		}
+	}
+}
+
+// Under MVCC the intent a prewrite writes and the flip a commit writes are
+// logged like any other page write.
+func TestCommitLogDiskLogsIntentsAndFlips(t *testing.T) {
+	logHarness(t, true, func(c env.Ctx, st *Store, rd *recDisk) {
+		ld := st.workers[0].dev.(*logDisk)
+		key := kv.Key(5)
+		st.Put(c, key, kv.Value(5, 1, 200))
+		n := rd.pairs(t, ld)
+		start := st.NextTS(c)
+		if res := st.Do(c, &kv.Request{Op: kv.OpTxnPrewrite, Key: key, Value: kv.Value(5, 2, 200), TS: start, Aux: key}); res.Txn != kv.TxnOK {
+			t.Fatalf("prewrite: txn status %d", res.Txn)
+		}
+		intents := rd.pairs(t, ld) - n
+		for {
+			res := st.Do(c, &kv.Request{Op: kv.OpTxnCommit, Key: key, TS: start, TS2: st.NextTS(c)})
+			if res.Txn == kv.TxnOK {
+				break
+			}
+			if res.Txn != kv.TxnRetry {
+				t.Fatalf("commit: txn status %d", res.Txn)
+			}
+		}
+		flips := rd.pairs(t, ld) - n - intents
+		if intents < 1 || flips < 1 {
+			t.Fatalf("logged %d intent writes and %d flip writes, want at least one of each", intents, flips)
+		}
+		if v, ok := st.Get(c, key); !ok || !bytes.Equal(v, kv.Value(5, 2, 200)) {
+			t.Fatalf("Get after the commit: found=%v", ok)
+		}
+	})
 }
 
 func TestHashCacheIndexVariantWorks(t *testing.T) {

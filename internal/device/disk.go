@@ -27,9 +27,10 @@ const (
 type Request struct {
 	Op   Op
 	Page int64 // first page
-	// Buf is len(Buf)/PageSize pages of data. A single-page read may leave
-	// it nil: the disk then sets it, by completion, to an image of the page
-	// the caller must not write (see Disk.Submit).
+	// Buf is len(Buf)/PageSize pages of data. A single-page read on a disk
+	// that shares its images may leave it nil: the disk then sets it, by
+	// completion, to its image of the page, which the caller must not write
+	// (see Disk.Submit).
 	Buf  []byte
 	Done func()
 	// Submitted is stamped by the disk for latency accounting.
@@ -51,11 +52,10 @@ type Request struct {
 type Disk interface {
 	// Submit enqueues the request. For writes, the buffer is consumed
 	// (copied or written) before Submit returns and may be reused by the
-	// caller; for reads the buffer is filled by completion time. A read
-	// submitted without a buffer reads one page and completes with Buf set
-	// to a read-only image of it: on a SimDisk over a MemStore the store's
-	// own array (see Image), over a NullStore the one shared zero page, and
-	// otherwise a fresh copy.
+	// caller; for reads the buffer is filled by completion time. Only a
+	// disk whose Image is non-nil takes a read without a buffer: it reads
+	// one page and completes with Buf set to the disk's image of it (the
+	// array Image returns by then). On any other disk such a read panics.
 	Submit(r *Request)
 	// Image returns the disk's own image of page, read-only: the array a
 	// buffer-less read of the page completes with now and that the page's
@@ -192,22 +192,6 @@ func (d *SimDisk) Image(page int64) []byte {
 	return nil
 }
 
-// readImage is what a buffer-less read of page completes with (see
-// Disk.Submit).
-func (d *SimDisk) readImage(page int64) []byte {
-	if img := d.Image(page); img != nil {
-		return img
-	}
-	if _, ok := d.store.(NullStore); ok {
-		return zeroPage[:]
-	}
-	buf := make([]byte, PageSize)
-	if err := d.store.ReadPages(page, buf); err != nil {
-		panic("device: sim read failed: " + err.Error())
-	}
-	return buf
-}
-
 func (d *SimDisk) spikeInterval() env.Time {
 	j := d.prof.SpikeJitter
 	iv := d.prof.SpikeEvery
@@ -280,6 +264,9 @@ func (d *SimDisk) Submit(r *Request) {
 	r.Submitted = now
 	n := int64(len(r.Buf) / PageSize)
 	if r.Buf == nil {
+		if _, ok := d.store.(*MemStore); !ok {
+			panic("device: a read without a buffer on a SimDisk whose store shares no images")
+		}
 		n = 1
 	}
 	d.maybeSpike(now)
@@ -356,7 +343,7 @@ func (cp *simCompl) run() {
 	switch {
 	case cp.op != Read:
 	case cp.req != nil:
-		cp.req.Buf = d.readImage(cp.page)
+		cp.req.Buf = d.Image(cp.page)
 	default:
 		if err := d.store.ReadPages(cp.page, cp.buf); err != nil {
 			panic("device: sim read failed: " + err.Error())
@@ -443,11 +430,11 @@ func (d *RealDisk) run(reqs chan *Request) {
 	}
 }
 
-// Submit implements Disk. Writes copy the caller's buffer before queueing;
-// a buffer-less read gets a fresh one.
+// Submit implements Disk. Writes copy the caller's buffer before queueing; a
+// read must bring a buffer, since a RealDisk shares no images.
 func (d *RealDisk) Submit(r *Request) {
 	if r.Op == Read && r.Buf == nil {
-		r.Buf = make([]byte, PageSize)
+		panic("device: a read without a buffer on a RealDisk, which shares no images")
 	}
 	if r.Op == Write {
 		// The executor runs asynchronously; capture the data now so the

@@ -84,8 +84,9 @@ func TestSharedImageSnapshot(t *testing.T) {
 	}
 }
 
-// Never-written pages and every NullStore page share one zero page, and no
-// write lands in it.
+// Never-written MemStore pages share one zero page, and no write lands in
+// it. A NullStore disk offers no image, not even the zero page, so a read
+// without a buffer panics there.
 func TestSharedImageZeroPage(t *testing.T) {
 	s := sim.New(1)
 	ms := NewMemStore()
@@ -100,25 +101,31 @@ func TestSharedImageZeroPage(t *testing.T) {
 	if same(ms.Image(7), zeroPage[:]) || !bytes.Equal(ms.Image(7), page(0x55)) {
 		t.Fatal("a write of a never-written page did not take an array of its own")
 	}
-
-	ns := sim.New(1)
-	nd := NewSimDisk(ns, Optane(), NullStore{})
-	if err := nd.Store().WritePages(3, page(0x66)); err != nil {
-		t.Fatal(err)
-	}
-	if img := simRead(t, ns, nd, 3); !same(img, zeroPage[:]) {
-		t.Fatal("a NullStore page does not share the zero page")
-	}
-	if nd.Image(3) != nil {
-		t.Fatal("a NullStore disk offers an image of what it discards")
-	}
 	if !bytes.Equal(zeroPage[:], make([]byte, PageSize)) {
 		t.Fatal("something wrote into the shared zero page")
 	}
+
+	nd := NewSimDisk(sim.New(1), Optane(), NullStore{})
+	if nd.Image(3) != nil {
+		t.Fatal("a NullStore disk offers an image of what it discards")
+	}
+	mustPanic(t, "a buffer-less read on a NullStore disk", func() { nd.Submit(&Request{Op: Read, Page: 3}) })
 }
 
-// A RealDisk never shares: its executors write the store concurrently, so a
-// buffer-less read gets a copy, and later writes do not show through it.
+// mustPanic fails unless submit panics.
+func mustPanic(t *testing.T, what string, submit func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	submit()
+}
+
+// A RealDisk never shares: its executors write the store concurrently, so
+// it offers no image and a read without a buffer panics. A read with one is
+// a copy, which later writes do not reach.
 func TestSharedImageRealDiskCopies(t *testing.T) {
 	ms := NewMemStore()
 	d := NewRealDisk(ms, 2, false)
@@ -126,6 +133,7 @@ func TestSharedImageRealDiskCopies(t *testing.T) {
 	if d.Image(1) != nil {
 		t.Fatal("RealDisk offers a shared image")
 	}
+	mustPanic(t, "a buffer-less read on a RealDisk", func() { d.Submit(&Request{Op: Read, Page: 1}) })
 	var wg sync.WaitGroup
 	submit := func(r *Request) {
 		wg.Add(1)
@@ -134,10 +142,10 @@ func TestSharedImageRealDiskCopies(t *testing.T) {
 		wg.Wait()
 	}
 	submit(&Request{Op: Write, Page: 1, Buf: page(0x77)})
-	r := &Request{Op: Read, Page: 1}
+	r := &Request{Op: Read, Page: 1, Buf: make([]byte, PageSize)}
 	submit(r)
 	if !bytes.Equal(r.Buf, page(0x77)) || same(r.Buf, ms.Image(1)) {
-		t.Fatal("RealDisk's buffer-less read is not a copy of the page")
+		t.Fatal("RealDisk's read is not a copy of the page")
 	}
 	submit(&Request{Op: Write, Page: 1, Buf: page(0x78)})
 	if !bytes.Equal(r.Buf, page(0x77)) {

@@ -62,9 +62,9 @@ type memPage struct {
 	holders *atomic.Int32
 }
 
-// zeroPage is the one image of every page a store does not hold, shared by
-// buffer-less reads of a never-written MemStore page and of every NullStore
-// page. Nothing writes into it.
+// zeroPage is the one image of every page a MemStore does not hold, shared
+// by the buffer-less reads of all never-written pages. Nothing writes into
+// it.
 var zeroPage [PageSize]byte
 
 // memChunkPages is how many fresh pages a MemStore allocates at once. A

@@ -93,6 +93,11 @@ type Cache struct {
 	// deterministic admission heuristic, not a correctness structure.
 	ghostCnt   []uint32
 	ghostTouch []env.Time
+	// Write clock: every Update and Invalidate ticks clock and stamps the
+	// key's ghost slot with it, resident or not, so a cold read can tell
+	// whether its key was written while it was in flight (WrittenSince).
+	clock      uint64
+	ghostWrite []uint64
 
 	hits, misses, promotions, demotions, invalidations int64
 }
@@ -139,6 +144,7 @@ func New(cfg Config) *Cache {
 	}
 	h.ghostCnt = make([]uint32, g)
 	h.ghostTouch = make([]env.Time, g)
+	h.ghostWrite = make([]uint64, g)
 	return h
 }
 
@@ -360,6 +366,25 @@ func (h *Cache) Get(key []byte, now env.Time, vdst *[]byte) ([]byte, bool) {
 	return kv.CopyValue(h.valOf(ei), vdst), true
 }
 
+// Clock returns the write clock: the number of Updates and Invalidates so
+// far. A cold read takes it when it starts, for WrittenSince.
+func (h *Cache) Clock() uint64 { return h.clock }
+
+// WrittenSince reports whether key may have been written (Update or
+// Invalidate) after the write clock read t. A value read from the store
+// before such a write may predate it and must not be admitted. Keys that
+// share a ghost slot share its stamp, so a collision only costs a
+// promotion, never admits a stale value.
+func (h *Cache) WrittenSince(key []byte, t uint64) bool {
+	return h.ghostWrite[h.ghostIdx(kv.Hash64(key))] > t
+}
+
+// stamp ticks the write clock for the key hashed to hv.
+func (h *Cache) stamp(hv uint64) {
+	h.clock++
+	h.ghostWrite[h.ghostIdx(hv)] = h.clock
+}
+
 // Contains reports residency without touching counters or ordering.
 func (h *Cache) Contains(key []byte) bool {
 	return h.lookup(kv.Hash64(key), key) != nilIdx
@@ -451,10 +476,13 @@ func (h *Cache) store(ei int32, key, value []byte, now env.Time) {
 // Update write-throughs a new value for key if it is resident, so cached
 // reads can never disagree with the store. A value that no longer fits the
 // slot evicts the entry instead (counted as an invalidation). Non-resident
-// keys are untouched — writes never admit, only reads do. Reports whether
-// the key was resident.
+// keys are not cached — writes never admit, only reads do — but either way
+// the write is stamped (WrittenSince). Reports whether the key was
+// resident.
 func (h *Cache) Update(key, value []byte, now env.Time) bool {
-	ei := h.lookup(kv.Hash64(key), key)
+	hv := kv.Hash64(key)
+	h.stamp(hv)
+	ei := h.lookup(hv, key)
 	if ei == nilIdx {
 		return false
 	}
@@ -468,9 +496,12 @@ func (h *Cache) Update(key, value []byte, now env.Time) bool {
 }
 
 // Invalidate drops key from the cache (deletes must never leave a readable
-// ghost value). Reports whether the key was resident.
+// ghost value) and stamps the write (WrittenSince). Reports whether the key
+// was resident.
 func (h *Cache) Invalidate(key []byte) bool {
-	ei := h.lookup(kv.Hash64(key), key)
+	hv := kv.Hash64(key)
+	h.stamp(hv)
+	ei := h.lookup(hv, key)
 	if ei == nilIdx {
 		return false
 	}

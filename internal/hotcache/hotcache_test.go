@@ -272,3 +272,36 @@ func BenchmarkHotCachePromote(b *testing.B) {
 		h.Admit(keys[k], vals[k], env.Time(i))
 	}
 }
+
+// Update and Invalidate stamp the key on the write clock whether it is
+// resident or not; a clock read taken before the write sees it, one taken
+// after does not, and reads, admissions and other keys' slots move nothing.
+func TestWrittenSince(t *testing.T) {
+	h := testCache(8)
+	a, b := kv.Key(1), kv.Key(2)
+	if h.ghostIdx(kv.Hash64(a)) == h.ghostIdx(kv.Hash64(b)) {
+		t.Fatal("test keys share a ghost slot")
+	}
+	t0 := h.Clock()
+	h.Get(a, 0, nil)
+	h.Admit(a, kv.Value(1, 1, 200), 0)
+	if h.Clock() != t0 || h.WrittenSince(a, t0) {
+		t.Fatal("a read or an admission ticked the write clock")
+	}
+	h.Update(a, kv.Value(1, 2, 200), 0) // a is not resident
+	if !h.WrittenSince(a, t0) || h.WrittenSince(b, t0) {
+		t.Fatalf("after an update of a: WrittenSince(a)=%v, (b)=%v; want true, false",
+			h.WrittenSince(a, t0), h.WrittenSince(b, t0))
+	}
+	t1 := h.Clock()
+	if h.WrittenSince(a, t1) {
+		t.Fatal("a clock read after the update sees it")
+	}
+	warm(t, h, 2, 0)
+	t2 := h.Clock()
+	h.Invalidate(b) // b is resident
+	h.Invalidate(b) // and now it is not
+	if !h.WrittenSince(b, t2) || h.WrittenSince(a, t2) || h.Clock() != t2+2 {
+		t.Fatal("Invalidate did not stamp its key alone")
+	}
+}
