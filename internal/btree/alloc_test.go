@@ -78,7 +78,7 @@ func TestFirstNAllocs(t *testing.T) {
 
 // TestAllocBudgetBTreePut pins a new key into a non-full leaf at zero
 // allocations: the node copies it into its own key bytes. Each run deletes a
-// key and puts it back, for both key shapes the store indexes.
+// key and puts it back, for the store's keys and for 8-byte page numbers.
 func TestAllocBudgetBTreePut(t *testing.T) {
 	for _, shape := range []struct {
 		name   string
@@ -131,9 +131,10 @@ func BenchmarkTreeGetYCSBKeys(b *testing.B) {
 	}
 }
 
-// BenchmarkTreePageChurn measures the page cache's index traffic on a miss:
-// Delete the evicted page and Put the new one, 8-byte big-endian page
-// numbers, on a tree holding 8K pages drawn from a 16 GB file's 4M pages.
+// BenchmarkTreePageChurn measures the page cache's index traffic on a miss
+// as a Tree of 8-byte big-endian page numbers pays it, the reference for
+// BenchmarkShapeChurn: Delete the evicted page and Put the new one, on a tree
+// holding 8K pages drawn from a 16 GB file's 4M pages.
 func BenchmarkTreePageChurn(b *testing.B) {
 	const n, pages = 8192, 1 << 22
 	r := rand.New(rand.NewSource(1))
@@ -154,5 +155,46 @@ func BenchmarkTreePageChurn(b *testing.B) {
 		live[j] = uint64(r.Intn(pages))
 		binary.BigEndian.PutUint64(kb[:], live[j])
 		tr.Put(kb[:], live[j])
+	}
+}
+
+// BenchmarkShapeChurn is BenchmarkTreePageChurn on the Shape the page cache
+// keeps: Delete the evicted page number and Put the new one.
+func BenchmarkShapeChurn(b *testing.B) {
+	const n, pages = 8192, 1 << 22
+	r := rand.New(rand.NewSource(1))
+	s := NewShape()
+	live := make([]uint64, n)
+	for i := range live {
+		live[i] = uint64(r.Intn(pages))
+		s.Put(live[i])
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		j := i % n
+		s.Delete(live[j])
+		live[j] = uint64(r.Intn(pages))
+		s.Put(live[j])
+	}
+}
+
+// TestAllocBudgetShapePut pins a page number put back into a leaf with room
+// at zero allocations, as the page cache's steady-state fills are.
+func TestAllocBudgetShapePut(t *testing.T) {
+	s := NewShape()
+	for i := 0; i < 10_000; i++ {
+		s.Put(uint64(i * 3))
+	}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		k := uint64(i%10_000) * 3
+		i += 7919
+		s.Delete(k)
+		if !s.Put(k) {
+			t.Fatal("re-put key reported as present")
+		}
+	}); n != 0 {
+		t.Errorf("Shape.Put of a new key allocates %v, want 0", n)
 	}
 }

@@ -176,7 +176,16 @@ func (t *Tree) Get(key []byte) (uint64, bool) {
 	return 0, false
 }
 
-func (n *node) full() bool { return len(n.ab) >= maxKeys }
+func (n *node) full() bool { return full(len(n.ab)) }
+
+// full reports whether a node holding cnt keys must split before a Put
+// descends into it. Shape applies the same rule.
+func full(cnt int) bool { return cnt >= maxKeys }
+
+// splitAt is the index a full node of cnt keys splits at: a leaf keeps the
+// keys before it, and an internal node moves the key at it up. Shape splits
+// at the same index.
+func splitAt(cnt int) int { return cnt / 2 }
 
 // insertKey copies key into the node as key i, first shortening the node
 // prefix (and re-abbreviating every key) if key does not carry it. An empty
@@ -248,7 +257,7 @@ func commonPrefix(a, b []byte) int {
 // inserting the separator into n.
 func (n *node) splitChild(i int) {
 	child := n.children[i]
-	mid := len(child.ab) / 2
+	mid := splitAt(len(child.ab))
 	right := newNode(child.leaf, cap(child.kb))
 	right.p = child.p
 	var sep []byte

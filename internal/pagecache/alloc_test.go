@@ -34,8 +34,8 @@ func TestAllocBudgetPagecacheMiss(t *testing.T) {
 }
 
 // TestAllocBudgetPagecacheEvictCycle pins the steady-state insert+evict
-// cycle at zero allocations, with either index: the B-tree copies each new
-// page key into its node's own key bytes.
+// cycle at zero allocations, with either index: once the window has cycled,
+// the B-tree shape puts each new page number into a leaf that has room.
 func TestAllocBudgetPagecacheEvictCycle(t *testing.T) {
 	for _, kind := range []struct {
 		name string

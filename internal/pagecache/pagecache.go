@@ -12,15 +12,14 @@
 // reusable frame arena, the LRU list is intrusive (int32 prev/next indices
 // embedded in frames), and page lookup goes through an open-addressing hash
 // table with linear probing and backward-shift deletion. Hits, evictions and
-// re-inserts recycle frames instead of allocating. (The simulated index
-// *cost* charged to the engine is modeled separately: a real B-tree over
-// page numbers for IndexBTree so LookupCost tracks its depth, or a constant
-// probe cost plus growth spikes for IndexHash.)
+// re-inserts recycle frames instead of allocating. The simulated index
+// *cost* charged to the engine is modeled separately: for IndexBTree a
+// btree.Shape of the cached page numbers, which has the depth a B-tree of
+// them would have, so LookupCost tracks that depth; for IndexHash a constant
+// probe cost plus growth spikes.
 package pagecache
 
 import (
-	"encoding/binary"
-
 	"kvell/internal/btree"
 	"kvell/internal/costs"
 	"kvell/internal/device"
@@ -54,7 +53,11 @@ type Cache struct {
 	capacity int
 	kind     IndexKind
 
-	tree *btree.Tree
+	// tree has the node structure of a B-tree indexing the cached pages
+	// (IndexBTree only): each fill puts its page and each removal deletes
+	// it, so LookupCost charges the depth the paper's index would have.
+	// Lookups never read it; the hash table below serves them.
+	tree *btree.Shape
 	// hashGrowAt is the size at which the next simulated hash growth
 	// happens (power-of-two doubling, like uthash).
 	hashGrowAt int
@@ -97,7 +100,7 @@ func New(capacity int, kind IndexKind) *Cache {
 	}
 	c.slots = newSlots(n)
 	if kind == IndexBTree {
-		c.tree = btree.New()
+		c.tree = btree.NewShape()
 	}
 	return c
 }
@@ -371,14 +374,12 @@ func (c *Cache) InsertTake(page int64, data []byte) (evicted int64, evictedData 
 	return evicted, evictedData
 }
 
-// indexInsert maintains the simulated index cost model (real B-tree, or
-// hash growth accounting).
+// indexInsert maintains the simulated index cost model (the B-tree's shape,
+// or hash growth accounting).
 func (c *Cache) indexInsert(page int64) {
 	switch c.kind {
 	case IndexBTree:
-		var k [8]byte
-		binary.BigEndian.PutUint64(k[:], uint64(page))
-		c.tree.Put(k[:], uint64(page))
+		c.tree.Put(uint64(page))
 	case IndexHash:
 		if c.size >= c.hashGrowAt {
 			c.hashGrowAt *= 2
@@ -393,9 +394,7 @@ func (c *Cache) removeFrame(fi int32) {
 	c.unlink(fi)
 	c.tableRemove(f.page)
 	if c.kind == IndexBTree {
-		var k [8]byte
-		binary.BigEndian.PutUint64(k[:], uint64(f.page))
-		c.tree.Delete(k[:])
+		c.tree.Delete(uint64(f.page))
 	}
 	f.data = nil
 	c.size--
