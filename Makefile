@@ -90,15 +90,19 @@ e2e-smoke:
 # of each BENCHMARK.json workload, whose `correct`, `goodput_share` and
 # virtual-time metrics, copied as printed, must equal results/e2e_exact.txt.
 # They are pure functions of the code, so a change that moves them has moved
-# the modelled store. `make e2e-exact UPDATE=1` re-records the file. At 0.5 s
-# openloop_absorb_hot prints correct=false, as recorded: its p99 (4.2 ms) is
-# over the workload's 1 ms limit, which its 4 s runs meet (about 150 us).
+# the modelled store. `make e2e-exact UPDATE=1` re-records the file.
+# openloop_absorb_hot runs for 1 s, so that its `correct` checks its 1 ms p99
+# limit: its caches start cold, the store serves fewer than the 800K
+# arrivals/s until they warm, and the backlog that builds drains only about
+# 50 ms of virtual time in, past the end of a 0.5 s run's window (p99 4.2 ms
+# there, 0.2 ms at 1 s).
 E2E_WORKLOADS = ycsb_a_uniform ycsb_c_zipf ycsb_e_scan openloop_absorb_hot cluster_rf2 txn_bank
 
 e2e-exact:
 	@set -e; got="$$(mktemp)"; log="$$(mktemp)"; trap 'rm -f "$$got" "$$log"' EXIT; \
 	for w in $(E2E_WORKLOADS); do \
-		line="$$(bash cmd/kvell-e2e/bench.sh --workload $$w --seed 1 --seconds 0.5 --trace 0 2>>"$$log" | tail -n 1)"; \
+		secs=0.5; if [ "$$w" = openloop_absorb_hot ]; then secs=1; fi; \
+		line="$$(bash cmd/kvell-e2e/bench.sh --workload $$w --seed 1 --seconds $$secs --trace 0 2>>"$$log" | tail -n 1)"; \
 		printf '%s' "$$w"; \
 		for m in correct goodput_share v_ops_per_s v_lat_mean_us v_lat_p99_us; do \
 			printf ' %s=%s' "$$m" "$$(printf '%s' "$$line" | sed -nE "s/.*\"$$m\":(\{\"value\":)?([^,}]*).*/\2/p")"; \

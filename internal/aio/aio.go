@@ -11,32 +11,35 @@ import (
 	"kvell/internal/costs"
 	"kvell/internal/device"
 	"kvell/internal/env"
-	"kvell/internal/trace"
 )
 
-// IO is a single asynchronous page request. Tag carries engine state
-// through to completion. IO values may be pooled by the worker: the device
-// request and completion callback are embedded and wired once, so resubmitting
-// a recycled IO allocates nothing.
+// IO is a single asynchronous page request: the device.Request it submits,
+// plus Tag, which carries engine state through to completion. The caller
+// fills Op, Page and Buf, and may set Trace (to attribute the device time to
+// a request's trace context) and Enqueued (to backdate the queue wait to when
+// the I/O joined the worker's batch). Done belongs to the engine: it is bound
+// to the IO's completion at its first Submit and left bound, so an IO may be
+// pooled and resubmitted, on any engine, without allocating. Once GetEvents
+// returns the IO, Buf holds the data (a read submitted without a buffer
+// completes with the disk's image of its page) and Completed the device's
+// predicted completion time.
 type IO struct {
-	Op   device.Op
-	Page int64
-	Buf  []byte
-	Tag  any
-	// Trace, if set, attributes the device time of this I/O to a request's
-	// trace context; Created backdates its queue wait to when the I/O joined
-	// the worker's batch.
-	Trace   *trace.Ctx
-	Created env.Time
+	device.Request
+	Tag any
 
-	eng  *Engine
-	req  device.Request
-	done func()
+	eng *Engine // the engine of the latest Submit
 }
 
-// Completed returns the device's predicted completion time for the last
-// submission of this I/O (valid once the I/O is returned by GetEvents).
-func (io *IO) Completed() env.Time { return io.req.Completed }
+// complete queues io on the engine it was submitted on. It runs on the
+// simulation scheduler or a real executor goroutine; both may take the mutex
+// (never held across a park by the worker).
+func (io *IO) complete() {
+	a := io.eng
+	a.mu.Lock(nil)
+	a.completed = append(a.completed, io)
+	a.mu.Unlock(nil)
+	a.cond.Signal(nil)
+}
 
 // Engine is a per-worker asynchronous I/O context.
 type Engine struct {
@@ -53,15 +56,11 @@ type Engine struct {
 	// Stats
 	Syscalls  int64
 	Submitted int64
-
-	// ChargeSyscalls disables syscall CPU accounting when false (used by
-	// recovery, which the paper measures in I/O time).
-	ChargeSyscalls bool
 }
 
 // New returns an I/O engine for dev using e's synchronization primitives.
 func New(e env.Env, dev device.Disk) *Engine {
-	a := &Engine{dev: dev, ChargeSyscalls: true}
+	a := &Engine{dev: dev}
 	a.mu = e.NewMutex()
 	a.cond = e.NewCond(a.mu)
 	return a
@@ -115,33 +114,18 @@ func (a *Engine) Submit(c env.Ctx, ios []*IO) {
 		a.mu.Unlock(c)
 		return
 	}
-	if a.ChargeSyscalls {
-		c.CPU(costs.Syscall + env.Time(len(ios))*costs.SyscallPerReq)
-	}
+	c.CPU(costs.Syscall + env.Time(len(ios))*costs.SyscallPerReq)
 	a.Syscalls++
 	a.Submitted += int64(len(ios))
 	a.mu.Lock(c)
 	a.inflight += len(ios)
 	a.mu.Unlock(c)
 	for _, io := range ios {
-		if io.done == nil || io.eng != a {
-			io := io
-			io.eng = a
-			io.done = func() {
-				// Runs on the simulation scheduler or a real executor
-				// goroutine; both may take the mutex (never held across a
-				// park by the worker). A read submitted without a buffer
-				// completes with the disk's image of its page.
-				io.Buf = io.req.Buf
-				a.mu.Lock(nil)
-				a.completed = append(a.completed, io)
-				a.mu.Unlock(nil)
-				a.cond.Signal(nil)
-			}
+		if io.Done == nil {
+			io.Done = io.complete
 		}
-		io.req = device.Request{Op: io.Op, Page: io.Page, Buf: io.Buf, Done: io.done,
-			Trace: io.Trace, Enqueued: io.Created}
-		a.dev.Submit(&io.req)
+		io.eng = a
+		a.dev.Submit(&io.Request)
 	}
 }
 
@@ -175,8 +159,6 @@ func (a *Engine) GetEvents(c env.Ctx, min int) []*IO {
 	a.spare = out
 	a.inflight -= len(out)
 	a.mu.Unlock(c)
-	if a.ChargeSyscalls {
-		c.CPU(costs.Syscall + env.Time(len(out))*costs.SyscallPerReq/4)
-	}
+	c.CPU(costs.Syscall + env.Time(len(out))*costs.SyscallPerReq/4)
 	return out
 }

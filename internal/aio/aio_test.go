@@ -19,7 +19,7 @@ func TestBatchedSubmitCollectsAll(t *testing.T) {
 	e.Go("worker", func(c env.Ctx) {
 		var ios []*IO
 		for i := 0; i < 10; i++ {
-			ios = append(ios, &IO{Op: device.Write, Page: int64(i), Buf: make([]byte, device.PageSize), Tag: i})
+			ios = append(ios, &IO{Request: device.Request{Op: device.Write, Page: int64(i), Buf: make([]byte, device.PageSize)}, Tag: i})
 		}
 		a.Submit(c, ios)
 		if a.Inflight() != 10 {
@@ -58,7 +58,7 @@ func TestSubmitChargesOneSyscallPerBatch(t *testing.T) {
 			for done < total {
 				var ios []*IO
 				for i := 0; i < batch; i++ {
-					ios = append(ios, &IO{Op: device.Write, Page: int64(i), Buf: make([]byte, device.PageSize)})
+					ios = append(ios, &IO{Request: device.Request{Op: device.Write, Page: int64(i), Buf: make([]byte, device.PageSize)}})
 				}
 				a.Submit(c, ios)
 				for in := batch; in > 0; {
@@ -89,7 +89,7 @@ func TestGetEventsMinClamped(t *testing.T) {
 		if evs := a.GetEvents(c, 1); evs != nil {
 			t.Errorf("GetEvents on idle engine returned %v", evs)
 		}
-		a.Submit(c, []*IO{{Op: device.Write, Page: 1, Buf: make([]byte, device.PageSize)}})
+		a.Submit(c, []*IO{{Request: device.Request{Op: device.Write, Page: 1, Buf: make([]byte, device.PageSize)}}})
 		// min larger than inflight is clamped.
 		evs := a.GetEvents(c, 99)
 		if len(evs) != 1 {
@@ -102,25 +102,6 @@ func TestGetEventsMinClamped(t *testing.T) {
 	s.Close()
 }
 
-func TestChargeSyscallsToggle(t *testing.T) {
-	s := sim.New(1)
-	e := sim.NewEnv(s, 1)
-	disk := device.NewSimDisk(s, device.Optane(), nil)
-	a := New(e, disk)
-	a.ChargeSyscalls = false
-	e.Go("worker", func(c env.Ctx) {
-		a.Submit(c, []*IO{{Op: device.Read, Page: 0, Buf: make([]byte, device.PageSize)}})
-		a.GetEvents(c, 1)
-	})
-	if err := s.Run(-1); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	if busy := e.CPUs.Station().BusyTime(); busy >= costs.Syscall {
-		t.Fatalf("CPU charged (%d) despite ChargeSyscalls=false", busy)
-	}
-}
-
 func TestRealEnvAIO(t *testing.T) {
 	e := env.NewReal()
 	disk := device.NewRealDisk(device.NewMemStore(), 2, false)
@@ -131,12 +112,12 @@ func TestRealEnvAIO(t *testing.T) {
 		defer close(done)
 		buf := make([]byte, device.PageSize)
 		buf[0] = 0xEE
-		a.Submit(c, []*IO{{Op: device.Write, Page: 5, Buf: buf}})
+		a.Submit(c, []*IO{{Request: device.Request{Op: device.Write, Page: 5, Buf: buf}}})
 		for a.Inflight() > 0 {
 			a.GetEvents(c, 1)
 		}
 		rbuf := make([]byte, device.PageSize)
-		a.Submit(c, []*IO{{Op: device.Read, Page: 5, Buf: rbuf}})
+		a.Submit(c, []*IO{{Request: device.Request{Op: device.Read, Page: 5, Buf: rbuf}}})
 		evs := a.GetEvents(c, 1)
 		if len(evs) != 1 || evs[0].Buf[0] != 0xEE {
 			t.Error("real AIO roundtrip failed")
@@ -173,26 +154,26 @@ func TestKickWakesGetEvents(t *testing.T) {
 			s := sim.New(1)
 			e := sim.NewEnv(s, 2)
 			a := New(e, slowDisk(s, tc.channels))
-			a.ChargeSyscalls = false // only GetEvents' own charge is measured
 			var evs []*IO
 			var woke, cpu env.Time
 			e.Go("owner", func(c env.Ctx) {
-				a.Submit(c, []*IO{{Op: device.Read, Page: 1, Buf: make([]byte, device.PageSize)}})
-				if !tc.parked {
+				a.Submit(c, []*IO{{Request: device.Request{Op: device.Read, Page: 1, Buf: make([]byte, device.PageSize)}}})
+				// Times run from the instant Submit returns, so its own
+				// charge is behind them; the read starts there too.
+				sent := c.Now()
+				if tc.parked {
+					e.Go("kicker", func(c env.Ctx) {
+						c.Sleep(100 * env.Microsecond)
+						a.Kick(c)
+					})
+				} else {
 					a.Kick(c)
 				}
-				a.ChargeSyscalls = true
 				busy := e.CPUs.Station().BusyTime()
 				evs = a.GetEvents(c, 1)
 				cpu = e.CPUs.Station().BusyTime() - busy
-				woke = c.Now() - cpu
+				woke = c.Now() - cpu - sent
 			})
-			if tc.parked {
-				e.Go("kicker", func(c env.Ctx) {
-					c.Sleep(100 * env.Microsecond)
-					a.Kick(c)
-				})
-			}
 			if err := s.Run(-1); err != nil {
 				t.Fatal(err)
 			}
@@ -212,6 +193,44 @@ func TestKickWakesGetEvents(t *testing.T) {
 	}
 }
 
+// A pooled IO resubmitted on another engine, as the threads of a
+// shared-everything shard do, completes on the engine it was last submitted
+// on, with the completion bound at its first Submit.
+func TestPooledIOMovesEngines(t *testing.T) {
+	s := sim.New(1)
+	e := sim.NewEnv(s, 2)
+	disk := device.NewSimDisk(s, device.Optane(), nil)
+	engines := []*Engine{New(e, disk), New(e, disk)}
+	io := &IO{Request: device.Request{Op: device.Write, Page: 3, Buf: make([]byte, device.PageSize)}}
+	var got []int
+	e.Go("owner", func(c env.Ctx) {
+		for round := 0; round < 4; round++ {
+			a := engines[round%2]
+			a.Submit(c, []*IO{io})
+			evs := a.GetEvents(c, 1)
+			if len(evs) != 1 || evs[0] != io {
+				t.Errorf("round %d: GetEvents returned %d events", round, len(evs))
+			}
+			got = append(got, engines[0].Inflight(), engines[1].Inflight())
+		}
+	})
+	if err := s.Run(-1); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if len(got) != 8 {
+		t.Fatalf("the owner finished %d of 4 rounds", len(got)/2)
+	}
+	for i, n := range got {
+		if n != 0 {
+			t.Fatalf("engine %d has %d I/Os in flight after round %d", i%2, n, i/2)
+		}
+	}
+	if engines[0].Submitted != 2 || engines[1].Submitted != 2 {
+		t.Fatalf("submitted %d and %d, want 2 each", engines[0].Submitted, engines[1].Submitted)
+	}
+}
+
 // Kicks race a parked owner in the real runtime: other goroutines kick while
 // the owner collects its completions (run it under -race).
 func TestKickRealEnv(t *testing.T) {
@@ -226,7 +245,7 @@ func TestKickRealEnv(t *testing.T) {
 		defer stop.Store(true)
 		buf := make([]byte, device.PageSize)
 		for i := 0; i < rounds; i++ {
-			a.Submit(c, []*IO{{Op: device.Write, Page: int64(i % 8), Buf: buf}, {Op: device.Read, Page: int64(i % 8), Buf: make([]byte, device.PageSize)}})
+			a.Submit(c, []*IO{{Request: device.Request{Op: device.Write, Page: int64(i % 8), Buf: buf}}, {Request: device.Request{Op: device.Read, Page: int64(i % 8), Buf: make([]byte, device.PageSize)}}})
 			for a.Inflight() > 0 {
 				collected += len(a.GetEvents(c, 2))
 			}

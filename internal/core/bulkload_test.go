@@ -74,7 +74,7 @@ func bulkLoadStaged(s *Store, items []kv.Item) error {
 		} else {
 			page := sl.SlotPage(slot)
 			data := getPage(w, page)
-			if err := sl.EncodeItem(data[sl.SlotOffset(slot):sl.SlotOffset(slot)+sl.Stride], ts, it.Key, val); err != nil {
+			if err := sl.EncodeItem(sl.SlotBytes(data, slot), ts, it.Key, val); err != nil {
 				return err
 			}
 		}

@@ -27,7 +27,6 @@ import (
 
 	"kvell/internal/aio"
 	"kvell/internal/costs"
-	"kvell/internal/device"
 	"kvell/internal/env"
 	"kvell/internal/kv"
 	"kvell/internal/mvcc"
@@ -132,19 +131,9 @@ func (w *worker) chainCommit(c env.Ctx, key []byte, ks *mvcc.KeyState, cts uint6
 
 // flipIntent commits the intent at lk.IntentLoc in place with one atomic
 // page write; done runs once the flip is durable — the transaction's commit
-// point when key is the primary.
-func (w *worker) flipIntent(c env.Ctx, key []byte, lk *mvcc.Lock, cts uint64, done cont, out *[]*aio.IO) {
-	l := location(lk.IntentLoc)
-	kind := byte(mvcc.KindCommitPut)
-	if lk.Del {
-		kind = mvcc.KindCommitDelete
-	}
-	// In a multi-page slot the envelope header must sit in page 0's payload
-	// right after the key, so the flip is still one single-page write.
-	if w.slabs[l.class()].MultiPage() && slab.HeaderSize+len(key)+mvcc.HeaderSize > device.PageSize {
-		panic("core: mvcc flip: key too large to patch within the slot's first page")
-	}
-	w.patchSlot(c, l, edit{op: editFlip, ts: cts, key: key, kind: kind}, done, out)
+// point when the key is the primary.
+func (w *worker) flipIntent(c env.Ctx, lk *mvcc.Lock, cts uint64, done cont, out *[]*aio.IO) {
+	w.patchSlot(c, location(lk.IntentLoc), edit{op: editFlip, ts: cts}, done, out)
 }
 
 // readVersion delivers the version v of r.Key, trusting the table: the slot's
@@ -399,7 +388,7 @@ func (w *worker) txnCommit(c env.Ctx, r *kv.Request, out *[]*aio.IO) {
 	o := w.getRec(r)
 	o.res = kv.Result{Found: true, Txn: kv.TxnOK, TxnTS: cts}
 	o.ks = ks // published once the flip is durable
-	w.flipIntent(c, r.Key, lk, cts, o, out)
+	w.flipIntent(c, lk, cts, o, out)
 }
 
 // txnResolve reports the primary key's transaction state. While the

@@ -79,12 +79,7 @@ func (w *worker) recover(c env.Ctx) error {
 func (w *worker) recoverSlab(c env.Ctx, sl *slab.Slab) error {
 	slotBytes := int64(sl.Stride)
 	extPages := sl.ExtentPages()
-	var slotsPerExtent uint64
-	if sl.MultiPage() {
-		slotsPerExtent = uint64(extPages / sl.PagesPerSlot())
-	} else {
-		slotsPerExtent = uint64(extPages) * uint64(device.PageSize/sl.Stride)
-	}
+	slotsPerExtent := sl.SlotsPerExtent()
 
 	tombs := make(map[uint64]uint64)   // free slot -> chainTo
 	pointedTo := make(map[uint64]bool) // slots referenced by some chain
@@ -206,11 +201,11 @@ func (w *worker) readExtent(c env.Ctx, base int64, extPages int64) []byte {
 		if off+n > extPages {
 			n = extPages - off
 		}
-		ios = append(ios, &aio.IO{
+		ios = append(ios, &aio.IO{Request: device.Request{
 			Op:   device.Read,
 			Page: base + off,
 			Buf:  buf[off*device.PageSize : (off+n)*device.PageSize],
-		})
+		}})
 	}
 	w.threads[0].Submit(c, ios)
 	for done := 0; done < len(ios); {

@@ -80,8 +80,7 @@ func plantLive(t *testing.T, ms *device.MemStore, sl *slab.Slab, slot uint64, ts
 	if err := ms.ReadPages(page, buf); err != nil {
 		t.Fatal(err)
 	}
-	off := sl.SlotOffset(slot)
-	if err := sl.EncodeItem(buf[off:off+sl.Stride], ts, key, val); err != nil {
+	if err := sl.EncodeItem(sl.SlotBytes(buf, slot), ts, key, val); err != nil {
 		t.Fatal(err)
 	}
 	if err := ms.WritePages(page, buf); err != nil {
@@ -160,9 +159,9 @@ func TestRecoveryTornTailPage(t *testing.T) {
 	if err := ms.ReadPages(page, buf); err != nil {
 		t.Fatal(err)
 	}
-	off := sl.SlotOffset(1)
-	for i := 0; i < sl.Stride; i++ {
-		buf[off+i] = byte(0xA5 ^ i)
+	torn := sl.SlotBytes(buf, 1)
+	for i := range torn {
+		torn[i] = byte(0xA5 ^ i)
 	}
 	if err := ms.WritePages(page, buf); err != nil {
 		t.Fatal(err)

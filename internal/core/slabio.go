@@ -2,7 +2,8 @@ package core
 
 // The slab I/O layer: the only code that turns a location into slot bytes,
 // through the page cache or the device. It knows slots, pages, free lists
-// and the index — never what a payload means — so the plain and the
+// and the index — never what a payload means, nor where anything lies inside
+// a slot (package slab reads and writes those bytes) — so the plain and the
 // versioned request paths, the absorb flush and the transaction handlers all
 // sit on the same four primitives:
 //
@@ -18,13 +19,13 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 
 	"kvell/internal/aio"
 	"kvell/internal/costs"
 	"kvell/internal/device"
 	"kvell/internal/env"
 	"kvell/internal/freelist"
+	"kvell/internal/mvcc"
 	"kvell/internal/slab"
 )
 
@@ -62,8 +63,7 @@ func (w *worker) cachedSlot(c env.Ctx, l location, expect []byte) (payload []byt
 	if data == nil {
 		return nil, false
 	}
-	off := sl.SlotOffset(l.slot())
-	return w.slotPayload(c, sl, expect, data[off:off+sl.Stride]), true
+	return w.slotPayload(c, sl, expect, sl.SlotBytes(data, l.slot())), true
 }
 
 // fetchSlot is readSlot's device arm.
@@ -96,10 +96,9 @@ func (w *worker) readSlot(c env.Ctx, l location, expect []byte, sr slotReader, o
 type edit struct {
 	op      editOp
 	ts      uint64 // the slab timestamp; editFlip: the commit timestamp
-	key     []byte
+	key     []byte // editItem
 	payload []byte // editItem; editImage: the slot's whole encoded image
 	reused  bool   // editItem: recover the free-list chain first
-	kind    byte   // editFlip: the committed envelope kind
 }
 
 type editOp uint8
@@ -111,9 +110,9 @@ const (
 	// editTombstone writes a tombstone, and the slot joins its free list
 	// there (tombstone).
 	editTombstone
-	// editFlip commits an intent in place: only the envelope's kind byte
-	// and commit-timestamp field change, so the slab header — including the
-	// per-page timestamps a multi-page tear check validates — is untouched.
+	// editFlip commits an intent in place (mvcc.CommitIntent on the value
+	// bytes slab.ValueIn locates): the slab header — including the per-page
+	// timestamps a multi-page tear check validates — is untouched.
 	editFlip
 	// editImage reuses a multi-page slot: the chain is recovered from the
 	// first page, then the pre-encoded image is written over the slot.
@@ -127,7 +126,7 @@ func (w *worker) apply(l location, ed *edit, slot []byte) {
 	switch ed.op {
 	case editItem:
 		if ed.reused {
-			w.recoverChain(sl, slot)
+			recoverChain(sl, slot)
 		}
 		if err := sl.EncodeItem(slot, ed.ts, ed.key, ed.payload); err != nil {
 			panic(err)
@@ -135,11 +134,9 @@ func (w *worker) apply(l location, ed *edit, slot []byte) {
 	case editTombstone:
 		tombstone(sl, l.slot(), ed.ts, slot)
 	case editFlip:
-		// The envelope heads the slot's value region, right after the slab
-		// header and key.
-		p := slab.HeaderSize + len(ed.key)
-		slot[p] = ed.kind
-		binary.LittleEndian.PutUint64(slot[p+9:p+17], ed.ts)
+		// The envelope heads the value; in a multi-page slot its header must
+		// lie in the first page, so the flip is one single-page write.
+		mvcc.CommitIntent(slab.ValueIn(slot), ed.ts)
 	}
 }
 
@@ -150,20 +147,16 @@ func (w *worker) apply(l location, ed *edit, slot []byte) {
 func (w *worker) patchPage(c env.Ctx, l location, ed *edit, data []byte, done cont, out *[]*aio.IO) {
 	sl := w.slabs[l.class()]
 	page := sl.SlotPage(l.slot())
-	if !sl.MultiPage() {
-		off := sl.SlotOffset(l.slot())
-		w.apply(l, ed, data[off:off+sl.Stride])
-		w.writePage(c, page, data, done, out)
-		return
-	}
 	if ed.op == editImage {
-		w.recoverChain(sl, data[:slab.HeaderSize+8])
+		recoverChain(sl, data)
 		w.writePage(c, page, ed.payload, done, out)
 	} else {
-		w.apply(l, ed, data)
+		w.apply(l, ed, sl.SlotBytes(data, l.slot()))
 		w.writePage(c, page, data, done, out)
 	}
-	w.hold(-1, data)
+	if sl.MultiPage() {
+		w.hold(-1, data)
+	}
 }
 
 // patchSlot applies ed to the slot at l in place and writes the page back;
@@ -219,8 +212,7 @@ func (w *worker) placeItem(c env.Ctx, cls int, key, payload []byte, ts uint64, i
 	}
 	if !reused && sl.AppendPageFresh(slot) {
 		data := w.zeroPageBuf()
-		off := sl.SlotOffset(slot)
-		if err := sl.EncodeItem(data[off:off+sl.Stride], ts, key, payload); err != nil {
+		if err := sl.EncodeItem(sl.SlotBytes(data, slot), ts, key, payload); err != nil {
 			panic(err)
 		}
 		w.cacheInsert(c, page, data)
@@ -241,19 +233,12 @@ func (w *worker) placeItem(c env.Ctx, cls int, key, payload []byte, ts uint64, i
 	return l
 }
 
-// recoverChain reads a displaced free-list chain pointer out of a slot's
-// tombstone and reinstates it as an in-memory head. Sub-page callers pass
-// exactly one stride; multi-page callers only have the head of the first
-// page, which suffices for a tombstone once padded to what DecodeSlot accepts.
-func (w *worker) recoverChain(sl *slab.Slab, slotBuf []byte) {
-	if len(slotBuf) != sl.Stride {
-		padded := make([]byte, sl.Stride)
-		copy(padded, slotBuf)
-		slotBuf = padded
-	}
-	d, err := sl.DecodeSlot(slotBuf)
-	if err == nil && d.Kind == slab.Tombstone && d.ChainTo != freelist.NoSlot {
-		sl.Free.PushHead(d.ChainTo)
+// recoverChain reads a displaced free-list chain pointer out of the
+// tombstone heading slot (a slot's bytes, or a multi-page slot's first page)
+// and reinstates it as an in-memory head.
+func recoverChain(sl *slab.Slab, slot []byte) {
+	if next, ok := slab.TombstoneChain(slot); ok && next != freelist.NoSlot {
+		sl.Free.PushHead(next)
 	}
 }
 

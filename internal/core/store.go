@@ -603,10 +603,9 @@ func (s *Store) BulkLoad(items []kv.Item) error {
 			}
 			op.page = page
 		}
-		off := sl.SlotOffset(slot)
-		slotBuf := op.data[off : off+sl.Stride]
+		slotBuf := sl.SlotBytes(op.data, slot)
 		if reused {
-			w.recoverChain(sl, slotBuf)
+			recoverChain(sl, slotBuf)
 		}
 		if err := sl.EncodeItem(slotBuf, ts, it.Key, val); err != nil {
 			return err

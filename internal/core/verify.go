@@ -40,11 +40,7 @@ func hostSlot(st device.Store, sl *slab.Slab, slot uint64) (slab.Decoded, error)
 	if err := st.ReadPages(sl.SlotPage(slot), buf); err != nil {
 		return slab.Decoded{}, fmt.Errorf("read: %w", err)
 	}
-	if !sl.MultiPage() {
-		off := sl.SlotOffset(slot)
-		buf = buf[off : off+sl.Stride]
-	}
-	return sl.DecodeSlot(buf)
+	return sl.DecodeSlot(sl.SlotBytes(buf, slot))
 }
 
 func (w *worker) checkConsistency() error {

@@ -110,15 +110,11 @@ func (pr *pendingRead) complete(c env.Ctx, io *aio.IO, out *[]*aio.IO) {
 				data = w.writable(pr.page, data)
 			}
 		}
-		sl := w.slabs[j.l.class()]
-		switch {
-		case j.slot == nil:
+		if j.slot == nil {
 			w.patchPage(c, j.l, &j.ed, data, j.done, out)
-		case pr.private:
-			j.slot.slot(c, w.slotPayload(c, sl, j.expect, data), out)
-		default:
-			off := sl.SlotOffset(j.l.slot())
-			j.slot.slot(c, w.slotPayload(c, sl, j.expect, data[off:off+sl.Stride]), out)
+		} else {
+			sl := w.slabs[j.l.class()]
+			j.slot.slot(c, w.slotPayload(c, sl, j.expect, sl.SlotBytes(data, j.l.slot())), out)
 		}
 	}
 	c.SetTrace(nil)
@@ -388,7 +384,7 @@ func (w *worker) emitIO(c env.Ctx, op device.Op, page int64, buf []byte, tag con
 	}
 	if tc := trace.FromCtx(c); tc != nil {
 		io.Trace = tc
-		io.Created = c.Now()
+		io.Enqueued = c.Now()
 	}
 	io.Op, io.Page, io.Buf, io.Tag = op, page, buf, tag
 	*out = append(*out, io)
@@ -398,7 +394,7 @@ func (w *worker) putIO(io *aio.IO) {
 	io.Buf = nil
 	io.Tag = nil
 	io.Trace = nil
-	io.Created = 0
+	io.Enqueued = 0
 	w.ioFree = append(w.ioFree, io)
 }
 
@@ -495,7 +491,7 @@ func (w *worker) run(c env.Ctx, eng *aio.Engine) {
 				k := io.Tag.(cont)
 				if tc := io.Trace; tc != nil {
 					// Dwell between device completion and this pickup.
-					tc.Add(trace.CompQueue, io.Completed(), c.Now())
+					tc.Add(trace.CompQueue, io.Completed, c.Now())
 					c.SetTrace(tc)
 					k.complete(c, io, &out)
 					c.SetTrace(nil)

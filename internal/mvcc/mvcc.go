@@ -125,6 +125,27 @@ func AppendEncode(dst []byte, e *Envelope) []byte {
 	return dst
 }
 
+// CommitIntent commits the intent envelope at the head of b in place, as
+// the in-place flip write of a commit does: the kind becomes the committed
+// kind of the same operation and the commit timestamp commitTS, and no other
+// byte changes. b need hold only the envelope's header: in a multi-page slot
+// the rest of the value may lie on later pages. It panics when b does not
+// start with an intent's header.
+func CommitIntent(b []byte, commitTS uint64) {
+	if len(b) < HeaderSize {
+		panic("mvcc: commit: the envelope header does not fit the bytes given")
+	}
+	switch b[0] {
+	case KindIntentPut:
+		b[0] = KindCommitPut
+	case KindIntentDelete:
+		b[0] = KindCommitDelete
+	default:
+		panic("mvcc: commit: not an intent")
+	}
+	binary.LittleEndian.PutUint64(b[9:17], commitTS)
+}
+
 // Decode parses b as an envelope, returning views into b. ok is false when b
 // is too short or the kind byte is unknown (corrupt or non-MVCC data).
 func Decode(b []byte) (e Envelope, ok bool) {

@@ -215,9 +215,58 @@ func BenchmarkEnvelopeEncodeDecode(b *testing.B) {
 	}
 }
 
+// CommitIntent turns an intent into the committed envelope of the same
+// operation at the new commit timestamp, every other byte unchanged, even
+// when it is given only the envelope's header; it refuses a committed
+// envelope and bytes too short for a header.
+func TestCommitIntent(t *testing.T) {
+	for _, tc := range []struct {
+		e    Envelope
+		want byte
+	}{
+		{Envelope{Kind: KindIntentPut, StartTS: 5, PrevLoc: NoLoc, Primary: []byte("pk"), Value: []byte("value")}, KindCommitPut},
+		{Envelope{Kind: KindIntentDelete, StartTS: 6, PrevLoc: 3, Primary: []byte("primary")}, KindCommitDelete},
+	} {
+		for _, headOnly := range []bool{false, true} {
+			b := AppendEncode(nil, &tc.e)
+			orig := bytes.Clone(b)
+			head := b
+			if headOnly {
+				head = b[:HeaderSize]
+			}
+			CommitIntent(head, 77)
+			d, ok := Decode(b)
+			if !ok || d.Kind != tc.want || d.CommitTS != 77 || d.StartTS != tc.e.StartTS || d.PrevLoc != tc.e.PrevLoc ||
+				!bytes.Equal(d.Primary, tc.e.Primary) || !bytes.Equal(d.Value, tc.e.Value) {
+				t.Fatalf("kind %#x: committed envelope decodes as %+v (ok %v)", tc.e.Kind, d, ok)
+			}
+			for i := range b {
+				if b[i] != orig[i] && i != 0 && (i < 9 || i >= 17) {
+					t.Fatalf("kind %#x: byte %d changed outside the kind and commit timestamp", tc.e.Kind, i)
+				}
+			}
+		}
+	}
+	for name, b := range map[string][]byte{
+		"committed": AppendEncode(nil, &Envelope{Kind: KindCommitPut, StartTS: 1, CommitTS: 2, PrevLoc: NoLoc}),
+		"short":     AppendEncode(nil, &Envelope{Kind: KindIntentPut, StartTS: 1, PrevLoc: NoLoc})[:HeaderSize-1],
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("CommitIntent accepted a %s envelope", name)
+				}
+			}()
+			CommitIntent(b, 3)
+		}()
+	}
+}
+
 // FuzzMVCCDecode: Decode never panics on arbitrary bytes, and whenever it
-// accepts them, re-encoding the envelope reproduces them exactly. The
-// corpus is AppendEncode output of every kind.
+// accepts them, re-encoding the envelope reproduces them exactly. An
+// accepted intent, committed in place, decodes as the committed envelope of
+// the same operation at the new commit timestamp with every other field
+// unchanged. The corpus is AppendEncode output of every kind.
 func FuzzMVCCDecode(f *testing.F) {
 	for _, e := range []Envelope{
 		{Kind: KindIntentPut, StartTS: 5, PrevLoc: NoLoc, Primary: []byte("pk"), Value: []byte("v")},
@@ -237,6 +286,17 @@ func FuzzMVCCDecode(f *testing.F) {
 		}
 		if got := AppendEncode(nil, &e); !bytes.Equal(got, b) {
 			t.Fatalf("Decode accepted %x, which re-encodes as %x", b, got)
+		}
+		if !e.Intent() {
+			return
+		}
+		want := e
+		want.Kind += KindCommitPut - KindIntentPut
+		want.CommitTS = e.CommitTS ^ 0x5A5A
+		c := bytes.Clone(b)
+		CommitIntent(c, want.CommitTS)
+		if got := AppendEncode(nil, &want); !bytes.Equal(got, c) {
+			t.Fatalf("intent %x committed in place gives %x, want %x", b, c, got)
 		}
 	})
 }

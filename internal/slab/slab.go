@@ -6,7 +6,12 @@
 // tombstones which may chain to further free slots (see package freelist).
 //
 // This package is pure layout: encoding, decoding and slot-to-page
-// arithmetic. All I/O is done by the engine that owns the slab.
+// arithmetic. All I/O is done by the engine that owns the slab. It is also
+// the only reader and writer of slot bytes: callers locate a slot in a page
+// with SlotBytes, a tombstone's chain pointer with TombstoneChain and a live
+// item's value with ValueIn, and never compute an offset inside a slot.
+// Every header is read by one function (parseHeader), and DecodeSlot and
+// DecodeSlotView are one parser (decode), with and without copying out.
 package slab
 
 import (
@@ -124,8 +129,8 @@ func (s *Slab) PagesPerSlot() int64 { return s.pagesPerSlot }
 // Slots returns the append cursor (total slots ever allocated fresh).
 func (s *Slab) Slots() uint64 { return s.nextSlot }
 
-// slotsPerExtent returns how many slots fit in one extent.
-func (s *Slab) slotsPerExtent() uint64 {
+// SlotsPerExtent returns how many slots fit in one extent.
+func (s *Slab) SlotsPerExtent() uint64 {
 	if s.slotsPerPage > 0 {
 		return uint64(s.extentPages) * uint64(s.slotsPerPage)
 	}
@@ -135,7 +140,7 @@ func (s *Slab) slotsPerExtent() uint64 {
 // SlotPage returns the first disk page of slot, growing the slab if the
 // slot lies in an extent not yet allocated.
 func (s *Slab) SlotPage(slot uint64) int64 {
-	spe := s.slotsPerExtent()
+	spe := s.SlotsPerExtent()
 	ext := int(slot / spe)
 	for ext >= len(s.extents) {
 		s.extents = append(s.extents, s.alloc.Alloc(s.extentPages))
@@ -147,12 +152,16 @@ func (s *Slab) SlotPage(slot uint64) int64 {
 	return s.extents[ext] + within*s.pagesPerSlot
 }
 
-// SlotOffset returns the byte offset of slot within its first page.
-func (s *Slab) SlotOffset(slot uint64) int {
+// SlotBytes returns slot's bytes in img: for a sub-page class img is the
+// image of the slot's page and the result the slot's stride in it; for a
+// multi-page class img is the slot's image (or its first page) and is
+// returned whole.
+func (s *Slab) SlotBytes(img []byte, slot uint64) []byte {
 	if s.slotsPerPage == 0 {
-		return 0
+		return img
 	}
-	return int(slot%uint64(s.slotsPerPage)) * s.Stride
+	off := int(slot%uint64(s.slotsPerPage)) * s.Stride
+	return img[off : off+s.Stride]
 }
 
 // Alloc returns a slot to store a new item: a freed slot when one is known,
@@ -234,6 +243,47 @@ func putHeader(buf []byte, flag byte, ts uint64, klen, vlen int) {
 	binary.LittleEndian.PutUint32(buf[11:15], uint32(vlen))
 }
 
+// header is one page's record header.
+type header struct {
+	flag       byte
+	ts         uint64
+	klen, vlen int
+}
+
+// parseHeader reads the header at the start of b, which holds at least
+// HeaderSize bytes: the one reader of header bytes.
+func parseHeader(b []byte) header {
+	return header{
+		flag: b[0],
+		ts:   binary.LittleEndian.Uint64(b[1:9]),
+		klen: int(binary.LittleEndian.Uint16(b[9:11])),
+		vlen: int(binary.LittleEndian.Uint32(b[11:15])),
+	}
+}
+
+// TombstoneChain reads the chain pointer of the tombstone heading head, a
+// slot's first HeaderSize+8 bytes or more (freelist.NoSlot when unchained).
+// ok is false when head holds no tombstone.
+func TombstoneChain(head []byte) (next uint64, ok bool) {
+	if parseHeader(head).flag != flagTombstone {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(head[HeaderSize:tombstoneSize]), true
+}
+
+// ValueIn returns the bytes of the live item's value that lie in head — a
+// slot's bytes, or a multi-page slot's first page, whose value may continue
+// on the next pages — or nil when head holds no live item. Writing them
+// writes the slot.
+func ValueIn(head []byte) []byte {
+	h := parseHeader(head)
+	start := HeaderSize + h.klen
+	if h.flag != flagLive || start > len(head) {
+		return nil
+	}
+	return head[start:min(start+h.vlen, len(head))]
+}
+
 // Decoded is the result of decoding one slot.
 type Decoded struct {
 	Kind    Kind
@@ -255,120 +305,65 @@ const (
 // ErrBuf is returned for malformed buffers.
 var ErrBuf = errors.New("slab: bad decode buffer")
 
-// DecodeSlot decodes the slot contents from buf (one stride for sub-page
-// classes; PagesPerSlot pages for multi-page classes).
-func (s *Slab) DecodeSlot(buf []byte) (Decoded, error) {
-	if s.slotsPerPage > 0 {
-		if len(buf) != s.Stride {
-			return Decoded{}, ErrBuf
-		}
-		switch buf[0] {
-		case flagEmpty:
-			return Decoded{Kind: Empty}, nil
-		case flagTombstone:
-			return Decoded{
-				Kind:    Tombstone,
-				ChainTo: binary.LittleEndian.Uint64(buf[HeaderSize : HeaderSize+8]),
-			}, nil
-		case flagLive:
-			ts := binary.LittleEndian.Uint64(buf[1:9])
-			klen := int(binary.LittleEndian.Uint16(buf[9:11]))
-			vlen := int(binary.LittleEndian.Uint32(buf[11:15]))
-			if HeaderSize+klen+vlen > s.Stride {
-				return Decoded{Kind: Corrupt}, nil
-			}
-			k := append([]byte(nil), buf[HeaderSize:HeaderSize+klen]...)
-			v := append([]byte(nil), buf[HeaderSize+klen:HeaderSize+klen+vlen]...)
-			return Decoded{Kind: Live, Item: Item{Timestamp: ts, Key: k, Value: v}}, nil
-		default:
-			return Decoded{Kind: Corrupt}, nil
-		}
-	}
-	if int64(len(buf)) != s.pagesPerSlot*device.PageSize {
+// DecodeSlot decodes the slot contents from buf (one stride; for a
+// multi-page class, PagesPerSlot pages). A live item's key and value are
+// copied out, into one allocation.
+func (s *Slab) DecodeSlot(buf []byte) (Decoded, error) { return s.decode(buf, false) }
+
+// DecodeSlotView is DecodeSlot without the copy: a live item's Key and Value
+// alias buf wherever they are contiguous in it (always for sub-page classes;
+// for multi-page items only when the payload fits the first page — longer
+// values are assembled into a fresh buffer, exactly like DecodeSlot). The
+// views are valid only as long as buf's contents are; callers that retain
+// the item must copy.
+func (s *Slab) DecodeSlotView(buf []byte) (Decoded, error) { return s.decode(buf, true) }
+
+// decode is the one slot parser behind DecodeSlot (view false) and
+// DecodeSlotView (view true).
+func (s *Slab) decode(buf []byte, view bool) (Decoded, error) {
+	if len(buf) != s.Stride {
 		return Decoded{}, ErrBuf
 	}
-	switch buf[0] {
+	h := parseHeader(buf)
+	switch h.flag {
 	case flagEmpty:
 		return Decoded{Kind: Empty}, nil
 	case flagTombstone:
-		return Decoded{
-			Kind:    Tombstone,
-			ChainTo: binary.LittleEndian.Uint64(buf[HeaderSize : HeaderSize+8]),
-		}, nil
+		chain, _ := TombstoneChain(buf)
+		return Decoded{Kind: Tombstone, ChainTo: chain}, nil
 	case flagLive:
-		ts := binary.LittleEndian.Uint64(buf[1:9])
-		klen := int(binary.LittleEndian.Uint16(buf[9:11]))
-		vlen := int(binary.LittleEndian.Uint32(buf[11:15]))
-		total := klen + vlen
-		if total > int(s.pagesPerSlot)*PagePayload {
-			return Decoded{Kind: Corrupt}, nil
+	default:
+		return Decoded{Kind: Corrupt}, nil
+	}
+	// Each page of the slot, header included, is pl bytes long: a sub-page
+	// slot is one page of stride length.
+	total, pl := h.klen+h.vlen, min(s.Stride, device.PageSize)
+	if total > int(s.pagesPerSlot)*(pl-HeaderSize) {
+		return Decoded{Kind: Corrupt}, nil
+	}
+	var data []byte
+	if HeaderSize+total <= pl {
+		data = buf[HeaderSize : HeaderSize+total : HeaderSize+total]
+		if !view {
+			data = append([]byte(nil), data...)
 		}
-		data := make([]byte, 0, total)
-		for p := int64(0); p < s.pagesPerSlot && len(data) < total; p++ {
-			pg := buf[p*device.PageSize : (p+1)*device.PageSize]
+	} else {
+		data = make([]byte, 0, total)
+		for p := 0; len(data) < total; p += pl {
+			pg := buf[p : p+pl]
 			if p > 0 {
 				// A multi-page item is only valid if every continuation
 				// page carries the same timestamp (§5.6: partial writes
 				// after a crash are discarded via these headers).
-				if pg[0] != flagCont || binary.LittleEndian.Uint64(pg[1:9]) != ts {
+				if c := parseHeader(pg); c.flag != flagCont || c.ts != h.ts {
 					return Decoded{Kind: Corrupt}, nil
 				}
 			}
-			n := total - len(data)
-			if n > PagePayload {
-				n = PagePayload
-			}
+			n := min(total-len(data), pl-HeaderSize)
 			data = append(data, pg[HeaderSize:HeaderSize+n]...)
 		}
-		return Decoded{Kind: Live, Item: Item{Timestamp: ts, Key: data[:klen:klen], Value: data[klen:]}}, nil
-	default:
-		return Decoded{Kind: Corrupt}, nil
 	}
-}
-
-// DecodeSlotView is DecodeSlot without the defensive copies: for live slots
-// the returned Item.Key and Item.Value alias buf wherever they are
-// contiguous in it (always for sub-page classes; for multi-page items only
-// when the payload fits the first page — longer values are assembled into a
-// fresh buffer, exactly like DecodeSlot). The views are valid only as long
-// as buf's contents are; callers that retain the item must copy.
-func (s *Slab) DecodeSlotView(buf []byte) (Decoded, error) {
-	if s.slotsPerPage > 0 {
-		if len(buf) != s.Stride {
-			return Decoded{}, ErrBuf
-		}
-		if buf[0] != flagLive {
-			return s.DecodeSlot(buf) // non-live slots carry no views
-		}
-		ts := binary.LittleEndian.Uint64(buf[1:9])
-		klen := int(binary.LittleEndian.Uint16(buf[9:11]))
-		vlen := int(binary.LittleEndian.Uint32(buf[11:15]))
-		if HeaderSize+klen+vlen > s.Stride {
-			return Decoded{Kind: Corrupt}, nil
-		}
-		return Decoded{Kind: Live, Item: Item{
-			Timestamp: ts,
-			Key:       buf[HeaderSize : HeaderSize+klen : HeaderSize+klen],
-			Value:     buf[HeaderSize+klen : HeaderSize+klen+vlen : HeaderSize+klen+vlen],
-		}}, nil
-	}
-	if int64(len(buf)) != s.pagesPerSlot*device.PageSize {
-		return Decoded{}, ErrBuf
-	}
-	if buf[0] != flagLive {
-		return s.DecodeSlot(buf)
-	}
-	klen := int(binary.LittleEndian.Uint16(buf[9:11]))
-	vlen := int(binary.LittleEndian.Uint32(buf[11:15]))
-	if klen+vlen <= PagePayload {
-		ts := binary.LittleEndian.Uint64(buf[1:9])
-		return Decoded{Kind: Live, Item: Item{
-			Timestamp: ts,
-			Key:       buf[HeaderSize : HeaderSize+klen : HeaderSize+klen],
-			Value:     buf[HeaderSize+klen : HeaderSize+klen+vlen : HeaderSize+klen+vlen],
-		}}, nil
-	}
-	return s.DecodeSlot(buf)
+	return Decoded{Kind: Live, Item: Item{Timestamp: h.ts, Key: data[:h.klen:h.klen], Value: data[h.klen:]}}, nil
 }
 
 // ExtentCount returns how many extents are allocated.

@@ -78,6 +78,35 @@ func TestTombstoneRoundtrip(t *testing.T) {
 	}
 }
 
+// TombstoneChain reads a chain pointer from a tombstone's head alone, and
+// only from a tombstone; ValueIn finds a live item's value, and nothing in
+// any other slot.
+func TestSlotHeadReaders(t *testing.T) {
+	s := newSlab(256)
+	buf := make([]byte, 256)
+	for _, chain := range []uint64{1234, freelist.NoSlot} {
+		s.EncodeTombstone(buf, 5, chain)
+		if next, ok := TombstoneChain(buf[:HeaderSize+8]); !ok || next != chain {
+			t.Fatalf("tombstone chained to %d: TombstoneChain gives (%d, %v)", chain, next, ok)
+		}
+		if v := ValueIn(buf); v != nil {
+			t.Fatalf("ValueIn found %d bytes in a tombstone", len(v))
+		}
+	}
+	if err := s.EncodeItem(buf, 6, []byte("key"), []byte("value")); err != nil {
+		t.Fatal(err)
+	}
+	if next, ok := TombstoneChain(buf[:HeaderSize+8]); ok {
+		t.Fatalf("TombstoneChain read chain %d from a live slot", next)
+	}
+	if v := ValueIn(buf); string(v) != "value" || &v[0] != &buf[HeaderSize+3] {
+		t.Fatalf("ValueIn gives %q", v)
+	}
+	if _, ok := TombstoneChain(make([]byte, HeaderSize+8)); ok {
+		t.Fatal("TombstoneChain read a chain from an empty slot")
+	}
+}
+
 func TestEmptySlotDecodes(t *testing.T) {
 	s := newSlab(512)
 	d, err := s.DecodeSlot(make([]byte, 512))
@@ -135,8 +164,9 @@ func TestSlotGeometry(t *testing.T) {
 	if p := s.SlotPage(0); p != 0 {
 		t.Fatalf("slot 0 page = %d", p)
 	}
-	if off := s.SlotOffset(2); off != 2048 {
-		t.Fatalf("slot 2 offset = %d", off)
+	page := make([]byte, device.PageSize)
+	if b := s.SlotBytes(page, 2); &b[0] != &page[2048] || len(b) != 1024 {
+		t.Fatalf("slot 2 bytes at offset %d, length %d", len(page)-cap(b), len(b))
 	}
 	if p := s.SlotPage(5); p != 1 {
 		t.Fatalf("slot 5 page = %d", p)
@@ -159,8 +189,9 @@ func TestMultiPageGeometry(t *testing.T) {
 	if p1 != p0+2 {
 		t.Fatalf("2-page slots: slot1 at %d, slot0 at %d", p1, p0)
 	}
-	if s.SlotOffset(1) != 0 {
-		t.Fatal("multi-page slots must be page-aligned")
+	img := make([]byte, 2*device.PageSize)
+	if b := s.SlotBytes(img, 1); &b[0] != &img[0] || len(b) != len(img) {
+		t.Fatal("a multi-page slot's bytes must be its whole image")
 	}
 }
 
@@ -304,16 +335,20 @@ func TestEncodeItemMatchesReference(t *testing.T) {
 // FuzzSlabDecode: over arbitrary slot bytes, for one sub-page and one
 // multi-page class, DecodeSlot and DecodeSlotView never panic, agree on the
 // slot's kind and error, and on a live slot agree on timestamp, key and
-// value. DecodeSlot's item must not alias the slot buffer. The corpus is
-// EncodeItem and EncodeTombstone output of both classes, a torn multi-page
-// item and an empty slot.
+// value. DecodeSlot's item must not alias the slot buffer. The readers core
+// uses on part of a slot agree with DecodeSlot: TombstoneChain on the slot's
+// first HeaderSize+8 bytes finds a tombstone, and its chain pointer, exactly
+// when DecodeSlot does, and ValueIn on the first page of a live slot gives
+// the part of its value that lies there. The corpus is EncodeItem and
+// EncodeTombstone output of both classes (a multi-page key spilling past the
+// first page among them), a torn multi-page item and an empty slot.
 func FuzzSlabDecode(f *testing.F) {
 	sub, multi := newSlab(256), New(0, 2*device.PageSize, device.NewAllocator(0), 256, 64)
 	for _, tc := range []struct {
 		s    *Slab
 		klen int
 		vlen int
-	}{{sub, 10, 40}, {sub, 16, 256 - HeaderSize - 16}, {multi, 20, 100}, {multi, 20, 6000}} {
+	}{{sub, 10, 40}, {sub, 16, 256 - HeaderSize - 16}, {multi, 20, 100}, {multi, 20, 6000}, {multi, 4100, 100}} {
 		buf := make([]byte, tc.s.Stride)
 		val := bytes.Repeat([]byte{0xA5}, tc.vlen)
 		if err := tc.s.EncodeItem(buf, 7, bytes.Repeat([]byte{'k'}, tc.klen), val); err != nil {
@@ -345,8 +380,19 @@ func FuzzSlabDecode(f *testing.F) {
 					t.Fatalf("stride %d: DecodeSlot gives (%v, kind %d, chain %d), DecodeSlotView (%v, kind %d, chain %d)",
 						s.Stride, err, d.Kind, d.ChainTo, verr, v.Kind, v.ChainTo)
 				}
+				if err != nil {
+					continue
+				}
+				if next, ok := TombstoneChain(buf[:HeaderSize+8]); ok != (d.Kind == Tombstone) || ok && next != d.ChainTo {
+					t.Fatalf("stride %d: TombstoneChain gives (%d, %v), DecodeSlot kind %d, chain %d", s.Stride, next, ok, d.Kind, d.ChainTo)
+				}
 				if d.Kind != Live {
 					continue
+				}
+				head := buf[:min(len(buf), device.PageSize)]
+				n := min(max(len(head)-HeaderSize-len(d.Item.Key), 0), len(d.Item.Value))
+				if val := ValueIn(head); !bytes.Equal(val, d.Item.Value[:n]) {
+					t.Fatalf("stride %d: ValueIn gives %d bytes of a %dB value, want its first %d", s.Stride, len(val), len(d.Item.Value), n)
 				}
 				if d.Item.Timestamp != v.Item.Timestamp || !bytes.Equal(d.Item.Key, v.Item.Key) || !bytes.Equal(d.Item.Value, v.Item.Value) {
 					t.Fatalf("stride %d: DecodeSlot and DecodeSlotView disagree on a live slot", s.Stride)
